@@ -22,6 +22,8 @@ class InputError(Exception):
 
 
 def _require_keys(obj, required, optional=(), what="object"):
+    if not isinstance(obj, dict):
+        raise InputError("%s must be a JSON object" % what)
     keys = set(obj)
     missing = set(required) - keys
     unknown = keys - set(required) - set(optional)
@@ -33,6 +35,9 @@ def _require_keys(obj, required, optional=(), what="object"):
 
 def category_from_json(obj, name=""):
     _require_keys(obj, ("objects", "morphisms", "composition"), what="category")
+    for key in ("objects", "morphisms", "composition"):
+        if not isinstance(obj[key], list):
+            raise InputError("category %s must be a JSON array" % key)
     morphisms = []
     for m in obj["morphisms"]:
         _require_keys(m, ("id", "dom", "cod"), what="morphism")
@@ -250,11 +255,10 @@ def system_from_json(obj, workspace, name=""):
 
     ``over`` picks the base: the opposite category of elements of a named
     presheaf, or the opposite factorization category of a named category.
-    Constant systems name a single group; explicit systems use the
-    synthesized object/morphism ids (printable via the CLI).
+    Systems are constant: ``constant_group`` or ``constant_abelian`` names
+    the single group at every object.
     """
-    _require_keys(obj, ("over",), ("constant_group", "constant_abelian", "diagram", "abdiagram"),
-                  what="system")
+    _require_keys(obj, ("over",), ("constant_group", "constant_abelian"), what="system")
     over = obj["over"]
     _require_keys(over, ("kind",), ("dset", "category"), what="system base")
     if over["kind"] == "elements-op":
@@ -296,6 +300,8 @@ class Workspace:
         self.load_data(data, what=path)
 
     def load_data(self, data, what="workspace"):
+        if not isinstance(data, dict):
+            raise InputError("%s must hold a JSON object" % what)
         if "objects" in data:
             # a bare category file: register under a default name
             self.raw["categories"].setdefault("main", data)
@@ -304,7 +310,10 @@ class Workspace:
         if unknown:
             raise InputError("%s has unknown sections: %s" % (what, ", ".join(sorted(unknown))))
         for section in self.SECTIONS:
-            for name, obj in data.get(section, {}).items():
+            entries = data.get(section, {})
+            if not isinstance(entries, dict):
+                raise InputError("%s section %s must be a JSON object" % (what, section))
+            for name, obj in entries.items():
                 if name in self.raw[section]:
                     raise InputError("duplicate %s name %r" % (section[:-1], name))
                 self.raw[section][name] = obj

@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import fixtures
 from ._jsonio import InputError, Workspace, category_to_json, presentation_to_json
 from .cofinal import certify_homotopy_cofinal, is_vdc
 from .diagrams import (
+    DEFAULT_CHAIN_CAP,
     DiagramError,
     ab_colim_derived,
     abelianize_diagram,
@@ -51,24 +51,10 @@ THEOREMS = (
 )
 
 
-def _thread_cap():
-    raw = os.environ.get("HOCOFIN_THREADS")
-    if raw is None:
-        return 1
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise InputError("HOCOFIN_THREADS must be an integer") from None
-    if cap < 1:
-        raise InputError("HOCOFIN_THREADS must be >= 1")
-    return cap
-
-
 def _defaults(args):
     out = {
         "fingerprint_bound": 8,
-        "chain_cap": 200000,
-        "threads": _thread_cap(),
+        "chain_cap": DEFAULT_CHAIN_CAP,
     }
     for key in ("nmax", "effort", "level"):
         if hasattr(args, key):

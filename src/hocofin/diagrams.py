@@ -14,7 +14,6 @@ from __future__ import annotations
 from . import fincat
 from .fincat import (
     chain_face,
-    chain_is_degenerate,
     chain_origin,
     composable_chains,
     comma_left_fibre_parts,
@@ -23,7 +22,7 @@ from .fincat import (
     full_subcategory,
 )
 from .groups import FreeProduct, GroupHom, GroupPresentation, tietze_simplify
-from .homalg import AbMap, ChainComplex, FGAb, IntMatrix
+from .homalg import AbMap, FGAb, IntMatrix, block_map, block_sum, normalized_complex
 
 
 class DiagramError(Exception):
@@ -301,6 +300,8 @@ def ab_colim_derived(C, M, n_max, chain_cap=DEFAULT_CHAIN_CAP):
 
 
 def srep_ab_complex(C, M, n_max, chain_cap=DEFAULT_CHAIN_CAP):
+    """Normalized simplicial-replacement complex of an abelian diagram in
+    degrees 0..n_max + 1; raises TruncationUnsound past the chain cap."""
     chains = {}
     for n in range(n_max + 2):
         chains[n] = composable_chains(C, n, nondegenerate=True)
@@ -308,75 +309,30 @@ def srep_ab_complex(C, M, n_max, chain_cap=DEFAULT_CHAIN_CAP):
             raise TruncationUnsound(
                 "degree %d has %d chains (cap %d)" % (n, len(chains[n]), chain_cap)
             )
-    groups = {-1: FGAb.trivial()}
-    offsets = {}
-    for n in range(n_max + 2):
-        blocks = [M.value[chain_origin(C, ch)] for ch in chains[n]]
-        off = []
-        total = 0
-        for b in blocks:
-            off.append(total)
-            total += b.gens
-        offsets[n] = off
-        groups[n] = FGAb.trivial().direct_sum(*blocks) if blocks else FGAb.trivial()
-    index = {n: {ch: k for k, ch in enumerate(chains[n])} for n in chains}
-    boundaries = {0: AbMap.zero(groups[0], groups[-1])}
-    for n in range(1, n_max + 2):
-        rows = groups[n - 1].gens
-        cols = groups[n].gens
-        Mx = [[0] * cols for _ in range(rows)]
-        for j, ch in enumerate(chains[n]):
-            src = M.value[chain_origin(C, ch)]
-            col0 = offsets[n][j]
-            for i in range(n + 1):
-                tgt_chain = chain_face(C, ch, i)
-                if chain_is_degenerate(C, tgt_chain):
-                    continue
-                k = index[n - 1].get(tgt_chain)
-                if k is None:
-                    continue
-                sign = -1 if i % 2 else 1
-                row0 = offsets[n - 1][k]
-                if i == 0:
-                    mat = M.action[ch[0]].matrix
-                    for r in range(mat.rows):
-                        for c in range(mat.cols):
-                            Mx[row0 + r][col0 + c] += sign * mat.entries[r][c]
-                else:
-                    for r in range(src.gens):
-                        Mx[row0 + r][col0 + r] += sign
-        boundaries[n] = AbMap(groups[n], groups[n - 1], IntMatrix(Mx, (rows, cols)), check=False)
-    return ChainComplex(groups, boundaries)
+
+    def faces(n, ch):
+        # d_0 transports along the first arrow; the other faces keep the value
+        yield 0, chain_face(C, ch, 0), M.action[ch[0]].matrix
+        for i in range(1, n + 1):
+            yield i, chain_face(C, ch, i), M.value[C.dom[ch[0]]].gens
+
+    return normalized_complex(chains, lambda ch: M.value[chain_origin(C, ch)], faces)
 
 
 def ab_colim0_by_coequalizer(C, M):
     """Independent degree-0 oracle: cokernel of the difference map from
     the sum over non-identity morphisms of M(dom) into the sum over
     objects of M(c)."""
-    obj_off = {}
-    total = 0
-    for o in C.objects:
-        obj_off[o] = total
-        total += M.value[o].gens
-    cols = []
-    for o in C.objects:
-        for col in M.value[o].rels.columns():
-            v = [0] * total
-            for r, x in enumerate(col):
-                v[obj_off[o] + r] = x
-            cols.append(v)
-    for alpha in C.morphisms:
-        if C.is_identity(alpha):
-            continue
-        src, dst = C.dom[alpha], C.cod[alpha]
-        mat = M.action[alpha].matrix
-        for c in range(M.value[src].gens):
-            v = [0] * total
-            v[obj_off[src] + c] += 1
-            for r in range(mat.rows):
-                v[obj_off[dst] + r] -= mat.entries[r][c]
-            cols.append(v)
-    return FGAb(total, IntMatrix.from_columns(cols, total))
+    total, off = block_sum([M.value[o] for o in C.objects])
+    off = dict(zip(C.objects, off))
+    arrows = [a for a in C.morphisms if not C.is_identity(a)]
+    domains, col_off = block_sum([M.value[C.dom[a]] for a in arrows])
+    entries = []
+    for a, c0 in zip(arrows, col_off):
+        entries.append((off[C.dom[a]], c0, 1, M.value[C.dom[a]].gens))
+        entries.append((off[C.cod[a]], c0, -1, M.action[a].matrix))
+    diff = block_map(domains, total, entries)
+    return FGAb(total.gens, total.rels.hstack(diff.matrix))
 
 
 # -- abelianization ----------------------------------------------------------
@@ -490,85 +446,57 @@ def kan_extend_vdc(S, diagram, fibres=None):
     for d, fa in fibres.items():
         if not fa.ok():
             raise NotVDC("fibre over %s has a component without a final object" % d)
-    if isinstance(diagram, AbDiagram):
-        return _kan_extend_ab(S, diagram, fibres)
-    return _kan_extend_grp(S, diagram, fibres)
-
-
-def _fin_objects(fa):
-    return list(fa.chosen)
-
-
-def _postcomposed_id(D, fa, beta, gamma):
-    """Object id of (c, beta∘u) in the fibre over cod(beta)."""
-    c, u = fa.parts[gamma]
-    return fincat._comma_obj_id(c, D.comp[(beta, u)])
-
-
-def _kan_extend_grp(S, G, fibres):
     D = S.target
-    values = {}
-    for d in D.objects:
-        fa = fibres[d]
-        factors = []
-        for gamma in _fin_objects(fa):
-            c = fa.parts[gamma][0]
-            for lbl, grp in G.value[c].factors:
-                factors.append(("%s::%s" % (gamma, lbl), grp))
-        values[d] = FreeProduct(factors)
+
+    def transport(beta, gamma):
+        c, u = fibres[D.dom[beta]].parts[gamma]
+        fa2 = fibres[D.cod[beta]]
+        arrow, phi = fa2.final_morphism(fincat._comma_obj_id(c, D.comp[(beta, u)]))
+        return phi, fa2.proj.on_mor(arrow)
+
+    parts = {d: [(gamma, fa.parts[gamma][0]) for gamma in fa.chosen] for d, fa in fibres.items()}
+    return sum_diagram(D, parts, transport, diagram, "Lan(%s)" % (diagram.name or "?"))
+
+
+def sum_diagram(base, parts, transport, coeff, name):
+    """Diagram over base whose value at d sums coefficient values: a direct
+    sum for an AbDiagram ``coeff``, a free product for a GroupDiagram.
+
+    ``parts[d]`` lists (key, c) pairs, one block coeff.value[c] per key.
+    ``transport(beta, key)`` returns (key2, alpha): the morphism beta of
+    base carries the block at key into the block at key2 through
+    coeff.action[alpha].  The constructor validates the result.
+    """
     actions = {}
-    for beta in D.morphisms:
-        d, d2 = D.dom[beta], D.cod[beta]
-        fa, fa2 = fibres[d], fibres[d2]
+    if isinstance(coeff, AbDiagram):
+        values, offsets = {}, {}
+        for d in base.objects:
+            values[d], off = block_sum([coeff.value[c] for _, c in parts[d]])
+            offsets[d] = {key: o for (key, _), o in zip(parts[d], off)}
+        for beta in base.morphisms:
+            d, d2 = base.dom[beta], base.cod[beta]
+            entries = []
+            for key, _ in parts[d]:
+                key2, alpha = transport(beta, key)
+                entries.append((offsets[d2][key2], offsets[d][key], 1, coeff.action[alpha].matrix))
+            actions[beta] = block_map(values[d], values[d2], entries)
+        return AbDiagram(base, values, actions, name=name)
+    values = {
+        d: FreeProduct([
+            ("%s::%s" % (key, lbl), grp) for key, c in parts[d] for lbl, grp in coeff.value[c].factors
+        ])
+        for d in base.objects
+    }
+    for beta in base.morphisms:
+        d, d2 = base.dom[beta], base.cod[beta]
         per = {}
-        for gamma in _fin_objects(fa):
-            c = fa.parts[gamma][0]
-            gamma2 = _postcomposed_id(D, fa, beta, gamma)
-            arrow, phi = fa2.final_morphism(gamma2)
-            alpha = fa2.proj.on_mor(arrow)
-            hom = G.action[alpha]
-            for lbl, grp in G.value[c].factors:
-                table = {}
-                for el in grp.elements:
-                    word = hom.per_factor[lbl][el]
-                    table[el] = tuple(("%s::%s" % (phi, l2), e2) for l2, e2 in word)
-                per["%s::%s" % (gamma, lbl)] = table
+        for key, c in parts[d]:
+            key2, alpha = transport(beta, key)
+            hom = coeff.action[alpha]
+            for lbl, grp in coeff.value[c].factors:
+                per["%s::%s" % (key, lbl)] = {
+                    el: tuple(("%s::%s" % (key2, l2), e2) for l2, e2 in hom.per_factor[lbl][el])
+                    for el in grp.elements
+                }
         actions[beta] = GroupHom(values[d], values[d2], per, _validate=False)
-    return GroupDiagram(D, values, actions, name="Lan(%s)" % (G.name or "?"))
-
-
-def _kan_extend_ab(S, M, fibres):
-    D = S.target
-    values = {}
-    block_offsets = {}
-    for d in D.objects:
-        fa = fibres[d]
-        blocks = []
-        offsets = {}
-        total = 0
-        for gamma in _fin_objects(fa):
-            c = fa.parts[gamma][0]
-            offsets[gamma] = total
-            total += M.value[c].gens
-            blocks.append(M.value[c])
-        values[d] = FGAb.trivial().direct_sum(*blocks) if blocks else FGAb.trivial()
-        block_offsets[d] = offsets
-    actions = {}
-    for beta in D.morphisms:
-        d, d2 = D.dom[beta], D.cod[beta]
-        fa, fa2 = fibres[d], fibres[d2]
-        rows = values[d2].gens
-        cols = values[d].gens
-        Mx = [[0] * cols for _ in range(rows)]
-        for gamma in _fin_objects(fa):
-            gamma2 = _postcomposed_id(D, fa, beta, gamma)
-            arrow, phi = fa2.final_morphism(gamma2)
-            alpha = fa2.proj.on_mor(arrow)
-            mat = M.action[alpha].matrix
-            r0 = block_offsets[d2][phi]
-            c0 = block_offsets[d][gamma]
-            for r in range(mat.rows):
-                for cc in range(mat.cols):
-                    Mx[r0 + r][c0 + cc] += mat.entries[r][cc]
-        actions[beta] = AbMap(values[d], values[d2], IntMatrix(Mx, (rows, cols)), check=False)
-    return AbDiagram(D, values, actions, name="Lan(%s)" % (M.name or "?"))
+    return GroupDiagram(base, values, actions, name=name)

@@ -13,16 +13,15 @@ from __future__ import annotations
 from .cofinal import certify_contractible, weakest
 from .diagrams import (
     AbDiagram,
-    GroupDiagram,
     ab_colim_derived,
     abelianize_diagram,
     colim0,
     kan_extend_vdc,
+    sum_diagram,
 )
 from .fincat import (
     Functor,
     chain_face,
-    chain_is_degenerate,
     composable_chains,
     factor_functor,
     factor_slice,
@@ -30,8 +29,8 @@ from .fincat import (
     opposite,
     opposite_functor,
 )
-from .groups import FreeProduct, GroupHom, fingerprint
-from .homalg import AbMap, ChainComplex, FGAb, IntMatrix
+from .groups import fingerprint
+from .homalg import normalized_complex
 from .presheaf import elements_with_parts, inverse_fibre
 
 
@@ -64,66 +63,15 @@ def lan_route_diagram(X, system, data=None):
     values, with transport along morphisms; a diagram over the opposite
     of the base category."""
     D = X.base
-    Dop = opposite(D)
     E, Q, parts = data if data is not None else elements_with_parts(X)
     oid = {(d, x): o for o, (d, x) in parts.items()}
-    if _is_ab(system):
-        values = {}
-        offsets = {}
-        for a in D.objects:
-            blocks = [system.value[oid[(a, x)]] for x in X.sets[a]]
-            off = []
-            total = 0
-            for b in blocks:
-                off.append(total)
-                total += b.gens
-            offsets[a] = dict(zip(X.sets[a], off))
-            values[a] = FGAb.trivial().direct_sum(*blocks) if blocks else FGAb.trivial()
-        actions = {}
-        for alpha in D.morphisms:
-            if D.is_identity(alpha):
-                continue
-            b, a = D.dom[alpha], D.cod[alpha]
-            rows, cols = values[b].gens, values[a].gens
-            M = [[0] * cols for _ in range(rows)]
-            for x in X.sets[a]:
-                x2 = X.apply(alpha, x)
-                o1, o2 = oid[(b, x2)], oid[(a, x)]
-                m = _hom_over(E, Q, o1, o2, alpha)
-                mat = system.action[m].matrix
-                r0 = offsets[b][x2]
-                c0 = offsets[a][x]
-                for r in range(mat.rows):
-                    for c in range(mat.cols):
-                        M[r0 + r][c0 + c] += mat.entries[r][c]
-            actions[alpha] = AbMap(values[a], values[b], IntMatrix(M, (rows, cols)), check=False)
-        return AbDiagram(Dop, values, actions, name="C(%s)" % (X.name or "?"))
-    values = {}
-    for a in D.objects:
-        factors = []
-        for x in X.sets[a]:
-            for lbl, grp in system.value[oid[(a, x)]].factors:
-                factors.append(("%s::%s" % (x, lbl), grp))
-        values[a] = FreeProduct(factors)
-    actions = {}
-    for alpha in D.morphisms:
-        if D.is_identity(alpha):
-            continue
-        b, a = D.dom[alpha], D.cod[alpha]
-        per = {}
-        for x in X.sets[a]:
-            x2 = X.apply(alpha, x)
-            o1, o2 = oid[(b, x2)], oid[(a, x)]
-            m = _hom_over(E, Q, o1, o2, alpha)
-            hom = system.action[m]
-            for lbl, grp in system.value[o2].factors:
-                table = {}
-                for el in grp.elements:
-                    word = hom.per_factor[lbl][el]
-                    table[el] = tuple(("%s::%s" % (x2, l2), e2) for l2, e2 in word)
-                per["%s::%s" % (x, lbl)] = table
-        actions[alpha] = GroupHom(values[a], values[b], per, _validate=False)
-    return GroupDiagram(Dop, values, actions, name="C(%s)" % (X.name or "?"))
+
+    def transport(alpha, x):
+        x2 = X.apply(alpha, x)
+        return x2, _hom_over(E, Q, oid[(D.dom[alpha], x2)], oid[(D.cod[alpha], x)], alpha)
+
+    blocks = {a: [(x, oid[(a, x)]) for x in X.sets[a]] for a in D.objects}
+    return sum_diagram(opposite(D), blocks, transport, system, "C(%s)" % (X.name or "?"))
 
 
 def gz_homology(X, system, n_max):
@@ -283,59 +231,21 @@ def nerve_route_complex(C, M, n_max, fdata=None):
     category (transport on the outer faces, identity inside)."""
     fdata = fdata or factorization(C)
     chains = {n: composable_chains(C, n, nondegenerate=True) for n in range(n_max + 2)}
-    index = {n: {ch: k for k, ch in enumerate(chains[n])} for n in chains}
-    deltas = {n: [_delta_of_chain(C, ch) for ch in chains[n]] for n in chains}
-    groups = {-1: FGAb.trivial()}
-    offsets = {}
-    for n in range(n_max + 2):
-        blocks = [M.value[d] for d in deltas[n]]
-        off = []
-        total = 0
-        for b in blocks:
-            off.append(total)
-            total += b.gens
-        offsets[n] = off
-        groups[n] = FGAb.trivial().direct_sum(*blocks) if blocks else FGAb.trivial()
-    boundaries = {0: AbMap.zero(groups[0], groups[-1])}
-    for n in range(1, n_max + 2):
-        rows, cols = groups[n - 1].gens, groups[n].gens
-        Mx = [[0] * cols for _ in range(rows)]
-        for j, ch in enumerate(chains[n]):
-            dsig = deltas[n][j]
-            c0 = offsets[n][j]
-            for i in range(n + 1):
-                tgt = chain_face(C, ch, i)
-                if chain_is_degenerate(C, tgt):
-                    continue
-                k = index[n - 1].get(tgt)
-                if k is None:
-                    continue
-                sign = -1 if i % 2 else 1
-                r0 = offsets[n - 1][k]
-                dtgt = deltas[n - 1][k]
-                if i == 0:
-                    pair = (ch[0], C.identity[C.cod[dsig]])
-                    m = _fact_hom(fdata, dtgt, dsig, pair)
-                    mat = M.action[m].matrix
-                elif i == n:
-                    pair = (C.identity[C.dom[dsig]], ch[-1])
-                    m = _fact_hom(fdata, dtgt, dsig, pair)
-                    mat = M.action[m].matrix
-                else:
-                    mat = None
-                if mat is None:
-                    for r in range(groups_block_size(M, dsig)):
-                        Mx[r0 + r][c0 + r] += sign
-                else:
-                    for r in range(mat.rows):
-                        for c in range(mat.cols):
-                            Mx[r0 + r][c0 + c] += sign * mat.entries[r][c]
-        boundaries[n] = AbMap(groups[n], groups[n - 1], IntMatrix(Mx, (rows, cols)), check=False)
-    return ChainComplex(groups, boundaries)
 
+    def faces(n, ch):
+        dsig = _delta_of_chain(C, ch)
+        for i in range(n + 1):
+            face = chain_face(C, ch, i)
+            if i == 0:
+                pair = (ch[0], C.identity[C.cod[dsig]])
+            elif i == n:
+                pair = (C.identity[C.dom[dsig]], ch[-1])
+            else:
+                yield i, face, M.value[dsig].gens
+                continue
+            yield i, face, M.action[_fact_hom(fdata, _delta_of_chain(C, face), dsig, pair)].matrix
 
-def groups_block_size(M, obj):
-    return M.value[obj].gens
+    return normalized_complex(chains, lambda ch: M.value[_delta_of_chain(C, ch)], faces)
 
 
 def bw_homology(C, system, n_max, fdata=None):

@@ -380,15 +380,7 @@ class FGAb:
 
     def direct_sum(self, *others):
         """Block direct sum at presentation level (generator order kept)."""
-        groups = (self,) + others
-        gens = sum(g.gens for g in groups)
-        cols = []
-        offset = 0
-        for g in groups:
-            for col in g.rels.columns():
-                cols.append([0] * offset + col + [0] * (gens - offset - g.gens))
-            offset += g.gens
-        return FGAb(gens, IntMatrix.from_columns(cols, gens))
+        return block_sum((self,) + others)[0]
 
     def __eq__(self, other):
         if not isinstance(other, FGAb):
@@ -541,3 +533,74 @@ class ChainComplex:
 
     def homology_range(self, n_lo, n_hi):
         return [self.homology(n) for n in range(n_lo, n_hi + 1)]
+
+
+# -- block assembly ------------------------------------------------------------
+
+
+def block_sum(blocks):
+    """Direct sum of a list of groups, with the generator offset of each block.
+
+    >>> G, offsets = block_sum([FGAb.cyclic(2), FGAb.free(2), FGAb.cyclic(3)])
+    >>> print(G, offsets)
+    Z^2 (+) Z/6 [0, 1, 3]
+    """
+    offsets = []
+    total = 0
+    for b in blocks:
+        offsets.append(total)
+        total += b.gens
+    cols = [
+        [0] * off + col + [0] * (total - off - b.gens)
+        for b, off in zip(blocks, offsets)
+        for col in b.rels.columns()
+    ]
+    return FGAb(total, IntMatrix.from_columns(cols, total)), offsets
+
+
+def block_map(source, target, entries):
+    """AbMap source -> target assembled from blocks.
+
+    Each entry (row offset, column offset, sign, coeff) adds sign * coeff at
+    that place; coeff is an IntMatrix, or an int k for the k x k identity.
+    Entries landing on the same place add up.  The map is not checked
+    against the source relations: callers validate what they assemble.
+    """
+    M = [[0] * source.gens for _ in range(target.gens)]
+    for r0, c0, sign, coeff in entries:
+        if isinstance(coeff, int):
+            for r in range(coeff):
+                M[r0 + r][c0 + r] += sign
+            continue
+        for r, row in enumerate(coeff.entries):
+            out = M[r0 + r]
+            for c, x in enumerate(row):
+                out[c0 + c] += sign * x
+    return AbMap(source, target, IntMatrix(M, (target.gens, source.gens)), check=False)
+
+
+def normalized_complex(basis, block, faces):
+    """Chain complex with C_n the direct sum of block(x) over x in basis[n],
+    for 0 <= n <= max(basis), and C_{-1} = 0.
+
+    ``faces(n, x)`` yields (i, y, coeff) for the faces of x; the boundary
+    adds (-1)^i * coeff from the block of x to the block of y.  A face y
+    that is not in basis[n-1] (a degenerate one) contributes zero.
+    """
+    top = max(basis)
+    groups = {-1: FGAb.trivial()}
+    offsets = {}
+    for n in range(top + 1):
+        groups[n], off = block_sum([block(x) for x in basis[n]])
+        offsets[n] = dict(zip(basis[n], off))
+    boundaries = {0: AbMap.zero(groups[0], groups[-1])}
+    for n in range(1, top + 1):
+        below = offsets[n - 1]
+        entries = []
+        for x, c0 in offsets[n].items():
+            for i, y, coeff in faces(n, x):
+                r0 = below.get(y)
+                if r0 is not None:
+                    entries.append((r0, c0, -1 if i % 2 else 1, coeff))
+        boundaries[n] = block_map(groups[n], groups[n - 1], entries)
+    return ChainComplex(groups, boundaries)

@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import deque
 
 from . import fincat
-from .homalg import AbMap, ChainComplex, FGAb, IntMatrix
+from .homalg import FGAb, normalized_complex
 from .groups import GroupPresentation
 
 
@@ -459,24 +459,12 @@ def normalized_chain_complex(X, n_max):
     landing on a degenerate simplex contributes zero."""
     if X.level < n_max + 1:
         raise LevelTooLow("need level >= %d, have %d" % (n_max + 1, X.level))
-    basis = {n: X.nondegenerate(n) for n in range(n_max + 2)}
-    index = {n: {x: i for i, x in enumerate(basis[n])} for n in basis}
-    groups = {-1: FGAb.trivial()}
-    for n in range(n_max + 2):
-        groups[n] = FGAb.free(len(basis[n]))
-    boundaries = {0: AbMap.zero(groups[0], groups[-1])}
-    for n in range(1, n_max + 2):
-        rows = len(basis[n - 1])
-        cols = len(basis[n])
-        M = [[0] * cols for _ in range(rows)]
-        for j, x in enumerate(basis[n]):
-            for i in range(n + 1):
-                y = X.face(n, i, x)
-                r = index[n - 1].get(y)
-                if r is not None:
-                    M[r][j] += -1 if i % 2 else 1
-        boundaries[n] = AbMap(groups[n], groups[n - 1], IntMatrix(M, (rows, cols)), check=False)
-    return ChainComplex(groups, boundaries)
+    Z = FGAb.free(1)
+    return normalized_complex(
+        {n: X.nondegenerate(n) for n in range(n_max + 2)},
+        lambda x: Z,
+        lambda n, x: ((i, X.face(n, i, x), 1) for i in range(n + 1)),
+    )
 
 
 def homology_ss(X, n_max):

@@ -110,6 +110,34 @@ def test_validate_rejects_unknown_keys(capsys, tmp_path):
     assert "unknown keys" in capsys.readouterr().err
 
 
+MALFORMED = {
+    "top-level-array": ([GOOD_WORKSPACE], "must hold a JSON object"),
+    "section-not-an-object": ({"categories": []}, "section categories must be a JSON object"),
+    "morphisms-not-a-list": (
+        {"objects": ["a"], "morphisms": 5, "composition": []},
+        "category morphisms must be a JSON array",
+    ),
+    "system-diagram-key": (
+        dict(GOOD_WORKSPACE, systems={"s": {
+            "over": {"kind": "factorization-op", "category": "two"}, "diagram": {},
+        }}),
+        "system has unknown keys: diagram",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_workspace_is_a_one_line_error(case, capsys, tmp_path):
+    data, message = MALFORMED[case]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    code = main(["validate", str(path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert message in err
+
+
 def test_workspace_commands(capsys, ws_file):
     code, out = run(capsys, "colim0", "--workspace", ws_file, "--diagram", "d")
     assert code == 0
@@ -165,16 +193,6 @@ def test_exit_codes(capsys):
     ]) == 2
     capsys.readouterr()
     assert main(["verify", "--theorem", "main2-n0", "--fixture", "no-such"]) == 1
-    capsys.readouterr()
-
-
-def test_threads_env_honoured(capsys, monkeypatch):
-    monkeypatch.setenv("HOCOFIN_THREADS", "4")
-    code, out = run(capsys, "--format", "json", "fingerprint", "--presentation", "x2")
-    assert code == 0
-    assert json.loads(out)["defaults"]["threads"] == 4
-    monkeypatch.setenv("HOCOFIN_THREADS", "zero")
-    assert main(["fingerprint", "--presentation", "x2"]) == 1
     capsys.readouterr()
 
 

@@ -1,6 +1,6 @@
 import pytest
 
-from hocofin import fincat
+from hocofin import fincat, fixtures
 from hocofin.diagrams import (
     NotVDC,
     TruncationUnsound,
@@ -12,6 +12,7 @@ from hocofin.diagrams import (
     constant_ab_diagram,
     constant_group_diagram,
     kan_extend_vdc,
+    srep_ab_complex,
     srep_degeneracy,
     srep_face,
     AbDiagram,
@@ -27,6 +28,7 @@ from hocofin.groups import (
     trivial_group,
 )
 from hocofin.homalg import AbMap, FGAb, IntMatrix
+from hocofin.presheaf import nerve, normalized_chain_complex
 
 
 def walking_arrow():
@@ -204,6 +206,23 @@ def test_colim0_coinvariants_inversion_action():
 # -- derived abelian colimits -------------------------------------------------
 
 
+def test_srep_d1_puts_the_transport_block_at_face_0():
+    # rows a, b; the single chain u: d_0 carries M(a) to M(b) by 2 with
+    # sign +, d_1 keeps it at a with sign -
+    M = fixtures.abdiag_two_mult2()
+    d1 = srep_ab_complex(M.base, M, 0).boundaries[1].matrix
+    assert d1 == IntMatrix([[-1], [2]])
+
+
+@pytest.mark.parametrize("name", sorted(fixtures.CATEGORIES))
+def test_srep_of_constant_z_is_the_nerve_complex(name):
+    C = fixtures.CATEGORIES[name]()
+    K1 = srep_ab_complex(C, constant_ab_diagram(C, FGAb.free(1)), 2)
+    K2 = normalized_chain_complex(nerve(C, 3), 2)
+    for n in range(4):
+        assert K1.boundaries[n].matrix == K2.boundaries[n].matrix, n
+
+
 def test_ab_colim_derived_z2_matches_bar_oracle():
     C = z2cat()
     M = constant_ab_diagram(C, FGAb.free(1))
@@ -313,6 +332,22 @@ def test_kan_extend_final_object_inclusion():
     # value at a: the fibre over a is empty, so the empty free product
     assert L.value["a"].factors == []
     assert len(L.value["b"].nontrivial_factors()) == 1
+
+
+def test_kan_extend_places_the_transported_block():
+    # y -> b beside the arrow u: a -> b; the fibre over b has the
+    # components {(y, id_b)} and {(a, u) -> (b, id_b)}, in that order, so
+    # Lan(b) = M(y) + M(b) and u sends M(a) by M(u) into the second block
+    two = walking_arrow()
+    src = validate_category(["y", "a", "b"], [("u", "a", "b")], [], name="2+1")
+    S = Functor(src, two, {"y": "b", "a": "a", "b": "b"},
+                {"u": "u", "id_y": "id_b", "id_a": "id_a", "id_b": "id_b"})
+    z = FGAb.free(1)
+    M = AbDiagram(src, {"y": FGAb.cyclic(3), "a": z, "b": z},
+                  {"u": AbMap(z, z, IntMatrix([[2]]))})
+    L = kan_extend_vdc(S, M)
+    assert L.value["b"].rels == IntMatrix([[3], [0]])
+    assert L.action["u"].matrix == IntMatrix([[0], [2]])
 
 
 def test_kan_extend_not_vdc():

@@ -14,11 +14,10 @@ REPORT_SCHEMA = {
         "command": {"type": "string"},
         "defaults": {
             "type": "object",
-            "required": ["fingerprint_bound", "chain_cap", "threads"],
+            "required": ["fingerprint_bound", "chain_cap"],
             "properties": {
                 "fingerprint_bound": {"type": "integer"},
                 "chain_cap": {"type": "integer"},
-                "threads": {"type": "integer", "minimum": 1},
                 "nmax": {"type": "integer"},
                 "effort": {"type": "integer"},
                 "level": {"type": "integer"},
