@@ -33,6 +33,43 @@ def _require_keys(obj, required, optional=(), what="object"):
         raise InputError("%s has unknown keys: %s" % (what, ", ".join(sorted(unknown))))
 
 
+def _integer(value, what):
+    """An integer given as a JSON number or a decimal string."""
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise InputError("%s must be an integer" % what)
+    try:
+        return int(value)
+    except ValueError:
+        raise InputError("%s must be an integer, not %r" % (what, value)) from None
+
+
+def _count(value, what):
+    n = _integer(value, what)
+    if n < 0:
+        raise InputError("%s must not be negative" % what)
+    return n
+
+
+def _mapping(obj, what):
+    if not isinstance(obj, dict):
+        raise InputError("%s must be a JSON object" % what)
+    return obj
+
+
+def matrix_from_json(obj):
+    _require_keys(obj, ("rows", "cols", "data"), what="matrix")
+    m = _count(obj["rows"], "matrix rows")
+    n = _count(obj["cols"], "matrix cols")
+    data = obj["data"]
+    if not isinstance(data, list):
+        raise InputError("matrix data must be a JSON array")
+    if len(data) != m * n:
+        raise InputError("matrix data has %d entries, rows*cols is %d" % (len(data), m * n))
+    for x in data:
+        _integer(x, "matrix entry")
+    return IntMatrix.from_json(obj)
+
+
 def category_from_json(obj, name=""):
     _require_keys(obj, ("objects", "morphisms", "composition"), what="category")
     for key in ("objects", "morphisms", "composition"):
@@ -73,14 +110,16 @@ def functor_from_json(obj, workspace, name=""):
 
 
 def group_from_json(obj, name=""):
-    if obj.get("kind") == "presentation":
+    if isinstance(obj, dict) and obj.get("kind") == "presentation":
         return presentation_from_json(obj)
     _require_keys(obj, ("kind", "elements", "unit", "table"), what="group")
     if obj["kind"] != "table":
         raise InputError("unknown group kind %r" % obj["kind"])
-    els = list(obj["elements"])
+    els = obj["elements"]
     rows = obj["table"]
-    if len(rows) != len(els) or any(len(r) != len(els) for r in rows):
+    if not isinstance(els, list) or not isinstance(rows, list):
+        raise InputError("group elements and table must be JSON arrays")
+    if len(rows) != len(els) or any(not isinstance(r, list) or len(r) != len(els) for r in rows):
         raise InputError("group table must be a square over the elements")
     table = {}
     for i, a in enumerate(els):
@@ -114,7 +153,7 @@ def presentation_to_json(P):
 
 
 def free_product_from_json(obj, workspace):
-    if "ref" in obj:
+    if "ref" in _mapping(obj, "diagram group"):
         G = workspace.group(obj["ref"])
         return FreeProduct.from_group(obj.get("label", obj["ref"]), G)
     if obj.get("kind") == "free_product":
@@ -133,11 +172,14 @@ def _word_from_json(word):
 def group_diagram_from_json(obj, workspace, name=""):
     _require_keys(obj, ("category", "groups", "homs"), what="diagram")
     C = workspace.category(obj["category"])
-    value = {o: free_product_from_json(g, workspace) for o, g in obj["groups"].items()}
+    value = {o: free_product_from_json(g, workspace)
+             for o, g in _mapping(obj["groups"], "diagram groups").items()}
+    _require_values(C, value, "diagram")
     actions = {}
-    for mid, table in obj["homs"].items():
+    for mid, table in _mapping(obj["homs"], "diagram homs").items():
         if mid not in C.dom:
             raise InputError("diagram references unknown morphism %s" % mid)
+        _mapping(table, "hom at %s" % mid)
         src = value[C.dom[mid]]
         dst = value[C.cod[mid]]
         per = {}
@@ -155,21 +197,36 @@ def group_diagram_from_json(obj, workspace, name=""):
     return GroupDiagram(C, value, actions, name=name)
 
 
+def _require_values(C, value, what):
+    for o in C.objects:
+        if o not in value:
+            raise InputError("%s misses a value at %s" % (what, o))
+
+
 def fgab_from_json(obj):
     _require_keys(obj, ("gens",), ("rels",), what="abelian group")
-    rels = IntMatrix.from_json(obj["rels"]) if "rels" in obj else None
-    return FGAb(obj["gens"], rels)
+    gens = _count(obj["gens"], "abelian group gens")
+    rels = matrix_from_json(obj["rels"]) if "rels" in obj else None
+    if rels is not None and rels.rows != gens:
+        raise InputError("abelian group rels has %d rows, gens is %d" % (rels.rows, gens))
+    return FGAb(gens, rels)
 
 
 def ab_diagram_from_json(obj, workspace, name=""):
     _require_keys(obj, ("category", "values", "maps"), what="abelian diagram")
     C = workspace.category(obj["category"])
-    value = {o: fgab_from_json(v) for o, v in obj["values"].items()}
+    value = {o: fgab_from_json(v)
+             for o, v in _mapping(obj["values"], "abelian diagram values").items()}
+    _require_values(C, value, "abelian diagram")
     actions = {}
-    for mid, mat in obj["maps"].items():
+    for mid, mat in _mapping(obj["maps"], "abelian diagram maps").items():
         if mid not in C.dom:
             raise InputError("diagram references unknown morphism %s" % mid)
-        actions[mid] = AbMap(value[C.dom[mid]], value[C.cod[mid]], IntMatrix.from_json(mat))
+        src, dst, mat = value[C.dom[mid]], value[C.cod[mid]], matrix_from_json(mat)
+        if (mat.rows, mat.cols) != (dst.gens, src.gens):
+            raise InputError("map at %s is %dx%d, needs %dx%d"
+                             % (mid, mat.rows, mat.cols, dst.gens, src.gens))
+        actions[mid] = AbMap(src, dst, mat)
     return AbDiagram(C, value, actions, name=name)
 
 

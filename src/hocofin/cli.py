@@ -430,7 +430,7 @@ def _verify_factfibres(fx, args, report):
     results = {}
     ok = True
     for alpha in S.target.morphisms:
-        lhs, _ = comma_left_fibre(FS, alpha)
+        lhs, _, _ = comma_left_fibre(FS, alpha)
         rhs = factorization(factor_slice(S, alpha)).category
         iso = iso_check(lhs, rhs, max_objects=24, max_morphisms=160)
         results[alpha] = iso is not None

@@ -90,7 +90,7 @@ def is_vdc(S):
     witnesses = {}
     ok = True
     for d in S.target.objects:
-        cat, _ = comma_left_fibre(S, d)
+        cat, _, _ = comma_left_fibre(S, d)
         good, details = is_finally_discrete(cat)
         witnesses[d] = {"finally_discrete": good, "components": details}
         if not good:
@@ -321,7 +321,7 @@ def certify_homotopy_cofinal(S, effort=1, n_max=2, coinitial=False):
     per_object = {}
     for d in S.target.objects:
         if coinitial:
-            cat, _ = comma_left_fibre(S, d)
+            cat, _, _ = comma_left_fibre(S, d)
             cat = opposite(cat)
         else:
             cat = comma_coslice(S, d)

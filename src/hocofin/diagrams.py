@@ -16,7 +16,7 @@ from .fincat import (
     chain_face,
     chain_origin,
     composable_chains,
-    comma_left_fibre_parts,
+    comma_left_fibre,
     connected_components,
     final_objects,
     full_subcategory,
@@ -428,7 +428,7 @@ class _FibreAnalysis:
 
 def analyze_fibres(S):
     """Left-fibre analysis of a functor at every target object."""
-    return {d: _FibreAnalysis(*comma_left_fibre_parts(S, d)) for d in S.target.objects}
+    return {d: _FibreAnalysis(*comma_left_fibre(S, d)) for d in S.target.objects}
 
 
 def kan_extend_vdc(S, diagram, fibres=None):
@@ -451,7 +451,7 @@ def kan_extend_vdc(S, diagram, fibres=None):
     def transport(beta, gamma):
         c, u = fibres[D.dom[beta]].parts[gamma]
         fa2 = fibres[D.cod[beta]]
-        arrow, phi = fa2.final_morphism(fincat._comma_obj_id(c, D.comp[(beta, u)]))
+        arrow, phi = fa2.final_morphism(fincat.over_id((c, D.comp[(beta, u)])))
         return phi, fa2.proj.on_mor(arrow)
 
     parts = {d: [(gamma, fa.parts[gamma][0]) for gamma in fa.chosen] for d, fa in fibres.items()}

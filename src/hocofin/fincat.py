@@ -5,10 +5,13 @@ codomain, synthesized identities ``id_<obj>``, and a total composition
 table on composable pairs.  Validation checks the unit and associativity
 laws exhaustively, so everything downstream may assume a genuine category.
 
-Canonical ordering is input order everywhere; derived categories (comma
-categories, factorization categories) enumerate their objects and
-morphisms lexicographically in the constituent indices, so repeated
-construction is byte-stable.
+Every category over a base (left fibres S↓d, coslices d↓S, factorization
+slices, and categories of elements in ``presheaf``) is built by one
+builder, ``_comma_like``, from its objects and a predicate on base
+arrows; factorization categories, whose arrows are pairs of base arrows,
+have their own.  Canonical ordering is input order everywhere; derived
+categories enumerate their objects and morphisms lexicographically in the
+constituent indices, so repeated construction is byte-stable.
 """
 
 from __future__ import annotations
@@ -305,42 +308,81 @@ def opposite_functor(S, source_op=None, target_op=None):
     )
 
 
-# -- comma categories ---------------------------------------------------
+# -- categories over a base ---------------------------------------------
 
 
-def _comma_obj_id(c, beta):
-    return "(%s|%s)" % (c, beta)
+def over_id(p):
+    """Id of the object with parts p = (base object, ...): "(p0|p1|...)"."""
+    return "(%s)" % "|".join(map(str, p))
 
 
-def _comma_mor_id(alpha, src, dst):
-    return "[%s:%s->%s]" % (alpha, src, dst)
+def objects_over(parts):
+    """Map id -> parts for the objects with the given parts, in order;
+    two objects with the same id are refused."""
+    out = {}
+    for p in parts:
+        oid = over_id(p)
+        if oid in out:
+            raise CategoryError("duplicate object ids")
+        out[oid] = p
+    return out
+
+
+def _comma_like(C, parts, arrow, name):
+    """The category over C with objects ``parts`` (in order), each lying
+    over the object ``parts[o][0]`` of C.
+
+    A morphism o1 -> o2 is an arrow alpha: parts[o1][0] -> parts[o2][0]
+    with ``arrow(alpha, parts[o1], parts[o2])``, named
+    ``[alpha:o1->o2]``; composites are those of C.  Morphisms are listed
+    by o1, then o2, then ``C.hom``.  Returns the validated category and
+    the map from each of its morphisms to its arrow of C.
+    """
+    over = {identity_id(o): C.identity[p[0]] for o, p in parts.items()}
+    mors = []
+    out = {o: [] for o in parts}  # morphisms leaving o, as (id, cod)
+    for o1, p1 in parts.items():
+        for o2, p2 in parts.items():
+            for alpha in C.hom(p1[0], p2[0]):
+                if o1 == o2 and C.is_identity(alpha):
+                    continue
+                if arrow(alpha, p1, p2):
+                    mid = "[%s:%s->%s]" % (alpha, o1, o2)
+                    mors.append((mid, o1, o2))
+                    out[o1].append((mid, o2))
+                    over[mid] = alpha
+    comp = []
+    for m1, s1, t1 in mors:
+        for m2, t2 in out[t1]:
+            a = C.comp[(over[m2], over[m1])]
+            if s1 == t2 and C.is_identity(a):
+                comp.append((m2, m1, identity_id(s1)))
+            else:
+                comp.append((m2, m1, "[%s:%s->%s]" % (a, s1, t2)))
+    return validate_category(list(parts), mors, comp, name=name), over
+
+
+def category_over(C, parts, arrow, name, proj_name):
+    """``_comma_like`` with its projection functor to C; returns
+    (category, projection, parts)."""
+    cat, over = _comma_like(C, parts, arrow, name)
+    proj = Functor(cat, C, {o: p[0] for o, p in parts.items()}, over, name=proj_name)
+    return cat, proj, parts
 
 
 def comma_left_fibre(S, d):
-    """The left fibre S↓d and its projection to the source category.
+    """The left fibre S↓d, its projection to the source category and the
+    map object id -> (c, beta).
 
     Objects are pairs (c, beta: S(c) -> d); a morphism (c, b) -> (c', b')
     is alpha: c -> c' with b'∘S(alpha) = b.
     """
-    cat, proj, _ = comma_left_fibre_parts(S, d)
-    return cat, proj
-
-
-def comma_left_fibre_parts(S, d):
-    """Like comma_left_fibre but also returns the map object id -> (c, beta)
-    so callers never have to re-parse synthesized ids."""
     C, D = S.source, S.target
     if d not in D.identity:
         raise UnknownObject("unknown object %s" % d)
-    objs = []
-    parts = {}
-    for c in C.objects:
-        for beta in D.hom(S.on_obj(c), d):
-            oid = _comma_obj_id(c, beta)
-            objs.append(oid)
-            parts[oid] = (c, beta)
-    cat, proj = _comma_like(C, D, S, objs, parts, d, coslice=False)
-    return cat, proj, parts
+    parts = objects_over((c, b) for c in C.objects for b in D.hom(S.on_obj(c), d))
+    return category_over(C, parts, lambda a, p1, p2: D.comp[(p2[1], S.on_mor(a))] == p1[1],
+                         "comma", "Q_%s" % d)
 
 
 def comma_coslice(S, d):
@@ -349,57 +391,9 @@ def comma_coslice(S, d):
     C, D = S.source, S.target
     if d not in D.identity:
         raise UnknownObject("unknown object %s" % d)
-    objs = []
-    parts = {}
-    for c in C.objects:
-        for beta in D.hom(d, S.on_obj(c)):
-            oid = _comma_obj_id(c, beta)
-            objs.append(oid)
-            parts[oid] = (c, beta)
-    cat, _ = _comma_like(C, D, S, objs, parts, d, coslice=True)
-    return cat
-
-
-def _comma_like(C, D, S, objs, parts, d, coslice):
-    mors = []
-    mor_alpha = {}
-    dom = {}
-    cod = {}
-    for o1 in objs:
-        c1, b1 = parts[o1]
-        for o2 in objs:
-            c2, b2 = parts[o2]
-            for alpha in C.hom(c1, c2):
-                if C.is_identity(alpha) and o1 == o2:
-                    continue
-                sa = S.on_mor(alpha)
-                if coslice:
-                    ok = D.comp[(sa, b1)] == b2
-                else:
-                    ok = D.comp[(b2, sa)] == b1
-                if ok:
-                    mid = _comma_mor_id(alpha, o1, o2)
-                    mors.append((mid, o1, o2))
-                    mor_alpha[mid] = alpha
-    comp = []
-    for m1, s1, t1 in mors:
-        for m2, s2, t2 in mors:
-            if s2 == t1:
-                a = C.comp[(mor_alpha[m2], mor_alpha[m1])]
-                if C.is_identity(a) and s1 == t2:
-                    comp.append((m2, m1, identity_id(s1)))
-                else:
-                    comp.append((m2, m1, _comma_mor_id(a, s1, t2)))
-    cat = validate_category(objs, mors, comp, name="comma")
-    # projection functor to C
-    obj_map = {o: parts[o][0] for o in objs}
-    mor_map = {}
-    for o in objs:
-        mor_map[cat.identity[o]] = C.identity[parts[o][0]]
-    for mid, _, _ in mors:
-        mor_map[mid] = mor_alpha[mid]
-    proj = Functor(cat, C, obj_map, mor_map, name="Q_%s" % d)
-    return cat, proj
+    parts = objects_over((c, b) for c in C.objects for b in D.hom(d, S.on_obj(c)))
+    return _comma_like(C, parts, lambda a, p1, p2: D.comp[(S.on_mor(a), p1[1])] == p2[1],
+                       "comma")[0]
 
 
 # -- factorization categories -------------------------------------------
@@ -514,40 +508,19 @@ def factor_slice(S, alpha):
     if alpha not in D.dom:
         raise UnknownMorphism("unknown morphism %s" % alpha)
     a0, a1 = D.dom[alpha], D.cod[alpha]
-    objs = []
-    parts = {}
-    for c in C.objects:
-        sc = S.on_obj(c)
-        for u in D.hom(a0, sc):
-            for v in D.hom(sc, a1):
-                if D.comp[(v, u)] == alpha:
-                    oid = "(%s|%s|%s)" % (c, u, v)
-                    objs.append(oid)
-                    parts[oid] = (c, u, v)
-    mors = []
-    mor_beta = {}
-    for o1 in objs:
-        c1, u1, v1 = parts[o1]
-        for o2 in objs:
-            c2, u2, v2 = parts[o2]
-            for beta in C.hom(c1, c2):
-                if C.is_identity(beta) and o1 == o2:
-                    continue
-                sb = S.on_mor(beta)
-                if D.comp[(sb, u1)] == u2 and D.comp[(v2, sb)] == v1:
-                    mid = _comma_mor_id(beta, o1, o2)
-                    mors.append((mid, o1, o2))
-                    mor_beta[mid] = beta
-    comp = []
-    for m1, s1, t1 in mors:
-        for m2, s2, t2 in mors:
-            if s2 == t1:
-                b = C.comp[(mor_beta[m2], mor_beta[m1])]
-                if C.is_identity(b) and s1 == t2:
-                    comp.append((m2, m1, identity_id(s1)))
-                else:
-                    comp.append((m2, m1, _comma_mor_id(b, s1, t2)))
-    return validate_category(objs, mors, comp, name="slice")
+    parts = objects_over(
+        (c, u, v)
+        for c in C.objects
+        for u in D.hom(a0, S.on_obj(c))
+        for v in D.hom(S.on_obj(c), a1)
+        if D.comp[(v, u)] == alpha
+    )
+
+    def arrow(beta, p1, p2):
+        sb = S.on_mor(beta)
+        return D.comp[(sb, p1[1])] == p2[1] and D.comp[(p2[2], sb)] == p1[2]
+
+    return _comma_like(C, parts, arrow, "slice")[0]
 
 
 # -- isomorphism search --------------------------------------------------

@@ -367,57 +367,17 @@ def dset_disjoint_union(X, Y, tags=("0", "1"), name=""):
     return DSet(B, sets, maps, name=name or "%s+%s" % (X.name, Y.name))
 
 
-def elements(X):
-    """Category of elements of a presheaf, with its projection.
+def elements_with_parts(X):
+    """Category of elements of a presheaf, its projection and the map
+    object id -> (d, x).
 
     Objects are pairs (d, x in X(d)); a morphism (d, x) -> (d', x') is
     alpha: d -> d' with X(alpha)(x') = x.
     """
-    cat, proj, _ = elements_with_parts(X)
-    return cat, proj
-
-
-def elements_with_parts(X):
-    """Like elements, but also returns the map object id -> (d, x)."""
     D = X.base
-    objs = []
-    parts = {}
-    for d in D.objects:
-        for x in X.sets[d]:
-            oid = "(%s|%s)" % (d, x)
-            objs.append(oid)
-            parts[oid] = (d, x)
-    mors = []
-    mor_alpha = {}
-    for o1 in objs:
-        d1, x1 = parts[o1]
-        for o2 in objs:
-            d2, x2 = parts[o2]
-            for alpha in D.hom(d1, d2):
-                if D.is_identity(alpha) and o1 == o2:
-                    continue
-                if X.apply(alpha, x2) == x1:
-                    mid = "[%s:%s->%s]" % (alpha, o1, o2)
-                    mors.append((mid, o1, o2))
-                    mor_alpha[mid] = alpha
-    comp = []
-    for m1, s1, t1 in mors:
-        for m2, s2, t2 in mors:
-            if s2 == t1:
-                a = D.comp[(mor_alpha[m2], mor_alpha[m1])]
-                if D.is_identity(a) and s1 == t2:
-                    comp.append((m2, m1, fincat.identity_id(s1)))
-                else:
-                    comp.append((m2, m1, "[%s:%s->%s]" % (a, s1, t2)))
-    cat = fincat.validate_category(objs, mors, comp, name="el(%s)" % (X.name or "?"))
-    obj_map = {o: parts[o][0] for o in objs}
-    mor_map = {}
-    for o in objs:
-        mor_map[cat.identity[o]] = D.identity[parts[o][0]]
-    for mid, _, _ in mors:
-        mor_map[mid] = mor_alpha[mid]
-    proj = fincat.Functor(cat, D, obj_map, mor_map, name="Q_X")
-    return cat, proj, parts
+    parts = fincat.objects_over((d, x) for d in D.objects for x in X.sets[d])
+    return fincat.category_over(D, parts, lambda a, p1, p2: X.apply(a, p2[1]) == p1[1],
+                                "el(%s)" % (X.name or "?"), "Q_X")
 
 
 def inverse_fibre(f, d, y):

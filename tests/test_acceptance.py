@@ -209,7 +209,7 @@ def test_criterion_09_factfibres():
         fd = factorization(S.target)
         FS = factor_functor(S, fc, fd)
         for alpha in S.target.morphisms:
-            lhs, _ = comma_left_fibre(FS, alpha)
+            lhs, _, _ = comma_left_fibre(FS, alpha)
             rhs = factorization(factor_slice(S, alpha)).category
             assert iso_check(lhs, rhs, max_objects=24, max_morphisms=160) is not None, (
                 name, alpha,

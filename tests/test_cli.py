@@ -123,6 +123,28 @@ MALFORMED = {
         }}),
         "system has unknown keys: diagram",
     ),
+    "group-not-an-object": (
+        dict(GOOD_WORKSPACE, groups={"z2": 5}),
+        "group must be a JSON object",
+    ),
+    "matrix-data-length": (
+        dict(GOOD_WORKSPACE, abdiagrams={"m": dict(
+            GOOD_WORKSPACE["abdiagrams"]["m"], maps={"u": {"rows": 1, "cols": 1, "data": ["2", "3"]}},
+        )}),
+        "matrix data has 2 entries, rows*cols is 1",
+    ),
+    "gens-not-an-integer": (
+        dict(GOOD_WORKSPACE, abdiagrams={"m": dict(
+            GOOD_WORKSPACE["abdiagrams"]["m"], values={"a": {"gens": "x"}, "b": {"gens": 1}},
+        )}),
+        "abelian group gens must be an integer",
+    ),
+    "map-on-object-without-value": (
+        dict(GOOD_WORKSPACE, abdiagrams={"m": dict(
+            GOOD_WORKSPACE["abdiagrams"]["m"], values={"b": {"gens": 1}},
+        )}),
+        "abelian diagram misses a value at a",
+    ),
 }
 
 
@@ -230,8 +252,8 @@ def test_derived_categories_are_deterministic():
     from hocofin import fixtures as fx
 
     S = fx.fun_final_in_two()
-    a1, _ = comma_left_fibre(S, "b")
-    a2, _ = comma_left_fibre(S, "b")
+    a1, _, _ = comma_left_fibre(S, "b")
+    a2, _, _ = comma_left_fibre(S, "b")
     assert a1 == a2
     f1 = factorization(fx.cat_span()).category
     f2 = factorization(fx.cat_span()).category

@@ -111,7 +111,7 @@ def test_cod_fibres_collapse_to_contractible():
         })
         for d, v in report["per_object"].items():
             if v.certificate["kind"] == "collapse":
-                cat, _ = fincat.comma_left_fibre(F.cod, d)
+                cat, _, _ = fincat.comma_left_fibre(F.cod, d)
                 assert replay_certificate(opposite(cat), v.certificate)
 
 

@@ -1,8 +1,9 @@
 import pytest
 
-from hocofin import fincat
+from hocofin import fincat, fixtures
 from hocofin.fincat import (
     AssociativityViolation,
+    CategoryError,
     Functor,
     MissingComposite,
     SizeLimitExceeded,
@@ -22,6 +23,7 @@ from hocofin.fincat import (
     opposite,
     validate_category,
 )
+from hocofin.presheaf import DSet, elements_with_parts
 
 
 def walking_arrow():
@@ -99,9 +101,9 @@ def test_comma_left_fibre_examples():
     two = walking_arrow()
     pt = one()
     S = Functor(pt, two, {"*": "b"}, {"id_*": "id_b"})
-    empty, _ = comma_left_fibre(S, "a")
+    empty, _, _ = comma_left_fibre(S, "a")
     assert empty.objects == []
-    only, _ = comma_left_fibre(S, "b")
+    only, _, _ = comma_left_fibre(S, "b")
     assert len(only.objects) == 1
     assert len(only.morphisms) == 1  # just the identity
 
@@ -109,7 +111,7 @@ def test_comma_left_fibre_examples():
 def test_comma_left_fibre_span_identity():
     P = span()
     S = identity_functor(P)
-    cat, proj = comma_left_fibre(S, "l")
+    cat, proj, _ = comma_left_fibre(S, "l")
     assert len(cat.objects) == 2  # (l, id_l) and (c, p)
     non_id = [m for m in cat.morphisms if not cat.is_identity(m)]
     assert len(non_id) == 1
@@ -195,9 +197,60 @@ def test_fact_fibre_is_factorization_of_slice():
     two = walking_arrow()
     S = identity_functor(two)
     FS = factor_functor(S)
-    lhs, _ = comma_left_fibre(FS, "u")
+    lhs, _, _ = comma_left_fibre(FS, "u")
     rhs = factorization(factor_slice(S, "u")).category
     assert iso_check(lhs, rhs) is not None
+
+
+FIXTURE_FUNCTORS = sorted(fixtures.FUNCTORS) + ["id-" + n for n in sorted(fixtures.CATEGORIES)]
+
+
+def fixture_functor(name):
+    if name.startswith("id-"):
+        return identity_functor(fixtures.CATEGORIES[name[3:]]())
+    return fixtures.FUNCTORS[name]()
+
+
+@pytest.mark.parametrize("name", FIXTURE_FUNCTORS)
+def test_left_fibre_is_category_of_elements(name):
+    # S↓d is the category of elements of c |-> D(S c, d), b |-> b∘S(alpha)
+    S = fixture_functor(name)
+    C, D = S.source, S.target
+    for d in D.objects:
+        sets = {c: D.hom(S.on_obj(c), d) for c in C.objects}
+        maps = {a: {b: D.comp[(b, S.on_mor(a))] for b in sets[C.cod[a]]} for a in C.morphisms}
+        cat, proj, parts = comma_left_fibre(S, d)
+        E, Q, eparts = elements_with_parts(DSet(C, sets, maps))
+        assert cat == E
+        assert (proj.obj_map, proj.mor_map, parts) == (Q.obj_map, Q.mor_map, eparts)
+
+
+@pytest.mark.parametrize("name", FIXTURE_FUNCTORS)
+def test_coslice_and_factor_slice_lie_over_the_source(name, monkeypatch):
+    # the base arrows the builder reports form a functor to S.source
+    S = fixture_functor(name)
+    built = []
+    real = fincat._comma_like
+
+    def spy(C, parts, arrow, cat_name):
+        cat, over = real(C, parts, arrow, cat_name)
+        built.append((cat, parts, over))
+        return cat, over
+
+    monkeypatch.setattr(fincat, "_comma_like", spy)
+    cats = [comma_coslice(S, d) for d in S.target.objects]
+    cats += [factor_slice(S, a) for a in S.target.morphisms]
+    assert [b[0] for b in built] == cats
+    for cat, parts, over in built:
+        Functor(cat, S.source, {o: parts[o][0] for o in cat.objects}, over)
+
+
+def test_category_over_refuses_repeated_object_ids():
+    # "(a|b|x)" names both (a|b, x) and (a, b|x)
+    base = validate_category(["a|b", "a"], [], [])
+    X = DSet(base, {"a|b": ["x"], "a": ["b|x"]}, {})
+    with pytest.raises(CategoryError, match="duplicate object ids"):
+        elements_with_parts(X)
 
 
 def test_iso_check_finds_swap():

@@ -10,7 +10,7 @@ from hocofin.diagrams import ab_colim_derived, constant_ab_diagram
 from hocofin.fincat import factorization, final_objects, iso_check, opposite
 from hocofin.groups import catalog, fingerprint, fingerprint_of_table_group, product_group, tietze_simplify
 from hocofin.homalg import FGAb
-from hocofin.presheaf import edge_path_group, elements, homology_ss, nerve, representable
+from hocofin.presheaf import edge_path_group, elements_with_parts, homology_ss, nerve, representable
 
 
 def test_doctests():
@@ -37,7 +37,7 @@ def test_elements_of_representables_have_final_objects():
     for cname in ("two", "span", "iso2"):
         C = fixtures.CATEGORIES[cname]()
         for d in C.objects:
-            E, _ = elements(representable(C, d))
+            E, _, _ = elements_with_parts(representable(C, d))
             fins = final_objects(E)
             assert "(%s|%s)" % (d, C.identity[d]) in fins, (cname, d)
 

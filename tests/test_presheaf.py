@@ -14,7 +14,7 @@ from hocofin.presheaf import (
     constant_singleton,
     dset_disjoint_union,
     edge_path_group,
-    elements,
+    elements_with_parts,
     empty_dset,
     homology_ss,
     inverse_fibre,
@@ -96,7 +96,7 @@ def test_homology_level_too_low():
 
 def test_elements_of_representable_has_final_object():
     two = walking_arrow()
-    E, proj = elements(representable(two, "b"))
+    E, proj, _ = elements_with_parts(representable(two, "b"))
     assert fincat.final_objects(E) == ["(b|id_b)"]
     assert fincat.iso_check(E, two) is not None
     assert proj.target is two
@@ -104,9 +104,9 @@ def test_elements_of_representable_has_final_object():
 
 def test_elements_of_empty_and_constant():
     P = span()
-    E, _ = elements(empty_dset(P))
+    E, _, _ = elements_with_parts(empty_dset(P))
     assert E.objects == []
-    E2, _ = elements(constant_singleton(P))
+    E2, _, _ = elements_with_parts(constant_singleton(P))
     assert fincat.iso_check(E2, P) is not None
 
 
