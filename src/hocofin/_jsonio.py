@@ -56,6 +56,12 @@ def _mapping(obj, what):
     return obj
 
 
+def _array(obj, what):
+    if not isinstance(obj, list):
+        raise InputError("%s must be a JSON array" % what)
+    return obj
+
+
 def matrix_from_json(obj):
     _require_keys(obj, ("rows", "cols", "data"), what="matrix")
     m = _count(obj["rows"], "matrix rows")
@@ -106,7 +112,8 @@ def functor_from_json(obj, workspace, name=""):
     _require_keys(obj, ("source", "target", "objects"), ("morphisms",), what="functor")
     src = workspace.category(obj["source"])
     tgt = workspace.category(obj["target"])
-    return Functor(src, tgt, dict(obj["objects"]), dict(obj.get("morphisms", {})), name=name)
+    return Functor(src, tgt, dict(_mapping(obj["objects"], "functor objects")),
+                   dict(_mapping(obj.get("morphisms", {}), "functor morphisms")), name=name)
 
 
 def group_from_json(obj, name=""):
@@ -141,7 +148,10 @@ def presentation_from_json(obj):
     _require_keys(obj, ("kind", "generators", "relators"), what="presentation")
     if obj["kind"] != "presentation":
         raise InputError("unknown presentation kind %r" % obj["kind"])
-    return GroupPresentation(obj["generators"], obj["relators"])
+    relators = _array(obj["relators"], "presentation relators")
+    for rel in relators:
+        _array(rel, "relator")
+    return GroupPresentation(_array(obj["generators"], "presentation generators"), relators)
 
 
 def presentation_to_json(P):
@@ -233,8 +243,11 @@ def ab_diagram_from_json(obj, workspace, name=""):
 def dset_from_json(obj, workspace, name=""):
     _require_keys(obj, ("category", "sets", "maps"), what="presheaf")
     C = workspace.category(obj["category"])
-    return DSet(C, {o: list(v) for o, v in obj["sets"].items()},
-                {m: dict(t) for m, t in obj["maps"].items()}, name=name)
+    sets = _mapping(obj["sets"], "presheaf sets")
+    maps = _mapping(obj["maps"], "presheaf maps")
+    return DSet(C, {o: list(_array(v, "presheaf set at %s" % o)) for o, v in sets.items()},
+                {m: dict(_mapping(t, "presheaf map at %s" % m)) for m, t in maps.items()},
+                name=name)
 
 
 def dset_to_json(X, category_name):
@@ -249,8 +262,9 @@ def dset_to_json(X, category_name):
 
 def dset_morphism_from_json(obj, workspace, name=""):
     _require_keys(obj, ("source", "target", "components"), what="presheaf morphism")
+    components = _mapping(obj["components"], "presheaf morphism components")
     return DSetMorphism(workspace.dset(obj["source"]), workspace.dset(obj["target"]),
-                        {o: dict(t) for o, t in obj["components"].items()})
+                        {o: dict(_mapping(t, "component at %s" % o)) for o, t in components.items()})
 
 
 def sset_from_json(obj, name=""):

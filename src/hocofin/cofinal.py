@@ -224,8 +224,10 @@ def _nerve_sizes(B, n):
     return counts
 
 
-# dense exact SNF is cubic, so a few hundred simplices per degree is the
-# practical ceiling for the homology fallback
+# the most simplices per degree of the nerve that the homology and pi1
+# fallback builds; what it bounds is building the nerve and the Tietze pass
+# over its edge-path presentation, which grow with the simplex count (exact
+# homology eliminates unit pivots sparsely and costs far less)
 DEFAULT_NERVE_CAP = 600
 
 

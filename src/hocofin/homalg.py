@@ -1,12 +1,23 @@
 """Exact integer linear algebra.
 
-Smith normal form with unimodular transforms, finitely generated abelian
-groups in invariant-factor form, and homology of bounded complexes of
-finitely presented abelian groups.  All arithmetic runs on Python's
-arbitrary-precision integers; nothing here is modular or floating point.
+Smith normal form, finitely generated abelian groups in invariant-factor
+form, and homology of bounded complexes of finitely presented abelian
+groups.  All arithmetic runs on Python's arbitrary-precision integers;
+nothing here is modular or floating point.
+
+``lattice_invariants`` computes Smith invariants only, for ``FGAb`` and for
+homology where the complex is free.  ``smith_normal_form`` also computes
+the transforms U and V, for whatever needs coordinates: ``kernel_basis``,
+``lattice_member``, ``AbMap`` well-definedness, a nonzero boundary square
+and ``ChainComplex.lifted_homology``.
 """
 
 from __future__ import annotations
+
+from heapq import heapify, heappop, heappush
+from itertools import compress
+from math import gcd
+from operator import mul
 
 
 class HomalgError(Exception):
@@ -30,7 +41,7 @@ class IntMatrix:
     __slots__ = ("rows", "cols", "entries")
 
     def __init__(self, entries, shape=None):
-        data = [[int(x) for x in row] for row in entries]
+        data = [list(map(int, row)) for row in entries]
         if shape is None:
             if not data:
                 raise ValueError("shape is required for a matrix with no rows")
@@ -81,7 +92,9 @@ class IntMatrix:
     def mul_vec(self, v):
         if len(v) != self.cols:
             raise ValueError("vector length mismatch")
-        return [sum(a * b for a, b in zip(row, v)) for row in self.entries]
+        # products only where v is nonzero: rows x nnz(v) multiplications
+        vals = [x for x in v if x]
+        return [sum(map(mul, compress(row, v), vals)) for row in self.entries]
 
     def hstack(self, other):
         if self.rows != other.rows:
@@ -281,12 +294,7 @@ def verify_smith_normal_form(A, U, D, V):
 
 def kernel_basis(A):
     """Basis for the integer kernel of A, returned as columns of a matrix."""
-    _, D, V = smith_normal_form(A)
-    r = 0
-    for i in range(min(A.rows, A.cols)):
-        if D.entries[i][i]:
-            r += 1
-    return IntMatrix.from_columns([V.column(j) for j in range(r, A.cols)], A.cols)
+    return IntMatrix.from_columns(_Solver(A).kernel(), A.cols)
 
 
 class _Solver:
@@ -296,6 +304,11 @@ class _Solver:
         self.A = A
         self.U, self.D, self.V = smith_normal_form(A)
         self.rank_bound = min(A.rows, A.cols)
+
+    def kernel(self):
+        """Columns of V spanning the integer kernel of A."""
+        r = sum(1 for i in range(self.rank_bound) if self.D.entries[i][i])
+        return [self.V.column(j) for j in range(r, self.A.cols)]
 
     def solve(self, v):
         if len(v) != self.A.rows:
@@ -322,12 +335,151 @@ def lattice_member(v, A):
     return _Solver(A).solve(v)
 
 
+# -- invariants without transforms ---------------------------------------------
+
+
+def lattice_invariants(A):
+    """(rank, torsion): the number of nonzero Smith invariants of A and
+    those above 1, d1 | d2 | ..., found without transforms.
+
+    >>> lattice_invariants(IntMatrix([[4, 0, 0], [0, 6, 0]]))
+    (2, (2, 12))
+    """
+    return _column_invariants(_sparse_columns(A))
+
+
+def _sparse_columns(M):
+    """Columns of M as {row: entry} dicts of their nonzero entries."""
+    cols = [{} for _ in range(M.cols)]
+    span = range(M.cols)
+    for i, row in enumerate(M.entries):
+        for j in compress(span, row):
+            cols[j][i] = row[j]
+    return cols
+
+
+def _column_invariants(columns):
+    """lattice_invariants of sparse columns (left unchanged).
+
+    A +-1 entry is a pivot: its column clears its row from the others and
+    both leave.  Short columns and sparse pivot rows go first, to keep
+    fill-in low.  A column whose one entry is alone in its row is a cyclic
+    summand.  The residue is diagonalized densely, and all is merged into
+    invariant factors (Dumas-Heckenbach-Saunders-Welker 2003).
+    """
+    cols = [dict(c) for c in columns]
+    rows = {}
+    for j, col in enumerate(cols):
+        for i in col:
+            rows.setdefault(i, set()).add(j)
+    rank = 0
+    orders = []
+    heap = [(len(c), j) for j, c in enumerate(cols) if c]
+    heapify(heap)
+    while heap:
+        size, j = heappop(heap)
+        col = cols[j]
+        if col is None or len(col) != size:
+            continue  # eliminated, or queued again since this entry
+        pivot = None
+        for i, a in col.items():
+            if (a == 1 or a == -1) and (pivot is None or len(rows[i]) < len(rows[pivot])):
+                pivot = i
+        if pivot is None:
+            if size == 1 and len(rows[i]) == 1:
+                # i, a: the column's one entry, alone in its row
+                orders.append(abs(a))
+                rank += 1
+                del rows[i]
+                cols[j] = None
+            continue
+        a = col.pop(pivot)
+        for i in col:
+            rows[i].discard(j)
+        for k in rows.pop(pivot):
+            if k == j:
+                continue
+            other = cols[k]
+            f = other.pop(pivot) * a
+            for i, x in col.items():
+                y = other.get(i, 0) - f * x
+                if not y:
+                    del other[i]
+                    rows[i].discard(k)
+                    continue
+                if i not in other:
+                    rows[i].add(k)
+                other[i] = y
+            if other:
+                heappush(heap, (len(other), k))
+        cols[j] = None
+        rank += 1
+    residue = [c for c in cols if c]
+    row_ids = sorted({i for c in residue for i in c})
+    diagonal = _dense_diagonal([[c.get(i, 0) for i in row_ids] for c in residue])
+    torsion = []
+    for d in sorted(orders + diagonal):
+        _merge_cyclic(torsion, d)
+    return rank + len(diagonal), tuple(torsion)
+
+
+def _dense_diagonal(D):
+    """Nonzero diagonal of a diagonal form of D (a list of rows, consumed)
+    reached by unimodular row and column operations."""
+    diagonal = []
+    while True:
+        best = None
+        for i, row in enumerate(D):
+            m = min(map(abs, filter(None, row)), default=0)
+            if m and (best is None or m < best[0]):
+                best = (m, i)
+        if best is None:
+            return diagonal
+        pi = best[1]
+        prow = D[pi]
+        pj = list(map(abs, prow)).index(best[0])
+        p = prow[pj]
+        done = True
+        for i, row in enumerate(D):
+            if row is not prow and row[pj]:
+                q = row[pj] // p
+                D[i] = row = [y - q * x for x, y in zip(prow, row)]
+                done = done and not row[pj]
+        for j, x in enumerate(prow):
+            if j != pj and x:
+                q = x // p
+                for row in D:
+                    row[j] -= q * row[pj]
+                done = done and not prow[j]
+        if done:
+            diagonal.append(abs(p))
+            del D[pi]
+            for row in D:
+                del row[pj]
+
+
+def _merge_cyclic(chain, d):
+    """Add Z/d to the invariant factors ``chain`` (d1 | d2 | ..., all > 1),
+    using Z/a (+) Z/b = Z/gcd(a, b) (+) Z/lcm(a, b)."""
+    i = len(chain)
+    while i and d > 1:
+        c = chain[i - 1]
+        if d % c == 0:
+            break
+        g = gcd(c, d)
+        chain[i - 1] = c // g * d
+        d = g
+        i -= 1
+    if d > 1:
+        chain.insert(i, d)
+
+
 class FGAb:
     """Finitely generated abelian group presented by a generator count and a
     matrix whose columns are relations.
 
     The canonical form (free rank plus invariant factors d1 | d2 | ...)
-    is computed once by Smith normal form; equality and hashing use it.
+    is computed once by lattice_invariants; equality and hashing use it.
 
     >>> print(FGAb(2, IntMatrix([[2, 0], [0, 3]])))
     Z/6
@@ -345,11 +497,8 @@ class FGAb:
             raise ValueError("relation matrix must have one row per generator")
         self.gens = gens
         self.rels = rels
-        _, D, _ = smith_normal_form(rels)
-        diag = [D.entries[i][i] for i in range(min(D.rows, D.cols))]
-        nonzero = [d for d in diag if d]
-        self.free_rank = gens - len(nonzero)
-        self.torsion = tuple(d for d in nonzero if d > 1)
+        rank, self.torsion = lattice_invariants(rels)
+        self.free_rank = gens - rank
 
     @classmethod
     def free(cls, rank):
@@ -469,7 +618,8 @@ class ChainComplex:
 
     ``groups[n]`` for lo <= n <= hi, ``boundaries[n]: C_n -> C_{n-1}`` for
     lo < n <= hi.  Construction checks that consecutive boundaries compose
-    to zero modulo the relation lattice of the target.
+    to zero modulo the relation lattice of the target: the product is taken
+    on sparse columns, and only a nonzero one is tested against the lattice.
     """
 
     def __init__(self, groups, boundaries):
@@ -488,15 +638,45 @@ class ChainComplex:
             d = self.boundaries[n]
             if d.matrix.cols != self.groups[n].gens or d.matrix.rows != self.groups[n - 1].gens:
                 raise ValueError("boundary shape mismatch in degree %d" % n)
+        self._columns = {n: _sparse_columns(d.matrix) for n, d in self.boundaries.items()}
+        self._invariants = {}
         for n in range(lo + 2, hi + 1):
-            comp = self.boundaries[n - 1].matrix.mul(self.boundaries[n].matrix)
-            if not _columns_in_lattice(comp, self.groups[n - 2].rels):
+            below = self._columns[n - 1]
+            products = []
+            for col in self._columns[n]:
+                acc = {}
+                for k, x in col.items():
+                    for i, y in below[k].items():
+                        acc[i] = acc.get(i, 0) + x * y
+                products.append(acc)
+            if not any(any(acc.values()) for acc in products):
+                continue
+            rows = self.groups[n - 2].gens
+            comp = [[acc.get(i, 0) for i in range(rows)] for acc in products]
+            if not _columns_in_lattice(IntMatrix.from_columns(comp, rows), self.groups[n - 2].rels):
                 raise HomalgError("boundary squared is nonzero in degree %d" % n)
 
     def homology(self, n):
         """H_n = ker d_n / im d_{n+1}, in canonical invariant-factor form.
 
-        Works for finitely presented chain groups by lifting everything to
+        When C_n and C_{n-1} have no relations, H_n is
+        Z^(rank C_n - rk d_n - rk d_{n+1}) plus the torsion of coker d_{n+1},
+        read from lattice_invariants of the two boundaries (each computed
+        once per complex).  Otherwise it is lifted_homology(n).
+        """
+        if n - 1 < self.lo or n + 1 > self.hi:
+            raise DegreeMissing("homology in degree %d needs degrees %d..%d" % (n, n - 1, n + 1))
+        Cn = self.groups[n]
+        if Cn.rels.cols or self.groups[n - 1].rels.cols:
+            return self.lifted_homology(n)
+        for k in (n, n + 1):
+            if k not in self._invariants:
+                self._invariants[k] = _column_invariants(self._columns[k])
+        rank_up, torsion = self._invariants[n + 1]
+        return FGAb.from_invariants(Cn.gens - self._invariants[n][0] - rank_up, torsion)
+
+    def lifted_homology(self, n):
+        """H_n for finitely presented chain groups, by lifting everything to
         the free covers: a free-cover element is a cycle when its boundary
         lands in the relation lattice one degree down, and relation columns
         of C_n are folded into the divided-out sublattice.
@@ -521,18 +701,14 @@ class ChainComplex:
             if any(any(x for x in col) for col in quotient_cols):
                 raise HomalgError("boundary image escapes the cycle lattice")
             return FGAb.trivial()
-        syz = kernel_basis(gen_mat)
         solver = _Solver(gen_mat)
-        rel_cols = syz.columns()
+        rel_cols = solver.kernel()
         for col in quotient_cols:
             coords = solver.solve(col)
             if coords is None:
                 raise HomalgError("boundary image escapes the cycle lattice")
             rel_cols.append(coords)
         return FGAb(t, IntMatrix.from_columns(rel_cols, t))
-
-    def homology_range(self, n_lo, n_hi):
-        return [self.homology(n) for n in range(n_lo, n_hi + 1)]
 
 
 # -- block assembly ------------------------------------------------------------

@@ -145,6 +145,52 @@ MALFORMED = {
         )}),
         "abelian diagram misses a value at a",
     ),
+    "functor-objects-not-an-object": (
+        dict(GOOD_WORKSPACE, functors={"inc-b": dict(GOOD_WORKSPACE["functors"]["inc-b"], objects=5)}),
+        "functor objects must be a JSON object",
+    ),
+    "functor-morphisms-not-an-object": (
+        dict(GOOD_WORKSPACE, functors={"inc-b": dict(GOOD_WORKSPACE["functors"]["inc-b"], morphisms=[])}),
+        "functor morphisms must be a JSON object",
+    ),
+    "dset-sets-not-an-object": (
+        dict(GOOD_WORKSPACE, dsets={"hb": dict(GOOD_WORKSPACE["dsets"]["hb"], sets=5)}),
+        "presheaf sets must be a JSON object",
+    ),
+    "dset-set-not-a-list": (
+        dict(GOOD_WORKSPACE, dsets={"hb": dict(GOOD_WORKSPACE["dsets"]["hb"], sets={"a": 5, "b": ["ib"]})}),
+        "presheaf set at a must be a JSON array",
+    ),
+    "dset-maps-not-an-object": (
+        dict(GOOD_WORKSPACE, dsets={"hb": dict(GOOD_WORKSPACE["dsets"]["hb"], maps=5)}),
+        "presheaf maps must be a JSON object",
+    ),
+    "dset-map-not-an-object": (
+        dict(GOOD_WORKSPACE, dsets={"hb": dict(GOOD_WORKSPACE["dsets"]["hb"], maps={"u": 5})}),
+        "presheaf map at u must be a JSON object",
+    ),
+    "dsetmap-components-not-an-object": (
+        dict(GOOD_WORKSPACE, dsetmaps={"idhb": dict(GOOD_WORKSPACE["dsetmaps"]["idhb"], components=5)}),
+        "presheaf morphism components must be a JSON object",
+    ),
+    "dsetmap-component-not-an-object": (
+        dict(GOOD_WORKSPACE, dsetmaps={"idhb": dict(
+            GOOD_WORKSPACE["dsetmaps"]["idhb"], components={"a": 5, "b": {"ib": "ib"}},
+        )}),
+        "component at a must be a JSON object",
+    ),
+    "presentation-generators-not-a-list": (
+        dict(GOOD_WORKSPACE, presentations={"p": dict(GOOD_WORKSPACE["presentations"]["p"], generators=5)}),
+        "presentation generators must be a JSON array",
+    ),
+    "presentation-relators-not-a-list": (
+        dict(GOOD_WORKSPACE, presentations={"p": dict(GOOD_WORKSPACE["presentations"]["p"], relators=5)}),
+        "presentation relators must be a JSON array",
+    ),
+    "relator-not-a-list": (
+        dict(GOOD_WORKSPACE, presentations={"p": dict(GOOD_WORKSPACE["presentations"]["p"], relators=[5])}),
+        "relator must be a JSON array",
+    ),
 }
 
 

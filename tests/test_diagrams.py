@@ -25,6 +25,7 @@ from hocofin.groups import (
     GroupPresentation,
     cyclic_group,
     fingerprint,
+    symmetric_group_3,
     trivial_group,
 )
 from hocofin.homalg import AbMap, FGAb, IntMatrix
@@ -229,6 +230,14 @@ def test_ab_colim_derived_z2_matches_bar_oracle():
     got = ab_colim_derived(C, M, 3)
     assert got == bar_complex_homology(cyclic_group(2), 3)
     assert got == [FGAb.free(1), FGAb.cyclic(2), FGAb.trivial(), FGAb.cyclic(2)]
+
+
+def test_ab_colim_derived_bs3():
+    # the former wall of the dense SNF: 1/5/25/125/625 chains in degrees 0-4
+    s3 = symmetric_group_3()
+    C = from_monoid(s3.elements, s3.unit, s3.table, name="S3")
+    got = ab_colim_derived(C, constant_ab_diagram(C, FGAb.free(1)), 3)
+    assert got == [FGAb.free(1), FGAb.cyclic(2), FGAb.trivial(), FGAb.cyclic(6)]
 
 
 def test_ab_colim_derived_cone():

@@ -1,0 +1,19 @@
+"""Run the examples in the docstrings of the library modules."""
+
+import doctest
+
+import pytest
+
+from hocofin import groups, homalg
+
+
+@pytest.mark.parametrize("module", [homalg, groups], ids=lambda m: m.__name__)
+def test_docstring_examples(module):
+    result = doctest.testmod(module)
+    assert result.attempted > 0
+    assert result.failed == 0
+
+
+def test_lattice_invariants_has_examples():
+    tests = doctest.DocTestFinder().find(homalg.lattice_invariants)
+    assert sum(len(t.examples) for t in tests) > 0

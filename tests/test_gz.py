@@ -296,6 +296,15 @@ def test_bw_homology_z2_matches_group_homology():
     assert res["routes_agree"]
 
 
+def test_bw_homology_z3_matches_group_homology():
+    # the former wall: 3/24/192/1536 factorization chains in degrees 0-3
+    z3 = cyclic_group(3)
+    C = from_monoid(z3.elements, z3.unit, z3.table, name="Z3")
+    res = bw_homology(C, const_nsys(C, FGAb.free(1)), 2)
+    assert res["abelian"] == [FGAb.free(1), FGAb.cyclic(3), FGAb.trivial()]
+    assert res["routes_agree"]
+
+
 def test_bw_homology_respects_op():
     # transport the constant system along the isomorphism F(C^op) = F(C)
     C = walking_arrow()

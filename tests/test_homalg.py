@@ -249,6 +249,21 @@ def test_complex_rejects_nonzero_boundary_square():
         ChainComplex(groups, boundaries)
 
 
+def test_boundary_square_may_land_in_the_relations():
+    # Z --1--> Z --k--> Z/2: the square is k, zero in Z/2 exactly when k is even
+    groups = {0: FGAb.cyclic(2), 1: FGAb.free(1), 2: FGAb.free(1)}
+    for k, ok in ((2, True), (4, True), (1, False), (3, False)):
+        boundaries = {
+            1: AbMap(groups[1], groups[0], IntMatrix([[k]]), check=False),
+            2: AbMap(groups[2], groups[1], IntMatrix([[1]]), check=False),
+        }
+        if ok:
+            ChainComplex(groups, boundaries)
+        else:
+            with pytest.raises(HomalgError):
+                ChainComplex(groups, boundaries)
+
+
 def test_matrix_json_round_trip():
     A = IntMatrix([[1, -2, 30], [0, 5, -6]])
     assert IntMatrix.from_json(A.to_json()) == A
