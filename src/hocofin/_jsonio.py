@@ -148,10 +148,29 @@ def presentation_from_json(obj):
     _require_keys(obj, ("kind", "generators", "relators"), what="presentation")
     if obj["kind"] != "presentation":
         raise InputError("unknown presentation kind %r" % obj["kind"])
+    generators = _array(obj["generators"], "presentation generators")
+    for g in generators:
+        if not isinstance(g, str):
+            raise InputError("presentation generator must be a string, not %s" % json.dumps(g))
     relators = _array(obj["relators"], "presentation relators")
     for rel in relators:
-        _array(rel, "relator")
-    return GroupPresentation(_array(obj["generators"], "presentation generators"), relators)
+        for letter in _array(rel, "relator"):
+            if not (isinstance(letter, str) or _signed_generator(letter)):
+                raise InputError(
+                    "relator letter must be a string or a [string, 1 or -1] pair, not %s"
+                    % json.dumps(letter)
+                )
+    return GroupPresentation(generators, relators)
+
+
+def _signed_generator(letter):
+    return (
+        isinstance(letter, list)
+        and len(letter) == 2
+        and isinstance(letter[0], str)
+        and type(letter[1]) is int
+        and letter[1] in (1, -1)
+    )
 
 
 def presentation_to_json(P):

@@ -33,13 +33,14 @@ class FinGroup:
     exhaustively at construction.
     """
 
-    __slots__ = ("elements", "unit", "table", "inv", "name")
+    __slots__ = ("elements", "unit", "table", "inv", "name", "_indexed")
 
     def __init__(self, elements, unit, table, name=""):
         self.elements = list(elements)
         self.unit = unit
         self.table = dict(table)
         self.name = name
+        self._indexed = None
         if unit not in self.elements:
             raise GroupError("unit is not an element")
         eset = set(self.elements)
@@ -68,6 +69,19 @@ class FinGroup:
 
     def mul(self, a, b):
         return self.table[(a, b)]
+
+    def indexed(self):
+        """The group on indices 0..n-1 in element order, built once:
+        ``(rows, inverses, unit)`` where ``rows[i][j]`` is the index of the
+        product of elements i and j."""
+        if self._indexed is None:
+            idx = {a: i for i, a in enumerate(self.elements)}
+            rows = tuple(
+                tuple(idx[self.table[(a, b)]] for b in self.elements) for a in self.elements
+            )
+            inverses = tuple(idx[self.inv[a]] for a in self.elements)
+            self._indexed = (rows, inverses, idx[self.unit])
+        return self._indexed
 
     def order(self):
         return len(self.elements)
@@ -497,9 +511,10 @@ GEN_INVERSE_SUFFIX = "!"
 class GroupPresentation:
     """Generators and relators; a relator is a tuple of (generator, ±1)."""
 
-    __slots__ = ("generators", "relators")
+    __slots__ = ("generators", "relators", "_blocks")
 
     def __init__(self, generators, relators):
+        self._blocks = None
         self.generators = list(generators)
         gset = set(self.generators)
         if len(gset) != len(self.generators):
@@ -522,6 +537,56 @@ class GroupPresentation:
                 w.append((g, e))
             rels.append(tuple(w))
         self.relators = rels
+
+    def blocks(self):
+        """The relators compiled for backtracking, built once:
+        ``(free, blocks)``.
+
+        ``free`` counts the generators in no relator.  Each block is a
+        class of generators that relators connect, ordered by first
+        appearance over its relators taken with the fewest distinct
+        generators first, so that a short relator such as x^n is tested
+        at the depth of its generator.  A block is a list with one entry
+        per depth: the relators whose last generator sits at that depth,
+        each a tuple of slots, where slot 2d is the image of the
+        generator at depth d and slot 2d+1 its inverse.  Empty relators
+        are dropped.  The result is kept, so a presentation must not be
+        changed after construction.
+        """
+        if self._blocks is None:
+            gidx = {g: i for i, g in enumerate(self.generators)}
+            rels = [[(gidx[g], e) for g, e in rel] for rel in self.relators if rel]
+            root = list(range(len(self.generators)))
+
+            def find(i):
+                while root[i] != i:
+                    root[i] = root[root[i]]
+                    i = root[i]
+                return i
+
+            for rel in rels:
+                first = find(rel[0][0])
+                for gi, _ in rel[1:]:
+                    root[find(gi)] = first
+            block_rels = {}
+            for rel in rels:
+                block_rels.setdefault(find(rel[0][0]), []).append(rel)
+            blocks = []
+            for members in block_rels.values():
+                order = []
+                for rel in sorted(members, key=lambda r: len({gi for gi, _ in r})):
+                    for gi, _ in rel:
+                        if gi not in order:
+                            order.append(gi)
+                depth = {gi: d for d, gi in enumerate(order)}
+                checks = [[] for _ in order]
+                for rel in members:
+                    word = tuple(2 * depth[gi] + (e == -1) for gi, e in rel)
+                    checks[max(depth[gi] for gi, _ in rel)].append(word)
+                blocks.append(checks)
+            used = {gi for rel in rels for gi, _ in rel}
+            self._blocks = (len(self.generators) - len(used), blocks)
+        return self._blocks
 
     def relator_strings(self):
         return [
@@ -556,29 +621,64 @@ def cyclic_reduce(word):
 
 def hom_count(P, T, budget=10 ** 7):
     """Number of homomorphisms from the presented group into the table
-    group T, by exhaustive search over generator images."""
+    group T.
+
+    The budget bounds the size |T|^k of the naive search space over the k
+    generators, not the work done: the count is refused with
+    BudgetExceeded exactly when |T|^k exceeds it, before any work.
+
+    Generators that relators connect form blocks, and the count is the
+    product over blocks because Hom(A * B, T) = Hom(A, T) x Hom(B, T); a
+    generator in no relator contributes |T|.  Inside a block, generator
+    images are assigned depth-first and each relator is evaluated as soon
+    as its last generator has an image, so a failing partial assignment
+    is never extended.
+
+    >>> z2_z3 = GroupPresentation(["x", "y"], [["x", "x"], ["y", "y", "y"]])
+    >>> hom_count(z2_z3, symmetric_group_3())
+    12
+    """
     k = len(P.generators)
     size = T.order()
     if size ** k > budget:
         raise BudgetExceeded("hom count needs %d assignments" % size ** k)
-    rels = []
-    gidx = {g: i for i, g in enumerate(P.generators)}
-    for rel in P.relators:
-        rels.append([(gidx[g], e) for g, e in rel])
-    count = 0
-    for assign in itertools.product(T.elements, repeat=k):
-        ok = True
-        for rel in rels:
-            acc = T.unit
-            for gi, e in rel:
-                x = assign[gi] if e == 1 else T.inv[assign[gi]]
-                acc = T.table[(acc, x)]
-            if acc != T.unit:
-                ok = False
-                break
-        if ok:
-            count += 1
+    if size == 1:
+        # the one target the budget admits at any k; the backtracking
+        # recurses once per generator of a block
+        return 1
+    free, blocks = P.blocks()
+    count = size ** free
+    for checks in blocks:
+        count *= _backtrack(checks, T)
+        if not count:
+            break
     return count
+
+
+def _backtrack(checks, T):
+    """Assignments of one block (``GroupPresentation.blocks``) into T that
+    satisfy its relators, counted depth-first."""
+    rows, inverses, unit = T.indexed()
+    images = [unit] * (2 * len(checks))
+    last = len(checks) - 1
+
+    def extend(d):
+        total = 0
+        words = checks[d]
+        for a in range(len(rows)):
+            images[2 * d] = a
+            images[2 * d + 1] = inverses[a]
+            for word in words:
+                acc = unit
+                for slot in word:
+                    acc = rows[acc][images[slot]]
+                if acc != unit:
+                    break
+            else:
+                total += 1 if d == last else extend(d + 1)
+        return total
+
+    return extend(0)
 
 
 def fingerprint(P, budget=10 ** 7):

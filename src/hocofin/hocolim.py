@@ -365,7 +365,8 @@ def cofinal_hocolim_compare(S, PD, N, n_max, effort=1, certify=True):
     Equality of these invariants is necessary for the restriction map to
     be a weak equivalence; the report never claims more.  When the
     cofinality hypothesis is not certified the comparison still runs,
-    labeled as unconditional.
+    labeled as unconditional.  A fingerprint over its budget raises
+    BudgetExceeded; it is never read as agreement.
     """
     label = "unconditional comparison"
     verdicts = None
@@ -380,11 +381,8 @@ def cofinal_hocolim_compare(S, PD, N, n_max, effort=1, certify=True):
     rhs = hocolim_pointed(PD, N)
     h_l = homology_ss(lhs, n_max)
     h_r = homology_ss(rhs, n_max)
-    try:
-        pi_l = list(fingerprint(tietze_simplify(edge_path_group(lhs))))
-        pi_r = list(fingerprint(tietze_simplify(edge_path_group(rhs))))
-    except BudgetExceeded:
-        pi_l = pi_r = None
+    pi_l = list(fingerprint(tietze_simplify(edge_path_group(lhs))))
+    pi_r = list(fingerprint(tietze_simplify(edge_path_group(rhs))))
     agree = h_l == h_r and pi_l == pi_r
     return {
         "label": label,

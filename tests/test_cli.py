@@ -191,6 +191,30 @@ MALFORMED = {
         dict(GOOD_WORKSPACE, presentations={"p": dict(GOOD_WORKSPACE["presentations"]["p"], relators=[5])}),
         "relator must be a JSON array",
     ),
+    **{
+        "relator-letter-" + case: (
+            dict(GOOD_WORKSPACE, presentations={"p": dict(
+                GOOD_WORKSPACE["presentations"]["p"], relators=[["x", letter]],
+            )}),
+            "relator letter must be a string or a [string, 1 or -1] pair",
+        )
+        for case, letter in (
+            ("a-number", 5),
+            ("null", None),
+            ("short-pair", ["x"]),
+            ("long-pair", ["x", 2, 3]),
+            ("boolean-exponent", ["x", True]),
+        )
+    },
+    **{
+        "presentation-generator-" + case: (
+            dict(GOOD_WORKSPACE, presentations={"p": {
+                "kind": "presentation", "generators": [generator], "relators": [],
+            }}),
+            "presentation generator must be a string",
+        )
+        for case, generator in (("a-list", ["x"]), ("a-number", 5), ("null", None))
+    },
 }
 
 

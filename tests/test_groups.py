@@ -1,7 +1,10 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hocofin import groups
 from hocofin.groups import (
     BudgetExceeded,
     FinGroup,
@@ -128,6 +131,110 @@ def test_hom_count_budget():
     P = GroupPresentation(list("abcdefgh"), [])
     with pytest.raises(BudgetExceeded):
         hom_count(P, cyclic_group(8), budget=10 ** 6)
+
+
+def test_hom_count_budget_boundary():
+    # the refusal depends on |T|^k alone: 2^3 = 8 assignments
+    P = GroupPresentation(["x", "y", "z"], [])
+    assert hom_count(P, cyclic_group(2), budget=8) == 8
+    with pytest.raises(BudgetExceeded):
+        hom_count(P, cyclic_group(2), budget=7)
+
+
+def test_hom_count_long_block_into_trivial_group():
+    # |T|^k = 1 is within any budget, however many generators one block has
+    gens = ["g%d" % i for i in range(3000)]
+    P = GroupPresentation(gens, [[a, b] for a, b in zip(gens, gens[1:])])
+    assert hom_count(P, trivial_group()) == 1
+
+
+def brute_force_hom_count(P, T):
+    """Exhaustive oracle: test every relator on every one of the |T|^k
+    assignments of generator images."""
+    gidx = {g: i for i, g in enumerate(P.generators)}
+    rels = [[(gidx[g], e) for g, e in rel] for rel in P.relators]
+    count = 0
+    for assign in itertools.product(T.elements, repeat=len(P.generators)):
+        ok = True
+        for rel in rels:
+            acc = T.unit
+            for gi, e in rel:
+                x = assign[gi] if e == 1 else T.inv[assign[gi]]
+                acc = T.table[(acc, x)]
+            if acc != T.unit:
+                ok = False
+                break
+        if ok:
+            count += 1
+    return count
+
+
+ORACLE_CASES = {
+    "no-generators": GroupPresentation([], []),
+    "empty-relators": GroupPresentation(["x", "y"], [[], ["x", "x"], []]),
+    "generator-in-no-relator": GroupPresentation(["x", "y", "z"], [["y", "y", "y"]]),
+    "repeated-in-one-relator": GroupPresentation(["x", "y"], [["x", "y", "x", "y!", "x!"]]),
+    "block-of-three": GroupPresentation(
+        ["a", "b", "c", "d"], [["a", "b!"], ["b", "c", "b!", "c!"], ["d", "d"]]
+    ),
+    "two-blocks": GroupPresentation(
+        ["a", "b", "c", "d"], [["a", "b", "a!", "b!"], ["c", "d", "c", "d"], ["c", "c"]]
+    ),
+    "chained-relators": GroupPresentation(
+        ["a", "b", "c", "d"], [["a", "a"], ["a", "b", "a!", "b"], ["c", "b!"], ["c", "d", "d"]]
+    ),
+    "trivial-group": GroupPresentation(["x", "y"], [["x"], ["x", "y", "y"]]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+def test_hom_count_matches_brute_force_on_fixed_cases(case):
+    P = ORACLE_CASES[case]
+    for T in catalog():
+        assert hom_count(P, T) == brute_force_hom_count(P, T), T.name
+
+
+@st.composite
+def presentations(draw):
+    gens = ["g%d" % i for i in range(draw(st.integers(0, 4)))]
+    # without generators the only relator is the empty word
+    letters = st.tuples(st.sampled_from(gens or [None]), st.sampled_from((1, -1)))
+    relators = draw(st.lists(st.lists(letters, max_size=6 if gens else 0), max_size=4))
+    return GroupPresentation(gens, relators)
+
+
+@settings(max_examples=100, deadline=None)
+@given(presentations())
+def test_hom_count_matches_brute_force(P):
+    for T in catalog():
+        assert hom_count(P, T) == brute_force_hom_count(P, T), (P.relators, T.name)
+
+
+def test_hom_count_free_product_of_z2():
+    P = GroupPresentation(["g%d" % i for i in range(6)], [["g%d" % i] * 2 for i in range(6)])
+    for T in catalog():
+        involutions = sum(1 for t in T.elements if T.table[(t, t)] == T.unit)
+        assert hom_count(P, T) == involutions ** 6, T.name
+
+
+def test_hom_count_commuting_pairs_in_s3():
+    P = GroupPresentation(["x", "y"], [["x", "y", "x!", "y!"]])
+    assert hom_count(P, symmetric_group_3()) == 18
+
+
+def test_fingerprint_counts_once_per_catalog_group(monkeypatch):
+    # the benchmark's per-layer hook wraps groups.hom_count
+    calls = []
+    real = groups.hom_count
+
+    def spy(P, T, budget=10 ** 7):
+        calls.append(T)
+        return real(P, T, budget=budget)
+
+    monkeypatch.setattr(groups, "hom_count", spy)
+    P = GroupPresentation(["x", "y"], [["x", "x"], ["y", "y", "y"]])
+    assert groups.fingerprint(P) == tuple(real(P, T) for T in catalog())
+    assert calls == catalog()
 
 
 def test_fingerprint_examples():

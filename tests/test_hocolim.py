@@ -3,6 +3,7 @@ import pytest
 from hocofin.diagrams import GroupDiagram, colim0, constant_group_diagram
 from hocofin.fincat import Functor, from_monoid, identity_functor, validate_category
 from hocofin.groups import (
+    BudgetExceeded,
     FreeProduct,
     GroupHom,
     cyclic_group,
@@ -185,6 +186,25 @@ def test_cofinal_compare_final_object_inclusion():
     assert report["label"] == "certified"
     assert report["verdict"] == "agree"
     assert report["homology"]["lhs"] == ["Z", "Z/2", "0"]
+
+
+def test_cofinal_compare_budget_refusal_propagates(monkeypatch, capsys):
+    # a refused fingerprint is not agreement: it must reach the CLI as an error
+    from hocofin import fixtures, hocolim
+    from hocofin.cli import main
+
+    def refuse(P, budget=10 ** 7):
+        raise BudgetExceeded("hom count needs too many assignments")
+
+    monkeypatch.setattr(hocolim, "fingerprint", refuse)
+    fx = fixtures.load_fixture("cofpointed", "final-in-two")
+    with pytest.raises(BudgetExceeded):
+        cofinal_hocolim_compare(fx["functor"], fx["pointed_diagram"], fx["level"], 1)
+    capsys.readouterr()
+    assert main(["verify", "--theorem", "cofpointed", "--fixture", "final-in-two"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: BudgetExceeded: hom count needs too many assignments\n"
 
 
 def test_cofinal_compare_identity():
