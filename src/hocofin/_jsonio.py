@@ -135,15 +135,6 @@ def group_from_json(obj, name=""):
     return FinGroup(els, obj["unit"], table, name=name)
 
 
-def group_to_json(G):
-    return {
-        "kind": "table",
-        "elements": list(G.elements),
-        "unit": G.unit,
-        "table": [[G.table[(a, b)] for b in G.elements] for a in G.elements],
-    }
-
-
 def presentation_from_json(obj):
     _require_keys(obj, ("kind", "generators", "relators"), what="presentation")
     if obj["kind"] != "presentation":
@@ -187,14 +178,23 @@ def free_product_from_json(obj, workspace):
         return FreeProduct.from_group(obj.get("label", obj["ref"]), G)
     if obj.get("kind") == "free_product":
         factors = []
-        for fac in obj["factors"]:
+        for fac in _array(obj.get("factors"), "free product factors"):
+            _require_keys(fac, ("label", "group"), what="free product factor")
             factors.append((fac["label"], group_from_json(fac["group"])))
         return FreeProduct(factors)
     G = group_from_json(obj)
     return FreeProduct.from_group(obj.get("label", G.name or "G"), G)
 
 
-def _word_from_json(word):
+def _word_from_json(word, target, what):
+    """A word of the free product ``target``: an array of [factor label,
+    element] letters, each naming an element of a factor."""
+    for letter in _array(word, what):
+        if not (isinstance(letter, list) and len(letter) == 2 and isinstance(letter[0], str)
+                and not isinstance(letter[1], (list, dict))):
+            raise InputError("%s letter must be a [label, element] pair, not %s"
+                             % (what, json.dumps(letter)))
+        target.letter(*letter)
     return tuple((l[0], l[1]) for l in word)
 
 
@@ -221,7 +221,7 @@ def group_diagram_from_json(obj, workspace, name=""):
                 key = "%s.%s" % (lbl, el)
                 if key not in table:
                     raise InputError("hom at %s misses letter %s" % (mid, key))
-                per[lbl][el] = _word_from_json(table[key])
+                per[lbl][el] = _word_from_json(table[key], dst, "hom at %s" % mid)
         actions[mid] = GroupHom(src, dst, per)
     return GroupDiagram(C, value, actions, name=name)
 
@@ -269,16 +269,6 @@ def dset_from_json(obj, workspace, name=""):
                 name=name)
 
 
-def dset_to_json(X, category_name):
-    return {
-        "category": category_name,
-        "sets": {o: list(v) for o, v in X.sets.items()},
-        "maps": {
-            m: dict(t) for m, t in X.maps.items() if not X.base.is_identity(m)
-        },
-    }
-
-
 def dset_morphism_from_json(obj, workspace, name=""):
     _require_keys(obj, ("source", "target", "components"), what="presheaf morphism")
     components = _mapping(obj["components"], "presheaf morphism components")
@@ -286,57 +276,60 @@ def dset_morphism_from_json(obj, workspace, name=""):
                         {o: dict(_mapping(t, "component at %s" % o)) for o, t in components.items()})
 
 
-def sset_from_json(obj, name=""):
-    _require_keys(obj, ("level", "simplices", "faces", "degeneracies"), ("basepoint",),
-                  what="simplicial set")
-    level = int(obj["level"])
-    faces = {}
-    for key, table in obj["faces"].items():
-        n, i = key.split(",")
-        faces[(int(n), int(i))] = dict(table)
-    degens = {}
-    for key, table in obj["degeneracies"].items():
-        n, i = key.split(",")
-        degens[(int(n), int(i))] = dict(table)
-    return TruncSSet(level, obj["simplices"], faces, degens,
-                     basepoint=obj.get("basepoint"))
+def _simplex_table(table, what):
+    """A map of simplex ids: a JSON object with string values."""
+    for x in _mapping(table, what).values():
+        if not isinstance(x, str):
+            raise InputError("%s must map to simplex ids (strings), not %s" % (what, json.dumps(x)))
+    return table
 
 
-def sset_to_json(X):
-    def enc(x):
-        return x if isinstance(x, str) else repr(x)
-
-    faces = {}
-    for (n, i), table in sorted(X.faces.items()):
-        faces["%d,%d" % (n, i)] = {enc(k): enc(v) for k, v in table.items()}
-    degens = {}
-    for (n, i), table in sorted(X.degeneracies.items()):
-        degens["%d,%d" % (n, i)] = {enc(k): enc(v) for k, v in table.items()}
-    out = {
-        "level": X.level,
-        "simplices": [[enc(x) for x in xs] for xs in X.simplices],
-        "faces": faces,
-        "degeneracies": degens,
-    }
-    if X.basepoint is not None:
-        out["basepoint"] = enc(X.basepoint)
+def _structure_maps(obj, what):
+    """Faces or degeneracies: {"n,i": table} -> {(n, i): table}."""
+    out = {}
+    for key, table in _mapping(obj, "simplicial set " + what).items():
+        parts = key.split(",")
+        if len(parts) != 2:
+            raise InputError('simplicial set %s key %r must be "n,i"' % (what, key))
+        n, i = (_count(p, "simplicial set %s key %r" % (what, key)) for p in parts)
+        out[(n, i)] = _simplex_table(table, "simplicial set %s %s" % (what, key))
     return out
 
 
+def sset_from_json(obj, name=""):
+    _require_keys(obj, ("level", "simplices", "faces", "degeneracies"), ("basepoint",),
+                  what="simplicial set")
+    level = _count(obj["level"], "simplicial set level")
+    simplices = _array(obj["simplices"], "simplicial set simplices")
+    for n, xs in enumerate(simplices):
+        if not all(isinstance(x, str) for x in _array(xs, "simplices of degree %d" % n)):
+            raise InputError("simplices of degree %d must be simplex ids (strings)" % n)
+    basepoint = obj.get("basepoint")
+    if basepoint is not None and not isinstance(basepoint, str):
+        raise InputError("simplicial set basepoint must be a simplex id (a string)")
+    return TruncSSet(level, simplices, _structure_maps(obj["faces"], "faces"),
+                     _structure_maps(obj["degeneracies"], "degeneracies"), basepoint=basepoint)
+
+
 def pointed_diagram_from_json(obj, workspace, name=""):
-    if obj.get("kind") == "bg":
+    if isinstance(obj, dict) and obj.get("kind") == "bg":
         _require_keys(obj, ("kind", "diagram", "level"), what="pointed diagram")
-        return bg_diagram(workspace.group_diagram(obj["diagram"]), int(obj["level"]))
+        return bg_diagram(workspace.group_diagram(obj["diagram"]),
+                          _count(obj["level"], "pointed diagram level"))
     _require_keys(obj, ("category", "level", "values", "maps"), ("kind",),
                   what="pointed diagram")
     C = workspace.category(obj["category"])
-    level = int(obj["level"])
-    values = {o: sset_from_json(v) for o, v in obj["values"].items()}
+    level = _count(obj["level"], "pointed diagram level")
+    values = {o: sset_from_json(v)
+              for o, v in _mapping(obj["values"], "pointed diagram values").items()}
+    _require_values(C, values, "pointed diagram")
     actions = {}
-    for mid, tables in obj["maps"].items():
-        src = values[C.dom[mid]]
-        dst = values[C.cod[mid]]
-        actions[mid] = SSetMap(src, dst, [dict(t) for t in tables], pointed=True)
+    for mid, tables in _mapping(obj["maps"], "pointed diagram maps").items():
+        if mid not in C.dom:
+            raise InputError("pointed diagram references unknown morphism %s" % mid)
+        what = "pointed diagram map at %s" % mid
+        tables = [_simplex_table(t, what) for t in _array(tables, what)]
+        actions[mid] = SSetMap(values[C.dom[mid]], values[C.cod[mid]], tables, pointed=True)
     return PointedDiagram(C, level, values, actions, name=name)
 
 
@@ -409,6 +402,8 @@ class Workspace:
                 self.raw[section][name] = obj
 
     def _get(self, section, name, builder):
+        if not isinstance(name, str):
+            raise InputError("%s are named by strings, not %s" % (section, json.dumps(name)))
         if name not in self._cache[section]:
             if name not in self.raw[section]:
                 raise InputError("unknown %s %r" % (section[:-1], name))

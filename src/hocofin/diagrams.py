@@ -13,8 +13,8 @@ from __future__ import annotations
 
 from . import fincat
 from .fincat import (
+    chain_degeneracy,
     chain_face,
-    chain_origin,
     composable_chains,
     comma_left_fibre,
     connected_components,
@@ -177,16 +177,14 @@ def _srep_level(C, G, n):
     G(origin) over all length-n chains, factor labels (chain, inner)."""
     factors = []
     for chain in composable_chains(C, n):
-        origin = chain_origin(C, chain)
-        for lbl, grp in G.value[origin].factors:
+        for lbl, grp in G.value[chain[0]].factors:
             factors.append((_chain_label(chain, lbl), grp))
     return FreeProduct(factors)
 
 
 def _chain_label(chain, inner):
-    if isinstance(chain, str):
-        return "%s::%s" % (chain, inner)
-    return "%s::%s" % ("~".join(chain), inner)
+    """Factor label "x0::inner" in degree 0, "f1~...~fn::inner" above."""
+    return "%s::%s" % ("~".join(chain[1:] or chain), inner)
 
 
 def srep_face(C, G, n, i):
@@ -202,12 +200,11 @@ def srep_face(C, G, n, i):
     dst = _srep_level(C, G, n - 1)
     per = {}
     for chain in composable_chains(C, n):
-        origin = chain_origin(C, chain)
         target_chain = chain_face(C, chain, i)
-        for lbl, grp in G.value[origin].factors:
+        for lbl, grp in G.value[chain[0]].factors:
             table = {}
             if i == 0:
-                hom = G.action[chain[0]]
+                hom = G.action[chain[1]]
                 for el in grp.elements:
                     word = hom.apply(((lbl, el),) if el != grp.unit else ())
                     table[el] = tuple((_chain_label(target_chain, l2), e2) for l2, e2 in word)
@@ -226,9 +223,8 @@ def srep_degeneracy(C, G, n, i):
     dst = _srep_level(C, G, n + 1)
     per = {}
     for chain in composable_chains(C, n):
-        origin = chain_origin(C, chain)
-        target_chain = fincat.chain_degeneracy(C, chain, i)
-        for lbl, grp in G.value[origin].factors:
+        target_chain = chain_degeneracy(C, chain, i)
+        for lbl, grp in G.value[chain[0]].factors:
             per[_chain_label(chain, lbl)] = {
                 el: (() if el == grp.unit else ((_chain_label(target_chain, lbl), el),))
                 for el in grp.elements
@@ -312,11 +308,11 @@ def srep_ab_complex(C, M, n_max, chain_cap=DEFAULT_CHAIN_CAP):
 
     def faces(n, ch):
         # d_0 transports along the first arrow; the other faces keep the value
-        yield 0, chain_face(C, ch, 0), M.action[ch[0]].matrix
+        yield 0, chain_face(C, ch, 0), M.action[ch[1]].matrix
         for i in range(1, n + 1):
-            yield i, chain_face(C, ch, i), M.value[C.dom[ch[0]]].gens
+            yield i, chain_face(C, ch, i), M.value[ch[0]].gens
 
-    return normalized_complex(chains, lambda ch: M.value[chain_origin(C, ch)], faces)
+    return normalized_complex(chains, lambda ch: M.value[ch[0]], faces)
 
 
 def ab_colim0_by_coequalizer(C, M):

@@ -12,6 +12,9 @@ arrows; factorization categories, whose arrows are pairs of base arrows,
 have their own.  Canonical ordering is input order everywhere; derived
 categories enumerate their objects and morphisms lexicographically in the
 constituent indices, so repeated construction is byte-stable.
+
+A nerve chain x0 -> x1 -> ... -> xn is the tuple ``(x0, f1, ..., fn)``:
+its origin x0 followed by its arrows, so a degree-0 chain is ``(x0,)``.
 """
 
 from __future__ import annotations
@@ -97,10 +100,6 @@ class FinCat:
             return self.comp[(g, f)]
         except KeyError:
             raise MissingComposite("no composite for (%s, %s)" % (g, f)) from None
-
-    def out_morphisms(self, x):
-        """Morphisms with domain x, in canonical order."""
-        return self._out.get(x, [])
 
     def composable_pairs(self):
         for f in self.morphisms:
@@ -266,19 +265,6 @@ class Functor:
 def identity_functor(C):
     return Functor(C, C, {o: o for o in C.objects}, {f: f for f in C.morphisms},
                    name="id", _validate=False)
-
-
-def compose_functors(second, first):
-    """second∘first."""
-    if first.target is not second.source and first.target != second.source:
-        raise CategoryError("functors do not compose")
-    return Functor(
-        first.source,
-        second.target,
-        {o: second.obj_map[first.obj_map[o]] for o in first.source.objects},
-        {f: second.mor_map[first.mor_map[f]] for f in first.source.morphisms},
-        _validate=False,
-    )
 
 
 def opposite(C):
@@ -665,11 +651,6 @@ def full_subcategory(C, objs):
                   ident, comp, name=C.name and C.name + "|", _validate=False)
 
 
-def inclusion_functor(C, sub):
-    return Functor(sub, C, {o: o for o in sub.objects}, {f: f for f in sub.morphisms},
-                   _validate=False)
-
-
 # -- builders -------------------------------------------------------------
 
 
@@ -741,15 +722,16 @@ def disjoint_union(C, D, tags=("0", "1"), name=""):
 
 
 def composable_chains(C, n, nondegenerate=False):
-    """Length-n chains of composable morphisms, lexicographic in the
-    canonical morphism order.  Degree 0 gives the objects.
+    """Length-n chains ``(x0, f1, ..., fn)`` of composable morphisms
+    x0 -> x1 -> ... -> xn, lexicographic in the canonical morphism order;
+    degree 0 gives ``(x0,)`` for each object.
 
-    A chain is degenerate when some entry is an identity.
+    A chain is degenerate when some arrow is an identity.
     """
     if n == 0:
-        return list(C.objects)
+        return [(o,) for o in C.objects]
     pool = [f for f in C.morphisms if not (nondegenerate and C.is_identity(f))]
-    chains = [(f,) for f in pool]
+    chains = [(C.dom[f], f) for f in pool]
     for _ in range(n - 1):
         nxt = []
         for ch in chains:
@@ -761,39 +743,20 @@ def composable_chains(C, n, nondegenerate=False):
     return chains
 
 
-def chain_origin(C, chain):
-    if isinstance(chain, str):
-        return chain
-    return C.dom[chain[0]]
-
-
 def chain_face(C, chain, i):
-    """Nerve face: drop or compose; degree-1 faces yield the object."""
-    n = len(chain)
-    if isinstance(chain, str) or n == 0:
+    """Nerve face d_i: d_0 starts at x1, d_n drops the last arrow, and an
+    inner face composes the two arrows at x_i."""
+    n = len(chain) - 1
+    if n == 0:
         raise ValueError("no faces in degree 0")
-    if n == 1:
-        return C.cod[chain[0]] if i == 0 else C.dom[chain[0]]
     if i == 0:
-        return chain[1:]
+        return (C.cod[chain[1]],) + chain[2:]
     if i == n:
         return chain[:-1]
-    return chain[: i - 1] + (C.comp[(chain[i], chain[i - 1])],) + chain[i + 1 :]
+    return chain[:i] + (C.comp[(chain[i + 1], chain[i])],) + chain[i + 2 :]
 
 
 def chain_degeneracy(C, chain, i):
-    """Nerve degeneracy: insert an identity at position i."""
-    if isinstance(chain, str):
-        if i != 0:
-            raise ValueError("degree-0 chains only have s_0")
-        return (C.identity[chain],)
-    n = len(chain)
-    if i == 0:
-        return (C.identity[C.dom[chain[0]]],) + chain
-    return chain[:i] + (C.identity[C.cod[chain[i - 1]]],) + chain[i:]
-
-
-def chain_is_degenerate(C, chain):
-    if isinstance(chain, str):
-        return False
-    return any(C.is_identity(f) for f in chain)
+    """Nerve degeneracy s_i: insert the identity of x_i after x_i."""
+    x = chain[0] if i == 0 else C.cod[chain[i]]
+    return chain[: i + 1] + (C.identity[x],) + chain[i + 1 :]

@@ -46,6 +46,15 @@ def _is_ab(system):
     return isinstance(system, AbDiagram)
 
 
+def _agreement(lhs, rhs):
+    """"agree" when two homology results have the same abelian groups and,
+    for group coefficients, the same degree-0 fingerprint."""
+    same = lhs["abelian"] == rhs["abelian"]
+    if "n0" in lhs:
+        same = same and lhs["n0"]["fingerprint"] == rhs["n0"]["fingerprint"]
+    return "agree" if same else "disagree"
+
+
 def _hom_over(cat, proj, o1, o2, base_mor):
     """The unique morphism o1 -> o2 of a derived category lying over a
     given base morphism."""
@@ -139,18 +148,11 @@ def direct_image(f, system, n_max):
     pushed = kan_extend_vdc(Sop, system)
     lhs = gz_homology(f.source, system, n_max)
     rhs = gz_homology(f.target, pushed, n_max)
-    if _is_ab(system):
-        agree = lhs["abelian"] == rhs["abelian"]
-    else:
-        agree = (
-            lhs["n0"]["fingerprint"] == rhs["n0"]["fingerprint"]
-            and lhs["abelian"] == rhs["abelian"]
-        )
     return {
         "system": pushed,
         "lhs": lhs,
         "rhs": rhs,
-        "verdict": "agree" if agree else "disagree",
+        "verdict": _agreement(lhs, rhs),
     }
 
 
@@ -185,19 +187,12 @@ def dhiso_check(f, system, n_max, effort=1):
     pulled = inverse_image(f, system)
     lhs = gz_homology(X, pulled, n_max)
     rhs = gz_homology(Y, system, n_max)
-    if _is_ab(system):
-        agree = lhs["abelian"] == rhs["abelian"]
-    else:
-        agree = (
-            lhs["n0"]["fingerprint"] == rhs["n0"]["fingerprint"]
-            and lhs["abelian"] == rhs["abelian"]
-        )
     report["lhs"] = lhs
     report["rhs"] = rhs
     if agg == "NONCONTRACTIBLE":
         report["verdict"] = "hypothesis fails"
     else:
-        report["verdict"] = "agree" if agree else "disagree"
+        report["verdict"] = _agreement(lhs, rhs)
     return report
 
 
@@ -205,10 +200,8 @@ def dhiso_check(f, system, n_max, effort=1):
 
 
 def _delta_of_chain(C, chain):
-    """Composite of a nerve chain (the identity for a vertex)."""
-    if isinstance(chain, str):
-        return C.identity[chain]
-    acc = chain[0]
+    """Composite of a nerve chain (the identity of x0 in degree 0)."""
+    acc = C.identity[chain[0]]
     for alpha in chain[1:]:
         acc = C.comp[(alpha, acc)]
     return acc
@@ -237,7 +230,7 @@ def nerve_route_complex(C, M, n_max, fdata=None):
         for i in range(n + 1):
             face = chain_face(C, ch, i)
             if i == 0:
-                pair = (ch[0], C.identity[C.cod[dsig]])
+                pair = (ch[1], C.identity[C.cod[dsig]])
             elif i == n:
                 pair = (C.identity[C.dom[dsig]], ch[-1])
             else:
@@ -306,16 +299,9 @@ def bw_invariance_check(S, system, n_max, effort=1):
     pulled = system.restrict(FSop)
     lhs = bw_homology(C, pulled, n_max, fdata=fc)
     rhs = bw_homology(D, system, n_max, fdata=fd)
-    if _is_ab(system):
-        agree = lhs["abelian"] == rhs["abelian"]
-    else:
-        agree = (
-            lhs["n0"]["fingerprint"] == rhs["n0"]["fingerprint"]
-            and lhs["abelian"] == rhs["abelian"]
-        )
     report["lhs"] = lhs
     report["rhs"] = rhs
-    report["verdict"] = "agree" if agree else "disagree"
+    report["verdict"] = _agreement(lhs, rhs)
     return report
 
 

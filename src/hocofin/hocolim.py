@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from . import fincat
 from .cofinal import certify_homotopy_cofinal
-from .fincat import chain_degeneracy, chain_face, chain_origin, composable_chains
+from .fincat import chain_degeneracy, chain_face, composable_chains
 from .groups import BudgetExceeded, FinGroup, FreeProduct, fingerprint, tietze_simplify
 from .presheaf import SSetMap, TruncSSet, edge_path_group, homology_ss, nerve
 
@@ -160,26 +160,14 @@ def bg_diagram(G, N, cap=100000):
             key = el_map[m]
             return dst.identity["*"] if key == "1" else key
 
-        mapping = []
-        for n in range(N + 1):
-            table = {}
-            for x in Xs.simplices[n]:
-                if n == 0:
-                    table[x] = Xt.simplices[0][0]
-                else:
-                    table[x] = tuple(mor_image(m) for m in x)
-            mapping.append(table)
+        # both nerves have the one object "*", so a chain keeps its origin
+        mapping = [{x: x[:1] + tuple(mor_image(m) for m in x[1:]) for x in Xs.simplices[n]}
+                   for n in range(N + 1)]
         actions[alpha] = SSetMap(Xs, Xt, mapping, pointed=True)
     return PointedDiagram(G.base, N, values, actions, name="B(%s)" % (G.name or "?"))
 
 
 # -- the diagonal -------------------------------------------------------------
-
-
-def _transport(PD, sigma, n, x):
-    """Coefficient transport along the first arrow of a chain."""
-    alpha1 = sigma[0]
-    return PD.action[alpha1].apply(n, x)
 
 
 def hocolim_unpointed(PD, N):
@@ -192,8 +180,7 @@ def hocolim_unpointed(PD, N):
     for n in range(N + 1):
         layer = []
         for sigma in composable_chains(C, n):
-            origin = chain_origin(C, sigma)
-            for x in PD.value[origin].simplices[n]:
+            for x in PD.value[sigma[0]].simplices[n]:
                 layer.append((sigma, x))
         simplices.append(layer)
     faces = {}
@@ -202,19 +189,17 @@ def hocolim_unpointed(PD, N):
         for i in range(n + 1):
             table = {}
             for sigma, x in simplices[n]:
-                origin = chain_origin(C, sigma)
                 sigma2 = chain_face(C, sigma, i)
-                x1 = _transport(PD, sigma, n, x) if i == 0 else x
-                x2 = PD.value[chain_origin(C, sigma2)].face(n, i, x1)
+                x1 = PD.action[sigma[1]].apply(n, x) if i == 0 else x
+                x2 = PD.value[sigma2[0]].face(n, i, x1)
                 table[(sigma, x)] = (sigma2, x2)
             faces[(n, i)] = table
     for n in range(N):
         for i in range(n + 1):
             table = {}
             for sigma, x in simplices[n]:
-                origin = chain_origin(C, sigma)
                 sigma2 = chain_degeneracy(C, sigma, i)
-                x2 = PD.value[origin].degeneracy(n, i, x)
+                x2 = PD.value[sigma[0]].degeneracy(n, i, x)
                 table[(sigma, x)] = (sigma2, x2)
             degens[(n, i)] = table
     return TruncSSet(N, simplices, faces, degens)
@@ -229,7 +214,7 @@ def hocolim_pointed(PD, N):
     base_of = {o: [PD.value[o].base_degeneracy(n) for n in range(N + 1)] for o in C.objects}
 
     def collapse(n, sigma, x):
-        if x == base_of[chain_origin(C, sigma)][n]:
+        if x == base_of[sigma[0]][n]:
             return BASECLASS
         return (sigma, x)
 
@@ -237,9 +222,8 @@ def hocolim_pointed(PD, N):
     for n in range(N + 1):
         layer = [BASECLASS]
         for sigma in composable_chains(C, n):
-            origin = chain_origin(C, sigma)
-            bn = base_of[origin][n]
-            for x in PD.value[origin].simplices[n]:
+            bn = base_of[sigma[0]][n]
+            for x in PD.value[sigma[0]].simplices[n]:
                 if x != bn:
                     layer.append((sigma, x))
         simplices.append(layer)
@@ -253,8 +237,8 @@ def hocolim_pointed(PD, N):
                     continue
                 sigma, x = cell
                 sigma2 = chain_face(C, sigma, i)
-                x1 = _transport(PD, sigma, n, x) if i == 0 else x
-                x2 = PD.value[chain_origin(C, sigma2)].face(n, i, x1)
+                x1 = PD.action[sigma[1]].apply(n, x) if i == 0 else x
+                x2 = PD.value[sigma2[0]].face(n, i, x1)
                 table[cell] = collapse(n - 1, sigma2, x2)
             faces[(n, i)] = table
     for n in range(N):
@@ -265,7 +249,7 @@ def hocolim_pointed(PD, N):
                     continue
                 sigma, x = cell
                 sigma2 = chain_degeneracy(C, sigma, i)
-                x2 = PD.value[chain_origin(C, sigma)].degeneracy(n, i, x)
+                x2 = PD.value[sigma[0]].degeneracy(n, i, x)
                 table[cell] = collapse(n + 1, sigma2, x2)
             degens[(n, i)] = table
     return TruncSSet(N, simplices, faces, degens, basepoint=BASECLASS)
@@ -278,7 +262,7 @@ def hocolim_cardinalities(PD, N):
     for n in range(N + 1):
         total = 1
         for sigma in composable_chains(C, n):
-            total += len(PD.value[chain_origin(C, sigma)].simplices[n]) - 1
+            total += len(PD.value[sigma[0]].simplices[n]) - 1
         out.append(total)
     return out
 
@@ -303,7 +287,7 @@ def pointed_quotient_check(PD, N):
     for n in range(N + 1):
         layer = set()
         for sigma in composable_chains(C, n):
-            layer.add((sigma, base_of[chain_origin(C, sigma)][n]))
+            layer.add((sigma, base_of[sigma[0]][n]))
         sub.append(layer)
     report = {"pass": True, "witness": None, "levels": N}
 

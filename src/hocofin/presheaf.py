@@ -207,8 +207,9 @@ class SSetMap:
 def nerve(C, N, basepoint=None):
     """Nerve of a finite category, truncated at level N.
 
-    Degree-n simplices are length-n chains of composable morphisms
-    (identities allowed); nondegenerate chains contain no identity.
+    Degree-n simplices are the chains ``(x0, f1, ..., fn)`` of
+    ``fincat.composable_chains`` (identities allowed); nondegenerate chains
+    contain no identity.  A basepoint object ``o`` is the vertex ``(o,)``.
     """
     simplices = [fincat.composable_chains(C, n) for n in range(N + 1)]
     faces = {}
@@ -219,6 +220,8 @@ def nerve(C, N, basepoint=None):
     for n in range(N):
         for i in range(n + 1):
             degens[(n, i)] = {ch: fincat.chain_degeneracy(C, ch, i) for ch in simplices[n]}
+    if basepoint is not None:
+        basepoint = (basepoint,)
     return TruncSSet(N, simplices, faces, degens, basepoint=basepoint)
 
 
@@ -287,9 +290,6 @@ class DSet:
 
     def apply(self, alpha, x):
         return self.maps[alpha][x]
-
-    def is_empty(self):
-        return all(not v for v in self.sets.values())
 
     def __repr__(self):
         return "DSet(%s over %s)" % (self.name or "?", self.base.name or "?")

@@ -12,6 +12,15 @@ def run(capsys, *argv):
     return code, out
 
 
+# the point as a level-1 simplicial set: vertex v and its degenerate edge sv
+POINT = {
+    "level": 1,
+    "simplices": [["v"], ["sv"]],
+    "faces": {"1,0": {"sv": "v"}, "1,1": {"sv": "v"}},
+    "degeneracies": {"0,0": {"v": "sv"}},
+    "basepoint": "v",
+}
+
 GOOD_WORKSPACE = {
     "categories": {
         "two": {
@@ -62,6 +71,12 @@ GOOD_WORKSPACE = {
             "target": "hb",
             "components": {"a": {"u": "u"}, "b": {"ib": "ib"}},
         }
+    },
+    "ssets": {"pt": POINT},
+    "pointed_diagrams": {
+        "pd": {"category": "two", "level": 1, "values": {"a": POINT, "b": POINT},
+               "maps": {"u": [{"v": "v"}, {"sv": "sv"}]}},
+        "bgd": {"kind": "bg", "diagram": "d", "level": 2},
     },
     "systems": {
         "s": {"over": {"kind": "elements-op", "dset": "hb"}, "constant_abelian": {"gens": 1}},
@@ -215,6 +230,57 @@ MALFORMED = {
         )
         for case, generator in (("a-list", ["x"]), ("a-number", 5), ("null", None))
     },
+    **{
+        "sset-" + case: (dict(GOOD_WORKSPACE, ssets={"pt": dict(POINT, **change)}), message)
+        for case, change, message in (
+            ("level-not-an-integer", {"level": "two"}, "simplicial set level must be an integer"),
+            ("faces-not-an-object", {"faces": []}, "simplicial set faces must be a JSON object"),
+            ("face-key-not-n-comma-i", {"faces": {"1": {"sv": "v"}, "1,1": {"sv": "v"}}},
+             'simplicial set faces key \'1\' must be "n,i"'),
+            ("simplices-not-a-list", {"simplices": 5}, "simplicial set simplices must be a JSON array"),
+            ("simplex-not-a-string", {"simplices": [[["v"]], ["sv"]]},
+             "simplices of degree 0 must be simplex ids"),
+            ("face-value-not-a-string", {"faces": {"1,0": {"sv": ["v"]}, "1,1": {"sv": "v"}}},
+             "simplicial set faces 1,0 must map to simplex ids"),
+        )
+    },
+    "free-product-factor-without-label": (
+        dict(GOOD_WORKSPACE, diagrams={"d": dict(GOOD_WORKSPACE["diagrams"]["d"], groups={
+            "a": {"kind": "free_product", "factors": [{"group": GOOD_WORKSPACE["groups"]["z2"]}]},
+            "b": {"ref": "z2", "label": "A"},
+        })}),
+        "free product factor misses keys: label",
+    ),
+    "hom-word-not-a-list": (
+        dict(GOOD_WORKSPACE, diagrams={"d": dict(GOOD_WORKSPACE["diagrams"]["d"], homs={"u": {"A.1": 5}})}),
+        "hom at u must be a JSON array",
+    ),
+    "hom-letter-not-a-pair": (
+        dict(GOOD_WORKSPACE, diagrams={"d": dict(
+            GOOD_WORKSPACE["diagrams"]["d"], homs={"u": {"A.1": [["A", ["1"]]]}},
+        )}),
+        "hom at u letter must be a [label, element] pair",
+    ),
+    "hom-letter-unknown-element": (
+        dict(GOOD_WORKSPACE, diagrams={"d": dict(
+            GOOD_WORKSPACE["diagrams"]["d"], homs={"u": {"A.1": [["A", "7"]]}},
+        )}),
+        "unknown element 7 in factor A",
+    ),
+    "pointed-diagram-map-on-unknown-morphism": (
+        dict(GOOD_WORKSPACE, pointed_diagrams={"pd": dict(
+            GOOD_WORKSPACE["pointed_diagrams"]["pd"], maps={"zz": [{"v": "v"}, {"sv": "sv"}]},
+        )}),
+        "pointed diagram references unknown morphism zz",
+    ),
+    "pointed-diagram-level-not-an-integer": (
+        dict(GOOD_WORKSPACE, pointed_diagrams={"pd": dict(GOOD_WORKSPACE["pointed_diagrams"]["pd"], level="z")}),
+        "pointed diagram level must be an integer",
+    ),
+    "reference-not-a-string": (
+        dict(GOOD_WORKSPACE, functors={"inc-b": dict(GOOD_WORKSPACE["functors"]["inc-b"], source=["one"])}),
+        "categories are named by strings",
+    ),
 }
 
 

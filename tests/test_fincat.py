@@ -314,11 +314,37 @@ def test_composable_chains_counts():
     assert len(composable_chains(C, 3, nondegenerate=True)) == 1
 
 
+def test_composable_chains_match_the_nerve_size_count():
+    from hocofin.cofinal import _nerve_sizes
+    from hocofin.groups import catalog
+    from hocofin.presheaf import nerve
+
+    cats = list(fixtures.builtin_workspace()._cache["categories"].values())
+    cats += [from_monoid(G.elements, G.unit, G.table, name=G.name) for G in catalog()]
+    for C in cats:
+        sizes = _nerve_sizes(C, 3)
+        assert [ch[1] for ch in composable_chains(C, 1)] == C.morphisms
+        for n in range(4):
+            chains = composable_chains(C, n)
+            assert len(chains) == sizes[n], (C.name, n)
+            for ch in chains:
+                assert len(ch) == n + 1
+                x = ch[0]
+                for f in ch[1:]:
+                    assert C.dom[f] == x
+                    x = C.cod[f]
+            assert composable_chains(C, n, nondegenerate=True) == [
+                ch for ch in chains if not any(C.is_identity(f) for f in ch[1:])
+            ]
+        o = C.objects[0]
+        assert nerve(C, 1, basepoint=o).basepoint == (o,)
+
+
 def test_chain_faces_and_degeneracies():
     two = walking_arrow()
-    assert fincat.chain_face(two, ("u",), 0) == "b"
-    assert fincat.chain_face(two, ("u",), 1) == "a"
-    assert fincat.chain_degeneracy(two, "a", 0) == ("id_a",)
-    ch = ("id_a", "u")
-    assert fincat.chain_face(two, ch, 1) == ("u",)
-    assert fincat.chain_is_degenerate(two, ch)
+    assert fincat.chain_face(two, ("a", "u"), 0) == ("b",)
+    assert fincat.chain_face(two, ("a", "u"), 1) == ("a",)
+    assert fincat.chain_degeneracy(two, ("a",), 0) == ("a", "id_a")
+    ch = ("a", "id_a", "u")
+    assert fincat.chain_face(two, ch, 1) == ("a", "u")
+    assert any(two.is_identity(f) for f in ch[1:])

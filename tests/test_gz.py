@@ -229,6 +229,18 @@ def test_direct_image_nonconstant_system():
     assert rep2["verdict"] == "agree"
 
 
+def test_agreement_compares_groups_and_the_degree_0_fingerprint():
+    from hocofin.gz import _agreement
+
+    z, z2 = FGAb.free(1), FGAb.cyclic(2)
+    assert _agreement({"abelian": [z]}, {"abelian": [z]}) == "agree"
+    assert _agreement({"abelian": [z]}, {"abelian": [z2]}) == "disagree"
+    group = {"abelian": [z], "n0": {"fingerprint": [1, 2]}}
+    assert _agreement(group, dict(group)) == "agree"
+    assert _agreement(group, dict(group, n0={"fingerprint": [1, 1]})) == "disagree"
+    assert _agreement(group, dict(group, abelian=[z2])) == "disagree"
+
+
 def test_inverse_image_and_dhiso_iso():
     two = walking_arrow()
     hb = representable(two, "b")
