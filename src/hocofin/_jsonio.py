@@ -284,14 +284,18 @@ def _simplex_table(table, what):
     return table
 
 
-def _structure_maps(obj, what):
-    """Faces or degeneracies: {"n,i": table} -> {(n, i): table}."""
+def _structure_maps(obj, what, level, degrees):
+    """Faces or degeneracies of a level-``level`` set: {"n,i": table} ->
+    {(n, i): table}, with n in ``degrees`` and 0 <= i <= n."""
     out = {}
     for key, table in _mapping(obj, "simplicial set " + what).items():
         parts = key.split(",")
         if len(parts) != 2:
             raise InputError('simplicial set %s key %r must be "n,i"' % (what, key))
         n, i = (_count(p, "simplicial set %s key %r" % (what, key)) for p in parts)
+        if n not in degrees or i > n:
+            raise InputError("simplicial set %s key %r names no map of a level-%d set"
+                             % (what, key, level))
         out[(n, i)] = _simplex_table(table, "simplicial set %s %s" % (what, key))
     return out
 
@@ -307,8 +311,9 @@ def sset_from_json(obj, name=""):
     basepoint = obj.get("basepoint")
     if basepoint is not None and not isinstance(basepoint, str):
         raise InputError("simplicial set basepoint must be a simplex id (a string)")
-    return TruncSSet(level, simplices, _structure_maps(obj["faces"], "faces"),
-                     _structure_maps(obj["degeneracies"], "degeneracies"), basepoint=basepoint)
+    faces = _structure_maps(obj["faces"], "faces", level, range(1, level + 1))
+    degeneracies = _structure_maps(obj["degeneracies"], "degeneracies", level, range(level))
+    return TruncSSet(level, simplices, faces, degeneracies, basepoint=basepoint)
 
 
 def pointed_diagram_from_json(obj, workspace, name=""):
@@ -368,10 +373,13 @@ def system_from_json(obj, workspace, name=""):
 class Workspace:
     """Named registry of entities loaded from one or more JSON files."""
 
-    SECTIONS = (
-        "categories", "functors", "groups", "presentations", "diagrams",
-        "abdiagrams", "dsets", "dsetmaps", "ssets", "pointed_diagrams", "systems",
-    )
+    # section -> what one of its entries is called in messages
+    SECTIONS = {
+        "categories": "category", "functors": "functor", "groups": "group",
+        "presentations": "presentation", "diagrams": "diagram", "abdiagrams": "abdiagram",
+        "dsets": "dset", "dsetmaps": "dsetmap", "ssets": "sset",
+        "pointed_diagrams": "pointed diagram", "systems": "system",
+    }
 
     def __init__(self):
         self.raw = {s: {} for s in self.SECTIONS}
@@ -398,7 +406,7 @@ class Workspace:
                 raise InputError("%s section %s must be a JSON object" % (what, section))
             for name, obj in entries.items():
                 if name in self.raw[section]:
-                    raise InputError("duplicate %s name %r" % (section[:-1], name))
+                    raise InputError("duplicate %s name %r" % (self.SECTIONS[section], name))
                 self.raw[section][name] = obj
 
     def _get(self, section, name, builder):
@@ -406,7 +414,7 @@ class Workspace:
             raise InputError("%s are named by strings, not %s" % (section, json.dumps(name)))
         if name not in self._cache[section]:
             if name not in self.raw[section]:
-                raise InputError("unknown %s %r" % (section[:-1], name))
+                raise InputError("unknown %s %r" % (self.SECTIONS[section], name))
             self._cache[section][name] = builder(self.raw[section][name], name)
         return self._cache[section][name]
 

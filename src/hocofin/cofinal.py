@@ -101,48 +101,100 @@ def is_vdc(S):
 # -- contractibility ----------------------------------------------------------
 
 
-def _reflection(sub, x, rest):
-    """Universal arrow from x into the full subcategory on rest: an object
-    r and u: x -> r through which every x -> y (y in rest) factors
-    uniquely."""
-    for r in rest:
-        for u in sub.hom(x, r):
-            good = True
-            for y in rest:
-                for f in sub.hom(x, y):
-                    count = sum(1 for g in sub.hom(r, y) if sub.comp[(g, u)] == f)
-                    if count != 1:
-                        good = False
-                        break
-                if not good:
-                    break
-            if good:
-                return r, u
+class _Neighbours:
+    """The arrows out of and into each object of B, each list ordered by
+    the position of the arrow's other end in ``B.objects``, then by
+    morphism order.  The collapse search reads B restricted to a state
+    through it, so it never copies a subcategory."""
+
+    __slots__ = ("B", "out", "into")
+
+    def __init__(self, B):
+        index = {o: i for i, o in enumerate(B.objects)}
+        self.B = B
+        self.out = {o: [] for o in B.objects}
+        self.into = {o: [] for o in B.objects}
+        for f in B.morphisms:
+            self.out[B.dom[f]].append(f)
+            self.into[B.cod[f]].append(f)
+        for o in B.objects:
+            self.out[o].sort(key=lambda f: index[B.cod[f]])
+            self.into[o].sort(key=lambda f: index[B.dom[f]])
+
+    def is_final(self, t, state):
+        """Whether t has exactly one arrow from each object of state."""
+        doms = [self.B.dom[f] for f in self.into[t] if self.B.dom[f] in state]
+        return len(doms) == len(state) and len(set(doms)) == len(doms)
+
+    def is_initial(self, t, state):
+        cods = [self.B.cod[f] for f in self.out[t] if self.B.cod[f] in state]
+        return len(cods) == len(state) and len(set(cods)) == len(cods)
+
+
+def _reflection(nb, x, state, removed):
+    """Universal arrow from x into the full subcategory on the rest, state
+    minus ``removed``: the first u: x -> r, r in the rest, through which
+    every x -> y (y in the rest) factors uniquely, as (r, u).
+
+    Only the arrows out of x and out of r that stay in the rest are read;
+    u factors every such arrow uniquely exactly when g -> g∘u maps the
+    arrows out of r injectively onto the arrows out of x."""
+    cod, comp = nb.B.cod, nb.B.comp
+    outs = [f for f in nb.out[x] if cod[f] in state and cod[f] not in removed]
+    for u in outs:
+        r = cod[u]
+        images = [comp[(g, u)] for g in nb.out[r] if cod[g] in state and cod[g] not in removed]
+        if len(images) == len(outs) and len(set(images)) == len(images):
+            return r, u
     return None
 
 
-def _coreflection(sub, x, rest):
-    for r in rest:
-        for u in sub.hom(r, x):
-            good = True
-            for y in rest:
-                for f in sub.hom(y, x):
-                    count = sum(1 for g in sub.hom(y, r) if sub.comp[(u, g)] == f)
-                    if count != 1:
-                        good = False
-                        break
-                if not good:
-                    break
-            if good:
-                return r, u
+def _coreflection(nb, x, state, removed):
+    dom, comp = nb.B.dom, nb.B.comp
+    ins = [f for f in nb.into[x] if dom[f] in state and dom[f] not in removed]
+    for u in ins:
+        r = dom[u]
+        images = [comp[(u, g)] for g in nb.into[r] if dom[g] in state and dom[g] not in removed]
+        if len(images) == len(ins) and len(set(images)) == len(images):
+            return r, u
     return None
 
 
 def _collapse_search(B, effort, max_states=20000):
     """Search for a collapse of B onto a cone, removing one object at a
-    time (two at higher effort); depth-first with memoized dead ends."""
+    time (two at higher effort); depth-first with memoized dead ends.
+
+    A state's candidates are produced lazily, in this order: each object,
+    in B's order, that has a reflection into the rest, else a
+    coreflection; then, at effort 2 and up, each pair of objects that both
+    reflect, else both coreflect, into the rest.  The first candidate whose
+    state collapses wins, so the search visits the states, and spends
+    ``max_states``, exactly as if every candidate had been listed first."""
+    nb = _Neighbours(B)
     memo = {}
     visited = [0]
+
+    def candidates(objs, state):
+        for x in objs:
+            hit = _reflection(nb, x, state, (x,))
+            if hit:
+                yield (x,), hit[0], "reflection"
+                continue
+            hit = _coreflection(nb, x, state, (x,))
+            if hit:
+                yield (x,), hit[0], "coreflection"
+        if effort >= 2 and len(objs) > 2:
+            for i, x in enumerate(objs):
+                for y in objs[i + 1 :]:
+                    rx = _reflection(nb, x, state, (x, y))
+                    ry = rx and _reflection(nb, y, state, (x, y))
+                    if ry:
+                        yield (x, y), (rx[0], ry[0]), "reflection"
+                        continue
+                    cx = _coreflection(nb, x, state, (x, y))
+                    cy = cx and _coreflection(nb, y, state, (x, y))
+                    if cy:
+                        yield (x, y), (cx[0], cy[0]), "coreflection"
 
     def dfs(state):
         if state in memo:
@@ -151,49 +203,17 @@ def _collapse_search(B, effort, max_states=20000):
         if visited[0] > max_states:
             return None
         objs = [o for o in B.objects if o in state]
-        sub = full_subcategory(B, objs)
-        fins = final_objects(sub)
-        if fins:
-            result = {"kind": "collapse", "steps": [], "cone": fins[0], "side": "final"}
-            memo[state] = result
-            return result
-        inits = initial_objects(sub)
-        if inits:
-            result = {"kind": "collapse", "steps": [], "cone": inits[0], "side": "initial"}
-            memo[state] = result
-            return result
+        for side, is_cone in (("final", nb.is_final), ("initial", nb.is_initial)):
+            cone = next((t for t in objs if is_cone(t, state)), None)
+            if cone is not None:
+                result = {"kind": "collapse", "steps": [], "cone": cone, "side": side}
+                memo[state] = result
+                return result
         if len(objs) <= 1:
             memo[state] = None
             return None
-        candidates = []
-        for x in objs:
-            rest = [o for o in objs if o != x]
-            hit = _reflection(sub, x, rest)
-            if hit:
-                candidates.append(((x,), hit[0], "reflection"))
-                continue
-            hit = _coreflection(sub, x, rest)
-            if hit:
-                candidates.append(((x,), hit[0], "coreflection"))
-        if effort >= 2:
-            for i, x in enumerate(objs):
-                for y in objs[i + 1 :]:
-                    rest = [o for o in objs if o not in (x, y)]
-                    if not rest:
-                        continue
-                    sub2 = sub
-                    rx = _reflection(sub2, x, rest)
-                    ry = _reflection(sub2, y, rest)
-                    if rx and ry:
-                        candidates.append(((x, y), (rx[0], ry[0]), "reflection"))
-                        continue
-                    cx = _coreflection(sub2, x, rest)
-                    cy = _coreflection(sub2, y, rest)
-                    if cx and cy:
-                        candidates.append(((x, y), (cx[0], cy[0]), "coreflection"))
-        for removed, via, direction in candidates:
-            nxt = frozenset(o for o in state if o not in removed)
-            result = dfs(nxt)
+        for removed, via, direction in candidates(objs, state):
+            result = dfs(state.difference(removed))
             if result is not None:
                 step = {"removed": list(removed), "via": via, "direction": direction}
                 result = {
@@ -302,19 +322,17 @@ def replay_certificate(B, cert):
         return cert["object"] in pool
     if cert["kind"] != "collapse":
         return False
-    objs = list(B.objects)
+    nb = _Neighbours(B)
+    state = set(B.objects)
     for step in cert["steps"]:
-        sub = full_subcategory(B, objs)
-        rest = [o for o in objs if o not in set(step["removed"])]
-        for x in step["removed"]:
-            inner = [o for o in rest]
-            check = _reflection if step["direction"] == "reflection" else _coreflection
-            if check(sub, x, inner) is None:
+        removed = tuple(step["removed"])
+        check = _reflection if step["direction"] == "reflection" else _coreflection
+        for x in removed:
+            if x not in state or check(nb, x, state, removed) is None:
                 return False
-        objs = rest
-    sub = full_subcategory(B, objs)
-    pool = final_objects(sub) if cert["side"] == "final" else initial_objects(sub)
-    return cert["cone"] in pool
+        state.difference_update(removed)
+    is_cone = nb.is_final if cert["side"] == "final" else nb.is_initial
+    return cert["cone"] in state and is_cone(cert["cone"], state)
 
 
 def certify_homotopy_cofinal(S, effort=1, n_max=2, coinitial=False):

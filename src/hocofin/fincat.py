@@ -2,8 +2,13 @@
 
 A category is a list of objects, a list of morphisms with domain and
 codomain, synthesized identities ``id_<obj>``, and a total composition
-table on composable pairs.  Validation checks the unit and associativity
-laws exhaustively, so everything downstream may assume a genuine category.
+table on composable pairs.  Validation checks the endpoints, the unit laws
+and that every composable pair has a composite, so everything downstream
+may assume a genuine category.  Associativity is checked on every
+composable triple of a category given raw; a category built over an
+already validated base instead carries a certificate that its projection
+to the base is faithful and preserves composition, which is checked on the
+composable pairs and implies associativity from the base's.
 
 Every category over a base (left fibres S↓d, coslices d↓S, factorization
 slices, and categories of elements in ``presheaf``) is built by one
@@ -64,11 +69,17 @@ class FinCat:
     ``comp[(g, f)]`` is the composite g∘f, defined exactly for pairs with
     dom(g) = cod(f).  Instances are immutable after construction and safe
     to share.
+
+    ``over``, for a category built over validated bases, lists its
+    projections ``(base, obj_map, mor_map)``; validation then certifies
+    that they are jointly faithful and preserve composition instead of
+    scanning every composable triple (see ``_check``).
     """
 
     __slots__ = ("objects", "morphisms", "dom", "cod", "identity", "comp", "_hom", "_out", "name")
 
-    def __init__(self, objects, morphisms, dom, cod, identity, comp, name="", _validate=True):
+    def __init__(self, objects, morphisms, dom, cod, identity, comp, name="", _validate=True,
+                 over=None):
         self.objects = list(objects)
         self.morphisms = list(morphisms)
         self.dom = dict(dom)
@@ -83,7 +94,7 @@ class FinCat:
             self._hom.setdefault(key, []).append(f)
             self._out.setdefault(self.dom[f], []).append(f)
         if _validate:
-            self._check()
+            self._check(over)
 
     # -- structure -----------------------------------------------------
 
@@ -106,7 +117,19 @@ class FinCat:
             for g in self._out.get(self.cod[f], []):
                 yield g, f
 
-    def _check(self):
+    def _check(self, over=None):
+        """Check identities, endpoints and a composite for every composable
+        pair, then associativity.
+
+        Without ``over``, associativity is checked on every composable
+        triple.  With it, the composable pairs carry a certificate instead:
+        every morphism lies over base arrows between the images of its
+        endpoints, the images of g∘f are the base composites of those of g
+        and f, and no two morphisms share endpoints and images.  Then
+        (h∘g)∘f and h∘(g∘f) have the same endpoints and, by associativity
+        in each base, the same images, so they are the same morphism.
+        """
+        objects = set(self.objects)
         for o in self.objects:
             i = self.identity.get(o)
             if i is None or i not in self.dom:
@@ -114,9 +137,8 @@ class FinCat:
             if self.dom[i] != o or self.cod[i] != o:
                 raise IdentityViolation("identity of %s has wrong endpoints" % o)
         for f in self.morphisms:
-            if self.dom[f] not in self.objects or self.cod[f] not in self.objects:
+            if self.dom[f] not in objects or self.cod[f] not in objects:
                 raise DanglingId("morphism %s has undeclared endpoints" % f)
-        seen_pairs = set()
         for (g, f), h in self.comp.items():
             if g not in self.dom or f not in self.dom or h not in self.dom:
                 raise DanglingId("composition entry (%s, %s) -> %s references unknown ids" % (g, f, h))
@@ -126,15 +148,20 @@ class FinCat:
                 raise AssociativityViolation(
                     "composite %s of (%s, %s) has wrong endpoints" % (h, g, f)
                 )
-            seen_pairs.add((g, f))
-        for g, f in self.composable_pairs():
-            if (g, f) not in seen_pairs:
-                raise MissingComposite("composable pair (%s, %s) has no composite" % (g, f))
+        # every entry is a composable pair, so all pairs are present exactly
+        # when there are as many entries as composable pairs
+        if len(self.comp) != sum(len(self._out.get(self.cod[f], ())) for f in self.morphisms):
+            for g, f in self.composable_pairs():
+                if (g, f) not in self.comp:
+                    raise MissingComposite("composable pair (%s, %s) has no composite" % (g, f))
         for f in self.morphisms:
             if self.comp[(self.identity[self.cod[f]], f)] != f:
                 raise IdentityViolation("id∘%s != %s" % (f, f))
             if self.comp[(f, self.identity[self.dom[f]])] != f:
                 raise IdentityViolation("%s∘id != %s" % (f, f))
+        if over is not None:
+            self._check_faithful(over)
+            return
         # associativity on exactly the composable triples, via out-buckets
         for g, f in self.composable_pairs():
             gf = self.comp[(g, f)]
@@ -143,6 +170,26 @@ class FinCat:
                     raise AssociativityViolation(
                         "associativity fails on (%s, %s, %s)" % (h, g, f)
                     )
+
+    def _check_faithful(self, over):
+        """The certificate of ``_check`` for projections ``(base, obj_map,
+        mor_map)`` to validated bases, in O(composable pairs)."""
+        for base, obj_map, mor_map in over:
+            bdom, bcod, bcomp = base.dom, base.cod, base.comp
+            for f in self.morphisms:
+                a = mor_map.get(f)
+                if (a not in bdom or bdom[a] != obj_map.get(self.dom[f])
+                        or bcod[a] != obj_map.get(self.cod[f])):
+                    raise CategoryError("morphism %s does not lie over its endpoints" % f)
+            for (g, f), h in self.comp.items():
+                if mor_map[h] != bcomp[(mor_map[g], mor_map[f])]:
+                    raise CategoryError(
+                        "composite %s of (%s, %s) does not lie over the base composite" % (h, g, f)
+                    )
+        keys = {(self.dom[f], self.cod[f]) + tuple(m[f] for _, _, m in over)
+                for f in self.morphisms}
+        if len(keys) != len(self.morphisms):
+            raise CategoryError("two morphisms lie over the same base arrows")
 
     def __eq__(self, other):
         if not isinstance(other, FinCat):
@@ -164,7 +211,7 @@ class FinCat:
         )
 
 
-def validate_category(objects, morphisms, composition, name=""):
+def validate_category(objects, morphisms, composition, name="", over=None):
     """Build a FinCat from raw parts.
 
     ``morphisms`` lists the non-identity morphisms as (id, dom, cod);
@@ -172,6 +219,13 @@ def validate_category(objects, morphisms, composition, name=""):
     the given morphisms in input order.  ``composition`` maps pairs of
     non-identity morphism ids (g, f) to g∘f; entries involving identities
     are allowed but must agree with the forced values.
+
+    A category built over validated bases passes its projections as
+    ``over``, a list of ``(base, obj_map, mor_map)`` whose ``mor_map``
+    covers the identities too.  Validation then certifies that the
+    projections are jointly faithful and preserve composition, in
+    O(composable pairs), in place of the associativity scan over every
+    composable triple; associativity follows from the bases'.
     """
     objects = list(objects)
     if len(set(objects)) != len(objects):
@@ -203,15 +257,10 @@ def validate_category(objects, morphisms, composition, name=""):
         comp[key] = h
     # forced entries: identity laws, including identity-with-identity
     for f in mor_ids:
-        comp_forced = {
-            (ident[cod[f]], f): f,
-            (f, ident[dom[f]]): f,
-        }
-        for key, val in comp_forced.items():
-            if key in comp and comp[key] != val:
+        for key in ((ident[cod[f]], f), (f, ident[dom[f]])):
+            if comp.setdefault(key, f) != f:
                 raise IdentityViolation("composition table contradicts identity law at %s" % (key,))
-            comp[key] = val
-    return FinCat(objects, mor_ids, dom, cod, ident, comp, name=name)
+    return FinCat(objects, mor_ids, dom, cod, ident, comp, name=name, over=over)
 
 
 class Functor:
@@ -321,8 +370,9 @@ def _comma_like(C, parts, arrow, name):
     A morphism o1 -> o2 is an arrow alpha: parts[o1][0] -> parts[o2][0]
     with ``arrow(alpha, parts[o1], parts[o2])``, named
     ``[alpha:o1->o2]``; composites are those of C.  Morphisms are listed
-    by o1, then o2, then ``C.hom``.  Returns the validated category and
-    the map from each of its morphisms to its arrow of C.
+    by o1, then o2, then ``C.hom``.  Returns the category, validated by
+    certifying its projection to C, and the map from each of its morphisms
+    to its arrow of C.
     """
     over = {identity_id(o): C.identity[p[0]] for o, p in parts.items()}
     mors = []
@@ -345,14 +395,18 @@ def _comma_like(C, parts, arrow, name):
                 comp.append((m2, m1, identity_id(s1)))
             else:
                 comp.append((m2, m1, "[%s:%s->%s]" % (a, s1, t2)))
-    return validate_category(list(parts), mors, comp, name=name), over
+    obj_over = {o: p[0] for o, p in parts.items()}
+    cat = validate_category(list(parts), mors, comp, name=name, over=[(C, obj_over, over)])
+    return cat, over
 
 
 def category_over(C, parts, arrow, name, proj_name):
     """``_comma_like`` with its projection functor to C; returns
-    (category, projection, parts)."""
+    (category, projection, parts).  Validation already certified the
+    projection on every composable pair, so it is not checked again."""
     cat, over = _comma_like(C, parts, arrow, name)
-    proj = Functor(cat, C, {o: p[0] for o, p in parts.items()}, over, name=proj_name)
+    proj = Functor(cat, C, {o: p[0] for o, p in parts.items()}, over, name=proj_name,
+                   _validate=False)
     return cat, proj, parts
 
 
@@ -413,7 +467,7 @@ def factorization(C):
     f -> g are pairs (alpha, beta) with g = beta∘f∘alpha."""
     objs = list(C.morphisms)
     mors = []
-    pair = {}
+    pair = {identity_id(f): (C.identity[C.dom[f]], C.identity[C.cod[f]]) for f in objs}
     for f in objs:
         for alpha in C.morphisms:
             if C.cod[alpha] != C.dom[f]:
@@ -428,12 +482,13 @@ def factorization(C):
                 mid = _fact_mor_id(alpha, beta, f, g)
                 mors.append((mid, f, g))
                 pair[mid] = (alpha, beta)
+    out = {f: [] for f in objs}  # morphisms leaving f, as (id, cod)
+    for m, f, g in mors:
+        out[f].append((m, g))
     comp = []
     for m1, f1, g1 in mors:
         a1, b1 = pair[m1]
-        for m2, f2, g2 in mors:
-            if f2 != g1:
-                continue
+        for m2, g2 in out[g1]:
             a2, b2 = pair[m2]
             a = C.comp[(a1, a2)]
             b = C.comp[(b2, b1)]
@@ -441,26 +496,18 @@ def factorization(C):
                 comp.append((m2, m1, identity_id(f1)))
             else:
                 comp.append((m2, m1, _fact_mor_id(a, b, f1, g2)))
-    cat = validate_category(objs, mors, comp, name=(C.name and "F(%s)" % C.name))
-    pair_full = dict(pair)
-    for f in objs:
-        pair_full[cat.identity[f]] = (C.identity[C.dom[f]], C.identity[C.cod[f]])
+    # the category lies over C^op x C by pair, its two projections checked
+    # apart: dom contravariantly, cod covariantly
+    dom_obj = {f: C.dom[f] for f in objs}
+    cod_obj = {f: C.cod[f] for f in objs}
+    dom_mor = {m: ab[0] for m, ab in pair.items()}
+    cod_mor = {m: ab[1] for m, ab in pair.items()}
+    cat = validate_category(objs, mors, comp, name=(C.name and "F(%s)" % C.name),
+                            over=[(opposite(C), dom_obj, dom_mor), (C, cod_obj, cod_mor)])
     cat_op = opposite(cat)
-    cod_f = Functor(
-        cat,
-        C,
-        {f: C.cod[f] for f in objs},
-        {m: pair_full[m][1] for m in cat.morphisms},
-        name="cod",
-    )
-    dom_f = Functor(
-        cat_op,
-        C,
-        {f: C.dom[f] for f in objs},
-        {m: pair_full[m][0] for m in cat.morphisms},
-        name="dom",
-    )
-    return FactorizationData(C, cat, cat_op, dom_f, cod_f, pair_full)
+    cod_f = Functor(cat, C, cod_obj, cod_mor, name="cod", _validate=False)
+    dom_f = Functor(cat_op, C, dom_obj, dom_mor, name="dom", _validate=False)
+    return FactorizationData(C, cat, cat_op, dom_f, cod_f, pair)
 
 
 def factor_functor(S, fc=None, fd=None):
@@ -607,6 +654,7 @@ def iso_check(C, D, max_objects=12, max_morphisms=64):
 
 def connected_components(C):
     """Partition of the objects by the undirected graph of morphisms."""
+    index = {o: i for i, o in enumerate(C.objects)}
     adj = {o: set() for o in C.objects}
     for f in C.morphisms:
         adj[C.dom[f]].add(C.cod[f])
@@ -622,11 +670,11 @@ def connected_components(C):
         while queue:
             x = queue.popleft()
             comp.append(x)
-            for y in sorted(adj[x], key=C.objects.index):
+            for y in sorted(adj[x], key=index.__getitem__):
                 if y not in seen:
                     seen.add(y)
                     queue.append(y)
-        comps.append(sorted(comp, key=C.objects.index))
+        comps.append(sorted(comp, key=index.__getitem__))
     return comps
 
 

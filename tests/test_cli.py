@@ -3,6 +3,7 @@ import json
 import pytest
 
 from hocofin import fixtures
+from hocofin._jsonio import InputError, Workspace
 from hocofin.cli import main
 
 
@@ -242,6 +243,16 @@ MALFORMED = {
              "simplices of degree 0 must be simplex ids"),
             ("face-value-not-a-string", {"faces": {"1,0": {"sv": ["v"]}, "1,1": {"sv": "v"}}},
              "simplicial set faces 1,0 must map to simplex ids"),
+            ("face-key-above-the-level", {"faces": dict(POINT["faces"], **{"7,3": {"zz": "q"}})},
+             "simplicial set faces key '7,3' names no map of a level-1 set"),
+            ("face-index-above-the-degree", {"faces": dict(POINT["faces"], **{"1,2": {"sv": "v"}})},
+             "simplicial set faces key '1,2' names no map of a level-1 set"),
+            ("face-key-in-degree-0", {"faces": dict(POINT["faces"], **{"0,0": {"v": "v"}})},
+             "simplicial set faces key '0,0' names no map of a level-1 set"),
+            ("degeneracy-key-at-the-level", {"degeneracies": {"0,0": {"v": "sv"}, "1,0": {"sv": "s"}}},
+             "simplicial set degeneracies key '1,0' names no map of a level-1 set"),
+            ("degeneracy-index-above-the-degree", {"degeneracies": {"0,0": {"v": "sv"}, "0,1": {"v": "sv"}}},
+             "simplicial set degeneracies key '0,1' names no map of a level-1 set"),
         )
     },
     "free-product-factor-without-label": (
@@ -313,6 +324,17 @@ def test_workspace_commands(capsys, ws_file):
     assert code == 0
     code, out = run(capsys, "fingerprint", "--workspace", ws_file, "--presentation", "p")
     assert code == 0
+
+
+def test_workspace_errors_name_one_entry_of_the_section():
+    ws = Workspace()
+    ws.load_data(GOOD_WORKSPACE)
+    with pytest.raises(InputError, match="^unknown category 'nope'$"):
+        ws.category("nope")
+    with pytest.raises(InputError, match="^unknown pointed diagram 'nope'$"):
+        ws.pointed_diagram("nope")
+    with pytest.raises(InputError, match="^duplicate category name 'two'$"):
+        ws.load_data({"categories": {"two": GOOD_WORKSPACE["categories"]["two"]}})
 
 
 def test_builtin_workspace_loads_everything():
