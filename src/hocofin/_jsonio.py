@@ -7,9 +7,10 @@ arrays of decimal strings so integer width is never ambiguous.
 
 from __future__ import annotations
 
+import functools
 import json
 
-from .diagrams import AbDiagram, GroupDiagram
+from .diagrams import AbDiagram, GroupDiagram, constant_ab_diagram, constant_group_diagram
 from .fincat import Functor, factorization, opposite, validate_category
 from .groups import FinGroup, FreeProduct, GroupHom, GroupPresentation
 from .homalg import AbMap, FGAb, IntMatrix
@@ -110,8 +111,8 @@ def category_to_json(C):
 
 def functor_from_json(obj, workspace, name=""):
     _require_keys(obj, ("source", "target", "objects"), ("morphisms",), what="functor")
-    src = workspace.category(obj["source"])
-    tgt = workspace.category(obj["target"])
+    src = workspace.get("categories", obj["source"])
+    tgt = workspace.get("categories", obj["target"])
     return Functor(src, tgt, dict(_mapping(obj["objects"], "functor objects")),
                    dict(_mapping(obj.get("morphisms", {}), "functor morphisms")), name=name)
 
@@ -174,7 +175,7 @@ def presentation_to_json(P):
 
 def free_product_from_json(obj, workspace):
     if "ref" in _mapping(obj, "diagram group"):
-        G = workspace.group(obj["ref"])
+        G = workspace.get("groups", obj["ref"])
         return FreeProduct.from_group(obj.get("label", obj["ref"]), G)
     if obj.get("kind") == "free_product":
         factors = []
@@ -200,7 +201,7 @@ def _word_from_json(word, target, what):
 
 def group_diagram_from_json(obj, workspace, name=""):
     _require_keys(obj, ("category", "groups", "homs"), what="diagram")
-    C = workspace.category(obj["category"])
+    C = workspace.get("categories", obj["category"])
     value = {o: free_product_from_json(g, workspace)
              for o, g in _mapping(obj["groups"], "diagram groups").items()}
     _require_values(C, value, "diagram")
@@ -243,7 +244,7 @@ def fgab_from_json(obj):
 
 def ab_diagram_from_json(obj, workspace, name=""):
     _require_keys(obj, ("category", "values", "maps"), what="abelian diagram")
-    C = workspace.category(obj["category"])
+    C = workspace.get("categories", obj["category"])
     value = {o: fgab_from_json(v)
              for o, v in _mapping(obj["values"], "abelian diagram values").items()}
     _require_values(C, value, "abelian diagram")
@@ -261,7 +262,7 @@ def ab_diagram_from_json(obj, workspace, name=""):
 
 def dset_from_json(obj, workspace, name=""):
     _require_keys(obj, ("category", "sets", "maps"), what="presheaf")
-    C = workspace.category(obj["category"])
+    C = workspace.get("categories", obj["category"])
     sets = _mapping(obj["sets"], "presheaf sets")
     maps = _mapping(obj["maps"], "presheaf maps")
     return DSet(C, {o: list(_array(v, "presheaf set at %s" % o)) for o, v in sets.items()},
@@ -272,7 +273,8 @@ def dset_from_json(obj, workspace, name=""):
 def dset_morphism_from_json(obj, workspace, name=""):
     _require_keys(obj, ("source", "target", "components"), what="presheaf morphism")
     components = _mapping(obj["components"], "presheaf morphism components")
-    return DSetMorphism(workspace.dset(obj["source"]), workspace.dset(obj["target"]),
+    return DSetMorphism(workspace.get("dsets", obj["source"]),
+                        workspace.get("dsets", obj["target"]),
                         {o: dict(_mapping(t, "component at %s" % o)) for o, t in components.items()})
 
 
@@ -300,7 +302,7 @@ def _structure_maps(obj, what, level, degrees):
     return out
 
 
-def sset_from_json(obj, name=""):
+def sset_from_json(obj):
     _require_keys(obj, ("level", "simplices", "faces", "degeneracies"), ("basepoint",),
                   what="simplicial set")
     level = _count(obj["level"], "simplicial set level")
@@ -317,13 +319,14 @@ def sset_from_json(obj, name=""):
 
 
 def pointed_diagram_from_json(obj, workspace, name=""):
-    if isinstance(obj, dict) and obj.get("kind") == "bg":
+    if "kind" in _mapping(obj, "pointed diagram"):
+        if obj["kind"] != "bg":
+            raise InputError("unknown pointed diagram kind %s" % json.dumps(obj["kind"]))
         _require_keys(obj, ("kind", "diagram", "level"), what="pointed diagram")
-        return bg_diagram(workspace.group_diagram(obj["diagram"]),
+        return bg_diagram(workspace.get("diagrams", obj["diagram"]),
                           _count(obj["level"], "pointed diagram level"))
-    _require_keys(obj, ("category", "level", "values", "maps"), ("kind",),
-                  what="pointed diagram")
-    C = workspace.category(obj["category"])
+    _require_keys(obj, ("category", "level", "values", "maps"), what="pointed diagram")
+    C = workspace.get("categories", obj["category"])
     level = _count(obj["level"], "pointed diagram level")
     values = {o: sset_from_json(v)
               for o, v in _mapping(obj["values"], "pointed diagram values").items()}
@@ -350,40 +353,56 @@ def system_from_json(obj, workspace, name=""):
     over = obj["over"]
     _require_keys(over, ("kind",), ("dset", "category"), what="system base")
     if over["kind"] == "elements-op":
-        X = workspace.dset(over["dset"])
+        X = workspace.get("dsets", over["dset"])
         E, _, _ = elements_with_parts(X)
         base = opposite(E)
     elif over["kind"] == "factorization-op":
-        C = workspace.category(over["category"])
+        C = workspace.get("categories", over["category"])
         base = factorization(C).category_op
     else:
         raise InputError("unknown system base kind %r" % over["kind"])
     if "constant_group" in obj:
         fp = free_product_from_json(obj["constant_group"], workspace)
-        from .diagrams import constant_group_diagram
-
         return constant_group_diagram(base, fp, name=name)
     if "constant_abelian" in obj:
-        from .diagrams import constant_ab_diagram
-
         return constant_ab_diagram(base, fgab_from_json(obj["constant_abelian"]), name=name)
     raise InputError("system needs constant_group or constant_abelian")
 
 
 class Workspace:
-    """Named registry of entities loaded from one or more JSON files."""
+    """Named entities, one namespace per section.
 
-    # section -> what one of its entries is called in messages
+    Each section maps a name to a zero-argument builder, which runs on the
+    first lookup; its result is kept.  JSON entries (``load_file``,
+    ``load_data``) and the built-in fixtures (``fixtures.register_builtins``)
+    enter through ``register``, so files and built-ins share one namespace
+    and a name repeated in a section is an input error, whatever its source
+    and order.  A bare category file registers as the category ``main``.
+    """
+
+    # section -> (what one of its entries is called in messages, reader of one JSON entry)
     SECTIONS = {
-        "categories": "category", "functors": "functor", "groups": "group",
-        "presentations": "presentation", "diagrams": "diagram", "abdiagrams": "abdiagram",
-        "dsets": "dset", "dsetmaps": "dsetmap", "ssets": "sset",
-        "pointed_diagrams": "pointed diagram", "systems": "system",
+        "categories": ("category", lambda obj, ws, name: category_from_json(obj, name=name)),
+        "functors": ("functor", functor_from_json),
+        "groups": ("group", lambda obj, ws, name: group_from_json(obj, name=name)),
+        "presentations": ("presentation", lambda obj, ws, name: presentation_from_json(obj)),
+        "diagrams": ("diagram", group_diagram_from_json),
+        "abdiagrams": ("abdiagram", ab_diagram_from_json),
+        "dsets": ("dset", dset_from_json),
+        "dsetmaps": ("dsetmap", dset_morphism_from_json),
+        "ssets": ("sset", lambda obj, ws, name: sset_from_json(obj)),
+        "pointed_diagrams": ("pointed diagram", pointed_diagram_from_json),
+        "systems": ("system", system_from_json),
     }
 
     def __init__(self):
-        self.raw = {s: {} for s in self.SECTIONS}
-        self._cache = {s: {} for s in self.SECTIONS}
+        self._builders = {s: {} for s in self.SECTIONS}
+
+    def register(self, section, name, build):
+        """Add ``name`` to ``section``; ``build()`` makes the entity on first use."""
+        if name in self._builders[section]:
+            raise InputError("duplicate %s name %r" % (self.SECTIONS[section][0], name))
+        self._builders[section][name] = functools.cache(build)
 
     def load_file(self, path):
         with open(path, encoding="utf-8") as fh:
@@ -394,81 +413,32 @@ class Workspace:
         if not isinstance(data, dict):
             raise InputError("%s must hold a JSON object" % what)
         if "objects" in data:
-            # a bare category file: register under a default name
-            self.raw["categories"].setdefault("main", data)
-            return
+            data = {"categories": {"main": data}}
         unknown = set(data) - set(self.SECTIONS)
         if unknown:
             raise InputError("%s has unknown sections: %s" % (what, ", ".join(sorted(unknown))))
-        for section in self.SECTIONS:
+        for section, (_, read) in self.SECTIONS.items():
             entries = data.get(section, {})
             if not isinstance(entries, dict):
                 raise InputError("%s section %s must be a JSON object" % (what, section))
             for name, obj in entries.items():
-                if name in self.raw[section]:
-                    raise InputError("duplicate %s name %r" % (self.SECTIONS[section], name))
-                self.raw[section][name] = obj
+                self.register(section, name, lambda r=read, o=obj, n=name: r(o, self, n))
 
-    def _get(self, section, name, builder):
+    def get(self, section, name):
+        """The entity ``name`` of ``section``, built on first use."""
         if not isinstance(name, str):
             raise InputError("%s are named by strings, not %s" % (section, json.dumps(name)))
-        if name not in self._cache[section]:
-            if name not in self.raw[section]:
-                raise InputError("unknown %s %r" % (self.SECTIONS[section], name))
-            self._cache[section][name] = builder(self.raw[section][name], name)
-        return self._cache[section][name]
-
-    def category(self, name):
-        return self._get("categories", name, lambda o, n: category_from_json(o, name=n))
-
-    def functor(self, name):
-        return self._get("functors", name, lambda o, n: functor_from_json(o, self, name=n))
-
-    def group(self, name):
-        return self._get("groups", name, lambda o, n: group_from_json(o, name=n))
-
-    def presentation(self, name):
-        return self._get("presentations", name, lambda o, n: presentation_from_json(o))
-
-    def group_diagram(self, name):
-        return self._get("diagrams", name, lambda o, n: group_diagram_from_json(o, self, name=n))
-
-    def ab_diagram(self, name):
-        return self._get("abdiagrams", name, lambda o, n: ab_diagram_from_json(o, self, name=n))
-
-    def dset(self, name):
-        return self._get("dsets", name, lambda o, n: dset_from_json(o, self, name=n))
-
-    def dset_morphism(self, name):
-        return self._get("dsetmaps", name, lambda o, n: dset_morphism_from_json(o, self, name=n))
-
-    def sset(self, name):
-        return self._get("ssets", name, lambda o, n: sset_from_json(o, name=n))
-
-    def pointed_diagram(self, name):
-        return self._get("pointed_diagrams", name,
-                         lambda o, n: pointed_diagram_from_json(o, self, name=n))
-
-    def system(self, name):
-        return self._get("systems", name, lambda o, n: system_from_json(o, self, name=n))
+        build = self._builders[section].get(name)
+        if build is None:
+            raise InputError("unknown %s %r" % (self.SECTIONS[section][0], name))
+        return build()
 
     def validate_all(self):
-        """Force-build every entity; raises on the first invalid one."""
+        """Build every entity, section by section; raises on the first
+        invalid one.  Returns the sorted names of each section."""
         report = {}
-        for section, getter in (
-            ("categories", self.category),
-            ("functors", self.functor),
-            ("groups", self.group),
-            ("presentations", self.presentation),
-            ("diagrams", self.group_diagram),
-            ("abdiagrams", self.ab_diagram),
-            ("dsets", self.dset),
-            ("dsetmaps", self.dset_morphism),
-            ("ssets", self.sset),
-            ("pointed_diagrams", self.pointed_diagram),
-            ("systems", self.system),
-        ):
-            for name in sorted(self.raw[section]):
-                getter(name)
-            report[section] = sorted(self.raw[section])
+        for section, builders in self._builders.items():
+            report[section] = sorted(builders)
+            for name in report[section]:
+                self.get(section, name)
         return report

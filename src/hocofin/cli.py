@@ -1,9 +1,9 @@
 """Command-line front end.
 
-Exit codes: 0 success/agreement, 1 input error, 2 mathematical
-disagreement (including route cross-check failures), 3 theorem hypothesis
-not certified.  Reports are deterministic: identical inputs give
-byte-identical output.
+Exit codes: 0 success/agreement, 1 input error (usage errors included), 2
+mathematical disagreement (including route cross-check failures), 3
+theorem hypothesis not certified.  Reports are deterministic: identical
+inputs give byte-identical output.
 """
 
 from __future__ import annotations
@@ -36,7 +36,13 @@ from .gz import (
     gz_homology,
 )
 from .homalg import HomalgError
-from .hocolim import HocolimError, cofinal_hocolim_compare, hocolim_pointed, pointed_quotient_check
+from .hocolim import (
+    HocolimError,
+    bg_diagram,
+    cofinal_hocolim_compare,
+    hocolim_pointed,
+    pointed_quotient_check,
+)
 from .presheaf import PresheafError, edge_path_group, homology_ss
 
 
@@ -83,21 +89,15 @@ def _emit_text(report, indent=0):
 
 
 def _load_workspace(paths):
-    ws = None
-    for path in paths or []:
+    """One workspace holding every ``--workspace`` path in order; ``builtin``,
+    also the default, names the built-in fixtures."""
+    ws = Workspace()
+    for path in paths or ["builtin"]:
         if path == "builtin":
-            built = fixtures.builtin_workspace()
-            if ws is None:
-                ws = built
-            else:
-                for section in built.raw:
-                    ws.raw[section].update(built.raw[section])
-                    ws._cache[section].update(built._cache[section])
+            fixtures.register_builtins(ws)
         else:
-            if ws is None:
-                ws = Workspace()
             ws.load_file(path)
-    return ws if ws is not None else fixtures.builtin_workspace()
+    return ws
 
 
 def _fgab_strs(groups):
@@ -119,9 +119,9 @@ def cmd_homology(args):
     ws = _load_workspace(args.workspace)
     report = {"command": "homology", "diagram": args.diagram, "nmax": args.nmax}
     if args.abelian:
-        M = ws.ab_diagram(args.diagram)
+        M = ws.get("abdiagrams", args.diagram)
     else:
-        G = ws.group_diagram(args.diagram)
+        G = ws.get("diagrams", args.diagram)
         if not args.abelianize:
             raise InputError("group diagrams need --abelianize (or use --abelian for abelian diagrams)")
         M = abelianize_diagram(G)
@@ -132,7 +132,7 @@ def cmd_homology(args):
 
 def cmd_colim0(args):
     ws = _load_workspace(args.workspace)
-    G = ws.group_diagram(args.diagram)
+    G = ws.get("diagrams", args.diagram)
     pres = colim0(G.base, G)
     report = {
         "command": "colim0",
@@ -146,7 +146,7 @@ def cmd_colim0(args):
 
 def cmd_check_cofinal(args):
     ws = _load_workspace(args.workspace)
-    S = ws.functor(args.functor)
+    S = ws.get("functors", args.functor)
     rep = certify_homotopy_cofinal(S, effort=args.effort, n_max=args.nmax,
                                    coinitial=args.coinitial)
     report = {
@@ -162,7 +162,7 @@ def cmd_check_cofinal(args):
 
 def cmd_check_vdc(args):
     ws = _load_workspace(args.workspace)
-    S = ws.functor(args.functor)
+    S = ws.get("functors", args.functor)
     ok, witnesses = is_vdc(S)
     report = {"command": "check-vdc", "functor": args.functor, "vdc": ok,
               "witnesses": witnesses}
@@ -172,11 +172,11 @@ def cmd_check_vdc(args):
 
 def cmd_kan_extend(args):
     ws = _load_workspace(args.workspace)
-    S = ws.functor(args.functor)
+    S = ws.get("functors", args.functor)
     if args.abelian:
-        diagram = ws.ab_diagram(args.diagram)
+        diagram = ws.get("abdiagrams", args.diagram)
     else:
-        diagram = ws.group_diagram(args.diagram)
+        diagram = ws.get("diagrams", args.diagram)
     extended = kan_extend_vdc(S, diagram)
     report = {"command": "kan-extend", "functor": args.functor, "diagram": args.diagram}
     if args.abelian:
@@ -194,7 +194,7 @@ def cmd_kan_extend(args):
 
 def cmd_factorization(args):
     ws = _load_workspace(args.workspace)
-    C = ws.category(args.category)
+    C = ws.get("categories", args.category)
     F = factorization(C)
     report = {
         "command": "factorization",
@@ -207,8 +207,8 @@ def cmd_factorization(args):
 
 def cmd_bw(args):
     ws = _load_workspace(args.workspace)
-    C = ws.category(args.category)
-    system = ws.system(args.system)
+    C = ws.get("categories", args.category)
+    system = ws.get("systems", args.system)
     res = bw_homology(C, system, args.nmax)
     report = {"command": "bw", "category": args.category, "system": args.system,
               "routes_agree": res["routes_agree"],
@@ -224,8 +224,8 @@ def cmd_bw(args):
 
 def cmd_gz(args):
     ws = _load_workspace(args.workspace)
-    X = ws.dset(args.dset)
-    system = ws.system(args.system)
+    X = ws.get("dsets", args.dset)
+    system = ws.get("systems", args.system)
     res = gz_homology(X, system, args.nmax)
     report = {"command": "gz", "dset": args.dset, "system": args.system,
               "routes_agree": res["routes_agree"],
@@ -241,11 +241,11 @@ def cmd_gz(args):
 
 def cmd_andre(args):
     ws = _load_workspace(args.workspace)
-    X = ws.dset(args.dset)
+    X = ws.get("dsets", args.dset)
     if args.abelian:
-        diagram = ws.ab_diagram(args.diagram)
+        diagram = ws.get("abdiagrams", args.diagram)
     else:
-        diagram = ws.group_diagram(args.diagram)
+        diagram = ws.get("diagrams", args.diagram)
     res = andre_homology(X, diagram, args.nmax)
     report = {"command": "andre", "dset": args.dset, "diagram": args.diagram,
               "abelian": _fgab_strs(res["abelian"])}
@@ -257,7 +257,7 @@ def cmd_andre(args):
 
 def cmd_hocolim(args):
     ws = _load_workspace(args.workspace)
-    PD = ws.pointed_diagram(args.pointed_diagram)
+    PD = ws.get("pointed_diagrams", args.pointed_diagram)
     H = hocolim_pointed(PD, args.level)
     report = {
         "command": "hocolim",
@@ -274,7 +274,7 @@ def cmd_hocolim(args):
 
 def cmd_pi1(args):
     ws = _load_workspace(args.workspace)
-    X = ws.sset(args.sset)
+    X = ws.get("ssets", args.sset)
     pres = tietze_simplify(edge_path_group(X))
     report = {
         "command": "pi1",
@@ -288,7 +288,7 @@ def cmd_pi1(args):
 
 def cmd_fingerprint(args):
     ws = _load_workspace(args.workspace)
-    P = ws.presentation(args.presentation)
+    P = ws.get("presentations", args.presentation)
     report = {
         "command": "fingerprint",
         "presentation": args.presentation,
@@ -374,8 +374,6 @@ def _verify_cofpointed(fx, args, report):
 
 
 def _verify_main2_n0(fx, args, report):
-    from .hocolim import bg_diagram
-
     G = fx["group_diagram"]
     level = fx["level"]
     H = hocolim_pointed(bg_diagram(G, level), level)
@@ -560,24 +558,32 @@ def cmd_list_fixtures(args):
 # -- argument parsing ---------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are input errors: one ``error:`` line and exit 1."""
+
+    def error(self, message):
+        raise InputError("%s: %s" % (self.prog, message))
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hocofin",
         description="Exact homology of group diagrams over finite categories",
     )
     parser.add_argument("--format", choices=("text", "json"), default="text")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, **kwargs):
+    def add(name, fn, workspace=True, **kwargs):
         p = sub.add_parser(name, **kwargs)
         p.set_defaults(fn=fn)
-        p.add_argument("--workspace", action="append",
-                       help="workspace JSON file, or 'builtin' (default: builtin)")
+        if workspace:
+            p.add_argument("--workspace", action="append",
+                           help="workspace JSON file, or 'builtin' (default: builtin)")
         p.add_argument("--format", dest="format_sub", choices=("text", "json"),
                        default=None, help=argparse.SUPPRESS)
         return p
 
-    p = add("validate", cmd_validate, help="validate an input file")
+    p = add("validate", cmd_validate, workspace=False, help="validate an input file")
     p.add_argument("file")
 
     p = add("homology", cmd_homology, help="derived colimits of a diagram")
@@ -635,7 +641,7 @@ def build_parser():
     p = add("fingerprint", cmd_fingerprint, help="hom-count fingerprint of a presentation")
     p.add_argument("--presentation", required=True)
 
-    p = add("verify", cmd_verify, help="run a theorem check on a named fixture")
+    p = add("verify", cmd_verify, workspace=False, help="run a theorem check on a named fixture")
     p.add_argument("--theorem", required=True, choices=THEOREMS)
     p.add_argument("--fixture", required=True)
     p.add_argument("--nmax", type=int, default=3)
@@ -643,16 +649,15 @@ def build_parser():
     p.add_argument("--assume-hypothesis", dest="assume_hypothesis", action="store_true",
                    help="skip hypothesis certification and compare unconditionally")
 
-    add("list-fixtures", cmd_list_fixtures, help="list built-in fixtures per theorem")
+    add("list-fixtures", cmd_list_fixtures, workspace=False, help="list built-in fixtures per theorem")
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "format_sub", None):
-        args.format = args.format_sub
     try:
+        args = build_parser().parse_args(argv)
+        if args.format_sub:
+            args.format = args.format_sub
         return args.fn(args)
     except (InputError, CategoryError, GroupError, PresheafError, HocolimError,
             DiagramError, HomalgError, BudgetExceeded, OSError, json.JSONDecodeError) as exc:

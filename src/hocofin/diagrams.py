@@ -239,13 +239,13 @@ def _gen_name(obj, lbl, el):
     return "%s|%s|%s" % (obj, lbl, el)
 
 
-def colim0(C, G, simplify=True):
+def colim0(C, G):
     """Presentation of the colimit of a group diagram.
 
     Generators: every non-unit element of every factor of every value.
     Relations: the factor multiplication tables, plus x = G(alpha)(x) for
     every morphism alpha and factor element x.  Tietze-simplified before
-    return unless told otherwise.
+    return.
     """
     gens = []
     for obj in C.objects:
@@ -279,8 +279,7 @@ def colim0(C, G, simplify=True):
                     (_gen_name(dst_obj, l2, e2), -1) for l2, e2 in reversed(image)
                 ]
                 relators.append(tuple(rel))
-    P = GroupPresentation(gens, relators)
-    return tietze_simplify(P) if simplify else P
+    return tietze_simplify(GroupPresentation(gens, relators))
 
 
 def ab_colim_derived(C, M, n_max, chain_cap=DEFAULT_CHAIN_CAP):
@@ -427,7 +426,7 @@ def analyze_fibres(S):
     return {d: _FibreAnalysis(*comma_left_fibre(S, d)) for d in S.target.objects}
 
 
-def kan_extend_vdc(S, diagram, fibres=None):
+def kan_extend_vdc(S, diagram):
     """Left Kan extension along a virtual discrete cofibration.
 
     The value at d is the free product (direct sum) of the diagram values
@@ -438,7 +437,7 @@ def kan_extend_vdc(S, diagram, fibres=None):
 
     Raises NotVDC when some fibre component has no final object.
     """
-    fibres = fibres or analyze_fibres(S)
+    fibres = analyze_fibres(S)
     for d, fa in fibres.items():
         if not fa.ok():
             raise NotVDC("fibre over %s has a component without a final object" % d)

@@ -1,5 +1,6 @@
 """Built-in desk-scale fixtures: categories, functors, diagrams, presheaves,
-and the per-theorem fixture registry used by the verification harness."""
+the per-theorem fixture registry used by the verification harness, and the
+tables of named entities that make up the built-in workspace."""
 
 from __future__ import annotations
 
@@ -13,7 +14,14 @@ from .fincat import (
     opposite_functor,
     validate_category,
 )
-from .groups import FreeProduct, GroupHom, cyclic_group, trivial_group
+from .groups import (
+    FreeProduct,
+    GroupHom,
+    GroupPresentation,
+    cyclic_group,
+    symmetric_group_3,
+    trivial_group,
+)
 from .homalg import AbMap, FGAb, IntMatrix
 from .hocolim import PointedDiagram, bg_diagram
 from .presheaf import (
@@ -24,6 +32,7 @@ from .presheaf import (
     dset_disjoint_union,
     elements_with_parts,
     empty_dset,
+    nerve,
     representable,
     standard_simplex,
 )
@@ -507,14 +516,13 @@ POINTED_DIAGRAMS = {
 # -- the per-theorem registry --------------------------------------------------------
 
 
-def _homoliso_fixture(functor_builder, grp_builder, ab_builder, coinitial=False):
+def _homoliso_fixture(functor_builder, grp_builder, ab_builder):
     def build():
         S = functor_builder()
         return {
             "functor": S,
             "group_diagram": grp_builder(S.target),
             "ab_diagram": ab_builder(S.target),
-            "coinitial_form": coinitial,
         }
 
     return build
@@ -543,7 +551,6 @@ THEOREM_FIXTURES = {
             "functor": fun_id_span(),
             "group_diagram": diag_span_z2_z3(),
             "ab_diagram": abdiag_span_z2_z3(),
-            "coinitial_form": False,
         },
         "span-to-one": _homoliso_fixture(
             fun_span_to_one, _const_grp(lambda: cyclic_group(3)), _const_ab(FGAb.cyclic(4))
@@ -552,29 +559,27 @@ THEOREM_FIXTURES = {
             "functor": fun_iso2_a(),
             "group_diagram": diag_iso2_z3_inv(),
             "ab_diagram": abdiag_iso2_neg(),
-            "coinitial_form": False,
         },
         "cod-one": _homoliso_fixture(
             lambda: fun_cod_op("one"), _const_grp(lambda: cyclic_group(2)),
-            _const_ab(FGAb.free(1)), coinitial=True,
+            _const_ab(FGAb.free(1)),
         ),
         "cod-two": _homoliso_fixture(
             lambda: fun_cod_op("two"), _const_grp(lambda: cyclic_group(2)),
-            _const_ab(FGAb.free(1)), coinitial=True,
+            _const_ab(FGAb.free(1)),
         ),
         "cod-span": _homoliso_fixture(
             lambda: fun_cod_op("span"), _const_grp(lambda: cyclic_group(3)),
-            _const_ab(FGAb.free(1)), coinitial=True,
+            _const_ab(FGAb.free(1)),
         ),
         "cod-z2cat": _homoliso_fixture(
             lambda: fun_cod_op("z2cat"), _const_grp(lambda: cyclic_group(2)),
-            _const_ab(FGAb.free(1)), coinitial=True,
+            _const_ab(FGAb.free(1)),
         ),
         "noncofinal-a-in-2": lambda: {
             "functor": fun_noncofinal_a_in_two(),
             "group_diagram": diag_noncofinal_control(),
             "ab_diagram": abdiag_noncofinal_control(),
-            "coinitial_form": False,
         },
     },
     "discvirt": {
@@ -747,73 +752,83 @@ def load_fixture(theorem, name):
         raise KeyError("no fixture %r for theorem %r" % (name, theorem)) from None
 
 
-def builtin_workspace():
-    """A pre-populated workspace so every CLI command has named inputs to
-    work with out of the box."""
-    from .groups import GroupPresentation, symmetric_group_3
-    from .presheaf import nerve
-    from ._jsonio import Workspace
+GROUPS = {
+    "z2": lambda: cyclic_group(2),
+    "z3": lambda: cyclic_group(3),
+    "z4": lambda: cyclic_group(4),
+    "s3": symmetric_group_3,
+}
 
-    ws = Workspace()
+PRESENTATIONS = {
+    "x2": lambda: GroupPresentation(["x"], [["x", "x"]]),
+    "x2y3": lambda: GroupPresentation(["x", "y"], [["x", "x"], ["y", "y", "y"]]),
+    "free2": lambda: GroupPresentation(["x", "y"], []),
+}
 
-    def put(section, name, obj):
-        ws.raw[section][name] = {}
-        ws._cache[section][name] = obj
+DIAGRAMS = {
+    "span-z2-z3": diag_span_z2_z3,
+    "span-z2-z2": diag_span_z2_z2,
+    "two-z2": diag_two_z2,
+    "z2cat-z3": diag_z2cat_z3_trivial,
+    "iso2-z3-inv": diag_iso2_z3_inv,
+    "noncofinal-control": diag_noncofinal_control,
+    "disc2-z2-z3": diag_disc2_z2_z3,
+    "mono-delta1": diag_mono_delta1,
+}
 
-    for name, builder in CATEGORIES.items():
-        put("categories", name, builder())
-    for name, builder in FUNCTORS.items():
-        put("functors", name, builder())
-    for cname in WEFRAC_CATEGORIES:
-        put("functors", "cod-%s-op" % cname, fun_cod_op(cname))
-    put("groups", "z2", cyclic_group(2))
-    put("groups", "z3", cyclic_group(3))
-    put("groups", "z4", cyclic_group(4))
-    put("groups", "s3", symmetric_group_3())
-    put("presentations", "x2", GroupPresentation(["x"], [["x", "x"]]))
-    put("presentations", "x2y3", GroupPresentation(["x", "y"], [["x", "x"], ["y", "y", "y"]]))
-    put("presentations", "free2", GroupPresentation(["x", "y"], []))
-    for name, builder in {
-        "span-z2-z3": diag_span_z2_z3,
-        "span-z2-z2": diag_span_z2_z2,
-        "two-z2": diag_two_z2,
-        "z2cat-z3": diag_z2cat_z3_trivial,
-        "iso2-z3-inv": diag_iso2_z3_inv,
-        "noncofinal-control": diag_noncofinal_control,
-        "disc2-z2-z3": diag_disc2_z2_z3,
-        "mono-delta1": diag_mono_delta1,
-    }.items():
-        put("diagrams", name, builder())
-    for name, builder in {
-        "ab-span-z2-z3": abdiag_span_z2_z3,
-        "ab-two-mult2": abdiag_two_mult2,
-        "ab-iso2-neg": abdiag_iso2_neg,
-        "ab-control": abdiag_noncofinal_control,
-        "ab-mono-delta1": abdiag_mono_delta1,
-        "ab-disc2": abdiag_disc2,
-    }.items():
-        put("abdiagrams", name, builder())
-    put("abdiagrams", "ab-z-two", constant_ab_diagram(cat_two(), FGAb.free(1), name="ab-z-two"))
-    put("abdiagrams", "ab-z-z2cat", constant_ab_diagram(cat_z2(), FGAb.free(1), name="ab-z-z2cat"))
-    for name, builder in DSETS.items():
-        put("dsets", name, builder())
-    for name, builder in {
-        "id-hb": dmor_id_hb,
-        "incl-hb-union": dmor_incl_hb_union,
-        "collapse-union-hb": dmor_collapse_union_hb,
-        "id-hb-par": dmor_id_hb_par,
-        "two-cells-to-point": dmor_two_cells_to_point,
-    }.items():
-        put("dsetmaps", name, builder())
-    put("ssets", "bz2-l3", nerve(cat_z2(), 3, basepoint="*"))
-    put("ssets", "bspan-l3", nerve(cat_span(), 3, basepoint="l"))
-    for name, builder in POINTED_DIAGRAMS.items():
-        put("pointed_diagrams", name, builder())
-    put("systems", "z-el-hb", const_ab_system(dset_hb_two(), FGAb.free(1)))
-    put("systems", "z-el-interval", const_ab_system(dset_interval_span(), FGAb.free(1)))
-    put("systems", "z2grp-el-interval",
-        const_grp_system(dset_interval_span(), fp("A", cyclic_group(2))))
-    for cname in ("one", "two", "span", "z2cat"):
-        put("systems", "z-nsys-%s" % cname, const_ab_nsys(CATEGORIES[cname](), FGAb.free(1)))
-    put("systems", "z2grp-nsys-two", const_grp_nsys(cat_two(), fp("A", cyclic_group(2))))
-    return ws
+ABDIAGRAMS = {
+    "ab-span-z2-z3": abdiag_span_z2_z3,
+    "ab-two-mult2": abdiag_two_mult2,
+    "ab-iso2-neg": abdiag_iso2_neg,
+    "ab-control": abdiag_noncofinal_control,
+    "ab-mono-delta1": abdiag_mono_delta1,
+    "ab-disc2": abdiag_disc2,
+    "ab-z-two": lambda: constant_ab_diagram(cat_two(), FGAb.free(1), name="ab-z-two"),
+    "ab-z-z2cat": lambda: constant_ab_diagram(cat_z2(), FGAb.free(1), name="ab-z-z2cat"),
+}
+
+DSETMAPS = {
+    "id-hb": dmor_id_hb,
+    "incl-hb-union": dmor_incl_hb_union,
+    "collapse-union-hb": dmor_collapse_union_hb,
+    "id-hb-par": dmor_id_hb_par,
+    "two-cells-to-point": dmor_two_cells_to_point,
+}
+
+SSETS = {
+    "bz2-l3": lambda: nerve(cat_z2(), 3, basepoint="*"),
+    "bspan-l3": lambda: nerve(cat_span(), 3, basepoint="l"),
+}
+
+SYSTEMS = {
+    "z-el-hb": lambda: const_ab_system(dset_hb_two(), FGAb.free(1)),
+    "z-el-interval": lambda: const_ab_system(dset_interval_span(), FGAb.free(1)),
+    "z2grp-el-interval": lambda: const_grp_system(dset_interval_span(), fp("A", cyclic_group(2))),
+    **{"z-nsys-%s" % c: (lambda c=c: const_ab_nsys(CATEGORIES[c](), FGAb.free(1)))
+       for c in ("one", "two", "span", "z2cat")},
+    "z2grp-nsys-two": lambda: const_grp_nsys(cat_two(), fp("A", cyclic_group(2))),
+}
+
+# workspace section -> the built-in entities it holds
+BUILTINS = {
+    "categories": CATEGORIES,
+    "functors": {**FUNCTORS, **{"cod-%s-op" % c: (lambda c=c: fun_cod_op(c))
+                                for c in WEFRAC_CATEGORIES}},
+    "groups": GROUPS,
+    "presentations": PRESENTATIONS,
+    "diagrams": DIAGRAMS,
+    "abdiagrams": ABDIAGRAMS,
+    "dsets": DSETS,
+    "dsetmaps": DSETMAPS,
+    "ssets": SSETS,
+    "pointed_diagrams": POINTED_DIAGRAMS,
+    "systems": SYSTEMS,
+}
+
+
+def register_builtins(ws):
+    """Register every built-in entity in the workspace ``ws``; each is built
+    on first use."""
+    for section, table in BUILTINS.items():
+        for name, build in table.items():
+            ws.register(section, name, build)

@@ -342,7 +342,7 @@ def pointed_quotient_check(PD, N):
 # -- cofinal comparison ---------------------------------------------------------
 
 
-def cofinal_hocolim_compare(S, PD, N, n_max, effort=1, certify=True):
+def cofinal_hocolim_compare(S, PD, N, n_max, effort=1):
     """Compare homology and fundamental-group fingerprints of the pointed
     homotopy colimits over the source (restricted diagram) and target.
 
@@ -352,15 +352,10 @@ def cofinal_hocolim_compare(S, PD, N, n_max, effort=1, certify=True):
     labeled as unconditional.  A fingerprint over its budget raises
     BudgetExceeded; it is never read as agreement.
     """
-    label = "unconditional comparison"
-    verdicts = None
-    if certify:
-        cert = certify_homotopy_cofinal(S, effort=effort, n_max=n_max)
-        verdicts = {d: v.kind for d, v in cert["per_object"].items()}
-        if cert["aggregate"] == "CONTRACTIBLE":
-            label = "certified"
-        elif cert["aggregate"] == "EVIDENCE":
-            label = "conditional"
+    cert = certify_homotopy_cofinal(S, effort=effort, n_max=n_max)
+    verdicts = {d: v.kind for d, v in cert["per_object"].items()}
+    label = {"CONTRACTIBLE": "certified", "EVIDENCE": "conditional"}.get(
+        cert["aggregate"], "unconditional comparison")
     lhs = hocolim_pointed(PD.restrict(S), N)
     rhs = hocolim_pointed(PD, N)
     h_l = homology_ss(lhs, n_max)

@@ -284,6 +284,12 @@ MALFORMED = {
         )}),
         "pointed diagram references unknown morphism zz",
     ),
+    "pointed-diagram-unknown-kind": (
+        dict(GOOD_WORKSPACE, pointed_diagrams={"pd": dict(
+            GOOD_WORKSPACE["pointed_diagrams"]["pd"], kind="no-such-kind",
+        )}),
+        'unknown pointed diagram kind "no-such-kind"',
+    ),
     "pointed-diagram-level-not-an-integer": (
         dict(GOOD_WORKSPACE, pointed_diagrams={"pd": dict(GOOD_WORKSPACE["pointed_diagrams"]["pd"], level="z")}),
         "pointed diagram level must be an integer",
@@ -330,18 +336,75 @@ def test_workspace_errors_name_one_entry_of_the_section():
     ws = Workspace()
     ws.load_data(GOOD_WORKSPACE)
     with pytest.raises(InputError, match="^unknown category 'nope'$"):
-        ws.category("nope")
+        ws.get("categories", "nope")
     with pytest.raises(InputError, match="^unknown pointed diagram 'nope'$"):
-        ws.pointed_diagram("nope")
+        ws.get("pointed_diagrams", "nope")
     with pytest.raises(InputError, match="^duplicate category name 'two'$"):
         ws.load_data({"categories": {"two": GOOD_WORKSPACE["categories"]["two"]}})
 
 
 def test_builtin_workspace_loads_everything():
-    ws = fixtures.builtin_workspace()
+    ws = Workspace()
+    fixtures.register_builtins(ws)
+    names = ws.validate_all()
+    assert names == {section: sorted(table) for section, table in fixtures.BUILTINS.items()}
     for section in ws.SECTIONS:
-        for name in ws._cache[section]:
-            assert ws._cache[section][name] is not None
+        for name in names[section]:
+            assert ws.get(section, name) is not None
+
+
+def test_workspace_builds_an_entry_once_and_on_first_use():
+    built = []
+    ws = Workspace()
+    ws.register("groups", "g", lambda: built.append("g") or "G")
+    assert built == []
+    assert ws.get("groups", "g") == ws.get("groups", "g") == "G"
+    assert built == ["g"]
+
+
+@pytest.mark.parametrize("order", ["file-first", "builtin-first"])
+def test_a_name_in_a_file_and_in_the_builtins_is_refused(order, capsys, tmp_path):
+    path = tmp_path / "two.json"
+    path.write_text(json.dumps({"categories": {"two": GOOD_WORKSPACE["categories"]["two"]}}),
+                    encoding="utf-8")
+    sources = [str(path), "builtin"] if order == "file-first" else ["builtin", str(path)]
+    argv = ["factorization", "--category", "two"]
+    for source in sources:
+        argv += ["--workspace", source]
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert err == "error: InputError: duplicate category name 'two'\n"
+
+
+def test_two_bare_category_files_clash_on_main(capsys, tmp_path):
+    paths = []
+    for name in ("one", "two"):
+        path = tmp_path / ("%s.json" % name)
+        path.write_text(json.dumps(GOOD_WORKSPACE["categories"][name]), encoding="utf-8")
+        paths.append(str(path))
+    code, out = run(capsys, "factorization", "--workspace", paths[0], "--category", "main")
+    assert code == 0 and "category: main" in out
+    code = main(["factorization", "--workspace", paths[0], "--workspace", paths[1],
+                 "--category", "main"])
+    assert code == 1
+    assert capsys.readouterr().err == "error: InputError: duplicate category name 'main'\n"
+
+
+def test_a_builtin_command_builds_only_what_it_names(capsys, monkeypatch):
+    calls = []
+
+    def spy(name, original):
+        def wrapped(*args, **kwargs):
+            calls.append((name, kwargs.get("name")))
+            return original(*args, **kwargs)
+        return wrapped
+
+    for name in ("bg_diagram", "factorization", "validate_category"):
+        monkeypatch.setattr(fixtures, name, spy(name, getattr(fixtures, name)))
+    code, out = run(capsys, "colim0", "--diagram", "span-z2-z3")
+    assert code == 0
+    assert calls == [("validate_category", "span")]
 
 
 def test_json_output_round_trips_and_is_stable(capsys):
@@ -374,6 +437,34 @@ def test_exit_codes(capsys):
     capsys.readouterr()
     assert main(["verify", "--theorem", "main2-n0", "--fixture", "no-such"]) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--theorem", "nope", "--fixture", "x"],
+    ["verify", "--theorem", "main2-n0"],
+    ["colim0"],
+    [],
+    ["validate", "--workspace", "/nonexistent.json", "demo/workspace.json"],
+    ["verify", "--workspace", "builtin", "--theorem", "main2-n0", "--fixture", "two-z2"],
+    ["list-fixtures", "--workspace", "builtin"],
+], ids=["bad-choice", "missing-option", "missing-diagram", "no-command",
+        "validate-workspace", "verify-workspace", "list-fixtures-workspace"])
+def test_usage_errors_are_one_line_input_errors(argv, capsys):
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["colim0", "--help"])
+    assert exc.value.code == 0
+    assert "--workspace" in capsys.readouterr().out
+    with pytest.raises(SystemExit) as exc:
+        main(["validate", "--help"])
+    assert exc.value.code == 0
+    assert "--workspace" not in capsys.readouterr().out
 
 
 def test_demo_workspace(capsys):

@@ -372,7 +372,7 @@ def test_kan_extend_not_vdc():
     assert not fibres["b"].ok()
     z2 = FreeProduct.from_group("A", cyclic_group(2))
     with pytest.raises(NotVDC):
-        kan_extend_vdc(S, constant_group_diagram(par, z2), fibres)
+        kan_extend_vdc(S, constant_group_diagram(par, z2))
 
 
 def test_kan_extend_fold_of_two_points():
@@ -447,7 +447,7 @@ def test_mono_inclusion_is_vdc_with_epi_fibres():
             "f1": GroupHom(z3, z2, {"B": {"0": (), "1": (), "2": ()}}),
         },
     )
-    L = kan_extend_vdc(Jop, G, fibres)
+    L = kan_extend_vdc(Jop, G)
     # Lan at d1 = G(d1) * G(d0) (epis id_d1 and s), at d0 = G(d0)
     assert len(L.value["d1"].nontrivial_factors()) == 2
     assert len(L.value["d0"].nontrivial_factors()) == 1

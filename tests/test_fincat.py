@@ -319,7 +319,7 @@ def test_composable_chains_match_the_nerve_size_count():
     from hocofin.groups import catalog
     from hocofin.presheaf import nerve
 
-    cats = list(fixtures.builtin_workspace()._cache["categories"].values())
+    cats = [build() for build in fixtures.BUILTINS["categories"].values()]
     cats += [from_monoid(G.elements, G.unit, G.table, name=G.name) for G in catalog()]
     for C in cats:
         sizes = _nerve_sizes(C, 3)
