@@ -63,6 +63,13 @@ def _array(obj, what):
     return obj
 
 
+def _id(value, what):
+    """An object or morphism id, which is a JSON string."""
+    if not isinstance(value, str):
+        raise InputError("%s must be a string, not %s" % (what, json.dumps(value)))
+    return value
+
+
 def matrix_from_json(obj):
     _require_keys(obj, ("rows", "cols", "data"), what="matrix")
     m = _count(obj["rows"], "matrix rows")
@@ -82,15 +89,16 @@ def category_from_json(obj, name=""):
     for key in ("objects", "morphisms", "composition"):
         if not isinstance(obj[key], list):
             raise InputError("category %s must be a JSON array" % key)
+    objects = [_id(o, "category object") for o in obj["objects"]]
     morphisms = []
     for m in obj["morphisms"]:
         _require_keys(m, ("id", "dom", "cod"), what="morphism")
-        morphisms.append((m["id"], m["dom"], m["cod"]))
+        morphisms.append(tuple(_id(m[k], "morphism " + k) for k in ("id", "dom", "cod")))
     composition = []
     for c in obj["composition"]:
         _require_keys(c, ("g", "f", "eq"), what="composition entry")
-        composition.append((c["g"], c["f"], c["eq"]))
-    return validate_category(obj["objects"], morphisms, composition, name=name)
+        composition.append(tuple(_id(c[k], "composition entry " + k) for k in ("g", "f", "eq")))
+    return validate_category(objects, morphisms, composition, name=name)
 
 
 def category_to_json(C):
@@ -113,8 +121,12 @@ def functor_from_json(obj, workspace, name=""):
     _require_keys(obj, ("source", "target", "objects"), ("morphisms",), what="functor")
     src = workspace.get("categories", obj["source"])
     tgt = workspace.get("categories", obj["target"])
-    return Functor(src, tgt, dict(_mapping(obj["objects"], "functor objects")),
-                   dict(_mapping(obj.get("morphisms", {}), "functor morphisms")), name=name)
+    obj_map = _mapping(obj["objects"], "functor objects")
+    mor_map = _mapping(obj.get("morphisms", {}), "functor morphisms")
+    for what, images in (("functor object image", obj_map), ("functor morphism image", mor_map)):
+        for y in images.values():
+            _id(y, what)
+    return Functor(src, tgt, obj_map, mor_map, name=name)
 
 
 def group_from_json(obj, name=""):
@@ -353,10 +365,12 @@ def system_from_json(obj, workspace, name=""):
     over = obj["over"]
     _require_keys(over, ("kind",), ("dset", "category"), what="system base")
     if over["kind"] == "elements-op":
+        _require_keys(over, ("kind", "dset"), what="system base over elements")
         X = workspace.get("dsets", over["dset"])
         E, _, _ = elements_with_parts(X)
         base = opposite(E)
     elif over["kind"] == "factorization-op":
+        _require_keys(over, ("kind", "category"), what="system base over a factorization")
         C = workspace.get("categories", over["category"])
         base = factorization(C).category_op
     else:

@@ -276,8 +276,9 @@ class Functor:
         self.mor_map = dict(mor_map)
         self.name = name
         for o in source.objects:
-            if o in self.obj_map:
-                self.mor_map.setdefault(source.identity[o], target.identity[self.obj_map[o]])
+            image = target.identity.get(self.obj_map.get(o))
+            if image is not None:
+                self.mor_map.setdefault(source.identity[o], image)
         if _validate:
             self._check()
 

@@ -6,10 +6,13 @@ groups.  All arithmetic runs on Python's arbitrary-precision integers;
 nothing here is modular or floating point.
 
 ``lattice_invariants`` computes Smith invariants only, for ``FGAb`` and for
-homology where the complex is free.  ``smith_normal_form`` also computes
-the transforms U and V, for whatever needs coordinates: ``kernel_basis``,
-``lattice_member``, ``AbMap`` well-definedness, a nonzero boundary square
-and ``ChainComplex.lifted_homology``.
+all homology: a complex with relations is first replaced by its relation
+cone, a free complex with the same homology (``ChainComplex.homology``).
+``smith_normal_form`` also computes the transforms U and V, for whatever
+needs coordinates: ``kernel_basis``, ``lattice_member``, the small relation
+components behind lattice membership (the cone, ``AbMap``
+well-definedness), and ``ChainComplex.lifted_homology``, the dense route
+kept as the tests' oracle.
 """
 
 from __future__ import annotations
@@ -605,12 +608,117 @@ class AbMap:
 
 def _columns_in_lattice(M, lattice):
     """True when every column of M lies in the column lattice given."""
-    if M.is_zero():
+    cols = [c for c in _sparse_columns(M) if c]
+    if not cols:
         return True
-    if lattice.cols == 0:
-        return M.is_zero()
-    solver = _Solver(lattice)
-    return all(solver.solve(col) is not None for col in M.columns())
+    rel = _Relations(lattice, {})
+    return all(rel.solve(c) is not None for c in cols)
+
+
+def _push(col, columns):
+    """The sparse vector sum of x * columns[k] over the entries k: x of col;
+    entries that cancel stay as zeros."""
+    acc = {}
+    for k, x in col.items():
+        for i, y in columns[k].items():
+            acc[i] = acc.get(i, 0) + x * y
+    return acc
+
+
+def _with_tail(col, off, tail):
+    """col with -tail appended below row ``off``."""
+    out = dict(col)
+    for r, x in tail.items():
+        out[off + r] = -x
+    return out
+
+
+class _Relations:
+    """The relation lattice of a presentation coker(rho: R -> F), with rho
+    injective.
+
+    Relation columns fall into row-connected components.  Each component A
+    is replaced by a lattice basis, the nonzero columns of A*V from one
+    small Smith normal form U*A*V = D, memoized by its entries in
+    ``bases``; ``columns`` lists the basis as sparse columns of F.  A
+    vector is solved for one component at a time through U.
+    """
+
+    __slots__ = ("columns", "_where", "_parts")
+
+    def __init__(self, rels, bases):
+        cols = [c for c in _sparse_columns(rels) if c]
+        root = {}
+
+        def find(i):
+            while root[i] != i:
+                root[i] = i = root[root[i]]
+            return i
+
+        for col in cols:
+            first = None
+            for i in col:
+                r = find(root.setdefault(i, i))
+                if first is None:
+                    first = r
+                elif r != first:
+                    root[r] = first
+        parts = {}
+        for col in cols:
+            parts.setdefault(find(next(iter(col))), []).append(col)
+        self.columns = []
+        self._where = {}
+        self._parts = []
+        for part in parts.values():
+            rows = sorted({i for col in part for i in col})
+            A = tuple(tuple(col.get(i, 0) for col in part) for i in rows)
+            basis = bases.get(A)
+            if basis is None:
+                basis = bases[A] = _component_basis(A)
+            U, diag, local = basis
+            p = len(self._parts)
+            self._parts.append((len(self.columns), U, diag))
+            for li, i in enumerate(rows):
+                self._where[i] = (p, li)
+            self.columns.extend({rows[li]: x for li, x in b.items()} for b in local)
+
+    def solve(self, v):
+        """Coordinates {basis index: coefficient} of the sparse vector v in
+        the lattice, or None when v is outside it."""
+        by_part = {}
+        for i, x in v.items():
+            if x:
+                at = self._where.get(i)
+                if at is None:
+                    return None
+                by_part.setdefault(at[0], {})[at[1]] = x
+        out = {}
+        for p, w in by_part.items():
+            offset, U, diag = self._parts[p]
+            for k, row in enumerate(U):
+                y = sum(row[li] * x for li, x in w.items())
+                if k < len(diag):
+                    q, rem = divmod(y, diag[k])
+                    if rem:
+                        return None
+                    if q:
+                        out[offset + k] = q
+                elif y:
+                    return None
+        return out
+
+
+def _component_basis(A):
+    """(U, nonzero invariants, basis) of the dense component A (a tuple of
+    rows): U*A*V = D, and the basis columns A*V[:, j] as sparse dicts."""
+    M = IntMatrix(A, (len(A), len(A[0])))
+    U, D, V = smith_normal_form(M)
+    diag = [d for d in (D.entries[i][i] for i in range(min(M.rows, M.cols))) if d]
+    basis = []
+    for j in range(len(diag)):
+        col = M.mul_vec(V.column(j))
+        basis.append({i: x for i, x in enumerate(col) if x})
+    return U.entries, diag, basis
 
 
 class ChainComplex:
@@ -619,7 +727,8 @@ class ChainComplex:
     ``groups[n]`` for lo <= n <= hi, ``boundaries[n]: C_n -> C_{n-1}`` for
     lo < n <= hi.  Construction checks that consecutive boundaries compose
     to zero modulo the relation lattice of the target: the product is taken
-    on sparse columns, and only a nonzero one is tested against the lattice.
+    on sparse columns, and only a nonzero one is solved in the lattice; its
+    coordinates are kept for the relation cone (see ``homology``).
     """
 
     def __init__(self, groups, boundaries):
@@ -640,40 +749,74 @@ class ChainComplex:
                 raise ValueError("boundary shape mismatch in degree %d" % n)
         self._columns = {n: _sparse_columns(d.matrix) for n, d in self.boundaries.items()}
         self._invariants = {}
+        self._relations = {}
+        self._bases = {}
+        self._squares = {}
         for n in range(lo + 2, hi + 1):
-            below = self._columns[n - 1]
-            products = []
-            for col in self._columns[n]:
-                acc = {}
-                for k, x in col.items():
-                    for i, y in below[k].items():
-                        acc[i] = acc.get(i, 0) + x * y
-                products.append(acc)
+            products = [_push(col, self._columns[n - 1]) for col in self._columns[n]]
             if not any(any(acc.values()) for acc in products):
                 continue
-            rows = self.groups[n - 2].gens
-            comp = [[acc.get(i, 0) for i in range(rows)] for acc in products]
-            if not _columns_in_lattice(IntMatrix.from_columns(comp, rows), self.groups[n - 2].rels):
+            squares = [self._relations_at(n - 2).solve(acc) for acc in products]
+            if None in squares:
                 raise HomalgError("boundary squared is nonzero in degree %d" % n)
+            self._squares[n] = squares
 
     def homology(self, n):
         """H_n = ker d_n / im d_{n+1}, in canonical invariant-factor form.
 
-        When C_n and C_{n-1} have no relations, H_n is
-        Z^(rank C_n - rk d_n - rk d_{n+1}) plus the torsion of coker d_{n+1},
-        read from lattice_invariants of the two boundaries (each computed
-        once per complex).  Otherwise it is lifted_homology(n).
+        Write C_k = coker(rho_k: R_k -> F_k) with rho_k injective (see
+        ``_Relations``).  The relation cone T_k = F_k (+) R_{k-1}, with
+        d_T(f, r) = (d_F f + rho r, -d_R r - k f), where rho d_R = d_F rho
+        and rho k = d_F d_F, is a free complex mapping onto C with acyclic
+        kernel, so H_n(C) = H_n(T): Z^(rank T_n - rk d_T,n - rk d_T,n+1)
+        plus the torsion of coker d_T,n+1, read from lattice_invariants of
+        the two cone boundaries (each computed once per complex).  On a
+        free complex T is C itself.  A boundary d_k that does not carry
+        R_k into R_{k-1}, for k = n-1 or n, raises HomalgError.
+        ``lifted_homology`` is the dense route to the same groups.
         """
         if n - 1 < self.lo or n + 1 > self.hi:
             raise DegreeMissing("homology in degree %d needs degrees %d..%d" % (n, n - 1, n + 1))
-        Cn = self.groups[n]
-        if Cn.rels.cols or self.groups[n - 1].rels.cols:
-            return self.lifted_homology(n)
-        for k in (n, n + 1):
-            if k not in self._invariants:
-                self._invariants[k] = _column_invariants(self._columns[k])
-        rank_up, torsion = self._invariants[n + 1]
-        return FGAb.from_invariants(Cn.gens - self._invariants[n][0] - rank_up, torsion)
+        rank_here = self._cone_invariants(n)[0]
+        rank_up, torsion = self._cone_invariants(n + 1)
+        size = self.groups[n].gens + len(self._relations_at(n - 1).columns)
+        return FGAb.from_invariants(size - rank_here - rank_up, torsion)
+
+    def _relations_at(self, n):
+        """The injective relation lattice R_n of C_n (none below lo)."""
+        rel = self._relations.get(n)
+        if rel is None:
+            group = self.groups.get(n)
+            rels = group.rels if group is not None else IntMatrix.zeros(0, 0)
+            rel = self._relations[n] = _Relations(rels, self._bases)
+        return rel
+
+    def _cone_invariants(self, n):
+        inv = self._invariants.get(n)
+        if inv is None:
+            inv = self._invariants[n] = _column_invariants(self._cone_columns(n))
+        return inv
+
+    def _cone_columns(self, n):
+        """Sparse columns of d_T: T_n -> T_{n-1}, rows F_{n-1} then R_{n-2}."""
+        rho = self._relations_at(n - 1).columns
+        squares = self._squares.get(n)
+        if not rho and not squares:
+            return self._columns[n]
+        off = self.groups[n - 1].gens
+        cols = self._columns[n]
+        if squares:
+            cols = [_with_tail(col, off, k) for col, k in zip(cols, squares)]
+        else:
+            cols = list(cols)
+        below = self._relations_at(n - 2)
+        for col in rho:
+            # d_R = 0 into R_{lo-1} = 0; otherwise rho d_R = d_F rho, solved
+            d_r = below.solve(_push(col, self._columns[n - 1])) if n - 1 > self.lo else {}
+            if d_r is None:
+                raise HomalgError("boundary does not respect the relations in degree %d" % (n - 1))
+            cols.append(_with_tail(col, off, d_r))
+        return cols
 
     def lifted_homology(self, n):
         """H_n for finitely presented chain groups, by lifting everything to

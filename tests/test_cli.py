@@ -298,6 +298,46 @@ MALFORMED = {
         dict(GOOD_WORKSPACE, functors={"inc-b": dict(GOOD_WORKSPACE["functors"]["inc-b"], source=["one"])}),
         "categories are named by strings",
     ),
+    **{
+        "system-" + case: (
+            dict(GOOD_WORKSPACE, systems={"s": {"over": over, "constant_abelian": {"gens": 1}}}),
+            message,
+        )
+        for case, over, message in (
+            ("elements-op-without-dset", {"kind": "elements-op"},
+             "system base over elements misses keys: dset"),
+            ("elements-op-with-a-category", {"kind": "elements-op", "dset": "hb", "category": "two"},
+             "system base over elements has unknown keys: category"),
+            ("factorization-op-with-a-dset", {"kind": "factorization-op", "category": "two", "dset": "hb"},
+             "system base over a factorization has unknown keys: dset"),
+        )
+    },
+    "category-object-not-a-string": (
+        dict(GOOD_WORKSPACE, categories=dict(GOOD_WORKSPACE["categories"], one={
+            "objects": [1], "morphisms": [], "composition": [],
+        })),
+        "category object must be a string, not 1",
+    ),
+    "morphism-id-not-a-string": (
+        dict(GOOD_WORKSPACE, categories=dict(GOOD_WORKSPACE["categories"], two=dict(
+            GOOD_WORKSPACE["categories"]["two"], morphisms=[{"id": ["u"], "dom": "a", "cod": "b"}],
+        ))),
+        'morphism id must be a string, not ["u"]',
+    ),
+    "composition-entry-not-a-string": (
+        dict(GOOD_WORKSPACE, categories=dict(GOOD_WORKSPACE["categories"], two=dict(
+            GOOD_WORKSPACE["categories"]["two"], composition=[{"g": ["u"], "f": "id_a", "eq": "u"}],
+        ))),
+        'composition entry g must be a string, not ["u"]',
+    ),
+    "functor-object-image-not-a-target-object": (
+        dict(GOOD_WORKSPACE, functors={"inc-b": dict(GOOD_WORKSPACE["functors"]["inc-b"], objects={"*": "zz"})}),
+        "UnknownObject: object * has no valid image",
+    ),
+    "functor-object-image-not-a-string": (
+        dict(GOOD_WORKSPACE, functors={"inc-b": dict(GOOD_WORKSPACE["functors"]["inc-b"], objects={"*": ["b"]})}),
+        'functor object image must be a string, not ["b"]',
+    ),
 }
 
 

@@ -250,18 +250,22 @@ def test_complex_rejects_nonzero_boundary_square():
 
 
 def test_boundary_square_may_land_in_the_relations():
-    # Z --1--> Z --k--> Z/2: the square is k, zero in Z/2 exactly when k is even
+    # Z --m--> Z --k--> Z/2: the square is k*m, zero in Z/2 exactly when it
+    # is even; then H_1 = ker d_1 / im d_2 = Z/m when k is even
     groups = {0: FGAb.cyclic(2), 1: FGAb.free(1), 2: FGAb.free(1)}
-    for k, ok in ((2, True), (4, True), (1, False), (3, False)):
+    for k, m, ok in ((2, 1, True), (4, 1, True), (2, 3, True), (1, 2, True),
+                     (1, 1, False), (3, 1, False), (3, 3, False)):
         boundaries = {
             1: AbMap(groups[1], groups[0], IntMatrix([[k]]), check=False),
-            2: AbMap(groups[2], groups[1], IntMatrix([[1]]), check=False),
+            2: AbMap(groups[2], groups[1], IntMatrix([[m]]), check=False),
         }
-        if ok:
-            ChainComplex(groups, boundaries)
-        else:
+        if not ok:
             with pytest.raises(HomalgError):
                 ChainComplex(groups, boundaries)
+            continue
+        K = ChainComplex(groups, boundaries)
+        expected = FGAb.cyclic(m) if k % 2 == 0 else FGAb.cyclic(m // 2)
+        assert K.homology(1) == K.lifted_homology(1) == expected
 
 
 def test_matrix_json_round_trip():
