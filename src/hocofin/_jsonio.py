@@ -70,6 +70,13 @@ def _id(value, what):
     return value
 
 
+def _element(value, what):
+    """An element of a group or of a presheaf's set: a JSON string or number."""
+    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+        raise InputError("%s must be a string or a number, not %s" % (what, json.dumps(value)))
+    return value
+
+
 def matrix_from_json(obj):
     _require_keys(obj, ("rows", "cols", "data"), what="matrix")
     m = _count(obj["rows"], "matrix rows")
@@ -141,10 +148,12 @@ def group_from_json(obj, name=""):
         raise InputError("group elements and table must be JSON arrays")
     if len(rows) != len(els) or any(not isinstance(r, list) or len(r) != len(els) for r in rows):
         raise InputError("group table must be a square over the elements")
+    for a in els:
+        _element(a, "group element")
     table = {}
     for i, a in enumerate(els):
         for j, b in enumerate(els):
-            table[(a, b)] = rows[i][j]
+            table[(a, b)] = _element(rows[i][j], "group table entry")
     return FinGroup(els, obj["unit"], table, name=name)
 
 
@@ -224,6 +233,12 @@ def group_diagram_from_json(obj, workspace, name=""):
         _mapping(table, "hom at %s" % mid)
         src = value[C.dom[mid]]
         dst = value[C.cod[mid]]
+        letters = {"%s.%s" % (lbl, el) for lbl, grp in src.factors for el in grp.elements
+                   if el != grp.unit}
+        unknown = sorted(set(table) - letters)
+        if unknown:
+            raise InputError("hom at %s has keys naming no letter of its source: %s"
+                             % (mid, ", ".join(unknown)))
         per = {}
         for lbl, grp in src.factors:
             per[lbl] = {}
@@ -277,9 +292,15 @@ def dset_from_json(obj, workspace, name=""):
     C = workspace.get("categories", obj["category"])
     sets = _mapping(obj["sets"], "presheaf sets")
     maps = _mapping(obj["maps"], "presheaf maps")
-    return DSet(C, {o: list(_array(v, "presheaf set at %s" % o)) for o, v in sets.items()},
-                {m: dict(_mapping(t, "presheaf map at %s" % m)) for m, t in maps.items()},
+    return DSet(C, {o: [_element(x, "presheaf set element at %s" % o)
+                        for x in _array(v, "presheaf set at %s" % o)] for o, v in sets.items()},
+                {m: _element_table(t, "presheaf map at %s" % m) for m, t in maps.items()},
                 name=name)
+
+
+def _element_table(table, what):
+    """A map of presheaf elements: a JSON object whose values are elements."""
+    return {x: _element(y, what + " value") for x, y in _mapping(table, what).items()}
 
 
 def dset_morphism_from_json(obj, workspace, name=""):
@@ -287,7 +308,7 @@ def dset_morphism_from_json(obj, workspace, name=""):
     components = _mapping(obj["components"], "presheaf morphism components")
     return DSetMorphism(workspace.get("dsets", obj["source"]),
                         workspace.get("dsets", obj["target"]),
-                        {o: dict(_mapping(t, "component at %s" % o)) for o, t in components.items()})
+                        {o: _element_table(t, "component at %s" % o) for o, t in components.items()})
 
 
 def _simplex_table(table, what):

@@ -22,7 +22,7 @@ from .fincat import (
     full_subcategory,
 )
 from .groups import FreeProduct, GroupHom, GroupPresentation, tietze_simplify
-from .homalg import AbMap, FGAb, IntMatrix, block_map, block_sum, normalized_complex
+from .homalg import AbMap, FGAb, block_map, block_sum, normalized_complex
 
 
 class DiagramError(Exception):
@@ -122,7 +122,7 @@ class AbDiagram:
             m = self.action.get(f)
             if m is None:
                 raise DiagramError("diagram misses the action of %s" % f)
-            if m.matrix.cols != self.value[B.dom[f]].gens or m.matrix.rows != self.value[B.cod[f]].gens:
+            if m.source.gens != self.value[B.dom[f]].gens or m.target.gens != self.value[B.cod[f]].gens:
                 raise DiagramError("action of %s has the wrong shape" % f)
             if not m._well_defined():
                 raise DiagramError("action of %s does not respect relations" % f)
@@ -307,7 +307,7 @@ def srep_ab_complex(C, M, n_max, chain_cap=DEFAULT_CHAIN_CAP):
 
     def faces(n, ch):
         # d_0 transports along the first arrow; the other faces keep the value
-        yield 0, chain_face(C, ch, 0), M.action[ch[1]].matrix
+        yield 0, chain_face(C, ch, 0), M.action[ch[1]].columns
         for i in range(1, n + 1):
             yield i, chain_face(C, ch, i), M.value[ch[0]].gens
 
@@ -325,9 +325,9 @@ def ab_colim0_by_coequalizer(C, M):
     entries = []
     for a, c0 in zip(arrows, col_off):
         entries.append((off[C.dom[a]], c0, 1, M.value[C.dom[a]].gens))
-        entries.append((off[C.cod[a]], c0, -1, M.action[a].matrix))
+        entries.append((off[C.cod[a]], c0, -1, M.action[a].columns))
     diff = block_map(domains, total, entries)
-    return FGAb(total.gens, total.rels.hstack(diff.matrix))
+    return FGAb(total.gens, total.relations + diff.columns)
 
 
 # -- abelianization ----------------------------------------------------------
@@ -348,14 +348,14 @@ def abelianize_free_product(fp):
             for b in grp.elements:
                 if a == grp.unit or b == grp.unit:
                     continue
-                col = [0] * len(gens)
-                col[gidx[(lbl, a)]] += 1
-                col[gidx[(lbl, b)]] += 1
+                # a + b - ab: ab is neither a nor b, so nothing cancels
+                col = {gidx[(lbl, a)]: 1}
+                col[gidx[(lbl, b)]] = col.get(gidx[(lbl, b)], 0) + 1
                 c = grp.table[(a, b)]
                 if c != grp.unit:
-                    col[gidx[(lbl, c)]] -= 1
+                    col[gidx[(lbl, c)]] = -1
                 cols.append(col)
-    return FGAb(len(gens), IntMatrix.from_columns(cols, len(gens))), gens
+    return FGAb(len(gens), cols), gens
 
 
 def abelianize_diagram(G):
@@ -372,16 +372,12 @@ def abelianize_diagram(G):
         dst_idx = {g: i for i, g in enumerate(gen_lists[dst_o])}
         cols = []
         for lbl, el in src_gens:
-            col = [0] * len(dst_idx)
+            col = {}
             for l2, e2 in hom.per_factor[lbl][el]:
-                col[dst_idx[(l2, e2)]] += 1
+                i = dst_idx[(l2, e2)]
+                col[i] = col.get(i, 0) + 1
             cols.append(col)
-        actions[alpha] = AbMap(
-            values[src_o],
-            values[dst_o],
-            IntMatrix.from_columns(cols, len(dst_idx)),
-            check=False,
-        )
+        actions[alpha] = AbMap(values[src_o], values[dst_o], cols, check=False)
     return AbDiagram(G.base, values, actions, name=G.name and "ab(%s)" % G.name)
 
 
@@ -473,7 +469,7 @@ def sum_diagram(base, parts, transport, coeff, name):
             entries = []
             for key, _ in parts[d]:
                 key2, alpha = transport(beta, key)
-                entries.append((offsets[d2][key2], offsets[d][key], 1, coeff.action[alpha].matrix))
+                entries.append((offsets[d2][key2], offsets[d][key], 1, coeff.action[alpha].columns))
             actions[beta] = block_map(values[d], values[d2], entries)
         return AbDiagram(base, values, actions, name=name)
     values = {

@@ -236,7 +236,7 @@ def nerve_route_complex(C, M, n_max, fdata=None):
             else:
                 yield i, face, M.value[dsig].gens
                 continue
-            yield i, face, M.action[_fact_hom(fdata, _delta_of_chain(C, face), dsig, pair)].matrix
+            yield i, face, M.action[_fact_hom(fdata, _delta_of_chain(C, face), dsig, pair)].columns
 
     return normalized_complex(chains, lambda ch: M.value[_delta_of_chain(C, ch)], faces)
 

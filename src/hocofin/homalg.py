@@ -5,6 +5,14 @@ form, and homology of bounded complexes of finitely presented abelian
 groups.  All arithmetic runs on Python's arbitrary-precision integers;
 nothing here is modular or floating point.
 
+A relation lattice (``FGAb.relations``) and a map (``AbMap.columns``) are
+stored as sparse columns: lists of {row: entry} dicts holding no zero
+entry.  ``block_sum`` and ``block_map`` assemble chain groups and
+boundaries in that form, and ``FGAb``, ``ChainComplex`` and the relation
+lattices read it directly.  The dense ``IntMatrix`` forms ``FGAb.rels`` and
+``AbMap.matrix`` are views, built on first access for the callers that want
+a matrix (small Smith normal forms, the lifted oracle, JSON output).
+
 ``lattice_invariants`` computes Smith invariants only, for ``FGAb`` and for
 all homology: a complex with relations is first replaced by its relation
 cone, a free complex with the same homology (``ChainComplex.homology``).
@@ -70,6 +78,15 @@ class IntMatrix:
         if any(len(c) != rows for c in cols):
             raise ValueError("column of wrong length")
         return cls([[c[i] for c in cols] for i in range(rows)], (rows, len(cols)))
+
+    @classmethod
+    def from_sparse(cls, columns, rows):
+        """The dense matrix with the given sparse columns ({row: entry} dicts)."""
+        data = [[0] * len(columns) for _ in range(rows)]
+        for j, col in enumerate(columns):
+            for i, x in col.items():
+                data[i][j] = x
+        return cls(data, (rows, len(columns)))
 
     def column(self, j):
         return [row[j] for row in self.entries]
@@ -361,8 +378,18 @@ def _sparse_columns(M):
     return cols
 
 
+def _checked_columns(columns, rows):
+    """Sparse columns as a list, refused unless each row index lies in
+    range(rows) and no entry is zero (a stored zero would count as rank)."""
+    cols = list(columns)
+    for col in cols:
+        if col and (not all(col.values()) or min(col) < 0 or max(col) >= rows):
+            raise ValueError("sparse column %r has a zero or a row outside 0..%d" % (col, rows - 1))
+    return cols
+
+
 def _column_invariants(columns):
-    """lattice_invariants of sparse columns (left unchanged).
+    """lattice_invariants of sparse columns (left unchanged, no zero entry).
 
     A +-1 entry is a pivot: its column clears its row from the others and
     both leave.  Short columns and sparse pivot rows go first, to keep
@@ -478,30 +505,47 @@ def _merge_cyclic(chain, d):
 
 
 class FGAb:
-    """Finitely generated abelian group presented by a generator count and a
-    matrix whose columns are relations.
+    """Finitely generated abelian group presented by a generator count and
+    relations.
 
-    The canonical form (free rank plus invariant factors d1 | d2 | ...)
-    is computed once by lattice_invariants; equality and hashing use it.
+    ``relations`` is the stored form: the relation columns as sparse
+    {generator: entry} dicts.  ``rels`` is the same lattice as a dense
+    IntMatrix with one row per generator, built on first access; a dense
+    matrix may also be given, as JSON readers and fixtures do.  The
+    canonical form (free rank plus invariant factors d1 | d2 | ...) is
+    computed once from the sparse columns; equality and hashing use it.
 
     >>> print(FGAb(2, IntMatrix([[2, 0], [0, 3]])))
     Z/6
-    >>> print(FGAb(3, IntMatrix([[2], [0], [0]])))
+    >>> print(FGAb(3, [{0: 2}]))
     Z^2 (+) Z/2
     """
 
-    __slots__ = ("gens", "rels", "free_rank", "torsion")
+    __slots__ = ("gens", "relations", "_rels", "free_rank", "torsion")
 
     def __init__(self, gens, rels=None):
         gens = int(gens)
         if rels is None:
-            rels = IntMatrix.zeros(gens, 0)
-        if rels.rows != gens:
-            raise ValueError("relation matrix must have one row per generator")
+            rels = ()
+        if isinstance(rels, IntMatrix):
+            if rels.rows != gens:
+                raise ValueError("relation matrix must have one row per generator")
+            self._rels = rels
+            rels = _sparse_columns(rels)
+        else:
+            self._rels = None
+            rels = _checked_columns(rels, gens)
         self.gens = gens
-        self.rels = rels
-        rank, self.torsion = lattice_invariants(rels)
+        self.relations = rels
+        rank, self.torsion = _column_invariants(rels)
         self.free_rank = gens - rank
+
+    @property
+    def rels(self):
+        """The relation columns as a dense IntMatrix (a view, built once)."""
+        if self._rels is None:
+            self._rels = IntMatrix.from_sparse(self.relations, self.gens)
+        return self._rels
 
     @classmethod
     def free(cls, rank):
@@ -515,14 +559,12 @@ class FGAb:
     def cyclic(cls, d):
         if d == 0:
             return cls(1)
-        return cls(1, IntMatrix([[d]]))
+        return cls(1, [{0: d}])
 
     @classmethod
     def from_invariants(cls, free_rank, torsion=()):
         ds = list(torsion)
-        k = free_rank + len(ds)
-        cols = [[d if i == j + free_rank else 0 for i in range(k)] for j, d in enumerate(ds)]
-        return cls(k, IntMatrix.from_columns(cols, k))
+        return cls(free_rank + len(ds), [{free_rank + j: d} for j, d in enumerate(ds)])
 
     def invariants(self):
         return (self.free_rank, self.torsion)
@@ -559,70 +601,88 @@ class FGAb:
 
 
 class AbMap:
-    """Homomorphism of finitely presented abelian groups, as a matrix on
-    generators that must carry source relations into the target lattice."""
+    """Homomorphism of finitely presented abelian groups, given on
+    generators, that must carry source relations into the target lattice.
 
-    __slots__ = ("source", "target", "matrix")
+    ``columns`` is the stored form: one sparse {target generator: entry}
+    dict per source generator.  ``matrix`` is the dense IntMatrix view,
+    built on first access; a dense matrix may also be given.
+    """
+
+    __slots__ = ("source", "target", "columns", "_matrix")
 
     def __init__(self, source, target, matrix, check=True):
-        if matrix.rows != target.gens or matrix.cols != source.gens:
-            raise ValueError("matrix shape does not fit source/target generators")
+        if isinstance(matrix, IntMatrix):
+            if matrix.rows != target.gens or matrix.cols != source.gens:
+                raise ValueError("matrix shape does not fit source/target generators")
+            self._matrix = matrix
+            columns = _sparse_columns(matrix)
+        else:
+            self._matrix = None
+            columns = _checked_columns(matrix, target.gens)
+            if len(columns) != source.gens:
+                raise ValueError("matrix shape does not fit source/target generators")
         self.source = source
         self.target = target
-        self.matrix = matrix
+        self.columns = columns
         if check and not self._well_defined():
             raise HomalgError("matrix does not respect the source relations")
 
+    @property
+    def matrix(self):
+        """The map as a dense IntMatrix (a view, built once)."""
+        if self._matrix is None:
+            self._matrix = IntMatrix.from_sparse(self.columns, self.target.gens)
+        return self._matrix
+
     def _well_defined(self):
-        if self.source.rels.cols == 0:
-            return True
-        image = self.matrix.mul(self.source.rels)
-        return _columns_in_lattice(image, self.target.rels)
+        image = [_push(col, self.columns) for col in self.source.relations]
+        return _columns_in_lattice(image, self.target)
 
     @classmethod
     def identity(cls, group):
-        return cls(group, group, IntMatrix.identity(group.gens), check=False)
+        return cls(group, group, [{j: 1} for j in range(group.gens)], check=False)
 
     @classmethod
     def zero(cls, source, target):
-        return cls(source, target, IntMatrix.zeros(target.gens, source.gens), check=False)
+        return cls(source, target, [{} for _ in range(source.gens)], check=False)
 
     def compose(self, other):
         """self after other."""
         if other.target.gens != self.source.gens:
             raise ValueError("composition shape mismatch")
-        return AbMap(other.source, self.target, self.matrix.mul(other.matrix), check=False)
+        columns = [_push(col, self.columns) for col in other.columns]
+        return AbMap(other.source, self.target, columns, check=False)
 
     def equals_mod_relations(self, other):
-        if self.matrix.rows != other.matrix.rows or self.matrix.cols != other.matrix.cols:
+        if self.target.gens != other.target.gens or self.source.gens != other.source.gens:
             return False
-        diff = IntMatrix(
-            [
-                [a - b for a, b in zip(r1, r2)]
-                for r1, r2 in zip(self.matrix.entries, other.matrix.entries)
-            ],
-            (self.matrix.rows, self.matrix.cols),
-        )
-        return _columns_in_lattice(diff, self.target.rels)
+        diff = []
+        for a, b in zip(self.columns, other.columns):
+            col = dict(a)
+            for i, x in b.items():
+                col[i] = col.get(i, 0) - x
+            diff.append(col)
+        return _columns_in_lattice(diff, self.target)
 
 
-def _columns_in_lattice(M, lattice):
-    """True when every column of M lies in the column lattice given."""
-    cols = [c for c in _sparse_columns(M) if c]
+def _columns_in_lattice(columns, group):
+    """True when every sparse column lies in the relation lattice of group."""
+    cols = [c for c in columns if any(c.values())]
     if not cols:
         return True
-    rel = _Relations(lattice, {})
+    rel = _Relations(group.relations, {})
     return all(rel.solve(c) is not None for c in cols)
 
 
 def _push(col, columns):
-    """The sparse vector sum of x * columns[k] over the entries k: x of col;
-    entries that cancel stay as zeros."""
+    """The sparse vector sum of x * columns[k] over the entries k: x of col,
+    without the entries that cancel to zero."""
     acc = {}
     for k, x in col.items():
         for i, y in columns[k].items():
             acc[i] = acc.get(i, 0) + x * y
-    return acc
+    return {i: y for i, y in acc.items() if y}
 
 
 def _with_tail(col, off, tail):
@@ -646,8 +706,8 @@ class _Relations:
 
     __slots__ = ("columns", "_where", "_parts")
 
-    def __init__(self, rels, bases):
-        cols = [c for c in _sparse_columns(rels) if c]
+    def __init__(self, relations, bases):
+        cols = [c for c in relations if c]
         root = {}
 
         def find(i):
@@ -745,16 +805,16 @@ class ChainComplex:
             if n not in self.boundaries:
                 raise ValueError("missing boundary in degree %d" % n)
             d = self.boundaries[n]
-            if d.matrix.cols != self.groups[n].gens or d.matrix.rows != self.groups[n - 1].gens:
+            if d.source.gens != self.groups[n].gens or d.target.gens != self.groups[n - 1].gens:
                 raise ValueError("boundary shape mismatch in degree %d" % n)
-        self._columns = {n: _sparse_columns(d.matrix) for n, d in self.boundaries.items()}
+        self._columns = {n: d.columns for n, d in self.boundaries.items()}
         self._invariants = {}
         self._relations = {}
         self._bases = {}
         self._squares = {}
         for n in range(lo + 2, hi + 1):
             products = [_push(col, self._columns[n - 1]) for col in self._columns[n]]
-            if not any(any(acc.values()) for acc in products):
+            if not any(products):
                 continue
             squares = [self._relations_at(n - 2).solve(acc) for acc in products]
             if None in squares:
@@ -787,8 +847,8 @@ class ChainComplex:
         rel = self._relations.get(n)
         if rel is None:
             group = self.groups.get(n)
-            rels = group.rels if group is not None else IntMatrix.zeros(0, 0)
-            rel = self._relations[n] = _Relations(rels, self._bases)
+            relations = group.relations if group is not None else []
+            rel = self._relations[n] = _Relations(relations, self._bases)
         return rel
 
     def _cone_invariants(self, n):
@@ -860,42 +920,48 @@ class ChainComplex:
 def block_sum(blocks):
     """Direct sum of a list of groups, with the generator offset of each block.
 
+    The relation columns of the blocks are shifted by their offsets into
+    sparse columns of the sum; no dense matrix is built.
+
     >>> G, offsets = block_sum([FGAb.cyclic(2), FGAb.free(2), FGAb.cyclic(3)])
     >>> print(G, offsets)
     Z^2 (+) Z/6 [0, 1, 3]
     """
     offsets = []
+    relations = []
     total = 0
     for b in blocks:
         offsets.append(total)
+        relations.extend({total + i: x for i, x in col.items()} for col in b.relations)
         total += b.gens
-    cols = [
-        [0] * off + col + [0] * (total - off - b.gens)
-        for b, off in zip(blocks, offsets)
-        for col in b.rels.columns()
-    ]
-    return FGAb(total, IntMatrix.from_columns(cols, total)), offsets
+    return FGAb(total, relations), offsets
 
 
 def block_map(source, target, entries):
-    """AbMap source -> target assembled from blocks.
+    """AbMap source -> target assembled from blocks, as sparse columns.
 
     Each entry (row offset, column offset, sign, coeff) adds sign * coeff at
-    that place; coeff is an IntMatrix, or an int k for the k x k identity.
-    Entries landing on the same place add up.  The map is not checked
-    against the source relations: callers validate what they assemble.
+    that place; coeff is a list of sparse columns (``AbMap.columns``), or
+    an int k for the k x k identity.  Entries landing on the same place add
+    up, and an entry that cancels to zero is deleted.  No dense matrix is
+    built.  The map is not checked against the source relations: callers
+    validate what they assemble.
     """
-    M = [[0] * source.gens for _ in range(target.gens)]
+    columns = [{} for _ in range(source.gens)]
     for r0, c0, sign, coeff in entries:
         if isinstance(coeff, int):
             for r in range(coeff):
-                M[r0 + r][c0 + r] += sign
+                out = columns[c0 + r]
+                out[r0 + r] = out.get(r0 + r, 0) + sign
             continue
-        for r, row in enumerate(coeff.entries):
-            out = M[r0 + r]
-            for c, x in enumerate(row):
-                out[c0 + c] += sign * x
-    return AbMap(source, target, IntMatrix(M, (target.gens, source.gens)), check=False)
+        for c, col in enumerate(coeff, c0):
+            out = columns[c]
+            for r, x in col.items():
+                out[r0 + r] = out.get(r0 + r, 0) + sign * x
+    for c, out in enumerate(columns):
+        if not all(out.values()):
+            columns[c] = {i: x for i, x in out.items() if x}
+    return AbMap(source, target, columns, check=False)
 
 
 def normalized_complex(basis, block, faces):

@@ -231,6 +231,39 @@ MALFORMED = {
         )
         for case, generator in (("a-list", ["x"]), ("a-number", 5), ("null", None))
     },
+    "group-element-a-list": (
+        dict(GOOD_WORKSPACE, groups={"z2": dict(GOOD_WORKSPACE["groups"]["z2"], elements=["0", ["1"]])}),
+        'group element must be a string or a number, not ["1"]',
+    ),
+    "group-table-entry-a-list": (
+        dict(GOOD_WORKSPACE, groups={"z2": dict(
+            GOOD_WORKSPACE["groups"]["z2"], table=[["0", "1"], ["1", ["0"]]],
+        )}),
+        'group table entry must be a string or a number, not ["0"]',
+    ),
+    "dset-set-element-a-list": (
+        dict(GOOD_WORKSPACE, dsets={"hb": dict(GOOD_WORKSPACE["dsets"]["hb"], sets={"a": [["u"]], "b": ["ib"]})}),
+        'presheaf set element at a must be a string or a number, not ["u"]',
+    ),
+    **{
+        "dset-map-value-" + case: (
+            dict(GOOD_WORKSPACE, dsets={"hb": dict(GOOD_WORKSPACE["dsets"]["hb"], maps={"u": {"ib": value}})}),
+            "presheaf map at u value must be a string or a number, not " + json.dumps(value),
+        )
+        for case, value in (("a-list", ["u"]), ("an-object", {"u": 1}))
+    },
+    "dsetmap-component-value-a-list": (
+        dict(GOOD_WORKSPACE, dsetmaps={"idhb": dict(
+            GOOD_WORKSPACE["dsetmaps"]["idhb"], components={"a": {"u": ["u"]}, "b": {"ib": "ib"}},
+        )}),
+        'component at a value must be a string or a number, not ["u"]',
+    ),
+    "hom-key-naming-no-letter": (
+        dict(GOOD_WORKSPACE, diagrams={"d": dict(
+            GOOD_WORKSPACE["diagrams"]["d"], homs={"u": {"A.1": [["A", "1"]], "g": [["A", "1"]]}},
+        )}),
+        "hom at u has keys naming no letter of its source: g",
+    ),
     **{
         "sset-" + case: (dict(GOOD_WORKSPACE, ssets={"pt": dict(POINT, **change)}), message)
         for case, change, message in (

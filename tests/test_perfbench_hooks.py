@@ -2,7 +2,10 @@
 deleted layer function must fail here, not only when the benchmark runs."""
 
 import importlib
+from collections import Counter
 from pathlib import Path
+
+from hocofin.homalg import FGAb, normalized_complex
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -27,3 +30,34 @@ def test_tracer_hooks_name_existing_functions(monkeypatch):
         if not found:
             missing.append(target)
     assert targets and not missing, missing
+
+
+def test_tracer_counters_read_a_normalized_complex(monkeypatch):
+    # the counters read the dense views (AbMap.matrix, IntMatrix entries) of
+    # what normalized_complex assembles; a traced run must keep working
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracer = importlib.import_module("tracer")
+    basis = {0: ["a", "b"], 1: ["u", "v"], 2: ["w"]}
+    value = {"a": FGAb.free(1), "b": FGAb.cyclic(2), "u": FGAb.cyclic(2), "v": FGAb.free(1),
+             "w": FGAb.free(1)}
+    faces = {
+        (1, "u"): [(0, "b", 1), (1, "b", 1)],
+        (1, "v"): [(0, "b", [{0: 2}]), (1, "a", 1)],
+        (2, "w"): [(0, "v", 1), (1, "v", 1), (2, "u", [{0: 1}])],
+    }
+    K = normalized_complex(basis, value.get, lambda n, x: faces[(n, x)])
+    counts = Counter()
+    tracer._count_complex(counts, (K, K.groups, K.boundaries), {}, K)
+    # d_1 is 2x2 with columns u -> 0 (its faces cancel) and v -> (-1, 2);
+    # d_2 is 2x1 with w -> (1, 0) (its faces at v cancel)
+    assert K.boundaries[1].matrix.entries == [[0, -1], [0, 2]]
+    assert K.boundaries[2].matrix.entries == [[1], [0]]
+    assert counts["homalg.boundary_entries"] == 0 * 2 + 2 * 2 + 2 * 1
+    assert counts["homalg.boundary_nnz"] == 3
+    for d in K.boundaries.values():
+        tracer._count_snf(counts, (d.matrix,), {}, None)
+    assert counts["homalg.snf_calls"] == 3
+    assert counts["homalg.snf_entries"] == 6
+    assert counts["homalg.snf_max_cols"] == 2
+    tracer._count_fgab(counts, (K.groups[0], 2), {}, None)
+    assert counts["homalg.fgab_calls"] == 1

@@ -7,7 +7,7 @@ import pytest
 
 from hocofin import diagrams, fincat, fixtures, groups, gz
 from hocofin.homalg import (AbMap, ChainComplex, FGAb, HomalgError, IntMatrix, _Relations,
-                           kernel_basis, lattice_invariants, lattice_member)
+                           _sparse_columns, kernel_basis, lattice_invariants, lattice_member)
 
 
 def _combination(rng, columns, rows, coeffs=(0, 0, 1, -1, 2)):
@@ -112,7 +112,7 @@ def test_relation_basis_solves_like_the_dense_solver():
         rows = rng.randint(0, 5)
         cols = _relation_columns(rng, rows, [])
         L = IntMatrix.from_columns(cols, rows)
-        rel = _Relations(L, {})
+        rel = _Relations(_sparse_columns(L), {})
         basis = IntMatrix.from_columns([[c.get(i, 0) for i in range(rows)] for c in rel.columns], rows)
         assert basis.cols == lattice_invariants(L)[0] == lattice_invariants(basis)[0]
         for _ in range(5):
