@@ -149,6 +149,35 @@ def _reflection(nb, x, state, removed):
     return None
 
 
+def reflective_core(C):
+    """The objects of a full subcategory A of C whose inclusion is
+    homotopy cofinal, and the steps that certify it.
+
+    Passes over ``C.objects`` in order, until a pass removes nothing,
+    remove each object x that has a universal arrow u: x -> r into the
+    objects still kept (``_reflection``), recording the step (x, r, u).
+    Universal arrows compose, so u followed by the steps out of r is an
+    initial object of the coslice x↓A, and x↓A is contractible; a kept
+    object is initial in its own coslice.  An isomorphism is a universal
+    arrow, so isomorphic objects collapse to one.  Returns (kept objects in C's order, steps in removal order); a
+    one-object category is returned as it is."""
+    if len(C.objects) <= 1:
+        return list(C.objects), []
+    nb = _Neighbours(C)
+    kept = set(C.objects)
+    steps = []
+    removed = True
+    while removed:
+        removed = False
+        for x in C.objects:
+            hit = x in kept and _reflection(nb, x, kept, (x,))
+            if hit:
+                kept.discard(x)
+                steps.append((x,) + hit)
+                removed = True
+    return [o for o in C.objects if o in kept], steps
+
+
 def _coreflection(nb, x, state, removed):
     dom, comp = nb.B.dom, nb.B.comp
     ins = [f for f in nb.into[x] if dom[f] in state and dom[f] not in removed]

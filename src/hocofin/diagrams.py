@@ -7,12 +7,21 @@ ordinary colimit, delivered as a presentation; the abelian homology in
 every degree is computed from the normalized (nondegenerate-chain)
 complex, which is finite per degree even for categories with
 endomorphism loops.
+
+Derived colimits are assembled over the reflective core of the index
+category: objects with a universal arrow into the rest are removed one
+at a time, which is sound because the inclusion of the core is then
+homotopy cofinal (see ``ab_colim_derived``).  Only arrows out of a
+removed object serve colimits; the colim0 presentation stays over the
+whole category, so its generator names do not change.
 """
 
 from __future__ import annotations
 
 from . import fincat
+from .cofinal import reflective_core
 from .fincat import (
+    Functor,
     chain_degeneracy,
     chain_face,
     composable_chains,
@@ -289,7 +298,21 @@ def ab_colim_derived(C, M, n_max, chain_cap=DEFAULT_CHAIN_CAP):
     term is the direct sum of M(origin) over nondegenerate chains, with
     boundary the alternating face sum, faces hitting degenerate chains
     contributing zero; computed through degree n_max + 1.
+
+    The complex is assembled over the reflective core A of C
+    (``cofinal.reflective_core``), with M restricted to A, and the chain
+    cap counts A's chains.  Every coslice c↓A has an initial object, a
+    universal arrow c -> a, so the inclusion of A is homotopy cofinal
+    and leaves the derived colimits unchanged (Bousfield–Kan XI.9.2,
+    Quillen's Theorem A).  Colimits need arrows out of c into A;
+    universal arrows into c (coreflections) would serve limits instead.
     """
+    kept, _ = reflective_core(C)
+    if len(kept) < len(C.objects):
+        A = full_subcategory(C, kept)
+        M = M.restrict(Functor(A, C, {o: o for o in A.objects},
+                               {f: f for f in A.morphisms}, _validate=False))
+        C = A
     complex_ = srep_ab_complex(C, M, n_max, chain_cap=chain_cap)
     return [complex_.homology(n) for n in range(n_max + 1)]
 
@@ -433,6 +456,8 @@ def kan_extend_vdc(S, diagram):
 
     Raises NotVDC when some fibre component has no final object.
     """
+    if diagram.base != S.source:
+        raise DiagramError("diagram is not over the source category of %s" % (S.name or "?"))
     fibres = analyze_fibres(S)
     for d, fa in fibres.items():
         if not fa.ok():

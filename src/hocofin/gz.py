@@ -13,6 +13,7 @@ from __future__ import annotations
 from .cofinal import certify_contractible, weakest
 from .diagrams import (
     AbDiagram,
+    DiagramError,
     ab_colim_derived,
     abelianize_diagram,
     colim0,
@@ -94,6 +95,8 @@ def gz_homology(X, system, n_max):
     data = elements_with_parts(X)
     E, Q, parts = data
     Eop = opposite(E)
+    if system.base != Eop:
+        raise GZError("system is not over the opposite category of elements of %s" % (X.name or "?"))
     Dop = opposite(X.base)
     lan = lan_route_diagram(X, system, data=data)
     if _is_ab(system):
@@ -250,18 +253,19 @@ def bw_homology(C, system, n_max, fdata=None):
     exactly; for group systems the abelianization is cross-checked."""
     fdata = fdata or factorization(C)
     base = fdata.category_op
+    if system.base != base:
+        raise GZError("system is not over the opposite factorization category of %s" % (C.name or "?"))
     if _is_ab(system):
-        primary = ab_colim_derived(base, system, n_max)
-        secondary = [nerve_route_complex(C, system, n_max, fdata=fdata).homology(n) for n in range(n_max + 1)]
-        if primary != secondary:
-            raise RouteMismatch("natural-system homology differs between routes")
-        return {"abelian": primary, "routes_agree": True}
-    pres = colim0(base, system)
-    abd = abelianize_diagram(system)
+        abd = system
+    else:
+        pres = colim0(base, system)
+        abd = abelianize_diagram(system)
     primary = ab_colim_derived(base, abd, n_max)
-    secondary = [nerve_route_complex(C, abd, n_max, fdata=fdata).homology(n) for n in range(n_max + 1)]
-    if primary != secondary:
+    secondary = nerve_route_complex(C, abd, n_max, fdata=fdata)
+    if primary != [secondary.homology(n) for n in range(n_max + 1)]:
         raise RouteMismatch("natural-system homology differs between routes")
+    if _is_ab(system):
+        return {"abelian": primary, "routes_agree": True}
     return {
         "n0": {"presentation": pres, "fingerprint": list(fingerprint(pres))},
         "abelian": primary,
@@ -311,6 +315,8 @@ def bw_invariance_check(S, system, n_max, effort=1):
 def andre_homology(X, diagram, n_max):
     """Homology of a presheaf with coefficients pulled back from a plain
     diagram on the base category, via the category of elements."""
+    if diagram.base != X.base:
+        raise DiagramError("diagram is not over the base category of %s" % (X.name or "?"))
     E, Q, _ = elements_with_parts(X)
     pulled = diagram.restrict(Q)
     if _is_ab(diagram):

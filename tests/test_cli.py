@@ -1,6 +1,12 @@
+import contextlib
+import io
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hocofin import fixtures
 from hocofin._jsonio import InputError, Workspace
@@ -403,6 +409,89 @@ def test_workspace_commands(capsys, ws_file):
     assert code == 0
     code, out = run(capsys, "fingerprint", "--workspace", ws_file, "--presentation", "p")
     assert code == 0
+
+
+WRONG_BASE = {
+    "bw-system-over-another-factorization": (
+        ["bw", "--category", "one", "--system", "ns"],
+        "error: system is not over the opposite factorization category of one\n",
+    ),
+    "bw-system-over-elements": (
+        ["bw", "--category", "two", "--system", "s"],
+        "error: system is not over the opposite factorization category of two\n",
+    ),
+    "gz-system-over-a-factorization": (
+        ["gz", "--dset", "hb", "--system", "ns"],
+        "error: system is not over the opposite category of elements of hb\n",
+    ),
+    "kan-extend-diagram-off-the-source": (
+        ["kan-extend", "--functor", "inc-b", "--diagram", "m", "--abelian"],
+        "error: DiagramError: diagram is not over the source category of inc-b\n",
+    ),
+    "andre-diagram-off-the-base": (
+        ["andre", "--dset", "hb", "--diagram", "m1", "--abelian"],
+        "error: DiagramError: diagram is not over the base category of hb\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WRONG_BASE))
+def test_coefficients_over_the_wrong_base_are_one_line_errors(case, capsys, tmp_path):
+    argv, message = WRONG_BASE[case]
+    data = dict(GOOD_WORKSPACE, abdiagrams=dict(
+        GOOD_WORKSPACE["abdiagrams"], m1={"category": "one", "values": {"*": {"gens": 1}}, "maps": {}},
+    ))
+    path = tmp_path / "ws.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    code = main(argv + ["--workspace", str(path)])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert err == message
+
+
+def _nodes(value, path=()):
+    """Paths to every node of a JSON value, the root included."""
+    yield path
+    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, child in items:
+        yield from _nodes(child, path + (key,))
+
+
+def _replaced(value, path, new):
+    if not path:
+        return new
+    value = dict(value) if isinstance(value, dict) else list(value)
+    value[path[0]] = _replaced(value[path[0]], path[1:], new)
+    return value
+
+
+# small integers only: a size such as gens or level is not capped by the
+# reader, and a large one is a resource question, not a malformed input
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 3) | st.floats(-2, 3, width=16)
+    | st.sampled_from(["a", "b", "*", "u", "id_a", "two", "one", "z2", "A", "0", "1", "hb", "d", "v"])
+    | st.text(max_size=3),
+    lambda children: st.lists(children, max_size=3) | st.dictionaries(st.text(max_size=3), children, max_size=3),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(list(_nodes(GOOD_WORKSPACE))), json_values)
+def test_one_replaced_node_is_accepted_or_one_line_error(path, value):
+    data = _replaced(GOOD_WORKSPACE, path, value)
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        file = os.path.join(tmp, "ws.json")
+        with open(file, "w", encoding="utf-8") as fh:
+            json.dump(data, fh)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["validate", file])
+    if code == 0:
+        assert err.getvalue() == ""
+    else:
+        assert code == 1 and out.getvalue() == ""
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, err.getvalue()
 
 
 def test_workspace_errors_name_one_entry_of_the_section():
