@@ -4,11 +4,20 @@ Exit codes: 0 success/agreement, 1 input error (usage errors included), 2
 mathematical disagreement (including route cross-check failures), 3
 theorem hypothesis not certified.  Reports are deterministic: identical
 inputs give byte-identical output.
+
+A command is declared once, in ``COMMANDS``: its handler, help, whether
+it reads ``--workspace``, and its options.  ``main`` parses with a parser
+built from that table on first use, loads the workspace and reads each
+entity option from it (a diagram from ``abdiagrams`` under ``--abelian``)
+before the handler runs.  The handler gets the entities as keyword
+arguments, fills the report and returns the exit code.
 """
 
 from __future__ import annotations
 
 import argparse
+import collections
+import functools
 import json
 import sys
 
@@ -51,11 +60,6 @@ EXIT_INPUT = 1
 EXIT_DISAGREE = 2
 EXIT_HYPOTHESIS = 3
 
-THEOREMS = (
-    "homoliso", "discvirt", "cofpointed", "main2-n0", "contralan", "corfact",
-    "factfibres", "wefrac", "lcodecar", "dliso", "dhiso", "confhomolBW",
-)
-
 
 def _defaults(args):
     out = {
@@ -69,7 +73,6 @@ def _defaults(args):
 
 
 def _emit(args, report):
-    report = dict(report)
     report.setdefault("defaults", _defaults(args))
     if args.format == "json":
         sys.stdout.write(json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n")
@@ -107,78 +110,48 @@ def _fgab_strs(groups):
 # -- plain commands -------------------------------------------------------------
 
 
-def cmd_validate(args):
+def cmd_validate(args, report):
     ws = Workspace()
     ws.load_file(args.file)
-    report = {"command": "validate", "file": args.file, "entities": ws.validate_all()}
-    _emit(args, report)
+    report["file"] = args.file
+    report["entities"] = ws.validate_all()
     return EXIT_OK
 
 
-def cmd_homology(args):
-    ws = _load_workspace(args.workspace)
-    report = {"command": "homology", "diagram": args.diagram, "nmax": args.nmax}
-    if args.abelian:
-        M = ws.get("abdiagrams", args.diagram)
-    else:
-        G = ws.get("diagrams", args.diagram)
+def cmd_homology(args, report, diagram):
+    report["nmax"] = args.nmax
+    if not args.abelian:
         if not args.abelianize:
             raise InputError("group diagrams need --abelianize (or use --abelian for abelian diagrams)")
-        M = abelianize_diagram(G)
-    report["homology"] = _fgab_strs(ab_colim_derived(M.base, M, args.nmax))
-    _emit(args, report)
+        diagram = abelianize_diagram(diagram)
+    report["homology"] = _fgab_strs(ab_colim_derived(diagram.base, diagram, args.nmax))
     return EXIT_OK
 
 
-def cmd_colim0(args):
-    ws = _load_workspace(args.workspace)
-    G = ws.get("diagrams", args.diagram)
-    pres = colim0(G.base, G)
-    report = {
-        "command": "colim0",
-        "diagram": args.diagram,
-        "presentation": presentation_to_json(pres),
-        "fingerprint": list(fingerprint(pres)),
-    }
-    _emit(args, report)
+def cmd_colim0(args, report, diagram):
+    pres = colim0(diagram.base, diagram)
+    report["presentation"] = presentation_to_json(pres)
+    report["fingerprint"] = list(fingerprint(pres))
     return EXIT_OK
 
 
-def cmd_check_cofinal(args):
-    ws = _load_workspace(args.workspace)
-    S = ws.get("functors", args.functor)
-    rep = certify_homotopy_cofinal(S, effort=args.effort, n_max=args.nmax,
+def cmd_check_cofinal(args, report, functor):
+    rep = certify_homotopy_cofinal(functor, effort=args.effort, n_max=args.nmax,
                                    coinitial=args.coinitial)
-    report = {
-        "command": "check-cofinal",
-        "functor": args.functor,
-        "coinitial": args.coinitial,
-        "aggregate": rep["aggregate"],
-        "per_object": {d: v.to_json() for d, v in rep["per_object"].items()},
-    }
-    _emit(args, report)
+    report["coinitial"] = args.coinitial
+    report["aggregate"] = rep["aggregate"]
+    report["per_object"] = {d: v.to_json() for d, v in rep["per_object"].items()}
     return EXIT_OK if rep["aggregate"] == "CONTRACTIBLE" else EXIT_HYPOTHESIS
 
 
-def cmd_check_vdc(args):
-    ws = _load_workspace(args.workspace)
-    S = ws.get("functors", args.functor)
-    ok, witnesses = is_vdc(S)
-    report = {"command": "check-vdc", "functor": args.functor, "vdc": ok,
-              "witnesses": witnesses}
-    _emit(args, report)
+def cmd_check_vdc(args, report, functor):
+    ok, report["witnesses"] = is_vdc(functor)
+    report["vdc"] = ok
     return EXIT_OK if ok else EXIT_HYPOTHESIS
 
 
-def cmd_kan_extend(args):
-    ws = _load_workspace(args.workspace)
-    S = ws.get("functors", args.functor)
-    if args.abelian:
-        diagram = ws.get("abdiagrams", args.diagram)
-    else:
-        diagram = ws.get("diagrams", args.diagram)
-    extended = kan_extend_vdc(S, diagram)
-    report = {"command": "kan-extend", "functor": args.functor, "diagram": args.diagram}
+def cmd_kan_extend(args, report, functor, diagram):
+    extended = kan_extend_vdc(functor, diagram)
     if args.abelian:
         report["values"] = {d: str(v) for d, v in extended.value.items()}
     else:
@@ -188,113 +161,61 @@ def cmd_kan_extend(args):
         }
         pres = colim0(extended.base, extended)
         report["colim0_fingerprint"] = list(fingerprint(pres))
-    _emit(args, report)
     return EXIT_OK
 
 
-def cmd_factorization(args):
-    ws = _load_workspace(args.workspace)
-    C = ws.get("categories", args.category)
-    F = factorization(C)
-    report = {
-        "command": "factorization",
-        "category": args.category,
-        "factorization": category_to_json(F.category),
-    }
-    _emit(args, report)
+def cmd_factorization(args, report, category):
+    report["factorization"] = category_to_json(factorization(category).category)
     return EXIT_OK
 
 
-def cmd_bw(args):
-    ws = _load_workspace(args.workspace)
-    C = ws.get("categories", args.category)
-    system = ws.get("systems", args.system)
-    res = bw_homology(C, system, args.nmax)
-    report = {"command": "bw", "category": args.category, "system": args.system,
-              "routes_agree": res["routes_agree"],
-              "abelian": _fgab_strs(res["abelian"])}
+def _system_homology(report, res):
+    """The report of ``bw`` and ``gz``: both routes' answer and, for group
+    coefficients, the degree-0 presentation."""
+    report["routes_agree"] = res["routes_agree"]
+    report["abelian"] = _fgab_strs(res["abelian"])
     if "n0" in res:
         report["n0"] = {
             "presentation": presentation_to_json(res["n0"]["presentation"]),
             "fingerprint": res["n0"]["fingerprint"],
         }
-    _emit(args, report)
     return EXIT_OK
 
 
-def cmd_gz(args):
-    ws = _load_workspace(args.workspace)
-    X = ws.get("dsets", args.dset)
-    system = ws.get("systems", args.system)
-    res = gz_homology(X, system, args.nmax)
-    report = {"command": "gz", "dset": args.dset, "system": args.system,
-              "routes_agree": res["routes_agree"],
-              "abelian": _fgab_strs(res["abelian"])}
-    if "n0" in res:
-        report["n0"] = {
-            "presentation": presentation_to_json(res["n0"]["presentation"]),
-            "fingerprint": res["n0"]["fingerprint"],
-        }
-    _emit(args, report)
-    return EXIT_OK
+def cmd_bw(args, report, category, system):
+    return _system_homology(report, bw_homology(category, system, args.nmax))
 
 
-def cmd_andre(args):
-    ws = _load_workspace(args.workspace)
-    X = ws.get("dsets", args.dset)
-    if args.abelian:
-        diagram = ws.get("abdiagrams", args.diagram)
-    else:
-        diagram = ws.get("diagrams", args.diagram)
-    res = andre_homology(X, diagram, args.nmax)
-    report = {"command": "andre", "dset": args.dset, "diagram": args.diagram,
-              "abelian": _fgab_strs(res["abelian"])}
+def cmd_gz(args, report, dset, system):
+    return _system_homology(report, gz_homology(dset, system, args.nmax))
+
+
+def cmd_andre(args, report, dset, diagram):
+    res = andre_homology(dset, diagram, args.nmax)
+    report["abelian"] = _fgab_strs(res["abelian"])
     if "n0" in res:
         report["n0"] = {"fingerprint": res["n0"]["fingerprint"]}
-    _emit(args, report)
     return EXIT_OK
 
 
-def cmd_hocolim(args):
-    ws = _load_workspace(args.workspace)
-    PD = ws.get("pointed_diagrams", args.pointed_diagram)
-    H = hocolim_pointed(PD, args.level)
-    report = {
-        "command": "hocolim",
-        "pointed_diagram": args.pointed_diagram,
-        "level": args.level,
-        "cardinalities": [len(s) for s in H.simplices],
-        "homology": _fgab_strs(homology_ss(H, args.nmax)),
-    }
-    pres = tietze_simplify(edge_path_group(H))
-    report["pi1_fingerprint"] = list(fingerprint(pres))
-    _emit(args, report)
+def cmd_hocolim(args, report, pointed_diagram):
+    H = hocolim_pointed(pointed_diagram, args.level)
+    report["level"] = args.level
+    report["cardinalities"] = [len(s) for s in H.simplices]
+    report["homology"] = _fgab_strs(homology_ss(H, args.nmax))
+    report["pi1_fingerprint"] = list(fingerprint(tietze_simplify(edge_path_group(H))))
     return EXIT_OK
 
 
-def cmd_pi1(args):
-    ws = _load_workspace(args.workspace)
-    X = ws.get("ssets", args.sset)
-    pres = tietze_simplify(edge_path_group(X))
-    report = {
-        "command": "pi1",
-        "sset": args.sset,
-        "presentation": presentation_to_json(pres),
-        "fingerprint": list(fingerprint(pres)),
-    }
-    _emit(args, report)
+def cmd_pi1(args, report, sset):
+    pres = tietze_simplify(edge_path_group(sset))
+    report["presentation"] = presentation_to_json(pres)
+    report["fingerprint"] = list(fingerprint(pres))
     return EXIT_OK
 
 
-def cmd_fingerprint(args):
-    ws = _load_workspace(args.workspace)
-    P = ws.get("presentations", args.presentation)
-    report = {
-        "command": "fingerprint",
-        "presentation": args.presentation,
-        "fingerprint": list(fingerprint(P)),
-    }
-    _emit(args, report)
+def cmd_fingerprint(args, report, presentation):
+    report["fingerprint"] = list(fingerprint(presentation))
     return EXIT_OK
 
 
@@ -317,6 +238,18 @@ def _hyp_gate(report, aggregate, assume):
     return False
 
 
+def _compare_colimits(report, nmax, lhs, rhs):
+    """Agreement of two sides, each ``(base, abelian diagram, group
+    diagram)``, in derived colimits and colim0 fingerprints."""
+    ab_l, ab_r = (ab_colim_derived(C, M, nmax) for C, M, _ in (lhs, rhs))
+    fp_l, fp_r = (fingerprint(colim0(C, G)) for C, _, G in (lhs, rhs))
+    report["abelian"] = {"lhs": _fgab_strs(ab_l), "rhs": _fgab_strs(ab_r)}
+    report["fingerprints"] = {"lhs": list(fp_l), "rhs": list(fp_r)}
+    agree = ab_l == ab_r and fp_l == fp_r
+    report["verdict"] = "agree" if agree else "disagree"
+    return EXIT_OK if agree else EXIT_DISAGREE
+
+
 def _verify_homoliso(fx, args, report):
     S = fx["functor"]
     hyp = certify_homotopy_cofinal(S, effort=args.effort, n_max=min(args.nmax, 2))
@@ -325,15 +258,8 @@ def _verify_homoliso(fx, args, report):
         return EXIT_HYPOTHESIS
     M = fx["ab_diagram"]
     G = fx["group_diagram"]
-    lhs = ab_colim_derived(S.source, M.restrict(S), args.nmax)
-    rhs = ab_colim_derived(S.target, M, args.nmax)
-    fp_l = fingerprint(colim0(S.source, G.restrict(S)))
-    fp_r = fingerprint(colim0(S.target, G))
-    report["abelian"] = {"lhs": _fgab_strs(lhs), "rhs": _fgab_strs(rhs)}
-    report["fingerprints"] = {"lhs": list(fp_l), "rhs": list(fp_r)}
-    agree = lhs == rhs and fp_l == fp_r
-    report["verdict"] = "agree" if agree else "disagree"
-    return EXIT_OK if agree else EXIT_DISAGREE
+    return _compare_colimits(report, args.nmax, (S.source, M.restrict(S), G.restrict(S)),
+                             (S.target, M, G))
 
 
 def _verify_discvirt(fx, args, report):
@@ -349,15 +275,8 @@ def _verify_discvirt(fx, args, report):
     report["hypothesis_mode"] = "certified" if ok else "assumed"
     M = fx["ab_diagram"]
     G = fx["group_diagram"]
-    lhs = ab_colim_derived(S.source, M, args.nmax)
-    rhs = ab_colim_derived(S.target, kan_extend_vdc(S, M), args.nmax)
-    fp_l = fingerprint(colim0(S.source, G))
-    fp_r = fingerprint(colim0(S.target, kan_extend_vdc(S, G)))
-    report["abelian"] = {"lhs": _fgab_strs(lhs), "rhs": _fgab_strs(rhs)}
-    report["fingerprints"] = {"lhs": list(fp_l), "rhs": list(fp_r)}
-    agree = lhs == rhs and fp_l == fp_r
-    report["verdict"] = "agree" if agree else "disagree"
-    return EXIT_OK if agree else EXIT_DISAGREE
+    return _compare_colimits(report, args.nmax, (S.source, M, G),
+                             (S.target, kan_extend_vdc(S, M), kan_extend_vdc(S, G)))
 
 
 def _verify_cofpointed(fx, args, report):
@@ -536,26 +455,118 @@ _VERIFIERS = {
 }
 
 
-def cmd_verify(args):
+THEOREMS = tuple(_VERIFIERS)
+
+
+def cmd_verify(args, report):
     try:
         fx = fixtures.load_fixture(args.theorem, args.fixture)
     except KeyError as exc:
         raise InputError(str(exc)) from None
-    report = {"command": "verify", "theorem": args.theorem, "fixture": args.fixture}
-    code = _VERIFIERS[args.theorem](fx, args, report)
-    report["exit"] = code
-    _emit(args, report)
+    report["theorem"] = args.theorem
+    report["fixture"] = args.fixture
+    report["exit"] = code = _VERIFIERS[args.theorem](fx, args, report)
     return code
 
 
-def cmd_list_fixtures(args):
-    report = {"command": "list-fixtures",
-              "fixtures": {t: fixtures.fixture_names(t) for t in THEOREMS}}
-    _emit(args, report)
+def cmd_list_fixtures(args, report):
+    report["fixtures"] = {t: fixtures.fixture_names(t) for t in THEOREMS}
     return EXIT_OK
 
 
-# -- argument parsing ---------------------------------------------------------------
+# -- the command table ----------------------------------------------------------------
+
+
+def entity(section):
+    """An option naming an entity of a workspace section; ``main`` reads
+    the entity before the handler runs."""
+    return {"required": True, "section": section}
+
+
+def count(default, least=0):
+    """An integer option below ``least`` is a usage error."""
+    def at_least(text):
+        try:
+            value = int(text)
+        except ValueError:  # argparse's own wording for type=int
+            raise argparse.ArgumentTypeError("invalid int value: %r" % text) from None
+        if value < least:
+            raise argparse.ArgumentTypeError("must be at least %d, got %d" % (least, value))
+        return value
+    return {"type": at_least, "default": default}
+
+
+FLAG = {"action": "store_true"}
+
+# options map each flag to its argparse keyword arguments, in help order;
+# an entity option also names its workspace section
+Command = collections.namedtuple("Command", "handler help workspace options")
+
+COMMANDS = {
+    "validate": Command(cmd_validate, "validate an input file", False, {"file": {}}),
+    "homology": Command(cmd_homology, "derived colimits of a diagram", True, {
+        "--diagram": entity("diagrams"),
+        "--nmax": count(3),
+        "--abelian": dict(FLAG, help="the named diagram is an abelian diagram"),
+        "--abelianize": dict(FLAG, help="abelianize a group diagram objectwise first"),
+    }),
+    "colim0": Command(cmd_colim0, "colimit presentation of a group diagram", True, {
+        "--diagram": entity("diagrams"),
+    }),
+    "check-cofinal": Command(cmd_check_cofinal, "certify homotopy cofinality", True, {
+        "--functor": entity("functors"),
+        "--coinitial": FLAG,
+        "--effort": count(1, least=1),
+        "--nmax": count(2),
+    }),
+    "check-vdc": Command(cmd_check_vdc, "check the virtual-discrete-cofibration property", True, {
+        "--functor": entity("functors"),
+    }),
+    "kan-extend": Command(cmd_kan_extend, "left Kan extension along a VDC", True, {
+        "--functor": entity("functors"),
+        "--diagram": entity("diagrams"),
+        "--abelian": FLAG,
+    }),
+    "factorization": Command(cmd_factorization, "factorization category of a category", True, {
+        "--category": entity("categories"),
+    }),
+    "bw": Command(cmd_bw, "natural-system homology of a category", True, {
+        "--category": entity("categories"),
+        "--system": entity("systems"),
+        "--nmax": count(2),
+    }),
+    "gz": Command(cmd_gz, "presheaf homology with system coefficients", True, {
+        "--dset": entity("dsets"),
+        "--system": entity("systems"),
+        "--nmax": count(2),
+    }),
+    "andre": Command(cmd_andre, "presheaf homology with plain diagram coefficients", True, {
+        "--dset": entity("dsets"),
+        "--diagram": entity("diagrams"),
+        "--nmax": count(2),
+        "--abelian": FLAG,
+    }),
+    "hocolim": Command(cmd_hocolim, "pointed homotopy colimit invariants", True, {
+        "--pointed-diagram": entity("pointed_diagrams"),
+        "--level": {"type": int, "default": 3},
+        "--nmax": count(2),
+    }),
+    "pi1": Command(cmd_pi1, "edge-path fundamental group of a pointed simplicial set", True, {
+        "--sset": entity("ssets"),
+    }),
+    "fingerprint": Command(cmd_fingerprint, "hom-count fingerprint of a presentation", True, {
+        "--presentation": entity("presentations"),
+    }),
+    "verify": Command(cmd_verify, "run a theorem check on a named fixture", False, {
+        "--theorem": {"required": True, "choices": THEOREMS},
+        "--fixture": {"required": True},
+        "--nmax": count(3),
+        "--effort": count(1, least=1),
+        "--assume-hypothesis": dict(
+            FLAG, help="skip hypothesis certification and compare unconditionally"),
+    }),
+    "list-fixtures": Command(cmd_list_fixtures, "list built-in fixtures per theorem", False, {}),
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -565,100 +576,49 @@ class _Parser(argparse.ArgumentParser):
         raise InputError("%s: %s" % (self.prog, message))
 
 
-def build_parser():
+@functools.cache
+def _parser():
+    """The parser of ``COMMANDS``, built on first use and then reused."""
     parser = _Parser(
         prog="hocofin",
         description="Exact homology of group diagrams over finite categories",
     )
     parser.add_argument("--format", choices=("text", "json"), default="text")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, fn, workspace=True, **kwargs):
-        p = sub.add_parser(name, **kwargs)
-        p.set_defaults(fn=fn)
-        if workspace:
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        if command.workspace:
             p.add_argument("--workspace", action="append",
                            help="workspace JSON file, or 'builtin' (default: builtin)")
         p.add_argument("--format", dest="format_sub", choices=("text", "json"),
                        default=None, help=argparse.SUPPRESS)
-        return p
-
-    p = add("validate", cmd_validate, workspace=False, help="validate an input file")
-    p.add_argument("file")
-
-    p = add("homology", cmd_homology, help="derived colimits of a diagram")
-    p.add_argument("--diagram", required=True)
-    p.add_argument("--nmax", type=int, default=3)
-    p.add_argument("--abelian", action="store_true",
-                   help="the named diagram is an abelian diagram")
-    p.add_argument("--abelianize", action="store_true",
-                   help="abelianize a group diagram objectwise first")
-
-    p = add("colim0", cmd_colim0, help="colimit presentation of a group diagram")
-    p.add_argument("--diagram", required=True)
-
-    p = add("check-cofinal", cmd_check_cofinal, help="certify homotopy cofinality")
-    p.add_argument("--functor", required=True)
-    p.add_argument("--coinitial", action="store_true")
-    p.add_argument("--effort", type=int, default=1)
-    p.add_argument("--nmax", type=int, default=2)
-
-    p = add("check-vdc", cmd_check_vdc, help="check the virtual-discrete-cofibration property")
-    p.add_argument("--functor", required=True)
-
-    p = add("kan-extend", cmd_kan_extend, help="left Kan extension along a VDC")
-    p.add_argument("--functor", required=True)
-    p.add_argument("--diagram", required=True)
-    p.add_argument("--abelian", action="store_true")
-
-    p = add("factorization", cmd_factorization, help="factorization category of a category")
-    p.add_argument("--category", required=True)
-
-    p = add("bw", cmd_bw, help="natural-system homology of a category")
-    p.add_argument("--category", required=True)
-    p.add_argument("--system", required=True)
-    p.add_argument("--nmax", type=int, default=2)
-
-    p = add("gz", cmd_gz, help="presheaf homology with system coefficients")
-    p.add_argument("--dset", required=True)
-    p.add_argument("--system", required=True)
-    p.add_argument("--nmax", type=int, default=2)
-
-    p = add("andre", cmd_andre, help="presheaf homology with plain diagram coefficients")
-    p.add_argument("--dset", required=True)
-    p.add_argument("--diagram", required=True)
-    p.add_argument("--nmax", type=int, default=2)
-    p.add_argument("--abelian", action="store_true")
-
-    p = add("hocolim", cmd_hocolim, help="pointed homotopy colimit invariants")
-    p.add_argument("--pointed-diagram", dest="pointed_diagram", required=True)
-    p.add_argument("--level", type=int, default=3)
-    p.add_argument("--nmax", type=int, default=2)
-
-    p = add("pi1", cmd_pi1, help="edge-path fundamental group of a pointed simplicial set")
-    p.add_argument("--sset", required=True)
-
-    p = add("fingerprint", cmd_fingerprint, help="hom-count fingerprint of a presentation")
-    p.add_argument("--presentation", required=True)
-
-    p = add("verify", cmd_verify, workspace=False, help="run a theorem check on a named fixture")
-    p.add_argument("--theorem", required=True, choices=THEOREMS)
-    p.add_argument("--fixture", required=True)
-    p.add_argument("--nmax", type=int, default=3)
-    p.add_argument("--effort", type=int, default=1)
-    p.add_argument("--assume-hypothesis", dest="assume_hypothesis", action="store_true",
-                   help="skip hypothesis certification and compare unconditionally")
-
-    add("list-fixtures", cmd_list_fixtures, workspace=False, help="list built-in fixtures per theorem")
+        for flag, spec in command.options.items():
+            p.add_argument(flag, **{k: v for k, v in spec.items() if k != "section"})
     return parser
 
 
 def main(argv=None):
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
         if args.format_sub:
             args.format = args.format_sub
-        return args.fn(args)
+        command = COMMANDS[args.command]
+        report = {"command": args.command}
+        entities = {}
+        if command.workspace:
+            ws = _load_workspace(args.workspace)
+            for flag, spec in command.options.items():
+                if "section" in spec:
+                    dest = flag[2:].replace("-", "_")
+                    section = spec["section"]
+                    if section == "diagrams" and getattr(args, "abelian", False):
+                        section = "abdiagrams"
+                    report[dest] = getattr(args, dest)
+                    entities[dest] = ws.get(section, report[dest])
+        # through the module attribute, which a tracer may have wrapped
+        code = globals()[command.handler.__name__](args, report, **entities)
+        _emit(args, report)
+        return code
     except (InputError, CategoryError, GroupError, PresheafError, HocolimError,
             DiagramError, HomalgError, BudgetExceeded, OSError, json.JSONDecodeError) as exc:
         sys.stderr.write("error: %s: %s\n" % (type(exc).__name__, exc))

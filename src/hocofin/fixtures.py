@@ -742,7 +742,7 @@ THEOREM_FIXTURES = {
 
 
 def fixture_names(theorem):
-    return sorted(THEOREM_FIXTURES.get(theorem, {}))
+    return sorted(THEOREM_FIXTURES[theorem])
 
 
 def load_fixture(theorem, name):

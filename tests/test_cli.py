@@ -8,9 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hocofin import fixtures
+from hocofin import cli, fixtures
 from hocofin._jsonio import InputError, Workspace
 from hocofin.cli import main
+
+
+DEMO = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                    "demo", "workspace.json")
 
 
 def run(capsys, *argv):
@@ -609,8 +613,25 @@ def test_exit_codes(capsys):
     ["validate", "--workspace", "/nonexistent.json", "demo/workspace.json"],
     ["verify", "--workspace", "builtin", "--theorem", "main2-n0", "--fixture", "two-z2"],
     ["list-fixtures", "--workspace", "builtin"],
+    # --nmax is a count (at least 0) and --effort at least 1
+    ["homology", "--diagram", "ab-z-z2cat", "--abelian", "--nmax", "-2"],
+    ["homology", "--diagram", "ab-z-z2cat", "--abelian", "--nmax", "-1"],
+    ["bw", "--category", "z2cat", "--system", "z-nsys-z2cat", "--nmax", "-2"],
+    ["gz", "--dset", "interval-span", "--system", "z-el-interval", "--nmax", "-2"],
+    ["andre", "--dset", "hb-two", "--diagram", "two-z2", "--nmax", "-2"],
+    ["hocolim", "--pointed-diagram", "bg-span-z2-z3", "--level", "3", "--nmax", "-2"],
+    ["check-cofinal", "--functor", "final-in-two", "--nmax", "-2"],
+    ["verify", "--theorem", "homoliso", "--fixture", "cod-z2cat", "--nmax", "-2"],
+    ["verify", "--theorem", "dliso", "--fixture", "id-hb", "--nmax", "-2"],
+    ["verify", "--theorem", "dhiso", "--fixture", "two-cells-collapse", "--assume-hypothesis",
+     "--nmax", "-2"],
+    ["check-cofinal", "--functor", "final-in-two", "--effort", "0"],
+    ["verify", "--theorem", "wefrac", "--fixture", "z2cat", "--effort", "-1"],
 ], ids=["bad-choice", "missing-option", "missing-diagram", "no-command",
-        "validate-workspace", "verify-workspace", "list-fixtures-workspace"])
+        "validate-workspace", "verify-workspace", "list-fixtures-workspace",
+        "homology-nmax", "homology-nmax-minus-1", "bw-nmax", "gz-nmax", "andre-nmax",
+        "hocolim-nmax", "check-cofinal-nmax", "verify-homoliso-nmax", "verify-dliso-nmax",
+        "verify-dhiso-nmax", "check-cofinal-effort-0", "verify-effort"])
 def test_usage_errors_are_one_line_input_errors(argv, capsys):
     code = main(argv)
     out, err = capsys.readouterr()
@@ -619,14 +640,37 @@ def test_usage_errors_are_one_line_input_errors(argv, capsys):
 
 
 def test_help_exits_0(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["colim0", "--help"])
-    assert exc.value.code == 0
-    assert "--workspace" in capsys.readouterr().out
-    with pytest.raises(SystemExit) as exc:
-        main(["validate", "--help"])
-    assert exc.value.code == 0
-    assert "--workspace" not in capsys.readouterr().out
+    for name, command in cli.COMMANDS.items():
+        with pytest.raises(SystemExit) as exc:
+            main([name, "--help"])
+        assert exc.value.code == 0, name
+        assert ("--workspace" in capsys.readouterr().out) == command.workspace, name
+
+
+def test_theorem_fixtures_name_the_theorems_in_order():
+    assert tuple(fixtures.THEOREM_FIXTURES) == cli.THEOREMS
+
+
+def test_the_reused_parser_keeps_no_state(capsys):
+    # a workspace file seen by one call is not seen by the next
+    code, out = run(capsys, "colim0", "--workspace", DEMO, "--diagram", "free-amalgam")
+    assert code == 0
+    assert main(["colim0", "--diagram", "free-amalgam"]) == 1
+    assert capsys.readouterr().err == "error: InputError: unknown diagram 'free-amalgam'\n"
+    code, out = run(capsys, "colim0", "--diagram", "span-z2-z3")
+    assert code == 0
+    # --format after the subcommand holds for its own call only
+    code, out = run(capsys, "fingerprint", "--presentation", "x2", "--format", "json")
+    assert code == 0
+    json.loads(out)
+    code, out = run(capsys, "fingerprint", "--presentation", "x2")
+    assert code == 0 and out.startswith("command: fingerprint\n")
+    # --abelian reads abdiagrams for its call only
+    code, out = run(capsys, "homology", "--diagram", "ab-z-z2cat", "--abelian", "--nmax", "1")
+    assert code == 0
+    code, out = run(capsys, "kan-extend", "--functor", "mono-incl-delta1-op",
+                    "--diagram", "mono-delta1")
+    assert code == 0 and "colim0_fingerprint" in out
 
 
 def test_demo_workspace(capsys):

@@ -61,3 +61,29 @@ def test_tracer_counters_read_a_normalized_complex(monkeypatch):
     assert counts["homalg.snf_max_cols"] == 2
     tracer._count_fgab(counts, (K.groups[0], 2), {}, None)
     assert counts["homalg.fgab_calls"] == 1
+
+
+def test_a_traced_cli_call_records_its_command(monkeypatch, capsys):
+    # the second call reuses the parser built by the first; each must still
+    # record one cli.command span inside its cli.main span
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracer = importlib.import_module("tracer")
+    from hocofin import cli
+
+    t = tracer.Tracer()
+    t.install()
+    t.enabled = True
+    try:
+        for argv in (["fingerprint", "--presentation", "x2"],
+                     ["verify", "--theorem", "main2-n0", "--fixture", "span-z2-z3"]):
+            first = len(t.spans)
+            assert cli.main(argv) == 0
+            spans = t.spans[first:]
+            mains = [i for i, s in enumerate(spans, first) if s[0] == "cli.main"]
+            commands = [s for s in spans if s[0] == "cli.command"]
+            assert len(mains) == 1 and len(commands) == 1, argv
+            assert commands[0][3] == mains[0]
+    finally:
+        t.enabled = False
+        t.uninstall()
+    capsys.readouterr()
