@@ -548,7 +548,7 @@ COMMANDS = {
     }),
     "hocolim": Command(cmd_hocolim, "pointed homotopy colimit invariants", True, {
         "--pointed-diagram": entity("pointed_diagrams"),
-        "--level": {"type": int, "default": 3},
+        "--level": count(3),
         "--nmax": count(2),
     }),
     "pi1": Command(cmd_pi1, "edge-path fundamental group of a pointed simplicial set", True, {

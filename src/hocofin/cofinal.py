@@ -17,7 +17,6 @@ from .fincat import (
     comma_left_fibre,
     connected_components,
     final_objects,
-    full_subcategory,
     initial_objects,
     opposite,
 )
@@ -77,8 +76,7 @@ def is_finally_discrete(B):
     details = []
     ok = True
     for comp in connected_components(B):
-        sub = full_subcategory(B, comp)
-        fins = final_objects(sub)
+        fins = final_objects(B, comp)
         details.append({"component": comp, "final_objects": fins})
         if not fins:
             ok = False

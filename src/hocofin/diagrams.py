@@ -408,19 +408,18 @@ def abelianize_diagram(G):
 
 
 class _FibreAnalysis:
-    __slots__ = ("cat", "proj", "parts", "components", "subcats", "finals", "chosen", "comp_of")
+    __slots__ = ("cat", "proj", "parts", "components", "finals", "chosen", "comp_of")
 
     def __init__(self, cat, proj, parts):
         self.cat = cat
         self.proj = proj
         self.parts = parts
         self.components = connected_components(cat)
-        self.subcats = [full_subcategory(cat, comp) for comp in self.components]
         self.finals = []
         self.chosen = []
         self.comp_of = {}
-        for k, (comp, sub) in enumerate(zip(self.components, self.subcats)):
-            fin = final_objects(sub)
+        for k, comp in enumerate(self.components):
+            fin = final_objects(cat, comp)
             self.finals.append(fin)
             self.chosen.append(min(fin, key=cat.objects.index) if fin else None)
             for obj in comp:
@@ -431,10 +430,9 @@ class _FibreAnalysis:
 
     def final_morphism(self, obj):
         """The unique morphism from obj to the chosen final object of its
-        component, inside the component's full subcategory."""
-        k = self.comp_of[obj]
-        tgt = self.chosen[k]
-        arrows = self.subcats[k].hom(obj, tgt)
+        component."""
+        tgt = self.chosen[self.comp_of[obj]]
+        arrows = self.cat.hom(obj, tgt)
         if len(arrows) != 1:
             raise DiagramError("final object not unique enough at %s" % obj)
         return arrows[0], tgt

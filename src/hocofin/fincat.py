@@ -1,22 +1,35 @@
-"""Finite categories as full composition tables.
+"""Finite categories: objects, morphisms and hom-sets, with a composition
+table that a view builds only when it is read.
 
 A category is a list of objects, a list of morphisms with domain and
 codomain, synthesized identities ``id_<obj>``, and a total composition
-table on composable pairs.  Validation checks the endpoints, the unit laws
-and that every composable pair has a composite, so everything downstream
-may assume a genuine category.  Associativity is checked on every
-composable triple of a category given raw; a category built over an
-already validated base instead carries a certificate that its projection
-to the base is faithful and preserves composition, which is checked on the
-composable pairs and implies associativity from the base's.
+table on composable pairs.  What is checked, and when:
 
-Every category over a base (left fibres S↓d, coslices d↓S, factorization
-slices, and categories of elements in ``presheaf``) is built by one
-builder, ``_comma_like``, from its objects and a predicate on base
-arrows; factorization categories, whose arrows are pairs of base arrows,
-have their own.  Canonical ordering is input order everywhere; derived
-categories enumerate their objects and morphisms lexicographically in the
-constituent indices, so repeated construction is byte-stable.
+- A category given raw (``validate_category``: the readers, monoids,
+  posets, disjoint unions) is validated when it is built: endpoints, unit
+  laws, a composite for every composable pair, and associativity on every
+  composable triple.
+- The factorization category is built in full and certified when it is
+  built: its projections to C^op and C are faithful and preserve
+  composition, which is checked on the composable pairs and implies
+  associativity from C's.
+- Every other category over a base is a view over it, built by one
+  builder, ``_comma_like``, from its objects and a predicate on base
+  arrows: left fibres S↓d, coslices d↓S, factorization slices, and
+  categories of elements in ``presheaf``.  Its morphisms and hom-sets are
+  listed at once; its composition table is built on first read, from the
+  base's, and a composite that is no morphism of the view is refused then
+  (``DanglingId``).  A view needs no validation pass: its projection is
+  faithful by construction and composition is the base's, so the unit
+  laws and associativity hold as in the validated base.
+- ``opposite`` and ``full_subcategory`` are views of the same kind: they
+  share the hom-sets and build their table from their base's when read.
+
+Consumers that need only hom-sets (cone objects, finally discrete
+components) never build a table.  Canonical ordering is input order
+everywhere; derived categories enumerate their objects and morphisms
+lexicographically in the constituent indices, so repeated construction is
+byte-stable.
 
 A nerve chain x0 -> x1 -> ... -> xn is the tuple ``(x0, f1, ..., fn)``:
 its origin x0 followed by its arrows, so a degree-0 chain is ``(x0,)``.
@@ -70,13 +83,18 @@ class FinCat:
     dom(g) = cod(f).  Instances are immutable after construction and safe
     to share.
 
+    ``comp`` may be given as a dict or as a zero-argument function that
+    builds it; a view passes the function, and the table is built on the
+    first read of ``comp`` (see ``_View``).
+
     ``over``, for a category built over validated bases, lists its
     projections ``(base, obj_map, mor_map)``; validation then certifies
     that they are jointly faithful and preserve composition instead of
     scanning every composable triple (see ``_check``).
     """
 
-    __slots__ = ("objects", "morphisms", "dom", "cod", "identity", "comp", "_hom", "_out", "name")
+    __slots__ = ("objects", "morphisms", "dom", "cod", "identity", "comp", "_table", "_hom",
+                 "_out", "name")
 
     def __init__(self, objects, morphisms, dom, cod, identity, comp, name="", _validate=True,
                  over=None):
@@ -85,7 +103,11 @@ class FinCat:
         self.dom = dict(dom)
         self.cod = dict(cod)
         self.identity = dict(identity)
-        self.comp = dict(comp)
+        if callable(comp):
+            self._table = comp
+            self.__class__ = _View
+        else:
+            self.comp = dict(comp)
         self.name = name
         self._hom = {}
         self._out = {}
@@ -211,6 +233,26 @@ class FinCat:
         )
 
 
+class _View(FinCat):
+    """A FinCat whose composition table is not built yet.
+
+    The first read of ``comp`` builds the table, and the instance becomes
+    a plain FinCat, so later reads of any attribute are plain slot reads
+    (a class with ``__getattr__`` reads every attribute on the slow path).
+    """
+
+    __slots__ = ()
+
+    def __getattr__(self, name):
+        # reached only for an unset slot: the table, not read yet
+        if name != "comp":
+            raise AttributeError(name)
+        self.comp = self._table()
+        self._table = None
+        self.__class__ = FinCat
+        return self.comp
+
+
 def validate_category(objects, morphisms, composition, name="", over=None):
     """Build a FinCat from raw parts.
 
@@ -318,18 +360,11 @@ def identity_functor(C):
 
 
 def opposite(C):
-    """Dual category: dom/cod swapped, comp(g, f) = comp_C(f, g)."""
-    comp = {(f, g): h for (g, f), h in C.comp.items()}
-    return FinCat(
-        C.objects,
-        C.morphisms,
-        C.cod,
-        C.dom,
-        C.identity,
-        comp,
-        name=C.name + "^op" if C.name else "",
-        _validate=False,
-    )
+    """Dual category: dom/cod swapped, comp(g, f) = comp_C(f, g).  A view:
+    the swapped table is built when it is first read."""
+    return FinCat(C.objects, C.morphisms, C.cod, C.dom, C.identity,
+                  lambda: {(f, g): h for (g, f), h in C.comp.items()},
+                  name=C.name + "^op" if C.name else "", _validate=False)
 
 
 def opposite_functor(S, source_op=None, target_op=None):
@@ -371,13 +406,23 @@ def _comma_like(C, parts, arrow, name):
     A morphism o1 -> o2 is an arrow alpha: parts[o1][0] -> parts[o2][0]
     with ``arrow(alpha, parts[o1], parts[o2])``, named
     ``[alpha:o1->o2]``; composites are those of C.  Morphisms are listed
-    by o1, then o2, then ``C.hom``.  Returns the category, validated by
-    certifying its projection to C, and the map from each of its morphisms
-    to its arrow of C.
+    by o1, then o2, then ``C.hom``.  Returns the category and the map from
+    each of its morphisms to its arrow of C.
+
+    The category is a view: its composition table is built on first read,
+    where each composite must be the morphism over the composite in C
+    between the outer endpoints, or ``DanglingId`` is raised (the
+    predicate is not closed under composition).  It needs no validation
+    pass, because its projection to C is faithful by construction (no two
+    morphisms share endpoints and arrow) and composition is C's, so the
+    unit laws and associativity hold as they do in C.
     """
-    over = {identity_id(o): C.identity[p[0]] for o, p in parts.items()}
+    ident = {o: identity_id(o) for o in parts}
+    over = {ident[o]: C.identity[p[0]] for o, p in parts.items()}
     mors = []
-    out = {o: [] for o in parts}  # morphisms leaving o, as (id, cod)
+    dom = {i: o for o, i in ident.items()}
+    cod = dict(dom)
+    out = {o: [] for o in parts}  # morphisms leaving o
     for o1, p1 in parts.items():
         for o2, p2 in parts.items():
             for alpha in C.hom(p1[0], p2[0]):
@@ -385,26 +430,40 @@ def _comma_like(C, parts, arrow, name):
                     continue
                 if arrow(alpha, p1, p2):
                     mid = "[%s:%s->%s]" % (alpha, o1, o2)
-                    mors.append((mid, o1, o2))
-                    out[o1].append((mid, o2))
+                    if mid in over:
+                        raise DanglingId("morphism id %s duplicates another" % mid)
+                    mors.append(mid)
+                    out[o1].append(mid)
                     over[mid] = alpha
-    comp = []
-    for m1, s1, t1 in mors:
-        for m2, t2 in out[t1]:
-            a = C.comp[(over[m2], over[m1])]
-            if s1 == t2 and C.is_identity(a):
-                comp.append((m2, m1, identity_id(s1)))
-            else:
-                comp.append((m2, m1, "[%s:%s->%s]" % (a, s1, t2)))
-    obj_over = {o: p[0] for o, p in parts.items()}
-    cat = validate_category(list(parts), mors, comp, name=name, over=[(C, obj_over, over)])
-    return cat, over
+                    dom[mid] = o1
+                    cod[mid] = o2
+    mor_ids = list(ident.values()) + mors
+
+    def table():
+        bcomp = C.comp
+        comp = {}
+        for m1 in mors:
+            s1, a1 = dom[m1], over[m1]
+            for m2 in out[cod[m1]]:
+                t2 = cod[m2]
+                a = bcomp[(over[m2], a1)]
+                h = ident[s1] if s1 == t2 and C.is_identity(a) else "[%s:%s->%s]" % (a, s1, t2)
+                if over.get(h) != a or dom[h] != s1 or cod[h] != t2:
+                    raise DanglingId("composite of (%s, %s) is no morphism %s -> %s over %s"
+                                     % (m2, m1, s1, t2, a))
+                comp[(m2, m1)] = h
+        for f in mor_ids:
+            comp.setdefault((ident[cod[f]], f), f)
+            comp.setdefault((f, ident[dom[f]]), f)
+        return comp
+
+    return FinCat(parts, mor_ids, dom, cod, ident, table, name=name, _validate=False), over
 
 
 def category_over(C, parts, arrow, name, proj_name):
     """``_comma_like`` with its projection functor to C; returns
-    (category, projection, parts).  Validation already certified the
-    projection on every composable pair, so it is not checked again."""
+    (category, projection, parts).  The projection preserves composition
+    by construction, so it is not checked."""
     cat, over = _comma_like(C, parts, arrow, name)
     proj = Functor(cat, C, {o: p[0] for o, p in parts.items()}, over, name=proj_name,
                    _validate=False)
@@ -679,9 +738,11 @@ def connected_components(C):
     return comps
 
 
-def final_objects(C):
-    """Objects t with exactly one morphism x -> t from every x."""
-    return [t for t in C.objects if all(len(C.hom(x, t)) == 1 for x in C.objects)]
+def final_objects(C, objs=None):
+    """Objects t with exactly one morphism x -> t from every x; given
+    ``objs``, the final objects of the full subcategory on them."""
+    objs = C.objects if objs is None else objs
+    return [t for t in objs if all(len(C.hom(x, t)) == 1 for x in objs)]
 
 
 def initial_objects(C):
@@ -689,15 +750,16 @@ def initial_objects(C):
 
 
 def full_subcategory(C, objs):
-    """Full subcategory on the given objects (order induced from C)."""
+    """Full subcategory on the given objects (order induced from C); a
+    view whose table is C's restricted, built when first read."""
     objs = [o for o in C.objects if o in set(objs)]
     oset = set(objs)
     mors = [f for f in C.morphisms if C.dom[f] in oset and C.cod[f] in oset]
     mset = set(mors)
-    comp = {k: v for k, v in C.comp.items() if k[0] in mset and k[1] in mset}
     ident = {o: C.identity[o] for o in objs}
-    return FinCat(objs, mors, {f: C.dom[f] for f in mors}, {f: C.cod[f] for f in mors},
-                  ident, comp, name=C.name and C.name + "|", _validate=False)
+    return FinCat(objs, mors, {f: C.dom[f] for f in mors}, {f: C.cod[f] for f in mors}, ident,
+                  lambda: {k: v for k, v in C.comp.items() if k[0] in mset and k[1] in mset},
+                  name=C.name and C.name + "|", _validate=False)
 
 
 # -- builders -------------------------------------------------------------

@@ -3,7 +3,10 @@
 The homotopy colimit is the diagonal of the simplicial replacement: a
 degree-n simplex is a pair (length-n chain of the base, degree-n simplex
 of the value at the chain origin), with every pair whose coefficient is
-a basepoint degeneracy identified to a single class per degree.
+a basepoint degeneracy identified to a single class per degree.  The
+diagonal satisfies the simplicial identities because the diagram's
+values and maps do (they are checked when the diagram is built), so it
+is not checked again.
 """
 
 from __future__ import annotations
@@ -202,7 +205,7 @@ def hocolim_unpointed(PD, N):
                 x2 = PD.value[sigma[0]].degeneracy(n, i, x)
                 table[(sigma, x)] = (sigma2, x2)
             degens[(n, i)] = table
-    return TruncSSet(N, simplices, faces, degens)
+    return TruncSSet(N, simplices, faces, degens, _validate=False)
 
 
 def hocolim_pointed(PD, N):
@@ -252,7 +255,7 @@ def hocolim_pointed(PD, N):
                 x2 = PD.value[sigma[0]].degeneracy(n, i, x)
                 table[cell] = collapse(n + 1, sigma2, x2)
             degens[(n, i)] = table
-    return TruncSSet(N, simplices, faces, degens, basepoint=BASECLASS)
+    return TruncSSet(N, simplices, faces, degens, basepoint=BASECLASS, _validate=False)
 
 
 def hocolim_cardinalities(PD, N):

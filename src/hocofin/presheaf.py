@@ -46,8 +46,8 @@ class TruncSSet:
     def __init__(self, level, simplices, faces, degeneracies, basepoint=None, _validate=True):
         self.level = level
         self.simplices = [list(xs) for xs in simplices]
-        if len(self.simplices) != level + 1:
-            raise PresheafError("need one simplex list per degree 0..N")
+        if level < 0 or len(self.simplices) != level + 1:
+            raise PresheafError("need one simplex list per degree 0..N, N >= 0")
         self.faces = {k: dict(v) for k, v in faces.items()}
         self.degeneracies = {k: dict(v) for k, v in degeneracies.items()}
         self.basepoint = basepoint
@@ -222,7 +222,9 @@ def nerve(C, N, basepoint=None):
             degens[(n, i)] = {ch: fincat.chain_degeneracy(C, ch, i) for ch in simplices[n]}
     if basepoint is not None:
         basepoint = (basepoint,)
-    return TruncSSet(N, simplices, faces, degens, basepoint=basepoint)
+    # chain faces and degeneracies satisfy the simplicial identities
+    # whenever C is a category, so the set is not checked again
+    return TruncSSet(N, simplices, faces, degens, basepoint=basepoint, _validate=False)
 
 
 def standard_simplex(k, N, basepoint=None):

@@ -731,6 +731,19 @@ def test_pi1_and_hocolim_commands(capsys):
     assert "Z/2" in out
 
 
+def test_hocolim_level_is_a_count(capsys):
+    # a negative level is a usage error; levels 0..2 are too low for the
+    # default --nmax 2, which needs level 3
+    assert main(["hocolim", "--pointed-diagram", "bg-span-z2-z3", "--level", "-1"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith("error: ") and "--level: must be at least 0, got -1" in err
+    for level in (0, 1, 2):
+        assert main(["hocolim", "--pointed-diagram", "bg-span-z2-z3", "--level", str(level)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: LevelTooLow: need level >= 3, have %d\n" % level
+
+
 def test_andre_command(capsys):
     code, out = run(capsys, "andre", "--dset", "hb-two", "--diagram", "two-z2")
     assert code == 0

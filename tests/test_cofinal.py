@@ -18,6 +18,7 @@ from hocofin.fincat import (
     opposite_functor,
     validate_category,
 )
+from hocofin.groups import cyclic_group
 
 
 def walking_arrow():
@@ -156,3 +157,44 @@ def test_coinitial_mode_matches_opposite():
     Sop = opposite_functor(S)
     rep2 = certify_homotopy_cofinal(Sop)
     assert rep2["aggregate"] == CONTRACTIBLE
+
+
+# -- the cone path reads hom-sets only ----------------------------------------------
+
+
+def tables_built(monkeypatch):
+    """The views whose composition table gets built from now on."""
+    built = []
+    original = fincat._View.__getattr__
+
+    def counting(self, name):
+        if name == "comp":
+            built.append(self)
+        return original(self, name)
+
+    monkeypatch.setattr(fincat._View, "__getattr__", counting)
+    return built
+
+
+def test_wefrac_of_bz8_is_certified_by_a_cone_without_a_table(monkeypatch):
+    G = cyclic_group(8)
+    F = factorization(from_monoid(G.elements, G.unit, G.table, name="BZ8"))
+    built = tables_built(monkeypatch)
+    fibre, _, _ = fincat.comma_left_fibre(F.cod, "*")
+    assert len(fibre.objects) == 64 and len(fibre.morphisms) == 4096
+    assert sum(1 for _ in fibre.composable_pairs()) == 262144
+    report = certify_homotopy_cofinal(F.cod, coinitial=True)
+    assert report["aggregate"] == CONTRACTIBLE
+    assert report["per_object"]["*"].certificate["kind"] == "cone"
+    assert built == []
+
+
+def test_cofinality_of_the_identity_of_b6_builds_no_table(monkeypatch):
+    B6 = fincat.from_poset(["m%d" % m for m in range(64)],
+                           lambda x, y: int(x[1:]) & ~int(y[1:]) == 0, name="B6")
+    built = tables_built(monkeypatch)
+    report = certify_homotopy_cofinal(identity_functor(B6))
+    assert report["aggregate"] == CONTRACTIBLE
+    assert {v.certificate["kind"] for v in report["per_object"].values()} == {"cone"}
+    assert is_vdc(identity_functor(B6))[0]
+    assert built == []

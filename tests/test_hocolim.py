@@ -166,9 +166,11 @@ def test_lcodecar_on_fixtures():
 
 
 def test_hocolim_simplicial_identities_validated():
-    # construction runs the TruncSSet validator; also spot-check a face
+    # construction skips the TruncSSet validator, so run it; also
+    # spot-check a face
     G = span_z2_z3()
     H = hocolim_pointed(bg_diagram(G, 3), 3)
+    H._check()
     e = [c for c in H.simplices[1] if c != "*"]
     assert e, "expected nondegenerate edges"
     for cell in e:

@@ -5,7 +5,9 @@ import importlib
 from collections import Counter
 from pathlib import Path
 
+from hocofin import fincat, fixtures
 from hocofin.homalg import FGAb, normalized_complex
+from hocofin.presheaf import elements_with_parts
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -61,6 +63,28 @@ def test_tracer_counters_read_a_normalized_complex(monkeypatch):
     assert counts["homalg.snf_max_cols"] == 2
     tracer._count_fgab(counts, (K.groups[0], 2), {}, None)
     assert counts["homalg.fgab_calls"] == 1
+
+
+def test_the_derived_counter_reads_views_without_building_their_tables(monkeypatch):
+    # fincat.derived_morphisms counts the morphisms of each derived
+    # category; a view lists them at once and builds its table only when
+    # the table is read, which counting must not do
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracer = importlib.import_module("tracer")
+    C = fixtures.cat_span()
+    parts = fincat.objects_over((o,) for o in C.objects)
+    S = fixtures.fun_span_to_one()
+    results = [
+        fincat._comma_like(C, parts, lambda alpha, p1, p2: True, "span"),
+        fincat.factor_slice(S, "id_*"),
+        elements_with_parts(fixtures.dset_interval_span()),
+    ]
+    for result in results:
+        cat = result[0] if isinstance(result, tuple) else result
+        counts = Counter()
+        tracer._count_derived(counts, (), {}, result)
+        assert counts["fincat.derived_morphisms"] == len(cat.morphisms) > len(cat.objects)
+        assert type(cat) is fincat._View
 
 
 def test_a_traced_cli_call_records_its_command(monkeypatch, capsys):
