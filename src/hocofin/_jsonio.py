@@ -51,6 +51,22 @@ def _count(value, what):
     return n
 
 
+# the largest sizes a workspace may ask for.  A size is one number in the
+# file, so a short edit could otherwise ask for more memory than the host
+# has; a larger one is refused before anything is allocated.
+MAX_GENS = 4096  # generators of an abelian group
+MAX_MATRIX_SIDE = 4096  # rows, and columns, of a matrix
+MAX_LEVEL = 6  # truncation level of a simplicial set or a pointed diagram
+
+
+def _size(value, what, limit):
+    """A count of at most ``limit``."""
+    n = _count(value, what)
+    if n > limit:
+        raise InputError("%s is %d, over the limit of %d" % (what, n, limit))
+    return n
+
+
 def _mapping(obj, what):
     if not isinstance(obj, dict):
         raise InputError("%s must be a JSON object" % what)
@@ -79,8 +95,8 @@ def _element(value, what):
 
 def matrix_from_json(obj):
     _require_keys(obj, ("rows", "cols", "data"), what="matrix")
-    m = _count(obj["rows"], "matrix rows")
-    n = _count(obj["cols"], "matrix cols")
+    m = _size(obj["rows"], "matrix rows", MAX_MATRIX_SIDE)
+    n = _size(obj["cols"], "matrix cols", MAX_MATRIX_SIDE)
     data = obj["data"]
     if not isinstance(data, list):
         raise InputError("matrix data must be a JSON array")
@@ -262,7 +278,7 @@ def _require_values(C, value, what):
 
 def fgab_from_json(obj):
     _require_keys(obj, ("gens",), ("rels",), what="abelian group")
-    gens = _count(obj["gens"], "abelian group gens")
+    gens = _size(obj["gens"], "abelian group gens", MAX_GENS)
     rels = matrix_from_json(obj["rels"]) if "rels" in obj else None
     if rels is not None and rels.rows != gens:
         raise InputError("abelian group rels has %d rows, gens is %d" % (rels.rows, gens))
@@ -338,7 +354,7 @@ def _structure_maps(obj, what, level, degrees):
 def sset_from_json(obj):
     _require_keys(obj, ("level", "simplices", "faces", "degeneracies"), ("basepoint",),
                   what="simplicial set")
-    level = _count(obj["level"], "simplicial set level")
+    level = _size(obj["level"], "simplicial set level", MAX_LEVEL)
     simplices = _array(obj["simplices"], "simplicial set simplices")
     for n, xs in enumerate(simplices):
         if not all(isinstance(x, str) for x in _array(xs, "simplices of degree %d" % n)):
@@ -356,11 +372,11 @@ def pointed_diagram_from_json(obj, workspace, name=""):
         if obj["kind"] != "bg":
             raise InputError("unknown pointed diagram kind %s" % json.dumps(obj["kind"]))
         _require_keys(obj, ("kind", "diagram", "level"), what="pointed diagram")
-        return bg_diagram(workspace.get("diagrams", obj["diagram"]),
-                          _count(obj["level"], "pointed diagram level"))
+        level = _size(obj["level"], "pointed diagram level", MAX_LEVEL)
+        return bg_diagram(workspace.get("diagrams", obj["diagram"]), level)
     _require_keys(obj, ("category", "level", "values", "maps"), what="pointed diagram")
     C = workspace.get("categories", obj["category"])
-    level = _count(obj["level"], "pointed diagram level")
+    level = _size(obj["level"], "pointed diagram level", MAX_LEVEL)
     values = {o: sset_from_json(v)
               for o, v in _mapping(obj["values"], "pointed diagram values").items()}
     _require_values(C, values, "pointed diagram")

@@ -18,6 +18,8 @@ from .fincat import (
     connected_components,
     final_objects,
     initial_objects,
+    iter_final_objects,
+    iter_initial_objects,
     opposite,
 )
 from .groups import BudgetExceeded, fingerprint, tietze_simplify
@@ -254,7 +256,11 @@ def _collapse_search(B, effort, max_states=20000):
         memo[state] = None
         return None
 
-    return dfs(frozenset(B.objects))
+    result = dfs(frozenset(B.objects))
+    # dfs refers to itself; unbinding it frees the memo now, not at the
+    # next cyclic garbage collection
+    dfs = None
+    return result
 
 
 def _nerve_sizes(B, n):
@@ -278,30 +284,41 @@ def _nerve_sizes(B, n):
 DEFAULT_NERVE_CAP = 600
 
 
+def _cone(B):
+    """The first final object of B in object order, else the first initial
+    one, as (object, side); None when B has neither.  Reads only hom-sets
+    into (out of) each candidate, up to its first miss."""
+    t = next(iter_final_objects(B), None)
+    if t is not None:
+        return t, "final"
+    s = next(iter_initial_objects(B), None)
+    if s is not None:
+        return s, "initial"
+    return None
+
+
 def certify_contractible(B, effort=1, n_max=2, nerve_cap=DEFAULT_NERVE_CAP):
     """Certify (non)contractibility of the nerve of B.
 
-    Pipeline: emptiness, disconnectedness, cone object, iterated collapse,
+    Pipeline: emptiness, cone object (the first final object in object
+    order, else the first initial one), disconnectedness, iterated collapse,
     then truncated homology and the fundamental-group fingerprint as
     sound NONCONTRACTIBLE witnesses or as EVIDENCE; resource caps give
     INCONCLUSIVE rather than a wrong answer.
     """
     if not B.objects:
         return ContractibilityVerdict(NONCONTRACTIBLE, witness={"empty": True})
+    # a category with a final or an initial object is connected, so the
+    # cone comes first
+    cone = _cone(B)
+    if cone is not None:
+        return ContractibilityVerdict(
+            CONTRACTIBLE, certificate={"kind": "cone", "object": cone[0], "side": cone[1]}
+        )
     comps = connected_components(B)
     if len(comps) > 1:
         return ContractibilityVerdict(
             NONCONTRACTIBLE, witness={"components": len(comps)}
-        )
-    fins = final_objects(B)
-    if fins:
-        return ContractibilityVerdict(
-            CONTRACTIBLE, certificate={"kind": "cone", "object": fins[0], "side": "final"}
-        )
-    inits = initial_objects(B)
-    if inits:
-        return ContractibilityVerdict(
-            CONTRACTIBLE, certificate={"kind": "cone", "object": inits[0], "side": "initial"}
         )
     cert = _collapse_search(B, effort, max_states=20000 * max(1, effort))
     if cert is not None:

@@ -1,5 +1,5 @@
 """Finite categories: objects, morphisms and hom-sets, with a composition
-table that a view builds only when it is read.
+table; a category derived from a base is built in stages as it is read.
 
 A category is a list of objects, a list of morphisms with domain and
 codomain, synthesized identities ``id_<obj>``, and a total composition
@@ -9,27 +9,36 @@ table on composable pairs.  What is checked, and when:
   posets, disjoint unions) is validated when it is built: endpoints, unit
   laws, a composite for every composable pair, and associativity on every
   composable triple.
-- The factorization category is built in full and certified when it is
-  built: its projections to C^op and C are faithful and preserve
-  composition, which is checked on the composable pairs and implies
-  associativity from C's.
-- Every other category over a base is a view over it, built by one
-  builder, ``_comma_like``, from its objects and a predicate on base
-  arrows: left fibres S↓d, coslices d↓S, factorization slices, and
-  categories of elements in ``presheaf``.  Its morphisms and hom-sets are
-  listed at once; its composition table is built on first read, from the
+- Every category derived from a base is a view over it (``_View``):
+  left fibres S↓d, coslices d↓S, factorization slices and categories of
+  elements in ``presheaf`` (all built by ``_comma_like`` from their
+  objects and a predicate on base arrows), the factorization category,
+  ``opposite`` and ``full_subcategory``.  A view is built in three stages:
+
+  1. at construction, its objects and identities;
+  2. on the first read of ``hom(x, y)``, that one hom-set, from the base
+     hom-sets, kept for later reads;
+  3. on the first read of ``morphisms``, ``dom`` or ``cod``, the full
+     listing, in the order and with the ids of the category built in full.
+
+  Its composition table is built on the first read of ``comp``, from the
   base's, and a composite that is no morphism of the view is refused then
-  (``DanglingId``).  A view needs no validation pass: its projection is
-  faithful by construction and composition is the base's, so the unit
-  laws and associativity hold as in the validated base.
-- ``opposite`` and ``full_subcategory`` are views of the same kind: they
-  share the hom-sets and build their table from their base's when read.
+  (``DanglingId``).  A view needs no validation pass: its projections are
+  faithful by construction (no two morphisms share endpoints and base
+  arrows) and composition is the base's, so the unit laws and
+  associativity hold as in the validated base.  The tests keep the
+  materialize-and-certify path as the oracle.
+- Two ids formatted from distinct parts can coincide only when a name
+  holds a separator of the id formats outside brackets, or brackets that
+  do not balance (``_ids_parse``); a view over such names lists its
+  morphisms at construction, so that a repeated id is refused then, as
+  for a category given raw.
 
 Consumers that need only hom-sets (cone objects, finally discrete
-components) never build a table.  Canonical ordering is input order
-everywhere; derived categories enumerate their objects and morphisms
-lexicographically in the constituent indices, so repeated construction is
-byte-stable.
+components) neither list a view nor build its table.  Canonical ordering
+is input order everywhere; derived categories enumerate their objects and
+morphisms lexicographically in the constituent indices, so repeated
+construction is byte-stable.
 
 A nerve chain x0 -> x1 -> ... -> xn is the tuple ``(x0, f1, ..., fn)``:
 its origin x0 followed by its arrows, so a degree-0 chain is ``(x0,)``.
@@ -37,7 +46,9 @@ its origin x0 followed by its arrows, so a degree-0 chain is ``(x0,)``.
 
 from __future__ import annotations
 
+import re
 from collections import deque
+from functools import lru_cache
 
 
 class CategoryError(Exception):
@@ -83,40 +94,33 @@ class FinCat:
     dom(g) = cod(f).  Instances are immutable after construction and safe
     to share.
 
-    ``comp`` may be given as a dict or as a zero-argument function that
-    builds it; a view passes the function, and the table is built on the
-    first read of ``comp`` (see ``_View``).
-
-    ``over``, for a category built over validated bases, lists its
-    projections ``(base, obj_map, mor_map)``; validation then certifies
-    that they are jointly faithful and preserve composition instead of
-    scanning every composable triple (see ``_check``).
+    The containers are kept as given: ``validate_category`` hands over
+    fresh ones, and so does a caller that passes ``_validate=False``.
     """
 
-    __slots__ = ("objects", "morphisms", "dom", "cod", "identity", "comp", "_table", "_hom",
-                 "_out", "name")
+    __slots__ = ("objects", "morphisms", "dom", "cod", "identity", "comp", "name", "_hom",
+                 "_out", "_homs", "_listing", "_table", "_parse")
 
-    def __init__(self, objects, morphisms, dom, cod, identity, comp, name="", _validate=True,
-                 over=None):
-        self.objects = list(objects)
-        self.morphisms = list(morphisms)
-        self.dom = dict(dom)
-        self.cod = dict(cod)
-        self.identity = dict(identity)
-        if callable(comp):
-            self._table = comp
-            self.__class__ = _View
-        else:
-            self.comp = dict(comp)
+    def __init__(self, objects, morphisms, dom, cod, identity, comp, name="", _validate=True):
+        self.objects = objects
+        self.morphisms = morphisms
+        self.dom = dom
+        self.cod = cod
+        self.identity = identity
+        self.comp = comp
         self.name = name
+        self._index()
+        if _validate:
+            self._check()
+
+    def _index(self):
+        """The hom-sets and the arrows out of each object, in morphism order."""
         self._hom = {}
         self._out = {}
+        dom, cod = self.dom, self.cod
         for f in self.morphisms:
-            key = (self.dom[f], self.cod[f])
-            self._hom.setdefault(key, []).append(f)
-            self._out.setdefault(self.dom[f], []).append(f)
-        if _validate:
-            self._check(over)
+            self._hom.setdefault((dom[f], cod[f]), []).append(f)
+            self._out.setdefault(dom[f], []).append(f)
 
     # -- structure -----------------------------------------------------
 
@@ -139,18 +143,9 @@ class FinCat:
             for g in self._out.get(self.cod[f], []):
                 yield g, f
 
-    def _check(self, over=None):
+    def _check(self):
         """Check identities, endpoints and a composite for every composable
-        pair, then associativity.
-
-        Without ``over``, associativity is checked on every composable
-        triple.  With it, the composable pairs carry a certificate instead:
-        every morphism lies over base arrows between the images of its
-        endpoints, the images of g∘f are the base composites of those of g
-        and f, and no two morphisms share endpoints and images.  Then
-        (h∘g)∘f and h∘(g∘f) have the same endpoints and, by associativity
-        in each base, the same images, so they are the same morphism.
-        """
+        pair, then associativity on every composable triple."""
         objects = set(self.objects)
         for o in self.objects:
             i = self.identity.get(o)
@@ -181,9 +176,6 @@ class FinCat:
                 raise IdentityViolation("id∘%s != %s" % (f, f))
             if self.comp[(f, self.identity[self.dom[f]])] != f:
                 raise IdentityViolation("%s∘id != %s" % (f, f))
-        if over is not None:
-            self._check_faithful(over)
-            return
         # associativity on exactly the composable triples, via out-buckets
         for g, f in self.composable_pairs():
             gf = self.comp[(g, f)]
@@ -192,26 +184,6 @@ class FinCat:
                     raise AssociativityViolation(
                         "associativity fails on (%s, %s, %s)" % (h, g, f)
                     )
-
-    def _check_faithful(self, over):
-        """The certificate of ``_check`` for projections ``(base, obj_map,
-        mor_map)`` to validated bases, in O(composable pairs)."""
-        for base, obj_map, mor_map in over:
-            bdom, bcod, bcomp = base.dom, base.cod, base.comp
-            for f in self.morphisms:
-                a = mor_map.get(f)
-                if (a not in bdom or bdom[a] != obj_map.get(self.dom[f])
-                        or bcod[a] != obj_map.get(self.cod[f])):
-                    raise CategoryError("morphism %s does not lie over its endpoints" % f)
-            for (g, f), h in self.comp.items():
-                if mor_map[h] != bcomp[(mor_map[g], mor_map[f])]:
-                    raise CategoryError(
-                        "composite %s of (%s, %s) does not lie over the base composite" % (h, g, f)
-                    )
-        keys = {(self.dom[f], self.cod[f]) + tuple(m[f] for _, _, m in over)
-                for f in self.morphisms}
-        if len(keys) != len(self.morphisms):
-            raise CategoryError("two morphisms lie over the same base arrows")
 
     def __eq__(self, other):
         if not isinstance(other, FinCat):
@@ -234,26 +206,98 @@ class FinCat:
 
 
 class _View(FinCat):
-    """A FinCat whose composition table is not built yet.
+    """A category over a base, built in the stages of the module docstring.
 
-    The first read of ``comp`` builds the table, and the instance becomes
-    a plain FinCat, so later reads of any attribute are plain slot reads
-    (a class with ``__getattr__`` reads every attribute on the slow path).
+    ``homs(x, y)`` gives one hom-set before the listing, kept in ``_hom``;
+    ``listing(view)`` gives ``(morphisms, dom, cod)`` on the first read of
+    any of them, and ``_hom`` is then rebuilt from it; ``table(view)``
+    gives ``comp`` on its first read.  Once both are built the instance
+    becomes a plain FinCat, so later reads of any attribute are plain slot
+    reads (a class with ``__getattr__`` reads every attribute on the slow
+    path).  ``parse`` is ``_ids_parse`` of the view; without it the
+    listing is built at once, so that a repeated id is refused here.
     """
 
     __slots__ = ()
 
+    def __init__(self, objects, identity, homs, listing, table, name, parse):
+        self.objects = objects
+        self.identity = identity
+        self.name = name
+        self._hom = {}
+        self._homs = homs
+        self._listing = listing
+        self._table = table
+        self._parse = parse
+        if not parse:
+            self.morphisms  # the listing, which refuses a repeated id
+
+    def hom(self, x, y):
+        h = self._hom.get((x, y))
+        if h is None:
+            if self._listing is None or x not in self.identity or y not in self.identity:
+                return []
+            h = self._hom[(x, y)] = self._homs(x, y)
+        return h
+
     def __getattr__(self, name):
-        # reached only for an unset slot: the table, not read yet
-        if name != "comp":
+        # reached only for an unset slot: a stage not built yet
+        if name == "comp":
+            self.comp = self._table(self)
+            self._table = None
+        elif name in ("morphisms", "dom", "cod", "_out"):
+            self.morphisms, self.dom, self.cod = self._listing(self)
+            self._listing = self._homs = None
+            self._index()
+        else:
             raise AttributeError(name)
-        self.comp = self._table()
-        self._table = None
-        self.__class__ = FinCat
-        return self.comp
+        if self._table is None and self._listing is None:
+            self.__class__ = FinCat
+        return getattr(self, name)
 
 
-def validate_category(objects, morphisms, composition, name="", over=None):
+# what the id formats put between names (over_id's "(|)", the morphism
+# ids "[alpha:o1->o2]" and "[alpha,beta:f->g]"), and brackets
+_MARKS = re.compile(r"[\[\](){}:,|]|->")
+
+
+# each view checks the names in its parts, which are mostly the arrows of
+# one target category, met again by every fibre over it
+@lru_cache(maxsize=4096)
+def _is_term(name):
+    """Whether ``name`` holds no separator of the id formats outside
+    brackets, and its brackets balance; "{0,1}" is one."""
+    name = str(name)
+    if not _MARKS.search(name):
+        return True
+    depth = 0
+    for i, ch in enumerate(name):
+        if ch in "([{":
+            depth += 1
+        elif ch in ")]}":
+            depth -= 1
+            if depth < 0:
+                return False
+        elif depth == 0 and (ch in ":,|" or name.startswith("->", i)):
+            return False
+    return depth == 0
+
+
+def _ids_parse(C):
+    """Whether every id of C is a term (``_is_term``).  The id formats put
+    their separators outside brackets and wrap in brackets what they
+    build, so an id formatted from terms is a term, and splits back into
+    its parts in one way only: distinct parts give distinct ids.  Checked
+    once for a category given raw and kept on it; a view is given it at
+    construction."""
+    try:
+        return C._parse
+    except AttributeError:
+        C._parse = all(map(_is_term, C.objects)) and all(map(_is_term, C.morphisms))
+        return C._parse
+
+
+def validate_category(objects, morphisms, composition, name=""):
     """Build a FinCat from raw parts.
 
     ``morphisms`` lists the non-identity morphisms as (id, dom, cod);
@@ -261,13 +305,6 @@ def validate_category(objects, morphisms, composition, name="", over=None):
     the given morphisms in input order.  ``composition`` maps pairs of
     non-identity morphism ids (g, f) to g∘f; entries involving identities
     are allowed but must agree with the forced values.
-
-    A category built over validated bases passes its projections as
-    ``over``, a list of ``(base, obj_map, mor_map)`` whose ``mor_map``
-    covers the identities too.  Validation then certifies that the
-    projections are jointly faithful and preserve composition, in
-    O(composable pairs), in place of the associativity scan over every
-    composable triple; associativity follows from the bases'.
     """
     objects = list(objects)
     if len(set(objects)) != len(objects):
@@ -302,20 +339,25 @@ def validate_category(objects, morphisms, composition, name="", over=None):
         for key in ((ident[cod[f]], f), (f, ident[dom[f]])):
             if comp.setdefault(key, f) != f:
                 raise IdentityViolation("composition table contradicts identity law at %s" % (key,))
-    return FinCat(objects, mor_ids, dom, cod, ident, comp, name=name, over=over)
+    return FinCat(objects, mor_ids, dom, cod, ident, comp, name=name)
 
 
 class Functor:
     """Structure-preserving map between two finite categories, checked
-    exhaustively at construction."""
+    exhaustively at construction.  An internal builder that passes
+    ``_validate=False`` hands over its maps, which are kept as given: the
+    projections of a view share the maps that its hom-sets fill as they
+    are read."""
 
     __slots__ = ("source", "target", "obj_map", "mor_map", "name")
 
     def __init__(self, source, target, obj_map, mor_map, name="", _validate=True):
+        if _validate:
+            obj_map, mor_map = dict(obj_map), dict(mor_map)
         self.source = source
         self.target = target
-        self.obj_map = dict(obj_map)
-        self.mor_map = dict(mor_map)
+        self.obj_map = obj_map
+        self.mor_map = mor_map
         self.name = name
         for o in source.objects:
             image = target.identity.get(self.obj_map.get(o))
@@ -361,10 +403,12 @@ def identity_functor(C):
 
 def opposite(C):
     """Dual category: dom/cod swapped, comp(g, f) = comp_C(f, g).  A view:
-    the swapped table is built when it is first read."""
-    return FinCat(C.objects, C.morphisms, C.cod, C.dom, C.identity,
-                  lambda: {(f, g): h for (g, f), h in C.comp.items()},
-                  name=C.name + "^op" if C.name else "", _validate=False)
+    hom(x, y) is C's hom(y, x), and the listing shares C's, read when the
+    view's is first read."""
+    return _View(C.objects, C.identity, lambda x, y: C.hom(y, x),
+                 lambda view: (C.morphisms, C.cod, C.dom),
+                 lambda view: {(f, g): h for (g, f), h in C.comp.items()},
+                 C.name + "^op" if C.name else "", _ids_parse(C))
 
 
 def opposite_functor(S, source_op=None, target_op=None):
@@ -407,44 +451,56 @@ def _comma_like(C, parts, arrow, name):
     with ``arrow(alpha, parts[o1], parts[o2])``, named
     ``[alpha:o1->o2]``; composites are those of C.  Morphisms are listed
     by o1, then o2, then ``C.hom``.  Returns the category and the map from
-    each of its morphisms to its arrow of C.
+    each of its morphisms to its arrow of C, filled as hom-sets are read.
 
-    The category is a view: its composition table is built on first read,
-    where each composite must be the morphism over the composite in C
-    between the outer endpoints, or ``DanglingId`` is raised (the
-    predicate is not closed under composition).  It needs no validation
-    pass, because its projection to C is faithful by construction (no two
-    morphisms share endpoints and arrow) and composition is C's, so the
-    unit laws and associativity hold as they do in C.
+    The category is a view: hom(o1, o2) is read from C.hom and the
+    predicate on first read, and the listing joins the hom-sets.  Its
+    composition table is built on first read, where each composite must
+    be the morphism over the composite in C between the outer endpoints,
+    or ``DanglingId`` is raised (the predicate is not closed under
+    composition).  It needs no validation pass, because its projection to
+    C is faithful by construction (no two morphisms share endpoints and
+    arrow) and composition is C's, so the unit laws and associativity
+    hold as they do in C.
     """
     ident = {o: identity_id(o) for o in parts}
     over = {ident[o]: C.identity[p[0]] for o, p in parts.items()}
-    mors = []
-    dom = {i: o for o, i in ident.items()}
-    cod = dict(dom)
-    out = {o: [] for o in parts}  # morphisms leaving o
-    for o1, p1 in parts.items():
-        for o2, p2 in parts.items():
-            for alpha in C.hom(p1[0], p2[0]):
-                if o1 == o2 and C.is_identity(alpha):
-                    continue
-                if arrow(alpha, p1, p2):
-                    mid = "[%s:%s->%s]" % (alpha, o1, o2)
-                    if mid in over:
+
+    def homs(o1, o2):
+        p1, p2 = parts[o1], parts[o2]
+        if o1 == o2:
+            out, skip = [ident[o1]], C.identity[p1[0]]
+        else:
+            out, skip = [], None
+        for alpha in C.hom(p1[0], p2[0]):
+            if alpha != skip and arrow(alpha, p1, p2):
+                mid = "[%s:%s->%s]" % (alpha, o1, o2)
+                over[mid] = alpha
+                out.append(mid)
+        return out
+
+    def listing(view):
+        mors = list(ident.values())
+        dom = {i: o for o, i in ident.items()}
+        cod = dict(dom)
+        for o1 in parts:
+            for o2 in parts:
+                # the identity, first in hom(o1, o1), is listed above
+                for mid in homs(o1, o2)[o1 == o2:]:
+                    if mid in dom:
                         raise DanglingId("morphism id %s duplicates another" % mid)
                     mors.append(mid)
-                    out[o1].append(mid)
-                    over[mid] = alpha
                     dom[mid] = o1
                     cod[mid] = o2
-    mor_ids = list(ident.values()) + mors
+        return mors, dom, cod
 
-    def table():
-        bcomp = C.comp
+    def table(view):
+        bcomp, dom, cod, out = C.comp, view.dom, view.cod, view._out
         comp = {}
-        for m1 in mors:
+        # identities are listed first, and first in each out-list
+        for m1 in view.morphisms[len(ident):]:
             s1, a1 = dom[m1], over[m1]
-            for m2 in out[cod[m1]]:
+            for m2 in out[cod[m1]][1:]:
                 t2 = cod[m2]
                 a = bcomp[(over[m2], a1)]
                 h = ident[s1] if s1 == t2 and C.is_identity(a) else "[%s:%s->%s]" % (a, s1, t2)
@@ -452,12 +508,13 @@ def _comma_like(C, parts, arrow, name):
                     raise DanglingId("composite of (%s, %s) is no morphism %s -> %s over %s"
                                      % (m2, m1, s1, t2, a))
                 comp[(m2, m1)] = h
-        for f in mor_ids:
+        for f in view.morphisms:
             comp.setdefault((ident[cod[f]], f), f)
             comp.setdefault((f, ident[dom[f]]), f)
         return comp
 
-    return FinCat(parts, mor_ids, dom, cod, ident, table, name=name, _validate=False), over
+    parse = _ids_parse(C) and all(_is_term(x) for p in parts.values() for x in p[1:])
+    return _View(list(parts), ident, homs, listing, table, name, parse), over
 
 
 def category_over(C, parts, arrow, name, proj_name):
@@ -524,49 +581,85 @@ class FactorizationData:
 
 def factorization(C):
     """Category whose objects are the morphisms of C and whose morphisms
-    f -> g are pairs (alpha, beta) with g = beta∘f∘alpha."""
+    f -> g are pairs (alpha, beta) with g = beta∘f∘alpha.
+
+    A view over C: hom(f, g) lists the pairs with alpha in C(dom g, dom f)
+    and beta in C(cod f, cod g), by alpha, then beta, after ``id_f`` in
+    hom(f, f); the listing goes by f, then alpha, then beta.  ``pair`` and
+    the maps of the ``dom`` and ``cod`` projections are filled as hom-sets
+    are read, and the projections share them.  The category lies over
+    C^op x C by ``pair``, faithfully by construction, and composes there.
+    """
     objs = list(C.morphisms)
-    mors = []
-    pair = {identity_id(f): (C.identity[C.dom[f]], C.identity[C.cod[f]]) for f in objs}
-    for f in objs:
-        for alpha in C.morphisms:
-            if C.cod[alpha] != C.dom[f]:
-                continue
-            fa = C.comp[(f, alpha)]
-            for beta in C.morphisms:
-                if C.dom[beta] != C.cod[f]:
-                    continue
-                g = C.comp[(beta, fa)]
-                if C.is_identity(alpha) and C.is_identity(beta):
-                    continue  # the identity (id, id): f -> f is synthesized
-                mid = _fact_mor_id(alpha, beta, f, g)
-                mors.append((mid, f, g))
-                pair[mid] = (alpha, beta)
-    out = {f: [] for f in objs}  # morphisms leaving f, as (id, cod)
-    for m, f, g in mors:
-        out[f].append((m, g))
-    comp = []
-    for m1, f1, g1 in mors:
-        a1, b1 = pair[m1]
-        for m2, g2 in out[g1]:
-            a2, b2 = pair[m2]
-            a = C.comp[(a1, a2)]
-            b = C.comp[(b2, b1)]
-            if C.is_identity(a) and C.is_identity(b):
-                comp.append((m2, m1, identity_id(f1)))
-            else:
-                comp.append((m2, m1, _fact_mor_id(a, b, f1, g2)))
-    # the category lies over C^op x C by pair, its two projections checked
-    # apart: dom contravariantly, cod covariantly
-    dom_obj = {f: C.dom[f] for f in objs}
-    cod_obj = {f: C.cod[f] for f in objs}
+    ident = {f: identity_id(f) for f in objs}
+    pair = {ident[f]: (C.identity[C.dom[f]], C.identity[C.cod[f]]) for f in objs}
     dom_mor = {m: ab[0] for m, ab in pair.items()}
     cod_mor = {m: ab[1] for m, ab in pair.items()}
-    cat = validate_category(objs, mors, comp, name=(C.name and "F(%s)" % C.name),
-                            over=[(opposite(C), dom_obj, dom_mor), (C, cod_obj, cod_mor)])
+
+    def record(alpha, beta, f, g):
+        mid = _fact_mor_id(alpha, beta, f, g)
+        pair[mid] = (alpha, beta)
+        dom_mor[mid] = alpha
+        cod_mor[mid] = beta
+        return mid
+
+    def homs(f, g):
+        out = [ident[f]] if f == g else []
+        id_dom, id_cod = pair[ident[f]]
+        for alpha in C.hom(C.dom[g], C.dom[f]):
+            fa = C.comp[(f, alpha)]
+            for beta in C.hom(C.cod[f], C.cod[g]):
+                # (id, id): f -> f is the synthesized identity
+                if C.comp[(beta, fa)] == g and (alpha != id_dom or beta != id_cod):
+                    out.append(record(alpha, beta, f, g))
+        return out
+
+    def listing(view):
+        mors = list(ident.values())
+        dom = {i: f for f, i in ident.items()}
+        cod = dict(dom)
+        for f in objs:
+            for alpha in C.morphisms:
+                if C.cod[alpha] != C.dom[f]:
+                    continue
+                fa = C.comp[(f, alpha)]
+                for beta in C.morphisms:
+                    if C.dom[beta] != C.cod[f] or C.is_identity(alpha) and C.is_identity(beta):
+                        continue
+                    g = C.comp[(beta, fa)]
+                    mid = record(alpha, beta, f, g)
+                    if mid in dom:
+                        raise DanglingId("morphism id %s duplicates another (identities are reserved)"
+                                         % mid)
+                    mors.append(mid)
+                    dom[mid] = f
+                    cod[mid] = g
+        return mors, dom, cod
+
+    def table(view):
+        dom, cod, out = view.dom, view.cod, view._out
+        comp = {}
+        # identities are listed first, and first in each out-list
+        for m1 in view.morphisms[len(objs):]:
+            f1 = dom[m1]
+            a1, b1 = pair[m1]
+            for m2 in out[cod[m1]][1:]:
+                a2, b2 = pair[m2]
+                a = C.comp[(a1, a2)]
+                b = C.comp[(b2, b1)]
+                if C.is_identity(a) and C.is_identity(b):
+                    comp[(m2, m1)] = ident[f1]
+                else:
+                    comp[(m2, m1)] = _fact_mor_id(a, b, f1, cod[m2])
+        for f in view.morphisms:
+            comp.setdefault((ident[cod[f]], f), f)
+            comp.setdefault((f, ident[dom[f]]), f)
+        return comp
+
+    cat = _View(objs, ident, homs, listing, table, C.name and "F(%s)" % C.name, _ids_parse(C))
     cat_op = opposite(cat)
-    cod_f = Functor(cat, C, cod_obj, cod_mor, name="cod", _validate=False)
-    dom_f = Functor(cat_op, C, dom_obj, dom_mor, name="dom", _validate=False)
+    cod_f = Functor(cat, C, {f: C.cod[f] for f in objs}, cod_mor, name="cod", _validate=False)
+    dom_f = Functor(cat_op, C, {f: C.dom[f] for f in objs}, dom_mor, name="dom", _validate=False)
     return FactorizationData(C, cat, cat_op, dom_f, cod_f, pair)
 
 
@@ -738,28 +831,42 @@ def connected_components(C):
     return comps
 
 
-def final_objects(C, objs=None):
-    """Objects t with exactly one morphism x -> t from every x; given
-    ``objs``, the final objects of the full subcategory on them."""
+def iter_final_objects(C, objs=None):
+    """Objects t with exactly one morphism x -> t from every x, in order
+    and as they are found; given ``objs``, the final objects of the full
+    subcategory on them."""
     objs = C.objects if objs is None else objs
-    return [t for t in objs if all(len(C.hom(x, t)) == 1 for x in objs)]
+    return (t for t in objs if all(len(C.hom(x, t)) == 1 for x in objs))
+
+
+def iter_initial_objects(C):
+    return (s for s in C.objects if all(len(C.hom(s, x)) == 1 for x in C.objects))
+
+
+def final_objects(C, objs=None):
+    return list(iter_final_objects(C, objs))
 
 
 def initial_objects(C):
-    return [s for s in C.objects if all(len(C.hom(s, x)) == 1 for x in C.objects)]
+    return list(iter_initial_objects(C))
 
 
 def full_subcategory(C, objs):
     """Full subcategory on the given objects (order induced from C); a
-    view whose table is C's restricted, built when first read."""
-    objs = [o for o in C.objects if o in set(objs)]
+    view whose hom-sets are C's and whose table is C's restricted."""
     oset = set(objs)
-    mors = [f for f in C.morphisms if C.dom[f] in oset and C.cod[f] in oset]
-    mset = set(mors)
-    ident = {o: C.identity[o] for o in objs}
-    return FinCat(objs, mors, {f: C.dom[f] for f in mors}, {f: C.cod[f] for f in mors}, ident,
-                  lambda: {k: v for k, v in C.comp.items() if k[0] in mset and k[1] in mset},
-                  name=C.name and C.name + "|", _validate=False)
+    objs = [o for o in C.objects if o in oset]
+
+    def listing(view):
+        mors = [f for f in C.morphisms if C.dom[f] in oset and C.cod[f] in oset]
+        return mors, {f: C.dom[f] for f in mors}, {f: C.cod[f] for f in mors}
+
+    def table(view):
+        mset = set(view.morphisms)
+        return {k: v for k, v in C.comp.items() if k[0] in mset and k[1] in mset}
+
+    return _View(objs, {o: C.identity[o] for o in objs}, C.hom, listing, table,
+                 C.name and C.name + "|", _ids_parse(C))
 
 
 # -- builders -------------------------------------------------------------

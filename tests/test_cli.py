@@ -396,6 +396,93 @@ def test_malformed_workspace_is_a_one_line_error(case, capsys, tmp_path):
     assert message in err
 
 
+def one_line_error(capsys, data, tmp_path, *argv):
+    """Exit code and stderr of a command on a workspace file holding
+    ``data``; ``validate`` when no command is given."""
+    path = tmp_path / "ws.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    code = main(list(argv) + ["--workspace", str(path)] if argv else ["validate", str(path)])
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    return code, err
+
+
+def ab_values(value):
+    return dict(GOOD_WORKSPACE, abdiagrams={"m": dict(
+        GOOD_WORKSPACE["abdiagrams"]["m"], values={"a": value, "b": {"gens": 1}},
+    )})
+
+
+OVER_LIMIT = {
+    "gens": (dict(GOOD_WORKSPACE, systems={"ns": {
+        "over": {"kind": "factorization-op", "category": "two"},
+        "constant_abelian": {"gens": 200000}}}),
+        "abelian group gens is 200000, over the limit of 4096"),
+    "matrix-rows": (ab_values({"gens": 1, "rels": {"rows": 5000, "cols": 0, "data": []}}),
+                    "matrix rows is 5000, over the limit of 4096"),
+    "matrix-cols": (ab_values({"gens": 1, "rels": {"rows": 1, "cols": 10 ** 9, "data": []}}),
+                    "matrix cols is 1000000000, over the limit of 4096"),
+    "sset-level": (dict(GOOD_WORKSPACE, ssets={"pt": dict(POINT, level=7)}),
+                   "simplicial set level is 7, over the limit of 6"),
+    "pointed-diagram-level": (
+        dict(GOOD_WORKSPACE, pointed_diagrams={"pd": dict(GOOD_WORKSPACE["pointed_diagrams"]["pd"],
+                                                          level=7)}),
+        "pointed diagram level is 7, over the limit of 6"),
+    "bg-level": (dict(GOOD_WORKSPACE, pointed_diagrams={"bgd": {"kind": "bg", "diagram": "d",
+                                                                "level": 10 ** 6}}),
+                 "pointed diagram level is 1000000, over the limit of 6"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OVER_LIMIT))
+def test_a_size_over_its_limit_is_a_one_line_error(case, capsys, tmp_path):
+    data, message = OVER_LIMIT[case]
+    code, err = one_line_error(capsys, data, tmp_path)
+    assert code == 1 and message in err
+
+
+def test_sizes_at_their_limits_are_read(capsys, tmp_path):
+    data = dict(GOOD_WORKSPACE, systems={"ns": {
+        "over": {"kind": "factorization-op", "category": "two"},
+        "constant_abelian": {"gens": 4096, "rels": {"rows": 4096, "cols": 0, "data": []}}}},
+        pointed_diagrams={"bgd": {"kind": "bg", "diagram": "d", "level": 6}})
+    path = tmp_path / "ws.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    assert main(["validate", str(path)]) == 0
+    capsys.readouterr()
+
+
+# derived ids formatted from names that hold separators of the id formats can
+# coincide: "[x,y,z:id_*->0]" names both (x,y ; z) and (x ; y,z) in the
+# factorization category, and "[u:(a|p)->(b|q)->(b|r)]" two morphisms of a
+# category of elements
+ZERO_MONOID = {"categories": {"zero": {
+    "objects": ["*"],
+    "morphisms": [{"id": e, "dom": "*", "cod": "*"} for e in ("x,y", "z", "x", "y,z", "0")],
+    "composition": [{"g": a, "f": b, "eq": "0"}
+                    for a in ("x,y", "z", "x", "y,z", "0") for b in ("x,y", "z", "x", "y,z", "0")],
+}}}
+ELEMENTS_THAT_COLLIDE = {
+    "categories": {"two": GOOD_WORKSPACE["categories"]["two"]},
+    "dsets": {"x": {"category": "two", "sets": {"a": ["p", "p)->(b|q"], "b": ["q)->(b|r", "r"]},
+                    "maps": {"u": {"q)->(b|r": "p", "r": "p)->(b|q"}}}},
+    "systems": {"s": {"over": {"kind": "elements-op", "dset": "x"},
+                      "constant_abelian": {"gens": 1}}},
+}
+
+
+@pytest.mark.parametrize("data, argv, message", [
+    (ZERO_MONOID, ["factorization", "--category", "zero"],
+     "error: DanglingId: morphism id [x,y,z:id_*->0] duplicates another (identities are reserved)\n"),
+    (ELEMENTS_THAT_COLLIDE, [],
+     "error: DanglingId: morphism id [u:(a|p)->(b|q)->(b|r)] duplicates another\n"),
+    (ELEMENTS_THAT_COLLIDE, ["gz", "--dset", "x", "--system", "s"],
+     "error: DanglingId: morphism id [u:(a|p)->(b|q)->(b|r)] duplicates another\n"),
+])
+def test_derived_ids_that_coincide_are_a_one_line_error(data, argv, message, capsys, tmp_path):
+    assert one_line_error(capsys, data, tmp_path, *argv) == (1, message)
+
+
 def test_workspace_commands(capsys, ws_file):
     code, out = run(capsys, "colim0", "--workspace", ws_file, "--diagram", "d")
     assert code == 0

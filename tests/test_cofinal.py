@@ -162,14 +162,17 @@ def test_coinitial_mode_matches_opposite():
 # -- the cone path reads hom-sets only ----------------------------------------------
 
 
-def tables_built(monkeypatch):
-    """The views whose composition table gets built from now on."""
+def stages_built(monkeypatch):
+    """The stages that views build from now on: (view, "listing") on the
+    first read of morphisms, dom or cod, (view, "table") on that of comp."""
     built = []
     original = fincat._View.__getattr__
 
     def counting(self, name):
         if name == "comp":
-            built.append(self)
+            built.append((self, "table"))
+        elif name in ("morphisms", "dom", "cod", "_out"):
+            built.append((self, "listing"))
         return original(self, name)
 
     monkeypatch.setattr(fincat._View, "__getattr__", counting)
@@ -178,23 +181,36 @@ def tables_built(monkeypatch):
 
 def test_wefrac_of_bz8_is_certified_by_a_cone_without_a_table(monkeypatch):
     G = cyclic_group(8)
-    F = factorization(from_monoid(G.elements, G.unit, G.table, name="BZ8"))
-    built = tables_built(monkeypatch)
-    fibre, _, _ = fincat.comma_left_fibre(F.cod, "*")
-    assert len(fibre.objects) == 64 and len(fibre.morphisms) == 4096
-    assert sum(1 for _ in fibre.composable_pairs()) == 262144
+    C = from_monoid(G.elements, G.unit, G.table, name="BZ8")
+    built = stages_built(monkeypatch)
+    F = factorization(C)
     report = certify_homotopy_cofinal(F.cod, coinitial=True)
     assert report["aggregate"] == CONTRACTIBLE
     assert report["per_object"]["*"].certificate["kind"] == "cone"
+    # neither F(BZ8) nor the fibre nor its opposite was listed or tabulated
     assert built == []
+    fibre, _, _ = fincat.comma_left_fibre(F.cod, "*")
+    assert len(fibre.objects) == 64 and len(fibre.morphisms) == 4096
+    assert sum(1 for _ in fibre.composable_pairs()) == 262144
+    assert built == [(fibre, "listing")]
+
+
+def boolean_lattice(k):
+    """Subsets of {0..k-1} by inclusion, named "{0,2}"."""
+    subset = {"{%s}" % ",".join(map(str, s)): set(s)
+              for s in ([i for i in range(k) if m >> i & 1] for m in range(2 ** k))}
+    return fincat.from_poset(list(subset), lambda x, y: subset[x] <= subset[y], name="B%d" % k)
 
 
 def test_cofinality_of_the_identity_of_b6_builds_no_table(monkeypatch):
-    B6 = fincat.from_poset(["m%d" % m for m in range(64)],
-                           lambda x, y: int(x[1:]) & ~int(y[1:]) == 0, name="B6")
-    built = tables_built(monkeypatch)
-    report = certify_homotopy_cofinal(identity_functor(B6))
-    assert report["aggregate"] == CONTRACTIBLE
-    assert {v.certificate["kind"] for v in report["per_object"].values()} == {"cone"}
-    assert is_vdc(identity_functor(B6))[0]
+    B6 = boolean_lattice(6)
+    assert len(B6.morphisms) == 3 ** 6
+    built = stages_built(monkeypatch)
+    for coinitial in (False, True):
+        report = certify_homotopy_cofinal(identity_functor(B6), coinitial=coinitial)
+        assert report["aggregate"] == CONTRACTIBLE
+        assert {v.certificate["kind"] for v in report["per_object"].values()} == {"cone"}
+    # no coslice, fibre or opposite was listed or tabulated
     assert built == []
+    assert is_vdc(identity_functor(B6))[0]
+    assert built and {stage for _, stage in built} == {"listing"}

@@ -232,8 +232,8 @@ def test_coslice_and_factor_slice_lie_over_the_source(name, monkeypatch):
     built = []
     real = fincat._comma_like
 
-    def spy(C, parts, arrow, cat_name):
-        cat, over = real(C, parts, arrow, cat_name)
+    def spy(C, parts, arrow, *args):
+        cat, over = real(C, parts, arrow, *args)
         built.append((cat, parts, over))
         return cat, over
 
@@ -242,6 +242,8 @@ def test_coslice_and_factor_slice_lie_over_the_source(name, monkeypatch):
     cats += [factor_slice(S, a) for a in S.target.morphisms]
     assert [b[0] for b in built] == cats
     for cat, parts, over in built:
+        # the view fills ``over`` as it lists its morphisms; the functor copies it
+        cat.morphisms
         Functor(cat, S.source, {o: parts[o][0] for o in cat.objects}, over)
 
 

@@ -67,23 +67,31 @@ def test_tracer_counters_read_a_normalized_complex(monkeypatch):
 
 def test_the_derived_counter_reads_views_without_building_their_tables(monkeypatch):
     # fincat.derived_morphisms counts the morphisms of each derived
-    # category; a view lists them at once and builds its table only when
-    # the table is read, which counting must not do
+    # category; reading them lists a view, which counting may do, but it
+    # must not build the table, and the count is the eager one
     monkeypatch.syspath_prepend(str(PERFBENCH))
     tracer = importlib.import_module("tracer")
     C = fixtures.cat_span()
     parts = fincat.objects_over((o,) for o in C.objects)
     S = fixtures.fun_span_to_one()
-    results = [
-        fincat._comma_like(C, parts, lambda alpha, p1, p2: True, "span"),
-        fincat.factor_slice(S, "id_*"),
-        elements_with_parts(fixtures.dset_interval_span()),
+    D = fixtures.cat_delta1()
+    builds = [
+        lambda: fincat._comma_like(C, parts, lambda alpha, p1, p2: True, "span"),
+        lambda: fincat.factor_slice(S, "id_*"),
+        lambda: elements_with_parts(fixtures.dset_interval_span()),
+        lambda: fincat.factorization(D),
     ]
-    for result in results:
-        cat = result[0] if isinstance(result, tuple) else result
+    # the morphism counts of these categories built in full, before they were views
+    eager = [5, 5, 5, 97]
+    for build, count in zip(builds, eager):
+        result = build()
+        cat = result[0] if isinstance(result, tuple) else getattr(result, "category", result)
+        fresh = build()
+        fresh = fresh[0] if isinstance(fresh, tuple) else getattr(fresh, "category", fresh)
         counts = Counter()
         tracer._count_derived(counts, (), {}, result)
-        assert counts["fincat.derived_morphisms"] == len(cat.morphisms) > len(cat.objects)
+        assert counts["fincat.derived_morphisms"] == len(cat.morphisms) == count > len(cat.objects)
+        assert count == sum(len(fresh.hom(x, y)) for x in fresh.objects for y in fresh.objects)
         assert type(cat) is fincat._View
 
 
