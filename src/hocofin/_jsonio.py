@@ -153,11 +153,9 @@ def functor_from_json(obj, workspace, name=""):
 
 
 def group_from_json(obj, name=""):
-    if isinstance(obj, dict) and obj.get("kind") == "presentation":
-        return presentation_from_json(obj)
-    _require_keys(obj, ("kind", "elements", "unit", "table"), what="group")
-    if obj["kind"] != "table":
+    if isinstance(obj, dict) and obj.get("kind", "table") != "table":
         raise InputError("unknown group kind %r" % obj["kind"])
+    _require_keys(obj, ("kind", "elements", "unit", "table"), what="group")
     els = obj["elements"]
     rows = obj["table"]
     if not isinstance(els, list) or not isinstance(rows, list):

@@ -597,6 +597,12 @@ def _parser():
     return parser
 
 
+def _one_line(exc):
+    """The message of exc on one line: a line break in a name it quotes
+    is written as ``\\n`` or ``\\r``."""
+    return str(exc).replace("\r", "\\r").replace("\n", "\\n")
+
+
 def main(argv=None):
     try:
         args = _parser().parse_args(argv)
@@ -621,13 +627,13 @@ def main(argv=None):
         return code
     except (InputError, CategoryError, GroupError, PresheafError, HocolimError,
             DiagramError, HomalgError, BudgetExceeded, OSError, json.JSONDecodeError) as exc:
-        sys.stderr.write("error: %s: %s\n" % (type(exc).__name__, exc))
+        sys.stderr.write("error: %s: %s\n" % (type(exc).__name__, _one_line(exc)))
         return EXIT_INPUT
     except RouteMismatch as exc:
-        sys.stderr.write("route mismatch: %s\n" % exc)
+        sys.stderr.write("route mismatch: %s\n" % _one_line(exc))
         return EXIT_DISAGREE
     except GZError as exc:
-        sys.stderr.write("error: %s\n" % exc)
+        sys.stderr.write("error: %s\n" % _one_line(exc))
         return EXIT_INPUT
 
 

@@ -1,5 +1,11 @@
 """Group and abelian diagrams over finite categories.
 
+``Diagram`` is the one diagram core: a value at every object, an action
+at every morphism, identity actions filled in, and one functoriality
+check, one ``restrict`` and one ``__repr__``.  ``GroupDiagram``,
+``AbDiagram`` and ``hocolim.PointedDiagram`` name only their map class,
+their error class and how an action must fit its values.
+
 The simplicial replacement of a diagram has degree-n part the free
 product (direct sum, in the abelian case) of the values at chain origins
 over all length-n composable chains.  Degree 0 of its homotopy is the
@@ -17,6 +23,8 @@ whole category, so its generator names do not change.
 """
 
 from __future__ import annotations
+
+import copy
 
 from . import fincat
 from .cofinal import reflective_core
@@ -54,10 +62,21 @@ class NotVDC(DiagramError):
 DEFAULT_CHAIN_CAP = 200000
 
 
-class GroupDiagram:
-    """Functor from a finite category to free products of finite groups."""
+class Diagram:
+    """Functor from a finite category to values with maps between them.
+
+    Every object needs a value, and identity actions are filled in.  The
+    check asks for an action at every morphism, between the right values
+    (``_check_ends``), identities acting as identities and composition
+    respected, all compared with ``Map.equals``; a failure raises
+    ``Error``.  A kind of diagram names its ``Map`` class, which gives
+    ``identity``, ``compose`` and ``equals``, its ``Error`` and its
+    ``_check_ends``.
+    """
 
     __slots__ = ("base", "value", "action", "name")
+
+    Error = DiagramError
 
     def __init__(self, base, value, action, name="", _validate=True):
         self.base = base
@@ -65,97 +84,71 @@ class GroupDiagram:
         self.action = dict(action)
         self.name = name
         for o in base.objects:
-            if o not in self.value:
-                raise DiagramError("diagram misses a value at %s" % o)
+            if self.value.get(o) is None:
+                raise self.Error("diagram misses a value at %s" % o)
+            self._check_value(o, self.value[o])
         for o in base.objects:
-            self.action.setdefault(base.identity[o], GroupHom.identity(self.value[o]))
+            self.action.setdefault(base.identity[o], self.Map.identity(self.value[o]))
         if _validate:
             self._check()
 
-    def _check(self):
-        B = self.base
-        for f in B.morphisms:
-            h = self.action.get(f)
-            if h is None:
-                raise DiagramError("diagram misses the action of %s" % f)
-            if h.source is not self.value[B.dom[f]] and h.source.factors != self.value[B.dom[f]].factors:
-                raise DiagramError("action of %s has the wrong source" % f)
-            if h.target is not self.value[B.cod[f]] and h.target.factors != self.value[B.cod[f]].factors:
-                raise DiagramError("action of %s has the wrong target" % f)
-        for o in B.objects:
-            ident = self.action[B.identity[o]]
-            if not ident.equals(GroupHom.identity(self.value[o])):
-                raise DiagramError("identity of %s does not act as the identity" % o)
-        for g, f in B.composable_pairs():
-            lhs = self.action[B.comp[(g, f)]]
-            rhs = self.action[g].compose(self.action[f])
-            if not lhs.equals(rhs):
-                raise DiagramError("functoriality fails at (%s, %s)" % (g, f))
-
-    def restrict(self, S):
-        """Composition with a functor into the base."""
-        return GroupDiagram(
-            S.source,
-            {c: self.value[S.on_obj(c)] for c in S.source.objects},
-            {f: self.action[S.on_mor(f)] for f in S.source.morphisms},
-            name=self.name and self.name + "|",
-            _validate=False,
-        )
-
-    def __repr__(self):
-        return "GroupDiagram(%s over %s)" % (self.name or "?", self.base.name or "?")
-
-
-class AbDiagram:
-    """Functor from a finite category to finitely presented abelian groups,
-    with actions as AbMaps checked modulo the target relation lattices."""
-
-    __slots__ = ("base", "value", "action", "name")
-
-    def __init__(self, base, value, action, name="", _validate=True):
-        self.base = base
-        self.value = dict(value)
-        self.action = dict(action)
-        self.name = name
-        for o in base.objects:
-            if o not in self.value:
-                raise DiagramError("diagram misses a value at %s" % o)
-        for o in base.objects:
-            self.action.setdefault(base.identity[o], AbMap.identity(self.value[o]))
-        if _validate:
-            self._check()
+    def _check_value(self, o, X):
+        """Refuse a value of the wrong kind; any value will do here."""
 
     def _check(self):
         B = self.base
         for f in B.morphisms:
             m = self.action.get(f)
             if m is None:
-                raise DiagramError("diagram misses the action of %s" % f)
-            if m.source.gens != self.value[B.dom[f]].gens or m.target.gens != self.value[B.cod[f]].gens:
-                raise DiagramError("action of %s has the wrong shape" % f)
-            if not m._well_defined():
-                raise DiagramError("action of %s does not respect relations" % f)
+                raise self.Error("diagram misses the action of %s" % f)
+            self._check_ends(f, m, self.value[B.dom[f]], self.value[B.cod[f]])
         for o in B.objects:
-            ident = self.action[B.identity[o]]
-            if not ident.equals_mod_relations(AbMap.identity(self.value[o])):
-                raise DiagramError("identity of %s does not act as the identity" % o)
+            if not self.action[B.identity[o]].equals(self.Map.identity(self.value[o])):
+                raise self.Error("identity of %s does not act as the identity" % o)
         for g, f in B.composable_pairs():
-            lhs = self.action[B.comp[(g, f)]]
-            rhs = self.action[g].compose(self.action[f])
-            if not lhs.equals_mod_relations(rhs):
-                raise DiagramError("functoriality fails at (%s, %s)" % (g, f))
+            if not self.action[B.comp[(g, f)]].equals(self.action[g].compose(self.action[f])):
+                raise self.Error("functoriality fails at (%s, %s)" % (g, f))
 
     def restrict(self, S):
-        return AbDiagram(
-            S.source,
-            {c: self.value[S.on_obj(c)] for c in S.source.objects},
-            {f: self.action[S.on_mor(f)] for f in S.source.morphisms},
-            name=self.name and self.name + "|",
-            _validate=False,
-        )
+        """Composition with a functor into the base."""
+        out = copy.copy(self)
+        out.base = S.source
+        out.value = {c: self.value[S.on_obj(c)] for c in S.source.objects}
+        out.action = {f: self.action[S.on_mor(f)] for f in S.source.morphisms}
+        out.name = self.name and self.name + "|"
+        return out
 
     def __repr__(self):
-        return "AbDiagram(%s over %s)" % (self.name or "?", self.base.name or "?")
+        return "%s(%s over %s)" % (type(self).__name__, self.name or "?", self.base.name or "?")
+
+
+class GroupDiagram(Diagram):
+    """Functor from a finite category to free products of finite groups."""
+
+    __slots__ = ()
+
+    Map = GroupHom
+
+    def _check_ends(self, f, h, src, dst):
+        if h.source is not src and h.source.factors != src.factors:
+            raise DiagramError("action of %s has the wrong source" % f)
+        if h.target is not dst and h.target.factors != dst.factors:
+            raise DiagramError("action of %s has the wrong target" % f)
+
+
+class AbDiagram(Diagram):
+    """Functor from a finite category to finitely presented abelian groups,
+    with actions as AbMaps compared modulo the target relation lattices."""
+
+    __slots__ = ()
+
+    Map = AbMap
+
+    def _check_ends(self, f, m, src, dst):
+        if m.source.gens != src.gens or m.target.gens != dst.gens:
+            raise DiagramError("action of %s has the wrong shape" % f)
+        if not m._well_defined():
+            raise DiagramError("action of %s does not respect relations" % f)
 
 
 def constant_ab_diagram(C, group, name="const"):

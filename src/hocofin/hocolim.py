@@ -3,19 +3,22 @@
 The homotopy colimit is the diagonal of the simplicial replacement: a
 degree-n simplex is a pair (length-n chain of the base, degree-n simplex
 of the value at the chain origin), with every pair whose coefficient is
-a basepoint degeneracy identified to a single class per degree.  The
-diagonal satisfies the simplicial identities because the diagram's
-values and maps do (they are checked when the diagram is built), so it
-is not checked again.
+a basepoint degeneracy identified to a single class per degree.  Both
+diagonals share one face and degeneracy rule and are built by
+``presheaf.simplicial_set``; they differ only in the class a pair stands
+for.  The diagonal satisfies the simplicial identities because the
+diagram's values and maps do (they are checked when the diagram, a
+``diagrams.Diagram``, is built), so it is not checked again.
 """
 
 from __future__ import annotations
 
 from . import fincat
 from .cofinal import certify_homotopy_cofinal
+from .diagrams import Diagram
 from .fincat import chain_degeneracy, chain_face, composable_chains
 from .groups import BudgetExceeded, FinGroup, FreeProduct, fingerprint, tietze_simplify
-from .presheaf import SSetMap, TruncSSet, edge_path_group, homology_ss, nerve
+from .presheaf import SSetMap, edge_path_group, homology_ss, nerve, simplicial_set
 
 
 class HocolimError(Exception):
@@ -33,77 +36,31 @@ class CapExceeded(HocolimError):
 BASECLASS = "*"
 
 
-class PointedDiagram:
+class PointedDiagram(Diagram):
     """Diagram of pointed truncated simplicial sets over a finite category,
     all values at one common level."""
 
-    __slots__ = ("base", "level", "value", "action", "name")
+    __slots__ = ("level",)
+
+    Map = SSetMap
+    Error = HocolimError
 
     def __init__(self, base, level, value, action, name="", _validate=True):
-        self.base = base
         self.level = level
-        self.value = dict(value)
-        self.action = dict(action)
-        self.name = name
-        for o in base.objects:
-            X = self.value.get(o)
-            if X is None:
-                raise HocolimError("diagram misses a value at %s" % o)
-            if X.level != level:
-                raise LevelMismatch("value at %s has level %d, want %d" % (o, X.level, level))
-            if X.basepoint is None:
-                raise HocolimError("value at %s is not pointed" % o)
-        for o in base.objects:
-            self.action.setdefault(base.identity[o], SSetMap.identity(self.value[o]))
-        if _validate:
-            self._check()
+        super().__init__(base, value, action, name=name, _validate=_validate)
 
-    def _check(self):
-        B = self.base
-        for f in B.morphisms:
-            m = self.action.get(f)
-            if m is None:
-                raise HocolimError("diagram misses the action of %s" % f)
-            if m.source is not self.value[B.dom[f]] or m.target is not self.value[B.cod[f]]:
-                # allow structurally identical values
-                if (
-                    m.source.simplices != self.value[B.dom[f]].simplices
-                    or m.target.simplices != self.value[B.cod[f]].simplices
-                ):
-                    raise HocolimError("action of %s connects the wrong values" % f)
-            m._check(pointed=True)
-        for o in B.objects:
-            ident = self.action[B.identity[o]]
-            for n in range(self.level + 1):
-                for x in self.value[o].simplices[n]:
-                    if ident.apply(n, x) != x:
-                        raise HocolimError("identity at %s does not act as identity" % o)
-        for g, f in B.composable_pairs():
-            lhs = self.action[B.comp[(g, f)]]
-            rhs_g = self.action[g]
-            rhs_f = self.action[f]
-            for n in range(self.level + 1):
-                for x in self.value[B.dom[f]].simplices[n]:
-                    if lhs.apply(n, x) != rhs_g.apply(n, rhs_f.apply(n, x)):
-                        raise HocolimError("functoriality fails at (%s, %s)" % (g, f))
+    def _check_value(self, o, X):
+        if X.level != self.level:
+            raise LevelMismatch("value at %s has level %d, want %d" % (o, X.level, self.level))
+        if X.basepoint is None:
+            raise HocolimError("value at %s is not pointed" % o)
 
-    def restrict(self, S):
-        """Composition with a functor into the base."""
-        return PointedDiagram(
-            S.source,
-            self.level,
-            {c: self.value[S.on_obj(c)] for c in S.source.objects},
-            {f: self.action[S.on_mor(f)] for f in S.source.morphisms},
-            name=self.name and self.name + "|",
-            _validate=False,
-        )
-
-    def __repr__(self):
-        return "PointedDiagram(%s over %s, level %d)" % (
-            self.name or "?",
-            self.base.name or "?",
-            self.level,
-        )
+    def _check_ends(self, f, m, src, dst):
+        # structurally identical values will do
+        if (m.source is not src or m.target is not dst) and (
+                m.source.simplices != src.simplices or m.target.simplices != dst.simplices):
+            raise HocolimError("action of %s connects the wrong values" % f)
+        m._check(pointed=True)
 
 
 # -- classifying spaces -------------------------------------------------------
@@ -173,89 +130,60 @@ def bg_diagram(G, N, cap=100000):
 # -- the diagonal -------------------------------------------------------------
 
 
-def hocolim_unpointed(PD, N):
-    """Diagonal of the simplicial replacement, without basepoint
-    identifications: all pairs (chain, coefficient simplex)."""
+def _diagonal(PD, N, cls, basepoint=None):
+    """Diagonal of the simplicial replacement through degree N: each pair
+    (chain sigma, coefficient simplex x) stands for its class
+    ``cls(sigma, x)``.  A ``basepoint`` class comes first in each degree;
+    the structure maps fix it."""
     if PD.level < N:
         raise LevelMismatch("diagram level %d below requested %d" % (PD.level, N))
     C = PD.base
     simplices = []
     for n in range(N + 1):
-        layer = []
+        layer = [] if basepoint is None else [basepoint]
         for sigma in composable_chains(C, n):
             for x in PD.value[sigma[0]].simplices[n]:
-                layer.append((sigma, x))
+                cell = cls(sigma, x)
+                if cell != basepoint:
+                    layer.append(cell)
         simplices.append(layer)
-    faces = {}
-    degens = {}
-    for n in range(1, N + 1):
-        for i in range(n + 1):
-            table = {}
-            for sigma, x in simplices[n]:
-                sigma2 = chain_face(C, sigma, i)
-                x1 = PD.action[sigma[1]].apply(n, x) if i == 0 else x
-                x2 = PD.value[sigma2[0]].face(n, i, x1)
-                table[(sigma, x)] = (sigma2, x2)
-            faces[(n, i)] = table
-    for n in range(N):
-        for i in range(n + 1):
-            table = {}
-            for sigma, x in simplices[n]:
-                sigma2 = chain_degeneracy(C, sigma, i)
-                x2 = PD.value[sigma[0]].degeneracy(n, i, x)
-                table[(sigma, x)] = (sigma2, x2)
-            degens[(n, i)] = table
-    return TruncSSet(N, simplices, faces, degens, _validate=False)
+
+    def face(cell, i):
+        if cell == basepoint:
+            return cell
+        sigma, x = cell
+        n = len(sigma) - 1
+        sigma2 = chain_face(C, sigma, i)
+        if i == 0:
+            x = PD.action[sigma[1]].mapping[n][x]
+        return cls(sigma2, PD.value[sigma2[0]].faces[(n, i)][x])
+
+    def degeneracy(cell, i):
+        if cell == basepoint:
+            return cell
+        sigma, x = cell
+        x = PD.value[sigma[0]].degeneracies[(len(sigma) - 1, i)][x]
+        return cls(chain_degeneracy(C, sigma, i), x)
+
+    return simplicial_set(N, simplices, face, degeneracy, basepoint)
+
+
+def hocolim_unpointed(PD, N):
+    """Diagonal of the simplicial replacement, without basepoint
+    identifications: all pairs (chain, coefficient simplex)."""
+    return _diagonal(PD, N, lambda sigma, x: (sigma, x))
 
 
 def hocolim_pointed(PD, N):
     """Pointed homotopy colimit: the diagonal with all (chain, basepoint
     degeneracy) pairs identified to one class per degree."""
-    if PD.level < N:
-        raise LevelMismatch("diagram level %d below requested %d" % (PD.level, N))
-    C = PD.base
-    base_of = {o: [PD.value[o].base_degeneracy(n) for n in range(N + 1)] for o in C.objects}
+    base_of = {o: [PD.value[o].base_degeneracy(n) for n in range(PD.level + 1)]
+               for o in PD.base.objects}
 
-    def collapse(n, sigma, x):
-        if x == base_of[sigma[0]][n]:
-            return BASECLASS
-        return (sigma, x)
+    def cls(sigma, x):
+        return BASECLASS if x == base_of[sigma[0]][len(sigma) - 1] else (sigma, x)
 
-    simplices = []
-    for n in range(N + 1):
-        layer = [BASECLASS]
-        for sigma in composable_chains(C, n):
-            bn = base_of[sigma[0]][n]
-            for x in PD.value[sigma[0]].simplices[n]:
-                if x != bn:
-                    layer.append((sigma, x))
-        simplices.append(layer)
-    faces = {}
-    degens = {}
-    for n in range(1, N + 1):
-        for i in range(n + 1):
-            table = {BASECLASS: BASECLASS}
-            for cell in simplices[n]:
-                if cell == BASECLASS:
-                    continue
-                sigma, x = cell
-                sigma2 = chain_face(C, sigma, i)
-                x1 = PD.action[sigma[1]].apply(n, x) if i == 0 else x
-                x2 = PD.value[sigma2[0]].face(n, i, x1)
-                table[cell] = collapse(n - 1, sigma2, x2)
-            faces[(n, i)] = table
-    for n in range(N):
-        for i in range(n + 1):
-            table = {BASECLASS: BASECLASS}
-            for cell in simplices[n]:
-                if cell == BASECLASS:
-                    continue
-                sigma, x = cell
-                sigma2 = chain_degeneracy(C, sigma, i)
-                x2 = PD.value[sigma[0]].degeneracy(n, i, x)
-                table[cell] = collapse(n + 1, sigma2, x2)
-            degens[(n, i)] = table
-    return TruncSSet(N, simplices, faces, degens, basepoint=BASECLASS, _validate=False)
+    return _diagonal(PD, N, cls, BASECLASS)
 
 
 def hocolim_cardinalities(PD, N):

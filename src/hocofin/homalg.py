@@ -654,7 +654,8 @@ class AbMap:
         columns = [_push(col, self.columns) for col in other.columns]
         return AbMap(other.source, self.target, columns, check=False)
 
-    def equals_mod_relations(self, other):
+    def equals(self, other):
+        """Equality modulo the target relation lattice."""
         if self.target.gens != other.target.gens or self.source.gens != other.source.gens:
             return False
         diff = []

@@ -2,7 +2,10 @@
 
 A TruncSSet stores every simplex up to a truncation level, including the
 degenerate ones, with explicit face and degeneracy tables; the simplicial
-identities are verified wherever both sides exist.  Homology is reported
+identities are verified wherever both sides exist.  ``simplicial_set`` is
+the one builder of those tables from per-simplex face and degeneracy
+functions: nerves, standard simplices and the homotopy-colimit diagonals
+are built through it.  Homology is reported
 only for degrees the truncation determines exactly, and the fundamental
 group needs level >= 2 -- asking for more is an error, never a silently
 wrong answer.
@@ -10,6 +13,8 @@ wrong answer.
 
 from __future__ import annotations
 
+import functools
+import itertools
 from collections import deque
 
 from . import fincat
@@ -37,8 +42,8 @@ class TruncSSet:
     """Level-N truncated simplicial set.
 
     ``simplices[n]`` lists the degree-n simplices in canonical order;
-    ``faces[(n, i)]`` and ``degeneracies[(n, i)]`` are total maps on them.
-    Simplex ids may be any hashable value.
+    ``faces[(n, i)]`` and ``degeneracies[(n, i)]`` are total maps on them,
+    kept as given.  Simplex ids may be any hashable value.
     """
 
     __slots__ = ("level", "simplices", "faces", "degeneracies", "basepoint", "_degenerate")
@@ -48,8 +53,8 @@ class TruncSSet:
         self.simplices = [list(xs) for xs in simplices]
         if level < 0 or len(self.simplices) != level + 1:
             raise PresheafError("need one simplex list per degree 0..N, N >= 0")
-        self.faces = {k: dict(v) for k, v in faces.items()}
-        self.degeneracies = {k: dict(v) for k, v in degeneracies.items()}
+        self.faces = faces
+        self.degeneracies = degeneracies
         self.basepoint = basepoint
         self._degenerate = None
         if _validate:
@@ -147,14 +152,16 @@ class TruncSSet:
 
 
 class SSetMap:
-    """Simplicial map between truncated simplicial sets of the same level."""
+    """Simplicial map between truncated simplicial sets of the same level:
+    ``mapping[n]`` sends each degree-n simplex of the source to one of the
+    target, kept as given."""
 
     __slots__ = ("source", "target", "mapping")
 
     def __init__(self, source, target, mapping, pointed=False, _validate=True):
         self.source = source
         self.target = target
-        self.mapping = [dict(m) for m in mapping]
+        self.mapping = mapping
         if _validate:
             self._check(pointed)
 
@@ -163,8 +170,9 @@ class SSetMap:
         if X.level != Y.level or len(self.mapping) != X.level + 1:
             raise PresheafError("level mismatch in simplicial map")
         for n in range(X.level + 1):
+            ys = set(Y.simplices[n])
             for x in X.simplices[n]:
-                if self.mapping[n].get(x) not in set(Y.simplices[n]):
+                if self.mapping[n].get(x) not in ys:
                     raise PresheafError("map not total in degree %d" % n)
         for n in range(1, X.level + 1):
             for i in range(n + 1):
@@ -184,9 +192,6 @@ class SSetMap:
             if self.mapping[0][X.basepoint] != Y.basepoint:
                 raise PresheafError("map does not preserve the basepoint")
 
-    def apply(self, n, x):
-        return self.mapping[n][x]
-
     def compose(self, other):
         return SSetMap(
             other.source,
@@ -198,10 +203,29 @@ class SSetMap:
             _validate=False,
         )
 
+    def equals(self, other):
+        """Pointwise equality on the source's simplices."""
+        xs = self.source.simplices
+        return ([self.mapping[n][x] for n in range(len(xs)) for x in xs[n]]
+                == [other.mapping[n][x] for n in range(len(xs)) for x in xs[n]])
+
     @classmethod
     def identity(cls, X):
         return cls(X, X, [{x: x for x in X.simplices[n]} for n in range(X.level + 1)],
                    _validate=False)
+
+
+def simplicial_set(N, simplices, face, degeneracy, basepoint=None):
+    """Level-N truncated simplicial set with degree-n simplices
+    ``simplices[n]``, d_i x = ``face(x, i)`` and s_i x =
+    ``degeneracy(x, i)``, not checked: the one builder of face and
+    degeneracy tables."""
+    def table(fn, xs, i):
+        return dict(zip(xs, map(fn, xs, itertools.repeat(i))))
+
+    faces = {(n, i): table(face, simplices[n], i) for n in range(1, N + 1) for i in range(n + 1)}
+    degens = {(n, i): table(degeneracy, simplices[n], i) for n in range(N) for i in range(n + 1)}
+    return TruncSSet(N, simplices, faces, degens, basepoint=basepoint, _validate=False)
 
 
 def nerve(C, N, basepoint=None):
@@ -210,43 +234,25 @@ def nerve(C, N, basepoint=None):
     Degree-n simplices are the chains ``(x0, f1, ..., fn)`` of
     ``fincat.composable_chains`` (identities allowed); nondegenerate chains
     contain no identity.  A basepoint object ``o`` is the vertex ``(o,)``.
+    Chain faces and degeneracies satisfy the simplicial identities
+    whenever C is a category, so the set is not checked again.
     """
-    simplices = [fincat.composable_chains(C, n) for n in range(N + 1)]
-    faces = {}
-    degens = {}
-    for n in range(1, N + 1):
-        for i in range(n + 1):
-            faces[(n, i)] = {ch: fincat.chain_face(C, ch, i) for ch in simplices[n]}
-    for n in range(N):
-        for i in range(n + 1):
-            degens[(n, i)] = {ch: fincat.chain_degeneracy(C, ch, i) for ch in simplices[n]}
-    if basepoint is not None:
-        basepoint = (basepoint,)
-    # chain faces and degeneracies satisfy the simplicial identities
-    # whenever C is a category, so the set is not checked again
-    return TruncSSet(N, simplices, faces, degens, basepoint=basepoint, _validate=False)
+    return simplicial_set(N, [fincat.composable_chains(C, n) for n in range(N + 1)],
+                          functools.partial(fincat.chain_face, C),
+                          functools.partial(fincat.chain_degeneracy, C),
+                          None if basepoint is None else (basepoint,))
 
 
 def standard_simplex(k, N, basepoint=None):
     """Delta[k] truncated at level N: degree-n simplices are nondecreasing
     (n+1)-tuples in {0..k}."""
-    import itertools
-
-    simplices = [
-        [t for t in itertools.combinations_with_replacement(range(k + 1), n + 1)]
-        for n in range(N + 1)
-    ]
-    faces = {}
-    degens = {}
-    for n in range(1, N + 1):
-        for i in range(n + 1):
-            faces[(n, i)] = {t: t[:i] + t[i + 1 :] for t in simplices[n]}
-    for n in range(N):
-        for i in range(n + 1):
-            degens[(n, i)] = {t: t[: i + 1] + t[i:] for t in simplices[n]}
-    if basepoint is not None:
-        basepoint = (basepoint,)
-    return TruncSSet(N, simplices, faces, degens, basepoint=basepoint)
+    X = simplicial_set(
+        N, [list(itertools.combinations_with_replacement(range(k + 1), n + 1)) for n in range(N + 1)],
+        lambda t, i: t[:i] + t[i + 1 :],
+        lambda t, i: t[: i + 1] + t[i:],
+        None if basepoint is None else (basepoint,))
+    X._check()
+    return X
 
 
 # -- D-sets ----------------------------------------------------------------

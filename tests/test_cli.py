@@ -5,7 +5,7 @@ import os
 import tempfile
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hocofin import cli, fixtures
@@ -377,6 +377,27 @@ MALFORMED = {
         dict(GOOD_WORKSPACE, functors={"inc-b": dict(GOOD_WORKSPACE["functors"]["inc-b"], objects={"*": "zz"})}),
         "UnknownObject: object * has no valid image",
     ),
+    "group-kind-presentation-by-ref": (
+        dict(GOOD_WORKSPACE, groups={"z2": GOOD_WORKSPACE["presentations"]["p"]}),
+        "unknown group kind 'presentation'",
+    ),
+    "group-kind-presentation-inline": (
+        dict(GOOD_WORKSPACE, diagrams={"d": dict(GOOD_WORKSPACE["diagrams"]["d"], groups={
+            "a": dict(GOOD_WORKSPACE["presentations"]["p"], label="A"),
+            "b": {"ref": "z2", "label": "A"},
+        })}),
+        "unknown group kind 'presentation'",
+    ),
+    "section-name-with-a-line-break": (
+        dict(GOOD_WORKSPACE, **{"cate\ngories": {}}),
+        "has unknown sections: cate\\ngories",
+    ),
+    "category-key-with-a-line-break": (
+        dict(GOOD_WORKSPACE, categories=dict(GOOD_WORKSPACE["categories"], one={
+            "objects": ["*"], "morphisms": [], "composition": [], "ex\ntra": 1,
+        })),
+        "category has unknown keys: ex\\ntra",
+    ),
     "functor-object-image-not-a-string": (
         dict(GOOD_WORKSPACE, functors={"inc-b": dict(GOOD_WORKSPACE["functors"]["inc-b"], objects={"*": ["b"]})}),
         'functor object image must be a string, not ["b"]',
@@ -569,6 +590,7 @@ json_values = st.recursive(
 
 @settings(max_examples=300, deadline=None)
 @given(st.sampled_from(list(_nodes(GOOD_WORKSPACE))), json_values)
+@example(path=(), value={"\n": None})
 def test_one_replaced_node_is_accepted_or_one_line_error(path, value):
     data = _replaced(GOOD_WORKSPACE, path, value)
     out, err = io.StringIO(), io.StringIO()

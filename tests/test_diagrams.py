@@ -2,6 +2,7 @@ import pytest
 
 from hocofin import fincat, fixtures
 from hocofin.diagrams import (
+    DiagramError,
     NotVDC,
     TruncationUnsound,
     ab_colim0_by_coequalizer,
@@ -29,7 +30,8 @@ from hocofin.groups import (
     trivial_group,
 )
 from hocofin.homalg import AbMap, FGAb, IntMatrix
-from hocofin.presheaf import nerve, normalized_chain_complex
+from hocofin.hocolim import HocolimError, LevelMismatch, PointedDiagram
+from hocofin.presheaf import SSetMap, nerve, normalized_chain_complex, standard_simplex
 
 
 def walking_arrow():
@@ -314,7 +316,7 @@ def test_abelianize_conjugation_acts_as_identity():
     G = GroupDiagram(C, {"*": fp}, {"t": conj})
     M = abelianize_diagram(G)
     ident = AbMap.identity(M.value["*"])
-    assert M.action["t"].equals_mod_relations(ident)
+    assert M.action["t"].equals(ident)
 
 
 # -- Kan extension ------------------------------------------------------------
@@ -480,3 +482,86 @@ def test_kan_extension_preserves_abelian_derived_colimits():
         lhs = ab_colim_derived(S.source, M, 3)
         rhs = ab_colim_derived(S.target, L, 3)
         assert lhs == rhs
+
+
+# -- each diagram kind refuses a bad action with its own error ------------------
+
+
+def _group_kind():
+    z3 = FreeProduct.from_group("A", cyclic_group(3))
+    z2 = FreeProduct.from_group("B", cyclic_group(2))
+    return dict(
+        make=lambda C, values, actions: GroupDiagram(C, values, actions),
+        value=z3, other=z2,
+        identity=GroupHom.identity(z3),
+        negation=GroupHom(z3, z3, {"A": {"0": (), "1": (("A", "2"),), "2": (("A", "1"),)}}),
+        zero=GroupHom(z3, z3, {"A": {"0": (), "1": (), "2": ()}}),
+        other_identity=GroupHom.identity(z2),
+        errors={k: DiagramError for k in ("value", "action", "ends", "identity", "functoriality")},
+    )
+
+
+def _abelian_kind():
+    Z = FGAb.free(1)
+    return dict(
+        make=lambda C, values, actions: AbDiagram(C, values, actions),
+        value=Z, other=FGAb.free(2),
+        identity=AbMap.identity(Z),
+        negation=AbMap(Z, Z, [{0: -1}]),
+        zero=AbMap.zero(Z, Z),
+        other_identity=AbMap.identity(FGAb.free(2)),
+        errors={k: DiagramError for k in ("value", "action", "ends", "identity", "functoriality")},
+    )
+
+
+def _pointed_kind():
+    X = standard_simplex(1, 1, basepoint=0)
+    pt = standard_simplex(0, 1, basepoint=0)
+    const = SSetMap(X, X, [{x: (0,) for x in X.simplices[0]}, {x: (0, 0) for x in X.simplices[1]}],
+                    pointed=True)
+    return dict(
+        make=lambda C, values, actions: PointedDiagram(C, 1, values, actions),
+        value=X, other=pt,
+        identity=SSetMap.identity(X),
+        negation=const, zero=const,
+        other_identity=SSetMap.identity(pt),
+        errors=dict({k: HocolimError for k in ("value", "action", "ends", "identity", "functoriality")},
+                    level=LevelMismatch),
+    )
+
+
+DIAGRAM_KINDS = {"group": _group_kind, "abelian": _abelian_kind, "pointed": _pointed_kind}
+
+BAD_ACTIONS = {
+    "missing-value": ("value", lambda k: ({}, {"t": k["identity"]}), "misses a value at \\*"),
+    "missing-action": ("action", lambda k: ({"*": k["value"]}, {}), "misses the action of t"),
+    "wrong-values": ("ends", lambda k: ({"*": k["value"]}, {"t": k["other_identity"]}),
+                     "action of t (has the wrong|connects the wrong)"),
+    "identity-not-identity": ("identity", lambda k: ({"*": k["value"]},
+                                                     {"id_*": k["negation"], "t": k["identity"]}),
+                              "identity (of|at) \\* does not act as"),
+    "broken-functoriality": ("functoriality", lambda k: ({"*": k["value"]}, {"t": k["zero"]}),
+                             "functoriality fails at \\(t, t\\)"),
+}
+
+
+@pytest.mark.parametrize("bad", sorted(BAD_ACTIONS))
+@pytest.mark.parametrize("kind", sorted(DIAGRAM_KINDS))
+def test_each_diagram_kind_refuses_a_bad_action_with_its_own_error(kind, bad):
+    # over Z/2 as a one-object category: t∘t = id_*
+    C = fixtures.cat_z2()
+    k = DIAGRAM_KINDS[kind]()
+    what, build, message = BAD_ACTIONS[bad]
+    values, actions = build(k)
+    with pytest.raises(k["errors"][what], match=message) as caught:
+        k["make"](C, values, actions)
+    assert type(caught.value) is k["errors"][what]
+
+
+def test_a_pointed_value_at_the_wrong_level_is_a_level_mismatch():
+    C = fixtures.cat_z2()
+    X = standard_simplex(1, 2, basepoint=0)
+    with pytest.raises(LevelMismatch, match="value at \\* has level 2, want 1"):
+        PointedDiagram(C, 1, {"*": X}, {"t": SSetMap.identity(X)})
+    with pytest.raises(HocolimError, match="value at \\* is not pointed"):
+        PointedDiagram(C, 1, {"*": standard_simplex(1, 1)}, {})

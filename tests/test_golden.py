@@ -1,10 +1,14 @@
-"""The JSON reports of ``factorization`` on every fixture category and of
+"""The JSON reports of ``factorization`` on every fixture category, of
 ``check-cofinal``, with and without ``--coinitial``, on every fixture
-functor, byte for byte against ``tests/data/golden``: stdout of each
-command in ``<command>.<entity>[.coinitial].json`` and the exit codes in
-``exit_codes.json``.  They were recorded while the factorization category
-was still built in full and every derived category was listed at
-construction, so they pin the ids, order and tables of the staged views.
+functor, of ``hocolim`` on every fixture pointed diagram and of ``pi1``
+on every fixture simplicial set, byte for byte against
+``tests/data/golden``: stdout of each command in
+``<command>.<entity>[.coinitial].json`` and the exit codes in
+``exit_codes.json``.  The first two were recorded while the
+factorization category was still built in full and every derived
+category was listed at construction, so they pin the ids, order and
+tables of the staged views; the last two were recorded while every
+diagonal and nerve wrote its own face and degeneracy tables.
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -28,6 +32,8 @@ def commands():
     out = [["factorization", "--category", c] for c in fixtures.BUILTINS["categories"]]
     for f in fixtures.BUILTINS["functors"]:
         out += [["check-cofinal", "--functor", f], ["check-cofinal", "--functor", f, "--coinitial"]]
+    out += [["hocolim", "--pointed-diagram", p] for p in fixtures.BUILTINS["pointed_diagrams"]]
+    out += [["pi1", "--sset", s] for s in fixtures.BUILTINS["ssets"]]
     return out
 
 
@@ -52,7 +58,7 @@ def test_report_is_byte_identical(argv):
 def test_every_recorded_command_still_runs():
     codes = json.loads((GOLDEN / "exit_codes.json").read_text(encoding="utf-8"))
     assert sorted(codes) == sorted(" ".join(argv) for argv in commands())
-    assert len(codes) == 11 + 2 * 17
+    assert len(codes) == 11 + 2 * 17 + 5 + 2
 
 
 if __name__ == "__main__":

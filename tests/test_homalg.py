@@ -150,8 +150,8 @@ def test_abmap_equality_mod_relations():
     a = AbMap(z2, z2, IntMatrix([[1]]))
     b = AbMap(z2, z2, IntMatrix([[3]]))
     c = AbMap(z2, z2, IntMatrix([[2]]))
-    assert a.equals_mod_relations(b)
-    assert not a.equals_mod_relations(c)
+    assert a.equals(b)
+    assert not a.equals(c)
 
 
 def _free_complex(matrices, top_rank):

@@ -11,7 +11,7 @@ import io
 from hypothesis import given, settings
 from test_cofinal_reduction import categories
 
-from hocofin import cli, fixtures, hocolim, presheaf
+from hocofin import cli, fixtures, presheaf
 from hocofin.hocolim import bg_diagram, hocolim_pointed, hocolim_unpointed
 from hocofin.presheaf import TruncSSet, nerve
 
@@ -29,7 +29,6 @@ def unchecked_sets(monkeypatch):
                 made.append(self)
 
     monkeypatch.setattr(presheaf, "TruncSSet", Recording)
-    monkeypatch.setattr(hocolim, "TruncSSet", Recording)
     return made
 
 
