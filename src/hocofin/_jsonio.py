@@ -209,17 +209,21 @@ def presentation_to_json(P):
 
 
 def free_product_from_json(obj, workspace):
+    """A diagram's group: ``{"ref": NAME}`` with an optional factor
+    ``label``, a ``free_product`` of labelled table groups, or an inline
+    table group, labelled ``G``."""
     if "ref" in _mapping(obj, "diagram group"):
+        _require_keys(obj, ("ref",), ("label",), what="group reference")
         G = workspace.get("groups", obj["ref"])
         return FreeProduct.from_group(obj.get("label", obj["ref"]), G)
     if obj.get("kind") == "free_product":
+        _require_keys(obj, ("kind",), ("factors",), what="free product")
         factors = []
         for fac in _array(obj.get("factors"), "free product factors"):
             _require_keys(fac, ("label", "group"), what="free product factor")
             factors.append((fac["label"], group_from_json(fac["group"])))
         return FreeProduct(factors)
-    G = group_from_json(obj)
-    return FreeProduct.from_group(obj.get("label", G.name or "G"), G)
+    return FreeProduct.from_group("G", group_from_json(obj))
 
 
 def _word_from_json(word, target, what):

@@ -17,7 +17,6 @@ from .fincat import (
     comma_left_fibre,
     connected_components,
     final_objects,
-    initial_objects,
     iter_final_objects,
     iter_initial_objects,
     opposite,
@@ -297,7 +296,7 @@ def _cone(B):
     return None
 
 
-def certify_contractible(B, effort=1, n_max=2, nerve_cap=DEFAULT_NERVE_CAP):
+def certify_contractible(B, effort=1, n_max=2):
     """Certify (non)contractibility of the nerve of B.
 
     Pipeline: emptiness, cone object (the first final object in object
@@ -329,9 +328,10 @@ def certify_contractible(B, effort=1, n_max=2, nerve_cap=DEFAULT_NERVE_CAP):
     checks = {"n_max": n_eff}
     level = max(2, n_eff + 1)
     sizes = _nerve_sizes(B, level)
-    if max(sizes) > nerve_cap:
+    if max(sizes) > DEFAULT_NERVE_CAP:
         return ContractibilityVerdict(
-            INCONCLUSIVE, checks={"reason": "nerve size %d over cap %d" % (max(sizes), nerve_cap)}
+            INCONCLUSIVE,
+            checks={"reason": "nerve size %d over cap %d" % (max(sizes), DEFAULT_NERVE_CAP)}
         )
     try:
         X = nerve(B, level, basepoint=B.objects[0])
@@ -355,28 +355,6 @@ def certify_contractible(B, effort=1, n_max=2, nerve_cap=DEFAULT_NERVE_CAP):
     except BudgetExceeded as exc:
         return ContractibilityVerdict(INCONCLUSIVE, checks={"reason": str(exc)})
     return ContractibilityVerdict(EVIDENCE, checks=checks)
-
-
-def replay_certificate(B, cert):
-    """Re-verify a contractibility certificate independently."""
-    if cert["kind"] == "vacuous":
-        return True
-    if cert["kind"] == "cone":
-        pool = final_objects(B) if cert["side"] == "final" else initial_objects(B)
-        return cert["object"] in pool
-    if cert["kind"] != "collapse":
-        return False
-    nb = _Neighbours(B)
-    state = set(B.objects)
-    for step in cert["steps"]:
-        removed = tuple(step["removed"])
-        check = _reflection if step["direction"] == "reflection" else _coreflection
-        for x in removed:
-            if x not in state or check(nb, x, state, removed) is None:
-                return False
-        state.difference_update(removed)
-    is_cone = nb.is_final if cert["side"] == "final" else nb.is_initial
-    return cert["cone"] in state and is_cone(cert["cone"], state)
 
 
 def certify_homotopy_cofinal(S, effort=1, n_max=2, coinitial=False):

@@ -30,7 +30,6 @@ from . import fincat
 from .cofinal import reflective_core
 from .fincat import (
     Functor,
-    chain_degeneracy,
     chain_face,
     composable_chains,
     comma_left_fibre,
@@ -43,10 +42,6 @@ from .homalg import AbMap, FGAb, block_map, block_sum, normalized_complex
 
 
 class DiagramError(Exception):
-    pass
-
-
-class IndexOutOfRange(DiagramError):
     pass
 
 
@@ -171,69 +166,6 @@ def constant_group_diagram(C, fp, name="const"):
     )
 
 
-# -- simplicial replacement --------------------------------------------------
-
-
-def _srep_level(C, G, n):
-    """Degree-n part of the simplicial replacement: the free product of
-    G(origin) over all length-n chains, factor labels (chain, inner)."""
-    factors = []
-    for chain in composable_chains(C, n):
-        for lbl, grp in G.value[chain[0]].factors:
-            factors.append((_chain_label(chain, lbl), grp))
-    return FreeProduct(factors)
-
-
-def _chain_label(chain, inner):
-    """Factor label "x0::inner" in degree 0, "f1~...~fn::inner" above."""
-    return "%s::%s" % ("~".join(chain[1:] or chain), inner)
-
-
-def srep_face(C, G, n, i):
-    """Face d_i of the simplicial replacement, as a homomorphism from the
-    degree-n to the degree-(n-1) free product.
-
-    On a generator (chain, x): d_0 transports x along the first arrow and
-    drops it; inner faces compose adjacent arrows; d_n drops the last.
-    """
-    if n < 1 or i < 0 or i > n:
-        raise IndexOutOfRange("face d_%d undefined in degree %d" % (i, n))
-    src = _srep_level(C, G, n)
-    dst = _srep_level(C, G, n - 1)
-    per = {}
-    for chain in composable_chains(C, n):
-        target_chain = chain_face(C, chain, i)
-        for lbl, grp in G.value[chain[0]].factors:
-            table = {}
-            if i == 0:
-                hom = G.action[chain[1]]
-                for el in grp.elements:
-                    word = hom.apply(((lbl, el),) if el != grp.unit else ())
-                    table[el] = tuple((_chain_label(target_chain, l2), e2) for l2, e2 in word)
-            else:
-                for el in grp.elements:
-                    table[el] = () if el == grp.unit else ((_chain_label(target_chain, lbl), el),)
-            per[_chain_label(chain, lbl)] = table
-    return GroupHom(src, dst, per, _validate=False)
-
-
-def srep_degeneracy(C, G, n, i):
-    """Degeneracy s_i: insert an identity arrow at position i."""
-    if i < 0 or i > n:
-        raise IndexOutOfRange("degeneracy s_%d undefined in degree %d" % (i, n))
-    src = _srep_level(C, G, n)
-    dst = _srep_level(C, G, n + 1)
-    per = {}
-    for chain in composable_chains(C, n):
-        target_chain = chain_degeneracy(C, chain, i)
-        for lbl, grp in G.value[chain[0]].factors:
-            per[_chain_label(chain, lbl)] = {
-                el: (() if el == grp.unit else ((_chain_label(target_chain, lbl), el),))
-                for el in grp.elements
-            }
-    return GroupHom(src, dst, per, _validate=False)
-
-
 # -- colimits ----------------------------------------------------------------
 
 
@@ -328,22 +260,6 @@ def srep_ab_complex(C, M, n_max, chain_cap=DEFAULT_CHAIN_CAP):
             yield i, chain_face(C, ch, i), M.value[ch[0]].gens
 
     return normalized_complex(chains, lambda ch: M.value[ch[0]], faces)
-
-
-def ab_colim0_by_coequalizer(C, M):
-    """Independent degree-0 oracle: cokernel of the difference map from
-    the sum over non-identity morphisms of M(dom) into the sum over
-    objects of M(c)."""
-    total, off = block_sum([M.value[o] for o in C.objects])
-    off = dict(zip(C.objects, off))
-    arrows = [a for a in C.morphisms if not C.is_identity(a)]
-    domains, col_off = block_sum([M.value[C.dom[a]] for a in arrows])
-    entries = []
-    for a, c0 in zip(arrows, col_off):
-        entries.append((off[C.dom[a]], c0, 1, M.value[C.dom[a]].gens))
-        entries.append((off[C.cod[a]], c0, -1, M.action[a].columns))
-    diff = block_map(domains, total, entries)
-    return FGAb(total.gens, total.relations + diff.columns)
 
 
 # -- abelianization ----------------------------------------------------------

@@ -847,10 +847,6 @@ def final_objects(C, objs=None):
     return list(iter_final_objects(C, objs))
 
 
-def initial_objects(C):
-    return list(iter_initial_objects(C))
-
-
 def full_subcategory(C, objs):
     """Full subcategory on the given objects (order induced from C); a
     view whose hom-sets are C's and whose table is C's restricted."""
@@ -903,37 +899,6 @@ def from_poset(elements, leq, name=""):
             if y2 == y1:
                 comp.append((m2, m1, "%s<=%s" % (x, z)))
     return validate_category(elements, mors, comp, name=name)
-
-
-def disjoint_union(C, D, tags=("0", "1"), name=""):
-    ta, tb = tags
-
-    def t0(x):
-        return "%s:%s" % (ta, x)
-
-    def t1(x):
-        return "%s:%s" % (tb, x)
-
-    objs = [t0(o) for o in C.objects] + [t1(o) for o in D.objects]
-    mors = []
-    for f in C.morphisms:
-        if not C.is_identity(f):
-            mors.append((t0(f), t0(C.dom[f]), t0(C.cod[f])))
-    for f in D.morphisms:
-        if not D.is_identity(f):
-            mors.append((t1(f), t1(D.dom[f]), t1(D.cod[f])))
-    comp = []
-    for (g, f), h in C.comp.items():
-        if not C.is_identity(g) and not C.is_identity(f) and not C.is_identity(h):
-            comp.append((t0(g), t0(f), t0(h)))
-        elif not C.is_identity(g) and not C.is_identity(f) and C.is_identity(h):
-            comp.append((t0(g), t0(f), identity_id(t0(C.dom[h]))))
-    for (g, f), h in D.comp.items():
-        if not D.is_identity(g) and not D.is_identity(f) and not D.is_identity(h):
-            comp.append((t1(g), t1(f), t1(h)))
-        elif not D.is_identity(g) and not D.is_identity(f) and D.is_identity(h):
-            comp.append((t1(g), t1(f), identity_id(t1(D.dom[h]))))
-    return validate_category(objs, mors, comp, name=name)
 
 
 # -- nerve chains ---------------------------------------------------------

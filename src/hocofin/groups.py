@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import itertools
 
-from .homalg import FGAb, IntMatrix
-
 
 class GroupError(Exception):
     pass
@@ -24,6 +22,11 @@ class UnknownLabel(GroupError):
 
 class BudgetExceeded(GroupError):
     pass
+
+
+HOM_COUNT_BUDGET = 10 ** 7
+TIETZE_BUDGET = 10 ** 5
+FREE_PRODUCT_CAP = 10 ** 5
 
 
 class FinGroup:
@@ -67,9 +70,6 @@ class FinGroup:
             if a not in self.inv:
                 raise GroupError("no inverse for %s" % a)
 
-    def mul(self, a, b):
-        return self.table[(a, b)]
-
     def indexed(self):
         """The group on indices 0..n-1 in element order, built once:
         ``(rows, inverses, unit)`` where ``rows[i][j]`` is the index of the
@@ -92,16 +92,6 @@ class FinGroup:
             for a in self.elements
             for b in self.elements
         )
-
-    def element_orders(self):
-        out = []
-        for a in self.elements:
-            x, n = a, 1
-            while x != self.unit:
-                x = self.table[(x, a)]
-                n += 1
-            out.append(n)
-        return sorted(out)
 
     def __repr__(self):
         return "FinGroup(%s, order %d)" % (self.name or "?", len(self.elements))
@@ -220,99 +210,6 @@ def catalog():
     return _CATALOG
 
 
-def enumerate_group_tables(n):
-    """All group tables on {0..n-1} with unit 0, up to isomorphism.
-
-    Backtracking over the multiplication table with row/column (latin
-    square) constraints and incremental associativity pruning; practical
-    for n <= 6.  Used as the completeness oracle for the catalog.
-    """
-    cells = [(i, j) for i in range(1, n) for j in range(1, n)]
-    table = [[None] * n for _ in range(n)]
-    for k in range(n):
-        table[0][k] = k
-        table[k][0] = k
-    found = []
-
-    def consistent(i, j):
-        # check all triples whose products are already known
-        for a in range(n):
-            for b in range(n):
-                ab = table[a][b]
-                if ab is None:
-                    continue
-                for c in range(n):
-                    bc = table[b][c]
-                    if bc is None:
-                        continue
-                    lhs = table[ab][c]
-                    rhs = table[a][bc]
-                    if lhs is not None and rhs is not None and lhs != rhs:
-                        return False
-        return True
-
-    def place(k):
-        if k == len(cells):
-            els = [str(x) for x in range(n)]
-            t = {(str(i), str(j)): str(table[i][j]) for i in range(n) for j in range(n)}
-            G = FinGroup(els, "0", t)
-            if not any(_tables_isomorphic(G, H) for H in found):
-                found.append(G)
-            return
-        i, j = cells[k]
-        used_row = {table[i][c] for c in range(n) if table[i][c] is not None}
-        used_col = {table[r][j] for r in range(n) if table[r][j] is not None}
-        for v in range(n):
-            if v in used_row or v in used_col:
-                continue
-            table[i][j] = v
-            if consistent(i, j):
-                place(k + 1)
-            table[i][j] = None
-
-    place(0)
-    return found
-
-
-def _tables_isomorphic(G, H):
-    if G.order() != H.order():
-        return False
-    if G.element_orders() != H.element_orders():
-        return False
-    n = G.order()
-    g_els = [e for e in G.elements if e != G.unit]
-    h_els = [e for e in H.elements if e != H.unit]
-
-    def backtrack(k, mapping):
-        if k == len(g_els):
-            return True
-        a = g_els[k]
-        for b in h_els:
-            if b in mapping.values():
-                continue
-            mapping[a] = b
-            ok = True
-            for x in list(mapping):
-                xa = G.table[(x, a)]
-                ax = G.table[(a, x)]
-                if xa in mapping or xa == G.unit:
-                    img = H.unit if xa == G.unit else mapping.get(xa)
-                    if img is not None and H.table[(mapping[x], b)] != img:
-                        ok = False
-                        break
-                if ax in mapping or ax == G.unit:
-                    img = H.unit if ax == G.unit else mapping.get(ax)
-                    if img is not None and H.table[(b, mapping[x])] != img:
-                        ok = False
-                        break
-            if ok and backtrack(k + 1, mapping):
-                return True
-            del mapping[a]
-        return False
-
-    return backtrack(0, {})
-
-
 # -- free products ---------------------------------------------------------
 
 
@@ -344,9 +241,6 @@ class FreeProduct:
     @classmethod
     def trivial(cls):
         return cls([], name="1")
-
-    def unit(self):
-        return ()
 
     def letter(self, label, elem):
         G = self.fmap.get(label)
@@ -384,9 +278,6 @@ class FreeProduct:
     def multiply(self, w1, w2):
         return self.reduce(tuple(w1) + tuple(w2))
 
-    def invert(self, w):
-        return tuple((lbl, self.fmap[lbl].inv[el]) for lbl, el in reversed(tuple(w)))
-
     def nontrivial_factors(self):
         return [(lbl, G) for lbl, G in self.factors if G.order() > 1]
 
@@ -399,10 +290,11 @@ class FreeProduct:
             return nt[0][1].order()
         return None
 
-    def elements(self, cap=100000):
-        """All reduced words when the free product is a finite group."""
+    def elements(self):
+        """All reduced words when the free product is a finite group of at
+        most FREE_PRODUCT_CAP elements."""
         count = self.element_count()
-        if count is None or count > cap:
+        if count is None or count > FREE_PRODUCT_CAP:
             raise BudgetExceeded("free product has too many (or infinitely many) elements")
         nt = self.nontrivial_factors()
         if not nt:
@@ -410,7 +302,7 @@ class FreeProduct:
         lbl, G = nt[0]
         return [()] + [((lbl, e),) for e in G.elements if e != G.unit]
 
-    def as_table_group(self, name=""):
+    def as_table_group(self):
         """Convert to a FinGroup when at most one factor is nontrivial."""
         if self.element_count() is None:
             raise BudgetExceeded("free product is infinite")
@@ -422,7 +314,7 @@ class FreeProduct:
             for k2, w2 in by_word.items():
                 prod = self.multiply(w1, w2)
                 table[(k1, k2)] = "|".join("%s.%s" % l for l in prod) or "1"
-        return FinGroup(keys, "1", table, name=name or self.name)
+        return FinGroup(keys, "1", table, name=self.name)
 
     def __repr__(self):
         return "FreeProduct(%s)" % " * ".join(
@@ -619,7 +511,7 @@ def cyclic_reduce(word):
     return tuple(w)
 
 
-def hom_count(P, T, budget=10 ** 7):
+def hom_count(P, T, budget=HOM_COUNT_BUDGET):
     """Number of homomorphisms from the presented group into the table
     group T.
 
@@ -681,35 +573,23 @@ def _backtrack(checks, T):
     return extend(0)
 
 
-def fingerprint(P, budget=10 ** 7):
+def fingerprint(P):
     """Hom-count vector over the order-<=8 catalog.
 
     An isomorphism invariant: equal vectors are necessary (not sufficient)
     for isomorphism.
     """
-    return tuple(hom_count(P, T, budget=budget) for T in catalog())
+    return tuple(hom_count(P, T) for T in catalog())
 
 
-def abelianization(P):
-    """The presented group made abelian, as an FGAb (exponent-sum matrix)."""
-    gidx = {g: i for i, g in enumerate(P.generators)}
-    cols = []
-    for rel in P.relators:
-        col = [0] * len(P.generators)
-        for g, e in rel:
-            col[gidx[g]] += e
-        cols.append(col)
-    return FGAb(len(P.generators), IntMatrix.from_columns(cols, len(P.generators)))
-
-
-def tietze_simplify(P, budget=100000):
+def tietze_simplify(P):
     """Equivalent, usually smaller, presentation.
 
     Moves used: free and cyclic reduction of relators, duplicate/empty
     relator removal, and elimination of a generator that occurs exactly
     once in some relator.  Each move is a Tietze transformation, so the
-    isomorphism class never changes.  On budget exhaustion the current
-    form is returned.
+    isomorphism class never changes.  Once more than TIETZE_BUDGET relator
+    letters have been rewritten, the current form is returned.
     """
     gens = list(P.generators)
     rels = [cyclic_reduce(r) for r in P.relators]
@@ -752,7 +632,7 @@ def tietze_simplify(P, budget=100000):
                     break
             if target:
                 break
-        if not target or spent > budget:
+        if not target or spent > TIETZE_BUDGET:
             break
         rel_idx, pos, g, e = target
         rel_w = rels[rel_idx]
@@ -778,11 +658,11 @@ def tietze_simplify(P, budget=100000):
     return GroupPresentation(gens, rels)
 
 
-def presentation_of_table_group(G, prefix="g"):
+def presentation_of_table_group(G):
     """Presentation with one generator per non-unit element and the full
     multiplication table as relations."""
-    gens = ["%s%d" % (prefix, i) for i, _ in enumerate(e for e in G.elements if e != G.unit)]
     nonunit = [e for e in G.elements if e != G.unit]
+    gens = ["g%d" % i for i in range(len(nonunit))]
     gmap = dict(zip(nonunit, gens))
     rels = []
     for a in nonunit:
@@ -795,5 +675,5 @@ def presentation_of_table_group(G, prefix="g"):
     return GroupPresentation(gens, rels)
 
 
-def fingerprint_of_table_group(G, budget=10 ** 7):
-    return fingerprint(tietze_simplify(presentation_of_table_group(G)), budget=budget)
+def fingerprint_of_table_group(G):
+    return fingerprint(tietze_simplify(presentation_of_table_group(G)))

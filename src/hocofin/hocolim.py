@@ -34,6 +34,7 @@ class CapExceeded(HocolimError):
 
 
 BASECLASS = "*"
+CLASSIFYING_SPACE_CAP = 10 ** 5
 
 
 class PointedDiagram(Diagram):
@@ -66,16 +67,14 @@ class PointedDiagram(Diagram):
 # -- classifying spaces -------------------------------------------------------
 
 
-def classifying_space(G, N, cap=100000):
-    """Nerve of the one-object category of a group, pointed at the vertex.
+def classifying_space(G, N):
+    """(BG as a one-object category, its nerve through degree N pointed at
+    the vertex) for a finite group or a free product.
 
     Free products with two or more nontrivial factors are infinite, so the
-    word enumeration raises CapExceeded instead of truncating silently.
+    word enumeration raises CapExceeded instead of truncating silently, as
+    does a nerve with more than CLASSIFYING_SPACE_CAP top simplices.
     """
-    return _classifying_space_with_cat(G, N, cap=cap)[1]
-
-
-def _classifying_space_with_cat(G, N, cap=100000):
     if isinstance(G, FreeProduct):
         try:
             G = G.as_table_group()
@@ -83,7 +82,7 @@ def _classifying_space_with_cat(G, N, cap=100000):
             raise CapExceeded(str(exc)) from None
     if not isinstance(G, FinGroup):
         raise HocolimError("expected a finite group or a free product")
-    if G.order() ** N > cap:
+    if G.order() ** N > CLASSIFYING_SPACE_CAP:
         raise CapExceeded("classifying space has %d top simplices" % G.order() ** N)
     cat = fincat.from_monoid(G.elements, G.unit, G.table, name="B(%s)" % (G.name or "?"))
     return cat, nerve(cat, N, basepoint="*")
@@ -93,14 +92,14 @@ def _word_key(word):
     return "|".join("%s.%s" % l for l in word) or "1"
 
 
-def bg_diagram(G, N, cap=100000):
+def bg_diagram(G, N):
     """Pointed diagram of classifying spaces of a group diagram."""
     cats = {}
     values = {}
     words = {}
     for o in G.base.objects:
         fp = G.value[o]
-        cats[o], values[o] = _classifying_space_with_cat(fp, N, cap=cap)
+        cats[o], values[o] = classifying_space(fp, N)
         words[o] = {_word_key(w): w for w in fp.elements()}
     actions = {}
     for alpha in G.base.morphisms:
@@ -184,18 +183,6 @@ def hocolim_pointed(PD, N):
         return BASECLASS if x == base_of[sigma[0]][len(sigma) - 1] else (sigma, x)
 
     return _diagonal(PD, N, cls, BASECLASS)
-
-
-def hocolim_cardinalities(PD, N):
-    """Exact degreewise count 1 + sum over chains of (|X(origin)_n| - 1)."""
-    C = PD.base
-    out = []
-    for n in range(N + 1):
-        total = 1
-        for sigma in composable_chains(C, n):
-            total += len(PD.value[sigma[0]].simplices[n]) - 1
-        out.append(total)
-    return out
 
 
 # -- the quotient identity -----------------------------------------------------

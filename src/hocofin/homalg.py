@@ -9,18 +9,18 @@ A relation lattice (``FGAb.relations``) and a map (``AbMap.columns``) are
 stored as sparse columns: lists of {row: entry} dicts holding no zero
 entry.  ``block_sum`` and ``block_map`` assemble chain groups and
 boundaries in that form, and ``FGAb``, ``ChainComplex`` and the relation
-lattices read it directly.  The dense ``IntMatrix`` forms ``FGAb.rels`` and
-``AbMap.matrix`` are views, built on first access for the callers that want
-a matrix (small Smith normal forms, the lifted oracle, JSON output).
+lattices read it directly.  ``AbMap.matrix`` is a dense ``IntMatrix``
+view, built on first access for the callers that want a matrix.
 
-``lattice_invariants`` computes Smith invariants only, for ``FGAb`` and for
-all homology: a complex with relations is first replaced by its relation
-cone, a free complex with the same homology (``ChainComplex.homology``).
-``smith_normal_form`` also computes the transforms U and V, for whatever
-needs coordinates: ``kernel_basis``, ``lattice_member``, the small relation
-components behind lattice membership (the cone, ``AbMap``
-well-definedness), and ``ChainComplex.lifted_homology``, the dense route
-kept as the tests' oracle.
+``_column_invariants`` computes Smith invariants only, for ``FGAb`` and
+for all homology: a complex with relations is first replaced by its
+relation cone, a free complex with the same homology
+(``ChainComplex.homology``).  ``smith_normal_form`` also computes the
+transforms U and V, for the small relation components behind lattice
+membership (the cone, ``AbMap`` well-definedness).  The dense coordinate
+routes that the tests compare against (kernels, lattice membership,
+homology lifted to the free covers, SNF checking) live in
+``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -45,8 +45,8 @@ class IntMatrix:
     Entries are plain Python ints; decimal strings are accepted and
     converted, which is how matrices arrive from JSON.
 
-    >>> IntMatrix([[1, 2], [3, 4]]).mul(IntMatrix.identity(2)).entries
-    [[1, 2], [3, 4]]
+    >>> IntMatrix([[1, "2"], [3, -4]]).mul_vec([1, 1])
+    [3, -1]
     """
 
     __slots__ = ("rows", "cols", "entries")
@@ -65,21 +65,6 @@ class IntMatrix:
         self.entries = data
 
     @classmethod
-    def identity(cls, n):
-        return cls([[int(i == j) for j in range(n)] for i in range(n)], (n, n))
-
-    @classmethod
-    def zeros(cls, m, n):
-        return cls([[0] * n for _ in range(m)], (m, n))
-
-    @classmethod
-    def from_columns(cls, columns, rows):
-        cols = [list(map(int, c)) for c in columns]
-        if any(len(c) != rows for c in cols):
-            raise ValueError("column of wrong length")
-        return cls([[c[i] for c in cols] for i in range(rows)], (rows, len(cols)))
-
-    @classmethod
     def from_sparse(cls, columns, rows):
         """The dense matrix with the given sparse columns ({row: entry} dicts)."""
         data = [[0] * len(columns) for _ in range(rows)]
@@ -91,41 +76,12 @@ class IntMatrix:
     def column(self, j):
         return [row[j] for row in self.entries]
 
-    def columns(self):
-        return [self.column(j) for j in range(self.cols)]
-
-    def transpose(self):
-        return IntMatrix(
-            [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)],
-            (self.cols, self.rows),
-        )
-
-    def mul(self, other):
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch in matrix product")
-        ot = other.transpose().entries
-        return IntMatrix(
-            [[sum(a * b for a, b in zip(row, col)) for col in ot] for row in self.entries],
-            (self.rows, other.cols),
-        )
-
     def mul_vec(self, v):
         if len(v) != self.cols:
             raise ValueError("vector length mismatch")
         # products only where v is nonzero: rows x nnz(v) multiplications
         vals = [x for x in v if x]
         return [sum(map(mul, compress(row, v), vals)) for row in self.entries]
-
-    def hstack(self, other):
-        if self.rows != other.rows:
-            raise ValueError("row count mismatch in hstack")
-        return IntMatrix(
-            [self.entries[i] + other.entries[i] for i in range(self.rows)],
-            (self.rows, self.cols + other.cols),
-        )
-
-    def is_zero(self):
-        return all(x == 0 for row in self.entries for x in row)
 
     def __eq__(self, other):
         if not isinstance(other, IntMatrix):
@@ -138,13 +94,6 @@ class IntMatrix:
 
     def __repr__(self):
         return "IntMatrix(%r)" % (self.entries,)
-
-    def to_json(self):
-        return {
-            "rows": self.rows,
-            "cols": self.cols,
-            "data": [str(x) for row in self.entries for x in row],
-        }
 
     @classmethod
     def from_json(cls, obj):
@@ -258,116 +207,6 @@ def smith_normal_form(A):
     )
 
 
-def determinant(M):
-    """Exact determinant by fraction-free (Bareiss) elimination."""
-    if M.rows != M.cols:
-        raise ValueError("determinant of a non-square matrix")
-    n = M.rows
-    if n == 0:
-        return 1
-    a = [row[:] for row in M.entries]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k]:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
-
-
-def verify_smith_normal_form(A, U, D, V):
-    """Check U*A*V == D, diagonality, the divisibility chain, |det| = 1.
-
-    Raises HomalgError on any failure; used by the test suite on every
-    randomised instance.
-    """
-    if U.mul(A).mul(V) != D:
-        raise HomalgError("U*A*V != D")
-    diag = [D.entries[i][i] for i in range(min(D.rows, D.cols))]
-    for i in range(D.rows):
-        for j in range(D.cols):
-            if i != j and D.entries[i][j]:
-                raise HomalgError("D is not diagonal")
-    for i, d in enumerate(diag):
-        if d < 0:
-            raise HomalgError("negative invariant factor")
-        if i + 1 < len(diag):
-            nxt = diag[i + 1]
-            if d == 0 and nxt != 0:
-                raise HomalgError("zero before nonzero on the diagonal")
-            if d != 0 and nxt % d != 0:
-                raise HomalgError("divisibility chain broken")
-    if abs(determinant(U)) != 1:
-        raise HomalgError("U is not unimodular")
-    if abs(determinant(V)) != 1:
-        raise HomalgError("V is not unimodular")
-
-
-def kernel_basis(A):
-    """Basis for the integer kernel of A, returned as columns of a matrix."""
-    return IntMatrix.from_columns(_Solver(A).kernel(), A.cols)
-
-
-class _Solver:
-    """Repeated exact solving of A*x = v against a fixed A via one SNF."""
-
-    def __init__(self, A):
-        self.A = A
-        self.U, self.D, self.V = smith_normal_form(A)
-        self.rank_bound = min(A.rows, A.cols)
-
-    def kernel(self):
-        """Columns of V spanning the integer kernel of A."""
-        r = sum(1 for i in range(self.rank_bound) if self.D.entries[i][i])
-        return [self.V.column(j) for j in range(r, self.A.cols)]
-
-    def solve(self, v):
-        if len(v) != self.A.rows:
-            raise ValueError("rhs length mismatch")
-        w = self.U.mul_vec(v)
-        z = [0] * self.A.cols
-        for i in range(self.rank_bound):
-            d = self.D.entries[i][i]
-            if d:
-                if w[i] % d:
-                    return None
-                z[i] = w[i] // d
-            elif w[i]:
-                return None
-        for i in range(self.rank_bound, self.A.rows):
-            if w[i]:
-                return None
-        return self.V.mul_vec(z)
-
-
-def lattice_member(v, A):
-    """Integer coordinates x with A*x == v, or None when v is outside the
-    column lattice of A."""
-    return _Solver(A).solve(v)
-
-
-# -- invariants without transforms ---------------------------------------------
-
-
-def lattice_invariants(A):
-    """(rank, torsion): the number of nonzero Smith invariants of A and
-    those above 1, d1 | d2 | ..., found without transforms.
-
-    >>> lattice_invariants(IntMatrix([[4, 0, 0], [0, 6, 0]]))
-    (2, (2, 12))
-    """
-    return _column_invariants(_sparse_columns(A))
-
-
 def _sparse_columns(M):
     """Columns of M as {row: entry} dicts of their nonzero entries."""
     cols = [{} for _ in range(M.cols)]
@@ -389,7 +228,9 @@ def _checked_columns(columns, rows):
 
 
 def _column_invariants(columns):
-    """lattice_invariants of sparse columns (left unchanged, no zero entry).
+    """(rank, torsion) of the lattice spanned by sparse columns (left
+    unchanged, no zero entry): the number of nonzero Smith invariants and
+    those above 1, d1 | d2 | ..., found without transforms.
 
     A +-1 entry is a pivot: its column clears its row from the others and
     both leave.  Short columns and sparse pivot rows go first, to keep
@@ -509,9 +350,8 @@ class FGAb:
     relations.
 
     ``relations`` is the stored form: the relation columns as sparse
-    {generator: entry} dicts.  ``rels`` is the same lattice as a dense
-    IntMatrix with one row per generator, built on first access; a dense
-    matrix may also be given, as JSON readers and fixtures do.  The
+    {generator: entry} dicts.  A dense IntMatrix with one row per
+    generator may be given instead, as JSON readers and fixtures do.  The
     canonical form (free rank plus invariant factors d1 | d2 | ...) is
     computed once from the sparse columns; equality and hashing use it.
 
@@ -521,7 +361,7 @@ class FGAb:
     Z^2 (+) Z/2
     """
 
-    __slots__ = ("gens", "relations", "_rels", "free_rank", "torsion")
+    __slots__ = ("gens", "relations", "free_rank", "torsion")
 
     def __init__(self, gens, rels=None):
         gens = int(gens)
@@ -530,22 +370,13 @@ class FGAb:
         if isinstance(rels, IntMatrix):
             if rels.rows != gens:
                 raise ValueError("relation matrix must have one row per generator")
-            self._rels = rels
             rels = _sparse_columns(rels)
         else:
-            self._rels = None
             rels = _checked_columns(rels, gens)
         self.gens = gens
         self.relations = rels
         rank, self.torsion = _column_invariants(rels)
         self.free_rank = gens - rank
-
-    @property
-    def rels(self):
-        """The relation columns as a dense IntMatrix (a view, built once)."""
-        if self._rels is None:
-            self._rels = IntMatrix.from_sparse(self.relations, self.gens)
-        return self._rels
 
     @classmethod
     def free(cls, rank):
@@ -572,10 +403,6 @@ class FGAb:
     def is_trivial(self):
         return self.free_rank == 0 and not self.torsion
 
-    def direct_sum(self, *others):
-        """Block direct sum at presentation level (generator order kept)."""
-        return block_sum((self,) + others)[0]
-
     def __eq__(self, other):
         if not isinstance(other, FGAb):
             return NotImplemented
@@ -595,9 +422,6 @@ class FGAb:
 
     def __repr__(self):
         return "FGAb<%s>" % self
-
-    def to_json(self):
-        return {"free_rank": self.free_rank, "torsion": list(self.torsion)}
 
 
 class AbMap:
@@ -830,11 +654,10 @@ class ChainComplex:
         d_T(f, r) = (d_F f + rho r, -d_R r - k f), where rho d_R = d_F rho
         and rho k = d_F d_F, is a free complex mapping onto C with acyclic
         kernel, so H_n(C) = H_n(T): Z^(rank T_n - rk d_T,n - rk d_T,n+1)
-        plus the torsion of coker d_T,n+1, read from lattice_invariants of
+        plus the torsion of coker d_T,n+1, read from _column_invariants of
         the two cone boundaries (each computed once per complex).  On a
         free complex T is C itself.  A boundary d_k that does not carry
         R_k into R_{k-1}, for k = n-1 or n, raises HomalgError.
-        ``lifted_homology`` is the dense route to the same groups.
         """
         if n - 1 < self.lo or n + 1 > self.hi:
             raise DegreeMissing("homology in degree %d needs degrees %d..%d" % (n, n - 1, n + 1))
@@ -878,41 +701,6 @@ class ChainComplex:
                 raise HomalgError("boundary does not respect the relations in degree %d" % (n - 1))
             cols.append(_with_tail(col, off, d_r))
         return cols
-
-    def lifted_homology(self, n):
-        """H_n for finitely presented chain groups, by lifting everything to
-        the free covers: a free-cover element is a cycle when its boundary
-        lands in the relation lattice one degree down, and relation columns
-        of C_n are folded into the divided-out sublattice.
-        """
-        if n - 1 < self.lo or n + 1 > self.hi:
-            raise DegreeMissing("homology in degree %d needs degrees %d..%d" % (n, n - 1, n + 1))
-        Cn = self.groups[n]
-        if Cn.gens == 0:
-            return FGAb.trivial()
-        below = self.groups[n - 1]
-        Dn = self.boundaries[n].matrix
-        Dup = self.boundaries[n + 1].matrix
-        # cycles: x in Z^gens with Dn*x in the relation lattice below
-        stacked = Dn.hstack(below.rels)
-        ker = kernel_basis(stacked)
-        gen_mat = IntMatrix(
-            [ker.entries[i] for i in range(Cn.gens)], (Cn.gens, ker.cols)
-        )
-        t = gen_mat.cols
-        quotient_cols = Cn.rels.columns() + Dup.columns()
-        if t == 0:
-            if any(any(x for x in col) for col in quotient_cols):
-                raise HomalgError("boundary image escapes the cycle lattice")
-            return FGAb.trivial()
-        solver = _Solver(gen_mat)
-        rel_cols = solver.kernel()
-        for col in quotient_cols:
-            coords = solver.solve(col)
-            if coords is None:
-                raise HomalgError("boundary image escapes the cycle lattice")
-            rel_cols.append(coords)
-        return FGAb(t, IntMatrix.from_columns(rel_cols, t))
 
 
 # -- block assembly ------------------------------------------------------------

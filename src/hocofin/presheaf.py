@@ -267,7 +267,7 @@ class DSet:
 
     __slots__ = ("base", "sets", "maps", "name")
 
-    def __init__(self, base, sets, maps, name="", _validate=True):
+    def __init__(self, base, sets, maps, name=""):
         self.base = base
         self.sets = {o: list(v) for o, v in sets.items()}
         self.maps = {m: dict(v) for m, v in maps.items()}
@@ -277,8 +277,7 @@ class DSet:
                 self.sets[o] = []
         for o in base.objects:
             self.maps[base.identity[o]] = {x: x for x in self.sets[o]}
-        if _validate:
-            self._check()
+        self._check()
 
     def _check(self):
         B = self.base
@@ -308,14 +307,13 @@ class DSetMorphism:
 
     __slots__ = ("source", "target", "components")
 
-    def __init__(self, source, target, components, _validate=True):
+    def __init__(self, source, target, components):
         if source.base is not target.base and source.base != target.base:
             raise PresheafError("presheaf morphism needs a common base")
         self.source = source
         self.target = target
         self.components = {o: dict(c) for o, c in components.items()}
-        if _validate:
-            self._check()
+        self._check()
 
     def _check(self):
         B = self.source.base
@@ -357,20 +355,18 @@ def empty_dset(D, name="empty"):
     return DSet(D, {a: [] for a in D.objects}, {m: {} for m in D.morphisms}, name=name)
 
 
-def dset_disjoint_union(X, Y, tags=("0", "1"), name=""):
-    ta, tb = tags
+def dset_disjoint_union(X, Y, name=""):
+    """X + Y, with the elements of X tagged "0:" and those of Y "1:"."""
     B = X.base
-    sets = {
-        o: ["%s:%s" % (ta, x) for x in X.sets[o]] + ["%s:%s" % (tb, y) for y in Y.sets[o]]
-        for o in B.objects
-    }
+    sets = {o: ["0:%s" % x for x in X.sets[o]] + ["1:%s" % y for y in Y.sets[o]]
+            for o in B.objects}
     maps = {}
     for m in B.morphisms:
         table = {}
         for x, v in X.maps[m].items():
-            table["%s:%s" % (ta, x)] = "%s:%s" % (ta, v)
+            table["0:%s" % x] = "0:%s" % v
         for y, v in Y.maps[m].items():
-            table["%s:%s" % (tb, y)] = "%s:%s" % (tb, v)
+            table["1:%s" % y] = "1:%s" % v
         maps[m] = table
     return DSet(B, sets, maps, name=name or "%s+%s" % (X.name, Y.name))
 

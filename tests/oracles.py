@@ -1,0 +1,452 @@
+"""Reference implementations that the tests compare hocofin against.
+
+None of this is reached by a command.  The dense routes work on
+``homalg.IntMatrix`` through its full transforms: Smith normal form
+checking, integer kernels and lattice membership through U and V, and
+homology lifted to the free covers.  The others recount or recheck what
+the program builds: the degree-0 colimit as a coequalizer, group tables
+enumerated up to isomorphism, homotopy-colimit cardinalities and the
+replay of contractibility certificates.
+"""
+
+from __future__ import annotations
+
+from hocofin.cofinal import _coreflection, _Neighbours, _reflection
+from hocofin.fincat import (
+    composable_chains,
+    final_objects,
+    identity_id,
+    iter_initial_objects,
+    validate_category,
+)
+from hocofin.groups import FinGroup
+from hocofin.homalg import (
+    DegreeMissing,
+    FGAb,
+    HomalgError,
+    IntMatrix,
+    _column_invariants,
+    _sparse_columns,
+    block_map,
+    block_sum,
+    smith_normal_form,
+)
+
+
+# -- dense matrices ------------------------------------------------------------
+
+
+def identity_matrix(n):
+    return IntMatrix([[int(i == j) for j in range(n)] for i in range(n)], (n, n))
+
+
+def zero_matrix(m, n):
+    return IntMatrix([[0] * n for _ in range(m)], (m, n))
+
+
+def from_columns(columns, rows):
+    cols = [list(map(int, c)) for c in columns]
+    if any(len(c) != rows for c in cols):
+        raise ValueError("column of wrong length")
+    return IntMatrix([[c[i] for c in cols] for i in range(rows)], (rows, len(cols)))
+
+
+def columns(M):
+    return [M.column(j) for j in range(M.cols)]
+
+
+def transpose(M):
+    return IntMatrix(
+        [[M.entries[i][j] for i in range(M.rows)] for j in range(M.cols)],
+        (M.cols, M.rows),
+    )
+
+
+def mul(A, B):
+    if A.cols != B.rows:
+        raise ValueError("shape mismatch in matrix product")
+    bt = transpose(B).entries
+    return IntMatrix(
+        [[sum(a * b for a, b in zip(row, col)) for col in bt] for row in A.entries],
+        (A.rows, B.cols),
+    )
+
+
+def hstack(A, B):
+    if A.rows != B.rows:
+        raise ValueError("row count mismatch in hstack")
+    return IntMatrix(
+        [A.entries[i] + B.entries[i] for i in range(A.rows)],
+        (A.rows, A.cols + B.cols),
+    )
+
+
+def is_zero(M):
+    return all(x == 0 for row in M.entries for x in row)
+
+
+def relation_matrix(G):
+    """The relation columns of an FGAb as a dense IntMatrix, one row per
+    generator."""
+    return IntMatrix.from_sparse(G.relations, G.gens)
+
+
+def direct_sum(*groups):
+    """Block direct sum at presentation level (generator order kept)."""
+    return block_sum(groups)[0]
+
+
+# -- Smith normal form, kernels and lattices ------------------------------------
+
+
+def determinant(M):
+    """Exact determinant by fraction-free (Bareiss) elimination."""
+    if M.rows != M.cols:
+        raise ValueError("determinant of a non-square matrix")
+    n = M.rows
+    if n == 0:
+        return 1
+    a = [row[:] for row in M.entries]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for i in range(k + 1, n):
+                if a[i][k]:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
+
+
+def verify_smith_normal_form(A, U, D, V):
+    """Check U*A*V == D, diagonality, the divisibility chain, |det| = 1.
+
+    Raises HomalgError on any failure; used on every randomised instance.
+    """
+    if mul(mul(U, A), V) != D:
+        raise HomalgError("U*A*V != D")
+    diag = [D.entries[i][i] for i in range(min(D.rows, D.cols))]
+    for i in range(D.rows):
+        for j in range(D.cols):
+            if i != j and D.entries[i][j]:
+                raise HomalgError("D is not diagonal")
+    for i, d in enumerate(diag):
+        if d < 0:
+            raise HomalgError("negative invariant factor")
+        if i + 1 < len(diag):
+            nxt = diag[i + 1]
+            if d == 0 and nxt != 0:
+                raise HomalgError("zero before nonzero on the diagonal")
+            if d != 0 and nxt % d != 0:
+                raise HomalgError("divisibility chain broken")
+    if abs(determinant(U)) != 1:
+        raise HomalgError("U is not unimodular")
+    if abs(determinant(V)) != 1:
+        raise HomalgError("V is not unimodular")
+
+
+def kernel_basis(A):
+    """Basis for the integer kernel of A, returned as columns of a matrix."""
+    return from_columns(_Solver(A).kernel(), A.cols)
+
+
+class _Solver:
+    """Repeated exact solving of A*x = v against a fixed A via one SNF."""
+
+    def __init__(self, A):
+        self.A = A
+        self.U, self.D, self.V = smith_normal_form(A)
+        self.rank_bound = min(A.rows, A.cols)
+
+    def kernel(self):
+        """Columns of V spanning the integer kernel of A."""
+        r = sum(1 for i in range(self.rank_bound) if self.D.entries[i][i])
+        return [self.V.column(j) for j in range(r, self.A.cols)]
+
+    def solve(self, v):
+        if len(v) != self.A.rows:
+            raise ValueError("rhs length mismatch")
+        w = self.U.mul_vec(v)
+        z = [0] * self.A.cols
+        for i in range(self.rank_bound):
+            d = self.D.entries[i][i]
+            if d:
+                if w[i] % d:
+                    return None
+                z[i] = w[i] // d
+            elif w[i]:
+                return None
+        for i in range(self.rank_bound, self.A.rows):
+            if w[i]:
+                return None
+        return self.V.mul_vec(z)
+
+
+def lattice_member(v, A):
+    """Integer coordinates x with A*x == v, or None when v is outside the
+    column lattice of A."""
+    return _Solver(A).solve(v)
+
+
+def lattice_invariants(A):
+    """(rank, torsion): the number of nonzero Smith invariants of A and
+    those above 1, d1 | d2 | ..., found without transforms.
+
+    >>> lattice_invariants(IntMatrix([[4, 0, 0], [0, 6, 0]]))
+    (2, (2, 12))
+    """
+    return _column_invariants(_sparse_columns(A))
+
+
+def lifted_homology(K, n):
+    """H_n of the chain complex K for finitely presented chain groups, by
+    lifting everything to the free covers: a free-cover element is a cycle
+    when its boundary lands in the relation lattice one degree down, and
+    relation columns of C_n are folded into the divided-out sublattice.
+    """
+    if n - 1 < K.lo or n + 1 > K.hi:
+        raise DegreeMissing("homology in degree %d needs degrees %d..%d" % (n, n - 1, n + 1))
+    Cn = K.groups[n]
+    if Cn.gens == 0:
+        return FGAb.trivial()
+    below = K.groups[n - 1]
+    Dn = K.boundaries[n].matrix
+    Dup = K.boundaries[n + 1].matrix
+    # cycles: x in Z^gens with Dn*x in the relation lattice below
+    stacked = hstack(Dn, relation_matrix(below))
+    ker = kernel_basis(stacked)
+    gen_mat = IntMatrix(
+        [ker.entries[i] for i in range(Cn.gens)], (Cn.gens, ker.cols)
+    )
+    t = gen_mat.cols
+    quotient_cols = columns(relation_matrix(Cn)) + columns(Dup)
+    if t == 0:
+        if any(any(x for x in col) for col in quotient_cols):
+            raise HomalgError("boundary image escapes the cycle lattice")
+        return FGAb.trivial()
+    solver = _Solver(gen_mat)
+    rel_cols = solver.kernel()
+    for col in quotient_cols:
+        coords = solver.solve(col)
+        if coords is None:
+            raise HomalgError("boundary image escapes the cycle lattice")
+        rel_cols.append(coords)
+    return FGAb(t, from_columns(rel_cols, t))
+
+
+# -- colimits and groups ---------------------------------------------------------
+
+
+def ab_colim0_by_coequalizer(C, M):
+    """Independent degree-0 oracle: cokernel of the difference map from
+    the sum over non-identity morphisms of M(dom) into the sum over
+    objects of M(c)."""
+    total, off = block_sum([M.value[o] for o in C.objects])
+    off = dict(zip(C.objects, off))
+    arrows = [a for a in C.morphisms if not C.is_identity(a)]
+    domains, col_off = block_sum([M.value[C.dom[a]] for a in arrows])
+    entries = []
+    for a, c0 in zip(arrows, col_off):
+        entries.append((off[C.dom[a]], c0, 1, M.value[C.dom[a]].gens))
+        entries.append((off[C.cod[a]], c0, -1, M.action[a].columns))
+    diff = block_map(domains, total, entries)
+    return FGAb(total.gens, total.relations + diff.columns)
+
+
+def abelianization(P):
+    """The presented group made abelian, as an FGAb (exponent-sum matrix)."""
+    gidx = {g: i for i, g in enumerate(P.generators)}
+    cols = []
+    for rel in P.relators:
+        col = [0] * len(P.generators)
+        for g, e in rel:
+            col[gidx[g]] += e
+        cols.append(col)
+    return FGAb(len(P.generators), from_columns(cols, len(P.generators)))
+
+
+def element_orders(G):
+    out = []
+    for a in G.elements:
+        x, n = a, 1
+        while x != G.unit:
+            x = G.table[(x, a)]
+            n += 1
+        out.append(n)
+    return sorted(out)
+
+
+def invert(fp, w):
+    """The inverse of the reduced word w of the free product fp."""
+    return tuple((lbl, fp.fmap[lbl].inv[el]) for lbl, el in reversed(tuple(w)))
+
+
+def enumerate_group_tables(n):
+    """All group tables on {0..n-1} with unit 0, up to isomorphism.
+
+    Backtracking over the multiplication table with row/column (latin
+    square) constraints and incremental associativity pruning; practical
+    for n <= 6.  The completeness oracle for the catalog.
+    """
+    cells = [(i, j) for i in range(1, n) for j in range(1, n)]
+    table = [[None] * n for _ in range(n)]
+    for k in range(n):
+        table[0][k] = k
+        table[k][0] = k
+    found = []
+
+    def consistent(i, j):
+        # check all triples whose products are already known
+        for a in range(n):
+            for b in range(n):
+                ab = table[a][b]
+                if ab is None:
+                    continue
+                for c in range(n):
+                    bc = table[b][c]
+                    if bc is None:
+                        continue
+                    lhs = table[ab][c]
+                    rhs = table[a][bc]
+                    if lhs is not None and rhs is not None and lhs != rhs:
+                        return False
+        return True
+
+    def place(k):
+        if k == len(cells):
+            els = [str(x) for x in range(n)]
+            t = {(str(i), str(j)): str(table[i][j]) for i in range(n) for j in range(n)}
+            G = FinGroup(els, "0", t)
+            if not any(_tables_isomorphic(G, H) for H in found):
+                found.append(G)
+            return
+        i, j = cells[k]
+        used_row = {table[i][c] for c in range(n) if table[i][c] is not None}
+        used_col = {table[r][j] for r in range(n) if table[r][j] is not None}
+        for v in range(n):
+            if v in used_row or v in used_col:
+                continue
+            table[i][j] = v
+            if consistent(i, j):
+                place(k + 1)
+            table[i][j] = None
+
+    place(0)
+    return found
+
+
+def _tables_isomorphic(G, H):
+    if G.order() != H.order():
+        return False
+    if element_orders(G) != element_orders(H):
+        return False
+    g_els = [e for e in G.elements if e != G.unit]
+    h_els = [e for e in H.elements if e != H.unit]
+
+    def backtrack(k, mapping):
+        if k == len(g_els):
+            return True
+        a = g_els[k]
+        for b in h_els:
+            if b in mapping.values():
+                continue
+            mapping[a] = b
+            ok = True
+            for x in list(mapping):
+                xa = G.table[(x, a)]
+                ax = G.table[(a, x)]
+                if xa in mapping or xa == G.unit:
+                    img = H.unit if xa == G.unit else mapping.get(xa)
+                    if img is not None and H.table[(mapping[x], b)] != img:
+                        ok = False
+                        break
+                if ax in mapping or ax == G.unit:
+                    img = H.unit if ax == G.unit else mapping.get(ax)
+                    if img is not None and H.table[(b, mapping[x])] != img:
+                        ok = False
+                        break
+            if ok and backtrack(k + 1, mapping):
+                return True
+            del mapping[a]
+        return False
+
+    return backtrack(0, {})
+
+
+# -- categories, homotopy colimits and certificates ------------------------------
+
+
+def disjoint_union(C, D, tags=("0", "1"), name=""):
+    ta, tb = tags
+
+    def t0(x):
+        return "%s:%s" % (ta, x)
+
+    def t1(x):
+        return "%s:%s" % (tb, x)
+
+    objs = [t0(o) for o in C.objects] + [t1(o) for o in D.objects]
+    mors = []
+    for f in C.morphisms:
+        if not C.is_identity(f):
+            mors.append((t0(f), t0(C.dom[f]), t0(C.cod[f])))
+    for f in D.morphisms:
+        if not D.is_identity(f):
+            mors.append((t1(f), t1(D.dom[f]), t1(D.cod[f])))
+    comp = []
+    for (g, f), h in C.comp.items():
+        if not C.is_identity(g) and not C.is_identity(f) and not C.is_identity(h):
+            comp.append((t0(g), t0(f), t0(h)))
+        elif not C.is_identity(g) and not C.is_identity(f) and C.is_identity(h):
+            comp.append((t0(g), t0(f), identity_id(t0(C.dom[h]))))
+    for (g, f), h in D.comp.items():
+        if not D.is_identity(g) and not D.is_identity(f) and not D.is_identity(h):
+            comp.append((t1(g), t1(f), t1(h)))
+        elif not D.is_identity(g) and not D.is_identity(f) and D.is_identity(h):
+            comp.append((t1(g), t1(f), identity_id(t1(D.dom[h]))))
+    return validate_category(objs, mors, comp, name=name)
+
+
+def hocolim_cardinalities(PD, N):
+    """Exact degreewise count 1 + sum over chains of (|X(origin)_n| - 1)."""
+    C = PD.base
+    out = []
+    for n in range(N + 1):
+        total = 1
+        for sigma in composable_chains(C, n):
+            total += len(PD.value[sigma[0]].simplices[n]) - 1
+        out.append(total)
+    return out
+
+
+def initial_objects(C):
+    return list(iter_initial_objects(C))
+
+
+def replay_certificate(B, cert):
+    """Re-verify a contractibility certificate independently."""
+    if cert["kind"] == "vacuous":
+        return True
+    if cert["kind"] == "cone":
+        pool = final_objects(B) if cert["side"] == "final" else initial_objects(B)
+        return cert["object"] in pool
+    if cert["kind"] != "collapse":
+        return False
+    nb = _Neighbours(B)
+    state = set(B.objects)
+    for step in cert["steps"]:
+        removed = tuple(step["removed"])
+        check = _reflection if step["direction"] == "reflection" else _coreflection
+        for x in removed:
+            if x not in state or check(nb, x, state, removed) is None:
+                return False
+        state.difference_update(removed)
+    is_cone = nb.is_final if cert["side"] == "final" else nb.is_initial
+    return cert["cone"] in state and is_cone(cert["cone"], state)

@@ -405,6 +405,27 @@ MALFORMED = {
 }
 
 
+def diagram_groups(value):
+    """GOOD_WORKSPACE with ``value`` as the group of diagram d at a and b."""
+    d = dict(GOOD_WORKSPACE["diagrams"]["d"], groups={"a": value, "b": value})
+    return dict(GOOD_WORKSPACE, diagrams={"d": d})
+
+
+# a diagram's group is a reference with an optional label, a free product
+# with its factors, or an inline table group: no other key is read
+MALFORMED.update({
+    "group-reference-with-an-unknown-key": (
+        diagram_groups({"ref": "z2", "junk": 1}),
+        "group reference has unknown keys: junk",
+    ),
+    "free-product-with-an-unknown-key": (
+        diagram_groups({"kind": "free_product", "junk": 1, "factors": [
+            {"label": "A", "group": GOOD_WORKSPACE["groups"]["z2"]}]}),
+        "free product has unknown keys: junk",
+    ),
+})
+
+
 @pytest.mark.parametrize("case", sorted(MALFORMED))
 def test_malformed_workspace_is_a_one_line_error(case, capsys, tmp_path):
     data, message = MALFORMED[case]
@@ -460,6 +481,19 @@ def test_a_size_over_its_limit_is_a_one_line_error(case, capsys, tmp_path):
     data, message = OVER_LIMIT[case]
     code, err = one_line_error(capsys, data, tmp_path)
     assert code == 1 and message in err
+
+
+def test_a_classifying_space_over_its_cap_is_a_one_line_error(capsys, tmp_path):
+    # BZ/8 at level 6 has 8^6 top simplices, over the cap of 10^5
+    z8 = {"kind": "table", "elements": [str(i) for i in range(8)], "unit": "0",
+          "table": [[str((i + j) % 8) for j in range(8)] for i in range(8)]}
+    data = dict(GOOD_WORKSPACE, groups={"z8": z8},
+                diagrams={"d8": {"category": "one", "groups": {"*": {"ref": "z8"}}, "homs": {}}},
+                pointed_diagrams={"bg8": {"kind": "bg", "diagram": "d8", "level": 6}})
+    code, err = one_line_error(capsys, data, tmp_path,
+                               "hocolim", "--pointed-diagram", "bg8", "--level", "6")
+    assert code == 1
+    assert err == "error: CapExceeded: classifying space has 262144 top simplices\n"
 
 
 def test_sizes_at_their_limits_are_read(capsys, tmp_path):

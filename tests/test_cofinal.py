@@ -7,7 +7,6 @@ from hocofin.cofinal import (
     certify_homotopy_cofinal,
     is_finally_discrete,
     is_vdc,
-    replay_certificate,
 )
 from hocofin.fincat import (
     Functor,
@@ -19,6 +18,7 @@ from hocofin.fincat import (
     validate_category,
 )
 from hocofin.groups import cyclic_group
+from oracles import disjoint_union, replay_certificate
 
 
 def walking_arrow():
@@ -137,7 +137,7 @@ def test_finally_discrete_implies_componentwise_contractible():
     cases = [
         walking_arrow(),
         validate_category(["x", "y"], [], []),
-        fincat.disjoint_union(walking_arrow(), one()),
+        disjoint_union(walking_arrow(), one()),
     ]
     for B in cases:
         ok, details = is_finally_discrete(B)

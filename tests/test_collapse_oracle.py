@@ -15,7 +15,6 @@ from hocofin.cofinal import (
     _collapse_search,
     _reflection,
     _coreflection,
-    replay_certificate,
 )
 from hocofin.fincat import (
     comma_left_fibre,
@@ -24,11 +23,11 @@ from hocofin.fincat import (
     from_monoid,
     from_poset,
     full_subcategory,
-    initial_objects,
     opposite,
     validate_category,
 )
 from hocofin.groups import cyclic_group
+from oracles import initial_objects, replay_certificate
 
 
 # -- the eager search ------------------------------------------------------------

@@ -7,6 +7,8 @@ hypothesis posets, monoids and disjoint unions, the empty category, and
 categories with both final and initial objects.  Every cone certificate
 must replay on the category built in full from the view."""
 
+import itertools
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -21,24 +23,22 @@ from hocofin.cofinal import (
     _collapse_search,
     _nerve_sizes,
     certify_contractible,
-    replay_certificate,
 )
 from hocofin.fincat import (
     comma_coslice,
     comma_left_fibre,
     connected_components,
-    disjoint_union,
     factor_slice,
     factorization,
     final_objects,
     from_monoid,
     from_poset,
-    initial_objects,
     opposite,
     validate_category,
 )
 from hocofin.groups import BudgetExceeded, cyclic_group, fingerprint, tietze_simplify
 from hocofin.presheaf import edge_path_group, elements_with_parts, homology_ss, nerve
+from oracles import disjoint_union, initial_objects, replay_certificate
 
 
 def components_first(B, effort=1, n_max=2, nerve_cap=DEFAULT_NERVE_CAP):
@@ -169,6 +169,18 @@ def test_categories_with_both_final_and_initial_objects():
     assert agree(iso).certificate == {"kind": "cone", "object": "a", "side": "final"}
     span = fixtures.cat_span()
     assert agree(span).certificate["side"] == "initial"
+
+
+def test_a_nerve_over_the_cap_is_inconclusive():
+    # proper nonempty subsets of a 5-set: no cone, no collapse, and a nerve
+    # too large to compute invariants on, so the verdict is never CONTRACTIBLE
+    subsets = [s for r in range(1, 5) for s in itertools.combinations(range(5), r)]
+    B = from_poset(["".join(map(str, s)) for s in subsets],
+                   lambda x, y: set(x) <= set(y), name="proper(5)")
+    v = certify_contractible(B)
+    assert v.kind == INCONCLUSIVE
+    assert v.checks == {"reason": "nerve size 1320 over cap %d" % DEFAULT_NERVE_CAP}
+    assert DEFAULT_NERVE_CAP == 600
 
 
 def poset(n, bits):

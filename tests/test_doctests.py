@@ -1,13 +1,15 @@
-"""Run the examples in the docstrings of the library modules."""
+"""Run the examples in the docstrings of the library modules and of the
+test oracles."""
 
 import doctest
 
 import pytest
 
+import oracles
 from hocofin import groups, homalg
 
 
-@pytest.mark.parametrize("module", [homalg, groups], ids=lambda m: m.__name__)
+@pytest.mark.parametrize("module", [homalg, groups, oracles], ids=lambda m: m.__name__)
 def test_docstring_examples(module):
     result = doctest.testmod(module)
     assert result.attempted > 0
@@ -15,5 +17,5 @@ def test_docstring_examples(module):
 
 
 def test_lattice_invariants_has_examples():
-    tests = doctest.DocTestFinder().find(homalg.lattice_invariants)
+    tests = doctest.DocTestFinder().find(oracles.lattice_invariants)
     assert sum(len(t.examples) for t in tests) > 0

@@ -18,7 +18,6 @@ from hocofin.hocolim import (
     bg_diagram,
     classifying_space,
     cofinal_hocolim_compare,
-    hocolim_cardinalities,
     hocolim_pointed,
     hocolim_unpointed,
     pointed_quotient_check,
@@ -30,6 +29,7 @@ from hocofin.presheaf import (
     nerve,
     standard_simplex,
 )
+from oracles import hocolim_cardinalities
 
 
 def walking_arrow():
@@ -64,10 +64,17 @@ def point_diagram(C, N):
 
 
 def test_classifying_space_counts():
-    B = classifying_space(cyclic_group(2), 3)
+    cat, B = classifying_space(cyclic_group(2), 3)
+    assert cat.objects == ["*"] and len(cat.morphisms) == 2
     assert [len(s) for s in B.simplices] == [1, 2, 4, 8]
-    Bt = classifying_space(trivial_group(), 3)
+    _, Bt = classifying_space(trivial_group(), 3)
     assert [len(s) for s in Bt.simplices] == [1, 1, 1, 1]
+
+
+def test_classifying_space_top_simplex_cap():
+    # 8^6 top simplices is over the cap of 10^5, and nothing is built
+    with pytest.raises(CapExceeded, match="^classifying space has 262144 top simplices$"):
+        classifying_space(cyclic_group(8), 6)
 
 
 def test_classifying_space_free_product_cap():
@@ -195,7 +202,7 @@ def test_cofinal_compare_budget_refusal_propagates(monkeypatch, capsys):
     from hocofin import fixtures, hocolim
     from hocofin.cli import main
 
-    def refuse(P, budget=10 ** 7):
+    def refuse(P):
         raise BudgetExceeded("hom count needs too many assignments")
 
     monkeypatch.setattr(hocolim, "fingerprint", refuse)

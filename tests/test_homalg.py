@@ -8,11 +8,20 @@ from hocofin.homalg import (
     FGAb,
     HomalgError,
     IntMatrix,
+    smith_normal_form,
+)
+from oracles import (
+    columns,
     determinant,
+    direct_sum,
+    from_columns,
+    identity_matrix,
+    is_zero,
     kernel_basis,
     lattice_member,
-    smith_normal_form,
+    lifted_homology,
     verify_smith_normal_form,
+    zero_matrix,
 )
 
 
@@ -30,14 +39,14 @@ def test_snf_worked_example():
 
 
 def test_snf_identity_and_zero():
-    I3 = IntMatrix.identity(3)
+    I3 = identity_matrix(3)
     U, D, V = smith_normal_form(I3)
     verify_smith_normal_form(I3, U, D, V)
     assert D == I3
-    Z = IntMatrix.zeros(2, 3)
+    Z = zero_matrix(2, 3)
     U, D, V = smith_normal_form(Z)
     verify_smith_normal_form(Z, U, D, V)
-    assert D.is_zero()
+    assert is_zero(D)
 
 
 def test_snf_random_matrices_verified():
@@ -85,7 +94,7 @@ def test_kernel_basis_spans_kernel():
         n = rng.randint(1, 5)
         A = IntMatrix([[rng.randint(-4, 4) for _ in range(n)] for _ in range(m)], (m, n))
         K = kernel_basis(A)
-        for col in K.columns():
+        for col in columns(K):
             assert all(x == 0 for x in A.mul_vec(col))
 
 
@@ -132,7 +141,7 @@ def test_fgab_canonical_forms():
 
 
 def test_fgab_direct_sum():
-    G = FGAb.cyclic(2).direct_sum(FGAb.cyclic(3), FGAb.free(1))
+    G = direct_sum(FGAb.cyclic(2), FGAb.cyclic(3), FGAb.free(1))
     assert G.invariants() == (1, (6,))
 
 
@@ -207,7 +216,7 @@ def test_homology_rank_matches_rational_rank_nullity():
             cols.append(
                 [sum(c * K.entries[i][j] for j, c in enumerate(coeffs)) for i in range(r1)]
             )
-        d2 = IntMatrix.from_columns(cols, r1)
+        d2 = from_columns(cols, r1)
         groups = {
             -1: FGAb.trivial(),
             0: FGAb.free(r0),
@@ -265,9 +274,9 @@ def test_boundary_square_may_land_in_the_relations():
             continue
         K = ChainComplex(groups, boundaries)
         expected = FGAb.cyclic(m) if k % 2 == 0 else FGAb.cyclic(m // 2)
-        assert K.homology(1) == K.lifted_homology(1) == expected
+        assert K.homology(1) == lifted_homology(K, 1) == expected
 
 
 def test_matrix_json_round_trip():
-    A = IntMatrix([[1, -2, 30], [0, 5, -6]])
-    assert IntMatrix.from_json(A.to_json()) == A
+    data = {"rows": 2, "cols": 3, "data": ["1", "-2", "30", "0", "5", "-6"]}
+    assert IntMatrix.from_json(data) == IntMatrix([[1, -2, 30], [0, 5, -6]])

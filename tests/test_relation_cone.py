@@ -1,13 +1,14 @@
 """Homology of complexes with relations through the relation cone, against
-the dense lifted route (``ChainComplex.lifted_homology``) as the oracle."""
+the dense lifted route (``oracles.lifted_homology``) as the oracle."""
 
 import random
 
 import pytest
 
 from hocofin import diagrams, fincat, fixtures, groups, gz
-from hocofin.homalg import (AbMap, ChainComplex, FGAb, HomalgError, IntMatrix, _Relations,
-                           _sparse_columns, kernel_basis, lattice_invariants, lattice_member)
+from hocofin.homalg import AbMap, ChainComplex, FGAb, HomalgError, IntMatrix, _Relations, _sparse_columns
+from oracles import (columns, from_columns, is_zero, kernel_basis, lattice_invariants,
+                     lattice_member, lifted_homology, mul, relation_matrix)
 
 
 def _combination(rng, columns, rows, coeffs=(0, 0, 1, -1, 2)):
@@ -30,10 +31,10 @@ def _free_boundaries(rng, ranks):
         if below is None:
             M = [[rng.randint(-2, 2) for _ in range(rows)] for _ in range(cols)]
         else:
-            K = kernel_basis(below).columns()
+            K = columns(kernel_basis(below))
             M = [_combination(rng, K, rows) for _ in range(cols)]
         mats.append(M)
-        below = IntMatrix.from_columns(M, rows)
+        below = from_columns(M, rows)
     return mats
 
 
@@ -86,11 +87,11 @@ def random_complex_with_relations(rng):
             ]
     chain = {-1: FGAb.trivial(), 4: FGAb.trivial()}
     for n in range(4):
-        chain[n] = FGAb(ranks[n], IntMatrix.from_columns(rels[n], ranks[n]))
+        chain[n] = FGAb(ranks[n], from_columns(rels[n], ranks[n]))
     boundaries = {0: AbMap.zero(chain[0], chain[-1]), 4: AbMap.zero(chain[4], chain[3])}
     for n in (1, 2, 3):
         # check=True: the generator itself must produce well-defined maps
-        boundaries[n] = AbMap(chain[n], chain[n - 1], IntMatrix.from_columns(mats[n - 1], ranks[n - 1]))
+        boundaries[n] = AbMap(chain[n], chain[n - 1], from_columns(mats[n - 1], ranks[n - 1]))
     return ChainComplex(chain, boundaries)
 
 
@@ -101,7 +102,7 @@ def _dependent(rels):
 
 def _spread(rels):
     """True when some relation column involves two or more generators."""
-    return any(sum(1 for x in col if x) > 1 for col in rels.columns())
+    return any(sum(1 for x in col if x) > 1 for col in columns(rels))
 
 
 def test_relation_basis_solves_like_the_dense_solver():
@@ -111,9 +112,9 @@ def test_relation_basis_solves_like_the_dense_solver():
     for _ in range(300):
         rows = rng.randint(0, 5)
         cols = _relation_columns(rng, rows, [])
-        L = IntMatrix.from_columns(cols, rows)
+        L = from_columns(cols, rows)
         rel = _Relations(_sparse_columns(L), {})
-        basis = IntMatrix.from_columns([[c.get(i, 0) for i in range(rows)] for c in rel.columns], rows)
+        basis = from_columns([[c.get(i, 0) for i in range(rows)] for c in rel.columns], rows)
         assert basis.cols == lattice_invariants(L)[0] == lattice_invariants(basis)[0]
         for _ in range(5):
             if cols and rng.random() < 0.5:
@@ -123,7 +124,7 @@ def test_relation_basis_solves_like_the_dense_solver():
             x = rel.solve({i: a for i, a in enumerate(v) if a})
             assert (x is None) == (lattice_member(v, L) is None)
             if x is not None:
-                assert _apply(basis.columns(), rows, [x.get(j, 0) for j in range(basis.cols)]) == v
+                assert _apply(columns(basis), rows, [x.get(j, 0) for j in range(basis.cols)]) == v
 
 
 def test_cone_matches_lifted_homology_on_random_complexes_with_relations():
@@ -133,15 +134,15 @@ def test_cone_matches_lifted_homology_on_random_complexes_with_relations():
         K = random_complex_with_relations(rng)
         for n in range(4):
             G = K.groups[n]
-            seen["dependent"] += _dependent(G.rels)
-            seen["spread"] += _spread(G.rels)
+            seen["dependent"] += _dependent(relation_matrix(G))
+            seen["spread"] += _spread(relation_matrix(G))
             seen["zero_gens"] += G.gens == 0
         for n in (2, 3):
-            square = K.boundaries[n - 1].matrix.mul(K.boundaries[n].matrix)
-            seen["square"] += not square.is_zero()
+            square = mul(K.boundaries[n - 1].matrix, K.boundaries[n].matrix)
+            seen["square"] += not is_zero(square)
         for n in range(4):
             H = K.homology(n)
-            assert H == K.lifted_homology(n), (n, H)
+            assert H == lifted_homology(K, n), (n, H)
             seen["torsion"] += bool(H.torsion)
     # every shape the cone must handle occurs many times in the sample
     assert min(seen.values()) >= 20, seen
@@ -163,7 +164,7 @@ def test_relation_components_spanning_several_generators():
         }
         K = ChainComplex(chain, boundaries)
         assert [K.homology(n) for n in (0, 1)] == [FGAb.trivial(), h1]
-        assert [K.lifted_homology(n) for n in (0, 1)] == [FGAb.trivial(), h1]
+        assert [lifted_homology(K, n) for n in (0, 1)] == [FGAb.trivial(), h1]
 
 
 def test_zero_generator_groups():
@@ -178,7 +179,7 @@ def test_zero_generator_groups():
     }
     K = ChainComplex(chain, boundaries)
     assert [K.homology(n) for n in range(3)] == [FGAb.cyclic(2), FGAb.trivial(), FGAb.cyclic(3)]
-    assert [K.lifted_homology(n) for n in range(3)] == [K.homology(n) for n in range(3)]
+    assert [lifted_homology(K, n) for n in range(3)] == [K.homology(n) for n in range(3)]
 
 
 @pytest.mark.parametrize("below", [FGAb.cyclic(3), FGAb.free(1), FGAb(2, IntMatrix([[4], [2]]))])
@@ -192,16 +193,14 @@ def test_boundary_that_breaks_the_relations_raises_on_both_paths(below):
     }
     K = ChainComplex(chain, boundaries)
     with pytest.raises(HomalgError):
-        K.lifted_homology(1)
+        lifted_homology(K, 1)
     with pytest.raises(HomalgError):
         K.homology(1)
 
 
-def test_derived_colimit_with_torsion_coefficients_avoids_the_lifted_route(monkeypatch):
-    def refuse(self, n):
-        raise AssertionError("lifted_homology called in degree %d" % n)
-
-    monkeypatch.setattr(ChainComplex, "lifted_homology", refuse)
+def test_derived_colimit_with_torsion_coefficients_avoids_the_lifted_route():
+    # the lifted route lives only in tests/oracles.py, so the program's
+    # answer here comes from the relation cone
     G = groups.cyclic_group(4)
     C = fincat.from_monoid(G.elements, G.unit, G.table, name="BZ4")
     M = diagrams.constant_ab_diagram(C, FGAb.cyclic(2))
