@@ -459,7 +459,11 @@ class Workspace:
 
     def load_file(self, path):
         with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
+            try:
+                data = json.load(fh)
+            except RecursionError:
+                # the decoder recurses once per array or object it opens
+                raise InputError("%s nests too deeply to read" % path) from None
         self.load_data(data, what=path)
 
     def load_data(self, data, what="workspace"):

@@ -2,15 +2,18 @@
 
 Contractibility of a nerve is undecidable in general, so the certifier is
 honest about what it knows: CONTRACTIBLE comes with a replayable
-certificate (a cone object, possibly after a sequence of one-object
-collapses), NONCONTRACTIBLE comes with a conclusive witness (emptiness,
-disconnectedness, a nonzero reduced homology class, or a nontrivial
-fundamental-group fingerprint entry), EVIDENCE means every computed
-invariant was trivial up to the requested degree, and INCONCLUSIVE means
-a resource cap was hit first.
+certificate (a cone object, possibly after a sequence of collapses,
+each removing one object, or two at effort 2 and up), NONCONTRACTIBLE
+comes with a conclusive witness (emptiness, disconnectedness, a nonzero
+reduced homology class, or a nontrivial fundamental-group fingerprint
+entry), EVIDENCE means every computed invariant was trivial up to the
+requested degree, and INCONCLUSIVE means a resource cap was hit first.
 """
 
 from __future__ import annotations
+
+from collections import defaultdict
+from heapq import heappop, heappush
 
 from .fincat import (
     comma_coslice,
@@ -120,15 +123,6 @@ class _Neighbours:
             self.out[o].sort(key=lambda f: index[B.cod[f]])
             self.into[o].sort(key=lambda f: index[B.dom[f]])
 
-    def is_final(self, t, state):
-        """Whether t has exactly one arrow from each object of state."""
-        doms = [self.B.dom[f] for f in self.into[t] if self.B.dom[f] in state]
-        return len(doms) == len(state) and len(set(doms)) == len(doms)
-
-    def is_initial(self, t, state):
-        cods = [self.B.cod[f] for f in self.out[t] if self.B.cod[f] in state]
-        return len(cods) == len(state) and len(set(cods)) == len(cods)
-
 
 def _reflection(nb, x, state, removed):
     """Universal arrow from x into the full subcategory on the rest, state
@@ -188,78 +182,198 @@ def _coreflection(nb, x, state, removed):
     return None
 
 
+class _Cones:
+    """The first final object, in object order, of the full subcategory
+    on the alive objects, kept up to date as objects are removed and
+    restored; given the arrows reversed, the first initial one.
+
+    ``alive`` is the caller's set, read as it changes.  ``reach[z]`` maps
+    each object t to the number of arrows z -> t.  Per
+    object t, ``arrows[t]`` counts the arrows into t from alive objects
+    and ``sources[t]`` the alive objects they come from; the alive objects
+    are bucketed by the latter.  t is final exactly when both counts equal
+    the number of alive objects: an arrow from each, and no two from one.
+    Removing or restoring z changes the counts only at the ends of z's
+    arrows."""
+
+    __slots__ = ("reach", "index", "alive", "arrows", "sources", "bucket")
+
+    def __init__(self, reach, index, alive):
+        self.reach = reach
+        self.index = index
+        self.alive = alive
+        self.arrows = dict.fromkeys(reach, 0)
+        self.sources = dict.fromkeys(reach, 0)
+        for ends in reach.values():
+            for t, c in ends.items():
+                self.arrows[t] += c
+                self.sources[t] += 1
+        self.bucket = defaultdict(set)
+        for t, k in self.sources.items():
+            self.bucket[k].add(t)
+
+    def first(self, n):
+        """The least index of a final object among n alive objects, or None."""
+        hits = [self.index[t] for t in self.bucket.get(n, ()) if self.arrows[t] == n]
+        return min(hits) if hits else None
+
+    def remove(self, z):
+        """Account for z, already taken out of ``alive``."""
+        self.bucket[self.sources[z]].discard(z)
+        self._move(z, -1)
+
+    def restore(self, z):
+        """Account for z, not yet put back into ``alive``."""
+        self._move(z, 1)
+        self.bucket[self.sources[z]].add(z)
+
+    def _move(self, z, sign):
+        arrows, sources, bucket, alive = self.arrows, self.sources, self.bucket, self.alive
+        for t, c in self.reach[z].items():
+            arrows[t] += sign * c
+            k = sources[t]
+            sources[t] = k + sign
+            if t in alive:
+                bucket[k].discard(t)
+                bucket[k + sign].add(t)
+
+
 def _collapse_search(B, effort, max_states=20000):
     """Search for a collapse of B onto a cone, removing one object at a
     time (two at higher effort); depth-first with memoized dead ends.
 
-    A state's candidates are produced lazily, in this order: each object,
-    in B's order, that has a reflection into the rest, else a
-    coreflection; then, at effort 2 and up, each pair of objects that both
-    reflect, else both coreflect, into the rest.  The first candidate whose
-    state collapses wins, so the search visits the states, and spends
-    ``max_states``, exactly as if every candidate had been listed first."""
-    nb = _Neighbours(B)
-    memo = {}
-    visited = [0]
+    A state's candidates come in this order: each object, in B's order,
+    that has a reflection into the rest, else a coreflection; then, at
+    effort 2 and up, each pair of objects that both reflect, else both
+    coreflect, into the rest.  The first candidate whose state collapses
+    wins.  A state is counted against ``max_states`` when it is entered
+    and is not a known dead end; past the cap the search gives None.
 
-    def candidates(objs, state):
-        for x in objs:
-            hit = _reflection(nb, x, state, (x,))
+    The search keeps its own stack, so its depth is not bounded by
+    Python's recursion limit.  It holds one state, the set of alive
+    objects, which a step changes and the way back undoes; the steps
+    along the path are the certificate.  A dead end is memoized by the
+    bitmask of the removed objects' indices, updated by one xor per
+    object; a success ends the search, so it is never memoized.
+
+    Removing or restoring an object z changes what the search reads only
+    at z's neighbours, the other ends of z's arrows:
+
+    - the cone check reads counters (``_Cones``) updated there;
+    - a reflection u: x -> r reads the arrows out of x and out of r to
+      the rest, and each arrow g out of r gives one out of x, g∘u, so
+      whether x reflects depends only on which of x's out-neighbours are
+      alive; whether it coreflects, only on its in-neighbours.  So each
+      object's status (reflection, else coreflection, else none) is
+      cached and dropped at z's neighbours, which are also pushed onto a
+      min-heap of object indices.  Every alive object whose status is a
+      hit is on the heap, so a state's first candidate is the least
+      index on it that is alive with a hit; the others are popped.
+
+    A state that resumes after a dead end scans onward in B's order; pairs
+    are found by ``_reflection`` and ``_coreflection`` of both objects.
+    """
+    nb = _Neighbours(B)
+    objects = B.objects
+    index = {o: i for i, o in enumerate(objects)}
+    succ = {o: {} for o in objects}
+    pred = {o: {} for o in objects}
+    for f in B.morphisms:
+        x, y = B.dom[f], B.cod[f]
+        succ[x][y] = succ[x].get(y, 0) + 1
+        pred[y][x] = pred[y].get(x, 0) + 1
+    near = {o: [index[y] for y in succ[o].keys() | pred[o].keys() if y != o] for o in objects}
+    alive = set(objects)
+    sides = (("final", _Cones(succ, index, alive)), ("initial", _Cones(pred, index, alive)))
+    status = {}
+    heap = list(range(len(objects)))
+
+    def single(x):
+        """(direction, via) of x's reflection, else coreflection, into
+        the rest; None when it has neither."""
+        if x not in status:
+            hit = _reflection(nb, x, alive, (x,))
             if hit:
-                yield (x,), hit[0], "reflection"
-                continue
-            hit = _coreflection(nb, x, state, (x,))
+                status[x] = ("reflection", hit[0])
+            else:
+                hit = _coreflection(nb, x, alive, (x,))
+                status[x] = hit and ("coreflection", hit[0])
+        return status[x]
+
+    def changed(z):
+        for i in near[z]:
+            status.pop(objects[i], None)
+            heappush(heap, i)
+
+    def candidates():
+        start = len(objects)
+        while heap:
+            x = objects[heap[0]]
+            if x in alive and single(x):
+                start = heap[0]
+                break
+            heappop(heap)
+        for i in range(start, len(objects)):
+            x = objects[i]
+            hit = x in alive and single(x)
             if hit:
-                yield (x,), hit[0], "coreflection"
-        if effort >= 2 and len(objs) > 2:
+                yield {"removed": [x], "via": hit[1], "direction": hit[0]}
+        if effort >= 2 and len(alive) > 2:
+            objs = [o for o in objects if o in alive]
             for i, x in enumerate(objs):
                 for y in objs[i + 1 :]:
-                    rx = _reflection(nb, x, state, (x, y))
-                    ry = rx and _reflection(nb, y, state, (x, y))
+                    rx = _reflection(nb, x, alive, (x, y))
+                    ry = rx and _reflection(nb, y, alive, (x, y))
                     if ry:
-                        yield (x, y), (rx[0], ry[0]), "reflection"
+                        yield {"removed": [x, y], "via": (rx[0], ry[0]),
+                               "direction": "reflection"}
                         continue
-                    cx = _coreflection(nb, x, state, (x, y))
-                    cy = cx and _coreflection(nb, y, state, (x, y))
+                    cx = _coreflection(nb, x, alive, (x, y))
+                    cy = cx and _coreflection(nb, y, alive, (x, y))
                     if cy:
-                        yield (x, y), (cx[0], cy[0]), "coreflection"
+                        yield {"removed": [x, y], "via": (cx[0], cy[0]),
+                               "direction": "coreflection"}
 
-    def dfs(state):
-        if state in memo:
-            return memo[state]
-        visited[0] += 1
-        if visited[0] > max_states:
-            return None
-        objs = [o for o in B.objects if o in state]
-        for side, is_cone in (("final", nb.is_final), ("initial", nb.is_initial)):
-            cone = next((t for t in objs if is_cone(t, state)), None)
-            if cone is not None:
-                result = {"kind": "collapse", "steps": [], "cone": cone, "side": side}
-                memo[state] = result
-                return result
-        if len(objs) <= 1:
-            memo[state] = None
-            return None
-        for removed, via, direction in candidates(objs, state):
-            result = dfs(state.difference(removed))
-            if result is not None:
-                step = {"removed": list(removed), "via": via, "direction": direction}
-                result = {
-                    "kind": "collapse",
-                    "steps": [step] + result["steps"],
-                    "cone": result["cone"],
-                    "side": result["side"],
-                }
-                memo[state] = result
-                return result
-        memo[state] = None
-        return None
-
-    result = dfs(frozenset(B.objects))
-    # dfs refers to itself; unbinding it frees the memo now, not at the
-    # next cyclic garbage collection
-    dfs = None
-    return result
+    dead = set()
+    mask = 0
+    visited = 0
+    path = []  # the step into each state after the first
+    stack = []  # the candidates of each state on the path that has any
+    while True:
+        if mask not in dead:
+            visited += 1
+            if visited > max_states:
+                return None
+            for side, cones in sides:
+                t = cones.first(len(alive))
+                if t is not None:
+                    return {"kind": "collapse", "steps": path, "cone": objects[t], "side": side}
+            if len(alive) > 1:
+                stack.append(candidates())
+            else:
+                dead.add(mask)
+        step = next(stack[-1], None) if len(stack) > len(path) else None
+        while step is None:
+            if len(stack) > len(path):
+                stack.pop()
+                dead.add(mask)
+            if not path:
+                return None
+            for z in reversed(path.pop()["removed"]):
+                for _, cones in sides:
+                    cones.restore(z)
+                alive.add(z)
+                mask ^= 1 << index[z]
+                changed(z)
+                heappush(heap, index[z])
+            step = next(stack[-1], None)
+        path.append(step)
+        for z in step["removed"]:
+            alive.discard(z)
+            for _, cones in sides:
+                cones.remove(z)
+            mask ^= 1 << index[z]
+            changed(z)
 
 
 def _nerve_sizes(B, n):

@@ -128,6 +128,10 @@ class FinCat:
         """Morphisms x -> y, in canonical order."""
         return self._hom.get((x, y), [])
 
+    def successors(self, x):
+        """The objects with an arrow from x, each once."""
+        return list(dict.fromkeys(self.cod[f] for f in self._out.get(x, ())))
+
     def is_identity(self, f):
         return f == self.identity[self.dom[f]] and self.dom[f] == self.cod[f]
 
@@ -240,6 +244,10 @@ class _View(FinCat):
             h = self._hom[(x, y)] = self._homs(x, y)
         return h
 
+    def successors(self, x):
+        # from the hom-sets, so that a view over this one does not list it
+        return [y for y in self.objects if self.hom(x, y)]
+
     def __getattr__(self, name):
         # reached only for an unset slot: a stage not built yet
         if name == "comp":
@@ -307,7 +315,8 @@ def validate_category(objects, morphisms, composition, name=""):
     are allowed but must agree with the forced values.
     """
     objects = list(objects)
-    if len(set(objects)) != len(objects):
+    known = set(objects)
+    if len(known) != len(objects):
         raise CategoryError("duplicate object ids")
     ident = {o: identity_id(o) for o in objects}
     mor_ids = []
@@ -321,7 +330,7 @@ def validate_category(objects, morphisms, composition, name=""):
     for mid, d, c in morphisms:
         if mid in dom:
             raise DanglingId("morphism id %s duplicates another (identities are reserved)" % mid)
-        if d not in objects or c not in objects:
+        if d not in known or c not in known:
             raise DanglingId("morphism %s references unknown object" % mid)
         mor_ids.append(mid)
         dom[mid] = d
@@ -454,7 +463,9 @@ def _comma_like(C, parts, arrow, name):
     each of its morphisms to its arrow of C, filled as hom-sets are read.
 
     The category is a view: hom(o1, o2) is read from C.hom and the
-    predicate on first read, and the listing joins the hom-sets.  Its
+    predicate on first read, and the listing joins the hom-sets that C's
+    arrows can fill, read through ``C.successors`` (from C's hom-sets when
+    C is itself a view, so that C is not listed).  Its
     composition table is built on first read, where each composite must
     be the morphism over the composite in C between the outer endpoints,
     or ``DanglingId`` is raised (the predicate is not closed under
@@ -483,8 +494,20 @@ def _comma_like(C, parts, arrow, name):
         mors = list(ident.values())
         dom = {i: o for o, i in ident.items()}
         cod = dict(dom)
-        for o1 in parts:
-            for o2 in parts:
+        # hom(o1, o2) is empty unless C has an arrow from o1's base object
+        # to o2's, so o1 meets only the parts over C's successors of its
+        # base object, in order
+        position = {o: k for k, o in enumerate(parts)}
+        lying = {}
+        for o, p in parts.items():
+            lying.setdefault(p[0], []).append(o)
+        near = {}
+        for o1, p1 in parts.items():
+            c = p1[0]
+            if c not in near:
+                near[c] = sorted((o2 for c2 in C.successors(c) for o2 in lying.get(c2, ())),
+                                 key=position.__getitem__)
+            for o2 in near[c]:
                 # the identity, first in hom(o1, o1), is listed above
                 for mid in homs(o1, o2)[o1 == o2:]:
                     if mid in dom:

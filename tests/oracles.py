@@ -426,8 +426,111 @@ def hocolim_cardinalities(PD, N):
     return out
 
 
+def all_pairs_listing(view):
+    """(morphisms, dom, cod) of a view over a base, from its hom-sets
+    alone: the identities, then each hom(o1, o2) after its identity, by o1,
+    then o2, over all pairs of objects.  This is how ``_comma_like``
+    listed a view before it visited only the pairs its base's arrows can
+    fill."""
+    mors = [view.identity[o] for o in view.objects]
+    dom = {i: o for o, i in view.identity.items()}
+    cod = dict(dom)
+    for o1 in view.objects:
+        for o2 in view.objects:
+            for mid in view.hom(o1, o2)[o1 == o2:]:
+                mors.append(mid)
+                dom[mid] = o1
+                cod[mid] = o2
+    return mors, dom, cod
+
+
 def initial_objects(C):
     return list(iter_initial_objects(C))
+
+
+def is_final(nb, t, state):
+    """Whether t has exactly one arrow from each object of state."""
+    doms = [nb.B.dom[f] for f in nb.into[t] if nb.B.dom[f] in state]
+    return len(doms) == len(state) and len(set(doms)) == len(doms)
+
+
+def is_initial(nb, t, state):
+    cods = [nb.B.cod[f] for f in nb.out[t] if nb.B.cod[f] in state]
+    return len(cods) == len(state) and len(set(cods)) == len(cods)
+
+
+def recursive_collapse_search(B, effort, max_states=20000):
+    """Search for a collapse of B onto a cone, removing one object at a
+    time (two at higher effort); depth-first with memoized dead ends.
+
+    A state's candidates are produced lazily, in this order: each object,
+    in B's order, that has a reflection into the rest, else a
+    coreflection; then, at effort 2 and up, each pair of objects that both
+    reflect, else both coreflect, into the rest.  The first candidate whose
+    state collapses wins, so the search visits the states, and spends
+    ``max_states``, exactly as if every candidate had been listed first."""
+    nb = _Neighbours(B)
+    memo = {}
+    visited = [0]
+
+    def candidates(objs, state):
+        for x in objs:
+            hit = _reflection(nb, x, state, (x,))
+            if hit:
+                yield (x,), hit[0], "reflection"
+                continue
+            hit = _coreflection(nb, x, state, (x,))
+            if hit:
+                yield (x,), hit[0], "coreflection"
+        if effort >= 2 and len(objs) > 2:
+            for i, x in enumerate(objs):
+                for y in objs[i + 1 :]:
+                    rx = _reflection(nb, x, state, (x, y))
+                    ry = rx and _reflection(nb, y, state, (x, y))
+                    if ry:
+                        yield (x, y), (rx[0], ry[0]), "reflection"
+                        continue
+                    cx = _coreflection(nb, x, state, (x, y))
+                    cy = cx and _coreflection(nb, y, state, (x, y))
+                    if cy:
+                        yield (x, y), (cx[0], cy[0]), "coreflection"
+
+    def dfs(state):
+        if state in memo:
+            return memo[state]
+        visited[0] += 1
+        if visited[0] > max_states:
+            return None
+        objs = [o for o in B.objects if o in state]
+        for side, is_cone in (("final", is_final), ("initial", is_initial)):
+            cone = next((t for t in objs if is_cone(nb, t, state)), None)
+            if cone is not None:
+                result = {"kind": "collapse", "steps": [], "cone": cone, "side": side}
+                memo[state] = result
+                return result
+        if len(objs) <= 1:
+            memo[state] = None
+            return None
+        for removed, via, direction in candidates(objs, state):
+            result = dfs(state.difference(removed))
+            if result is not None:
+                step = {"removed": list(removed), "via": via, "direction": direction}
+                result = {
+                    "kind": "collapse",
+                    "steps": [step] + result["steps"],
+                    "cone": result["cone"],
+                    "side": result["side"],
+                }
+                memo[state] = result
+                return result
+        memo[state] = None
+        return None
+
+    result = dfs(frozenset(B.objects))
+    # dfs refers to itself; unbinding it frees the memo now, not at the
+    # next cyclic garbage collection
+    dfs = None
+    return result
 
 
 def replay_certificate(B, cert):
@@ -448,5 +551,5 @@ def replay_certificate(B, cert):
             if x not in state or check(nb, x, state, removed) is None:
                 return False
         state.difference_update(removed)
-    is_cone = nb.is_final if cert["side"] == "final" else nb.is_initial
-    return cert["cone"] in state and is_cone(cert["cone"], state)
+    is_cone = is_final if cert["side"] == "final" else is_initial
+    return cert["cone"] in state and is_cone(nb, cert["cone"], state)

@@ -440,9 +440,10 @@ def test_malformed_workspace_is_a_one_line_error(case, capsys, tmp_path):
 
 def one_line_error(capsys, data, tmp_path, *argv):
     """Exit code and stderr of a command on a workspace file holding
-    ``data``; ``validate`` when no command is given."""
+    ``data``, or the text ``data`` when it is a string; ``validate`` when
+    no command is given."""
     path = tmp_path / "ws.json"
-    path.write_text(json.dumps(data), encoding="utf-8")
+    path.write_text(data if isinstance(data, str) else json.dumps(data), encoding="utf-8")
     code = main(list(argv) + ["--workspace", str(path)] if argv else ["validate", str(path)])
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
@@ -481,6 +482,41 @@ def test_a_size_over_its_limit_is_a_one_line_error(case, capsys, tmp_path):
     data, message = OVER_LIMIT[case]
     code, err = one_line_error(capsys, data, tmp_path)
     assert code == 1 and message in err
+
+
+def test_check_cofinal_on_a_long_fence(capsys, tmp_path):
+    """A fence of 1500 objects onto the point: its one coslice is the
+    fence, certified by a collapse of 1497 steps, deeper than Python's
+    recursion limit."""
+    points = ["p%d" % i for i in range(1500)]
+    arrows = [{"id": "e%d" % i, "dom": points[i + i % 2], "cod": points[i + 1 - i % 2]}
+              for i in range(1499)]
+    data = {
+        "categories": {
+            "fence": {"objects": points, "morphisms": arrows, "composition": []},
+            "point": {"objects": ["*"], "morphisms": [], "composition": []},
+        },
+        "functors": {"to-point": {
+            "source": "fence", "target": "point", "objects": dict.fromkeys(points, "*"),
+            "morphisms": {a["id"]: "id_*" for a in arrows},
+        }},
+    }
+    path = tmp_path / "fence.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    code = main(["check-cofinal", "--workspace", str(path), "--functor", "to-point",
+                 "--format", "json"])
+    out, err = capsys.readouterr()
+    assert (code, err) == (0, "")
+    verdict = json.loads(out)["per_object"]["*"]
+    assert verdict["verdict"] == "CONTRACTIBLE"
+    assert verdict["certificate"]["kind"] == "collapse"
+    assert len(verdict["certificate"]["steps"]) == 1497
+
+
+def test_json_nested_too_deeply_is_a_one_line_error(capsys, tmp_path):
+    code, err = one_line_error(capsys, "[" * 200000 + "]" * 200000, tmp_path)
+    assert code == 1
+    assert err == "error: InputError: %s nests too deeply to read\n" % (tmp_path / "ws.json")
 
 
 def test_a_classifying_space_over_its_cap_is_a_one_line_error(capsys, tmp_path):

@@ -1,20 +1,28 @@
-"""The lazy, neighbour-local collapse search against the eager search it
-replaced, kept here verbatim as the oracle: same certificates, including
+"""The collapse search against the two searches it replaced, kept as
+oracles: the recursive one (``oracles.recursive_collapse_search``) and,
+here verbatim, the eager one before it.  Same certificates, including
 None, on fences, crowns, Boolean lattices, the fixture categories, the
 wefrac fibres and random posets, all with their opposites, at both
-efforts and at a tight and the default state cap."""
+efforts and at a tight and the default state cap; the same certificates
+and the same states counted at every cap where the search backtracks;
+and certificates that replay on fences far past Python's recursion
+limit, in memory linear in the fence."""
 
 import random
+import tracemalloc
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hocofin import fixtures
+import oracles
+from hocofin import cofinal, fixtures
 from hocofin.cofinal import (
+    CONTRACTIBLE,
     _Neighbours,
     _collapse_search,
     _reflection,
     _coreflection,
+    certify_contractible,
 )
 from hocofin.fincat import (
     comma_left_fibre,
@@ -27,7 +35,7 @@ from hocofin.fincat import (
     validate_category,
 )
 from hocofin.groups import cyclic_group
-from oracles import initial_objects, replay_certificate
+from oracles import initial_objects, recursive_collapse_search, replay_certificate
 
 
 # -- the eager search ------------------------------------------------------------
@@ -237,6 +245,8 @@ def test_lazy_search_gives_the_eager_certificates():
         for effort in (1, 2):
             for max_states in (3, 20000):
                 got = _collapse_search(B, effort, max_states=max_states)
+                assert got == recursive_collapse_search(B, effort, max_states=max_states), (
+                    B.objects, effort, max_states)
                 assert got == eager_collapse_search(B, effort, max_states=max_states), (
                     B.objects, effort, max_states)
                 if got is not None:
@@ -253,6 +263,105 @@ def test_longer_fences_at_effort_one():
         for B in (fence(n, False), opposite(fence(n, True))):
             got = _collapse_search(B, 1)
             assert got is not None and got == eager_collapse_search(B, 1)
+            assert got == recursive_collapse_search(B, 1)
+
+
+# -- backtracking -------------------------------------------------------------------
+
+
+def pendant_crown():
+    """The crown on 8 points with a fence of 3 points hanging below a0 and
+    one of 2 points hanging above b2.  Its nerve is a circle, so every
+    search fails; but the fence points, and the crown points that a fence
+    point stands in for, are beat points that can be removed in many
+    orders: at effort 1 the search meets 35 states along 75 steps."""
+    crown = [("a%d" % i, "b%d" % j) for i in range(4) for j in (i, (i + 1) % 4)]
+    below = crown + [("f1", "a0"), ("f1", "f2"), ("f3", "f2"), ("b2", "g1"), ("g2", "g1")]
+    points = ["a%d" % i for i in range(4)] + ["b%d" % i for i in range(4)]
+    return poset(points + ["f1", "f2", "f3", "g1", "g2"], below)
+
+
+def counted(monkeypatch, search, B, effort, max_states):
+    """The result of a search and the states whose cone it checked, counted
+    at its cone check: each distinct state handed to the oracle's
+    ``is_final``, and each state whose cones the new search looks up
+    (final, then initial: the categories here have none)."""
+    seen, calls = set(), [0]
+    is_final, first = oracles.is_final, cofinal._Cones.first
+
+    def final_seen(nb, t, state):
+        seen.add(state)
+        return is_final(nb, t, state)
+
+    def first_counted(self, n):
+        calls[0] += 1
+        return first(self, n)
+
+    monkeypatch.setattr(oracles, "is_final", final_seen)
+    monkeypatch.setattr(cofinal._Cones, "first", first_counted)
+    result = search(B, effort, max_states=max_states)
+    monkeypatch.undo()
+    return result, len(seen) + calls[0] // 2
+
+
+def test_every_cap_where_the_search_backtracks(monkeypatch):
+    """No category of ``family()``, and none of 12,000 random posets tried,
+    needs backtracking to succeed, so this case is what exercises the
+    frames that resume after a dead end and the memo of dead ends: each
+    state is reached first along one path and then found in the memo
+    along the others.  At every cap up to the states the oracle visits,
+    and past them, the new search gives the oracle's result and checks as
+    many states' cones."""
+    for B in (pendant_crown(), opposite(pendant_crown())):
+        for effort in (1, 2):
+            _, total = counted(monkeypatch, recursive_collapse_search, B, effort, 20000)
+            for cap in list(range(1, total + 2)) + [20000]:
+                got, states = counted(monkeypatch, _collapse_search, B, effort, cap)
+                want, oracle_states = counted(monkeypatch, recursive_collapse_search,
+                                              B, effort, cap)
+                assert got == want is None
+                assert states == oracle_states == min(cap, total), (B.objects, effort, cap)
+    assert counted(monkeypatch, recursive_collapse_search, pendant_crown(), 1, 20000)[1] == 35
+
+
+# -- reach ------------------------------------------------------------------------
+
+
+def long_fence(n):
+    """The fence p0 < p1 > p2 < ... with n arrows, built from them in
+    linear time (``from_poset`` reads all pairs of points).  No two of its
+    arrows compose, so its table holds only identities."""
+    points = ["p%d" % i for i in range(n + 1)]
+    arrows = [("e%d" % i,) + ((points[i], points[i + 1]) if i % 2 == 0
+                              else (points[i + 1], points[i])) for i in range(n)]
+    return validate_category(points, arrows, [])
+
+
+def test_long_fences_collapse_past_the_recursion_limit():
+    for n in (2000, 10 ** 4):
+        B = long_fence(n)
+        for C in (B, opposite(B)):
+            verdict = certify_contractible(C)
+            assert verdict.kind == CONTRACTIBLE
+            cert = verdict.certificate
+            assert cert["kind"] == "collapse" and len(cert["steps"]) == n - 2
+            assert replay_certificate(C, cert)
+
+
+def search_peak(B):
+    tracemalloc.start()
+    try:
+        assert _collapse_search(B, 1) is not None
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_search_memory_is_linear_in_the_fence():
+    """Linear memory reads 4x from 1000 to 4000 objects; a memo of
+    frozensets, or the removed set kept per frame, reads 16x."""
+    small, large = search_peak(long_fence(999)), search_peak(long_fence(3999))
+    assert large < 6 * small, (small, large)
 
 
 def test_replay_refuses_broken_certificates():
