@@ -1,14 +1,16 @@
 """The JSON reports of ``factorization`` on every fixture category, of
-``check-cofinal``, with and without ``--coinitial``, on every fixture
-functor, of ``hocolim`` on every fixture pointed diagram and of ``pi1``
+``check-cofinal``, with and without ``--coinitial``, and of ``check-vdc``
+on every fixture functor, of ``hocolim`` on every fixture pointed diagram and of ``pi1``
 on every fixture simplicial set, byte for byte against
 ``tests/data/golden``: stdout of each command in
 ``<command>.<entity>[.coinitial].json`` and the exit codes in
 ``exit_codes.json``.  The first two were recorded while the
 factorization category was still built in full and every derived
 category was listed at construction, so they pin the ids, order and
-tables of the staged views; the last two were recorded while every
-diagonal and nerve wrote its own face and degeneracy tables.
+tables of the staged views; the ``hocolim`` and ``pi1`` reports were
+recorded while every diagonal and nerve wrote its own face and degeneracy
+tables, and the 17 ``check-vdc`` reports while the comma-fibre analysis
+was still written twice, in ``diagrams`` and in ``cofinal``.
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -32,6 +34,7 @@ def commands():
     out = [["factorization", "--category", c] for c in fixtures.BUILTINS["categories"]]
     for f in fixtures.BUILTINS["functors"]:
         out += [["check-cofinal", "--functor", f], ["check-cofinal", "--functor", f, "--coinitial"]]
+    out += [["check-vdc", "--functor", f] for f in fixtures.BUILTINS["functors"]]
     out += [["hocolim", "--pointed-diagram", p] for p in fixtures.BUILTINS["pointed_diagrams"]]
     out += [["pi1", "--sset", s] for s in fixtures.BUILTINS["ssets"]]
     return out
@@ -56,9 +59,12 @@ def test_report_is_byte_identical(argv):
 
 
 def test_every_recorded_command_still_runs():
+    """11 factorizations, 17 functors checked three ways (``check-cofinal``
+    with and without ``--coinitial``, ``check-vdc``), 5 pointed diagrams
+    and 2 simplicial sets."""
     codes = json.loads((GOLDEN / "exit_codes.json").read_text(encoding="utf-8"))
     assert sorted(codes) == sorted(" ".join(argv) for argv in commands())
-    assert len(codes) == 11 + 2 * 17 + 5 + 2
+    assert len(codes) == 11 + 2 * 17 + 17 + 5 + 2
 
 
 if __name__ == "__main__":
