@@ -102,9 +102,8 @@ def matrix_from_json(obj):
         raise InputError("matrix data must be a JSON array")
     if len(data) != m * n:
         raise InputError("matrix data has %d entries, rows*cols is %d" % (len(data), m * n))
-    for x in data:
-        _integer(x, "matrix entry")
-    return IntMatrix.from_json(obj)
+    data = [_integer(x, "matrix entry") for x in data]
+    return IntMatrix([data[i * n : (i + 1) * n] for i in range(m)], (m, n))
 
 
 def category_from_json(obj, name=""):
@@ -397,10 +396,12 @@ def system_from_json(obj, workspace, name=""):
 
     ``over`` picks the base: the opposite category of elements of a named
     presheaf, or the opposite factorization category of a named category.
-    Systems are constant: ``constant_group`` or ``constant_abelian`` names
-    the single group at every object.
+    Systems are constant: exactly one of ``constant_group`` and
+    ``constant_abelian`` names the single group at every object.
     """
     _require_keys(obj, ("over",), ("constant_group", "constant_abelian"), what="system")
+    if "constant_group" in obj and "constant_abelian" in obj:
+        raise InputError("system gives both constant_group and constant_abelian; give one")
     over = obj["over"]
     _require_keys(over, ("kind",), ("dset", "category"), what="system base")
     if over["kind"] == "elements-op":

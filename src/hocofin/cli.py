@@ -37,6 +37,7 @@ from .groups import BudgetExceeded, GroupError, fingerprint, tietze_simplify
 from .gz import (
     GZError,
     RouteMismatch,
+    agreement,
     andre_homology,
     bw_homology,
     bw_invariance_check,
@@ -349,7 +350,7 @@ def _verify_factfibres(fx, args, report):
     for alpha in S.target.morphisms:
         lhs, _, _ = comma_left_fibre(FS, alpha)
         rhs = factorization(factor_slice(S, alpha)).category
-        iso = iso_check(lhs, rhs, max_objects=24, max_morphisms=160)
+        iso = iso_check(lhs, rhs)
         results[alpha] = iso is not None
         ok = ok and iso is not None
     report["isomorphic"] = results
@@ -405,11 +406,8 @@ def _verify_dhiso(fx, args, report):
     report["fibres"] = rep["fibres"]
     if not _hyp_gate(report, rep["hypothesis"], args.assume_hypothesis):
         return EXIT_HYPOTHESIS
-    verdict = rep["verdict"]
-    if verdict == "hypothesis fails":
-        # assumed mode: recompute agreement from the reported sides
-        verdict = "agree" if rep["lhs"]["abelian"] == rep["rhs"]["abelian"] else "disagree"
-    report["verdict"] = verdict
+    # past the gate, even a failed hypothesis is assumed: compare the sides
+    report["verdict"] = verdict = agreement(rep["lhs"], rep["rhs"])
     return EXIT_OK if verdict == "agree" else EXIT_DISAGREE
 
 
@@ -423,12 +421,15 @@ def _verify_confhomolbw(fx, args, report):
             continue
         rep = bw_invariance_check(fx["functor"], system, min(args.nmax, 2),
                                  effort=args.effort)
-        outcomes[key] = {"hypothesis": rep["hypothesis"], "verdict": rep["verdict"]}
+        verdict = rep["verdict"]
+        if verdict == "hypothesis fails":
+            hypothesis_failed = True
+            if args.assume_hypothesis:
+                verdict = agreement(rep["lhs"], rep["rhs"])
+        outcomes[key] = {"hypothesis": rep["hypothesis"], "verdict": verdict}
         if "witness" in rep:
             outcomes[key]["witness"] = rep["witness"]
-        if rep["verdict"] == "hypothesis fails":
-            hypothesis_failed = True
-        elif rep["verdict"] != "agree":
+        if verdict not in ("agree", "hypothesis fails"):
             code = EXIT_DISAGREE
     report["systems"] = outcomes
     report["hypothesis_over"] = "target-category morphisms"

@@ -87,17 +87,40 @@ def is_finally_discrete(B):
     return ok, details
 
 
+class _FibreAnalysis:
+    """A left fibre S↓d with its projection and parts, the components and
+    final objects of ``is_finally_discrete``, and the chosen final object
+    of each component: its first, in object order, or None."""
+
+    __slots__ = ("cat", "proj", "parts", "ok", "components", "chosen", "comp_of")
+
+    def __init__(self, cat, proj, parts):
+        self.cat = cat
+        self.proj = proj
+        self.parts = parts
+        self.ok, self.components = is_finally_discrete(cat)
+        self.chosen = [w["final_objects"][0] if w["final_objects"] else None
+                       for w in self.components]
+        self.comp_of = {o: k for k, w in enumerate(self.components) for o in w["component"]}
+
+    def final_morphism(self, obj):
+        """The unique morphism from obj to the chosen final object of its
+        component, and that object."""
+        tgt = self.chosen[self.comp_of[obj]]
+        return self.cat.hom(obj, tgt)[0], tgt
+
+
+def analyze_fibres(S):
+    """Left-fibre analysis of a functor at every target object."""
+    return {d: _FibreAnalysis(*comma_left_fibre(S, d)) for d in S.target.objects}
+
+
 def is_vdc(S):
-    """Whether every left fibre S↓d is finally discrete."""
-    witnesses = {}
-    ok = True
-    for d in S.target.objects:
-        cat, _, _ = comma_left_fibre(S, d)
-        good, details = is_finally_discrete(cat)
-        witnesses[d] = {"finally_discrete": good, "components": details}
-        if not good:
-            ok = False
-    return ok, witnesses
+    """Whether every left fibre S↓d is finally discrete; returns the
+    per-fibre witnesses."""
+    witnesses = {d: {"finally_discrete": fa.ok, "components": fa.components}
+                 for d, fa in analyze_fibres(S).items()}
+    return all(w["finally_discrete"] for w in witnesses.values()), witnesses
 
 
 # -- contractibility ----------------------------------------------------------

@@ -27,16 +27,8 @@ from __future__ import annotations
 import copy
 
 from . import fincat
-from .cofinal import reflective_core
-from .fincat import (
-    Functor,
-    chain_face,
-    composable_chains,
-    comma_left_fibre,
-    connected_components,
-    final_objects,
-    full_subcategory,
-)
+from .cofinal import analyze_fibres, reflective_core
+from .fincat import Functor, chain_face, composable_chains, full_subcategory
 from .groups import FreeProduct, GroupHom, GroupPresentation, tietze_simplify
 from .homalg import AbMap, FGAb, block_map, block_sum, normalized_complex
 
@@ -216,7 +208,7 @@ def colim0(C, G):
     return tietze_simplify(GroupPresentation(gens, relators))
 
 
-def ab_colim_derived(C, M, n_max, chain_cap=DEFAULT_CHAIN_CAP):
+def ab_colim_derived(C, M, n_max):
     """Derived colimits of an abelian diagram for n = 0..n_max.
 
     Homology of the normalized simplicial-replacement complex: degree-n
@@ -238,19 +230,20 @@ def ab_colim_derived(C, M, n_max, chain_cap=DEFAULT_CHAIN_CAP):
         M = M.restrict(Functor(A, C, {o: o for o in A.objects},
                                {f: f for f in A.morphisms}, _validate=False))
         C = A
-    complex_ = srep_ab_complex(C, M, n_max, chain_cap=chain_cap)
+    complex_ = srep_ab_complex(C, M, n_max)
     return [complex_.homology(n) for n in range(n_max + 1)]
 
 
-def srep_ab_complex(C, M, n_max, chain_cap=DEFAULT_CHAIN_CAP):
+def srep_ab_complex(C, M, n_max):
     """Normalized simplicial-replacement complex of an abelian diagram in
-    degrees 0..n_max + 1; raises TruncationUnsound past the chain cap."""
+    degrees 0..n_max + 1; raises TruncationUnsound past
+    ``DEFAULT_CHAIN_CAP`` chains in a degree."""
     chains = {}
     for n in range(n_max + 2):
         chains[n] = composable_chains(C, n, nondegenerate=True)
-        if len(chains[n]) > chain_cap:
+        if len(chains[n]) > DEFAULT_CHAIN_CAP:
             raise TruncationUnsound(
-                "degree %d has %d chains (cap %d)" % (n, len(chains[n]), chain_cap)
+                "degree %d has %d chains (cap %d)" % (n, len(chains[n]), DEFAULT_CHAIN_CAP)
             )
 
     def faces(n, ch):
@@ -316,42 +309,6 @@ def abelianize_diagram(G):
 # -- Kan extension along virtual discrete cofibrations ------------------------
 
 
-class _FibreAnalysis:
-    __slots__ = ("cat", "proj", "parts", "components", "finals", "chosen", "comp_of")
-
-    def __init__(self, cat, proj, parts):
-        self.cat = cat
-        self.proj = proj
-        self.parts = parts
-        self.components = connected_components(cat)
-        self.finals = []
-        self.chosen = []
-        self.comp_of = {}
-        for k, comp in enumerate(self.components):
-            fin = final_objects(cat, comp)
-            self.finals.append(fin)
-            self.chosen.append(min(fin, key=cat.objects.index) if fin else None)
-            for obj in comp:
-                self.comp_of[obj] = k
-
-    def ok(self):
-        return all(c is not None for c in self.chosen)
-
-    def final_morphism(self, obj):
-        """The unique morphism from obj to the chosen final object of its
-        component."""
-        tgt = self.chosen[self.comp_of[obj]]
-        arrows = self.cat.hom(obj, tgt)
-        if len(arrows) != 1:
-            raise DiagramError("final object not unique enough at %s" % obj)
-        return arrows[0], tgt
-
-
-def analyze_fibres(S):
-    """Left-fibre analysis of a functor at every target object."""
-    return {d: _FibreAnalysis(*comma_left_fibre(S, d)) for d in S.target.objects}
-
-
 def kan_extend_vdc(S, diagram):
     """Left Kan extension along a virtual discrete cofibration.
 
@@ -367,7 +324,7 @@ def kan_extend_vdc(S, diagram):
         raise DiagramError("diagram is not over the source category of %s" % (S.name or "?"))
     fibres = analyze_fibres(S)
     for d, fa in fibres.items():
-        if not fa.ok():
+        if not fa.ok:
             raise NotVDC("fibre over %s has a component without a final object" % d)
     D = S.target
 

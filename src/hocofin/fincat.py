@@ -686,11 +686,10 @@ def factorization(C):
     return FactorizationData(C, cat, cat_op, dom_f, cod_f, pair)
 
 
-def factor_functor(S, fc=None, fd=None):
-    """The induced functor between factorization categories."""
-    fc = fc or factorization(S.source)
-    fd = fd or factorization(S.target)
-    C, D = S.source, S.target
+def factor_functor(S, fc, fd):
+    """The induced functor between the factorization categories ``fc`` of
+    S's source and ``fd`` of its target."""
+    D = S.target
     obj_map = {f: S.on_mor(f) for f in fc.category.objects}
     mor_map = {}
     for m in fc.category.morphisms:
@@ -735,15 +734,21 @@ def factor_slice(S, alpha):
 # -- isomorphism search --------------------------------------------------
 
 
-def iso_check(C, D, max_objects=12, max_morphisms=64):
+# the largest categories the isomorphism search takes on
+ISO_MAX_OBJECTS = 24
+ISO_MAX_MORPHISMS = 160
+
+
+def iso_check(C, D):
     """Search for an invertible functor C -> D by deterministic backtracking.
 
     Returns the functor, or None when the categories are not isomorphic.
-    Raises SizeLimitExceeded beyond the configured bounds.
+    Raises SizeLimitExceeded past ``ISO_MAX_OBJECTS`` objects or
+    ``ISO_MAX_MORPHISMS`` morphisms.
     """
-    if len(C.objects) > max_objects or len(D.objects) > max_objects:
+    if len(C.objects) > ISO_MAX_OBJECTS or len(D.objects) > ISO_MAX_OBJECTS:
         raise SizeLimitExceeded("too many objects for isomorphism search")
-    if len(C.morphisms) > max_morphisms or len(D.morphisms) > max_morphisms:
+    if len(C.morphisms) > ISO_MAX_MORPHISMS or len(D.morphisms) > ISO_MAX_MORPHISMS:
         raise SizeLimitExceeded("too many morphisms for isomorphism search")
     if len(C.objects) != len(D.objects) or len(C.morphisms) != len(D.morphisms):
         return None

@@ -528,9 +528,9 @@ def _homoliso_fixture(functor_builder, grp_builder, ab_builder):
     return build
 
 
-def _const_grp(group_ctor, label="A"):
+def _const_grp(group_ctor):
     def make(C):
-        return constant_group_diagram(C, fp(label, group_ctor()), name="const")
+        return constant_group_diagram(C, fp("A", group_ctor()), name="const")
 
     return make
 

@@ -213,6 +213,12 @@ def catalog():
 # -- free products ---------------------------------------------------------
 
 
+def word_key(word):
+    """The name of a reduced word as an element of a table group: its
+    letters as ``label.element`` joined by ``|``, the unit ``1``."""
+    return "|".join("%s.%s" % l for l in word) or "1"
+
+
 class FreeProduct:
     """Free product of finite groups, with elements stored as reduced words.
 
@@ -306,15 +312,12 @@ class FreeProduct:
         """Convert to a FinGroup when at most one factor is nontrivial."""
         if self.element_count() is None:
             raise BudgetExceeded("free product is infinite")
-        els = self.elements()
-        keys = ["|".join("%s.%s" % l for l in w) or "1" for w in els]
-        by_word = dict(zip(keys, els))
+        by_word = {word_key(w): w for w in self.elements()}
         table = {}
         for k1, w1 in by_word.items():
             for k2, w2 in by_word.items():
-                prod = self.multiply(w1, w2)
-                table[(k1, k2)] = "|".join("%s.%s" % l for l in prod) or "1"
-        return FinGroup(keys, "1", table, name=self.name)
+                table[(k1, k2)] = word_key(self.multiply(w1, w2))
+        return FinGroup(list(by_word), "1", table, name=self.name)
 
     def __repr__(self):
         return "FreeProduct(%s)" % " * ".join(

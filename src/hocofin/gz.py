@@ -43,11 +43,7 @@ class RouteMismatch(GZError):
     """The two computational routes disagreed: an implementation bug."""
 
 
-def _is_ab(system):
-    return isinstance(system, AbDiagram)
-
-
-def _agreement(lhs, rhs):
+def agreement(lhs, rhs):
     """"agree" when two homology results have the same abelian groups and,
     for group coefficients, the same degree-0 fingerprint."""
     same = lhs["abelian"] == rhs["abelian"]
@@ -56,29 +52,30 @@ def _agreement(lhs, rhs):
     return "agree" if same else "disagree"
 
 
-def _hom_over(cat, proj, o1, o2, base_mor):
-    """The unique morphism o1 -> o2 of a derived category lying over a
-    given base morphism."""
-    hits = [m for m in cat.hom(o1, o2) if proj.on_mor(m) == base_mor]
+def _hom_over(cat, over, o1, o2, image):
+    """The unique morphism o1 -> o2 of a derived category that ``over``
+    (a projection's ``mor_map``, or a factorization's ``pair``) sends to
+    ``image``; ``cat.hom`` fills ``over`` for the morphisms it lists."""
+    hits = [m for m in cat.hom(o1, o2) if over[m] == image]
     if len(hits) != 1:
-        raise GZError("expected exactly one morphism over %s, found %d" % (base_mor, len(hits)))
+        raise GZError("expected exactly one morphism over %r, found %d" % (image, len(hits)))
     return hits[0]
 
 
 # -- presheaf homology ---------------------------------------------------------
 
 
-def lan_route_diagram(X, system, data=None):
+def lan_route_diagram(X, system, data):
     """The presheaf of groups a |-> free product over X(a) of the system
     values, with transport along morphisms; a diagram over the opposite
-    of the base category."""
+    of the base category.  ``data`` is ``elements_with_parts(X)``."""
     D = X.base
-    E, Q, parts = data if data is not None else elements_with_parts(X)
+    E, Q, parts = data
     oid = {(d, x): o for o, (d, x) in parts.items()}
 
     def transport(alpha, x):
         x2 = X.apply(alpha, x)
-        return x2, _hom_over(E, Q, oid[(D.dom[alpha], x2)], oid[(D.cod[alpha], x)], alpha)
+        return x2, _hom_over(E, Q.mor_map, oid[(D.dom[alpha], x2)], oid[(D.cod[alpha], x)], alpha)
 
     blocks = {a: [(x, oid[(a, x)]) for x in X.sets[a]] for a in D.objects}
     return sum_diagram(opposite(D), blocks, transport, system, "C(%s)" % (X.name or "?"))
@@ -98,8 +95,8 @@ def gz_homology(X, system, n_max):
     if system.base != Eop:
         raise GZError("system is not over the opposite category of elements of %s" % (X.name or "?"))
     Dop = opposite(X.base)
-    lan = lan_route_diagram(X, system, data=data)
-    if _is_ab(system):
+    lan = lan_route_diagram(X, system, data)
+    if isinstance(system, AbDiagram):
         primary = ab_colim_derived(Eop, system, n_max)
         secondary = ab_colim_derived(Dop, lan, n_max)
         if primary != secondary:
@@ -120,11 +117,11 @@ def gz_homology(X, system, n_max):
     }
 
 
-def elements_functor(f, data_x=None, data_y=None):
+def elements_functor(f):
     """The functor between categories of elements induced by a presheaf
     morphism: (d, x) |-> (d, f_d(x))."""
-    EX, QX, partsX = data_x if data_x is not None else elements_with_parts(f.source)
-    EY, QY, partsY = data_y if data_y is not None else elements_with_parts(f.target)
+    EX, QX, partsX = elements_with_parts(f.source)
+    EY, QY, partsY = elements_with_parts(f.target)
     oidY = {(d, y): o for o, (d, y) in partsY.items()}
     obj_map = {o: oidY[(d, f.at(d, x))] for o, (d, x) in partsX.items()}
     mor_map = {}
@@ -135,7 +132,7 @@ def elements_functor(f, data_x=None, data_y=None):
         if EX.is_identity(m):
             mor_map[m] = EY.identity[t1]
         else:
-            mor_map[m] = _hom_over(EY, QY, t1, t2, alpha)
+            mor_map[m] = _hom_over(EY, QY.mor_map, t1, t2, alpha)
     return Functor(EX, EY, obj_map, mor_map, name="el(f)")
 
 
@@ -155,7 +152,7 @@ def direct_image(f, system, n_max):
         "system": pushed,
         "lhs": lhs,
         "rhs": rhs,
-        "verdict": _agreement(lhs, rhs),
+        "verdict": agreement(lhs, rhs),
     }
 
 
@@ -195,7 +192,7 @@ def dhiso_check(f, system, n_max, effort=1):
     if agg == "NONCONTRACTIBLE":
         report["verdict"] = "hypothesis fails"
     else:
-        report["verdict"] = _agreement(lhs, rhs)
+        report["verdict"] = agreement(lhs, rhs)
     return report
 
 
@@ -210,22 +207,12 @@ def _delta_of_chain(C, chain):
     return acc
 
 
-def _fact_hom(fdata, f, g, pair):
-    """Morphism id f -> g in the factorization category with a given
-    (alpha, beta) pair."""
-    cat = fdata.category
-    hits = [m for m in cat.hom(f, g) if fdata.pair[m] == pair]
-    if len(hits) != 1:
-        raise GZError("expected exactly one factorization morphism for %r" % (pair,))
-    return hits[0]
-
-
-def nerve_route_complex(C, M, n_max, fdata=None):
+def nerve_route_complex(C, M, n_max, fdata):
     """Nerve-route complex for natural-system homology with abelian
     coefficients: degree-n term the sum of M(composite of sigma) over
     nondegenerate chains sigma, faces acting through the factorization
-    category (transport on the outer faces, identity inside)."""
-    fdata = fdata or factorization(C)
+    category ``fdata`` of C (transport on the outer faces, identity
+    inside)."""
     chains = {n: composable_chains(C, n, nondegenerate=True) for n in range(n_max + 2)}
 
     def faces(n, ch):
@@ -239,7 +226,8 @@ def nerve_route_complex(C, M, n_max, fdata=None):
             else:
                 yield i, face, M.value[dsig].gens
                 continue
-            yield i, face, M.action[_fact_hom(fdata, _delta_of_chain(C, face), dsig, pair)].columns
+            m = _hom_over(fdata.category, fdata.pair, _delta_of_chain(C, face), dsig, pair)
+            yield i, face, M.action[m].columns
 
     return normalized_complex(chains, lambda ch: M.value[_delta_of_chain(C, ch)], faces)
 
@@ -255,16 +243,16 @@ def bw_homology(C, system, n_max, fdata=None):
     base = fdata.category_op
     if system.base != base:
         raise GZError("system is not over the opposite factorization category of %s" % (C.name or "?"))
-    if _is_ab(system):
+    if isinstance(system, AbDiagram):
         abd = system
     else:
         pres = colim0(base, system)
         abd = abelianize_diagram(system)
     primary = ab_colim_derived(base, abd, n_max)
-    secondary = nerve_route_complex(C, abd, n_max, fdata=fdata)
+    secondary = nerve_route_complex(C, abd, n_max, fdata)
     if primary != [secondary.homology(n) for n in range(n_max + 1)]:
         raise RouteMismatch("natural-system homology differs between routes")
-    if _is_ab(system):
+    if isinstance(system, AbDiagram):
         return {"abelian": primary, "routes_agree": True}
     return {
         "n0": {"presentation": pres, "fingerprint": list(fingerprint(pres))},
@@ -279,7 +267,9 @@ def bw_invariance_check(S, system, n_max, effort=1):
 
     The slice S<alpha> is certified for every morphism alpha of the
     TARGET category (the only reading under which the slice is defined);
-    the report flags this interpretation."""
+    the report flags this interpretation.  Both sides are computed even
+    when the hypothesis fails, so that a run which assumes it compares
+    them, as ``dhiso_check`` does."""
     C, D = S.source, S.target
     fc = factorization(C)
     fd = factorization(D)
@@ -295,17 +285,17 @@ def bw_invariance_check(S, system, n_max, effort=1):
         "slices": {alpha: v.kind for alpha, v in verdicts.items()},
         "hypothesis": agg,
     }
-    if agg == "NONCONTRACTIBLE":
-        bad = [a for a, v in verdicts.items() if v.kind == "NONCONTRACTIBLE"]
-        report["verdict"] = "hypothesis fails"
-        report["witness"] = "hypothesis fails at alpha=%s" % bad[0]
-        return report
     pulled = system.restrict(FSop)
     lhs = bw_homology(C, pulled, n_max, fdata=fc)
     rhs = bw_homology(D, system, n_max, fdata=fd)
     report["lhs"] = lhs
     report["rhs"] = rhs
-    report["verdict"] = _agreement(lhs, rhs)
+    if agg == "NONCONTRACTIBLE":
+        bad = [a for a, v in verdicts.items() if v.kind == "NONCONTRACTIBLE"]
+        report["verdict"] = "hypothesis fails"
+        report["witness"] = "hypothesis fails at alpha=%s" % bad[0]
+    else:
+        report["verdict"] = agreement(lhs, rhs)
     return report
 
 
@@ -319,7 +309,7 @@ def andre_homology(X, diagram, n_max):
         raise DiagramError("diagram is not over the base category of %s" % (X.name or "?"))
     E, Q, _ = elements_with_parts(X)
     pulled = diagram.restrict(Q)
-    if _is_ab(diagram):
+    if isinstance(diagram, AbDiagram):
         return {"abelian": ab_colim_derived(E, pulled, n_max)}
     pres = colim0(E, pulled)
     return {

@@ -17,7 +17,7 @@ from . import fincat
 from .cofinal import certify_homotopy_cofinal
 from .diagrams import Diagram
 from .fincat import chain_degeneracy, chain_face, composable_chains
-from .groups import BudgetExceeded, FinGroup, FreeProduct, fingerprint, tietze_simplify
+from .groups import BudgetExceeded, FinGroup, FreeProduct, fingerprint, tietze_simplify, word_key
 from .presheaf import SSetMap, edge_path_group, homology_ss, nerve, simplicial_set
 
 
@@ -88,10 +88,6 @@ def classifying_space(G, N):
     return cat, nerve(cat, N, basepoint="*")
 
 
-def _word_key(word):
-    return "|".join("%s.%s" % l for l in word) or "1"
-
-
 def bg_diagram(G, N):
     """Pointed diagram of classifying spaces of a group diagram."""
     cats = {}
@@ -100,7 +96,7 @@ def bg_diagram(G, N):
     for o in G.base.objects:
         fp = G.value[o]
         cats[o], values[o] = classifying_space(fp, N)
-        words[o] = {_word_key(w): w for w in fp.elements()}
+        words[o] = {word_key(w): w for w in fp.elements()}
     actions = {}
     for alpha in G.base.morphisms:
         if G.base.is_identity(alpha):
@@ -111,7 +107,7 @@ def bg_diagram(G, N):
         el_map = {}
         for key, w in words[src_o].items():
             image = hom.apply(w)
-            el_map[key] = _word_key(image)
+            el_map[key] = word_key(image)
 
         def mor_image(m, el_map=el_map, src=cats[src_o], dst=cats[dst_o]):
             if src.is_identity(m):

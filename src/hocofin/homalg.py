@@ -95,14 +95,6 @@ class IntMatrix:
     def __repr__(self):
         return "IntMatrix(%r)" % (self.entries,)
 
-    @classmethod
-    def from_json(cls, obj):
-        m, n = int(obj["rows"]), int(obj["cols"])
-        data = [int(x) for x in obj["data"]]
-        if len(data) != m * n:
-            raise ValueError("matrix data length does not match rows*cols")
-        return cls([data[i * n : (i + 1) * n] for i in range(m)], (m, n))
-
 
 def smith_normal_form(A):
     """Return (U, D, V) with U*A*V == D diagonal, d1 | d2 | ..., U, V unimodular.

@@ -437,35 +437,6 @@ def homology_ss(X, n_max):
     return [K.homology(n) for n in range(n_max + 1)]
 
 
-def vertex_components(X):
-    """Vertex partition under the (undirected) 1-skeleton."""
-    adj = {v: set() for v in X.simplices[0]}
-    if X.level >= 1:
-        for e in X.simplices[1]:
-            a = X.face(1, 1, e)
-            b = X.face(1, 0, e)
-            adj[a].add(b)
-            adj[b].add(a)
-    seen = set()
-    comps = []
-    order = {v: i for i, v in enumerate(X.simplices[0])}
-    for v in X.simplices[0]:
-        if v in seen:
-            continue
-        comp = []
-        queue = deque([v])
-        seen.add(v)
-        while queue:
-            w = queue.popleft()
-            comp.append(w)
-            for u in sorted(adj[w], key=order.get):
-                if u not in seen:
-                    seen.add(u)
-                    queue.append(u)
-        comps.append(comp)
-    return comps
-
-
 def edge_path_group(X):
     """Edge-path presentation of the fundamental group of a pointed,
     connected simplicial set of level >= 2.
@@ -479,13 +450,11 @@ def edge_path_group(X):
         raise LevelTooLow("fundamental group needs level >= 2")
     if X.basepoint is None:
         raise PresheafError("fundamental group needs a basepoint")
-    comps = vertex_components(X)
-    if len(comps) != 1:
-        raise NotConnected("simplicial set is not connected")
     edges = X.nondegenerate(1)
     eidx = {e: i for i, e in enumerate(edges)}
     gens = ["g%d" % i for i in range(len(edges))]
-    # BFS spanning tree from the basepoint, edges scanned in canonical order
+    # BFS spanning tree from the basepoint, edges scanned in canonical order;
+    # X is connected exactly when it reaches every vertex
     tree = set()
     reached = {X.basepoint}
     frontier = deque([X.basepoint])
@@ -502,6 +471,8 @@ def edge_path_group(X):
                 reached.add(other)
                 tree.add(e)
                 frontier.append(other)
+    if len(reached) != len(X.simplices[0]):
+        raise NotConnected("simplicial set is not connected")
     relators = [((gens[eidx[e]], 1),) for e in sorted(tree, key=eidx.get)]
     degen1 = X.degenerate_set(1)
 

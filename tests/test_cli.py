@@ -8,9 +8,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hocofin import cli, fixtures
+from hocofin import cli, fincat, fixtures, gz
 from hocofin._jsonio import InputError, Workspace
 from hocofin.cli import main
+from hocofin.homalg import FGAb
 
 
 DEMO = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -148,6 +149,14 @@ MALFORMED = {
             "over": {"kind": "factorization-op", "category": "two"}, "diagram": {},
         }}),
         "system has unknown keys: diagram",
+    ),
+    # bw used to answer Z/2 from the group and drop the abelian value
+    "system-group-and-abelian": (
+        dict(GOOD_WORKSPACE, systems={"s": {
+            "over": {"kind": "factorization-op", "category": "two"},
+            "constant_group": {"ref": "z2"}, "constant_abelian": {"gens": 1},
+        }}),
+        "system gives both constant_group and constant_abelian",
     ),
     "group-not-an-object": (
         dict(GOOD_WORKSPACE, groups={"z2": 5}),
@@ -926,6 +935,49 @@ def test_hocolim_level_is_a_count(capsys):
 def test_andre_command(capsys):
     code, out = run(capsys, "andre", "--dset", "hb-two", "--diagram", "two-z2")
     assert code == 0
+
+
+def test_the_isomorphism_search_limit_is_a_one_line_error(capsys, monkeypatch):
+    monkeypatch.setattr(fincat, "ISO_MAX_OBJECTS", 1)
+    assert main(["verify", "--theorem", "factfibres", "--fixture", "id-two"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: SizeLimitExceeded: too many objects for isomorphism search\n"
+
+
+@pytest.mark.parametrize("functor", ["fold-disc2", "mono-incl-delta1-op"])
+def test_an_assumed_bw_hypothesis_compares_the_sides(functor, capsys, monkeypatch):
+    """Both functors fail the slice hypothesis, and with Z coefficients
+    their sides differ (H_0 = Z^2 against Z, H_1 = Z against 0)."""
+    def build():
+        S = fixtures.FUNCTORS[functor]()
+        return {"functor": S, "ab_system": fixtures.const_ab_nsys(S.target, FGAb.free(1))}
+
+    monkeypatch.setitem(fixtures.THEOREM_FIXTURES["confhomolBW"], functor, build)
+    argv = ["--format", "json", "verify", "--theorem", "confhomolBW", "--fixture", functor]
+    code, out = run(capsys, *argv)
+    assert code == 3 and json.loads(out)["verdict"] == "not certified"
+    code, out = run(capsys, *argv, "--assume-hypothesis")
+    report = json.loads(out)
+    assert code == 2 and report["verdict"] == "disagree"
+    assert report["systems"]["ab_system"]["hypothesis"] == "NONCONTRACTIBLE"
+    assert report["systems"]["ab_system"]["verdict"] == "disagree"
+
+
+def test_an_assumed_bw_hypothesis_runs_the_comparison(capsys, monkeypatch):
+    computed = []
+    real = gz.bw_homology
+
+    def spy(C, system, n_max, fdata=None):
+        computed.append(C)
+        return real(C, system, n_max, fdata=fdata)
+
+    monkeypatch.setattr(gz, "bw_homology", spy)
+    code, out = run(capsys, "--format", "json", "verify", "--theorem", "confhomolBW",
+                    "--fixture", "final-in-two", "--assume-hypothesis")
+    report = json.loads(out)
+    assert code == 0 and report["verdict"] == "agree"
+    assert report["systems"]["ab_system"]["verdict"] == "agree"
+    assert len(computed) == 2
 
 
 @pytest.mark.parametrize("theorem", sorted(fixtures.THEOREM_FIXTURES))

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from hocofin import cli, diagrams, fixtures, gz
+from hocofin import cli, fixtures, gz
 from hocofin.cofinal import reflective_core
 from hocofin.diagrams import (
     AbDiagram,
@@ -148,8 +148,8 @@ def test_every_verify_fixture_matches_the_unreduced_complex(monkeypatch):
     fixture, equals the unreduced one."""
     seen = []
 
-    def checked(C, M, n_max, chain_cap=diagrams.DEFAULT_CHAIN_CAP):
-        got = ab_colim_derived(C, M, n_max, chain_cap)
+    def checked(C, M, n_max):
+        got = ab_colim_derived(C, M, n_max)
         kept = assert_reduction_sound(C, M, n_max)
         seen.append(len(kept) < len(C.objects))
         return got

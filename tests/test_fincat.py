@@ -157,16 +157,18 @@ def test_factorization_projections_are_functors():
         assert F.dom.source is F.category_op
 
 
-def test_factorization_respects_op():
+def test_factorization_respects_op(monkeypatch):
+    monkeypatch.setattr(fincat, "ISO_MAX_OBJECTS", 12)
+    monkeypatch.setattr(fincat, "ISO_MAX_MORPHISMS", 80)
     for C in (walking_arrow(), span(), z2cat()):
         FC = factorization(C).category
         FCop = factorization(opposite(C)).category
-        assert iso_check(FCop, FC, max_morphisms=80) is not None
+        assert iso_check(FCop, FC) is not None
 
 
 def test_factor_functor_identity_and_collapse():
     two = walking_arrow()
-    FS = factor_functor(identity_functor(two))
+    FS = factor_functor(identity_functor(two), factorization(two), factorization(two))
     assert FS.obj_map == {f: f for f in FS.source.objects}
     P = span()
     pt = one()
@@ -175,7 +177,7 @@ def test_factor_functor_identity_and_collapse():
         {o: "*" for o in P.objects},
         {f: "id_*" for f in P.morphisms},
     )
-    FT = factor_functor(collapse)
+    FT = factor_functor(collapse, factorization(P), factorization(pt))
     assert set(FT.obj_map.values()) == {"id_*"}
 
 
@@ -196,7 +198,7 @@ def test_factor_slice_examples():
 def test_fact_fibre_is_factorization_of_slice():
     two = walking_arrow()
     S = identity_functor(two)
-    FS = factor_functor(S)
+    FS = factor_functor(S, factorization(two), factorization(two))
     lhs, _, _ = comma_left_fibre(FS, "u")
     rhs = factorization(factor_slice(S, "u")).category
     assert iso_check(lhs, rhs) is not None
@@ -281,9 +283,10 @@ def test_iso_check_rejects_equal_profile_nonisomorphic_monoids():
     assert iso_check(v4, v4) is not None
 
 
-def test_iso_check_size_limit():
+def test_iso_check_size_limit(monkeypatch):
+    monkeypatch.setattr(fincat, "ISO_MAX_OBJECTS", 2)
     with pytest.raises(SizeLimitExceeded):
-        iso_check(span(), span(), max_objects=2)
+        iso_check(span(), span())
 
 
 def test_connected_components():

@@ -1,10 +1,11 @@
 """The JSON reports of ``factorization`` on every fixture category, of
 ``check-cofinal``, with and without ``--coinitial``, and of ``check-vdc``
-on every fixture functor, of ``hocolim`` on every fixture pointed diagram and of ``pi1``
-on every fixture simplicial set, byte for byte against
-``tests/data/golden``: stdout of each command in
+on every fixture functor, of ``hocolim`` on every fixture pointed
+diagram and of ``pi1`` on every fixture simplicial set, byte for byte
+against ``tests/data/golden``: stdout of each command in
 ``<command>.<entity>[.coinitial].json`` and the exit codes in
-``exit_codes.json``.  The first two were recorded while the
+``exit_codes.json``.  The ``factorization`` and ``check-cofinal``
+reports were recorded while the
 factorization category was still built in full and every derived
 category was listed at construction, so they pin the ids, order and
 tables of the staged views; the ``hocolim`` and ``pi1`` reports were

@@ -230,15 +230,15 @@ def test_direct_image_nonconstant_system():
 
 
 def test_agreement_compares_groups_and_the_degree_0_fingerprint():
-    from hocofin.gz import _agreement
+    from hocofin.gz import agreement
 
     z, z2 = FGAb.free(1), FGAb.cyclic(2)
-    assert _agreement({"abelian": [z]}, {"abelian": [z]}) == "agree"
-    assert _agreement({"abelian": [z]}, {"abelian": [z2]}) == "disagree"
+    assert agreement({"abelian": [z]}, {"abelian": [z]}) == "agree"
+    assert agreement({"abelian": [z]}, {"abelian": [z2]}) == "disagree"
     group = {"abelian": [z], "n0": {"fingerprint": [1, 2]}}
-    assert _agreement(group, dict(group)) == "agree"
-    assert _agreement(group, dict(group, n0={"fingerprint": [1, 1]})) == "disagree"
-    assert _agreement(group, dict(group, abelian=[z2])) == "disagree"
+    assert agreement(group, dict(group)) == "agree"
+    assert agreement(group, dict(group, n0={"fingerprint": [1, 1]})) == "disagree"
+    assert agreement(group, dict(group, abelian=[z2])) == "disagree"
 
 
 def test_inverse_image_and_dhiso_iso():

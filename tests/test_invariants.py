@@ -25,12 +25,14 @@ def test_opposite_involution_on_all_fixture_categories():
         assert opposite(opposite(C)) == C, name
 
 
-def test_factorization_respects_op_on_all_small_categories():
+def test_factorization_respects_op_on_all_small_categories(monkeypatch):
+    monkeypatch.setattr(fincat_mod, "ISO_MAX_OBJECTS", 16)
+    monkeypatch.setattr(fincat_mod, "ISO_MAX_MORPHISMS", 110)
     for name in fixtures.WEFRAC_CATEGORIES:
         C = fixtures.CATEGORIES[name]()
         FC = factorization(C).category
         FCop = factorization(opposite(C)).category
-        assert iso_check(FCop, FC, max_objects=16, max_morphisms=110) is not None, name
+        assert iso_check(FCop, FC) is not None, name
 
 
 def test_elements_of_representables_have_final_objects():

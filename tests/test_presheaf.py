@@ -243,6 +243,17 @@ def test_edge_path_group_not_connected():
         edge_path_group(X)
 
 
+@pytest.mark.parametrize("basepoint", ["a", "p"])
+def test_edge_path_group_not_connected_with_edges(basepoint):
+    # the walking arrow a -> b beside a lone point p: from a the spanning
+    # tree takes the edge u and still misses p; from p it takes nothing
+    D = validate_category(["a", "b", "p"], [("u", "a", "b")], [])
+    X = nerve(D, 2, basepoint=basepoint)
+    assert X.nondegenerate(1) == [("a", "u")]
+    with pytest.raises(NotConnected):
+        edge_path_group(X)
+
+
 def test_edge_path_fingerprint_matches_group_for_catalog_targets():
     from hocofin.groups import fingerprint_of_table_group
 
