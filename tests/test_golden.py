@@ -1,9 +1,10 @@
 """The JSON reports of ``factorization`` on every fixture category, of
 ``check-cofinal``, with and without ``--coinitial``, and of ``check-vdc``
 on every fixture functor, of ``hocolim`` on every fixture pointed
-diagram and of ``pi1`` on every fixture simplicial set, byte for byte
-against ``tests/data/golden``: stdout of each command in
-``<command>.<entity>[.coinitial].json`` and the exit codes in
+diagram, of ``pi1`` on every fixture simplicial set and of ``verify`` on
+every theorem fixture, byte for byte against ``tests/data/golden``:
+stdout of each command in ``<command>.<entity>[.coinitial].json`` (for
+``verify``, ``verify.<theorem>.<fixture>.json``) and the exit codes in
 ``exit_codes.json``.  The ``factorization`` and ``check-cofinal``
 reports were recorded while the
 factorization category was still built in full and every derived
@@ -11,7 +12,9 @@ category was listed at construction, so they pin the ids, order and
 tables of the staged views; the ``hocolim`` and ``pi1`` reports were
 recorded while every diagonal and nerve wrote its own face and degeneracy
 tables, and the 17 ``check-vdc`` reports while the comma-fibre analysis
-was still written twice, in ``diagrams`` and in ``cofinal``.
+was still written twice, in ``diagrams`` and in ``cofinal``.  The 61
+``verify`` reports were recorded while every simplicial set built all its
+face and degeneracy tables at construction.
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -38,6 +41,8 @@ def commands():
     out += [["check-vdc", "--functor", f] for f in fixtures.BUILTINS["functors"]]
     out += [["hocolim", "--pointed-diagram", p] for p in fixtures.BUILTINS["pointed_diagrams"]]
     out += [["pi1", "--sset", s] for s in fixtures.BUILTINS["ssets"]]
+    out += [["verify", "--theorem", t, "--fixture", f]
+            for t in cli.THEOREMS for f in fixtures.fixture_names(t)]
     return out
 
 
@@ -50,7 +55,9 @@ def report(argv):
 
 
 def golden_file(argv):
-    return GOLDEN / ("%s.%s%s.json" % (argv[0], argv[2], ".coinitial" if "--coinitial" in argv else ""))
+    """The command, then the value of each of its options."""
+    parts = [argv[0]] + argv[2::2]
+    return GOLDEN / ("%s%s.json" % (".".join(parts), ".coinitial" if "--coinitial" in argv else ""))
 
 
 @pytest.mark.parametrize("argv", commands(), ids=" ".join)
@@ -61,11 +68,11 @@ def test_report_is_byte_identical(argv):
 
 def test_every_recorded_command_still_runs():
     """11 factorizations, 17 functors checked three ways (``check-cofinal``
-    with and without ``--coinitial``, ``check-vdc``), 5 pointed diagrams
-    and 2 simplicial sets."""
+    with and without ``--coinitial``, ``check-vdc``), 5 pointed diagrams,
+    2 simplicial sets and 61 theorem fixtures."""
     codes = json.loads((GOLDEN / "exit_codes.json").read_text(encoding="utf-8"))
     assert sorted(codes) == sorted(" ".join(argv) for argv in commands())
-    assert len(codes) == 11 + 2 * 17 + 17 + 5 + 2
+    assert len(codes) == 11 + 2 * 17 + 17 + 5 + 2 + 61
 
 
 if __name__ == "__main__":
