@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 import json
+import re
 
 from .diagrams import AbDiagram, GroupDiagram, constant_ab_diagram, constant_group_diagram
 from .fincat import Functor, factorization, opposite, validate_category
@@ -35,13 +36,13 @@ def _require_keys(obj, required, optional=(), what="object"):
 
 
 def _integer(value, what):
-    """An integer given as a JSON number or a decimal string."""
+    """An integer given as a JSON number or a decimal string: ASCII digits
+    with an optional leading minus, no sign, space or underscore else."""
     if isinstance(value, bool) or not isinstance(value, (int, str)):
         raise InputError("%s must be an integer" % what)
-    try:
-        return int(value)
-    except ValueError:
-        raise InputError("%s must be an integer, not %r" % (what, value)) from None
+    if isinstance(value, str) and not re.fullmatch("-?[0-9]+", value):
+        raise InputError("%s must be an integer, not %r" % (what, value))
+    return int(value)
 
 
 def _count(value, what):

@@ -433,9 +433,16 @@ def _verify_confhomolbw(fx, args, report):
             code = EXIT_DISAGREE
     report["systems"] = outcomes
     report["hypothesis_over"] = "target-category morphisms"
-    if hypothesis_failed and not args.assume_hypothesis:
+    if args.assume_hypothesis:
+        report["hypothesis_mode"] = "assumed"
+    elif hypothesis_failed:
+        report["hypothesis_mode"] = "not certified"
         report["verdict"] = "not certified"
         return EXIT_HYPOTHESIS
+    elif all(o["hypothesis"] == "CONTRACTIBLE" for o in outcomes.values()):
+        report["hypothesis_mode"] = "certified"
+    else:
+        report["hypothesis_mode"] = "conditional"
     report["verdict"] = "agree" if code == EXIT_OK else "disagree"
     return code
 

@@ -1,11 +1,13 @@
 """Truncated simplicial sets and finite presheaves.
 
 A TruncSSet stores every simplex up to a truncation level, including the
-degenerate ones, with explicit face and degeneracy tables; the simplicial
-identities are verified wherever both sides exist.  ``simplicial_set`` is
-the one builder of those tables from per-simplex face and degeneracy
-functions: nerves, standard simplices and the homotopy-colimit diagonals
-are built through it.  Homology is reported
+degenerate ones, with a face and a degeneracy table per degree and index;
+the simplicial identities are verified wherever both sides exist.
+``simplicial_set`` is the one builder of those tables from per-simplex
+face and degeneracy functions, and builds each table on its first read:
+nerves, standard simplices and the homotopy-colimit diagonals are built
+through it, so the fundamental group of a level-4 diagonal builds only
+the tables of degree <= 2.  Homology is reported
 only for degrees the truncation determines exactly, and the fundamental
 group needs level >= 2 -- asking for more is an error, never a silently
 wrong answer.
@@ -43,7 +45,9 @@ class TruncSSet:
 
     ``simplices[n]`` lists the degree-n simplices in canonical order;
     ``faces[(n, i)]`` and ``degeneracies[(n, i)]`` are total maps on them,
-    kept as given.  Simplex ids may be any hashable value.
+    kept as given: plain dicts from a workspace, or, from
+    ``simplicial_set``, tables built on first read.  Simplex ids may be any
+    hashable value.
     """
 
     __slots__ = ("level", "simplices", "faces", "degeneracies", "basepoint", "_degenerate")
@@ -56,7 +60,7 @@ class TruncSSet:
         self.faces = faces
         self.degeneracies = degeneracies
         self.basepoint = basepoint
-        self._degenerate = None
+        self._degenerate = {}
         if _validate:
             self._check()
 
@@ -69,13 +73,14 @@ class TruncSSet:
         return self.degeneracies[(n, i)][x]
 
     def degenerate_set(self, n):
-        """Simplices of degree n in the image of some degeneracy."""
-        if self._degenerate is None:
-            self._degenerate = [set() for _ in range(self.level + 1)]
-            for n_ in range(1, self.level + 1):
-                for i in range(n_):
-                    self._degenerate[n_].update(self.degeneracies[(n_ - 1, i)].values())
-        return self._degenerate[n]
+        """Simplices of degree n in the image of some degeneracy into
+        degree n."""
+        deg = self._degenerate.get(n)
+        if deg is None:
+            deg = self._degenerate[n] = set()
+            for i in range(n):
+                deg.update(self.degeneracies[(n - 1, i)].values())
+        return deg
 
     def nondegenerate(self, n):
         deg = self.degenerate_set(n)
@@ -98,20 +103,19 @@ class TruncSSet:
             raise PresheafError("duplicate simplex ids in one degree")
         if self.basepoint is not None and self.basepoint not in sets[0]:
             raise PresheafError("basepoint is not a vertex")
-        for n in range(1, N + 1):
-            for i in range(n + 1):
-                table = self.faces.get((n, i))
-                if table is None or set(table) != sets[n]:
-                    raise PresheafError("face (%d, %d) is not total" % (n, i))
-                if any(v not in sets[n - 1] for v in table.values()):
-                    raise PresheafError("face (%d, %d) leaves the simplicial set" % (n, i))
-        for n in range(N):
-            for i in range(n + 1):
-                table = self.degeneracies.get((n, i))
-                if table is None or set(table) != sets[n]:
-                    raise PresheafError("degeneracy (%d, %d) is not total" % (n, i))
-                if any(v not in sets[n + 1] for v in table.values()):
-                    raise PresheafError("degeneracy (%d, %d) leaves the simplicial set" % (n, i))
+        # reading a table by its key builds it when it is built on first read
+        for what, tables, degrees, step in (("face", self.faces, range(1, N + 1), -1),
+                                            ("degeneracy", self.degeneracies, range(N), 1)):
+            for n in degrees:
+                for i in range(n + 1):
+                    try:
+                        table = tables[(n, i)]
+                    except KeyError:
+                        table = None
+                    if table is None or set(table) != sets[n]:
+                        raise PresheafError("%s (%d, %d) is not total" % (what, n, i))
+                    if any(v not in sets[n + step] for v in table.values()):
+                        raise PresheafError("%s (%d, %d) leaves the simplicial set" % (what, n, i))
         # simplicial identities, wherever both sides are defined
         for n in range(2, N + 1):
             for j in range(n + 1):
@@ -215,17 +219,38 @@ class SSetMap:
                    _validate=False)
 
 
+class _Tables(dict):
+    """Face or degeneracy tables of a simplicial set, each built on its
+    first read: table (n, i), for n in ``degrees`` and 0 <= i <= n, maps
+    each x of ``simplices[n]`` to ``fn(x, i)``.  Any other key is missing,
+    as in a plain dict of the same tables."""
+
+    __slots__ = ("fn", "simplices", "degrees")
+
+    def __init__(self, fn, simplices, degrees):
+        super().__init__()
+        self.fn = fn
+        self.simplices = simplices
+        self.degrees = degrees
+
+    def __missing__(self, key):
+        n, i = key
+        if n not in self.degrees or not 0 <= i <= n:
+            raise KeyError(key)
+        xs = self.simplices[n]
+        table = self[key] = dict(zip(xs, map(self.fn, xs, itertools.repeat(i))))
+        return table
+
+
 def simplicial_set(N, simplices, face, degeneracy, basepoint=None):
     """Level-N truncated simplicial set with degree-n simplices
     ``simplices[n]``, d_i x = ``face(x, i)`` and s_i x =
     ``degeneracy(x, i)``, not checked: the one builder of face and
-    degeneracy tables."""
-    def table(fn, xs, i):
-        return dict(zip(xs, map(fn, xs, itertools.repeat(i))))
-
-    faces = {(n, i): table(face, simplices[n], i) for n in range(1, N + 1) for i in range(n + 1)}
-    degens = {(n, i): table(degeneracy, simplices[n], i) for n in range(N) for i in range(n + 1)}
-    return TruncSSet(N, simplices, faces, degens, basepoint=basepoint, _validate=False)
+    degeneracy tables, each built on its first read."""
+    X = TruncSSet(N, simplices, None, None, basepoint=basepoint, _validate=False)
+    X.faces = _Tables(face, X.simplices, range(1, N + 1))
+    X.degeneracies = _Tables(degeneracy, X.simplices, range(N))
+    return X
 
 
 def nerve(C, N, basepoint=None):

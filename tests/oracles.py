@@ -5,11 +5,14 @@ None of this is reached by a command.  The dense routes work on
 checking, integer kernels and lattice membership through U and V, and
 homology lifted to the free covers.  The others recount or recheck what
 the program builds: the degree-0 colimit as a coequalizer, group tables
-enumerated up to isomorphism, homotopy-colimit cardinalities and the
+enumerated up to isomorphism, homotopy-colimit cardinalities, simplicial
+sets with every face and degeneracy table built at construction and the
 replay of contractibility certificates.
 """
 
 from __future__ import annotations
+
+import itertools
 
 from hocofin.cofinal import _coreflection, _Neighbours, _reflection
 from hocofin.fincat import (
@@ -31,6 +34,7 @@ from hocofin.homalg import (
     block_sum,
     smith_normal_form,
 )
+from hocofin.presheaf import TruncSSet
 
 
 # -- dense matrices ------------------------------------------------------------
@@ -412,6 +416,18 @@ def disjoint_union(C, D, tags=("0", "1"), name=""):
         elif not D.is_identity(g) and not D.is_identity(f) and D.is_identity(h):
             comp.append((t1(g), t1(f), identity_id(t1(D.dom[h]))))
     return validate_category(objs, mors, comp, name=name)
+
+
+def eager_simplicial_set(N, simplices, face, degeneracy, basepoint=None):
+    """``presheaf.simplicial_set`` with every face and degeneracy table
+    built at construction, as plain dicts: the oracle of the tables that
+    it builds on first read."""
+    def table(fn, xs, i):
+        return dict(zip(xs, map(fn, xs, itertools.repeat(i))))
+
+    faces = {(n, i): table(face, simplices[n], i) for n in range(1, N + 1) for i in range(n + 1)}
+    degens = {(n, i): table(degeneracy, simplices[n], i) for n in range(N) for i in range(n + 1)}
+    return TruncSSet(N, simplices, faces, degens, basepoint=basepoint, _validate=False)
 
 
 def hocolim_cardinalities(PD, N):

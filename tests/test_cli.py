@@ -168,6 +168,14 @@ MALFORMED = {
         )}),
         "matrix data has 2 entries, rows*cols is 1",
     ),
+    # matrix entries are decimal strings: ASCII digits and an optional minus
+    **{"matrix-entry-%s" % case: (
+        dict(GOOD_WORKSPACE, abdiagrams={"m": dict(
+            GOOD_WORKSPACE["abdiagrams"]["m"], maps={"u": {"rows": 1, "cols": 1, "data": [entry]}},
+        )}),
+        "matrix entry must be an integer, not %r" % entry,
+    ) for case, entry in (("with-an-underscore", "1_000"), ("with-spaces", " 7 "),
+                          ("with-a-non-ascii-digit", "\u0663"))},
     "gens-not-an-integer": (
         dict(GOOD_WORKSPACE, abdiagrams={"m": dict(
             GOOD_WORKSPACE["abdiagrams"]["m"], values={"a": {"gens": "x"}, "b": {"gens": 1}},
