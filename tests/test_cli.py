@@ -963,10 +963,13 @@ def test_an_assumed_bw_hypothesis_compares_the_sides(functor, capsys, monkeypatc
     monkeypatch.setitem(fixtures.THEOREM_FIXTURES["confhomolBW"], functor, build)
     argv = ["--format", "json", "verify", "--theorem", "confhomolBW", "--fixture", functor]
     code, out = run(capsys, *argv)
-    assert code == 3 and json.loads(out)["verdict"] == "not certified"
+    report = json.loads(out)
+    assert code == 3 and report["verdict"] == "not certified"
+    assert report["hypothesis_mode"] == "not certified"
     code, out = run(capsys, *argv, "--assume-hypothesis")
     report = json.loads(out)
     assert code == 2 and report["verdict"] == "disagree"
+    assert report["hypothesis_mode"] == "assumed"
     assert report["systems"]["ab_system"]["hypothesis"] == "NONCONTRACTIBLE"
     assert report["systems"]["ab_system"]["verdict"] == "disagree"
 
@@ -984,8 +987,23 @@ def test_an_assumed_bw_hypothesis_runs_the_comparison(capsys, monkeypatch):
                     "--fixture", "final-in-two", "--assume-hypothesis")
     report = json.loads(out)
     assert code == 0 and report["verdict"] == "agree"
+    assert report["hypothesis_mode"] == "assumed"
     assert report["systems"]["ab_system"]["verdict"] == "agree"
     assert len(computed) == 2
+
+
+def test_an_uncertified_bw_hypothesis_that_does_not_fail_is_conditional(capsys, monkeypatch):
+    real = cli.bw_invariance_check
+
+    def evidence_only(*args, **kwargs):
+        return dict(real(*args, **kwargs), hypothesis="EVIDENCE")
+
+    monkeypatch.setattr(cli, "bw_invariance_check", evidence_only)
+    code, out = run(capsys, "--format", "json", "verify", "--theorem", "confhomolBW",
+                    "--fixture", "id-two")
+    report = json.loads(out)
+    assert code == 0 and report["verdict"] == "agree"
+    assert report["hypothesis_mode"] == "conditional"
 
 
 @pytest.mark.parametrize("theorem", sorted(fixtures.THEOREM_FIXTURES))

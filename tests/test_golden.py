@@ -14,7 +14,8 @@ recorded while every diagonal and nerve wrote its own face and degeneracy
 tables, and the 17 ``check-vdc`` reports while the comma-fibre analysis
 was still written twice, in ``diagrams`` and in ``cofinal``.  The 61
 ``verify`` reports were recorded while every simplicial set built all its
-face and degeneracy tables at construction.
+face and degeneracy tables at construction; the three ``confhomolBW``
+reports were recorded again when they gained ``hypothesis_mode``.
 
     PYTHONPATH=src python tests/test_golden.py
 
