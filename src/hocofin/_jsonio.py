@@ -36,8 +36,9 @@ def _require_keys(obj, required, optional=(), what="object"):
 
 
 def _integer(value, what):
-    """An integer given as a JSON number or a decimal string: ASCII digits
-    with an optional leading minus, no sign, space or underscore else."""
+    """An integer given as a JSON number or a decimal string: ASCII
+    digits after an optional minus, with no plus sign, space, underscore
+    or other digit."""
     if isinstance(value, bool) or not isinstance(value, (int, str)):
         raise InputError("%s must be an integer" % what)
     if isinstance(value, str) and not re.fullmatch("-?[0-9]+", value):
