@@ -414,7 +414,7 @@ def _verify_dhiso(fx, args, report):
 def _verify_confhomolbw(fx, args, report):
     outcomes = {}
     code = EXIT_OK
-    hypothesis_failed = False
+    uncertified = False
     for key in ("ab_system", "group_system"):
         system = fx.get(key)
         if system is None:
@@ -422,20 +422,23 @@ def _verify_confhomolbw(fx, args, report):
         rep = bw_invariance_check(fx["functor"], system, min(args.nmax, 2),
                                  effort=args.effort)
         verdict = rep["verdict"]
-        if verdict == "hypothesis fails":
-            hypothesis_failed = True
-            if args.assume_hypothesis:
-                verdict = agreement(rep["lhs"], rep["rhs"])
+        if args.assume_hypothesis:
+            verdict = agreement(rep["lhs"], rep["rhs"])
+        elif rep["hypothesis"] not in ("CONTRACTIBLE", "EVIDENCE"):
+            # failed, or a resource cap fired: as in _hyp_gate, no comparison
+            uncertified = True
+            if verdict != "hypothesis fails":
+                verdict = "not certified"
         outcomes[key] = {"hypothesis": rep["hypothesis"], "verdict": verdict}
         if "witness" in rep:
             outcomes[key]["witness"] = rep["witness"]
-        if verdict not in ("agree", "hypothesis fails"):
+        if verdict == "disagree":
             code = EXIT_DISAGREE
     report["systems"] = outcomes
     report["hypothesis_over"] = "target-category morphisms"
     if args.assume_hypothesis:
         report["hypothesis_mode"] = "assumed"
-    elif hypothesis_failed:
+    elif uncertified:
         report["hypothesis_mode"] = "not certified"
         report["verdict"] = "not certified"
         return EXIT_HYPOTHESIS

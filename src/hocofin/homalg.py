@@ -14,13 +14,22 @@ view, built on first access for the callers that want a matrix.
 
 ``_column_invariants`` computes Smith invariants only, for ``FGAb`` and
 for all homology: a complex with relations is first replaced by its
-relation cone, a free complex with the same homology
-(``ChainComplex.homology``).  ``smith_normal_form`` also computes the
-transforms U and V, for the small relation components behind lattice
-membership (the cone, ``AbMap`` well-definedness).  The dense coordinate
-routes that the tests compare against (kernels, lattice membership,
-homology lifted to the free covers, SNF checking) live in
-``tests/oracles.py``.
+relation cone T, a free complex with the same homology
+(``ChainComplex.homology``).  Homology is read in cohomology order: the
+transpose of each cone boundary d_T,n, the coboundary T_{n-1}* -> T_n*,
+is reduced in ascending degree, without its columns at the basis
+elements of T_{n-1} that degree n-1 used as +-1 pivot rows.  Those unit
+pivots (rows P, columns J) make {delta e_j : j in J} and {e_k : k not in
+P} a basis of the cochains, and delta delta = 0 kills the first part, so
+the Smith invariants stay those of d_T,n ("clearing": Chen-Kerber 2011;
+de Silva-Morozov-Vejdemo-Johansson 2011).  Most columns that would reduce
+to zero never enter the elimination.
+
+``smith_normal_form`` also computes the transforms U and V, for the small
+relation components behind lattice membership (the cone, ``AbMap``
+well-definedness).  The routes that the tests compare against (kernels,
+lattice membership, homology lifted to the free covers, SNF checking, each
+cone boundary reduced uncleared) live in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -219,7 +228,7 @@ def _checked_columns(columns, rows):
     return cols
 
 
-def _column_invariants(columns):
+def _column_invariants(columns, pivots=None):
     """(rank, torsion) of the lattice spanned by sparse columns (left
     unchanged, no zero entry): the number of nonzero Smith invariants and
     those above 1, d1 | d2 | ..., found without transforms.
@@ -228,7 +237,8 @@ def _column_invariants(columns):
     both leave.  Short columns and sparse pivot rows go first, to keep
     fill-in low.  A column whose one entry is alone in its row is a cyclic
     summand.  The residue is diagonalized densely, and all is merged into
-    invariant factors (Dumas-Heckenbach-Saunders-Welker 2003).
+    invariant factors (Dumas-Heckenbach-Saunders-Welker 2003).  When
+    ``pivots`` is a set, the rows used as +-1 pivots are added to it.
     """
     cols = [dict(c) for c in columns]
     rows = {}
@@ -257,6 +267,8 @@ def _column_invariants(columns):
                 cols[j] = None
             continue
         a = col.pop(pivot)
+        if pivots is not None:
+            pivots.add(pivot)
         for i in col:
             rows[i].discard(j)
         for k in rows.pop(pivot):
@@ -626,6 +638,7 @@ class ChainComplex:
                 raise ValueError("boundary shape mismatch in degree %d" % n)
         self._columns = {n: d.columns for n, d in self.boundaries.items()}
         self._invariants = {}
+        self._pivots = set()  # the +-1 pivot rows of the highest degree reduced
         self._relations = {}
         self._bases = {}
         self._squares = {}
@@ -646,10 +659,13 @@ class ChainComplex:
         d_T(f, r) = (d_F f + rho r, -d_R r - k f), where rho d_R = d_F rho
         and rho k = d_F d_F, is a free complex mapping onto C with acyclic
         kernel, so H_n(C) = H_n(T): Z^(rank T_n - rk d_T,n - rk d_T,n+1)
-        plus the torsion of coker d_T,n+1, read from _column_invariants of
-        the two cone boundaries (each computed once per complex).  On a
-        free complex T is C itself.  A boundary d_k that does not carry
-        R_k into R_{k-1}, for k = n-1 or n, raises HomalgError.
+        plus the torsion of coker d_T,n+1.  On a free complex T is C
+        itself.  The ranks and torsion are the Smith invariants of the cone
+        boundaries, each reduced once per complex, transposed and in
+        ascending degree, without the columns the degree below already
+        paired (``_cone_invariants``).  So H_n reduces every cone boundary
+        of degree <= n+1, and a boundary d_k that does not carry R_k into
+        R_{k-1}, for some k <= n, raises HomalgError.
         """
         if n - 1 < self.lo or n + 1 > self.hi:
             raise DegreeMissing("homology in degree %d needs degrees %d..%d" % (n, n - 1, n + 1))
@@ -668,10 +684,23 @@ class ChainComplex:
         return rel
 
     def _cone_invariants(self, n):
-        inv = self._invariants.get(n)
-        if inv is None:
-            inv = self._invariants[n] = _column_invariants(self._cone_columns(n))
-        return inv
+        """(rank, torsion) of d_T,n, read from its transpose, the coboundary
+        T_{n-1}* -> T_n*, without the columns at the rows of T_{n-1} that
+        degree n-1 used as +-1 pivots (clearing: see the module docstring
+        for why this keeps the Smith invariants).  Every degree below n is
+        reduced first, once per complex.
+        """
+        for k in range(max(self._invariants, default=self.lo) + 1, n + 1):
+            rows = [{} for _ in range(self.groups[k - 1].gens
+                                      + len(self._relations_at(k - 2).columns))]
+            for j, col in enumerate(self._cone_columns(k)):
+                for i, x in col.items():
+                    rows[i][j] = x
+            pivots = set()
+            self._invariants[k] = _column_invariants(
+                [row for i, row in enumerate(rows) if i not in self._pivots], pivots)
+            self._pivots = pivots
+        return self._invariants[n]
 
     def _cone_columns(self, n):
         """Sparse columns of d_T: T_n -> T_{n-1}, rows F_{n-1} then R_{n-2}."""

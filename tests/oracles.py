@@ -4,7 +4,8 @@ None of this is reached by a command.  The dense routes work on
 ``homalg.IntMatrix`` through its full transforms: Smith normal form
 checking, integer kernels and lattice membership through U and V, and
 homology lifted to the free covers.  The others recount or recheck what
-the program builds: the degree-0 colimit as a coequalizer, group tables
+the program builds: each relation-cone boundary reduced on its own,
+without clearing, the degree-0 colimit as a coequalizer, group tables
 enumerated up to isomorphism, homotopy-colimit cardinalities, simplicial
 sets with every face and degeneracy table built at construction and the
 replay of contractibility certificates.
@@ -207,6 +208,14 @@ def lattice_invariants(A):
     (2, (2, 12))
     """
     return _column_invariants(_sparse_columns(A))
+
+
+def uncleared_cone_invariants(K, n):
+    """(rank, torsion) of the relation cone boundary d_T,n of the chain
+    complex K, reduced as it stands: its columns, every one of them, in
+    any order of degrees.  ``ChainComplex._cone_invariants`` must agree.
+    """
+    return _column_invariants(K._cone_columns(n))
 
 
 def lifted_homology(K, n):

@@ -1,0 +1,197 @@
+"""Homology in cohomology order with clearing, against the uncleared
+reduction of each cone boundary (``oracles.uncleared_cone_invariants``)
+and the dense lifted route (``oracles.lifted_homology``).
+
+``ChainComplex._cone_invariants(n)`` reduces the transpose of d_T,n after
+degree n-1 and leaves out the rows of d_T,n that degree n-1 used as +-1
+pivots.  Each degree must keep the Smith invariants of the whole boundary.
+"""
+
+import contextlib
+import io
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hocofin import cli, diagrams, fixtures, groups, gz, homalg
+from hocofin.diagrams import AbDiagram, GroupDiagram, abelianize_diagram, constant_ab_diagram, srep_ab_complex
+from hocofin.fincat import factorization, from_monoid
+from hocofin.homalg import AbMap, ChainComplex, FGAb, HomalgError, block_map
+from oracles import lifted_homology, uncleared_cone_invariants
+from test_cofinal_reduction import monoids, posets
+from test_relation_cone import random_complex_with_relations
+
+Z, Z2, Z4 = FGAb.free(1), FGAb.cyclic(2), FGAb.cyclic(4)
+
+# the dense route runs on complexes whose chain groups have at most this
+# many generators; the uncleared route runs on every complex
+DENSE_GENS = 40
+
+
+def assert_cleared_route_sound(K):
+    """Every cone boundary of K keeps the invariants of its uncleared
+    reduction, and every homology group K has equals the dense one."""
+    answers = [K.homology(n) for n in range(K.lo + 1, K.hi)]
+    for n in range(K.lo + 1, K.hi + 1):
+        assert K._cone_invariants(n) == uncleared_cone_invariants(K, n), n
+    if max(g.gens for g in K.groups.values()) <= DENSE_GENS:
+        assert answers == [lifted_homology(K, n) for n in range(K.lo + 1, K.hi)]
+
+
+def _one_object(G):
+    return from_monoid(G.elements, G.unit, G.table, name="B" + G.name)
+
+
+# -- fixtures ---------------------------------------------------------------------
+
+
+def _recorded(monkeypatch):
+    """Patch ChainComplex.homology to record each complex it is asked of."""
+    seen = {}
+    real = ChainComplex.homology
+
+    def recording(self, n):
+        seen.setdefault(id(self), self)
+        return real(self, n)
+
+    monkeypatch.setattr(ChainComplex, "homology", recording)
+    return seen
+
+
+def test_every_verify_fixture_complex_keeps_its_invariants(monkeypatch):
+    seen = _recorded(monkeypatch)
+    for theorem in cli.THEOREMS:
+        for name in fixtures.fixture_names(theorem):
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                assert cli.main(["verify", "--theorem", theorem, "--fixture", name]) in (0, 3)
+    monkeypatch.undo()
+    assert len(seen) > 100
+    for K in seen.values():
+        assert_cleared_route_sound(K)
+
+
+def test_every_fixture_diagram_complex_keeps_its_invariants():
+    cases = 0
+    for section in ("abdiagrams", "diagrams", "systems"):
+        for build in fixtures.BUILTINS[section].values():
+            M = build()
+            if isinstance(M, GroupDiagram):
+                M = abelianize_diagram(M)
+            assert isinstance(M, AbDiagram)
+            assert_cleared_route_sound(srep_ab_complex(M.base, M, 3))
+            cases += 1
+    assert cases > 10
+
+
+# -- generated categories ---------------------------------------------------------
+
+
+coefficients = st.sampled_from([Z, Z2, Z4])
+
+
+@settings(max_examples=40, deadline=None)
+@given(monoids(6), coefficients)
+def test_generated_monoids_keep_their_invariants(C, A):
+    # the simplicial replacement, and the nerve route of bw, whose
+    # coefficients are transported through the factorization category
+    assert_cleared_route_sound(srep_ab_complex(C, constant_ab_diagram(C, A), 2))
+    fdata = factorization(C)
+    system = constant_ab_diagram(fdata.category_op, A)
+    assert_cleared_route_sound(gz.nerve_route_complex(C, system, 2, fdata))
+
+
+# (category, n_max): a factorization category of a monoid of three maps
+# already has 1536 chains in degree 3
+small_categories = st.one_of(posets().map(lambda C: (C, 3)),
+                             monoids(3).map(lambda C: (factorization(C).category_op, 2)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_categories, coefficients)
+def test_generated_small_categories_keep_their_invariants(case, A):
+    C, n_max = case
+    assert_cleared_route_sound(srep_ab_complex(C, constant_ab_diagram(C, A), n_max))
+
+
+def test_random_complexes_with_relations_keep_their_invariants():
+    # boundaries with relation columns added, so that d∘d is nonzero on the
+    # free covers and the cone carries the correction k
+    rng = random.Random(9091)
+    squares = 0
+    for _ in range(150):
+        K = random_complex_with_relations(rng)
+        assert_cleared_route_sound(K)
+        squares += bool(K._squares)
+    assert squares >= 20, squares
+
+
+def test_degrees_asked_out_of_order_give_the_same_homology():
+    C = _one_object(groups.symmetric_group_3())
+    M = constant_ab_diagram(C, Z4)
+    in_order = srep_ab_complex(C, M, 3)
+    expected = [in_order.homology(n) for n in range(4)]
+    for n in range(4):
+        K = srep_ab_complex(C, M, 3)
+        assert K.homology(n) == expected[n]
+        assert [K.homology(k) for k in reversed(range(4))] == expected[::-1]
+
+
+def test_a_boundary_off_the_relations_raises_in_every_degree_above_it():
+    """d_1: Z/2 -> Z, 1 -> 1, does not carry the relation 2 into the
+    (empty) relations of Z.  Every H_n that reduces d_T,2 raises, and a
+    failed degree leaves nothing half reduced for the next call."""
+    groups_ = {-1: FGAb.trivial(), 0: Z, 1: FGAb.cyclic(2), 2: FGAb.trivial(), 3: FGAb.trivial()}
+    boundaries = {n: AbMap.zero(groups_[n], groups_[n - 1]) for n in (0, 2, 3)}
+    boundaries[1] = block_map(groups_[1], groups_[0], [(0, 0, 1, 1)])
+    K = ChainComplex(groups_, boundaries)
+    assert K.homology(0) == FGAb.trivial()
+    for n in (1, 1, 2):
+        with pytest.raises(HomalgError, match="respect the relations in degree 1"):
+            K.homology(n)
+
+
+# -- clearing is kept ---------------------------------------------------------------
+
+
+def test_each_reduction_leaves_out_the_rows_paired_below(monkeypatch):
+    """H(BS3;Z)/n3 reduces d_0..d_4 of the normalized bar complex, with
+    1, 5, 25, 125, 625 generators in degrees 0..4.  The ranks of d_1..d_3
+    are 0, 5 and 20; d_2 pairs one row by its invariant 2 (H_1 = Z/2) and
+    4 by +-1 pivots, d_3 all 20 by +-1 pivots.  So the transposed d_k
+    receives |T_{k-1}| minus the rows paired below: 0, 1, 5, 25 - 4 and
+    125 - 20 columns, not 625 (d_4 itself) or 125 (its transpose)."""
+    C = _one_object(groups.symmetric_group_3())
+    K = srep_ab_complex(C, constant_ab_diagram(C, Z), 3)
+    received = []
+    real = homalg._column_invariants
+
+    def spy(columns, pivots=None):
+        columns = list(columns)
+        if pivots is not None:  # a cone boundary, not an FGAb
+            received.append(len(columns))
+        return real(columns, pivots)
+
+    monkeypatch.setattr(homalg, "_column_invariants", spy)
+    answers = [str(K.homology(n)) for n in range(4)]
+    assert answers == ["Z", "Z/2", "0", "Z/6"]
+    assert received == [0, 1, 5, 21, 105]
+
+
+# -- reach --------------------------------------------------------------------------
+
+
+def test_integral_homology_of_bq8_through_degree_4():
+    """H_n(Q8; Z) is periodic of period 4: Z, Q8^ab = Z/2 (+) Z/2, 0, Z/8, 0."""
+    C = _one_object(groups.quaternion_group())
+    got = diagrams.ab_colim_derived(C, constant_ab_diagram(C, Z), 4)
+    assert [h.invariants() for h in got] == [(1, ()), (0, (2, 2)), (0, ()), (0, (8,)), (0, ())]
+
+
+def test_baues_wirsching_homology_of_bq8_through_degree_3():
+    """With constant Z coefficients it is the group homology of Q8, and the
+    two routes of ``bw_homology`` agree."""
+    C = _one_object(groups.quaternion_group())
+    got = gz.bw_homology(C, fixtures.const_ab_nsys(C, Z), 3)["abelian"]
+    assert [h.invariants() for h in got] == [(1, ()), (0, (2, 2)), (0, ()), (0, (8,))]

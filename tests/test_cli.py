@@ -1006,6 +1006,50 @@ def test_an_uncertified_bw_hypothesis_that_does_not_fail_is_conditional(capsys, 
     assert report["hypothesis_mode"] == "conditional"
 
 
+def test_a_capped_bw_hypothesis_is_not_certified(capsys, monkeypatch):
+    """An INCONCLUSIVE slice (a resource cap fired) must not read as
+    agreement; assuming the hypothesis still compares the sides."""
+    real = cli.bw_invariance_check
+
+    def capped(*args, **kwargs):
+        return dict(real(*args, **kwargs), hypothesis="INCONCLUSIVE")
+
+    monkeypatch.setattr(cli, "bw_invariance_check", capped)
+    argv = ["--format", "json", "verify", "--theorem", "confhomolBW", "--fixture", "id-two"]
+    code, out = run(capsys, *argv)
+    report = json.loads(out)
+    assert code == 3 and report["verdict"] == "not certified"
+    assert report["hypothesis_mode"] == "not certified"
+    assert {o["verdict"] for o in report["systems"].values()} == {"not certified"}
+    code, out = run(capsys, *argv, "--assume-hypothesis")
+    report = json.loads(out)
+    assert code == 0 and report["verdict"] == "agree"
+    assert report["hypothesis_mode"] == "assumed"
+
+
+@pytest.mark.parametrize("aggregate, code, mode", [
+    ("EVIDENCE", 0, "conditional"),
+    ("INCONCLUSIVE", 3, "not certified"),
+])
+def test_the_homoliso_gate_on_an_uncertified_hypothesis(aggregate, code, mode, capsys, monkeypatch):
+    """Negative controls for _hyp_gate: EVIDENCE runs the comparison as a
+    conditional answer, INCONCLUSIVE stops before it."""
+    real = cli.certify_homotopy_cofinal
+
+    def uncertified(*args, **kwargs):
+        return dict(real(*args, **kwargs), aggregate=aggregate)
+
+    monkeypatch.setattr(cli, "certify_homotopy_cofinal", uncertified)
+    got, out = run(capsys, "--format", "json", "verify", "--theorem", "homoliso",
+                   "--fixture", "cod-z2cat")
+    report = json.loads(out)
+    assert got == code
+    assert report["hypothesis"] == aggregate and report["hypothesis_mode"] == mode
+    assert ("verdict" in report) == (code == 0)
+    if code == 0:
+        assert report["verdict"] == "agree"
+
+
 @pytest.mark.parametrize("theorem", sorted(fixtures.THEOREM_FIXTURES))
 def test_verify_all_fixtures(theorem, capsys):
     expected_nonzero = {
