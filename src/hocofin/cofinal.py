@@ -4,10 +4,10 @@ Contractibility of a nerve is undecidable in general, so the certifier is
 honest about what it knows: CONTRACTIBLE comes with a replayable
 certificate (a cone object, possibly after a sequence of collapses,
 each removing one object, or two at effort 2 and up), NONCONTRACTIBLE
-comes with a conclusive witness (emptiness, disconnectedness, a nonzero
-reduced homology class, or a nontrivial fundamental-group fingerprint
-entry), EVIDENCE means every computed invariant was trivial up to the
-requested degree, and INCONCLUSIVE means a resource cap was hit first.
+comes with a conclusive witness (emptiness, disconnectedness, or a
+nonzero reduced homology group), EVIDENCE means the reduced homology was
+trivial up to the checked degree, and INCONCLUSIVE means a resource cap
+was hit first.
 """
 
 from __future__ import annotations
@@ -24,8 +24,10 @@ from .fincat import (
     iter_initial_objects,
     opposite,
 )
-from .groups import BudgetExceeded, fingerprint, tietze_simplify
-from .presheaf import edge_path_group, homology_ss, nerve
+# tietze_simplify is no longer called here; perfbench's tracer self-test
+# reads this from-import copy of the binding
+from .groups import tietze_simplify
+from .presheaf import homology_ss, nerve
 
 
 CONTRACTIBLE = "CONTRACTIBLE"
@@ -413,10 +415,10 @@ def _nerve_sizes(B, n):
     return counts
 
 
-# the most simplices per degree of the nerve that the homology and pi1
-# fallback builds; what it bounds is building the nerve and the Tietze pass
-# over its edge-path presentation, which grow with the simplex count (exact
-# homology eliminates unit pivots sparsely and costs far less)
+# the most simplices per degree of the nerve that the homology fallback
+# builds; what it bounds is building the nerve, which grows with the
+# simplex count (exact homology eliminates unit pivots sparsely and costs
+# far less)
 DEFAULT_NERVE_CAP = 600
 
 
@@ -438,9 +440,9 @@ def certify_contractible(B, effort=1, n_max=2):
 
     Pipeline: emptiness, cone object (the first final object in object
     order, else the first initial one), disconnectedness, iterated collapse,
-    then truncated homology and the fundamental-group fingerprint as
-    sound NONCONTRACTIBLE witnesses or as EVIDENCE; resource caps give
-    INCONCLUSIVE rather than a wrong answer.
+    then reduced homology of the nerve through degree max(1, n_max) (plus
+    effort - 1) as a sound NONCONTRACTIBLE witness or as EVIDENCE; the
+    nerve cap gives INCONCLUSIVE rather than a wrong answer.
     """
     if not B.objects:
         return ContractibilityVerdict(NONCONTRACTIBLE, witness={"empty": True})
@@ -460,37 +462,26 @@ def certify_contractible(B, effort=1, n_max=2):
     if cert is not None:
         return ContractibilityVerdict(CONTRACTIBLE, certificate=cert)
     # invariants of the nerve of B itself, so witnesses do not depend on
-    # the collapse machinery above
-    n_eff = n_max + max(0, effort - 1)
+    # the collapse machinery above; H_1 is always checked, since the
+    # level-2 nerve it needs is the least one built
+    n_eff = max(1, n_max + max(0, effort - 1))
     checks = {"n_max": n_eff}
-    level = max(2, n_eff + 1)
+    level = n_eff + 1
     sizes = _nerve_sizes(B, level)
     if max(sizes) > DEFAULT_NERVE_CAP:
         return ContractibilityVerdict(
             INCONCLUSIVE,
             checks={"reason": "nerve size %d over cap %d" % (max(sizes), DEFAULT_NERVE_CAP)}
         )
-    try:
-        X = nerve(B, level, basepoint=B.objects[0])
-        hs = homology_ss(X, n_eff)
-        checks["homology"] = [str(h) for h in hs]
-        for n in range(1, n_eff + 1):
-            if not hs[n].is_trivial():
-                return ContractibilityVerdict(
-                    NONCONTRACTIBLE,
-                    witness={"degree": n, "homology": str(hs[n])},
-                    checks=checks,
-                )
-        pi1 = fingerprint(tietze_simplify(edge_path_group(X)))
-        checks["pi1_fingerprint"] = list(pi1)
-        if any(c != 1 for c in pi1):
+    hs = homology_ss(nerve(B, level, basepoint=B.objects[0]), n_eff)
+    checks["homology"] = [str(h) for h in hs]
+    for n in range(1, n_eff + 1):
+        if not hs[n].is_trivial():
             return ContractibilityVerdict(
                 NONCONTRACTIBLE,
-                witness={"pi1_fingerprint": list(pi1)},
+                witness={"degree": n, "homology": str(hs[n])},
                 checks=checks,
             )
-    except BudgetExceeded as exc:
-        return ContractibilityVerdict(INCONCLUSIVE, checks={"reason": str(exc)})
     return ContractibilityVerdict(EVIDENCE, checks=checks)
 
 

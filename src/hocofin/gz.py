@@ -10,7 +10,7 @@ mismatch is an implementation bug and is surfaced loudly.
 
 from __future__ import annotations
 
-from .cofinal import certify_contractible, weakest
+from .cofinal import certify_contractible
 from .diagrams import (
     AbDiagram,
     DiagramError,
@@ -164,36 +164,16 @@ def inverse_image(f, system):
     return system.restrict(Sop)
 
 
-def dhiso_check(f, system, n_max, effort=1):
-    """Certify contractibility of the elements categories of every inverse
-    fibre, then compare the homology of the pullback with the original.
-
-    The comparison is labeled by the weakest per-fibre certificate; with a
-    NONCONTRACTIBLE fibre the theorem makes no claim and the report says
-    so instead of asserting anything."""
-    X, Y = f.source, f.target
-    D = X.base
+def certify_fibres(f, n_max, effort=1):
+    """The hypothesis of comparing homology along a presheaf morphism f:
+    a contractibility verdict on the elements category of every inverse
+    fibre, keyed by (d, y)."""
     verdicts = {}
-    for d in D.objects:
-        for y in Y.sets[d]:
-            fib = inverse_fibre(f, d, y)
-            Efib, _, _ = elements_with_parts(fib)
-            verdicts[(d, y)] = certify_contractible(Efib, effort=effort, n_max=n_max)
-    agg = weakest(verdicts.values()).kind if verdicts else "CONTRACTIBLE"
-    report = {
-        "fibres": {"%s@%s" % (y, d): v.kind for (d, y), v in verdicts.items()},
-        "hypothesis": agg,
-    }
-    pulled = inverse_image(f, system)
-    lhs = gz_homology(X, pulled, n_max)
-    rhs = gz_homology(Y, system, n_max)
-    report["lhs"] = lhs
-    report["rhs"] = rhs
-    if agg == "NONCONTRACTIBLE":
-        report["verdict"] = "hypothesis fails"
-    else:
-        report["verdict"] = agreement(lhs, rhs)
-    return report
+    for d in f.source.base.objects:
+        for y in f.target.sets[d]:
+            E, _, _ = elements_with_parts(inverse_fibre(f, d, y))
+            verdicts[(d, y)] = certify_contractible(E, effort=effort, n_max=n_max)
+    return verdicts
 
 
 # -- natural-system homology ---------------------------------------------------
@@ -261,42 +241,23 @@ def bw_homology(C, system, n_max, fdata=None):
     }
 
 
-def bw_invariance_check(S, system, n_max, effort=1):
-    """Hypothesis certification plus natural-system homology comparison
-    for a functor between finite categories.
+def certify_slices(S, n_max, effort=1):
+    """The hypothesis of comparing natural-system homology along a functor
+    S: a contractibility verdict on the slice S<alpha> for every morphism
+    alpha of the TARGET category, the only reading under which the slice
+    is defined."""
+    return {alpha: certify_contractible(factor_slice(S, alpha), effort=effort, n_max=n_max)
+            for alpha in S.target.morphisms}
 
-    The slice S<alpha> is certified for every morphism alpha of the
-    TARGET category (the only reading under which the slice is defined);
-    the report flags this interpretation.  Both sides are computed even
-    when the hypothesis fails, so that a run which assumes it compares
-    them, as ``dhiso_check`` does."""
-    C, D = S.source, S.target
-    fc = factorization(C)
-    fd = factorization(D)
-    FS = factor_functor(S, fc, fd)
-    FSop = opposite_functor(FS, fc.category_op, fd.category_op)
-    verdicts = {}
-    for alpha in D.morphisms:
-        sl = factor_slice(S, alpha)
-        verdicts[alpha] = certify_contractible(sl, effort=effort, n_max=n_max)
-    agg = weakest(verdicts.values()).kind
-    report = {
-        "hypothesis_over": "target-category morphisms",
-        "slices": {alpha: v.kind for alpha, v in verdicts.items()},
-        "hypothesis": agg,
-    }
-    pulled = system.restrict(FSop)
-    lhs = bw_homology(C, pulled, n_max, fdata=fc)
-    rhs = bw_homology(D, system, n_max, fdata=fd)
-    report["lhs"] = lhs
-    report["rhs"] = rhs
-    if agg == "NONCONTRACTIBLE":
-        bad = [a for a, v in verdicts.items() if v.kind == "NONCONTRACTIBLE"]
-        report["verdict"] = "hypothesis fails"
-        report["witness"] = "hypothesis fails at alpha=%s" % bad[0]
-    else:
-        report["verdict"] = agreement(lhs, rhs)
-    return report
+
+def bw_sides(S, system, n_max):
+    """Natural-system homology of S's source with the system pulled back
+    along S, and of S's target with the system itself."""
+    fc = factorization(S.source)
+    fd = factorization(S.target)
+    FSop = opposite_functor(factor_functor(S, fc, fd), fc.category_op, fd.category_op)
+    return (bw_homology(S.source, system.restrict(FSop), n_max, fdata=fc),
+            bw_homology(S.target, system, n_max, fdata=fd))
 
 
 # -- homology with plain diagram coefficients -----------------------------------

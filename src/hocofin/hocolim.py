@@ -14,7 +14,6 @@ diagram's values and maps do (they are checked when the diagram, a
 from __future__ import annotations
 
 from . import fincat
-from .cofinal import certify_homotopy_cofinal
 from .diagrams import Diagram
 from .fincat import chain_degeneracy, chain_face, composable_chains
 from .groups import BudgetExceeded, FinGroup, FreeProduct, fingerprint, tietze_simplify, word_key
@@ -256,20 +255,14 @@ def pointed_quotient_check(PD, N):
 # -- cofinal comparison ---------------------------------------------------------
 
 
-def cofinal_hocolim_compare(S, PD, N, n_max, effort=1):
+def compare_restriction(S, PD, N, n_max):
     """Compare homology and fundamental-group fingerprints of the pointed
     homotopy colimits over the source (restricted diagram) and target.
 
     Equality of these invariants is necessary for the restriction map to
-    be a weak equivalence; the report never claims more.  When the
-    cofinality hypothesis is not certified the comparison still runs,
-    labeled as unconditional.  A fingerprint over its budget raises
-    BudgetExceeded; it is never read as agreement.
+    be a weak equivalence; the report never claims more.  A fingerprint
+    over its budget raises BudgetExceeded; it is never read as agreement.
     """
-    cert = certify_homotopy_cofinal(S, effort=effort, n_max=n_max)
-    verdicts = {d: v.kind for d, v in cert["per_object"].items()}
-    label = {"CONTRACTIBLE": "certified", "EVIDENCE": "conditional"}.get(
-        cert["aggregate"], "unconditional comparison")
     lhs = hocolim_pointed(PD.restrict(S), N)
     rhs = hocolim_pointed(PD, N)
     h_l = homology_ss(lhs, n_max)
@@ -278,8 +271,6 @@ def cofinal_hocolim_compare(S, PD, N, n_max, effort=1):
     pi_r = list(fingerprint(tietze_simplify(edge_path_group(rhs))))
     agree = h_l == h_r and pi_l == pi_r
     return {
-        "label": label,
-        "hypothesis": verdicts,
         "homology": {"lhs": [str(h) for h in h_l], "rhs": [str(h) for h in h_r]},
         "pi1": {"lhs": pi_l, "rhs": pi_r},
         "verdict": "agree" if agree else "disagree",

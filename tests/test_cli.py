@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from hocofin import cli, fincat, fixtures, gz
 from hocofin._jsonio import InputError, Workspace
 from hocofin.cli import main
+from hocofin.cofinal import ContractibilityVerdict
 from hocofin.homalg import FGAb
 
 
@@ -993,12 +994,12 @@ def test_an_assumed_bw_hypothesis_runs_the_comparison(capsys, monkeypatch):
 
 
 def test_an_uncertified_bw_hypothesis_that_does_not_fail_is_conditional(capsys, monkeypatch):
-    real = cli.bw_invariance_check
+    real = cli.certify_slices
 
     def evidence_only(*args, **kwargs):
-        return dict(real(*args, **kwargs), hypothesis="EVIDENCE")
+        return {alpha: ContractibilityVerdict("EVIDENCE") for alpha in real(*args, **kwargs)}
 
-    monkeypatch.setattr(cli, "bw_invariance_check", evidence_only)
+    monkeypatch.setattr(cli, "certify_slices", evidence_only)
     code, out = run(capsys, "--format", "json", "verify", "--theorem", "confhomolBW",
                     "--fixture", "id-two")
     report = json.loads(out)
@@ -1009,12 +1010,12 @@ def test_an_uncertified_bw_hypothesis_that_does_not_fail_is_conditional(capsys, 
 def test_a_capped_bw_hypothesis_is_not_certified(capsys, monkeypatch):
     """An INCONCLUSIVE slice (a resource cap fired) must not read as
     agreement; assuming the hypothesis still compares the sides."""
-    real = cli.bw_invariance_check
+    real = cli.certify_slices
 
     def capped(*args, **kwargs):
-        return dict(real(*args, **kwargs), hypothesis="INCONCLUSIVE")
+        return {alpha: ContractibilityVerdict("INCONCLUSIVE") for alpha in real(*args, **kwargs)}
 
-    monkeypatch.setattr(cli, "bw_invariance_check", capped)
+    monkeypatch.setattr(cli, "certify_slices", capped)
     argv = ["--format", "json", "verify", "--theorem", "confhomolBW", "--fixture", "id-two"]
     code, out = run(capsys, *argv)
     report = json.loads(out)
@@ -1048,6 +1049,99 @@ def test_the_homoliso_gate_on_an_uncertified_hypothesis(aggregate, code, mode, c
     assert ("verdict" in report) == (code == 0)
     if code == 0:
         assert report["verdict"] == "agree"
+
+
+def spy_on(monkeypatch, name, *modules):
+    """Count the calls of the function ``name`` through each module that
+    binds it; returns the list of calls."""
+    calls = []
+    real = getattr(modules[0], name)
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for module in modules:
+        monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize("theorem, fixture, sides, assumed", [
+    ("dhiso", "two-cells-collapse", "gz_homology", 2),
+    ("confhomolBW", "final-in-two", "bw_homology", 0),
+])
+def test_a_closed_gate_builds_neither_side(theorem, fixture, sides, assumed, capsys,
+                                           monkeypatch):
+    """Past the gate each side is one homology call; before it, none.
+    Assumed, the two cells' sides disagree and final-in-two's agree."""
+    calls = spy_on(monkeypatch, sides, gz, cli)
+    argv = ["verify", "--theorem", theorem, "--fixture", fixture]
+    code, _ = run(capsys, *argv)
+    assert code == 3 and calls == []
+    code, _ = run(capsys, *argv, "--assume-hypothesis")
+    assert code == assumed and len(calls) == 2
+
+
+def test_the_bw_slices_are_certified_once_per_functor(capsys, monkeypatch):
+    # id-two has two systems over the walking arrow, which has 3 morphisms
+    calls = spy_on(monkeypatch, "certify_contractible", gz)
+    code, _ = run(capsys, "verify", "--theorem", "confhomolBW", "--fixture", "id-two")
+    assert code == 0
+    assert len(calls) == len(fixtures.cat_two().morphisms) == 3
+
+
+@pytest.mark.parametrize("theorem, fixture", [("homoliso", "cod-z2cat"),
+                                              ("discvirt", "vdc-id-span")])
+def test_an_assumed_hypothesis_reads_assumed_even_when_certified(theorem, fixture, capsys):
+    code, out = run(capsys, "--format", "json", "verify", "--theorem", theorem,
+                    "--fixture", fixture, "--assume-hypothesis")
+    report = json.loads(out)
+    assert code == 0 and report["verdict"] == "agree"
+    assert report["hypothesis_mode"] == "assumed"
+
+
+@pytest.mark.parametrize("aggregate, code, verdict", [
+    ("NONCONTRACTIBLE", 2, "disagree"),
+    ("INCONCLUSIVE", 3, "not certified"),
+])
+def test_wefrac_reads_a_failed_or_capped_certificate(aggregate, code, verdict, capsys,
+                                                      monkeypatch):
+    """Negative controls for wefrac, whose conclusion is the certificate
+    itself: a failure disagrees, a cap is not certified."""
+    real = cli.certify_homotopy_cofinal
+
+    def patched(*args, **kwargs):
+        return dict(real(*args, **kwargs), aggregate=aggregate)
+
+    monkeypatch.setattr(cli, "certify_homotopy_cofinal", patched)
+    got, out = run(capsys, "--format", "json", "verify", "--theorem", "wefrac",
+                   "--fixture", fixtures.fixture_names("wefrac")[0])
+    report = json.loads(out)
+    assert got == code
+    assert report["aggregate"] == aggregate and report["verdict"] == verdict
+
+
+def test_dliso_reads_a_disagreeing_side(capsys, monkeypatch):
+    """Negative control for dliso: one more Z in degree 0 of the pushed
+    side's homology must read as a disagreement."""
+    real = gz.gz_homology
+    calls = []
+
+    def rhs_off(X, system, n_max):
+        res = real(X, system, n_max)
+        calls.append(X)
+        if len(calls) % 2 == 0:  # direct_image computes lhs, then rhs
+            h0 = res["abelian"][0]
+            h0 = FGAb.from_invariants(h0.free_rank + 1, h0.torsion)
+            res = dict(res, abelian=[h0] + res["abelian"][1:])
+        return res
+
+    monkeypatch.setattr(gz, "gz_homology", rhs_off)
+    code, out = run(capsys, "--format", "json", "verify", "--theorem", "dliso",
+                    "--fixture", "incl-hb-union")
+    report = json.loads(out)
+    assert code == 2 and report["verdict"] == "disagree"
+    assert report["systems"] == {"ab_system": "disagree"}
 
 
 @pytest.mark.parametrize("theorem", sorted(fixtures.THEOREM_FIXTURES))

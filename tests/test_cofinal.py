@@ -87,6 +87,15 @@ def test_certify_z2_noncontractible_via_h1():
     assert v.witness == {"degree": 1, "homology": "Z/2"}
 
 
+def test_h1_is_checked_at_n_max_0():
+    # H_1 = 0 leaves pi_1 perfect, and every catalog group is solvable, so
+    # a fingerprint could add nothing that H_1 does not decide
+    v = certify_contractible(z2cat(), n_max=0)
+    assert v.kind == NONCONTRACTIBLE
+    assert v.witness == {"degree": 1, "homology": "Z/2"}
+    assert v.checks == {"n_max": 1, "homology": ["Z", "Z/2"]}
+
+
 def test_certify_circle_noncontractible():
     # nerve of the parallel pair is a circle: H_1 = Z
     v = certify_contractible(par(), n_max=2)

@@ -36,8 +36,8 @@ from hocofin.fincat import (
     opposite,
     validate_category,
 )
-from hocofin.groups import BudgetExceeded, cyclic_group, fingerprint, tietze_simplify
-from hocofin.presheaf import edge_path_group, elements_with_parts, homology_ss, nerve
+from hocofin.groups import cyclic_group
+from hocofin.presheaf import elements_with_parts, homology_ss, nerve
 from oracles import disjoint_union, initial_objects, replay_certificate
 
 
@@ -64,35 +64,23 @@ def components_first(B, effort=1, n_max=2, nerve_cap=DEFAULT_NERVE_CAP):
     cert = _collapse_search(B, effort, max_states=20000 * max(1, effort))
     if cert is not None:
         return ContractibilityVerdict(CONTRACTIBLE, certificate=cert)
-    n_eff = n_max + max(0, effort - 1)
+    n_eff = max(1, n_max + max(0, effort - 1))
     checks = {"n_max": n_eff}
-    level = max(2, n_eff + 1)
+    level = n_eff + 1
     sizes = _nerve_sizes(B, level)
     if max(sizes) > nerve_cap:
         return ContractibilityVerdict(
             INCONCLUSIVE, checks={"reason": "nerve size %d over cap %d" % (max(sizes), nerve_cap)}
         )
-    try:
-        X = nerve(B, level, basepoint=B.objects[0])
-        hs = homology_ss(X, n_eff)
-        checks["homology"] = [str(h) for h in hs]
-        for n in range(1, n_eff + 1):
-            if not hs[n].is_trivial():
-                return ContractibilityVerdict(
-                    NONCONTRACTIBLE,
-                    witness={"degree": n, "homology": str(hs[n])},
-                    checks=checks,
-                )
-        pi1 = fingerprint(tietze_simplify(edge_path_group(X)))
-        checks["pi1_fingerprint"] = list(pi1)
-        if any(c != 1 for c in pi1):
+    hs = homology_ss(nerve(B, level, basepoint=B.objects[0]), n_eff)
+    checks["homology"] = [str(h) for h in hs]
+    for n in range(1, n_eff + 1):
+        if not hs[n].is_trivial():
             return ContractibilityVerdict(
                 NONCONTRACTIBLE,
-                witness={"pi1_fingerprint": list(pi1)},
+                witness={"degree": n, "homology": str(hs[n])},
                 checks=checks,
             )
-    except BudgetExceeded as exc:
-        return ContractibilityVerdict(INCONCLUSIVE, checks={"reason": str(exc)})
     return ContractibilityVerdict(EVIDENCE, checks=checks)
 
 

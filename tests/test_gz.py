@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from hocofin import fincat
@@ -10,11 +12,14 @@ from hocofin.fincat import (
     validate_category,
 )
 from hocofin.groups import FreeProduct, GroupHom, cyclic_group, trivial_group
+from hocofin.cofinal import weakest
 from hocofin.gz import (
+    agreement,
     andre_homology,
     bw_homology,
-    bw_invariance_check,
-    dhiso_check,
+    bw_sides,
+    certify_fibres,
+    certify_slices,
     direct_image,
     elements_functor,
     gz_homology,
@@ -230,8 +235,6 @@ def test_direct_image_nonconstant_system():
 
 
 def test_agreement_compares_groups_and_the_degree_0_fingerprint():
-    from hocofin.gz import agreement
-
     z, z2 = FGAb.free(1), FGAb.cyclic(2)
     assert agreement({"abelian": [z]}, {"abelian": [z]}) == "agree"
     assert agreement({"abelian": [z]}, {"abelian": [z2]}) == "disagree"
@@ -241,13 +244,31 @@ def test_agreement_compares_groups_and_the_degree_0_fingerprint():
     assert agreement(group, dict(group, abelian=[z2])) == "disagree"
 
 
+def dhiso(f, system, n_max):
+    """The weakest fibre verdict along f, and whether the homology of the
+    pulled-back system agrees with that of the system."""
+    hypothesis = weakest(certify_fibres(f, n_max).values()).kind
+    lhs = gz_homology(f.source, inverse_image(f, system), n_max)
+    rhs = gz_homology(f.target, system, n_max)
+    return hypothesis, agreement(lhs, rhs)
+
+
+def verify_json(capsys, theorem, fixture, *flags):
+    """The json report of ``verify`` on a built-in fixture."""
+    from hocofin.cli import main
+
+    capsys.readouterr()
+    code = main(["--format", "json", "verify", "--theorem", theorem, "--fixture", fixture, *flags])
+    report = json.loads(capsys.readouterr().out)
+    assert report["exit"] == code
+    return report
+
+
 def test_inverse_image_and_dhiso_iso():
     two = walking_arrow()
     hb = representable(two, "b")
     f = DSetMorphism(hb, hb, {o: {x: x for x in hb.sets[o]} for o in two.objects})
-    rep = dhiso_check(f, const_ab_system(hb, FGAb.cyclic(4)), 2)
-    assert rep["hypothesis"] == "CONTRACTIBLE"
-    assert rep["verdict"] == "agree"
+    assert dhiso(f, const_ab_system(hb, FGAb.cyclic(4)), 2) == ("CONTRACTIBLE", "agree")
 
 
 def test_dhiso_two_point_fibre():
@@ -256,12 +277,10 @@ def test_dhiso_two_point_fibre():
     par = validate_category(["a", "b"], [("u", "a", "b"), ("v", "a", "b")], [], name="par")
     hb = representable(par, "b")
     f = DSetMorphism(hb, hb, {o: {x: x for x in hb.sets[o]} for o in par.objects})
-    rep = dhiso_check(f, const_ab_system(hb, FGAb.cyclic(2)), 2)
-    assert rep["hypothesis"] == "CONTRACTIBLE"
-    assert rep["verdict"] == "agree"
+    assert dhiso(f, const_ab_system(hb, FGAb.cyclic(2)), 2) == ("CONTRACTIBLE", "agree")
 
 
-def test_dhiso_hypothesis_fails_cleanly():
+def test_dhiso_hypothesis_fails_cleanly(capsys):
     # two disjoint cells: the fibre over the middle object has two points
     # in two components, so its elements category is not contractible
     P = span()
@@ -273,9 +292,13 @@ def test_dhiso_hypothesis_fails_cleanly():
     )
     pt = constant_singleton(P)
     f = DSetMorphism(X, pt, {o: {x: "*" for x in X.sets[o]} for o in P.objects})
-    rep = dhiso_check(f, const_ab_system(pt, FGAb.cyclic(2)), 1)
-    assert rep["hypothesis"] == "NONCONTRACTIBLE"
-    assert rep["verdict"] == "hypothesis fails"
+    assert weakest(certify_fibres(f, 1).values()).kind == "NONCONTRACTIBLE"
+    # the same morphism as the two-cells-collapse fixture: the CLI stops at
+    # the hypothesis and gives no verdict
+    report = verify_json(capsys, "dhiso", "two-cells-collapse")
+    assert report["exit"] == 3 and "verdict" not in report
+    assert report["hypothesis"] == "NONCONTRACTIBLE"
+    assert report["hypothesis_mode"] == "not certified"
 
 
 def test_bw_homology_point_and_arrow():
@@ -332,27 +355,33 @@ def test_bw_group_coefficients():
     assert tuple(res["n0"]["fingerprint"]) == fingerprint_of_table_group(cyclic_group(2))
 
 
+def bw_invariance(S, system, n_max):
+    """The weakest slice verdict of S, and whether the two sides agree."""
+    return weakest(certify_slices(S, n_max).values()).kind, agreement(*bw_sides(S, system, n_max))
+
+
 def test_confhomol_bw_identity_and_equivalence():
     two = walking_arrow()
-    rep = bw_invariance_check(identity_functor(two), const_nsys(two, FGAb.cyclic(2)), 1)
-    assert rep["hypothesis"] == "CONTRACTIBLE"
-    assert rep["verdict"] == "agree"
+    got = bw_invariance(identity_functor(two), const_nsys(two, FGAb.cyclic(2)), 1)
+    assert got == ("CONTRACTIBLE", "agree")
     # the inclusion of one endpoint of the isomorphism interval is an
     # equivalence and satisfies the slice hypothesis
     pt = one()
     S = Functor(pt, iso2(), {"*": "a"}, {})
-    rep2 = bw_invariance_check(S, const_nsys(iso2(), FGAb.free(1)), 1)
-    assert rep2["hypothesis"] == "CONTRACTIBLE"
-    assert rep2["verdict"] == "agree"
+    assert bw_invariance(S, const_nsys(iso2(), FGAb.free(1)), 1) == ("CONTRACTIBLE", "agree")
 
 
-def test_confhomol_bw_hypothesis_fails():
+def test_confhomol_bw_hypothesis_fails(capsys):
     pt = one()
     two = walking_arrow()
     S = Functor(pt, two, {"*": "b"}, {})
-    rep = bw_invariance_check(S, const_nsys(two, FGAb.free(1)), 1)
-    assert rep["verdict"] == "hypothesis fails"
-    assert "alpha=" in rep["witness"]
+    slices = certify_slices(S, 1)
+    assert slices["id_a"].kind == "NONCONTRACTIBLE"
+    # the same functor and system as the final-in-two fixture
+    report = verify_json(capsys, "confhomolBW", "final-in-two")
+    assert report["exit"] == 3
+    assert report["systems"]["ab_system"]["verdict"] == "hypothesis fails"
+    assert "alpha=" in report["systems"]["ab_system"]["witness"]
 
 
 def test_andre_homology_representable():

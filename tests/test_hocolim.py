@@ -1,5 +1,8 @@
+import json
+
 import pytest
 
+from hocofin.cofinal import certify_homotopy_cofinal
 from hocofin.diagrams import GroupDiagram, colim0, constant_group_diagram
 from hocofin.fincat import Functor, from_monoid, identity_functor, validate_category
 from hocofin.groups import (
@@ -17,7 +20,7 @@ from hocofin.hocolim import (
     PointedDiagram,
     bg_diagram,
     classifying_space,
-    cofinal_hocolim_compare,
+    compare_restriction,
     hocolim_pointed,
     hocolim_unpointed,
     pointed_quotient_check,
@@ -191,10 +194,49 @@ def test_cofinal_compare_final_object_inclusion():
     S = Functor(pt, two, {"*": "b"}, {})
     z2 = FreeProduct.from_group("A", cyclic_group(2))
     PD = bg_diagram(constant_group_diagram(two, z2), 3)
-    report = cofinal_hocolim_compare(S, PD, 3, 2)
-    assert report["label"] == "certified"
+    assert certify_homotopy_cofinal(S, n_max=2)["aggregate"] == "CONTRACTIBLE"
+    report = compare_restriction(S, PD, 3, 2)
     assert report["verdict"] == "agree"
     assert report["homology"]["lhs"] == ["Z", "Z/2", "0"]
+
+
+def verify_cofpointed(capsys, fixture, *flags):
+    from hocofin.cli import main
+
+    capsys.readouterr()
+    code = main(["--format", "json", "verify", "--theorem", "cofpointed", "--fixture", fixture,
+                 *flags])
+    report = json.loads(capsys.readouterr().out)
+    assert report["exit"] == code
+    return report
+
+
+@pytest.mark.parametrize("fixture, flags, label, mode, code", [
+    ("final-in-two", (), "certified", "certified", 0),
+    ("noncofinal-a-in-2", (), "unconditional comparison", "not certified", 3),
+    ("noncofinal-a-in-2", ("--assume-hypothesis",), "unconditional comparison", "assumed", 2),
+])
+def test_the_cofpointed_label_is_what_the_certificate_earns(fixture, flags, label, mode, code,
+                                                            capsys):
+    # the label reads the certificate whether or not the hypothesis is
+    # assumed; hypothesis_mode and the exit code read the gate
+    report = verify_cofpointed(capsys, fixture, *flags)
+    assert (report["label"], report["hypothesis_mode"], report["exit"]) == (label, mode, code)
+
+
+def test_an_evidence_hypothesis_labels_cofpointed_conditional(capsys, monkeypatch):
+    from hocofin import cli
+
+    real = cli.certify_homotopy_cofinal
+
+    def evidence(*args, **kwargs):
+        return dict(real(*args, **kwargs), aggregate="EVIDENCE")
+
+    monkeypatch.setattr(cli, "certify_homotopy_cofinal", evidence)
+    report = verify_cofpointed(capsys, "final-in-two")
+    assert (report["label"], report["hypothesis_mode"], report["exit"]) == (
+        "conditional", "conditional", 0)
+    assert report["verdict"] == "agree"
 
 
 def test_cofinal_compare_budget_refusal_propagates(monkeypatch, capsys):
@@ -208,7 +250,7 @@ def test_cofinal_compare_budget_refusal_propagates(monkeypatch, capsys):
     monkeypatch.setattr(hocolim, "fingerprint", refuse)
     fx = fixtures.load_fixture("cofpointed", "final-in-two")
     with pytest.raises(BudgetExceeded):
-        cofinal_hocolim_compare(fx["functor"], fx["pointed_diagram"], fx["level"], 1)
+        compare_restriction(fx["functor"], fx["pointed_diagram"], fx["level"], 1)
     capsys.readouterr()
     assert main(["verify", "--theorem", "cofpointed", "--fixture", "final-in-two"]) == 1
     captured = capsys.readouterr()
@@ -219,9 +261,9 @@ def test_cofinal_compare_budget_refusal_propagates(monkeypatch, capsys):
 def test_cofinal_compare_identity():
     P = span()
     PD = bg_diagram(span_z2_z3(), 3)
-    report = cofinal_hocolim_compare(identity_functor(P), PD, 3, 2)
-    assert report["verdict"] == "agree"
-    assert report["label"] == "certified"
+    S = identity_functor(P)
+    assert certify_homotopy_cofinal(S, n_max=2)["aggregate"] == "CONTRACTIBLE"
+    assert compare_restriction(S, PD, 3, 2)["verdict"] == "agree"
 
 
 def test_certified_fixtures_agree_end_to_end():
@@ -234,8 +276,8 @@ def test_certified_fixtures_agree_end_to_end():
         fx = fixtures.load_fixture("homoliso", name)
         S = fx["functor"]
         PD = bg_diagram(fx["group_diagram"], 2)
-        report = cofinal_hocolim_compare(S, PD, 2, 1)
-        assert report["label"] == "certified", name
+        assert certify_homotopy_cofinal(S, n_max=1)["aggregate"] == "CONTRACTIBLE", name
+        report = compare_restriction(S, PD, 2, 1)
         assert report["verdict"] == "agree", (name, report)
 
 
@@ -253,7 +295,7 @@ def test_cofinal_compare_negative_control():
         {"u": GroupHom(triv, z2, {"T": {"0": ()}})},
     )
     PD = bg_diagram(G, 3)
-    report = cofinal_hocolim_compare(S, PD, 3, 2)
-    assert report["label"] == "unconditional comparison"
+    assert certify_homotopy_cofinal(S, n_max=2)["aggregate"] == "NONCONTRACTIBLE"
+    report = compare_restriction(S, PD, 3, 2)
     assert report["verdict"] == "disagree"
     assert report["homology"]["lhs"] != report["homology"]["rhs"]
