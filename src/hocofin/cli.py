@@ -269,8 +269,11 @@ def _verify_discvirt(fx, args, report):
     S = fx["functor"]
     ok, witnesses = is_vdc(S)
     report["vdc"] = ok
-    # is_vdc decides exactly: its answer is a certificate or a failure
-    if not _hyp_gate(report, CONTRACTIBLE if ok else NONCONTRACTIBLE, args.assume_hypothesis):
+    # is_vdc decides exactly: its answer is a certificate or a failure.  The
+    # right side is a Kan extension that exists only along a VDC, so a
+    # non-VDC is not certified even when the hypothesis is assumed
+    if not _hyp_gate(report, CONTRACTIBLE if ok else NONCONTRACTIBLE,
+                     args.assume_hypothesis and ok):
         report["witnesses"] = {
             d: w for d, w in witnesses.items() if not w["finally_discrete"]
         }
@@ -566,7 +569,9 @@ COMMANDS = {
         "--nmax": count(3),
         "--effort": count(1, least=1),
         "--assume-hypothesis": dict(
-            FLAG, help="skip hypothesis certification and compare unconditionally"),
+            FLAG, help="skip hypothesis certification and compare unconditionally; "
+                       "discvirt still needs a VDC to build its right side, and on a "
+                       "non-VDC exits 3 with the witnesses"),
     }),
     "list-fixtures": Command(cmd_list_fixtures, "list built-in fixtures per theorem", False, {}),
 }

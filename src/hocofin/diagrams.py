@@ -28,7 +28,7 @@ import copy
 
 from . import fincat
 from .cofinal import analyze_fibres, reflective_core
-from .fincat import Functor, chain_face, composable_chains, full_subcategory
+from .fincat import Functor, NerveTable, chain_counts, full_subcategory
 from .groups import FreeProduct, GroupHom, GroupPresentation, tietze_simplify
 from .homalg import AbMap, FGAb, block_map, block_sum, normalized_complex
 
@@ -234,25 +234,65 @@ def ab_colim_derived(C, M, n_max):
     return [complex_.homology(n) for n in range(n_max + 1)]
 
 
+def nerve_chains(C, top):
+    """The nondegenerate nerve chains of C in degrees 0..top, as a
+    ``fincat.NerveTable``.  Their number in each degree is counted first,
+    and TruncationUnsound is raised, before any chain is built, when a
+    degree has more than ``DEFAULT_CHAIN_CAP``."""
+    for n, count in enumerate(chain_counts(C, top)):
+        if count > DEFAULT_CHAIN_CAP:
+            raise TruncationUnsound(
+                "degree %d has %d chains (cap %d)" % (n, count, DEFAULT_CHAIN_CAP))
+    return NerveTable(C, top)
+
+
+def _is_identity_columns(m):
+    """Whether the AbMap m is the identity on generators."""
+    return m.target.gens == len(m.columns) and all(
+        len(col) == 1 and col.get(k) == 1 for k, col in enumerate(m.columns))
+
+
+def lifts_compose(C, M):
+    """Whether the actions of the abelian diagram M over C compose
+    exactly on generators, not only modulo relations: every identity
+    acts by identity columns, and ``action[g∘f].columns`` is ``action[g]``
+    applied to ``action[f].columns`` for every composable pair.  Then the
+    complexes built from chains of C with M's actions as transports (the
+    simplicial replacement, the nerve route of ``gz``) have d∘d = 0 on
+    their free covers, by the simplicial identities of the nerve."""
+    action = M.action
+    plain = {f for f in C.morphisms if _is_identity_columns(action[f])}
+    if any(C.identity[o] not in plain for o in C.objects):
+        return False
+    if len(plain) == len(C.morphisms):
+        return True
+    for g, f in C.composable_pairs():
+        if g in plain:
+            want = action[f].columns
+        elif f in plain:
+            want = action[g].columns
+        else:
+            want = action[g].compose(action[f]).columns
+        if action[C.comp[(g, f)]].columns != want:
+            return False
+    return True
+
+
 def srep_ab_complex(C, M, n_max):
     """Normalized simplicial-replacement complex of an abelian diagram in
-    degrees 0..n_max + 1; raises TruncationUnsound past
-    ``DEFAULT_CHAIN_CAP`` chains in a degree."""
-    chains = {}
-    for n in range(n_max + 2):
-        chains[n] = composable_chains(C, n, nondegenerate=True)
-        if len(chains[n]) > DEFAULT_CHAIN_CAP:
-            raise TruncationUnsound(
-                "degree %d has %d chains (cap %d)" % (n, len(chains[n]), DEFAULT_CHAIN_CAP)
-            )
-
-    def faces(n, ch):
-        # d_0 transports along the first arrow; the other faces keep the value
-        yield 0, chain_face(C, ch, 0), M.action[ch[1]].columns
-        for i in range(1, n + 1):
-            yield i, chain_face(C, ch, i), M.value[ch[0]].gens
-
-    return normalized_complex(chains, lambda ch: M.value[ch[0]], faces)
+    degrees 0..n_max + 1 (``nerve_chains``, which refuses more than
+    ``DEFAULT_CHAIN_CAP`` chains in a degree).  The face d_0 transports
+    along the first arrow (written as the identity when it is one on
+    generators), the others keep the value.  The squares of the boundary
+    are proven zero when M's lifts compose (``lifts_compose``); otherwise
+    ``ChainComplex`` takes them chain by chain."""
+    chains = nerve_chains(C, n_max + 1)
+    moves = {f: {} if _is_identity_columns(M.action[f]) else {0: M.action[f].columns}
+             for f in chains.first[1]}
+    return normalized_complex(
+        [[M.value[o] for o in layer] for layer in chains.origin], chains.faces,
+        [None] + [[moves[f] for f in layer] for layer in chains.first[1:]],
+        squares_vanish=lifts_compose(C, M))
 
 
 # -- abelianization ----------------------------------------------------------

@@ -42,6 +42,8 @@ construction is byte-stable.
 
 A nerve chain x0 -> x1 -> ... -> xn is the tuple ``(x0, f1, ..., fn)``:
 its origin x0 followed by its arrows, so a degree-0 chain is ``(x0,)``.
+Complex assembly reads the nondegenerate chains from ``NerveTable``
+instead, by index, with no tuple built.
 """
 
 from __future__ import annotations
@@ -601,6 +603,13 @@ class FactorizationData:
         self.cod = cod
         self.pair = pair  # morphism id -> (alpha, beta)
 
+    def arrow(self, alpha, beta, f):
+        """The morphism (alpha, beta): f -> beta∘f∘alpha."""
+        C = self.base
+        if C.is_identity(alpha) and C.is_identity(beta):
+            return self.category.identity[f]
+        return _fact_mor_id(alpha, beta, f, C.comp[(beta, C.comp[(f, alpha)])])
+
 
 def factorization(C):
     """Category whose objects are the morphisms of C and whose morphisms
@@ -689,19 +698,11 @@ def factorization(C):
 def factor_functor(S, fc, fd):
     """The induced functor between the factorization categories ``fc`` of
     S's source and ``fd`` of its target."""
-    D = S.target
     obj_map = {f: S.on_mor(f) for f in fc.category.objects}
     mor_map = {}
     for m in fc.category.morphisms:
         a, b = fc.pair[m]
-        f = fc.category.dom[m]
-        g = fc.category.cod[m]
-        sa, sb = S.on_mor(a), S.on_mor(b)
-        sf, sg = S.on_mor(f), S.on_mor(g)
-        if D.is_identity(sa) and D.is_identity(sb):
-            mor_map[m] = fd.category.identity[sf]
-        else:
-            mor_map[m] = _fact_mor_id(sa, sb, sf, sg)
+        mor_map[m] = fd.arrow(S.on_mor(a), S.on_mor(b), S.on_mor(fc.category.dom[m]))
     return Functor(fc.category, fd.category, obj_map, mor_map, name="F(%s)" % (S.name or "S"))
 
 
@@ -971,3 +972,83 @@ def chain_degeneracy(C, chain, i):
     """Nerve degeneracy s_i: insert the identity of x_i after x_i."""
     x = chain[0] if i == 0 else C.cod[chain[i]]
     return chain[: i + 1] + (C.identity[x],) + chain[i + 1 :]
+
+
+def chain_counts(C, top):
+    """The nondegenerate nerve chains of C per degree 0..top, counted by
+    dynamic programming over end objects: no chain is built."""
+    pool = [f for f in C.morphisms if not C.is_identity(f)]
+    ending = dict.fromkeys(C.objects, 1)
+    counts = [len(C.objects)]
+    for _ in range(top):
+        nxt = dict.fromkeys(C.objects, 0)
+        for f in pool:
+            nxt[C.cod[f]] += ending[C.dom[f]]
+        ending = nxt
+        counts.append(sum(ending.values()))
+    return counts
+
+
+class NerveTable:
+    """The nondegenerate nerve chains of C in degrees 0..top, by index.
+
+    Degree n lists its chains in the order of
+    ``composable_chains(C, n, nondegenerate=True)``.  Chain j of degree n
+    has origin ``origin[n][j]``, first and last arrows ``first[n][j]`` and
+    ``last[n][j]`` (None in degree 0) and faces ``faces[n][j]``: the
+    indices in degree n-1 of d_0, ..., d_n, None for a degenerate face
+    (``()`` in degree 0).  No chain tuple is built.
+
+    A chain x = y·f of degree n >= 2 extends y, whose last arrow is l, by
+    f, and its faces come from y's: d_i x = d_i(y)·f for i <= n-2
+    (degenerate with d_i(y)), d_{n-1} x = d_{n-1}(y)·(f∘l), degenerate
+    when f∘l is an identity, and d_n x = y.  The chains extending one chain
+    of degree n-1 >= 1 are consecutive, by the arrows out of its end in
+    morphism order, so t·f sits at t's first extension plus f's rank among
+    those arrows; in degree 1, t·f is f's place among all arrows.
+    """
+
+    __slots__ = ("origin", "first", "last", "faces")
+
+    def __init__(self, C, top):
+        objects = C.objects
+        units = set(C.identity.values())
+        pool = [f for f in C.morphisms if f not in units]
+        dom, cod, comp = C.dom, C.cod, C.comp
+        out = {o: [] for o in objects}
+        for f in pool:
+            out[dom[f]].append(f)
+        where = {o: j for j, o in enumerate(objects)}
+        self.origin = [list(objects)]
+        self.first = [[None] * len(objects)]
+        self.last = [[None] * len(objects)]
+        self.faces = [[()] * len(objects)]
+        if top < 1:
+            return
+        self.origin.append([dom[f] for f in pool])
+        self.first.append(pool)
+        self.last.append(pool)
+        self.faces.append([(where[cod[f]], where[dom[f]]) for f in pool])
+        # start[t] + rank[f]: the index of t·f, for t of degree n-2
+        start = [0] * len(objects)
+        rank = {f: k for k, f in enumerate(pool)}
+        out_rank = {f: k for fs in out.values() for k, f in enumerate(fs)}
+        for n in range(2, top + 1):
+            origin, first, last, faces, extensions = [], [], [], [], []
+            for y, (o, f0, l, fy) in enumerate(zip(self.origin[n - 1], self.first[n - 1],
+                                                   self.last[n - 1], self.faces[n - 1])):
+                outs = out[cod[l]]
+                extensions.append(len(faces))
+                origin += [o] * len(outs)
+                first += [f0] * len(outs)
+                last += outs
+                inner, prefix = fy[:-1], start[fy[-1]]
+                for f in outs:
+                    k, h = rank[f], comp[(f, l)]
+                    faces.append((*[None if t is None else start[t] + k for t in inner],
+                                  None if h in units else prefix + rank[h], y))
+            self.origin.append(origin)
+            self.first.append(first)
+            self.last.append(last)
+            self.faces.append(faces)
+            start, rank = extensions, out_rank

@@ -18,12 +18,12 @@ from .diagrams import (
     abelianize_diagram,
     colim0,
     kan_extend_vdc,
+    lifts_compose,
+    nerve_chains,
     sum_diagram,
 )
 from .fincat import (
     Functor,
-    chain_face,
-    composable_chains,
     factor_functor,
     factor_slice,
     factorization,
@@ -179,37 +179,31 @@ def certify_fibres(f, n_max, effort=1):
 # -- natural-system homology ---------------------------------------------------
 
 
-def _delta_of_chain(C, chain):
-    """Composite of a nerve chain (the identity of x0 in degree 0)."""
-    acc = C.identity[chain[0]]
-    for alpha in chain[1:]:
-        acc = C.comp[(alpha, acc)]
-    return acc
-
-
 def nerve_route_complex(C, M, n_max, fdata):
     """Nerve-route complex for natural-system homology with abelian
     coefficients: degree-n term the sum of M(composite of sigma) over
-    nondegenerate chains sigma, faces acting through the factorization
-    category ``fdata`` of C (transport on the outer faces, identity
-    inside)."""
-    chains = {n: composable_chains(C, n, nondegenerate=True) for n in range(n_max + 2)}
-
-    def faces(n, ch):
-        dsig = _delta_of_chain(C, ch)
-        for i in range(n + 1):
-            face = chain_face(C, ch, i)
-            if i == 0:
-                pair = (ch[1], C.identity[C.cod[dsig]])
-            elif i == n:
-                pair = (C.identity[C.dom[dsig]], ch[-1])
-            else:
-                yield i, face, M.value[dsig].gens
-                continue
-            m = _hom_over(fdata.category, fdata.pair, _delta_of_chain(C, face), dsig, pair)
-            yield i, face, M.action[m].columns
-
-    return normalized_complex(chains, lambda ch: M.value[_delta_of_chain(C, ch)], faces)
+    nondegenerate chains sigma (``diagrams.nerve_chains``, under the same
+    chain cap), faces acting through the factorization category ``fdata``
+    of C: d_0 transports through (f_1, id), d_n through (id, f_n), the
+    inner faces keep the composite.  The composite of y·f is f∘(composite
+    of y).  The squares of the boundary are proven zero when M's lifts
+    compose over the factorization category (``lifts_compose``)."""
+    chains = nerve_chains(C, n_max + 1)
+    composites = [[C.identity[o] for o in chains.origin[0]]]
+    transport = [None]
+    for n in range(1, n_max + 2):
+        below, here, moves = composites[-1], [], []
+        for f1, fn, fs in zip(chains.first[n], chains.last[n], chains.faces[n]):
+            # the composites of d_0 sigma and of d_n sigma, its prefix
+            tail, prefix = below[fs[0]], below[fs[-1]]
+            dsig = C.comp[(fn, prefix)]
+            here.append(dsig)
+            moves.append({0: M.action[fdata.arrow(f1, C.identity[C.cod[dsig]], tail)].columns,
+                          n: M.action[fdata.arrow(C.identity[C.dom[dsig]], fn, prefix)].columns})
+        composites.append(here)
+        transport.append(moves)
+    return normalized_complex([[M.value[d] for d in layer] for layer in composites], chains.faces,
+                              transport, squares_vanish=lifts_compose(fdata.category_op, M))
 
 
 def bw_homology(C, system, n_max, fdata=None):

@@ -7,10 +7,11 @@ nothing here is modular or floating point.
 
 A relation lattice (``FGAb.relations``) and a map (``AbMap.columns``) are
 stored as sparse columns: lists of {row: entry} dicts holding no zero
-entry.  ``block_sum`` and ``block_map`` assemble chain groups and
-boundaries in that form, and ``FGAb``, ``ChainComplex`` and the relation
-lattices read it directly.  ``AbMap.matrix`` is a dense ``IntMatrix``
-view, built on first access for the callers that want a matrix.
+entry.  ``block_sum`` assembles chain groups, and ``normalized_complex``
+and ``block_map`` boundaries and maps, in that form, and ``FGAb``,
+``ChainComplex`` and the relation lattices read it directly.
+``AbMap.matrix`` is a dense ``IntMatrix`` view, built on first access for
+the callers that want a matrix.
 
 ``_column_invariants`` computes Smith invariants only, for ``FGAb`` and
 for all homology: a complex with relations is first replaced by its
@@ -35,7 +36,7 @@ cone boundary reduced uncleared) live in ``tests/oracles.py``.
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
-from itertools import compress
+from itertools import compress, repeat
 from math import gcd
 from operator import mul
 
@@ -617,10 +618,12 @@ class ChainComplex:
     lo < n <= hi.  Construction checks that consecutive boundaries compose
     to zero modulo the relation lattice of the target: the product is taken
     on sparse columns, and only a nonzero one is solved in the lattice; its
-    coordinates are kept for the relation cone (see ``homology``).
+    coordinates are kept for the relation cone (see ``homology``).  With
+    ``squares_vanish`` the builder has proven that every product is zero
+    on the free covers, and none is taken.
     """
 
-    def __init__(self, groups, boundaries):
+    def __init__(self, groups, boundaries, squares_vanish=False):
         degrees = sorted(groups)
         if not degrees:
             raise ValueError("empty complex")
@@ -642,6 +645,8 @@ class ChainComplex:
         self._relations = {}
         self._bases = {}
         self._squares = {}
+        if squares_vanish:
+            return
         for n in range(lo + 2, hi + 1):
             products = [_push(col, self._columns[n - 1]) for col in self._columns[n]]
             if not any(products):
@@ -774,28 +779,57 @@ def block_map(source, target, entries):
     return AbMap(source, target, columns, check=False)
 
 
-def normalized_complex(basis, block, faces):
-    """Chain complex with C_n the direct sum of block(x) over x in basis[n],
-    for 0 <= n <= max(basis), and C_{-1} = 0.
+def normalized_complex(blocks, faces, transport=None, squares_vanish=False):
+    """Chain complex with C_n the direct sum of the groups ``blocks[n]``,
+    for 0 <= n < len(blocks), and C_{-1} = 0.
 
-    ``faces(n, x)`` yields (i, y, coeff) for the faces of x; the boundary
-    adds (-1)^i * coeff from the block of x to the block of y.  A face y
-    that is not in basis[n-1] (a degenerate one) contributes zero.
+    ``faces[n][j]`` gives the faces d_0, ..., d_n of basis element j of
+    degree n as indices into degree n-1, None for a degenerate face, which
+    contributes zero.  Face i adds (-1)^i times a map from block j to the
+    block of the face: the identity on generators, or the map with sparse
+    columns ``transport[n][j][i]`` when that dict holds i.  The boundary
+    columns are written directly; no face is looked up by value.
+    ``squares_vanish`` goes to ``ChainComplex``: the caller has proven
+    d∘d = 0 on the free covers.
     """
-    top = max(basis)
     groups = {-1: FGAb.trivial()}
-    offsets = {}
-    for n in range(top + 1):
-        groups[n], off = block_sum([block(x) for x in basis[n]])
-        offsets[n] = dict(zip(basis[n], off))
+    offsets = []
+    for n, layer in enumerate(blocks):
+        groups[n], off = block_sum(layer)
+        offsets.append(off)
     boundaries = {0: AbMap.zero(groups[0], groups[-1])}
-    for n in range(1, top + 1):
+    for n in range(1, len(blocks)):
         below = offsets[n - 1]
-        entries = []
-        for x, c0 in offsets[n].items():
-            for i, y, coeff in faces(n, x):
-                r0 = below.get(y)
-                if r0 is not None:
-                    entries.append((r0, c0, -1 if i % 2 else 1, coeff))
-        boundaries[n] = block_map(groups[n], groups[n - 1], entries)
-    return ChainComplex(groups, boundaries)
+        moves = transport[n] if transport else repeat({})
+        signs = [(-1) ** i for i in range(n + 1)]
+        columns = []
+        for block, fs, move in zip(blocks[n], faces[n], moves):
+            if block.gens == 1 and not move:
+                # the common case: one generator, every face the identity
+                col = {}
+                for t, sign in zip(fs, signs):
+                    if t is not None:
+                        r = below[t]
+                        col[r] = col.get(r, 0) + sign
+                columns.append(col)
+                continue
+            cols = [{} for _ in range(block.gens)]
+            for i, (t, sign) in enumerate(zip(fs, signs)):
+                if t is None:
+                    continue
+                r0 = below[t]
+                coeff = move.get(i)
+                if coeff is None:
+                    for r, col in enumerate(cols, r0):
+                        col[r] = col.get(r, 0) + sign
+                    continue
+                for col, image in zip(cols, coeff):
+                    for r, x in image.items():
+                        r += r0
+                        col[r] = col.get(r, 0) + sign * x
+            columns.extend(cols)
+        for c, col in enumerate(columns):
+            if not all(col.values()):
+                columns[c] = {i: x for i, x in col.items() if x}
+        boundaries[n] = AbMap(groups[n], groups[n - 1], columns, check=False)
+    return ChainComplex(groups, boundaries, squares_vanish=squares_vanish)

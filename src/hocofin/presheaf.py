@@ -444,16 +444,22 @@ def inverse_fibre(f, d, y):
 
 
 def normalized_chain_complex(X, n_max):
-    """Normalized chains: free abelian on nondegenerate simplices; a face
-    landing on a degenerate simplex contributes zero."""
+    """Normalized chains: free abelian on the nondegenerate simplices,
+    indexed once per degree; a face landing on a degenerate simplex
+    contributes zero.  d∘d = 0 by the simplicial identities, which a
+    workspace set passes in ``TruncSSet._check`` and nerves and diagonals
+    satisfy by construction, so it is not computed again."""
     if X.level < n_max + 1:
         raise LevelTooLow("need level >= %d, have %d" % (n_max + 1, X.level))
+    basis = [X.nondegenerate(n) for n in range(n_max + 2)]
+    faces = [[()] * len(basis[0])]
+    for n in range(1, n_max + 2):
+        index = {x: j for j, x in enumerate(basis[n - 1])}
+        # a face table is built on its first read: an empty degree reads none
+        tables = [X.faces[(n, i)] for i in range(n + 1)] if basis[n] else ()
+        faces.append(list(zip(*[[index.get(d[x]) for x in basis[n]] for d in tables])))
     Z = FGAb.free(1)
-    return normalized_complex(
-        {n: X.nondegenerate(n) for n in range(n_max + 2)},
-        lambda x: Z,
-        lambda n, x: ((i, X.face(n, i, x), 1) for i in range(n + 1)),
-    )
+    return normalized_complex([[Z] * len(layer) for layer in basis], faces, squares_vanish=True)
 
 
 def homology_ss(X, n_max):

@@ -4,11 +4,12 @@ None of this is reached by a command.  The dense routes work on
 ``homalg.IntMatrix`` through its full transforms: Smith normal form
 checking, integer kernels and lattice membership through U and V, and
 homology lifted to the free covers.  The others recount or recheck what
-the program builds: each relation-cone boundary reduced on its own,
-without clearing, the degree-0 colimit as a coequalizer, group tables
-enumerated up to isomorphism, homotopy-colimit cardinalities, simplicial
-sets with every face and degeneracy table built at construction and the
-replay of contractibility certificates.
+the program builds: the squares of each boundary taken chain by chain,
+each relation-cone boundary reduced on its own, without clearing, the
+degree-0 colimit as a coequalizer, group tables enumerated up to
+isomorphism, homotopy-colimit cardinalities, simplicial sets with every
+face and degeneracy table built at construction and the replay of
+contractibility certificates.
 """
 
 from __future__ import annotations
@@ -216,6 +217,27 @@ def uncleared_cone_invariants(K, n):
     any order of degrees.  ``ChainComplex._cone_invariants`` must agree.
     """
     return _column_invariants(K._cone_columns(n))
+
+
+def boundary_squares(K):
+    """The squares d_{n-1} d_n of the chain complex K on the free covers,
+    taken column by column: {n: the sparse product columns} for each
+    degree n where one is nonzero.  This is the per-chain route that
+    ``ChainComplex`` runs when its builder has not proven the squares zero;
+    where it has, this must give {}."""
+    out = {}
+    for n in range(K.lo + 2, K.hi + 1):
+        below = K.boundaries[n - 1].columns
+        products = []
+        for col in K.boundaries[n].columns:
+            acc = {}
+            for k, x in col.items():
+                for i, y in below[k].items():
+                    acc[i] = acc.get(i, 0) + x * y
+            products.append({i: y for i, y in acc.items() if y})
+        if any(products):
+            out[n] = products
+    return out
 
 
 def lifted_homology(K, n):

@@ -5,6 +5,11 @@ and the dense lifted route (``oracles.lifted_homology``).
 ``ChainComplex._cone_invariants(n)`` reduces the transpose of d_T,n after
 degree n-1 and leaves out the rows of d_T,n that degree n-1 used as +-1
 pivots.  Each degree must keep the Smith invariants of the whole boundary.
+
+Every complex checked here also has its squares d∘d taken chain by chain
+(``oracles.boundary_squares``): zero where the builder proved them zero
+(``diagrams.lifts_compose``), and equal to the relation combinations the
+complex keeps where it took them itself.
 """
 
 import contextlib
@@ -12,14 +17,14 @@ import io
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hocofin import cli, diagrams, fixtures, groups, gz, homalg
 from hocofin.diagrams import AbDiagram, GroupDiagram, abelianize_diagram, constant_ab_diagram, srep_ab_complex
 from hocofin.fincat import factorization, from_monoid
 from hocofin.homalg import AbMap, ChainComplex, FGAb, HomalgError, block_map
-from oracles import lifted_homology, uncleared_cone_invariants
+from oracles import boundary_squares, lifted_homology, uncleared_cone_invariants
 from test_cofinal_reduction import monoids, posets
 from test_relation_cone import random_complex_with_relations
 
@@ -30,9 +35,27 @@ Z, Z2, Z4 = FGAb.free(1), FGAb.cyclic(2), FGAb.cyclic(4)
 DENSE_GENS = 40
 
 
+def assert_squares_sound(K):
+    """The squares that K keeps (none when its builder proved them zero)
+    are those taken chain by chain: the same degrees, and each kept
+    combination of relations gives the product column."""
+    squares = boundary_squares(K)
+    assert set(squares) == set(K._squares)
+    for n, products in squares.items():
+        rho = K._relations_at(n - 2).columns
+        for product, coords in zip(products, K._squares[n], strict=True):
+            back = {}
+            for k, x in coords.items():
+                for i, y in rho[k].items():
+                    back[i] = back.get(i, 0) + x * y
+            assert {i: y for i, y in back.items() if y} == product
+
+
 def assert_cleared_route_sound(K):
     """Every cone boundary of K keeps the invariants of its uncleared
-    reduction, and every homology group K has equals the dense one."""
+    reduction, every homology group K has equals the dense one, and its
+    squares are sound."""
+    assert_squares_sound(K)
     answers = [K.homology(n) for n in range(K.lo + 1, K.hi)]
     for n in range(K.lo + 1, K.hi + 1):
         assert K._cone_invariants(n) == uncleared_cone_invariants(K, n), n
@@ -113,6 +136,56 @@ small_categories = st.one_of(posets().map(lambda C: (C, 3)),
 def test_generated_small_categories_keep_their_invariants(case, A):
     C, n_max = case
     assert_cleared_route_sound(srep_ab_complex(C, constant_ab_diagram(C, A), n_max))
+
+
+@st.composite
+def loose_lifts(draw, C):
+    """Z/m at every object of C, m in 2..5, each arrow acting by
+    multiplication by some 1 + m*r (r >= 1) and each identity by 1: a
+    diagram, since all act as the identity modulo m, whose lifts do not
+    compose on generators when C has an arrow besides the identities."""
+    m = draw(st.integers(2, 5))
+    A = FGAb.cyclic(m)
+    actions = {f: AbMap(A, A, [{0: 1 + m * draw(st.integers(1, 3))}])
+               for f in C.morphisms if not C.is_identity(f)}
+    return AbDiagram(C, {o: A for o in C.objects}, actions)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_lifts_that_compose_only_modulo_relations_take_the_chainwise_squares(data):
+    # the simplicial replacement over monoids and posets, and the nerve
+    # route over a monoid with such a system on its factorization category
+    C = data.draw(st.one_of(monoids(4), posets()))
+    # two arrows other than identities that compose: (1 + m*a)(1 + m*b)
+    # = 1 + m*(a + b + m*a*b) is neither 1 nor any 1 + m*c with c <= 3, so
+    # d∘d of their chain is nonzero on the free covers
+    assume(any(not C.is_identity(g) and not C.is_identity(f) for g, f in C.composable_pairs()))
+    M = data.draw(loose_lifts(C))
+    assert not diagrams.lifts_compose(C, M)
+    K = srep_ab_complex(C, M, 2)
+    assert K._squares
+    assert_cleared_route_sound(K)
+    if len(C.objects) == 1 and len(C.morphisms) <= 3:
+        fdata = factorization(C)
+        system = data.draw(loose_lifts(fdata.category_op))
+        assert not diagrams.lifts_compose(fdata.category_op, system)
+        assert_cleared_route_sound(gz.nerve_route_complex(C, system, 2, fdata))
+        assert gz.bw_homology(C, system, 1, fdata=fdata)["routes_agree"]
+
+
+def test_strict_lifts_prove_their_squares_zero():
+    # constant and identity-column diagrams compose on generators; so does
+    # one whose arrows act by columns that compose exactly (Z/4 acting on
+    # Z by -1), and its squares vanish though its transports are no
+    # identities
+    C = _one_object(groups.cyclic_group(4))
+    sign = {f: AbMap(Z, Z, [{0: (-1) ** int(f)}]) for f in C.morphisms if not C.is_identity(f)}
+    for M in (constant_ab_diagram(C, Z2), AbDiagram(C, {"*": Z}, sign)):
+        assert diagrams.lifts_compose(C, M)
+        K = srep_ab_complex(C, M, 3)
+        assert not K._squares and not boundary_squares(K)
+        assert_cleared_route_sound(K)
 
 
 def test_random_complexes_with_relations_keep_their_invariants():

@@ -1100,6 +1100,22 @@ def test_an_assumed_hypothesis_reads_assumed_even_when_certified(theorem, fixtur
     assert report["hypothesis_mode"] == "assumed"
 
 
+def test_an_assumed_discvirt_on_a_non_vdc_is_not_certified(capsys, monkeypatch):
+    """is_vdc decides exactly, and the right side is a Kan extension along
+    a VDC: assuming the hypothesis cannot build it, so a non-VDC exits 3
+    with its witnesses, never 1, and no Kan extension is attempted."""
+    calls = spy_on(monkeypatch, "kan_extend_vdc", cli)
+    argv = ["--format", "json", "verify", "--theorem", "discvirt", "--fixture",
+            "not-vdc-par-fold"]
+    code, plain = run(capsys, *argv)
+    assumed_code, assumed = run(capsys, *argv, "--assume-hypothesis")
+    assert code == assumed_code == 3 and calls == []
+    report = json.loads(assumed)
+    assert report == json.loads(plain)
+    assert report["vdc"] is False and report["hypothesis_mode"] == "not certified"
+    assert report["witnesses"]["b"]["finally_discrete"] is False
+
+
 @pytest.mark.parametrize("aggregate, code, verdict", [
     ("NONCONTRACTIBLE", 2, "disagree"),
     ("INCONCLUSIVE", 3, "not certified"),

@@ -39,15 +39,12 @@ def test_tracer_counters_read_a_normalized_complex(monkeypatch):
     # what normalized_complex assembles; a traced run must keep working
     monkeypatch.syspath_prepend(str(PERFBENCH))
     tracer = importlib.import_module("tracer")
-    basis = {0: ["a", "b"], 1: ["u", "v"], 2: ["w"]}
-    value = {"a": FGAb.free(1), "b": FGAb.cyclic(2), "u": FGAb.cyclic(2), "v": FGAb.free(1),
-             "w": FGAb.free(1)}
-    faces = {
-        (1, "u"): [(0, "b", 1), (1, "b", 1)],
-        (1, "v"): [(0, "b", [{0: 2}]), (1, "a", 1)],
-        (2, "w"): [(0, "v", 1), (1, "v", 1), (2, "u", [{0: 1}])],
-    }
-    K = normalized_complex(basis, value.get, lambda n, x: faces[(n, x)])
+    # degree 0: a = Z, b = Z/2; degree 1: u = Z/2, v = Z; degree 2: w = Z
+    blocks = [[FGAb.free(1), FGAb.cyclic(2)], [FGAb.cyclic(2), FGAb.free(1)], [FGAb.free(1)]]
+    # u: d_0 = d_1 = b; v: d_0 = b through 2, d_1 = a; w: d_0 = d_1 = v, d_2 = u through 1
+    faces = [[(), ()], [(1, 1), (1, 0)], [(1, 1, 0)]]
+    transport = [None, [{}, {0: [{0: 2}]}], [{2: [{0: 1}]}]]
+    K = normalized_complex(blocks, faces, transport)
     counts = Counter()
     tracer._count_complex(counts, (K, K.groups, K.boundaries), {}, K)
     # d_1 is 2x2 with columns u -> 0 (its faces cancel) and v -> (-1, 2);

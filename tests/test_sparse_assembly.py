@@ -161,6 +161,24 @@ def bar_basis(k, top):
     return basis
 
 
+def by_index(basis, faces, top):
+    """The faces ``faces(n, x)`` of the basis elements as
+    ``normalized_complex`` takes them: indices into degree n-1, None for a
+    chain outside the basis, and per element the faces given by columns."""
+    indexed, transport = [[()] * len(basis[0])], [None]
+    for n in range(1, top + 1):
+        index = {x: j for j, x in enumerate(basis[n - 1])}
+        fs, moves = [], []
+        for x in basis[n]:
+            got = list(faces(n, x))
+            assert [i for i, _, _ in got] == list(range(n + 1))
+            fs.append(tuple(index.get(y) for _, y, _ in got))
+            moves.append({i: coeff for i, _, coeff in got if not isinstance(coeff, int)})
+        indexed.append(fs)
+        transport.append(moves)
+    return indexed, transport
+
+
 def test_normalized_complex_matches_the_dense_assembly_and_lifted_homology():
     rng = random.Random(1618)
     seen = Counter()
@@ -170,7 +188,8 @@ def test_normalized_complex_matches_the_dense_assembly_and_lifted_homology():
         G = random_group(rng)
         top = rng.choice((2, 3))
         basis, faces = bar_basis(k, top), bar_faces(k, u, G)
-        K = normalized_complex(basis, lambda x: G, faces)
+        K = normalized_complex([[G] * len(basis[n]) for n in range(top + 1)],
+                               *by_index(basis, faces, top))
         for n in range(top + 1):
             index = {x: j for j, x in enumerate(basis[n])}
             size = G.gens * len(basis[n])
