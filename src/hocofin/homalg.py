@@ -736,7 +736,9 @@ def block_sum(blocks):
     """Direct sum of a list of groups, with the generator offset of each block.
 
     The relation columns of the blocks are shifted by their offsets into
-    sparse columns of the sum; no dense matrix is built.
+    sparse columns of the sum; no dense matrix is built.  The invariants
+    of a direct sum are its blocks' merged, so the sum is not reduced
+    again.
 
     >>> G, offsets = block_sum([FGAb.cyclic(2), FGAb.free(2), FGAb.cyclic(3)])
     >>> print(G, offsets)
@@ -744,12 +746,18 @@ def block_sum(blocks):
     """
     offsets = []
     relations = []
-    total = 0
+    total = free_rank = 0
     for b in blocks:
         offsets.append(total)
         relations.extend({total + i: x for i, x in col.items()} for col in b.relations)
         total += b.gens
-    return FGAb(total, relations), offsets
+        free_rank += b.free_rank
+    torsion = []
+    for d in sorted(d for b in blocks for d in b.torsion):
+        _merge_cyclic(torsion, d)
+    G = FGAb.__new__(FGAb)
+    G.gens, G.relations, G.free_rank, G.torsion = total, relations, free_rank, tuple(torsion)
+    return G, offsets
 
 
 def block_map(source, target, entries):
