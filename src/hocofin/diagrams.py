@@ -252,28 +252,32 @@ def _is_identity_columns(m):
         len(col) == 1 and col.get(k) == 1 for k, col in enumerate(m.columns))
 
 
-def lifts_compose(C, M):
+def lifts_compose(C, M, triples=None):
     """Whether the actions of the abelian diagram M over C compose
     exactly on generators, not only modulo relations: every identity
     acts by identity columns, and ``action[g∘f].columns`` is ``action[g]``
-    applied to ``action[f].columns`` for every composable pair.  Then the
-    complexes built from chains of C with M's actions as transports (the
-    simplicial replacement, the nerve route of ``gz``) have d∘d = 0 on
-    their free covers, by the simplicial identities of the nerve."""
+    applied to ``action[f].columns`` for every composable pair, or for
+    each (g, f, g∘f) that ``triples`` lists.  Then the complexes built
+    from chains of C with M's actions as transports (the simplicial
+    replacement, the nerve route of ``gz`` with its own pairs) have
+    d∘d = 0 on their free covers, by the simplicial identities of the
+    nerve."""
     action = M.action
     plain = {f for f in C.morphisms if _is_identity_columns(action[f])}
     if any(C.identity[o] not in plain for o in C.objects):
         return False
     if len(plain) == len(C.morphisms):
         return True
-    for g, f in C.composable_pairs():
+    if triples is None:
+        triples = ((g, f, C.comp[(g, f)]) for g, f in C.composable_pairs())
+    for g, f, gf in triples:
         if g in plain:
             want = action[f].columns
         elif f in plain:
             want = action[g].columns
         else:
             want = action[g].compose(action[f]).columns
-        if action[C.comp[(g, f)]].columns != want:
+        if action[gf].columns != want:
             return False
     return True
 

@@ -933,7 +933,7 @@ def from_poset(elements, leq, name=""):
 # -- nerve chains ---------------------------------------------------------
 
 
-def composable_chains(C, n, nondegenerate=False):
+def composable_chains(C, n):
     """Length-n chains ``(x0, f1, ..., fn)`` of composable morphisms
     x0 -> x1 -> ... -> xn, lexicographic in the canonical morphism order;
     degree 0 gives ``(x0,)`` for each object.
@@ -942,13 +942,12 @@ def composable_chains(C, n, nondegenerate=False):
     """
     if n == 0:
         return [(o,) for o in C.objects]
-    pool = [f for f in C.morphisms if not (nondegenerate and C.is_identity(f))]
-    chains = [(C.dom[f], f) for f in pool]
+    chains = [(C.dom[f], f) for f in C.morphisms]
     for _ in range(n - 1):
         nxt = []
         for ch in chains:
             last = ch[-1]
-            for f in pool:
+            for f in C.morphisms:
                 if C.dom[f] == C.cod[last]:
                     nxt.append(ch + (f,))
         chains = nxt
@@ -992,8 +991,8 @@ def chain_counts(C, top):
 class NerveTable:
     """The nondegenerate nerve chains of C in degrees 0..top, by index.
 
-    Degree n lists its chains in the order of
-    ``composable_chains(C, n, nondegenerate=True)``.  Chain j of degree n
+    Degree n lists its chains in the order of ``composable_chains(C, n)``,
+    leaving out those with an identity arrow.  Chain j of degree n
     has origin ``origin[n][j]``, first and last arrows ``first[n][j]`` and
     ``last[n][j]`` (None in degree 0) and faces ``faces[n][j]``: the
     indices in degree n-1 of d_0, ..., d_n, None for a degenerate face

@@ -179,6 +179,38 @@ def certify_fibres(f, n_max, effort=1):
 # -- natural-system homology ---------------------------------------------------
 
 
+def _nerve_transport_pairs(C, fdata, top):
+    """The pairs of the opposite factorization category whose composites
+    d∘d = 0 rests on in the nerve route through degree ``top``, as
+    (g, f, g∘f): (f, id) then (h, id), (id, f) then (id, h), and (f, id)
+    and (id, h) in either order, for arrows f and h of C other than
+    identities (whose transports are identities), at each object x of the
+    factorization category that is the composite of a chain of degree
+    top - 2 or less: every arrow of C when top >= 3, its identities when
+    top = 2."""
+    arrow, comp, ident = fdata.arrow, C.comp, C.identity
+    into, out = {o: [] for o in C.objects}, {o: [] for o in C.objects}
+    for f in C.morphisms:
+        if not C.is_identity(f):
+            into[C.cod[f]].append(f)
+            out[C.dom[f]].append(f)
+    xs = C.morphisms if top >= 3 else [ident[o] for o in C.objects] if top == 2 else []
+    for x in xs:
+        a, b = C.dom[x], C.cod[x]
+        for f in into[a]:
+            front, xf = arrow(f, ident[b], x), comp[(x, f)]
+            for h in into[C.dom[f]]:
+                yield front, arrow(h, ident[b], xf), arrow(comp[(f, h)], ident[b], x)
+            for h in out[b]:
+                both = arrow(f, h, x)
+                yield front, arrow(ident[C.dom[f]], h, xf), both
+                yield arrow(ident[a], h, x), arrow(f, ident[C.cod[h]], comp[(h, x)]), both
+        for f in out[b]:
+            back, fx = arrow(ident[a], f, x), comp[(f, x)]
+            for h in out[C.cod[f]]:
+                yield back, arrow(ident[a], h, fx), arrow(ident[a], comp[(h, f)], x)
+
+
 def nerve_route_complex(C, M, n_max, fdata):
     """Nerve-route complex for natural-system homology with abelian
     coefficients: degree-n term the sum of M(composite of sigma) over
@@ -187,7 +219,8 @@ def nerve_route_complex(C, M, n_max, fdata):
     of C: d_0 transports through (f_1, id), d_n through (id, f_n), the
     inner faces keep the composite.  The composite of y·f is f∘(composite
     of y).  The squares of the boundary are proven zero when M's lifts
-    compose over the factorization category (``lifts_compose``)."""
+    compose on the pairs of transports that the simplicial identities
+    compose (``lifts_compose`` on ``_nerve_transport_pairs``)."""
     chains = nerve_chains(C, n_max + 1)
     composites = [[C.identity[o] for o in chains.origin[0]]]
     transport = [None]
@@ -203,7 +236,8 @@ def nerve_route_complex(C, M, n_max, fdata):
         composites.append(here)
         transport.append(moves)
     return normalized_complex([[M.value[d] for d in layer] for layer in composites], chains.faces,
-                              transport, squares_vanish=lifts_compose(fdata.category_op, M))
+                              transport, squares_vanish=lifts_compose(
+                                  fdata.category_op, M, _nerve_transport_pairs(C, fdata, n_max + 1)))
 
 
 def bw_homology(C, system, n_max, fdata=None):

@@ -4,11 +4,12 @@ None of this is reached by a command.  The dense routes work on
 ``homalg.IntMatrix`` through its full transforms: Smith normal form
 checking, integer kernels and lattice membership through U and V, and
 homology lifted to the free covers.  The others recount or recheck what
-the program builds: the squares of each boundary taken chain by chain,
-each relation-cone boundary reduced on its own, without clearing, the
-degree-0 colimit as a coequalizer, group tables enumerated up to
-isomorphism, homotopy-colimit cardinalities, simplicial sets with every
-face and degeneracy table built at construction and the replay of
+the program builds: the nondegenerate nerve chains as tuples, the
+squares of each boundary taken chain by chain, each relation-cone
+boundary reduced on its own, without clearing, the degree-0 colimit as
+a coequalizer, group tables enumerated up to isomorphism,
+homotopy-colimit cardinalities, simplicial sets with every face and
+degeneracy table built at construction and the replay of
 contractibility certificates.
 """
 
@@ -459,6 +460,12 @@ def eager_simplicial_set(N, simplices, face, degeneracy, basepoint=None):
     faces = {(n, i): table(face, simplices[n], i) for n in range(1, N + 1) for i in range(n + 1)}
     degens = {(n, i): table(degeneracy, simplices[n], i) for n in range(N) for i in range(n + 1)}
     return TruncSSet(N, simplices, faces, degens, basepoint=basepoint, _validate=False)
+
+
+def nondegenerate_chains(C, n):
+    """``composable_chains(C, n)`` without the chains that have an
+    identity arrow, in the same order."""
+    return [ch for ch in composable_chains(C, n) if not any(map(C.is_identity, ch[1:]))]
 
 
 def hocolim_cardinalities(PD, N):

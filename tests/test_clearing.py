@@ -188,6 +188,85 @@ def test_strict_lifts_prove_their_squares_zero():
         assert_cleared_route_sound(K)
 
 
+def _bz2_system(value, act):
+    """The nerve route's data for BZ/2 = {1, t} with a system on its
+    opposite factorization category: ``value`` at every object, and the
+    arrow (a, b) acting by the columns ``act(a is t, b is t)``."""
+    C = _one_object(groups.cyclic_group(2))
+    fdata = factorization(C)
+    Fop = fdata.category_op
+    actions = {}
+    for m in Fop.morphisms:
+        if not Fop.is_identity(m):
+            a, b = fdata.pair[m]
+            actions[m] = AbMap(value, value, act(not C.is_identity(a), not C.is_identity(b)))
+    return C, fdata, AbDiagram(Fop, {o: value for o in Fop.objects}, actions)
+
+
+# A = diag(1, -1) and B = the swap act on (Z/2)^2 as involutions that
+# commute modulo 2 (A is the identity there) but not on generators
+_A_AFTER_B = [{1: -1}, {0: 1}]
+_LOOSE = {
+    # (t, id) twice composes to 3 * 3, not to the identity
+    "front": (Z2, lambda a, b: [{0: 3 if a else 1}]),
+    # (id, t) twice likewise
+    "back": (Z2, lambda a, b: [{0: 3 if b else 1}]),
+    # (t, id) and (id, t) in either order: A after B, or B after A
+    "mixed": (FGAb(2, [{0: 2}, {1: 2}]),
+              lambda a, b: _A_AFTER_B if a and b else [{0: 1}, {1: -1}] if a
+              else [{1: 1}, {0: 1}] if b else [{0: 1}, {1: 1}]),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_LOOSE))
+def test_the_nerve_route_checks_every_pair_of_transports_it_composes(kind):
+    # each system composes strictly on two of the three kinds of pair the
+    # nerve route's d∘d rests on and not on the third, so the route must
+    # take its squares chain by chain, and they are nonzero
+    C, fdata, system = _bz2_system(*_LOOSE[kind])
+    assert not diagrams.lifts_compose(fdata.category_op, system,
+                                      gz._nerve_transport_pairs(C, fdata, 3))
+    K = gz.nerve_route_complex(C, system, 2, fdata)
+    assert K._squares
+    assert_cleared_route_sound(K)
+    assert gz.bw_homology(C, system, 2, fdata=fdata)["routes_agree"]
+
+
+def test_the_nerve_route_checks_only_the_pairs_of_transports_it_composes():
+    # (f, id) then (h, id), (id, f) then (id, h) and both mixed orders, for
+    # f, h among the 5 arrows of BS3 other than its identity: at each of
+    # its 6 arrows x through degree 3, at the identity alone through
+    # degree 2, none below; against 7776 composable pairs of arrows of
+    # the factorization category
+    C = _one_object(groups.symmetric_group_3())
+    fdata = factorization(C)
+    triples = list(gz._nerve_transport_pairs(C, fdata, 3))
+    assert len(triples) == 4 * 6 * 5 * 5
+    assert len(list(gz._nerve_transport_pairs(C, fdata, 2))) == 4 * 5 * 5
+    assert list(gz._nerve_transport_pairs(C, fdata, 1)) == []
+    comp = fdata.category_op.comp
+    assert len(comp) == 7776
+    assert all(comp[(g, f)] == gf for g, f, gf in triples)
+
+
+def test_strict_lifts_on_the_factorization_category_prove_the_nerve_squares_zero():
+    # Z/4 acting on Z by (a, b) -> (-1)^(a + b) composes on generators
+    C = _one_object(groups.cyclic_group(4))
+    fdata = factorization(C)
+    Fop = fdata.category_op
+
+    def power(f):
+        return 0 if C.is_identity(f) else int(f)
+
+    actions = {m: AbMap(Z, Z, [{0: (-1) ** (power(fdata.pair[m][0]) + power(fdata.pair[m][1]))}])
+               for m in Fop.morphisms if not Fop.is_identity(m)}
+    system = AbDiagram(Fop, {o: Z for o in Fop.objects}, actions)
+    K = gz.nerve_route_complex(C, system, 3, fdata)
+    assert not K._squares and not boundary_squares(K)
+    assert_cleared_route_sound(K)
+    assert gz.bw_homology(C, system, 3, fdata=fdata)["routes_agree"]
+
+
 def test_random_complexes_with_relations_keep_their_invariants():
     # boundaries with relation columns added, so that d∘d is nonzero on the
     # free covers and the cone carries the correction k

@@ -11,11 +11,12 @@ chain by chain."""
 
 import pytest
 from hypothesis import given, settings
+from oracles import nondegenerate_chains
 from test_cofinal_reduction import categories
 
 from hocofin import diagrams, fincat, fixtures, groups, gz, homalg, presheaf
 from hocofin.diagrams import TruncationUnsound, ab_colim_derived, constant_ab_diagram
-from hocofin.fincat import NerveTable, chain_counts, chain_face, composable_chains, from_monoid
+from hocofin.fincat import NerveTable, chain_counts, chain_face, from_monoid
 from hocofin.homalg import FGAb
 
 Z = FGAb.free(1)
@@ -28,7 +29,7 @@ def one_object(G):
 def assert_table_matches_the_chains(C, top):
     T = NerveTable(C, top)
     units = set(C.identity.values())
-    chains = [composable_chains(C, n, nondegenerate=True) for n in range(top + 1)]
+    chains = [nondegenerate_chains(C, n) for n in range(top + 1)]
     assert chain_counts(C, top) == [len(layer) for layer in chains]
     assert T.origin[0] == [ch[0] for ch in chains[0]] == C.objects
     assert T.faces[0] == [()] * len(C.objects)
