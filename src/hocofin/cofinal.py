@@ -14,8 +14,10 @@ from __future__ import annotations
 
 from collections import defaultdict
 from heapq import heappop, heappush
+from math import comb
 
 from .fincat import (
+    chain_counts,
     comma_coslice,
     comma_left_fibre,
     connected_components,
@@ -402,17 +404,12 @@ def _collapse_search(B, effort, max_states=20000):
 
 
 def _nerve_sizes(B, n):
-    """Chain counts of the nerve per degree up to n, by dynamic programming
-    over path endpoints."""
-    counts = [len(B.objects)]
-    ending = {o: 1 for o in B.objects}
-    for _ in range(n):
-        nxt = {o: 0 for o in B.objects}
-        for f in B.morphisms:
-            nxt[B.cod[f]] += ending[B.dom[f]]
-        ending = nxt
-        counts.append(sum(ending.values()))
-    return counts
+    """Chain counts of the nerve per degree up to n, identities included.
+    A chain of degree m with identities in m - k of its m slots is a
+    nondegenerate chain of degree k, so degree m has the sum over k of
+    C(m, k) times the nondegenerate count (``chain_counts``)."""
+    nondegenerate = chain_counts(B, n)
+    return [sum(comb(m, k) * nondegenerate[k] for k in range(m + 1)) for m in range(n + 1)]
 
 
 # the most simplices per degree of the nerve that the homology fallback

@@ -90,20 +90,21 @@ def identity_id(obj):
 
 
 class FinCat:
-    """Validated finite category.
+    """Finite category.
 
     ``comp[(g, f)]`` is the composite g∘f, defined exactly for pairs with
     dom(g) = cod(f).  Instances are immutable after construction and safe
     to share.
 
-    The containers are kept as given: ``validate_category`` hands over
-    fresh ones, and so does a caller that passes ``_validate=False``.
+    The constructor only stores and indexes: the containers are kept as
+    given, and ``validate_category`` hands over fresh ones and runs
+    ``_check``.
     """
 
     __slots__ = ("objects", "morphisms", "dom", "cod", "identity", "comp", "name", "_hom",
                  "_out", "_homs", "_listing", "_table", "_parse")
 
-    def __init__(self, objects, morphisms, dom, cod, identity, comp, name="", _validate=True):
+    def __init__(self, objects, morphisms, dom, cod, identity, comp, name=""):
         self.objects = objects
         self.morphisms = morphisms
         self.dom = dom
@@ -112,8 +113,6 @@ class FinCat:
         self.comp = comp
         self.name = name
         self._index()
-        if _validate:
-            self._check()
 
     def _index(self):
         """The hom-sets and the arrows out of each object, in morphism order."""
@@ -137,34 +136,17 @@ class FinCat:
     def is_identity(self, f):
         return f == self.identity[self.dom[f]] and self.dom[f] == self.cod[f]
 
-    def compose(self, g, f):
-        """g∘f; raises when the pair is not composable."""
-        try:
-            return self.comp[(g, f)]
-        except KeyError:
-            raise MissingComposite("no composite for (%s, %s)" % (g, f)) from None
-
     def composable_pairs(self):
         for f in self.morphisms:
             for g in self._out.get(self.cod[f], []):
                 yield g, f
 
     def _check(self):
-        """Check identities, endpoints and a composite for every composable
-        pair, then associativity on every composable triple."""
-        objects = set(self.objects)
-        for o in self.objects:
-            i = self.identity.get(o)
-            if i is None or i not in self.dom:
-                raise IdentityViolation("object %s has no identity morphism" % o)
-            if self.dom[i] != o or self.cod[i] != o:
-                raise IdentityViolation("identity of %s has wrong endpoints" % o)
-        for f in self.morphisms:
-            if self.dom[f] not in objects or self.cod[f] not in objects:
-                raise DanglingId("morphism %s has undeclared endpoints" % f)
+        """Check that the composition entries sit on composable pairs with
+        the right endpoints, that every composable pair has one, and
+        associativity on every composable triple.  ``validate_category``
+        has already checked the ids, the endpoints and the unit laws."""
         for (g, f), h in self.comp.items():
-            if g not in self.dom or f not in self.dom or h not in self.dom:
-                raise DanglingId("composition entry (%s, %s) -> %s references unknown ids" % (g, f, h))
             if self.dom[g] != self.cod[f]:
                 raise DanglingId("composition entry for non-composable pair (%s, %s)" % (g, f))
             if self.dom[h] != self.dom[f] or self.cod[h] != self.cod[g]:
@@ -177,11 +159,6 @@ class FinCat:
             for g, f in self.composable_pairs():
                 if (g, f) not in self.comp:
                     raise MissingComposite("composable pair (%s, %s) has no composite" % (g, f))
-        for f in self.morphisms:
-            if self.comp[(self.identity[self.cod[f]], f)] != f:
-                raise IdentityViolation("id∘%s != %s" % (f, f))
-            if self.comp[(f, self.identity[self.dom[f]])] != f:
-                raise IdentityViolation("%s∘id != %s" % (f, f))
         # associativity on exactly the composable triples, via out-buckets
         for g, f in self.composable_pairs():
             gf = self.comp[(g, f)]
@@ -350,7 +327,9 @@ def validate_category(objects, morphisms, composition, name=""):
         for key in ((ident[cod[f]], f), (f, ident[dom[f]])):
             if comp.setdefault(key, f) != f:
                 raise IdentityViolation("composition table contradicts identity law at %s" % (key,))
-    return FinCat(objects, mor_ids, dom, cod, ident, comp, name=name)
+    cat = FinCat(objects, mor_ids, dom, cod, ident, comp, name=name)
+    cat._check()
+    return cat
 
 
 class Functor:
@@ -560,6 +539,7 @@ def comma_left_fibre(S, d):
     is alpha: c -> c' with b'∘S(alpha) = b.
     """
     C, D = S.source, S.target
+    # without this, an unknown d would give an empty fibre, silently
     if d not in D.identity:
         raise UnknownObject("unknown object %s" % d)
     parts = objects_over((c, b) for c in C.objects for b in D.hom(S.on_obj(c), d))
@@ -571,6 +551,7 @@ def comma_coslice(S, d):
     """The coslice d↓S: objects (c, beta: d -> S(c)), morphisms alpha with
     S(alpha)∘beta = beta'."""
     C, D = S.source, S.target
+    # without this, an unknown d would give an empty coslice, silently
     if d not in D.identity:
         raise UnknownObject("unknown object %s" % d)
     parts = objects_over((c, b) for c in C.objects for b in D.hom(d, S.on_obj(c)))
@@ -714,8 +695,6 @@ def factor_slice(S, alpha):
     with u' = S(beta)∘u and v = v'∘S(beta).
     """
     C, D = S.source, S.target
-    if alpha not in D.dom:
-        raise UnknownMorphism("unknown morphism %s" % alpha)
     a0, a1 = D.dom[alpha], D.cod[alpha]
     parts = objects_over(
         (c, u, v)
@@ -878,7 +857,8 @@ def final_objects(C, objs=None):
 
 def full_subcategory(C, objs):
     """Full subcategory on the given objects (order induced from C); a
-    view whose hom-sets are C's and whose table is C's restricted."""
+    view whose hom-sets are C's and whose table is C's on the kept
+    arrows' composable pairs, read from C pair by pair."""
     oset = set(objs)
     objs = [o for o in C.objects if o in oset]
 
@@ -887,8 +867,7 @@ def full_subcategory(C, objs):
         return mors, {f: C.dom[f] for f in mors}, {f: C.cod[f] for f in mors}
 
     def table(view):
-        mset = set(view.morphisms)
-        return {k: v for k, v in C.comp.items() if k[0] in mset and k[1] in mset}
+        return {pair: C.comp[pair] for pair in view.composable_pairs()}
 
     return _View(objs, {o: C.identity[o] for o in objs}, C.hom, listing, table,
                  C.name and C.name + "|", _ids_parse(C))
@@ -958,8 +937,6 @@ def chain_face(C, chain, i):
     """Nerve face d_i: d_0 starts at x1, d_n drops the last arrow, and an
     inner face composes the two arrows at x_i."""
     n = len(chain) - 1
-    if n == 0:
-        raise ValueError("no faces in degree 0")
     if i == 0:
         return (C.cod[chain[1]],) + chain[2:]
     if i == n:

@@ -16,7 +16,7 @@ from __future__ import annotations
 from . import fincat
 from .diagrams import Diagram
 from .fincat import chain_degeneracy, chain_face, composable_chains
-from .groups import BudgetExceeded, FinGroup, FreeProduct, fingerprint, tietze_simplify, word_key
+from .groups import BudgetExceeded, FreeProduct, fingerprint, tietze_simplify, word_key
 from .presheaf import SSetMap, edge_path_group, homology_ss, nerve, simplicial_set
 
 
@@ -79,8 +79,6 @@ def classifying_space(G, N):
             G = G.as_table_group()
         except BudgetExceeded as exc:
             raise CapExceeded(str(exc)) from None
-    if not isinstance(G, FinGroup):
-        raise HocolimError("expected a finite group or a free product")
     if G.order() ** N > CLASSIFYING_SPACE_CAP:
         raise CapExceeded("classifying space has %d top simplices" % G.order() ** N)
     cat = fincat.from_monoid(G.elements, G.unit, G.table, name="B(%s)" % (G.name or "?"))

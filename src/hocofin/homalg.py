@@ -87,8 +87,6 @@ class IntMatrix:
         return [row[j] for row in self.entries]
 
     def mul_vec(self, v):
-        if len(v) != self.cols:
-            raise ValueError("vector length mismatch")
         # products only where v is nonzero: rows x nnz(v) multiplications
         vals = [x for x in v if x]
         return [sum(map(mul, compress(row, v), vals)) for row in self.entries]
@@ -373,8 +371,6 @@ class FGAb:
         if rels is None:
             rels = ()
         if isinstance(rels, IntMatrix):
-            if rels.rows != gens:
-                raise ValueError("relation matrix must have one row per generator")
             rels = _sparse_columns(rels)
         else:
             rels = _checked_columns(rels, gens)
@@ -435,15 +431,14 @@ class AbMap:
 
     ``columns`` is the stored form: one sparse {target generator: entry}
     dict per source generator.  ``matrix`` is the dense IntMatrix view,
-    built on first access; a dense matrix may also be given.
+    built on first access; a dense matrix, target generators by source
+    generators, may also be given.
     """
 
     __slots__ = ("source", "target", "columns", "_matrix")
 
     def __init__(self, source, target, matrix, check=True):
         if isinstance(matrix, IntMatrix):
-            if matrix.rows != target.gens or matrix.cols != source.gens:
-                raise ValueError("matrix shape does not fit source/target generators")
             self._matrix = matrix
             columns = _sparse_columns(matrix)
         else:
@@ -478,15 +473,11 @@ class AbMap:
 
     def compose(self, other):
         """self after other."""
-        if other.target.gens != self.source.gens:
-            raise ValueError("composition shape mismatch")
         columns = [_push(col, self.columns) for col in other.columns]
         return AbMap(other.source, self.target, columns, check=False)
 
     def equals(self, other):
         """Equality modulo the target relation lattice."""
-        if self.target.gens != other.target.gens or self.source.gens != other.source.gens:
-            return False
         diff = []
         for a, b in zip(self.columns, other.columns):
             col = dict(a)

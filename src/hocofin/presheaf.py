@@ -88,9 +88,8 @@ class TruncSSet:
 
     def base_degeneracy(self, n):
         """The degree-n degeneracy of the basepoint (the basepoint itself
-        in degree 0)."""
-        if self.basepoint is None:
-            raise PresheafError("simplicial set is not pointed")
+        in degree 0); the set is pointed, as ``PointedDiagram`` requires
+        of its values."""
         x = self.basepoint
         for m in range(n):
             x = self.degeneracies[(m, 0)][x]
@@ -411,13 +410,10 @@ def elements_with_parts(X):
 
 def inverse_fibre(f, d, y):
     """Pullback of a presheaf morphism against the representable at d,
-    taken over the element y in Y(d); computed elementwise."""
+    taken over the element y in Y(d), for an object d of the base;
+    computed elementwise."""
     X, Y = f.source, f.target
     D = X.base
-    if d not in D.identity:
-        raise fincat.UnknownObject("unknown object %s" % d)
-    if y not in set(Y.sets[d]):
-        raise PresheafError("element %s is not in Y(%s)" % (y, d))
     sets = {}
     parts = {}
     for a in D.objects:

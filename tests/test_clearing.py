@@ -174,6 +174,21 @@ def test_lifts_that_compose_only_modulo_relations_take_the_chainwise_squares(dat
         assert gz.bw_homology(C, system, 1, fdata=fdata)["routes_agree"]
 
 
+def test_an_identity_acting_by_other_columns_takes_the_chainwise_squares():
+    # each identity acts on Z/2 by 3, the identity modulo 2: a diagram
+    # equal to the constant one, whose identity lifts are no identity
+    # columns, so lifts_compose refuses it before reading any pair
+    C = _one_object(groups.cyclic_group(2))
+    three = AbMap(Z2, Z2, [{0: 3}])
+    M = AbDiagram(C, {"*": Z2}, {f: three if C.is_identity(f) else AbMap(Z2, Z2, [{0: 1}])
+                                 for f in C.morphisms})
+    assert not diagrams.lifts_compose(C, M)
+    K = srep_ab_complex(C, M, 3)
+    assert_cleared_route_sound(K)
+    constant = srep_ab_complex(C, constant_ab_diagram(C, Z2), 3)
+    assert [K.homology(n) for n in range(4)] == [constant.homology(n) for n in range(4)]
+
+
 def test_strict_lifts_prove_their_squares_zero():
     # constant and identity-column diagrams compose on generators; so does
     # one whose arrows act by columns that compose exactly (Z/4 acting on

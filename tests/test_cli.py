@@ -444,6 +444,296 @@ MALFORMED.update({
 })
 
 
+def with_categories(**categories):
+    """GOOD_WORKSPACE with more, or replaced, categories."""
+    return dict(GOOD_WORKSPACE, categories=dict(GOOD_WORKSPACE["categories"], **categories))
+
+
+TWO = GOOD_WORKSPACE["categories"]["two"]
+Z2 = GOOD_WORKSPACE["groups"]["z2"]
+M = GOOD_WORKSPACE["abdiagrams"]["m"]
+HB = GOOD_WORKSPACE["dsets"]["hb"]
+# Z/2 as a one-object category, and the monoid {1, e} with e∘e = e
+Z2CAT = {"objects": ["*"], "morphisms": [{"id": "x", "dom": "*", "cod": "*"}],
+         "composition": [{"g": "x", "f": "x", "eq": "id_*"}]}
+IDEMPOTENT = {"objects": ["*"], "morphisms": [{"id": "e", "dom": "*", "cod": "*"}],
+              "composition": [{"g": "e", "f": "e", "eq": "e"}]}
+# a -> b -> c with its composite a -> c
+THREE = {"objects": ["a", "b", "c"],
+         "morphisms": [{"id": "u", "dom": "a", "cod": "b"}, {"id": "v", "dom": "b", "cod": "c"},
+                       {"id": "w", "dom": "a", "cod": "c"}],
+         "composition": [{"g": "v", "f": "u", "eq": "w"}]}
+# the point with a loop l beside its degenerate edge
+CIRCLE = {"level": 1, "simplices": [["v"], ["sv", "l"]],
+          "faces": {"1,0": {"sv": "v", "l": "v"}, "1,1": {"sv": "v", "l": "v"}},
+          "degeneracies": {"0,0": {"v": "sv"}}, "basepoint": "v"}
+
+
+def delta1(level, basepoint="0"):
+    """The 1-simplex as a simplicial set through ``level``: the degree-n
+    simplices are the nondecreasing words of n + 1 letters in 0 < 1, d_i
+    drops letter i and s_i repeats it."""
+    simplices = [["0" * (n + 1 - k) + "1" * k for k in range(n + 2)] for n in range(level + 1)]
+    out = {
+        "level": level,
+        "simplices": simplices,
+        "faces": {"%d,%d" % (n, i): {x: x[:i] + x[i + 1:] for x in simplices[n]}
+                  for n in range(1, level + 1) for i in range(n + 1)},
+        "degeneracies": {"%d,%d" % (n, i): {x: x[:i + 1] + x[i:] for x in simplices[n]}
+                         for n in range(level) for i in range(n + 1)},
+    }
+    if basepoint is not None:
+        out["basepoint"] = basepoint
+    return out
+
+
+def broken(sset, kind, key, x, y):
+    """A copy of ``sset`` whose ``kind`` map ``key`` sends x to y."""
+    out = json.loads(json.dumps(sset))
+    out[kind][key][x] = y
+    return out
+
+
+def with_functor(source, target, objects, morphisms):
+    """GOOD_WORKSPACE with Z2CAT, IDEMPOTENT and the one functor f."""
+    return dict(with_categories(z2cat=Z2CAT, idempotent=IDEMPOTENT), functors={"f": {
+        "source": source, "target": target, "objects": objects, "morphisms": morphisms}})
+
+
+def pointed_over_two(a, b, maps):
+    """GOOD_WORKSPACE whose pointed diagram pd has values a and b and
+    the map ``maps`` at u."""
+    return dict(GOOD_WORKSPACE, pointed_diagrams={"pd": {
+        "category": "two", "level": 1, "values": {"a": a, "b": b}, "maps": {"u": maps}}})
+
+
+# every check that a workspace can reach, one input each
+MALFORMED.update({
+    # validate_category, then FinCat._check
+    "composition-entry-on-a-non-composable-pair": (
+        with_categories(two=dict(TWO, composition=[{"g": "u", "f": "u", "eq": "u"}])),
+        "DanglingId: composition entry for non-composable pair (u, u)",
+    ),
+    "composition-entry-against-a-unit-law": (
+        with_categories(two=dict(TWO, composition=[{"g": "id_b", "f": "u", "eq": "id_a"}])),
+        "IdentityViolation: composition table contradicts identity law at ('id_b', 'u')",
+    ),
+    "conflicting-composition-entries": (
+        with_categories(one={"objects": ["*"], "morphisms": [{"id": "x", "dom": "*", "cod": "*"}],
+                             "composition": [{"g": "x", "f": "x", "eq": "x"},
+                                             {"g": "x", "f": "x", "eq": "id_*"}]}),
+        "CategoryError: conflicting composition entries for (x, x)",
+    ),
+    "composite-with-the-wrong-endpoints": (
+        with_categories(three=dict(THREE, composition=[{"g": "v", "f": "u", "eq": "u"}])),
+        "AssociativityViolation: composite u of (v, u) has wrong endpoints",
+    ),
+    "morphism-id-repeating-an-identity": (
+        with_categories(two=dict(TWO, morphisms=[{"id": "id_a", "dom": "a", "cod": "b"}])),
+        "DanglingId: morphism id id_a duplicates another (identities are reserved)",
+    ),
+    "morphism-with-an-unknown-endpoint": (
+        with_categories(two=dict(TWO, morphisms=[{"id": "u", "dom": "a", "cod": "zz"}])),
+        "DanglingId: morphism u references unknown object",
+    ),
+    "duplicate-object-ids": (
+        with_categories(one={"objects": ["*", "*"], "morphisms": [], "composition": []}),
+        "CategoryError: duplicate object ids",
+    ),
+    "composition-entry-with-an-unknown-id": (
+        with_categories(two=dict(TWO, composition=[{"g": "zz", "f": "u", "eq": "u"}])),
+        "DanglingId: composition entry (zz, u) -> u references unknown ids",
+    ),
+    # Functor._check
+    "functor-morphism-image-unknown": (
+        with_functor("two", "two", {"a": "a", "b": "b"}, {"u": "zz"}),
+        "UnknownMorphism: morphism u has no valid image",
+    ),
+    "functor-breaks-endpoints": (
+        with_functor("two", "two", {"a": "a", "b": "b"}, {"u": "id_a"}),
+        "CategoryError: functor breaks dom/cod at u",
+    ),
+    "functor-breaks-an-identity": (
+        with_functor("one", "z2cat", {"*": "*"}, {"id_*": "x"}),
+        "CategoryError: functor breaks identity at *",
+    ),
+    "functor-breaks-composition": (
+        with_functor("z2cat", "idempotent", {"*": "*"}, {"x": "e"}),
+        "CategoryError: functor breaks composition at (x, x)",
+    ),
+    # the group-table axioms
+    **{"group-" + case: (dict(GOOD_WORKSPACE, groups={"z2": dict(Z2, **change)}), message)
+       for case, change, message in (
+           ("unit-not-an-element", {"unit": "7"}, "GroupError: unit is not an element"),
+           ("duplicate-elements", {"elements": ["0", "0"], "table": [["0", "0"], ["0", "0"]]},
+            "GroupError: duplicate elements"),
+           ("table-not-closed", {"table": [["0", "1"], ["1", "2"]]},
+            "GroupError: table is not closed at (1, 1)"),
+           ("unit-law-fails", {"table": [["1", "0"], ["0", "1"]]}, "GroupError: unit law fails at 0"),
+           ("not-associative", {"elements": ["e", "a", "b"], "unit": "e",
+                                "table": [["e", "a", "b"], ["a", "a", "e"], ["b", "e", "b"]]},
+            "GroupError: associativity fails at (a, a, b)"),
+           ("no-inverse", {"table": [["0", "1"], ["1", "1"]]}, "GroupError: no inverse for 1"),
+           ("table-not-square", {"table": [["0", "1"]]},
+            "InputError: group table must be a square over the elements"),
+           ("elements-not-a-list", {"elements": 5},
+            "InputError: group elements and table must be JSON arrays"),
+       )},
+    # TruncSSet: one simplex list per degree, then _check
+    **{"sset-" + case: (dict(GOOD_WORKSPACE, ssets={"pt": sset}), "PresheafError: " + message)
+       for case, sset, message in (
+           ("one-simplex-list-short", dict(POINT, simplices=[["v"]]),
+            "need one simplex list per degree 0..N, N >= 0"),
+           ("duplicate-simplex", dict(POINT, simplices=[["v", "v"], ["sv"]]),
+            "duplicate simplex ids in one degree"),
+           ("basepoint-not-a-vertex", dict(POINT, basepoint="w"), "basepoint is not a vertex"),
+           ("face-not-total", dict(POINT, faces={"1,0": {}, "1,1": {"sv": "v"}}),
+            "face (1, 0) is not total"),
+           ("face-leaving-the-set", dict(POINT, faces={"1,0": {"sv": "zz"}, "1,1": {"sv": "v"}}),
+            "face (1, 0) leaves the simplicial set"),
+           ("breaking-d-d", broken(delta1(2), "faces", "2,0", "001", "00"),
+            "d_i d_j identity fails at '001'"),
+           ("breaking-s-s", broken(delta1(2), "degeneracies", "1,1", "00", "001"),
+            "s_i s_j identity fails at '0'"),
+           ("breaking-d-s", broken(delta1(1), "degeneracies", "0,0", "0", "01"),
+            "d_i s_j identity fails at '0'"),
+       )},
+    # SSetMap._check, on a pointed diagram's map
+    **{"sset-map-" + case: (pointed_over_two(*values), "PresheafError: " + message)
+       for case, values, message in (
+           ("one-table-short", (POINT, POINT, [{"v": "v"}]), "level mismatch in simplicial map"),
+           ("not-total", (POINT, POINT, [{"v": "v"}, {}]), "map not total in degree 1"),
+           ("against-a-face", (delta1(1), delta1(1), [{"0": "0", "1": "0"},
+                                                      {"00": "00", "01": "01", "11": "11"}]),
+            "map does not commute with d_0"),
+           ("against-a-degeneracy", (POINT, CIRCLE, [{"v": "v"}, {"sv": "l"}]),
+            "map does not commute with s_0"),
+           ("moving-the-basepoint", (delta1(1), delta1(1), [{"0": "1", "1": "1"},
+                                                           {"00": "11", "01": "11", "11": "11"}]),
+            "map does not preserve the basepoint"),
+           ("from-an-unpointed-set", (delta1(1, basepoint=None), delta1(1),
+                                      [{"0": "0", "1": "1"}, {"00": "00", "01": "01", "11": "11"}]),
+            "pointed map between unpointed simplicial sets"),
+       )},
+    # DSet and DSetMorphism
+    "dset-misses-an-action": (
+        dict(GOOD_WORKSPACE, dsets={"hb": dict(HB, maps={})}),
+        "PresheafError: presheaf misses the action of u",
+    ),
+    "dset-action-not-a-map": (
+        dict(GOOD_WORKSPACE, dsets={"hb": dict(HB, maps={"u": {"zz": "u"}})}),
+        "PresheafError: action of u is not a map X(b) -> X(a)",
+    ),
+    "dset-not-contravariant": (
+        dict(with_categories(three=THREE), dsets={"hb": HB, "x": {
+            "category": "three", "sets": {"a": ["x1", "x2"], "b": ["y"], "c": ["z"]},
+            "maps": {"v": {"z": "y"}, "u": {"y": "x1"}, "w": {"z": "x2"}}}}),
+        "PresheafError: contravariance fails at (v, u)",
+    ),
+    "dsetmap-across-bases": (
+        dict(GOOD_WORKSPACE, dsets={"hb": HB, "pt": {"category": "one", "sets": {"*": ["p"]},
+                                                     "maps": {}}},
+             dsetmaps={"idhb": {"source": "hb", "target": "pt", "components": {}}}),
+        "PresheafError: presheaf morphism needs a common base",
+    ),
+    "dsetmap-component-not-total": (
+        dict(GOOD_WORKSPACE, dsetmaps={"idhb": dict(GOOD_WORKSPACE["dsetmaps"]["idhb"],
+                                                    components={"a": {}, "b": {"ib": "ib"}})}),
+        "NaturalityViolation: component at a is not total",
+    ),
+    "dsetmap-component-leaving-the-target": (
+        dict(GOOD_WORKSPACE, dsetmaps={"idhb": dict(GOOD_WORKSPACE["dsetmaps"]["idhb"],
+                                                    components={"a": {"u": "zz"}, "b": {"ib": "ib"}})}),
+        "NaturalityViolation: component at a leaves the target",
+    ),
+    # the readers
+    "diagram-hom-on-unknown-morphism": (
+        dict(GOOD_WORKSPACE, diagrams={"d": dict(GOOD_WORKSPACE["diagrams"]["d"],
+                                                 homs={"zz": {"A.1": [["A", "1"]]}})}),
+        "InputError: diagram references unknown morphism zz",
+    ),
+    "hom-letter-unknown-label": (
+        dict(GOOD_WORKSPACE, diagrams={"d": dict(GOOD_WORKSPACE["diagrams"]["d"],
+                                                 homs={"u": {"A.1": [["B", "1"]]}})}),
+        "UnknownLabel: unknown factor label B",
+    ),
+    "gens-negative": (
+        dict(GOOD_WORKSPACE, abdiagrams={"m": dict(M, values={"a": {"gens": -1}, "b": {"gens": 1}})}),
+        "InputError: abelian group gens must not be negative",
+    ),
+    "hom-missing-a-letter": (
+        dict(GOOD_WORKSPACE, diagrams={"d": dict(GOOD_WORKSPACE["diagrams"]["d"], homs={"u": {}})}),
+        "InputError: hom at u misses letter A.1",
+    ),
+    "abelian-rels-rows-not-gens": (
+        dict(GOOD_WORKSPACE, abdiagrams={"m": dict(M, values={
+            "a": {"gens": 1, "rels": {"rows": 2, "cols": 1, "data": ["2", "0"]}}, "b": {"gens": 1}})}),
+        "InputError: abelian group rels has 2 rows, gens is 1",
+    ),
+    "abdiagram-map-on-unknown-morphism": (
+        dict(GOOD_WORKSPACE, abdiagrams={"m": dict(M, maps={"zz": {"rows": 1, "cols": 1, "data": ["2"]}})}),
+        "InputError: diagram references unknown morphism zz",
+    ),
+    "abdiagram-map-of-the-wrong-shape": (
+        dict(GOOD_WORKSPACE, abdiagrams={"m": dict(M, maps={"u": {"rows": 1, "cols": 2,
+                                                                  "data": ["1", "0"]}})}),
+        "InputError: map at u is 1x2, needs 1x1",
+    ),
+    "system-without-a-group": (
+        dict(GOOD_WORKSPACE, systems={"s": {"over": {"kind": "factorization-op", "category": "two"}}}),
+        "InputError: system needs constant_group or constant_abelian",
+    ),
+    "matrix-data-not-a-list": (
+        dict(GOOD_WORKSPACE, abdiagrams={"m": dict(M, maps={"u": {"rows": 1, "cols": 1, "data": 5}})}),
+        "InputError: matrix data must be a JSON array",
+    ),
+    "presentation-unknown-kind": (
+        dict(GOOD_WORKSPACE, presentations={"p": dict(GOOD_WORKSPACE["presentations"]["p"], kind="table")}),
+        "InputError: unknown presentation kind 'table'",
+    ),
+    "presentation-duplicate-generators": (
+        dict(GOOD_WORKSPACE, presentations={"p": dict(GOOD_WORKSPACE["presentations"]["p"],
+                                                      generators=["x", "x"])}),
+        "GroupError: duplicate generators",
+    ),
+    "free-product-duplicate-labels": (
+        diagram_groups({"kind": "free_product", "factors": [{"label": "A", "group": Z2},
+                                                            {"label": "A", "group": Z2}]}),
+        "GroupError: duplicate factor labels",
+    ),
+    # AbMap's own check refuses it before AbDiagram's would
+    "abelian-action-breaking-the-relations": (
+        dict(GOOD_WORKSPACE, abdiagrams={"m": dict(M, values={
+            "a": {"gens": 1, "rels": {"rows": 1, "cols": 1, "data": ["2"]}}, "b": {"gens": 1}})}),
+        "HomalgError: matrix does not respect the source relations",
+    ),
+})
+
+
+# errors that a command meets past reading the workspace
+MALFORMED_FOR_A_COMMAND = {
+    "hocolim-level-above-the-diagram": (
+        GOOD_WORKSPACE, ["hocolim", "--pointed-diagram", "bgd", "--level", "3"],
+        "LevelMismatch: diagram level 2 below requested 3",
+    ),
+    "pi1-of-a-level-1-set": (
+        GOOD_WORKSPACE, ["pi1", "--sset", "pt"],
+        "LevelTooLow: fundamental group needs level >= 2",
+    ),
+    "pi1-of-an-unpointed-set": (
+        dict(GOOD_WORKSPACE, ssets={"pt": delta1(2, basepoint=None)}), ["pi1", "--sset", "pt"],
+        "PresheafError: fundamental group needs a basepoint",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_FOR_A_COMMAND))
+def test_a_command_on_a_malformed_input_is_a_one_line_error(case, capsys, tmp_path):
+    data, argv, message = MALFORMED_FOR_A_COMMAND[case]
+    code, err = one_line_error(capsys, data, tmp_path, *argv)
+    assert code == 1 and message in err
+
+
 @pytest.mark.parametrize("case", sorted(MALFORMED))
 def test_malformed_workspace_is_a_one_line_error(case, capsys, tmp_path):
     data, message = MALFORMED[case]
@@ -609,6 +899,50 @@ def test_workspace_commands(capsys, ws_file):
     assert code == 0
     code, out = run(capsys, "fingerprint", "--workspace", ws_file, "--presentation", "p")
     assert code == 0
+
+
+def workspace_run(capsys, tmp_path, data, *argv):
+    """Exit code and stdout of a command on a workspace file holding data."""
+    path = tmp_path / "ws.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    return run(capsys, *argv, "--workspace", str(path))
+
+
+def test_an_inline_free_product_is_read_as_the_referenced_group(capsys, tmp_path):
+    inline = diagram_groups({"kind": "free_product", "factors": [{"label": "A", "group": Z2}]})
+    assert (workspace_run(capsys, tmp_path, inline, "colim0", "--diagram", "d")
+            == workspace_run(capsys, tmp_path, GOOD_WORKSPACE, "colim0", "--diagram", "d"))
+
+
+def test_a_constant_group_system_reports_its_colimit(capsys, tmp_path):
+    data = dict(GOOD_WORKSPACE, systems={
+        "gs": {"over": {"kind": "factorization-op", "category": "two"}, "constant_group": {"ref": "z2"}},
+        "gs-el": {"over": {"kind": "elements-op", "dset": "hb"}, "constant_group": {"ref": "z2"}},
+    })
+    for argv in (["bw", "--category", "two", "--system", "gs"],
+                 ["gz", "--dset", "hb", "--system", "gs-el"]):
+        code, out = workspace_run(capsys, tmp_path, data, *argv, "--nmax", "1", "--format", "json")
+        report = json.loads(out)
+        assert code == 0 and report["abelian"] == ["Z/2", "0"] and report["routes_agree"]
+        assert report["n0"]["fingerprint"] == [1, 2, 1, 2, 4, 1, 2, 4, 1, 2, 4, 8, 6, 2]
+
+
+def test_kan_extend_of_an_abelian_diagram(capsys, tmp_path):
+    data = dict(GOOD_WORKSPACE, abdiagrams={"m1": {
+        "category": "one", "values": {"*": {"gens": 1, "rels": {"rows": 1, "cols": 1, "data": ["2"]}}},
+        "maps": {}}})
+    code, out = workspace_run(capsys, tmp_path, data, "kan-extend", "--functor", "inc-b",
+                              "--diagram", "m1", "--abelian", "--format", "json")
+    assert code == 0 and json.loads(out)["values"] == {"a": "0", "b": "Z/2"}
+
+
+def test_a_functor_into_the_empty_category_is_vacuously_cofinal(capsys, tmp_path):
+    data = dict(with_categories(empty={"objects": [], "morphisms": [], "composition": []}),
+                functors={"e": {"source": "empty", "target": "empty", "objects": {}}})
+    code, out = workspace_run(capsys, tmp_path, data, "check-cofinal", "--functor", "e",
+                              "--format", "json")
+    report = json.loads(out)
+    assert code == 0 and report["aggregate"] == "CONTRACTIBLE" and report["per_object"] == {}
 
 
 WRONG_BASE = {
@@ -814,6 +1148,7 @@ def test_exit_codes(capsys):
     ["homology", "--diagram", "ab-z-z2cat", "--abelian", "--nmax", "-2"],
     ["homology", "--diagram", "ab-z-z2cat", "--abelian", "--nmax", "-1"],
     ["bw", "--category", "z2cat", "--system", "z-nsys-z2cat", "--nmax", "-2"],
+    ["bw", "--category", "z2cat", "--system", "z-nsys-z2cat", "--nmax", "x"],
     ["gz", "--dset", "interval-span", "--system", "z-el-interval", "--nmax", "-2"],
     ["andre", "--dset", "hb-two", "--diagram", "two-z2", "--nmax", "-2"],
     ["hocolim", "--pointed-diagram", "bg-span-z2-z3", "--level", "3", "--nmax", "-2"],
@@ -826,7 +1161,8 @@ def test_exit_codes(capsys):
     ["verify", "--theorem", "wefrac", "--fixture", "z2cat", "--effort", "-1"],
 ], ids=["bad-choice", "missing-option", "missing-diagram", "no-command",
         "validate-workspace", "verify-workspace", "list-fixtures-workspace",
-        "homology-nmax", "homology-nmax-minus-1", "bw-nmax", "gz-nmax", "andre-nmax",
+        "homology-nmax", "homology-nmax-minus-1", "bw-nmax", "bw-nmax-not-an-integer",
+        "gz-nmax", "andre-nmax",
         "hocolim-nmax", "check-cofinal-nmax", "verify-homoliso-nmax", "verify-dliso-nmax",
         "verify-dhiso-nmax", "check-cofinal-effort-0", "verify-effort"])
 def test_usage_errors_are_one_line_input_errors(argv, capsys):

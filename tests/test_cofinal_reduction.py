@@ -23,7 +23,14 @@ from hocofin.diagrams import (
     constant_ab_diagram,
     srep_ab_complex,
 )
-from hocofin.fincat import factorization, from_monoid, from_poset, opposite, validate_category
+from hocofin.fincat import (
+    factorization,
+    from_monoid,
+    from_poset,
+    full_subcategory,
+    opposite,
+    validate_category,
+)
 from hocofin.groups import cyclic_group
 from hocofin.homalg import AbMap, FGAb
 
@@ -141,6 +148,22 @@ def test_every_fixture_diagram_and_system_matches_the_unreduced_complex():
         kept = assert_reduction_sound(M.base, M, 3)
         reduced += len(kept) < len(M.base.objects)
     assert len(cases) > 40 and reduced > 10
+
+
+def test_a_core_table_is_the_base_table_on_the_kept_arrows():
+    # full_subcategory reads its table pair by pair; the oracle filters
+    # the base's whole table
+    cases = 0
+    for _, diagram in fixture_diagrams():
+        C = diagram.base
+        kept, _ = reflective_core(C)
+        if len(kept) == len(C.objects):
+            continue
+        A = full_subcategory(C, kept)
+        arrows = set(A.morphisms)
+        assert A.comp == {k: h for k, h in C.comp.items() if k[0] in arrows and k[1] in arrows}
+        cases += 1
+    assert cases > 10
 
 
 def test_every_verify_fixture_matches_the_unreduced_complex(monkeypatch):

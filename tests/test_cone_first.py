@@ -12,7 +12,7 @@ import itertools
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hocofin import fixtures
+from hocofin import cofinal, fixtures
 from hocofin.cofinal import (
     CONTRACTIBLE,
     DEFAULT_NERVE_CAP,
@@ -203,3 +203,14 @@ def test_hypothesis_monoids_and_their_fibres(n, m, flip):
     build = (lambda: opposite(comma_left_fibre(F.cod, "*")[0])) if flip else \
         (lambda: comma_left_fibre(F.cod, "*")[0])
     assert agree(build(), build).kind == CONTRACTIBLE
+
+
+def test_trivial_invariants_without_a_cone_or_a_collapse_are_evidence(monkeypatch):
+    # the fence a -> b <- c -> d has neither a final nor an initial object;
+    # with the collapse search finding nothing, its trivial homology is
+    # all the certifier has
+    monkeypatch.setattr(cofinal, "_collapse_search", lambda *args, **kwargs: None)
+    B = from_poset(["a", "b", "c", "d"], lambda x, y: (x, y) in {("a", "b"), ("c", "b"), ("c", "d")})
+    v = certify_contractible(B)
+    assert v.kind == EVIDENCE
+    assert v.checks["homology"][1:] == ["0"] * (len(v.checks["homology"]) - 1)

@@ -107,6 +107,16 @@ def test_bar_oracle_z2():
 # -- colim0 -------------------------------------------------------------------
 
 
+def test_a_group_diagram_refuses_an_action_between_the_wrong_values():
+    two = validate_category(["a", "b"], [("u", "a", "b")], [])
+    z2, z3 = FreeProduct([("A", cyclic_group(2))]), FreeProduct([("B", cyclic_group(3))])
+    trivial = {"A": {"0": (), "1": ()}}
+    with pytest.raises(DiagramError, match="action of u has the wrong source"):
+        GroupDiagram(two, {"a": z3, "b": z2}, {"u": GroupHom(z2, z2, trivial)})
+    with pytest.raises(DiagramError, match="action of u has the wrong target"):
+        GroupDiagram(two, {"a": z2, "b": z2}, {"u": GroupHom(z2, z3, trivial)})
+
+
 def test_colim0_span_z2_z3():
     G = span_z2_z3()
     P = colim0(G.base, G)

@@ -136,7 +136,7 @@ def materialized_factorization(C):
 
 def eager_opposite(C):
     return FinCat(C.objects, C.morphisms, C.cod, C.dom, C.identity,
-                  {(f, g): h for (g, f), h in C.comp.items()}, _validate=False)
+                  {(f, g): h for (g, f), h in C.comp.items()})
 
 
 def listed(view):
@@ -300,7 +300,7 @@ def certify_a_redirected_table(view, over, redirected):
     entries, hit = redirect_one(((g, f, h) for (g, f), h in view.comp.items()), ends)
     redirected.append(hit)
     copy = FinCat(view.objects, view.morphisms, view.dom, view.cod, view.identity,
-                  {(g, f): h for g, f, h in entries}, _validate=False)
+                  {(g, f): h for g, f, h in entries})
     certify_over(copy, over)
 
 

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hocofin import fincat, fixtures
 from hocofin.fincat import (
@@ -24,6 +26,7 @@ from hocofin.fincat import (
 )
 from hocofin.presheaf import DSet, elements_with_parts
 from oracles import disjoint_union, initial_objects, nondegenerate_chains
+from test_cofinal_reduction import monoids, posets
 
 
 def walking_arrow():
@@ -340,6 +343,14 @@ def test_composable_chains_match_the_nerve_size_count():
                     x = C.cod[f]
         o = C.objects[0]
         assert nerve(C, 1, basepoint=o).basepoint == (o,)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(monoids(4), posets()))
+def test_the_nerve_sizes_count_the_composable_chains(C):
+    from hocofin.cofinal import _nerve_sizes
+
+    assert _nerve_sizes(C, 4) == [len(composable_chains(C, n)) for n in range(5)]
 
 
 def test_chain_faces_and_degeneracies():

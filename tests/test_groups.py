@@ -103,6 +103,26 @@ def test_group_hom_rejects_non_multiplicative():
         GroupHom(fp, fp, bad)
 
 
+def test_group_hom_needs_every_factor_and_element_and_the_unit_to_the_unit():
+    z2 = cyclic_group(2)
+    fp = FreeProduct([("A", z2)])
+    with pytest.raises(groups.UnknownLabel, match="no map for factor A"):
+        GroupHom(fp, fp, {})
+    with pytest.raises(groups.UnknownLabel, match="factor A misses element 1"):
+        GroupHom(fp, fp, {"A": {"0": ()}})
+    # the unit sent to a letter breaks multiplicativity at (unit, unit)
+    with pytest.raises(groups.GroupError, match=r"not multiplicative at \(0, 0\)"):
+        GroupHom(fp, fp, {"A": {"0": fp.letter("A", "1"), "1": fp.letter("A", "1")}})
+
+
+def test_words_with_an_unknown_label_are_refused():
+    fp = FreeProduct([("A", cyclic_group(2))])
+    with pytest.raises(groups.UnknownLabel, match="unknown factor label B"):
+        fp.reduce((("B", "1"),))
+    with pytest.raises(groups.UnknownLabel, match="unknown factor label B"):
+        GroupHom.identity(fp).apply((("B", "1"),))
+
+
 def test_hom_count_examples():
     x2 = GroupPresentation(["x"], [["x", "x"]])
     assert hom_count(x2, cyclic_group(2)) == 2

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from hocofin import _jsonio
+from hocofin import _jsonio, homalg
 from hocofin.homalg import (
     AbMap,
     ChainComplex,
@@ -139,6 +139,8 @@ def test_fgab_canonical_forms():
     assert str(FGAb.trivial()) == "0"
     assert str(FGAb.from_invariants(1, (2,))) == "Z (+) Z/2"
     assert FGAb.cyclic(6) == FGAb(2, IntMatrix([[2, 0], [0, 3]]))
+    # Z/0 is Z
+    assert FGAb.cyclic(0) == FGAb.free(1)
 
 
 def test_fgab_direct_sum():
@@ -181,6 +183,29 @@ def test_homology_free_two_term():
     # Z --2--> Z
     K, _ = _free_complex([IntMatrix([[2]])], 1)
     assert K.homology(0) == FGAb.cyclic(2)
+
+
+def test_a_complex_needs_contiguous_degrees_and_fitting_boundaries():
+    Z, Z_squared = FGAb.free(1), FGAb.free(2)
+    with pytest.raises(ValueError, match="empty complex"):
+        ChainComplex({}, {})
+    with pytest.raises(ValueError, match="degrees must be contiguous"):
+        ChainComplex({0: Z, 2: Z}, {})
+    with pytest.raises(ValueError, match="missing boundary in degree 1"):
+        ChainComplex({0: Z, 1: Z}, {})
+    with pytest.raises(ValueError, match="boundary shape mismatch in degree 1"):
+        ChainComplex({0: Z, 1: Z}, {1: AbMap.zero(Z_squared, Z)})
+    K = ChainComplex({0: Z, 1: Z}, {1: AbMap.zero(Z, Z)})
+    with pytest.raises(homalg.DegreeMissing, match="homology in degree 1 needs degrees 0..2"):
+        K.homology(1)
+
+
+def test_a_matrix_needs_its_shape():
+    with pytest.raises(ValueError, match="shape is required"):
+        IntMatrix([])
+    with pytest.raises(ValueError, match="entries do not match shape 2x2"):
+        IntMatrix([[1, 2], [3]], (2, 2))
+    assert IntMatrix([], (0, 3)).cols == 3
 
 
 def test_homology_zero_complex():

@@ -48,12 +48,11 @@ SHARED_METHODS = {
     "_check_ends": ("diagrams.AbDiagram", "diagrams.GroupDiagram", "hocolim.PointedDiagram"),
     "_check_value": ("diagrams.Diagram", "hocolim.PointedDiagram"),
     "apply": ("groups.GroupHom", "presheaf.DSet"),
-    "compose": ("fincat.FinCat", "groups.GroupHom", "homalg.AbMap", "presheaf.SSetMap"),
+    "compose": ("groups.GroupHom", "homalg.AbMap", "presheaf.SSetMap"),
     "equals": ("groups.GroupHom", "homalg.AbMap", "presheaf.SSetMap"),
     "hom": ("fincat.FinCat", "fincat._View"),
     "identity": ("groups.GroupHom", "homalg.AbMap", "presheaf.SSetMap"),
     "successors": ("fincat.FinCat", "fincat._View"),
-    "trivial": ("groups.FreeProduct", "homalg.FGAb"),
 }
 
 

@@ -102,6 +102,12 @@ def test_elements_of_representable_has_final_object():
     assert proj.target is two
 
 
+def test_a_presheaf_is_empty_where_no_set_is_given():
+    two = validate_category(["a", "b"], [("u", "a", "b")], [])
+    X = DSet(two, {"a": ["x"]}, {"u": {}})
+    assert X.sets == {"a": ["x"], "b": []}
+
+
 def test_elements_of_empty_and_constant():
     P = span()
     E, _, _ = elements_with_parts(empty_dset(P))
