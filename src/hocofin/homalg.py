@@ -372,8 +372,7 @@ class FGAb:
             rels = ()
         if isinstance(rels, IntMatrix):
             rels = _sparse_columns(rels)
-        else:
-            rels = _checked_columns(rels, gens)
+        rels = _checked_columns(rels, gens)
         self.gens = gens
         self.relations = rels
         rank, self.torsion = _column_invariants(rels)
@@ -440,12 +439,12 @@ class AbMap:
     def __init__(self, source, target, matrix, check=True):
         if isinstance(matrix, IntMatrix):
             self._matrix = matrix
-            columns = _sparse_columns(matrix)
+            matrix = _sparse_columns(matrix)
         else:
             self._matrix = None
-            columns = _checked_columns(matrix, target.gens)
-            if len(columns) != source.gens:
-                raise ValueError("matrix shape does not fit source/target generators")
+        columns = _checked_columns(matrix, target.gens)
+        if len(columns) != source.gens:
+            raise ValueError("matrix shape does not fit source/target generators")
         self.source = source
         self.target = target
         self.columns = columns

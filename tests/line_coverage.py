@@ -18,14 +18,10 @@ function is listed twice.
 Hypothesis runs derandomized and without its example database, so two
 runs trace the same lines.  The file is not collected by pytest, and
 tracing makes the suite about four times slower, so it stays out of
-tier-1.  Run it from the repository root; extra arguments go to
-pytest::
+tier-1.  It always traces the whole ``tests/`` suite.  Run it from the
+repository root::
 
     python tests/line_coverage.py
-    python tests/line_coverage.py -x tests/test_fincat.py
-
-Listing entries run only by a subset of the tests will read as unrun
-without a reason, so check a subset's output by hand.
 """
 
 import ast
@@ -119,16 +115,16 @@ def trace_tests(pytest_args):
     return hits, code
 
 
-def main(argv):
+def main():
     # the same examples on every run, so that a line that only generated
     # inputs reach is run on every run or on none
     from hypothesis import settings
 
     settings.register_profile("line-coverage", derandomize=True, database=None)
     # hypothesis is imported before pytest can rewrite its asserts
-    args = (argv or [str(ROOT / "tests"), "-q", "-p", "no:cacheprovider"]) + [
-        "--hypothesis-profile=line-coverage", "-W", "ignore::pytest.PytestAssertRewriteWarning"]
-    hits, code = trace_tests(args)
+    hits, code = trace_tests([str(ROOT / "tests"), "-q", "-p", "no:cacheprovider",
+                              "--hypothesis-profile=line-coverage",
+                              "-W", "ignore::pytest.PytestAssertRewriteWarning"])
     reasons, listed = read_reasons()
     unrun = Counter()
     total = 0
@@ -159,4 +155,4 @@ def main(argv):
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

@@ -208,6 +208,18 @@ def test_a_matrix_needs_its_shape():
     assert IntMatrix([], (0, 3)).cols == 3
 
 
+def test_a_dense_input_is_checked_like_a_sparse_one():
+    # a relation on a second generator that the group does not have
+    with pytest.raises(ValueError, match="row outside 0..0"):
+        FGAb(1, IntMatrix([[0], [1]]))
+    Z, Z_squared = FGAb.free(1), FGAb.free(2)
+    with pytest.raises(ValueError, match="row outside 0..0"):
+        AbMap(Z, Z, IntMatrix([[1], [1]]))
+    with pytest.raises(ValueError, match="does not fit source/target generators"):
+        AbMap(Z_squared, Z, IntMatrix([[1]]))
+    assert FGAb(2, IntMatrix([[2, 0], [0, 0]])) == FGAb.from_invariants(1, [2])
+
+
 def test_homology_zero_complex():
     groups = {-1: FGAb.trivial(), 0: FGAb.cyclic(4), 1: FGAb.free(2), 2: FGAb.trivial()}
     boundaries = {
