@@ -17,14 +17,25 @@ was still written twice, in ``diagrams`` and in ``cofinal``.  The 61
 face and degeneracy tables at construction; the three ``confhomolBW``
 reports were recorded again when they gained ``hypothesis_mode``.
 
+``sweep.json`` pins exit code, stdout and stderr of every command of the
+benchmark's sweep (``perfbench/workloads.py`` ``sweep_commands``: the
+verify fixtures and the README commands) in json and in text mode, keyed
+by ``<mode> <command line>``.  A few of them also run in fresh
+interpreters, so that state kept between in-process calls (the cached
+parser, the workspace builders) cannot hide a difference.  The README
+commands read ``demo/``, so the sweep runs from the repository root.
+
     PYTHONPATH=src python tests/test_golden.py
 
 records them again, only when a report is meant to change.
 """
 
 import contextlib
+import importlib.util
 import io
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -32,7 +43,32 @@ import pytest
 
 from hocofin import cli, fixtures
 
-GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "tests" / "data" / "golden"
+SWEEP = GOLDEN / "sweep.json"
+
+
+def _workloads():
+    """``perfbench/workloads.py``, loaded without putting ``perfbench`` on
+    the import path."""
+    spec = importlib.util.spec_from_file_location("workloads", ROOT / "perfbench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def sweep_runs():
+    """(mode, argv) for every sweep command in json and in text mode."""
+    return [(mode, argv) for mode in ("json", "text")
+            for _, argv, _ in _workloads().sweep_commands()]
+
+
+# an exit-3 gate, an exit-2 verdict and a command that reads a workspace file
+FRESH = [
+    ("text", "check-cofinal --functor final-in-two --coinitial".split()),
+    ("json", "verify --theorem cofpointed --fixture noncofinal-a-in-2 --assume-hypothesis".split()),
+    ("json", "gz --workspace demo/workspace.json --dset glued-cells --system z-coefficients".split()),
+]
 
 
 def commands():
@@ -53,6 +89,18 @@ def report(argv):
     with contextlib.redirect_stdout(out):
         code = cli.main(["--format", "json"] + argv)
     return code, out.getvalue()
+
+
+def sweep_key(mode, argv):
+    return "%s %s" % (mode, " ".join(argv))
+
+
+def sweep_run(mode, argv):
+    """Exit code, stdout and stderr of one command in-process."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["--format", mode] + argv)
+    return {"exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
 
 
 def golden_file(argv):
@@ -76,7 +124,35 @@ def test_every_recorded_command_still_runs():
     assert len(codes) == 11 + 2 * 17 + 17 + 5 + 2 + 61
 
 
+@pytest.mark.parametrize("mode, argv", sweep_runs(), ids=lambda part: part if isinstance(part, str) else " ".join(part))
+def test_sweep_is_byte_identical(mode, argv, monkeypatch):
+    monkeypatch.chdir(ROOT)
+    record = json.loads(SWEEP.read_text(encoding="utf-8"))
+    assert sweep_run(mode, argv) == record[sweep_key(mode, argv)]
+
+
+@pytest.mark.parametrize("mode, argv", FRESH, ids=lambda part: part if isinstance(part, str) else " ".join(part))
+def test_sweep_in_a_fresh_interpreter(mode, argv):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-m", "hocofin.cli", "--format", mode] + argv,
+                         cwd=ROOT, env=env, capture_output=True, text=True, check=False)
+    record = json.loads(SWEEP.read_text(encoding="utf-8"))
+    assert {"exit": run.returncode, "stdout": run.stdout, "stderr": run.stderr} == \
+        record[sweep_key(mode, argv)]
+
+
+def test_the_sweep_record_names_every_sweep_command():
+    """61 verify fixtures and 19 README commands, each in two modes."""
+    record = json.loads(SWEEP.read_text(encoding="utf-8"))
+    assert sorted(record) == sorted(sweep_key(mode, argv) for mode, argv in sweep_runs())
+    assert len(record) == 2 * (61 + 19)
+
+
 if __name__ == "__main__":
+    os.chdir(ROOT)
+    sweep = {sweep_key(mode, argv): sweep_run(mode, argv) for mode, argv in sweep_runs()}
+    SWEEP.write_text(json.dumps(sweep, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     codes = {}
     for argv in commands():
         codes[" ".join(argv)], out = report(argv)
