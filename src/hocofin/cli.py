@@ -10,7 +10,12 @@ it reads ``--workspace``, and its options.  ``main`` parses with a parser
 built from that table on first use, loads the workspace and reads each
 entity option from it (a diagram from ``abdiagrams`` under ``--abelian``)
 before the handler runs.  The handler gets the entities as keyword
-arguments, fills the report and returns the exit code.
+arguments and fills the report; it returns an exit code only when that
+is not 0.  A ``verify`` theorem's verifier returns True (agree), False
+(disagree) or None (not certified, with any verdict its own), and
+``cmd_verify`` alone writes the verdict and exit code from that.  No
+handler catches ``RouteMismatch``: ``main`` writes one ``route
+mismatch:`` line and exits 2, for every command.
 """
 
 from __future__ import annotations
@@ -118,7 +123,6 @@ def cmd_validate(args, report):
     ws.load_file(args.file)
     report["file"] = args.file
     report["entities"] = ws.validate_all()
-    return EXIT_OK
 
 
 def cmd_homology(args, report, diagram):
@@ -128,14 +132,12 @@ def cmd_homology(args, report, diagram):
             raise InputError("group diagrams need --abelianize (or use --abelian for abelian diagrams)")
         diagram = abelianize_diagram(diagram)
     report["homology"] = _fgab_strs(ab_colim_derived(diagram.base, diagram, args.nmax))
-    return EXIT_OK
 
 
 def cmd_colim0(args, report, diagram):
     pres = colim0(diagram.base, diagram)
     report["presentation"] = presentation_to_json(pres)
     report["fingerprint"] = list(fingerprint(pres))
-    return EXIT_OK
 
 
 def cmd_check_cofinal(args, report, functor):
@@ -144,13 +146,15 @@ def cmd_check_cofinal(args, report, functor):
     report["coinitial"] = args.coinitial
     report["aggregate"] = rep["aggregate"]
     report["per_object"] = {d: v.to_json() for d, v in rep["per_object"].items()}
-    return EXIT_OK if rep["aggregate"] == "CONTRACTIBLE" else EXIT_HYPOTHESIS
+    if rep["aggregate"] != CONTRACTIBLE:
+        return EXIT_HYPOTHESIS
 
 
 def cmd_check_vdc(args, report, functor):
     ok, report["witnesses"] = is_vdc(functor)
     report["vdc"] = ok
-    return EXIT_OK if ok else EXIT_HYPOTHESIS
+    if not ok:
+        return EXIT_HYPOTHESIS
 
 
 def cmd_kan_extend(args, report, functor, diagram):
@@ -158,18 +162,17 @@ def cmd_kan_extend(args, report, functor, diagram):
     if args.abelian:
         report["values"] = {d: str(v) for d, v in extended.value.items()}
     else:
+        # a factor without a name, such as a workspace's inline table, by its order
         report["values"] = {
-            d: " * ".join("%s" % grp.name for _, grp in v.nontrivial_factors()) or "1"
+            d: " * ".join("%s" % (grp.name or grp.order()) for _, grp in v.nontrivial_factors()) or "1"
             for d, v in extended.value.items()
         }
         pres = colim0(extended.base, extended)
         report["colim0_fingerprint"] = list(fingerprint(pres))
-    return EXIT_OK
 
 
 def cmd_factorization(args, report, category):
     report["factorization"] = category_to_json(factorization(category).category)
-    return EXIT_OK
 
 
 def _system_homology(report, res):
@@ -182,15 +185,14 @@ def _system_homology(report, res):
             "presentation": presentation_to_json(res["n0"]["presentation"]),
             "fingerprint": res["n0"]["fingerprint"],
         }
-    return EXIT_OK
 
 
 def cmd_bw(args, report, category, system):
-    return _system_homology(report, bw_homology(category, system, args.nmax))
+    _system_homology(report, bw_homology(category, system, args.nmax))
 
 
 def cmd_gz(args, report, dset, system):
-    return _system_homology(report, gz_homology(dset, system, args.nmax))
+    _system_homology(report, gz_homology(dset, system, args.nmax))
 
 
 def cmd_andre(args, report, dset, diagram):
@@ -198,7 +200,6 @@ def cmd_andre(args, report, dset, diagram):
     report["abelian"] = _fgab_strs(res["abelian"])
     if "n0" in res:
         report["n0"] = {"fingerprint": res["n0"]["fingerprint"]}
-    return EXIT_OK
 
 
 def cmd_hocolim(args, report, pointed_diagram):
@@ -207,19 +208,16 @@ def cmd_hocolim(args, report, pointed_diagram):
     report["cardinalities"] = [len(s) for s in H.simplices]
     report["homology"] = _fgab_strs(homology_ss(H, args.nmax))
     report["pi1_fingerprint"] = list(fingerprint(tietze_simplify(edge_path_group(H))))
-    return EXIT_OK
 
 
 def cmd_pi1(args, report, sset):
     pres = tietze_simplify(edge_path_group(sset))
     report["presentation"] = presentation_to_json(pres)
     report["fingerprint"] = list(fingerprint(pres))
-    return EXIT_OK
 
 
 def cmd_fingerprint(args, report, presentation):
     report["fingerprint"] = list(fingerprint(presentation))
-    return EXIT_OK
 
 
 # -- theorem harness --------------------------------------------------------------
@@ -241,15 +239,18 @@ def _hyp_gate(report, aggregate, assume):
 
 
 def _compare_colimits(report, nmax, lhs, rhs):
-    """Agreement of two sides, each ``(base, abelian diagram, group
-    diagram)``, in derived colimits and colim0 fingerprints."""
+    """Whether two sides, each ``(base, abelian diagram, group diagram)``,
+    agree in derived colimits and colim0 fingerprints."""
     ab_l, ab_r = (ab_colim_derived(C, M, nmax) for C, M, _ in (lhs, rhs))
     fp_l, fp_r = (fingerprint(colim0(C, G)) for C, _, G in (lhs, rhs))
     report["abelian"] = {"lhs": _fgab_strs(ab_l), "rhs": _fgab_strs(ab_r)}
     report["fingerprints"] = {"lhs": list(fp_l), "rhs": list(fp_r)}
-    agree = ab_l == ab_r and fp_l == fp_r
-    report["verdict"] = "agree" if agree else "disagree"
-    return EXIT_OK if agree else EXIT_DISAGREE
+    return ab_l == ab_r and fp_l == fp_r
+
+
+def _systems(fx):
+    """The system roles a fixture fills, abelian first."""
+    return [key for key in ("ab_system", "group_system") if fx.get(key) is not None]
 
 
 def _verify_homoliso(fx, args, report):
@@ -258,7 +259,7 @@ def _verify_homoliso(fx, args, report):
     report["per_object"] = {d: v.kind for d, v in hyp["per_object"].items()}
     report["hypothesis"] = hyp["aggregate"]
     if not _hyp_gate(report, hyp["aggregate"], args.assume_hypothesis):
-        return EXIT_HYPOTHESIS
+        return None
     M = fx["ab_diagram"]
     G = fx["group_diagram"]
     return _compare_colimits(report, args.nmax, (S.source, M.restrict(S), G.restrict(S)),
@@ -277,7 +278,7 @@ def _verify_discvirt(fx, args, report):
         report["witnesses"] = {
             d: w for d, w in witnesses.items() if not w["finally_discrete"]
         }
-        return EXIT_HYPOTHESIS
+        return None
     M = fx["ab_diagram"]
     G = fx["group_diagram"]
     return _compare_colimits(report, args.nmax, (S.source, M, G),
@@ -297,8 +298,8 @@ def _verify_cofpointed(fx, args, report):
     # verify.cofpointed.noncofinal-a-in-2.json pin it
     report.update(compare_restriction(S, fx["pointed_diagram"], level, n_max))
     if not go:
-        return EXIT_HYPOTHESIS
-    return EXIT_OK if report["verdict"] == "agree" else EXIT_DISAGREE
+        return None
+    return report["verdict"] == "agree"
 
 
 def _verify_main2_n0(fx, args, report):
@@ -308,44 +309,26 @@ def _verify_main2_n0(fx, args, report):
     pi1 = fingerprint(tietze_simplify(edge_path_group(H)))
     c0 = fingerprint(colim0(G.base, G))
     report["fingerprints"] = {"pi1_hocolim": list(pi1), "colim0": list(c0)}
-    report["verdict"] = "agree" if pi1 == c0 else "disagree"
-    return EXIT_OK if pi1 == c0 else EXIT_DISAGREE
+    return pi1 == c0
 
 
 def _verify_contralan(fx, args, report):
-    X = fx["dset"]
     outcomes = {}
-    code = EXIT_OK
-    for key in ("ab_system", "group_system"):
-        system = fx.get(key)
-        if system is None:
-            continue
-        try:
-            res = gz_homology(X, system, args.nmax)
-            outcomes[key] = {
-                "routes_agree": res["routes_agree"],
-                "abelian": _fgab_strs(res["abelian"]),
-            }
-        except RouteMismatch as exc:
-            outcomes[key] = {"routes_agree": False, "error": str(exc)}
-            code = EXIT_DISAGREE
+    for key in _systems(fx):
+        res = gz_homology(fx["dset"], fx[key], args.nmax)
+        outcomes[key] = {
+            "routes_agree": res["routes_agree"],
+            "abelian": _fgab_strs(res["abelian"]),
+        }
     report["systems"] = outcomes
-    report["verdict"] = "agree" if code == EXIT_OK else "disagree"
-    return code
+    return True
 
 
 def _verify_corfact(fx, args, report):
-    try:
-        res = bw_homology(fx["category"], fx["ab_system"], min(args.nmax, 2))
-        report["abelian"] = _fgab_strs(res["abelian"])
-        report["routes_agree"] = res["routes_agree"]
-        report["verdict"] = "agree"
-        return EXIT_OK
-    except RouteMismatch as exc:
-        report["routes_agree"] = False
-        report["error"] = str(exc)
-        report["verdict"] = "disagree"
-        return EXIT_DISAGREE
+    res = bw_homology(fx["category"], fx["ab_system"], min(args.nmax, 2))
+    report["abelian"] = _fgab_strs(res["abelian"])
+    report["routes_agree"] = res["routes_agree"]
+    return True
 
 
 def _verify_factfibres(fx, args, report):
@@ -354,16 +337,12 @@ def _verify_factfibres(fx, args, report):
     fd = factorization(S.target)
     FS = factor_functor(S, fc, fd)
     results = {}
-    ok = True
     for alpha in S.target.morphisms:
         lhs, _, _ = comma_left_fibre(FS, alpha)
         rhs = factorization(factor_slice(S, alpha)).category
-        iso = iso_check(lhs, rhs)
-        results[alpha] = iso is not None
-        ok = ok and iso is not None
+        results[alpha] = iso_check(lhs, rhs) is not None
     report["isomorphic"] = results
-    report["verdict"] = "agree" if ok else "disagree"
-    return EXIT_OK if ok else EXIT_DISAGREE
+    return all(results.values())
 
 
 def _verify_wefrac(fx, args, report):
@@ -373,14 +352,11 @@ def _verify_wefrac(fx, args, report):
                                    coinitial=True)
     report["per_object"] = {d: v.kind for d, v in rep["per_object"].items()}
     report["aggregate"] = rep["aggregate"]
-    if rep["aggregate"] == "CONTRACTIBLE":
-        report["verdict"] = "agree"
-        return EXIT_OK
-    if rep["aggregate"] == "NONCONTRACTIBLE":
-        report["verdict"] = "disagree"
-        return EXIT_DISAGREE
+    # the conclusion is itself a certificate: only a decided one is a verdict
+    if rep["aggregate"] in (CONTRACTIBLE, NONCONTRACTIBLE):
+        return rep["aggregate"] == CONTRACTIBLE
     report["verdict"] = "not certified"
-    return EXIT_HYPOTHESIS
+    return None
 
 
 def _verify_lcodecar(fx, args, report):
@@ -388,24 +364,14 @@ def _verify_lcodecar(fx, args, report):
     report["pass"] = rep["pass"]
     if rep["witness"] is not None:
         report["witness"] = rep["witness"]
-    report["verdict"] = "agree" if rep["pass"] else "disagree"
-    return EXIT_OK if rep["pass"] else EXIT_DISAGREE
+    return rep["pass"]
 
 
 def _verify_dliso(fx, args, report):
-    outcomes = {}
-    code = EXIT_OK
-    for key in ("ab_system", "group_system"):
-        system = fx.get(key)
-        if system is None:
-            continue
-        rep = direct_image(fx["dset_morphism"], system, args.nmax)
-        outcomes[key] = rep["verdict"]
-        if rep["verdict"] != "agree":
-            code = EXIT_DISAGREE
+    outcomes = {key: direct_image(fx["dset_morphism"], fx[key], args.nmax)["verdict"]
+                for key in _systems(fx)}
     report["systems"] = outcomes
-    report["verdict"] = "agree" if code == EXIT_OK else "disagree"
-    return code
+    return all(verdict == "agree" for verdict in outcomes.values())
 
 
 def _verify_dhiso(fx, args, report):
@@ -415,11 +381,10 @@ def _verify_dhiso(fx, args, report):
     report["fibres"] = {"%s@%s" % (y, d): v.kind for (d, y), v in fibres.items()}
     report["hypothesis"] = weakest(fibres.values()).kind
     if not _hyp_gate(report, report["hypothesis"], args.assume_hypothesis):
-        return EXIT_HYPOTHESIS
+        return None
     lhs = gz_homology(f.source, inverse_image(f, system), args.nmax)
     rhs = gz_homology(f.target, system, args.nmax)
-    report["verdict"] = verdict = agreement(lhs, rhs)
-    return EXIT_OK if verdict == "agree" else EXIT_DISAGREE
+    return agreement(lhs, rhs) == "agree"
 
 
 def _verify_confhomolbw(fx, args, report):
@@ -432,17 +397,14 @@ def _verify_confhomolbw(fx, args, report):
     if failed:
         outcome["witness"] = "hypothesis fails at alpha=%s" % failed[0]
     report["hypothesis_over"] = "target-category morphisms"
-    keys = [key for key in ("ab_system", "group_system") if fx.get(key) is not None]
     if not _hyp_gate(report, outcome["hypothesis"], args.assume_hypothesis):
         verdict = "hypothesis fails" if failed else "not certified"
-        report["systems"] = {key: dict(outcome, verdict=verdict) for key in keys}
+        report["systems"] = {key: dict(outcome, verdict=verdict) for key in _systems(fx)}
         report["verdict"] = "not certified"
-        return EXIT_HYPOTHESIS
+        return None
     report["systems"] = {key: dict(outcome, verdict=agreement(*bw_sides(S, fx[key], n_max)))
-                         for key in keys}
-    agree = all(o["verdict"] == "agree" for o in report["systems"].values())
-    report["verdict"] = "agree" if agree else "disagree"
-    return EXIT_OK if agree else EXIT_DISAGREE
+                         for key in _systems(fx)}
+    return all(o["verdict"] == "agree" for o in report["systems"].values())
 
 
 _VERIFIERS = {
@@ -465,19 +427,25 @@ THEOREMS = tuple(_VERIFIERS)
 
 
 def cmd_verify(args, report):
+    """Runs the fixture's verifier and writes, from its outcome alone, the
+    report's ``verdict`` and ``exit``."""
     try:
         fx = fixtures.load_fixture(args.theorem, args.fixture)
     except KeyError as exc:
         raise InputError(str(exc)) from None
     report["theorem"] = args.theorem
     report["fixture"] = args.fixture
-    report["exit"] = code = _VERIFIERS[args.theorem](fx, args, report)
-    return code
+    outcome = _VERIFIERS[args.theorem](fx, args, report)
+    if outcome is None:
+        report["exit"] = EXIT_HYPOTHESIS
+    else:
+        report["verdict"] = "agree" if outcome else "disagree"
+        report["exit"] = EXIT_OK if outcome else EXIT_DISAGREE
+    return report["exit"]
 
 
 def cmd_list_fixtures(args, report):
     report["fixtures"] = {t: fixtures.fixture_names(t) for t in THEOREMS}
-    return EXIT_OK
 
 
 # -- the command table ----------------------------------------------------------------
@@ -630,7 +598,7 @@ def main(argv=None):
                     report[dest] = getattr(args, dest)
                     entities[dest] = ws.get(section, report[dest])
         # through the module attribute, which a tracer may have wrapped
-        code = globals()[command.handler.__name__](args, report, **entities)
+        code = globals()[command.handler.__name__](args, report, **entities) or EXIT_OK
         _emit(args, report)
         return code
     except (InputError, CategoryError, GroupError, PresheafError, HocolimError,

@@ -81,40 +81,36 @@ def lan_route_diagram(X, system, data):
     return sum_diagram(opposite(D), blocks, transport, system, "C(%s)" % (X.name or "?"))
 
 
+def coefficient_homology(C, M, n_max):
+    """Derived colimits of a diagram M over C; for a group diagram, those of
+    its abelianization, and the colim0 presentation with its fingerprint
+    under ``n0``."""
+    if isinstance(M, AbDiagram):
+        return {"abelian": ab_colim_derived(C, M, n_max)}
+    pres = colim0(C, M)
+    return {
+        "n0": {"presentation": pres, "fingerprint": list(fingerprint(pres))},
+        "abelian": ab_colim_derived(C, abelianize_diagram(M), n_max),
+    }
+
+
 def gz_homology(X, system, n_max):
     """Homology of a presheaf with coefficients in a contravariant system
     over its category of elements.
 
     Primary route: derived colimits over the opposite elements category.
     Second route: the same homology through the groupwise free-product
-    presheaf over the base; the two abelian answers must agree exactly.
+    presheaf over the base; the two answers must agree exactly.
     """
     data = elements_with_parts(X)
-    E, Q, parts = data
-    Eop = opposite(E)
+    Eop = opposite(data[0])
     if system.base != Eop:
         raise GZError("system is not over the opposite category of elements of %s" % (X.name or "?"))
-    Dop = opposite(X.base)
-    lan = lan_route_diagram(X, system, data)
-    if isinstance(system, AbDiagram):
-        primary = ab_colim_derived(Eop, system, n_max)
-        secondary = ab_colim_derived(Dop, lan, n_max)
-        if primary != secondary:
-            raise RouteMismatch("abelian homology differs between routes")
-        return {"abelian": primary, "routes_agree": True}
-    pres = colim0(Eop, system)
-    pres2 = colim0(Dop, lan)
-    fp1 = fingerprint(pres)
-    fp2 = fingerprint(pres2)
-    ab1 = ab_colim_derived(Eop, abelianize_diagram(system), n_max)
-    ab2 = ab_colim_derived(Dop, abelianize_diagram(lan), n_max)
-    if fp1 != fp2 or ab1 != ab2:
+    primary = coefficient_homology(Eop, system, n_max)
+    secondary = coefficient_homology(opposite(X.base), lan_route_diagram(X, system, data), n_max)
+    if agreement(primary, secondary) != "agree":
         raise RouteMismatch("presheaf homology differs between routes")
-    return {
-        "n0": {"presentation": pres, "fingerprint": list(fp1)},
-        "abelian": ab1,
-        "routes_agree": True,
-    }
+    return dict(primary, routes_agree=True)
 
 
 def elements_functor(f):
@@ -260,13 +256,10 @@ def bw_homology(C, system, n_max, fdata=None):
     secondary = nerve_route_complex(C, abd, n_max, fdata)
     if primary != [secondary.homology(n) for n in range(n_max + 1)]:
         raise RouteMismatch("natural-system homology differs between routes")
-    if isinstance(system, AbDiagram):
-        return {"abelian": primary, "routes_agree": True}
-    return {
-        "n0": {"presentation": pres, "fingerprint": list(fingerprint(pres))},
-        "abelian": primary,
-        "routes_agree": True,
-    }
+    res = {"abelian": primary, "routes_agree": True}
+    if abd is not system:
+        res["n0"] = {"presentation": pres, "fingerprint": list(fingerprint(pres))}
+    return res
 
 
 def certify_slices(S, n_max, effort=1):
@@ -297,11 +290,4 @@ def andre_homology(X, diagram, n_max):
     if diagram.base != X.base:
         raise DiagramError("diagram is not over the base category of %s" % (X.name or "?"))
     E, Q, _ = elements_with_parts(X)
-    pulled = diagram.restrict(Q)
-    if isinstance(diagram, AbDiagram):
-        return {"abelian": ab_colim_derived(E, pulled, n_max)}
-    pres = colim0(E, pulled)
-    return {
-        "n0": {"presentation": pres, "fingerprint": list(fingerprint(pres))},
-        "abelian": ab_colim_derived(E, abelianize_diagram(pulled), n_max),
-    }
+    return coefficient_homology(E, diagram.restrict(Q), n_max)

@@ -12,6 +12,8 @@ from hocofin import cli, fincat, fixtures, gz
 from hocofin._jsonio import InputError, Workspace
 from hocofin.cli import main
 from hocofin.cofinal import ContractibilityVerdict
+from hocofin.diagrams import AbDiagram, constant_ab_diagram, constant_group_diagram
+from hocofin.groups import FreeProduct, cyclic_group
 from hocofin.homalg import FGAb
 
 
@@ -936,6 +938,17 @@ def test_kan_extend_of_an_abelian_diagram(capsys, tmp_path):
     assert code == 0 and json.loads(out)["values"] == {"a": "0", "b": "Z/2"}
 
 
+def test_kan_extend_writes_an_unnamed_factor_by_its_order(capsys, tmp_path):
+    """An inline table group has no name; its value at b is Z/2, not 1."""
+    for group, value in ((Z2, "2"), ({"ref": "z2"}, "z2")):
+        data = dict(GOOD_WORKSPACE, diagrams={"d": {"category": "one", "groups": {"*": group}, "homs": {}}})
+        code, out = workspace_run(capsys, tmp_path, data, "kan-extend", "--functor", "inc-b",
+                                  "--diagram", "d", "--format", "json")
+        report = json.loads(out)
+        assert code == 0 and report["values"] == {"a": "1", "b": value}
+        assert report["colim0_fingerprint"] == [1, 2, 1, 2, 4, 1, 2, 4, 1, 2, 4, 8, 6, 2]
+
+
 def test_a_functor_into_the_empty_category_is_vacuously_cofinal(capsys, tmp_path):
     data = dict(with_categories(empty={"objects": [], "morphisms": [], "composition": []}),
                 functors={"e": {"source": "empty", "target": "empty", "objects": {}}})
@@ -1494,6 +1507,43 @@ def test_dliso_reads_a_disagreeing_side(capsys, monkeypatch):
     report = json.loads(out)
     assert code == 2 and report["verdict"] == "disagree"
     assert report["systems"] == {"ab_system": "disagree"}
+
+
+def constant_z7(diagram):
+    """A constant Z/7 diagram of the same kind as diagram, over its base."""
+    if isinstance(diagram, AbDiagram):
+        return constant_ab_diagram(diagram.base, FGAb.cyclic(7))
+    return constant_group_diagram(diagram.base, FreeProduct.from_group("A", cyclic_group(7)))
+
+
+def z7_lan_route(X, system, data, real=gz.lan_route_diagram):
+    return constant_z7(real(X, system, data))
+
+
+def z7_nerve_route(C, M, n_max, fdata, real=gz.nerve_route_complex):
+    return real(C, constant_z7(M), n_max, fdata)
+
+
+@pytest.mark.parametrize("mode", ["json", "text"])
+@pytest.mark.parametrize("route, broken, argv, message", [
+    ("lan_route_diagram", z7_lan_route,
+     "gz --dset interval-span --system z-el-interval --nmax 2", "presheaf"),
+    ("lan_route_diagram", z7_lan_route,
+     "gz --dset interval-span --system z2grp-el-interval --nmax 2", "presheaf"),
+    ("lan_route_diagram", z7_lan_route, "verify --theorem contralan --fixture two-hb", "presheaf"),
+    ("nerve_route_complex", z7_nerve_route,
+     "bw --category z2cat --system z-nsys-z2cat --nmax 2", "natural-system"),
+    ("nerve_route_complex", z7_nerve_route, "verify --theorem corfact --fixture z2cat", "natural-system"),
+])
+def test_a_broken_route_is_one_route_mismatch_line(route, broken, argv, message, mode, capsys,
+                                                    monkeypatch):
+    """Negative control: a second route that answers for constant Z/7
+    coefficients must fail the cross-check, for every command alike."""
+    monkeypatch.setattr(gz, route, broken)
+    code = main(["--format", mode] + argv.split())
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err == "route mismatch: %s homology differs between routes\n" % message
 
 
 @pytest.mark.parametrize("theorem", sorted(fixtures.THEOREM_FIXTURES))

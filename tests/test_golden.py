@@ -31,6 +31,7 @@ records them again, only when a report is meant to change.
 """
 
 import contextlib
+import functools
 import importlib.util
 import io
 import json
@@ -83,24 +84,25 @@ def commands():
     return out
 
 
-def report(argv):
-    """Exit code and JSON stdout of one command."""
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        code = cli.main(["--format", "json"] + argv)
-    return code, out.getvalue()
+def run(mode, argv):
+    """Exit code, stdout and stderr of one command in-process."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["--format", mode] + argv)
+    return {"exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
 
 
 def sweep_key(mode, argv):
     return "%s %s" % (mode, " ".join(argv))
 
 
-def sweep_run(mode, argv):
-    """Exit code, stdout and stderr of one command in-process."""
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(["--format", mode] + argv)
-    return {"exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+@functools.cache
+def sweep_record():
+    return json.loads(SWEEP.read_text(encoding="utf-8"))
+
+
+def run_id(part):
+    return part if isinstance(part, str) else " ".join(part)
 
 
 def golden_file(argv):
@@ -112,7 +114,9 @@ def golden_file(argv):
 @pytest.mark.parametrize("argv", commands(), ids=" ".join)
 def test_report_is_byte_identical(argv):
     codes = json.loads((GOLDEN / "exit_codes.json").read_text(encoding="utf-8"))
-    assert report(argv) == (codes[" ".join(argv)], golden_file(argv).read_text(encoding="utf-8"))
+    got = run("json", argv)
+    assert (got["exit"], got["stdout"]) == (codes[" ".join(argv)],
+                                            golden_file(argv).read_text(encoding="utf-8"))
 
 
 def test_every_recorded_command_still_runs():
@@ -124,39 +128,37 @@ def test_every_recorded_command_still_runs():
     assert len(codes) == 11 + 2 * 17 + 17 + 5 + 2 + 61
 
 
-@pytest.mark.parametrize("mode, argv", sweep_runs(), ids=lambda part: part if isinstance(part, str) else " ".join(part))
+@pytest.mark.parametrize("mode, argv", sweep_runs(), ids=run_id)
 def test_sweep_is_byte_identical(mode, argv, monkeypatch):
     monkeypatch.chdir(ROOT)
-    record = json.loads(SWEEP.read_text(encoding="utf-8"))
-    assert sweep_run(mode, argv) == record[sweep_key(mode, argv)]
+    assert run(mode, argv) == sweep_record()[sweep_key(mode, argv)]
 
 
-@pytest.mark.parametrize("mode, argv", FRESH, ids=lambda part: part if isinstance(part, str) else " ".join(part))
+@pytest.mark.parametrize("mode, argv", FRESH, ids=run_id)
 def test_sweep_in_a_fresh_interpreter(mode, argv):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    run = subprocess.run([sys.executable, "-m", "hocofin.cli", "--format", mode] + argv,
+    got = subprocess.run([sys.executable, "-m", "hocofin.cli", "--format", mode] + argv,
                          cwd=ROOT, env=env, capture_output=True, text=True, check=False)
-    record = json.loads(SWEEP.read_text(encoding="utf-8"))
-    assert {"exit": run.returncode, "stdout": run.stdout, "stderr": run.stderr} == \
-        record[sweep_key(mode, argv)]
+    assert ({"exit": got.returncode, "stdout": got.stdout, "stderr": got.stderr}
+            == sweep_record()[sweep_key(mode, argv)])
 
 
 def test_the_sweep_record_names_every_sweep_command():
     """61 verify fixtures and 19 README commands, each in two modes."""
-    record = json.loads(SWEEP.read_text(encoding="utf-8"))
-    assert sorted(record) == sorted(sweep_key(mode, argv) for mode, argv in sweep_runs())
-    assert len(record) == 2 * (61 + 19)
+    assert sorted(sweep_record()) == sorted(sweep_key(mode, argv) for mode, argv in sweep_runs())
+    assert len(sweep_record()) == 2 * (61 + 19)
 
 
 if __name__ == "__main__":
     os.chdir(ROOT)
-    sweep = {sweep_key(mode, argv): sweep_run(mode, argv) for mode, argv in sweep_runs()}
+    sweep = {sweep_key(mode, argv): run(mode, argv) for mode, argv in sweep_runs()}
     SWEEP.write_text(json.dumps(sweep, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     codes = {}
     for argv in commands():
-        codes[" ".join(argv)], out = report(argv)
-        golden_file(argv).write_text(out, encoding="utf-8")
+        got = run("json", argv)
+        codes[" ".join(argv)] = got["exit"]
+        golden_file(argv).write_text(got["stdout"], encoding="utf-8")
     (GOLDEN / "exit_codes.json").write_text(json.dumps(codes, indent=1, sort_keys=True) + "\n",
                                             encoding="utf-8")
     sys.exit(0)
