@@ -102,7 +102,7 @@ class FinCat:
     """
 
     __slots__ = ("objects", "morphisms", "dom", "cod", "identity", "comp", "name", "_hom",
-                 "_out", "_homs", "_listing", "_table", "_parse")
+                 "_out", "_into", "_homs", "_count", "_listing", "_table", "_parse")
 
     def __init__(self, objects, morphisms, dom, cod, identity, comp, name=""):
         self.objects = objects
@@ -129,9 +129,24 @@ class FinCat:
         """Morphisms x -> y, in canonical order."""
         return self._hom.get((x, y), [])
 
+    def hom_count(self, x, y):
+        """The number of morphisms x -> y."""
+        return len(self._hom.get((x, y), ()))
+
     def successors(self, x):
         """The objects with an arrow from x, each once."""
         return list(dict.fromkeys(self.cod[f] for f in self._out.get(x, ())))
+
+    def predecessors(self, x):
+        """The objects with an arrow into x, each once; the index is built
+        on the first call."""
+        try:
+            into = self._into
+        except AttributeError:
+            into = self._into = {}
+            for f in self.morphisms:
+                into.setdefault(self.cod[f], {})[self.dom[f]] = None
+        return list(into.get(x, ()))
 
     def is_identity(self, f):
         return f == self.identity[self.dom[f]] and self.dom[f] == self.cod[f]
@@ -192,23 +207,26 @@ class _View(FinCat):
     """A category over a base, built in the stages of the module docstring.
 
     ``homs(x, y)`` gives one hom-set before the listing, kept in ``_hom``;
-    ``listing(view)`` gives ``(morphisms, dom, cod)`` on the first read of
-    any of them, and ``_hom`` is then rebuilt from it; ``table(view)``
-    gives ``comp`` on its first read.  Once both are built the instance
-    becomes a plain FinCat, so later reads of any attribute are plain slot
-    reads (a class with ``__getattr__`` reads every attribute on the slow
-    path).  ``parse`` is ``_ids_parse`` of the view; without it the
-    listing is built at once, so that a repeated id is refused here.
+    ``count(x, y)``, when the builder gives one, its size, with no id
+    formatted and nothing kept; ``listing(view)`` gives ``(morphisms, dom,
+    cod)`` on the first read of any of them, and ``_hom`` is then rebuilt
+    from it; ``table(view)`` gives ``comp`` on its first read.  Once both
+    are built the instance becomes a plain FinCat, so later reads of any
+    attribute are plain slot reads (a class with ``__getattr__`` reads
+    every attribute on the slow path).  ``parse`` is ``_ids_parse`` of the
+    view; without it the listing is built at once, so that a repeated id
+    is refused here.
     """
 
     __slots__ = ()
 
-    def __init__(self, objects, identity, homs, listing, table, name, parse):
+    def __init__(self, objects, identity, homs, listing, table, name, parse, count=None):
         self.objects = objects
         self.identity = identity
         self.name = name
         self._hom = {}
         self._homs = homs
+        self._count = count
         self._listing = listing
         self._table = table
         self._parse = parse
@@ -223,9 +241,19 @@ class _View(FinCat):
             h = self._hom[(x, y)] = self._homs(x, y)
         return h
 
+    def hom_count(self, x, y):
+        # a hom-set already built or listed is read; otherwise it is counted
+        count = self._count
+        if count is None or self._hom and (x, y) in self._hom:
+            return len(self.hom(x, y))
+        return count(x, y) if x in self.identity and y in self.identity else 0
+
     def successors(self, x):
-        # from the hom-sets, so that a view over this one does not list it
-        return [y for y in self.objects if self.hom(x, y)]
+        # from the hom-set sizes, so that a view over this one does not list it
+        return [y for y in self.objects if self.hom_count(x, y)]
+
+    def predecessors(self, x):
+        return [y for y in self.objects if self.hom_count(y, x)]
 
     def __getattr__(self, name):
         # reached only for an unset slot: a stage not built yet
@@ -234,7 +262,7 @@ class _View(FinCat):
             self._table = None
         elif name in ("morphisms", "dom", "cod", "_out"):
             self.morphisms, self.dom, self.cod = self._listing(self)
-            self._listing = self._homs = None
+            self._listing = self._homs = self._count = None
             self._index()
         else:
             raise AttributeError(name)
@@ -339,7 +367,7 @@ class Functor:
     projections of a view share the maps that its hom-sets fill as they
     are read."""
 
-    __slots__ = ("source", "target", "obj_map", "mor_map", "name")
+    __slots__ = ("source", "target", "obj_map", "mor_map", "name", "_lying")
 
     def __init__(self, source, target, obj_map, mor_map, name="", _validate=True):
         if _validate:
@@ -382,6 +410,18 @@ class Functor:
     def on_mor(self, f):
         return self.mor_map[f]
 
+    def lying_over(self, ys):
+        """The source objects that map into ``ys``, in source order; the
+        index of positions over each object is built on the first call."""
+        try:
+            lying = self._lying
+        except AttributeError:
+            lying = self._lying = {}
+            for k, o in enumerate(self.source.objects):
+                lying.setdefault(self.obj_map[o], []).append(k)
+        objs = self.source.objects
+        return [objs[k] for k in sorted(k for y in ys for k in lying.get(y, ()))]
+
     def __repr__(self):
         return "Functor(%s -> %s)" % (self.source.name or "?", self.target.name or "?")
 
@@ -398,7 +438,8 @@ def opposite(C):
     return _View(C.objects, C.identity, lambda x, y: C.hom(y, x),
                  lambda view: (C.morphisms, C.cod, C.dom),
                  lambda view: {(f, g): h for (g, f), h in C.comp.items()},
-                 C.name + "^op" if C.name else "", _ids_parse(C))
+                 C.name + "^op" if C.name else "", _ids_parse(C),
+                 lambda x, y: C.hom_count(y, x))
 
 
 def opposite_functor(S, source_op=None, target_op=None):
@@ -444,9 +485,10 @@ def _comma_like(C, parts, arrow, name):
     each of its morphisms to its arrow of C, filled as hom-sets are read.
 
     The category is a view: hom(o1, o2) is read from C.hom and the
-    predicate on first read, and the listing joins the hom-sets that C's
-    arrows can fill, read through ``C.successors`` (from C's hom-sets when
-    C is itself a view, so that C is not listed).  Its
+    predicate on first read, its size is counted from the same arrows of
+    C with no id formatted, and the listing joins the hom-sets that C's
+    arrows can fill, read through ``C.successors`` (from C's hom-set sizes
+    when C is itself a view, so that C is not listed).  Its
     composition table is built on first read, where each composite must
     be the morphism over the composite in C between the outer endpoints,
     or ``DanglingId`` is raised (the predicate is not closed under
@@ -458,18 +500,22 @@ def _comma_like(C, parts, arrow, name):
     ident = {o: identity_id(o) for o in parts}
     over = {ident[o]: C.identity[p[0]] for o, p in parts.items()}
 
-    def homs(o1, o2):
+    def under(o1, o2):
+        """The arrows of C under the morphisms o1 -> o2 but the identity."""
         p1, p2 = parts[o1], parts[o2]
-        if o1 == o2:
-            out, skip = [ident[o1]], C.identity[p1[0]]
-        else:
-            out, skip = [], None
-        for alpha in C.hom(p1[0], p2[0]):
-            if alpha != skip and arrow(alpha, p1, p2):
-                mid = "[%s:%s->%s]" % (alpha, o1, o2)
-                over[mid] = alpha
-                out.append(mid)
+        skip = C.identity[p1[0]] if o1 == o2 else None
+        return [alpha for alpha in C.hom(p1[0], p2[0]) if alpha != skip and arrow(alpha, p1, p2)]
+
+    def homs(o1, o2):
+        out = [ident[o1]] if o1 == o2 else []
+        for alpha in under(o1, o2):
+            mid = "[%s:%s->%s]" % (alpha, o1, o2)
+            over[mid] = alpha
+            out.append(mid)
         return out
+
+    def count(o1, o2):
+        return (o1 == o2) + len(under(o1, o2))
 
     def listing(view):
         mors = list(ident.values())
@@ -518,7 +564,7 @@ def _comma_like(C, parts, arrow, name):
         return comp
 
     parse = _ids_parse(C) and all(_is_term(x) for p in parts.values() for x in p[1:])
-    return _View(list(parts), ident, homs, listing, table, name, parse), over
+    return _View(list(parts), ident, homs, listing, table, name, parse, count), over
 
 
 def category_over(C, parts, arrow, name, proj_name):
@@ -535,26 +581,31 @@ def comma_left_fibre(S, d):
     """The left fibre S↓d, its projection to the source category and the
     map object id -> (c, beta).
 
-    Objects are pairs (c, beta: S(c) -> d); a morphism (c, b) -> (c', b')
-    is alpha: c -> c' with b'∘S(alpha) = b.
+    Objects are pairs (c, beta: S(c) -> d), by c in C's order, then by
+    beta; a morphism (c, b) -> (c', b') is alpha: c -> c' with
+    b'∘S(alpha) = b.  Only the objects c over the sources of D's arrows
+    into d are read.
     """
     C, D = S.source, S.target
     # without this, an unknown d would give an empty fibre, silently
     if d not in D.identity:
         raise UnknownObject("unknown object %s" % d)
-    parts = objects_over((c, b) for c in C.objects for b in D.hom(S.on_obj(c), d))
+    parts = objects_over((c, b) for c in S.lying_over(D.predecessors(d))
+                         for b in D.hom(S.on_obj(c), d))
     return category_over(C, parts, lambda a, p1, p2: D.comp[(p2[1], S.on_mor(a))] == p1[1],
                          "comma", "Q_%s" % d)
 
 
 def comma_coslice(S, d):
-    """The coslice d↓S: objects (c, beta: d -> S(c)), morphisms alpha with
-    S(alpha)∘beta = beta'."""
+    """The coslice d↓S: objects (c, beta: d -> S(c)), ordered as in
+    ``comma_left_fibre`` and read from D's arrows out of d, morphisms alpha
+    with S(alpha)∘beta = beta'."""
     C, D = S.source, S.target
     # without this, an unknown d would give an empty coslice, silently
     if d not in D.identity:
         raise UnknownObject("unknown object %s" % d)
-    parts = objects_over((c, b) for c in C.objects for b in D.hom(d, S.on_obj(c)))
+    parts = objects_over((c, b) for c in S.lying_over(D.successors(d))
+                         for b in D.hom(d, S.on_obj(c)))
     return _comma_like(C, parts, lambda a, p1, p2: D.comp[(S.on_mor(a), p1[1])] == p2[1],
                        "comma")[0]
 
@@ -844,11 +895,11 @@ def iter_final_objects(C, objs=None):
     and as they are found; given ``objs``, the final objects of the full
     subcategory on them."""
     objs = C.objects if objs is None else objs
-    return (t for t in objs if all(len(C.hom(x, t)) == 1 for x in objs))
+    return (t for t in objs if all(C.hom_count(x, t) == 1 for x in objs))
 
 
 def iter_initial_objects(C):
-    return (s for s in C.objects if all(len(C.hom(s, x)) == 1 for x in C.objects))
+    return (s for s in C.objects if all(C.hom_count(s, x) == 1 for x in C.objects))
 
 
 def final_objects(C, objs=None):
@@ -870,7 +921,7 @@ def full_subcategory(C, objs):
         return {pair: C.comp[pair] for pair in view.composable_pairs()}
 
     return _View(objs, {o: C.identity[o] for o in objs}, C.hom, listing, table,
-                 C.name and C.name + "|", _ids_parse(C))
+                 C.name and C.name + "|", _ids_parse(C), C.hom_count)
 
 
 # -- builders -------------------------------------------------------------

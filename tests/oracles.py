@@ -9,7 +9,8 @@ squares of each boundary taken chain by chain, each relation-cone
 boundary reduced on its own, without clearing, the degree-0 colimit as
 a coequalizer, group tables enumerated up to isomorphism,
 homotopy-colimit cardinalities, simplicial sets with every face and
-degeneracy table built at construction and the replay of
+degeneracy table built at construction, the homology of a whole nerve,
+comma objects found by scanning every source object and the replay of
 contractibility certificates.
 """
 
@@ -37,7 +38,7 @@ from hocofin.homalg import (
     block_sum,
     smith_normal_form,
 )
-from hocofin.presheaf import TruncSSet
+from hocofin.presheaf import TruncSSet, homology_ss, nerve
 
 
 # -- dense matrices ------------------------------------------------------------
@@ -466,6 +467,23 @@ def nondegenerate_chains(C, n):
     """``composable_chains(C, n)`` without the chains that have an
     identity arrow, in the same order."""
     return [ch for ch in composable_chains(C, n) if not any(map(C.is_identity, ch[1:]))]
+
+
+def nerve_homology(B, n):
+    """H_0..H_n of the nerve of B, from the level-(n + 1) nerve with its
+    degenerate chains and degeneracy tables: the homology fallback that
+    ``cofinal._nerve_homology`` replaced."""
+    return homology_ss(nerve(B, n + 1, basepoint=B.objects[0]), n)
+
+
+def scanned_objects(S, d, coslice):
+    """The parts (c, beta) of the coslice d↓S, or of the left fibre S↓d,
+    found by scanning every source object c, in order: how the comma
+    builders listed their objects before they read D's arrows out of d
+    (into d)."""
+    D = S.target
+    return [(c, b) for c in S.source.objects
+            for b in (D.hom(d, S.on_obj(c)) if coslice else D.hom(S.on_obj(c), d))]
 
 
 def hocolim_cardinalities(PD, N):

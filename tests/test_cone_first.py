@@ -37,8 +37,8 @@ from hocofin.fincat import (
     validate_category,
 )
 from hocofin.groups import cyclic_group
-from hocofin.presheaf import elements_with_parts, homology_ss, nerve
-from oracles import disjoint_union, initial_objects, replay_certificate
+from hocofin.presheaf import elements_with_parts
+from oracles import disjoint_union, initial_objects, nerve_homology, replay_certificate
 
 
 def components_first(B, effort=1, n_max=2, nerve_cap=DEFAULT_NERVE_CAP):
@@ -66,13 +66,12 @@ def components_first(B, effort=1, n_max=2, nerve_cap=DEFAULT_NERVE_CAP):
         return ContractibilityVerdict(CONTRACTIBLE, certificate=cert)
     n_eff = max(1, n_max + max(0, effort - 1))
     checks = {"n_max": n_eff}
-    level = n_eff + 1
-    sizes = _nerve_sizes(B, level)
+    sizes = _nerve_sizes(B, n_eff + 1)
     if max(sizes) > nerve_cap:
         return ContractibilityVerdict(
             INCONCLUSIVE, checks={"reason": "nerve size %d over cap %d" % (max(sizes), nerve_cap)}
         )
-    hs = homology_ss(nerve(B, level, basepoint=B.objects[0]), n_eff)
+    hs = nerve_homology(B, n_eff)
     checks["homology"] = [str(h) for h in hs]
     for n in range(1, n_eff + 1):
         if not hs[n].is_trivial():

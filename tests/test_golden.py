@@ -3,19 +3,22 @@
 on every fixture functor, of ``hocolim`` on every fixture pointed
 diagram, of ``pi1`` on every fixture simplicial set and of ``verify`` on
 every theorem fixture, byte for byte against ``tests/data/golden``:
-stdout of each command in ``<command>.<entity>[.coinitial].json`` (for
-``verify``, ``verify.<theorem>.<fixture>.json``) and the exit codes in
-``exit_codes.json``.  The ``factorization`` and ``check-cofinal``
-reports were recorded while the
+stdout of each command in ``<command>.<entity>[.coinitial].json`` and
+the exit codes in ``exit_codes.json``, except for ``verify``, whose
+reports and exit codes are read from their json entries in
+``sweep.json`` below, so that each report is recorded once.  The
+``factorization`` and ``check-cofinal`` reports were recorded while the
 factorization category was still built in full and every derived
 category was listed at construction, so they pin the ids, order and
 tables of the staged views; the ``hocolim`` and ``pi1`` reports were
 recorded while every diagonal and nerve wrote its own face and degeneracy
 tables, and the 17 ``check-vdc`` reports while the comma-fibre analysis
 was still written twice, in ``diagrams`` and in ``cofinal``.  The 61
-``verify`` reports were recorded while every simplicial set built all its
-face and degeneracy tables at construction; the three ``confhomolBW``
-reports were recorded again when they gained ``hypothesis_mode``.
+``verify`` reports were first recorded while every simplicial set built
+all its face and degeneracy tables at construction, in files of their
+own, which matched their ``sweep.json`` entries byte for byte when they
+were dropped; the three ``confhomolBW`` reports were recorded again when
+they gained ``hypothesis_mode``.
 
 ``sweep.json`` pins exit code, stdout and stderr of every command of the
 benchmark's sweep (``perfbench/workloads.py`` ``sweep_commands``: the
@@ -111,21 +114,35 @@ def golden_file(argv):
     return GOLDEN / ("%s%s.json" % (".".join(parts), ".coinitial" if "--coinitial" in argv else ""))
 
 
+def recorded(argv):
+    """Exit code and json stdout recorded for a command: a ``verify``
+    report's from its json entry in ``sweep.json``, any other's from
+    ``exit_codes.json`` and its golden file."""
+    if argv[0] == "verify":
+        entry = sweep_record()[sweep_key("json", argv)]
+        return entry["exit"], entry["stdout"]
+    codes = json.loads((GOLDEN / "exit_codes.json").read_text(encoding="utf-8"))
+    return codes[" ".join(argv)], golden_file(argv).read_text(encoding="utf-8")
+
+
 @pytest.mark.parametrize("argv", commands(), ids=" ".join)
 def test_report_is_byte_identical(argv):
-    codes = json.loads((GOLDEN / "exit_codes.json").read_text(encoding="utf-8"))
     got = run("json", argv)
-    assert (got["exit"], got["stdout"]) == (codes[" ".join(argv)],
-                                            golden_file(argv).read_text(encoding="utf-8"))
+    assert (got["exit"], got["stdout"]) == recorded(argv)
 
 
 def test_every_recorded_command_still_runs():
     """11 factorizations, 17 functors checked three ways (``check-cofinal``
-    with and without ``--coinitial``, ``check-vdc``), 5 pointed diagrams,
-    2 simplicial sets and 61 theorem fixtures."""
+    with and without ``--coinitial``, ``check-vdc``), 5 pointed diagrams
+    and 2 simplicial sets in ``exit_codes.json``, and 61 theorem fixtures
+    in ``sweep.json``, with no golden file of their own."""
     codes = json.loads((GOLDEN / "exit_codes.json").read_text(encoding="utf-8"))
-    assert sorted(codes) == sorted(" ".join(argv) for argv in commands())
-    assert len(codes) == 11 + 2 * 17 + 17 + 5 + 2 + 61
+    verify = [argv for argv in commands() if argv[0] == "verify"]
+    assert sorted(codes) == sorted(" ".join(argv) for argv in commands() if argv not in verify)
+    assert len(codes) == 11 + 2 * 17 + 17 + 5 + 2
+    assert len(verify) == 61
+    assert all(sweep_key("json", argv) in sweep_record() for argv in verify)
+    assert not list(GOLDEN.glob("verify.*"))
 
 
 @pytest.mark.parametrize("mode, argv", sweep_runs(), ids=run_id)
@@ -156,6 +173,8 @@ if __name__ == "__main__":
     SWEEP.write_text(json.dumps(sweep, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     codes = {}
     for argv in commands():
+        if argv[0] == "verify":
+            continue
         got = run("json", argv)
         codes[" ".join(argv)] = got["exit"]
         golden_file(argv).write_text(got["stdout"], encoding="utf-8")

@@ -1,0 +1,184 @@
+"""Views count their hom-sets, and comma objects come from an arrow index.
+
+The cone search asks ``hom_count(x, y)``.  A plain category reads it off
+its hom index; a view counts the base arrows its predicate keeps, with no
+id formatted and nothing kept, unless the hom-set is already built or the
+view is listed.  ``len(hom(x, y))`` is the oracle, on every view kind
+(coslices, left fibres, opposites of views, full subcategories,
+factorization categories and categories of elements), before and after
+the hom-sets and the listing are built.  README's claim that a cone
+answer "lists no view and builds no table" is checked on the coslices of
+a Boolean lattice and the fibres of ``wefrac`` on one-object Z/4.
+
+``comma_coslice`` and ``comma_left_fibre`` read the ends of the target's
+arrows out of (into) d and the source objects over them;
+``oracles.scanned_objects``, which scans every source object, gives the
+same objects in the same order."""
+
+from oracles import scanned_objects
+from test_faithful_check import bz, listed
+
+from hocofin import cofinal, fincat, fixtures
+from hocofin.fincat import (
+    FinCat,
+    comma_coslice,
+    comma_left_fibre,
+    factorization,
+    from_poset,
+    full_subcategory,
+    identity_functor,
+    over_id,
+)
+from hocofin.presheaf import constant_singleton, elements_with_parts, representable
+
+
+def boolean_lattice(k):
+    return from_poset(["m%d" % m for m in range(2 ** k)], lambda x, y: int(x[1:]) & ~int(y[1:]) == 0)
+
+
+def views_of(C):
+    """Builders of every view kind over C."""
+    S = identity_functor(C)
+    builds = []
+    for d in C.objects:
+        builds += [lambda d=d: comma_coslice(S, d),
+                   lambda d=d: comma_left_fibre(S, d)[0],
+                   lambda d=d: fincat.opposite(comma_coslice(S, d)),
+                   lambda d=d: fincat.opposite(comma_left_fibre(S, d)[0]),
+                   lambda d=d: full_subcategory(comma_coslice(S, d), C.objects[::2]),
+                   lambda d=d: elements_with_parts(representable(C, d))[0]]
+    builds += [lambda: factorization(C).category,
+               lambda: factorization(C).category_op,
+               lambda: full_subcategory(C, C.objects[::2]),
+               lambda: full_subcategory(fincat.opposite(C), C.objects[1::2]),
+               lambda: elements_with_parts(constant_singleton(C))[0]]
+    cod = factorization(C).cod
+    for d in C.objects:
+        builds.append(lambda d=d: comma_left_fibre(cod, d)[0])
+    return builds
+
+
+def counts(view):
+    return [view.hom_count(x, y) for x in view.objects for y in view.objects]
+
+
+def lengths(view):
+    return [len(view.hom(x, y)) for x in view.objects for y in view.objects]
+
+
+def assert_counts(build):
+    """Counts on a fresh view, then after its hom-sets and its listing are
+    built, and on a view listed first, against the hom-set lengths."""
+    view = build()
+    counting = getattr(view, "_count", None) is not None
+    got = counts(view)
+    if counting:
+        # nothing was kept or listed
+        assert view._hom == {} and not listed(view)
+    for y in view.objects[:1]:
+        assert view.hom_count("no such object", y) == view.hom_count(y, "no such object") == 0
+    assert got == lengths(view) == counts(view)
+    view.morphisms
+    assert counts(view) == got
+    listed_first = build()
+    listed_first.morphisms
+    assert counts(listed_first) == got
+    return counting
+
+
+def test_every_view_kind_counts_its_hom_sets():
+    cats = [make() for make in fixtures.CATEGORIES.values()] + [bz(4), boolean_lattice(3)]
+    builds = [b for C in cats for b in views_of(C)]
+    assert sum(map(assert_counts, builds)) > len(builds) // 2
+
+
+def test_a_plain_category_counts_from_its_hom_index():
+    C = fixtures.CATEGORIES["delta1"]()
+    assert type(C) is FinCat
+    assert counts(C) == lengths(C)
+
+
+# -- a cone answer reads no hom-set of the view ----------------------------------------
+
+
+def recorded(monkeypatch, module, name, seen):
+    """Replace ``module.name`` by a wrapper that records in ``seen`` each
+    category it returns (the first item of a tuple)."""
+    build = getattr(module, name)
+
+    def recording(*args):
+        out = build(*args)
+        seen.append(out[0] if isinstance(out, tuple) else out)
+        return out
+
+    monkeypatch.setattr(module, name, recording)
+
+
+def untouched(view):
+    """No listing, no table and no hom-set built."""
+    try:
+        FinCat.comp.__get__(view)
+    except AttributeError:
+        tabled = False
+    else:
+        tabled = True
+    return not listed(view) and not tabled and view._hom == {}
+
+
+def test_cones_of_a_boolean_lattice_touch_no_view(monkeypatch):
+    S = identity_functor(boolean_lattice(4))
+    for coinitial in (False, True):
+        seen = []
+        for name in ("comma_coslice", "comma_left_fibre", "opposite"):
+            recorded(monkeypatch, cofinal, name, seen)
+        rep = cofinal.certify_homotopy_cofinal(S, coinitial=coinitial)
+        assert all(v.certificate["kind"] == "cone" for v in rep["per_object"].values())
+        assert len(seen) == 16 * (1 + coinitial)
+        assert all(map(untouched, seen))
+        monkeypatch.undo()
+
+
+def test_wefrac_on_z4_touches_no_fibre(monkeypatch):
+    fibres, opposites = [], []
+    recorded(monkeypatch, cofinal, "comma_left_fibre", fibres)
+    recorded(monkeypatch, cofinal, "opposite", opposites)
+    F = factorization(bz(4))
+    rep = cofinal.certify_homotopy_cofinal(F.cod, coinitial=True)
+    assert [v.certificate["kind"] for v in rep["per_object"].values()] == ["cone"]
+    assert len(fibres) == len(opposites) == 1
+    assert all(map(untouched, fibres + opposites))
+    # the factorization category itself is not listed either
+    assert not listed(F.category)
+
+
+# -- comma objects from an arrow index --------------------------------------------------
+
+
+def functors():
+    out = [make() for make in fixtures.FUNCTORS.values()]
+    out += [fixtures.fun_cod_op(name) for name in fixtures.WEFRAC_CATEGORIES]
+    out += [factorization(C).cod for C in (bz(4), fixtures.CATEGORIES["delta1"]())]
+    out += [identity_functor(boolean_lattice(4))]
+    return out
+
+
+def test_comma_objects_come_in_source_order():
+    met = 0
+    for S in functors():
+        for d in S.target.objects:
+            coslice = comma_coslice(S, d)
+            assert coslice.objects == [over_id(p) for p in scanned_objects(S, d, True)]
+            fibre, _, parts = comma_left_fibre(S, d)
+            assert list(parts.values()) == scanned_objects(S, d, False)
+            assert fibre.objects == list(parts)
+            met += len(fibre.objects) + len(coslice.objects)
+    assert met > 400
+
+
+def test_predecessors_of_a_view_read_no_listing():
+    C = fixtures.CATEGORIES["delta1"]()
+    op = fincat.opposite(C)
+    for x in C.objects:
+        assert sorted(op.predecessors(x)) == sorted(C.successors(x))
+        assert sorted(op.successors(x)) == sorted(C.predecessors(x))
+    assert not listed(op)

@@ -51,7 +51,9 @@ SHARED_METHODS = {
     "compose": ("groups.GroupHom", "homalg.AbMap", "presheaf.SSetMap"),
     "equals": ("groups.GroupHom", "homalg.AbMap", "presheaf.SSetMap"),
     "hom": ("fincat.FinCat", "fincat._View"),
+    "hom_count": ("fincat.FinCat", "fincat._View"),
     "identity": ("groups.GroupHom", "homalg.AbMap", "presheaf.SSetMap"),
+    "predecessors": ("fincat.FinCat", "fincat._View"),
     "successors": ("fincat.FinCat", "fincat._View"),
 }
 
