@@ -435,11 +435,12 @@ def opposite(C):
     """Dual category: dom/cod swapped, comp(g, f) = comp_C(f, g).  A view:
     hom(x, y) is C's hom(y, x), and the listing shares C's, read when the
     view's is first read."""
+    count = C.hom_count
     return _View(C.objects, C.identity, lambda x, y: C.hom(y, x),
                  lambda view: (C.morphisms, C.cod, C.dom),
                  lambda view: {(f, g): h for (g, f), h in C.comp.items()},
                  C.name + "^op" if C.name else "", _ids_parse(C),
-                 lambda x, y: C.hom_count(y, x))
+                 lambda x, y: count(y, x))
 
 
 def opposite_functor(S, source_op=None, target_op=None):
@@ -464,13 +465,16 @@ def over_id(p):
 
 def objects_over(parts):
     """Map id -> parts for the objects with the given parts, in order;
-    two objects with the same id are refused."""
-    out = {}
-    for p in parts:
-        oid = over_id(p)
-        if oid in out:
-            raise CategoryError("duplicate object ids")
-        out[oid] = p
+    two objects with the same id are refused.  The parts are tuples of one
+    length, so that one format string gives every id, as ``over_id``
+    does."""
+    parts = list(parts)
+    if not parts:
+        return {}
+    form = "(%s)" % "|".join(["%s"] * len(parts[0]))
+    out = dict(zip([form % p for p in parts], parts))
+    if len(out) != len(parts):
+        raise CategoryError("duplicate object ids")
     return out
 
 
@@ -499,12 +503,13 @@ def _comma_like(C, parts, arrow, name):
     """
     ident = {o: identity_id(o) for o in parts}
     over = {ident[o]: C.identity[p[0]] for o, p in parts.items()}
+    base_hom, base_identity = C.hom, C.identity
 
     def under(o1, o2):
         """The arrows of C under the morphisms o1 -> o2 but the identity."""
         p1, p2 = parts[o1], parts[o2]
-        skip = C.identity[p1[0]] if o1 == o2 else None
-        return [alpha for alpha in C.hom(p1[0], p2[0]) if alpha != skip and arrow(alpha, p1, p2)]
+        skip = base_identity[p1[0]] if o1 == o2 else None
+        return [alpha for alpha in base_hom(p1[0], p2[0]) if alpha != skip and arrow(alpha, p1, p2)]
 
     def homs(o1, o2):
         out = [ident[o1]] if o1 == o2 else []
@@ -515,7 +520,16 @@ def _comma_like(C, parts, arrow, name):
         return out
 
     def count(o1, o2):
-        return (o1 == o2) + len(under(o1, o2))
+        # under's filter, counted in one loop with no list built
+        p1, p2 = parts[o1], parts[o2]
+        if o1 == o2:
+            n, skip = 1, base_identity[p1[0]]
+        else:
+            n, skip = 0, None
+        for alpha in base_hom(p1[0], p2[0]):
+            if alpha != skip and arrow(alpha, p1, p2):
+                n += 1
+        return n
 
     def listing(view):
         mors = list(ident.values())
@@ -592,7 +606,8 @@ def comma_left_fibre(S, d):
         raise UnknownObject("unknown object %s" % d)
     parts = objects_over((c, b) for c in S.lying_over(D.predecessors(d))
                          for b in D.hom(S.on_obj(c), d))
-    return category_over(C, parts, lambda a, p1, p2: D.comp[(p2[1], S.on_mor(a))] == p1[1],
+    comp, mor = D.comp, S.mor_map
+    return category_over(C, parts, lambda a, p1, p2: comp[(p2[1], mor[a])] == p1[1],
                          "comma", "Q_%s" % d)
 
 
@@ -606,7 +621,8 @@ def comma_coslice(S, d):
         raise UnknownObject("unknown object %s" % d)
     parts = objects_over((c, b) for c in S.lying_over(D.successors(d))
                          for b in D.hom(d, S.on_obj(c)))
-    return _comma_like(C, parts, lambda a, p1, p2: D.comp[(S.on_mor(a), p1[1])] == p2[1],
+    comp, mor = D.comp, S.mor_map
+    return _comma_like(C, parts, lambda a, p1, p2: comp[(mor[a], p1[1])] == p2[1],
                        "comma")[0]
 
 
@@ -895,11 +911,23 @@ def iter_final_objects(C, objs=None):
     and as they are found; given ``objs``, the final objects of the full
     subcategory on them."""
     objs = C.objects if objs is None else objs
-    return (t for t in objs if all(C.hom_count(x, t) == 1 for x in objs))
+    count = C.hom_count
+    for t in objs:
+        for x in objs:
+            if count(x, t) != 1:
+                break
+        else:
+            yield t
 
 
 def iter_initial_objects(C):
-    return (s for s in C.objects if all(C.hom_count(s, x) == 1 for x in C.objects))
+    count = C.hom_count
+    for s in C.objects:
+        for x in C.objects:
+            if count(s, x) != 1:
+                break
+        else:
+            yield s
 
 
 def final_objects(C, objs=None):
@@ -948,15 +976,14 @@ def from_monoid(elements, unit, table, name=""):
 def from_poset(elements, leq, name=""):
     """Poset as a category: one morphism x -> y whenever leq(x, y)."""
     mors = []
+    into = {}  # y -> the arrows x -> y, as (id, x), in arrow order
     for x in elements:
         for y in elements:
             if x != y and leq(x, y):
-                mors.append(("%s<=%s" % (x, y), x, y))
-    comp = []
-    for m2, y1, z in mors:
-        for m1, x, y2 in mors:
-            if y2 == y1:
-                comp.append((m2, m1, "%s<=%s" % (x, z)))
+                m = "%s<=%s" % (x, y)
+                mors.append((m, x, y))
+                into.setdefault(y, []).append((m, x))
+    comp = [(m2, m1, "%s<=%s" % (x, z)) for m2, y, z in mors for m1, x in into.get(y, ())]
     return validate_category(elements, mors, comp, name=name)
 
 

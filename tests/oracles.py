@@ -10,8 +10,9 @@ boundary reduced on its own, without clearing, the degree-0 colimit as
 a coequalizer, group tables enumerated up to isomorphism,
 homotopy-colimit cardinalities, simplicial sets with every face and
 degeneracy table built at construction, the homology of a whole nerve,
-comma objects found by scanning every source object and the replay of
-contractibility certificates.
+comma objects found by scanning every source object, the cone search as
+generator expressions, posets composed by pairing every arrow with every
+arrow and the replay of contractibility certificates.
 """
 
 from __future__ import annotations
@@ -518,6 +519,35 @@ def all_pairs_listing(view):
 
 def initial_objects(C):
     return list(iter_initial_objects(C))
+
+
+def generated_final_objects(C, objs=None):
+    """``fincat.iter_final_objects`` as a generator expression over
+    ``all``: how the cone search tested its candidates before it counted
+    in a plain loop."""
+    objs = C.objects if objs is None else objs
+    return (t for t in objs if all(C.hom_count(x, t) == 1 for x in objs))
+
+
+def generated_initial_objects(C):
+    return (s for s in C.objects if all(C.hom_count(s, x) == 1 for x in C.objects))
+
+
+def paired_poset(elements, leq, name=""):
+    """``fincat.from_poset`` by pairing every arrow with every arrow: how
+    the composites were found before they were read from the arrows into
+    each element."""
+    mors = []
+    for x in elements:
+        for y in elements:
+            if x != y and leq(x, y):
+                mors.append(("%s<=%s" % (x, y), x, y))
+    comp = []
+    for m2, y1, z in mors:
+        for m1, x, y2 in mors:
+            if y2 == y1:
+                comp.append((m2, m1, "%s<=%s" % (x, z)))
+    return validate_category(elements, mors, comp, name=name)
 
 
 def is_final(nb, t, state):

@@ -18,6 +18,7 @@ from hocofin.fincat import (
     factorization,
     final_objects,
     from_monoid,
+    from_poset,
     full_subcategory,
     identity_functor,
     iso_check,
@@ -25,7 +26,7 @@ from hocofin.fincat import (
     validate_category,
 )
 from hocofin.presheaf import DSet, elements_with_parts
-from oracles import disjoint_union, initial_objects, nondegenerate_chains
+from oracles import disjoint_union, initial_objects, nondegenerate_chains, paired_poset
 from test_cofinal_reduction import monoids, posets
 
 
@@ -361,3 +362,48 @@ def test_chain_faces_and_degeneracies():
     ch = ("a", "id_a", "u")
     assert fincat.chain_face(two, ch, 1) == ("a", "u")
     assert any(two.is_identity(f) for f in ch[1:])
+
+
+# -- posets composed from the arrows into each element ------------------------------
+
+
+def assert_poset_as_paired(elements, leq):
+    """``from_poset`` against ``oracles.paired_poset``: an equal category,
+    with the same morphisms, ends and composites in the same order."""
+    C, want = from_poset(elements, leq), paired_poset(elements, leq)
+    assert C == want
+    for got, old in ((C.dom, want.dom), (C.cod, want.cod), (C.comp, want.comp)):
+        assert list(got.items()) == list(old.items())
+
+
+@st.composite
+def orders(draw):
+    """(elements, leq) of a partial order on at most 7 points, listed in a
+    random order."""
+    n = draw(st.integers(0, 7))
+    pairs = draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=14)) if n else set()
+    up = {i: {i} | {j for a, j in pairs if a == i and j > i} for i in range(n)}
+    for i in reversed(range(n)):
+        for j in sorted(up[i]):
+            up[i] |= up[j]
+    order = draw(st.permutations(range(n)))
+    return ["v%d" % i for i in order], lambda x, y: int(y[1:]) in up[int(x[1:])]
+
+
+@settings(max_examples=80, deadline=None)
+@given(orders())
+def test_from_poset_composes_as_the_paired_arrows(order):
+    assert_poset_as_paired(*order)
+
+
+@pytest.mark.parametrize("k", range(5))
+def test_boolean_lattices_fences_and_crowns_compose_as_the_paired_arrows(k):
+    masks = ["m%d" % m for m in range(2 ** k)]
+    assert_poset_as_paired(masks, lambda x, y: int(x[1:]) & ~int(y[1:]) == 0)
+    n = 2 * k + 2
+    points = ["p%d" % i for i in range(n + 1)]
+    assert_poset_as_paired(points, lambda x, y: abs(int(x[1:]) - int(y[1:])) == 1
+                           and int(x[1:]) % 2 == 0)
+    mins, maxs = ["a%d" % i for i in range(n)], ["b%d" % i for i in range(n)]
+    assert_poset_as_paired(mins + maxs, lambda x, y: x[0] == "a" and y[0] == "b"
+                           and (int(y[1:]) - int(x[1:])) % n in (0, 1))

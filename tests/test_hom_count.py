@@ -10,16 +10,29 @@ the hom-sets and the listing are built.  README's claim that a cone
 answer "lists no view and builds no table" is checked on the coslices of
 a Boolean lattice and the fibres of ``wefrac`` on one-object Z/4.
 
+The cone search (``iter_final_objects``, ``iter_initial_objects``) counts
+in a plain loop that stops at the first count that is not 1; its
+generator-expression form (``oracles.generated_final_objects``,
+``oracles.generated_initial_objects``) gives the same objects in the same
+order, and the same first object on a fresh view, on every view kind, on
+plain categories and on the generated categories of
+``test_cofinal_reduction``.
+
 ``comma_coslice`` and ``comma_left_fibre`` read the ends of the target's
 arrows out of (into) d and the source objects over them;
 ``oracles.scanned_objects``, which scans every source object, gives the
-same objects in the same order."""
+same objects in the same order, with the ids of ``over_id``, and two parts
+whose ids coincide are refused."""
 
-from oracles import scanned_objects
+import pytest
+from hypothesis import given, settings
+from oracles import generated_final_objects, generated_initial_objects, scanned_objects
+from test_cofinal_reduction import categories, crown, maximal_ends_fence
 from test_faithful_check import bz, listed
 
 from hocofin import cofinal, fincat, fixtures
 from hocofin.fincat import (
+    CategoryError,
     FinCat,
     comma_coslice,
     comma_left_fibre,
@@ -27,7 +40,11 @@ from hocofin.fincat import (
     from_poset,
     full_subcategory,
     identity_functor,
+    iter_final_objects,
+    iter_initial_objects,
+    objects_over,
     over_id,
+    validate_category,
 )
 from hocofin.presheaf import constant_singleton, elements_with_parts, representable
 
@@ -96,6 +113,39 @@ def test_a_plain_category_counts_from_its_hom_index():
     C = fixtures.CATEGORIES["delta1"]()
     assert type(C) is FinCat
     assert counts(C) == lengths(C)
+
+
+# -- the cone search against its generator form ------------------------------------------
+
+
+def assert_same_cones(build):
+    """Both forms of the cone search on views from ``build``: the same
+    first object on a fresh view each, then the same full lists, also on
+    the full subcategory of every other object."""
+    assert next(iter_final_objects(build()), None) == next(generated_final_objects(build()), None)
+    assert next(iter_initial_objects(build()), None) == next(generated_initial_objects(build()), None)
+    C = build()
+    assert list(iter_final_objects(C)) == list(generated_final_objects(C))
+    assert list(iter_initial_objects(C)) == list(generated_initial_objects(C))
+    objs = C.objects[::2]
+    assert list(iter_final_objects(C, objs)) == list(generated_final_objects(C, objs))
+    return bool(list(iter_final_objects(C)) or list(iter_initial_objects(C)))
+
+
+def test_the_cone_search_finds_what_its_generator_form_finds():
+    cats = [make() for make in fixtures.CATEGORIES.values()] + [bz(4), boolean_lattice(3)]
+    builds = [b for C in cats for b in views_of(C)]
+    builds += [lambda C=C: C for C in cats + [crown(4), maximal_ends_fence(3)]]
+    found = sum(map(assert_same_cones, builds))
+    # most views have a cone, and some have none
+    assert len(builds) // 2 < found < len(builds)
+
+
+@settings(max_examples=60, deadline=None)
+@given(categories)
+def test_the_cone_search_on_generated_categories_and_their_views(C):
+    for build in [lambda: C] + views_of(C):
+        assert_same_cones(build)
 
 
 # -- a cone answer reads no hom-set of the view ----------------------------------------
@@ -182,3 +232,21 @@ def test_predecessors_of_a_view_read_no_listing():
         assert sorted(op.predecessors(x)) == sorted(C.successors(x))
         assert sorted(op.successors(x)) == sorted(C.predecessors(x))
     assert not listed(op)
+
+
+def test_comma_object_ids_are_formatted_as_over_id():
+    for parts in ([("a", "id_a"), ("b|c", 3), (("x", 1), "{0,1}")],
+                  [("u",), ("v",)], [("c", "u", "v"), ("c", "u|v", "w")], []):
+        assert list(objects_over(iter(parts)).items()) == [(over_id(p), p) for p in parts]
+
+
+def test_comma_objects_whose_ids_coincide_are_refused():
+    # "(u|f|g)" names both (u, f|g) and (u|f, g), so does "(a|b|x)"
+    for parts in ([("u", "f|g"), ("o", "id_o"), ("u|f", "g")], [("a|b", "x"), ("a", "b|x")]):
+        with pytest.raises(CategoryError, match="^duplicate object ids$"):
+            objects_over(parts)
+    C = validate_category(["o", "u", "u|f"], [("f|g", "o", "u"), ("g", "o", "u|f")], [])
+    with pytest.raises(CategoryError, match="^duplicate object ids$"):
+        comma_coslice(identity_functor(C), "o")
+    fibre, _, parts = comma_left_fibre(identity_functor(C), "u")
+    assert list(parts) == ["(o|f|g)", "(u|id_u)"]
