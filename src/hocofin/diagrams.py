@@ -56,9 +56,11 @@ class Diagram:
     check asks for an action at every morphism, between the right values
     (``_check_ends``), identities acting as identities and composition
     respected, all compared with ``Map.equals``; a failure raises
-    ``Error``.  A kind of diagram names its ``Map`` class, which gives
-    ``identity``, ``compose`` and ``equals``, its ``Error`` and its
-    ``_check_ends``.
+    ``Error``.  An identity action filled in with ``Map.identity`` joins
+    the value to itself and is a map by construction, so ``_check_ends``
+    does not check it again.  A kind of diagram names its ``Map`` class,
+    which gives ``identity``, ``compose`` and ``equals``, its ``Error``
+    and its ``_check_ends``.
     """
 
     __slots__ = ("base", "value", "action", "name")
@@ -74,21 +76,25 @@ class Diagram:
             if self.value.get(o) is None:
                 raise self.Error("diagram misses a value at %s" % o)
             self._check_value(o, self.value[o])
+        filled = set()
         for o in base.objects:
-            self.action.setdefault(base.identity[o], self.Map.identity(self.value[o]))
+            if base.identity[o] not in self.action:
+                self.action[base.identity[o]] = self.Map.identity(self.value[o])
+                filled.add(base.identity[o])
         if _validate:
-            self._check()
+            self._check(filled)
 
     def _check_value(self, o, X):
         """Refuse a value of the wrong kind; any value will do here."""
 
-    def _check(self):
+    def _check(self, filled):
         B = self.base
         for f in B.morphisms:
             m = self.action.get(f)
             if m is None:
                 raise self.Error("diagram misses the action of %s" % f)
-            self._check_ends(f, m, self.value[B.dom[f]], self.value[B.cod[f]])
+            if f not in filled:
+                self._check_ends(f, m, self.value[B.dom[f]], self.value[B.cod[f]])
         for o in B.objects:
             if not self.action[B.identity[o]].equals(self.Map.identity(self.value[o])):
                 raise self.Error("identity of %s does not act as the identity" % o)

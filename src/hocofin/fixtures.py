@@ -495,10 +495,10 @@ def pd_interval_two(level=3):
     C = cat_two()
     interval = standard_simplex(1, level, basepoint=0)
     pt = standard_simplex(0, level, basepoint=0)
-    collapse = SSetMap(
+    collapse = SSetMap(  # checked once, by the diagram
         interval, pt,
         [{x: pt.simplices[n][0] for x in interval.simplices[n]} for n in range(level + 1)],
-        pointed=True,
+        _validate=False,
     )
     return PointedDiagram(C, level, {"a": interval, "b": pt}, {"u": collapse},
                           name="interval-two")

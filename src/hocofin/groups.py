@@ -36,7 +36,7 @@ class FinGroup:
     exhaustively at construction.
     """
 
-    __slots__ = ("elements", "unit", "table", "inv", "name", "_indexed")
+    __slots__ = ("elements", "unit", "table", "inv", "name", "_indexed", "_orbits")
 
     def __init__(self, elements, unit, table, name=""):
         self.elements = list(elements)
@@ -44,6 +44,7 @@ class FinGroup:
         self.table = dict(table)
         self.name = name
         self._indexed = None
+        self._orbits = None
         if unit not in self.elements:
             raise GroupError("unit is not an element")
         eset = set(self.elements)
@@ -82,6 +83,55 @@ class FinGroup:
             inverses = tuple(idx[self.inv[a]] for a in self.elements)
             self._indexed = (rows, inverses, idx[self.unit])
         return self._indexed
+
+    def orbits(self):
+        """The orbits of Aut(G) on the indices of ``indexed()``, each a
+        sorted tuple, in order of their least index; built once.
+
+        An automorphism is fixed by its images of a generating set, so
+        each choice of images of the same orders is carried along the
+        generators from the unit, and kept when it is a well-defined
+        bijection: the images of x and x*g are then related as they must
+        be for every x and every generator g, which makes it a
+        homomorphism."""
+        if self._orbits is None:
+            rows, _, unit = self.indexed()
+            n = len(rows)
+            # a generating set, and each element reached as (parent, generator slot)
+            gens, tree, reached = [], {unit: None}, [unit]
+            for a in range(n):
+                if a not in tree:
+                    gens.append(a)
+                    for x in reached:  # the list grows while it is read
+                        for i, g in enumerate(gens):
+                            y = rows[x][g]
+                            if y not in tree:
+                                tree[y] = (x, i)
+                                reached.append(y)
+            order = []
+            for a in range(n):
+                k, acc = 1, a
+                while acc != unit:
+                    k, acc = k + 1, rows[acc][a]
+                order.append(k)
+            autos = []
+            for images in itertools.product(
+                    *([b for b in range(n) if order[b] == order[g]] for g in gens)):
+                phi = [unit] * n
+                for x, edge in tree.items():
+                    if edge is not None:
+                        phi[x] = rows[phi[edge[0]]][images[edge[1]]]
+                if len(set(phi)) == n and all(phi[rows[x][g]] == rows[phi[x]][b]
+                                              for x in range(n) for g, b in zip(gens, images)):
+                    autos.append(phi)
+            orbits, seen = [], set()
+            for a in range(n):
+                if a not in seen:
+                    orbit = tuple(sorted({phi[a] for phi in autos}))
+                    seen.update(orbit)
+                    orbits.append(orbit)
+            self._orbits = tuple(orbits)
+        return self._orbits
 
     def order(self):
         return len(self.elements)
@@ -518,6 +568,14 @@ def hom_count(P, T, budget=HOM_COUNT_BUDGET):
     as its last generator has an image, so a failing partial assignment
     is never extended.
 
+    The first generator x1 of a block of two or more takes one image per
+    orbit of Aut(T) on T (``FinGroup.orbits``), and the count from that
+    image is weighted by the orbit's size.  This is exact: composing with
+    an automorphism s is a bijection from the homomorphisms that send x1
+    to a onto those that send x1 to s(a), so every image in one orbit has
+    the same count.  A block of one generator tries every image, so that
+    a count with no such block builds no orbits.
+
     >>> z2_z3 = GroupPresentation(["x", "y"], [["x", "x"], ["y", "y", "y"]])
     >>> hom_count(z2_z3, symmetric_group_3())
     12
@@ -540,15 +598,18 @@ def hom_count(P, T, budget=HOM_COUNT_BUDGET):
 
 def _backtrack(checks, T):
     """Assignments of one block (``GroupPresentation.blocks``) into T that
-    satisfy its relators, counted depth-first."""
+    satisfy its relators, counted depth-first; in a block of two or more
+    generators, from one image of the first per Aut(T)-orbit, weighted by
+    the orbit's size (``hom_count``)."""
     rows, inverses, unit = T.indexed()
     images = [unit] * (2 * len(checks))
     last = len(checks) - 1
+    everything = range(len(rows))
 
-    def extend(d):
+    def extend(d, choices):
         total = 0
         words = checks[d]
-        for a in range(len(rows)):
+        for a in choices:
             images[2 * d] = a
             images[2 * d + 1] = inverses[a]
             for word in words:
@@ -558,10 +619,12 @@ def _backtrack(checks, T):
                 if acc != unit:
                     break
             else:
-                total += 1 if d == last else extend(d + 1)
+                total += 1 if d == last else extend(d + 1, everything)
         return total
 
-    return extend(0)
+    if not last:
+        return extend(0, everything)
+    return sum(len(orbit) * extend(0, orbit[:1]) for orbit in T.orbits())
 
 
 def fingerprint(P):

@@ -115,7 +115,8 @@ def bg_diagram(G, N):
         # both nerves have the one object "*", so a chain keeps its origin
         mapping = [{x: x[:1] + tuple(mor_image(m) for m in x[1:]) for x in Xs.simplices[n]}
                    for n in range(N + 1)]
-        actions[alpha] = SSetMap(Xs, Xt, mapping, pointed=True)
+        # checked once, by the diagram's _check_ends
+        actions[alpha] = SSetMap(Xs, Xt, mapping, _validate=False)
     return PointedDiagram(G.base, N, values, actions, name="B(%s)" % (G.name or "?"))
 
 

@@ -7,12 +7,14 @@ homology lifted to the free covers.  The others recount or recheck what
 the program builds: the nondegenerate nerve chains as tuples, the
 squares of each boundary taken chain by chain, each relation-cone
 boundary reduced on its own, without clearing, the degree-0 colimit as
-a coequalizer, group tables enumerated up to isomorphism,
+a coequalizer, group tables enumerated up to isomorphism, hom counts
+backtracked over every image of every generator, automorphisms of a
+group table by trying every permutation,
 homotopy-colimit cardinalities, simplicial sets with every face and
 degeneracy table built at construction, the homology of a whole nerve,
 comma objects found by scanning every source object, the cone search as
 generator expressions, posets composed by pairing every arrow with every
-arrow and the replay of contractibility certificates.
+arrow and validated in full, and the replay of contractibility certificates.
 """
 
 from __future__ import annotations
@@ -321,6 +323,49 @@ def element_orders(G):
     return sorted(out)
 
 
+def plain_backtrack(checks, T):
+    """``groups._backtrack`` with every element of T tried for every
+    generator of the block: how blocks were counted before the first
+    generator took one image per automorphism orbit."""
+    rows, inverses, unit = T.indexed()
+    images = [unit] * (2 * len(checks))
+    last = len(checks) - 1
+
+    def extend(d):
+        total = 0
+        words = checks[d]
+        for a in range(len(rows)):
+            images[2 * d] = a
+            images[2 * d + 1] = inverses[a]
+            for word in words:
+                acc = unit
+                for slot in word:
+                    acc = rows[acc][images[slot]]
+                if acc != unit:
+                    break
+            else:
+                total += 1 if d == last else extend(d + 1)
+        return total
+
+    return extend(0)
+
+
+def automorphisms(T):
+    """Every automorphism of T on the indices of ``T.indexed()``, as a
+    tuple of images, found by trying every permutation that fixes the
+    unit."""
+    rows, _, unit = T.indexed()
+    rest = [a for a in range(len(rows)) if a != unit]
+    out = []
+    for perm in itertools.permutations(rest):
+        phi = [unit] * len(rows)
+        for a, b in zip(rest, perm):
+            phi[a] = b
+        if all(phi[rows[a][b]] == rows[phi[a]][phi[b]] for a in rest for b in rest):
+            out.append(tuple(phi))
+    return out
+
+
 def invert(fp, w):
     """The inverse of the reduced word w of the free product fp."""
     return tuple((lbl, fp.fmap[lbl].inv[el]) for lbl, el in reversed(tuple(w)))
@@ -534,9 +579,10 @@ def generated_initial_objects(C):
 
 
 def paired_poset(elements, leq, name=""):
-    """``fincat.from_poset`` by pairing every arrow with every arrow: how
-    the composites were found before they were read from the arrows into
-    each element."""
+    """``fincat.from_poset`` by pairing every arrow with every arrow, and
+    through ``validate_category``: how the composites were found before
+    they were read from the arrows into each element, and checked before
+    posets were built without the associativity pass."""
     mors = []
     for x in elements:
         for y in elements:

@@ -396,6 +396,56 @@ def test_from_poset_composes_as_the_paired_arrows(order):
     assert_poset_as_paired(*order)
 
 
+def built_or_refused(build, elements, leq):
+    try:
+        C = build(elements, leq)
+    except CategoryError as exc:
+        return type(exc), str(exc)
+    return C, list(C.dom.items()), list(C.cod.items()), list(C.comp.items())
+
+
+@st.composite
+def relations(draw):
+    """(elements, leq) of any relation on at most 5 names, some of which
+    hold "<=" or "id_", so that ids formatted from distinct parts can
+    coincide."""
+    names = st.lists(st.sampled_from(["a", "b", "<=", "id_"]), min_size=1, max_size=3).map("".join)
+    elements = draw(st.lists(names, max_size=5))
+    pairs = draw(st.sets(st.tuples(st.sampled_from(elements), st.sampled_from(elements)))
+                 if elements else st.just(set()))
+    return elements, lambda x, y: (x, y) in pairs
+
+
+@settings(max_examples=300, deadline=None)
+@given(relations())
+def test_from_poset_refuses_what_the_validated_category_refuses(relation):
+    assert built_or_refused(from_poset, *relation) == built_or_refused(paired_poset, *relation)
+
+
+@pytest.mark.parametrize("elements, pairs, error", [
+    (["a", "a"], set(), "CategoryError: duplicate object ids"),
+    (["a<=b", "id_a", "b"], {("id_a", "b")},
+     "DanglingId: morphism id id_a<=b duplicates another (identities are reserved)"),
+    (["a", "b<=c", "a<=b", "c"], {("a", "b<=c"), ("a<=b", "c")},
+     "DanglingId: morphism id a<=b<=c duplicates another (identities are reserved)"),
+    (["a", "b"], {("a", "b"), ("b", "a")},
+     "DanglingId: composition entry (a<=b, b<=a) -> b<=b references unknown ids"),
+    (["a", "b", "c"], {("a", "b"), ("b", "c")},
+     "DanglingId: composition entry (b<=c, a<=b) -> a<=c references unknown ids"),
+    # a<=b<=c is the arrow from a<=b to c, not from a to b<=c
+    (["a", "y", "b<=c", "a<=b", "c"], {("a", "y"), ("y", "b<=c"), ("a<=b", "c")},
+     "AssociativityViolation: composite a<=b<=c of (y<=b<=c, a<=y) has wrong endpoints"),
+])
+def test_from_poset_refuses_as_the_validated_category(elements, pairs, error, monkeypatch):
+    def leq(x, y):
+        return (x, y) in pairs
+
+    kind, message = built_or_refused(paired_poset, elements, leq)
+    assert "%s: %s" % (kind.__name__, message) == error
+    monkeypatch.setattr(fincat.FinCat, "_check", None)  # from_poset runs no _check
+    assert built_or_refused(from_poset, elements, leq) == (kind, message)
+
+
 @pytest.mark.parametrize("k", range(5))
 def test_boolean_lattices_fences_and_crowns_compose_as_the_paired_arrows(k):
     masks = ["m%d" % m for m in range(2 ** k)]

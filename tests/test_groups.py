@@ -24,7 +24,14 @@ from hocofin.groups import (
     trivial_group,
 )
 from hocofin.homalg import FGAb
-from oracles import abelianization, element_orders, enumerate_group_tables, invert
+from oracles import (
+    abelianization,
+    automorphisms,
+    element_orders,
+    enumerate_group_tables,
+    invert,
+    plain_backtrack,
+)
 
 
 def test_cyclic_group_axioms():
@@ -226,6 +233,12 @@ def presentations(draw):
     # without generators the only relator is the empty word
     letters = st.tuples(st.sampled_from(gens or [None]), st.sampled_from((1, -1)))
     relators = draw(st.lists(st.lists(letters, max_size=6 if gens else 0), max_size=4))
+    # a relator through the first two or three generators makes a block of
+    # at least that many, whose first generator runs over orbits
+    linked = draw(st.sampled_from([k for k in (0, 2, 3) if k <= len(gens)]))
+    if linked:
+        through = draw(st.permutations(gens[:linked]))
+        relators.append([(g, draw(st.sampled_from((1, -1)))) for g in through])
     return GroupPresentation(gens, relators)
 
 
@@ -234,6 +247,42 @@ def presentations(draw):
 def test_hom_count_matches_brute_force(P):
     for T in catalog():
         assert hom_count(P, T) == brute_force_hom_count(P, T), (P.relators, T.name)
+
+
+@settings(max_examples=100, deadline=None)
+@given(presentations())
+def test_each_block_counts_as_backtracking_over_every_image(P):
+    _, blocks = P.blocks()
+    for checks in blocks:
+        for T in catalog():
+            assert groups._backtrack(checks, T) == plain_backtrack(checks, T), (checks, T.name)
+
+
+def test_the_presentations_reach_blocks_of_two_and_three_generators():
+    sizes = set()
+
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(presentations())
+    def collect(P):
+        sizes.update(len(checks) for checks in P.blocks()[1])
+
+    collect()
+    assert {1, 2, 3} <= sizes
+
+
+# |Aut| of each catalog group: GL(3, 2) for Z2^3, D4 for D4 and Z4xZ2, S4 for Q8
+AUT_ORDERS = {"1": 1, "Z2": 1, "Z3": 2, "Z4": 2, "V4": 6, "Z5": 4, "Z6": 2, "S3": 6,
+              "Z7": 6, "Z8": 4, "Z4xZ2": 8, "Z2^3": 168, "D4": 8, "Q8": 24}
+
+
+@pytest.mark.parametrize("index", range(len(catalog())))
+def test_orbits_are_the_automorphism_orbits(index):
+    T = catalog()[index]
+    autos = automorphisms(T)
+    assert len(autos) == AUT_ORDERS[T.name]
+    want = sorted({tuple(sorted({phi[a] for phi in autos})) for a in range(T.order())})
+    assert T.orbits() == tuple(want)
+    assert T.orbits() is T.orbits()
 
 
 def test_hom_count_free_product_of_z2():

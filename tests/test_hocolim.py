@@ -26,6 +26,7 @@ from hocofin.hocolim import (
     pointed_quotient_check,
 )
 from hocofin.presheaf import (
+    PresheafError,
     SSetMap,
     edge_path_group,
     homology_ss,
@@ -128,6 +129,49 @@ def test_main2_n0_span_fixture():
 
     idx = [i for i, T in enumerate(catalog()) if T.name == "S3"]
     assert pi1[idx[0]] == 12
+
+
+def _counted_checks(monkeypatch):
+    checked = []
+    real = SSetMap._check
+
+    def spy(self, pointed):
+        checked.append(self)
+        return real(self, pointed)
+
+    monkeypatch.setattr(SSetMap, "_check", spy)
+    return checked
+
+
+def test_bg_diagram_checks_each_action_once(monkeypatch):
+    from hocofin import fixtures
+
+    checked = _counted_checks(monkeypatch)
+    PD = bg_diagram(fixtures.diag_span_z2_z3(), 4)
+    # the two arrows of the span, each once; the identities filled in are
+    # not checked
+    assert sorted(map(id, checked)) == sorted(id(PD.action[f]) for f in ("p", "q"))
+
+
+def test_an_action_given_at_an_identity_is_still_checked(monkeypatch):
+    X = standard_simplex(1, 1, basepoint=0)
+    checked = _counted_checks(monkeypatch)
+    PD = PointedDiagram(walking_arrow(), 1, {"a": X, "b": X},
+                        {"id_a": SSetMap.identity(X), "u": SSetMap.identity(X)})
+    assert sorted(map(id, checked)) == sorted(id(PD.action[f]) for f in ("id_a", "u"))
+
+
+def test_bg_diagram_refuses_an_action_that_is_no_simplicial_map(monkeypatch):
+    z3a = FreeProduct.from_group("A", cyclic_group(3))
+    z3b = FreeProduct.from_group("B", cyclic_group(3))
+    G = GroupDiagram(walking_arrow(), {"a": z3a, "b": z3b},
+                     {"u": GroupHom(z3a, z3b, {"A": {e: (("B", e),) for e in "012"}})})
+    bg_diagram(G, 2)
+    # every element to the generator: no homomorphism, and the images of
+    # the 2-simplex (1, 1) and of its inner face 2 disagree
+    monkeypatch.setattr(GroupHom, "apply", lambda self, word: (("B", "1"),) if word else ())
+    with pytest.raises(PresheafError, match="^map does not commute with d_1$"):
+        bg_diagram(G, 2)
 
 
 def test_main2_n0_constant_diagram():
