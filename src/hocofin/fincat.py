@@ -6,13 +6,12 @@ codomain, synthesized identities ``id_<obj>``, and a total composition
 table on composable pairs.  What is checked, and when:
 
 - A category given raw (``validate_category``: the readers, monoids,
-  disjoint unions) is validated when it is built: endpoints, unit laws, a
-  composite for every composable pair, and associativity on every
-  composable triple.
-- A poset (``from_poset``) is checked for repeated ids and for an arrow
-  x<=z, from x to z, for each x<=y and y<=z, and for nothing else: it
-  has at most one arrow between two objects, so its composition is
-  forced and associative.
+  posets, disjoint unions) is validated when it is built: endpoints, unit
+  laws, a composite for every composable pair, and associativity on every
+  composable triple.  A thin one, with at most one arrow between two
+  objects, such as a poset, skips the associativity pass: once every
+  composite has the right endpoints, both sides of each equation are the
+  one arrow between the same two objects.
 - Every category derived from a base is a view over it (``_View``):
   left fibres S↓d, coslices d↓S, factorization slices and categories of
   elements in ``presheaf`` (all built by ``_comma_like`` from their
@@ -163,8 +162,9 @@ class FinCat:
     def _check(self):
         """Check that the composition entries sit on composable pairs with
         the right endpoints, that every composable pair has one, and
-        associativity on every composable triple.  ``validate_category``
-        has already checked the ids, the endpoints and the unit laws."""
+        associativity on every composable triple unless the category is
+        thin.  ``validate_category`` has already checked the ids, the
+        endpoints and the unit laws."""
         for (g, f), h in self.comp.items():
             if self.dom[g] != self.cod[f]:
                 raise DanglingId("composition entry for non-composable pair (%s, %s)" % (g, f))
@@ -178,6 +178,10 @@ class FinCat:
             for g, f in self.composable_pairs():
                 if (g, f) not in self.comp:
                     raise MissingComposite("composable pair (%s, %s) has no composite" % (g, f))
+        # a thin category (one arrow per nonempty hom-set) has (hg)f and
+        # h(gf) both the one arrow from dom f to cod h
+        if len(self._hom) == len(self.morphisms):
+            return
         # associativity on exactly the composable triples, via out-buckets
         for g, f in self.composable_pairs():
             gf = self.comp[(g, f)]
@@ -978,52 +982,17 @@ def from_monoid(elements, unit, table, name=""):
 
 
 def from_poset(elements, leq, name=""):
-    """Poset as a category: one morphism x -> y whenever leq(x, y).
-
-    Built as ``validate_category`` builds it, with the same ids, order
-    and errors, but with no ``FinCat._check``: a category with at most one
-    arrow between two objects is thin, so once the composite x<=z of each
-    x<=y and y<=z is an arrow from x to z, composition is forced and
-    associative.  A relation that is no partial order is refused as a raw
-    category is: a missing x<=z dangles, and so does the x<=x that a
-    2-cycle asks for.
-    """
-    objects = list(elements)
-    if len(set(objects)) != len(objects):
-        raise CategoryError("duplicate object ids")
-    ident = {o: identity_id(o) for o in objects}
-    mor_ids = list(ident.values())
-    dom = dict(zip(mor_ids, objects))
-    cod = dict(dom)
+    """Poset as a category: one morphism x -> y whenever leq(x, y)."""
+    mors = []
     into = {}  # y -> the arrows x -> y, as (id, x), in arrow order
-    for x in objects:
-        for y in objects:
+    for x in elements:
+        for y in elements:
             if x != y and leq(x, y):
                 m = "%s<=%s" % (x, y)
-                if m in dom:
-                    raise DanglingId(
-                        "morphism id %s duplicates another (identities are reserved)" % m)
-                mor_ids.append(m)
-                dom[m], cod[m] = x, y
+                mors.append((m, x, y))
                 into.setdefault(y, []).append((m, x))
-    comp = {}
-    misplaced = None  # a name holding "<=" can make x<=z the id of another arrow
-    for m2 in mor_ids[len(objects):]:
-        z = cod[m2]
-        for m1, x in into.get(dom[m2], ()):
-            h = "%s<=%s" % (x, z)
-            if h not in dom:
-                raise DanglingId("composition entry (%s, %s) -> %s references unknown ids"
-                                 % (m2, m1, h))
-            if misplaced is None and (dom[h] != x or cod[h] != z):
-                misplaced = (h, m2, m1)
-            comp[(m2, m1)] = h
-    if misplaced is not None:
-        raise AssociativityViolation("composite %s of (%s, %s) has wrong endpoints" % misplaced)
-    for f in mor_ids:
-        comp[(ident[cod[f]], f)] = f
-        comp[(f, ident[dom[f]])] = f
-    return FinCat(objects, mor_ids, dom, cod, ident, comp, name=name)
+    comp = [(m2, m1, "%s<=%s" % (x, z)) for m2, y, z in mors for m1, x in into.get(y, ())]
+    return validate_category(elements, mors, comp, name=name)
 
 
 # -- nerve chains ---------------------------------------------------------

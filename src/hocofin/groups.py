@@ -568,13 +568,12 @@ def hom_count(P, T, budget=HOM_COUNT_BUDGET):
     as its last generator has an image, so a failing partial assignment
     is never extended.
 
-    The first generator x1 of a block of two or more takes one image per
-    orbit of Aut(T) on T (``FinGroup.orbits``), and the count from that
-    image is weighted by the orbit's size.  This is exact: composing with
-    an automorphism s is a bijection from the homomorphisms that send x1
-    to a onto those that send x1 to s(a), so every image in one orbit has
-    the same count.  A block of one generator tries every image, so that
-    a count with no such block builds no orbits.
+    The first generator x1 of each block takes one image per orbit of
+    Aut(T) on T (``FinGroup.orbits``), and the count from that image is
+    weighted by the orbit's size.  This is exact: composing with an
+    automorphism s is a bijection from the homomorphisms that send x1 to
+    a onto those that send x1 to s(a), so every image in one orbit has the
+    same count.
 
     >>> z2_z3 = GroupPresentation(["x", "y"], [["x", "x"], ["y", "y", "y"]])
     >>> hom_count(z2_z3, symmetric_group_3())
@@ -598,9 +597,9 @@ def hom_count(P, T, budget=HOM_COUNT_BUDGET):
 
 def _backtrack(checks, T):
     """Assignments of one block (``GroupPresentation.blocks``) into T that
-    satisfy its relators, counted depth-first; in a block of two or more
-    generators, from one image of the first per Aut(T)-orbit, weighted by
-    the orbit's size (``hom_count``)."""
+    satisfy its relators, counted depth-first from one image of the first
+    generator per Aut(T)-orbit, weighted by the orbit's size
+    (``hom_count``)."""
     rows, inverses, unit = T.indexed()
     images = [unit] * (2 * len(checks))
     last = len(checks) - 1
@@ -622,8 +621,6 @@ def _backtrack(checks, T):
                 total += 1 if d == last else extend(d + 1, everything)
         return total
 
-    if not last:
-        return extend(0, everything)
     return sum(len(orbit) * extend(0, orbit[:1]) for orbit in T.orbits())
 
 

@@ -14,7 +14,7 @@ homotopy-colimit cardinalities, simplicial sets with every face and
 degeneracy table built at construction, the homology of a whole nerve,
 comma objects found by scanning every source object, the cone search as
 generator expressions, posets composed by pairing every arrow with every
-arrow and validated in full, and the replay of contractibility certificates.
+arrow and the replay of contractibility certificates.
 """
 
 from __future__ import annotations
@@ -579,10 +579,9 @@ def generated_initial_objects(C):
 
 
 def paired_poset(elements, leq, name=""):
-    """``fincat.from_poset`` by pairing every arrow with every arrow, and
-    through ``validate_category``: how the composites were found before
-    they were read from the arrows into each element, and checked before
-    posets were built without the associativity pass."""
+    """``fincat.from_poset`` by pairing every arrow with every arrow: how
+    the composites were found before they were read from the arrows into
+    each element."""
     mors = []
     for x in elements:
         for y in elements:
