@@ -333,9 +333,7 @@ def _verify_corfact(fx, args, report):
 
 def _verify_factfibres(fx, args, report):
     S = fx["functor"]
-    fc = factorization(S.source)
-    fd = factorization(S.target)
-    FS = factor_functor(S, fc, fd)
+    FS = factor_functor(S)
     results = {}
     for alpha in S.target.morphisms:
         lhs, _, _ = comma_left_fibre(FS, alpha)

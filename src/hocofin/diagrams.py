@@ -29,7 +29,7 @@ import copy
 from . import fincat
 from .cofinal import analyze_fibres, reflective_core
 from .fincat import Functor, NerveTable, chain_counts, full_subcategory
-from .groups import FreeProduct, GroupHom, GroupPresentation, tietze_simplify
+from .groups import FreeProduct, GroupHom, GroupPresentation, table_relators, tietze_simplify
 from .homalg import AbMap, FGAb, block_map, block_sum, normalized_complex
 
 
@@ -56,11 +56,12 @@ class Diagram:
     check asks for an action at every morphism, between the right values
     (``_check_ends``), identities acting as identities and composition
     respected, all compared with ``Map.equals``; a failure raises
-    ``Error``.  An identity action filled in with ``Map.identity`` joins
-    the value to itself and is a map by construction, so ``_check_ends``
-    does not check it again.  A kind of diagram names its ``Map`` class,
-    which gives ``identity``, ``compose`` and ``equals``, its ``Error``
-    and its ``_check_ends``.
+    ``Error``.  Who checks an action: that it is a map of its kind (a
+    homomorphism, a simplicial map) is its constructor's check, made once
+    when it is built or skipped by a builder whose maps are maps by
+    construction; the diagram checks only its ends.  A kind of diagram
+    names its ``Map`` class, which gives ``identity``, ``compose`` and
+    ``equals``, its ``Error`` and its ``_check_ends``.
     """
 
     __slots__ = ("base", "value", "action", "name")
@@ -76,25 +77,22 @@ class Diagram:
             if self.value.get(o) is None:
                 raise self.Error("diagram misses a value at %s" % o)
             self._check_value(o, self.value[o])
-        filled = set()
         for o in base.objects:
             if base.identity[o] not in self.action:
                 self.action[base.identity[o]] = self.Map.identity(self.value[o])
-                filled.add(base.identity[o])
         if _validate:
-            self._check(filled)
+            self._check()
 
     def _check_value(self, o, X):
         """Refuse a value of the wrong kind; any value will do here."""
 
-    def _check(self, filled):
+    def _check(self):
         B = self.base
         for f in B.morphisms:
             m = self.action.get(f)
             if m is None:
                 raise self.Error("diagram misses the action of %s" % f)
-            if f not in filled:
-                self._check_ends(f, m, self.value[B.dom[f]], self.value[B.cod[f]])
+            self._check_ends(f, m, self.value[B.dom[f]], self.value[B.cod[f]])
         for o in B.objects:
             if not self.action[B.identity[o]].equals(self.Map.identity(self.value[o])):
                 raise self.Error("identity of %s does not act as the identity" % o)
@@ -180,24 +178,12 @@ def colim0(C, G):
     every morphism alpha and factor element x.  Tietze-simplified before
     return.
     """
-    gens = []
+    gens, relators = [], []
     for obj in C.objects:
         for lbl, grp in G.value[obj].factors:
-            for el in grp.elements:
-                if el != grp.unit:
-                    gens.append(_gen_name(obj, lbl, el))
-    relators = []
-    for obj in C.objects:
-        for lbl, grp in G.value[obj].factors:
-            for a in grp.elements:
-                for b in grp.elements:
-                    if a == grp.unit or b == grp.unit:
-                        continue
-                    c = grp.table[(a, b)]
-                    rel = [(_gen_name(obj, lbl, a), 1), (_gen_name(obj, lbl, b), 1)]
-                    if c != grp.unit:
-                        rel.append((_gen_name(obj, lbl, c), -1))
-                    relators.append(tuple(rel))
+            names = {el: _gen_name(obj, lbl, el) for el in grp.elements if el != grp.unit}
+            gens.extend(names.values())
+            relators.extend(table_relators(grp, names))
     for alpha in C.morphisms:
         if C.is_identity(alpha):
             continue
@@ -312,25 +298,19 @@ def srep_ab_complex(C, M, n_max):
 def abelianize_free_product(fp):
     """Direct sum of the factor abelianizations, with one generator per
     non-unit element; returns (FGAb, generator index list)."""
-    gens = []
+    gens, cols = [], []
     for lbl, grp in fp.factors:
+        index = {}
         for el in grp.elements:
             if el != grp.unit:
+                index[el] = len(gens)
                 gens.append((lbl, el))
-    gidx = {g: i for i, g in enumerate(gens)}
-    cols = []
-    for lbl, grp in fp.factors:
-        for a in grp.elements:
-            for b in grp.elements:
-                if a == grp.unit or b == grp.unit:
-                    continue
-                # a + b - ab: ab is neither a nor b, so nothing cancels
-                col = {gidx[(lbl, a)]: 1}
-                col[gidx[(lbl, b)]] = col.get(gidx[(lbl, b)], 0) + 1
-                c = grp.table[(a, b)]
-                if c != grp.unit:
-                    col[gidx[(lbl, c)]] = -1
-                cols.append(col)
+        # a + b - ab, with a and b the same generator when a = b
+        for rel in table_relators(grp, index):
+            col = {}
+            for i, e in rel:
+                col[i] = col.get(i, 0) + e
+            cols.append(col)
     return FGAb(len(gens), cols), gens
 
 

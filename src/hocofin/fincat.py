@@ -37,6 +37,12 @@ table on composable pairs.  What is checked, and when:
   morphisms at construction, so that a repeated id is refused then, as
   for a category given raw.
 
+Two categories are equal when their listings and composition tables
+are.  ``opposite(C)``, ``factorization(C).category`` and the category of
+elements of X carry a key: their builder and what it reads (C, or X's
+base, sets and maps).  Views with equal keys are equal unread, the bases
+in the keys compared by ``==`` again; other pairs are compared in full.
+
 Consumers that need only hom-sets (cone objects, finally discrete
 components) neither list a view nor build its table.  Canonical ordering
 is input order everywhere; derived categories enumerate their objects and
@@ -105,7 +111,7 @@ class FinCat:
     """
 
     __slots__ = ("objects", "morphisms", "dom", "cod", "identity", "comp", "name", "_hom",
-                 "_out", "_into", "_homs", "_count", "_listing", "_table", "_parse")
+                 "_out", "_into", "_homs", "_count", "_listing", "_table", "_parse", "_key")
 
     def __init__(self, objects, morphisms, dom, cod, identity, comp, name=""):
         self.objects = objects
@@ -115,6 +121,7 @@ class FinCat:
         self.identity = identity
         self.comp = comp
         self.name = name
+        self._key = None
         self._index()
 
     def _index(self):
@@ -192,8 +199,12 @@ class FinCat:
                     )
 
     def __eq__(self, other):
+        if self is other:
+            return True
         if not isinstance(other, FinCat):
             return NotImplemented
+        if self._key is not None and self._key == other._key:
+            return True
         return (
             self.objects == other.objects
             and self.morphisms == other.morphisms
@@ -238,6 +249,7 @@ class _View(FinCat):
         self._listing = listing
         self._table = table
         self._parse = parse
+        self._key = None
         if not parse:
             self.morphisms  # the listing, which refuses a repeated id
 
@@ -444,23 +456,19 @@ def opposite(C):
     hom(x, y) is C's hom(y, x), and the listing shares C's, read when the
     view's is first read."""
     count = C.hom_count
-    return _View(C.objects, C.identity, lambda x, y: C.hom(y, x),
-                 lambda view: (C.morphisms, C.cod, C.dom),
-                 lambda view: {(f, g): h for (g, f), h in C.comp.items()},
-                 C.name + "^op" if C.name else "", _ids_parse(C),
-                 lambda x, y: count(y, x))
+    op = _View(C.objects, C.identity, lambda x, y: C.hom(y, x),
+               lambda view: (C.morphisms, C.cod, C.dom),
+               lambda view: {(f, g): h for (g, f), h in C.comp.items()},
+               C.name + "^op" if C.name else "", _ids_parse(C),
+               lambda x, y: count(y, x))
+    op._key = ("opposite", C)
+    return op
 
 
-def opposite_functor(S, source_op=None, target_op=None):
+def opposite_functor(S):
     """The same maps, viewed between the opposite categories."""
-    return Functor(
-        source_op if source_op is not None else opposite(S.source),
-        target_op if target_op is not None else opposite(S.target),
-        S.obj_map,
-        S.mor_map,
-        name=(S.name + "^op") if S.name else "",
-        _validate=False,
-    )
+    return Functor(opposite(S.source), opposite(S.target), S.obj_map, S.mor_map,
+                   name=(S.name + "^op") if S.name else "", _validate=False)
 
 
 # -- categories over a base ---------------------------------------------
@@ -745,15 +753,17 @@ def factorization(C):
         return comp
 
     cat = _View(objs, ident, homs, listing, table, C.name and "F(%s)" % C.name, _ids_parse(C))
+    cat._key = ("factorization", C)
     cat_op = opposite(cat)
     cod_f = Functor(cat, C, {f: C.cod[f] for f in objs}, cod_mor, name="cod", _validate=False)
     dom_f = Functor(cat_op, C, {f: C.dom[f] for f in objs}, dom_mor, name="dom", _validate=False)
     return FactorizationData(C, cat, cat_op, dom_f, cod_f, pair)
 
 
-def factor_functor(S, fc, fd):
-    """The induced functor between the factorization categories ``fc`` of
-    S's source and ``fd`` of its target."""
+def factor_functor(S):
+    """The induced functor between the factorization categories of S's
+    source and of its target."""
+    fc, fd = factorization(S.source), factorization(S.target)
     obj_map = {f: S.on_mor(f) for f in fc.category.objects}
     mor_map = {}
     for m in fc.category.morphisms:

@@ -199,9 +199,7 @@ def fun_fold_disc2():
 
 def fun_cod_op(cat_name):
     """cod: FC -> C turned around for the coinitial-form statements."""
-    C = CATEGORIES[cat_name]()
-    F = factorization(C)
-    return opposite_functor(F.cod, F.category_op, opposite(C))
+    return opposite_functor(factorization(CATEGORIES[cat_name]()).cod)
 
 
 FUNCTORS = {
@@ -472,33 +470,37 @@ def nonconst_ab_system_interval():
 # -- pointed diagrams --------------------------------------------------------------
 
 
-def pd_point_span(level=3):
-    C = cat_span()
+# the level of the built-in pointed diagrams, read when one is built
+POINTED_LEVEL = 3
+
+
+def pd_point_span():
+    C, level = cat_span(), POINTED_LEVEL
     pt = standard_simplex(0, level, basepoint=0)
     return PointedDiagram(C, level, {o: pt for o in C.objects},
                           {f: SSetMap.identity(pt) for f in C.morphisms}, name="pt-span")
 
 
-def pd_bg_span_z2_z3(level=3):
-    return bg_diagram(diag_span_z2_z3(), level)
+def pd_bg_span_z2_z3():
+    return bg_diagram(diag_span_z2_z3(), POINTED_LEVEL)
 
 
-def pd_bg_two_z2(level=3):
-    return bg_diagram(diag_two_z2(), level)
+def pd_bg_two_z2():
+    return bg_diagram(diag_two_z2(), POINTED_LEVEL)
 
 
-def pd_bg_z2cat_z3(level=3):
-    return bg_diagram(diag_z2cat_z3_trivial(), level)
+def pd_bg_z2cat_z3():
+    return bg_diagram(diag_z2cat_z3_trivial(), POINTED_LEVEL)
 
 
-def pd_interval_two(level=3):
-    C = cat_two()
+def pd_interval_two():
+    C, level = cat_two(), POINTED_LEVEL
     interval = standard_simplex(1, level, basepoint=0)
     pt = standard_simplex(0, level, basepoint=0)
-    collapse = SSetMap(  # checked once, by the diagram
+    collapse = SSetMap(
         interval, pt,
         [{x: pt.simplices[n][0] for x in interval.simplices[n]} for n in range(level + 1)],
-        _validate=False,
+        pointed=True,
     )
     return PointedDiagram(C, level, {"a": interval, "b": pt}, {"u": collapse},
                           name="interval-two")

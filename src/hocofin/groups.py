@@ -553,12 +553,12 @@ def cyclic_reduce(word):
     return tuple(w)
 
 
-def hom_count(P, T, budget=HOM_COUNT_BUDGET):
+def hom_count(P, T):
     """Number of homomorphisms from the presented group into the table
     group T.
 
-    The budget bounds the size |T|^k of the naive search space over the k
-    generators, not the work done: the count is refused with
+    ``HOM_COUNT_BUDGET`` bounds the size |T|^k of the naive search space
+    over the k generators, not the work done: the count is refused with
     BudgetExceeded exactly when |T|^k exceeds it, before any work.
 
     Generators that relators connect form blocks, and the count is the
@@ -581,7 +581,7 @@ def hom_count(P, T, budget=HOM_COUNT_BUDGET):
     """
     k = len(P.generators)
     size = T.order()
-    if size ** k > budget:
+    if size ** k > HOM_COUNT_BUDGET:
         raise BudgetExceeded("hom count needs %d assignments" % size ** k)
     if size == 1:
         # the one target the budget admits at any k; the backtracking
@@ -709,21 +709,24 @@ def tietze_simplify(P):
     return GroupPresentation(gens, rels)
 
 
-def presentation_of_table_group(G):
-    """Presentation with one generator per non-unit element and the full
-    multiplication table as relations."""
+def table_relators(G, names):
+    """The relators a b c^-1 of the products a*b = c of the non-unit
+    elements of a table group, by a, then b, in element order, with c^-1
+    left out when c is the unit; ``names`` maps each non-unit element to
+    its generator."""
     nonunit = [e for e in G.elements if e != G.unit]
-    gens = ["g%d" % i for i in range(len(nonunit))]
-    gmap = dict(zip(nonunit, gens))
-    rels = []
     for a in nonunit:
         for b in nonunit:
             c = G.table[(a, b)]
-            rel = [(gmap[a], 1), (gmap[b], 1)]
-            if c != G.unit:
-                rel.append((gmap[c], -1))
-            rels.append(tuple(rel))
-    return GroupPresentation(gens, rels)
+            rel = ((names[a], 1), (names[b], 1))
+            yield rel if c == G.unit else rel + ((names[c], -1),)
+
+
+def presentation_of_table_group(G):
+    """Presentation with one generator per non-unit element and the full
+    multiplication table as relations."""
+    names = {e: "g%d" % i for i, e in enumerate(e for e in G.elements if e != G.unit)}
+    return GroupPresentation(list(names.values()), list(table_relators(G, names)))
 
 
 def fingerprint_of_table_group(G):

@@ -65,12 +65,12 @@ def _hom_over(cat, over, o1, o2, image):
 # -- presheaf homology ---------------------------------------------------------
 
 
-def lan_route_diagram(X, system, data):
+def lan_route_diagram(X, system):
     """The presheaf of groups a |-> free product over X(a) of the system
     values, with transport along morphisms; a diagram over the opposite
-    of the base category.  ``data`` is ``elements_with_parts(X)``."""
+    of the base category."""
     D = X.base
-    E, Q, parts = data
+    E, Q, parts = elements_with_parts(X)
     oid = {(d, x): o for o, (d, x) in parts.items()}
 
     def transport(alpha, x):
@@ -102,12 +102,11 @@ def gz_homology(X, system, n_max):
     Second route: the same homology through the groupwise free-product
     presheaf over the base; the two answers must agree exactly.
     """
-    data = elements_with_parts(X)
-    Eop = opposite(data[0])
+    Eop = opposite(elements_with_parts(X)[0])
     if system.base != Eop:
         raise GZError("system is not over the opposite category of elements of %s" % (X.name or "?"))
     primary = coefficient_homology(Eop, system, n_max)
-    secondary = coefficient_homology(opposite(X.base), lan_route_diagram(X, system, data), n_max)
+    secondary = coefficient_homology(opposite(X.base), lan_route_diagram(X, system), n_max)
     if agreement(primary, secondary) != "agree":
         raise RouteMismatch("presheaf homology differs between routes")
     return dict(primary, routes_agree=True)
@@ -236,14 +235,14 @@ def nerve_route_complex(C, M, n_max, fdata):
                                   fdata.category_op, M, _nerve_transport_pairs(C, fdata, n_max + 1)))
 
 
-def bw_homology(C, system, n_max, fdata=None):
+def bw_homology(C, system, n_max):
     """Natural-system homology of a finite category.
 
     Primary route: derived colimits over the opposite factorization
     category.  Second route (abelian): the nerve complex with coefficients
     transported through the factorization category.  The two must agree
     exactly; for group systems the abelianization is cross-checked."""
-    fdata = fdata or factorization(C)
+    fdata = factorization(C)
     base = fdata.category_op
     if system.base != base:
         raise GZError("system is not over the opposite factorization category of %s" % (C.name or "?"))
@@ -274,11 +273,9 @@ def certify_slices(S, n_max, effort=1):
 def bw_sides(S, system, n_max):
     """Natural-system homology of S's source with the system pulled back
     along S, and of S's target with the system itself."""
-    fc = factorization(S.source)
-    fd = factorization(S.target)
-    FSop = opposite_functor(factor_functor(S, fc, fd), fc.category_op, fd.category_op)
-    return (bw_homology(S.source, system.restrict(FSop), n_max, fdata=fc),
-            bw_homology(S.target, system, n_max, fdata=fd))
+    FSop = opposite_functor(factor_functor(S))
+    return (bw_homology(S.source, system.restrict(FSop), n_max),
+            bw_homology(S.target, system, n_max))
 
 
 # -- homology with plain diagram coefficients -----------------------------------

@@ -7,8 +7,10 @@ a basepoint degeneracy identified to a single class per degree.  Both
 diagonals share one face and degeneracy rule and are built by
 ``presheaf.simplicial_set``; they differ only in the class a pair stands
 for.  The diagonal satisfies the simplicial identities because the
-diagram's values and maps do (they are checked when the diagram, a
-``diagrams.Diagram``, is built), so it is not checked again.
+diagram's values and maps do, so it is not checked again: each value is
+checked when it is built, each map by its ``SSetMap(..., pointed=True)``
+constructor, and the diagram (a ``diagrams.Diagram``) checks that each
+map joins the right values, and functoriality.
 """
 
 from __future__ import annotations
@@ -60,7 +62,6 @@ class PointedDiagram(Diagram):
         if (m.source is not src or m.target is not dst) and (
                 m.source.simplices != src.simplices or m.target.simplices != dst.simplices):
             raise HocolimError("action of %s connects the wrong values" % f)
-        m._check(pointed=True)
 
 
 # -- classifying spaces -------------------------------------------------------
@@ -115,8 +116,7 @@ def bg_diagram(G, N):
         # both nerves have the one object "*", so a chain keeps its origin
         mapping = [{x: x[:1] + tuple(mor_image(m) for m in x[1:]) for x in Xs.simplices[n]}
                    for n in range(N + 1)]
-        # checked once, by the diagram's _check_ends
-        actions[alpha] = SSetMap(Xs, Xt, mapping, _validate=False)
+        actions[alpha] = SSetMap(Xs, Xt, mapping, pointed=True)
     return PointedDiagram(G.base, N, values, actions, name="B(%s)" % (G.name or "?"))
 
 

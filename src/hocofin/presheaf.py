@@ -332,7 +332,7 @@ class DSetMorphism:
     __slots__ = ("source", "target", "components")
 
     def __init__(self, source, target, components):
-        if source.base is not target.base and source.base != target.base:
+        if source.base != target.base:
             raise PresheafError("presheaf morphism needs a common base")
         self.source = source
         self.target = target
@@ -359,24 +359,24 @@ class DSetMorphism:
         return self.components[o][x]
 
 
-def representable(D, d, name=None):
+def representable(D, d):
     """The presheaf h_d = Hom(-, d)."""
     sets = {a: list(D.hom(a, d)) for a in D.objects}
     maps = {}
     for beta in D.morphisms:
         a, b = D.cod[beta], D.dom[beta]
         maps[beta] = {alpha: D.comp[(alpha, beta)] for alpha in sets[a]}
-    return DSet(D, sets, maps, name=name or "h_%s" % d)
+    return DSet(D, sets, maps, name="h_%s" % d)
 
 
-def constant_singleton(D, name="pt"):
+def constant_singleton(D):
     sets = {a: ["*"] for a in D.objects}
     maps = {m: {"*": "*"} for m in D.morphisms}
-    return DSet(D, sets, maps, name=name)
+    return DSet(D, sets, maps, name="pt")
 
 
-def empty_dset(D, name="empty"):
-    return DSet(D, {a: [] for a in D.objects}, {m: {} for m in D.morphisms}, name=name)
+def empty_dset(D):
+    return DSet(D, {a: [] for a in D.objects}, {m: {} for m in D.morphisms}, name="empty")
 
 
 def dset_disjoint_union(X, Y, name=""):
@@ -404,8 +404,10 @@ def elements_with_parts(X):
     """
     D = X.base
     parts = fincat.objects_over((d, x) for d in D.objects for x in X.sets[d])
-    return fincat.category_over(D, parts, lambda a, p1, p2: X.apply(a, p2[1]) == p1[1],
-                                "el(%s)" % (X.name or "?"), "Q_X")
+    out = fincat.category_over(D, parts, lambda a, p1, p2: X.apply(a, p2[1]) == p1[1],
+                               "el(%s)" % (X.name or "?"), "Q_X")
+    out[0]._key = ("elements", D, X.sets, X.maps)
+    return out
 
 
 def inverse_fibre(f, d, y):

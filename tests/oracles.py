@@ -14,7 +14,8 @@ homotopy-colimit cardinalities, simplicial sets with every face and
 degeneracy table built at construction, the homology of a whole nerve,
 comma objects found by scanning every source object, the cone search as
 generator expressions, posets composed by pairing every arrow with every
-arrow and the replay of contractibility certificates.
+arrow, categories compared table by table, and the replay of
+contractibility certificates.
 """
 
 from __future__ import annotations
@@ -560,6 +561,15 @@ def all_pairs_listing(view):
                 dom[mid] = o1
                 cod[mid] = o2
     return mors, dom, cod
+
+
+def same_tables(C, D):
+    """Whether two categories have the same objects, morphisms, ends,
+    identities and composition table, read in full; this is how
+    ``FinCat.__eq__`` compared every pair of categories before derived
+    views carried the key of their construction."""
+    return (C.objects == D.objects and C.morphisms == D.morphisms and C.dom == D.dom
+            and C.cod == D.cod and C.identity == D.identity and C.comp == D.comp)
 
 
 def initial_objects(C):

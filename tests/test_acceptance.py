@@ -206,9 +206,7 @@ def test_criterion_09_factfibres():
     for name in ("id-two", "final-in-two", "span-to-one", "iso2-a"):
         fx = fixtures.load_fixture("factfibres", name)
         S = fx["functor"]
-        fc = factorization(S.source)
-        fd = factorization(S.target)
-        FS = factor_functor(S, fc, fd)
+        FS = factor_functor(S)
         for alpha in S.target.morphisms:
             lhs, _, _ = comma_left_fibre(FS, alpha)
             rhs = factorization(factor_slice(S, alpha)).category

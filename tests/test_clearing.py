@@ -171,7 +171,7 @@ def test_lifts_that_compose_only_modulo_relations_take_the_chainwise_squares(dat
         system = data.draw(loose_lifts(fdata.category_op))
         assert not diagrams.lifts_compose(fdata.category_op, system)
         assert_cleared_route_sound(gz.nerve_route_complex(C, system, 2, fdata))
-        assert gz.bw_homology(C, system, 1, fdata=fdata)["routes_agree"]
+        assert gz.bw_homology(C, system, 1)["routes_agree"]
 
 
 def test_an_identity_acting_by_other_columns_takes_the_chainwise_squares():
@@ -244,7 +244,7 @@ def test_the_nerve_route_checks_every_pair_of_transports_it_composes(kind):
     K = gz.nerve_route_complex(C, system, 2, fdata)
     assert K._squares
     assert_cleared_route_sound(K)
-    assert gz.bw_homology(C, system, 2, fdata=fdata)["routes_agree"]
+    assert gz.bw_homology(C, system, 2)["routes_agree"]
 
 
 def test_the_nerve_route_checks_only_the_pairs_of_transports_it_composes():
@@ -279,7 +279,7 @@ def test_strict_lifts_on_the_factorization_category_prove_the_nerve_squares_zero
     K = gz.nerve_route_complex(C, system, 3, fdata)
     assert not K._squares and not boundary_squares(K)
     assert_cleared_route_sound(K)
-    assert gz.bw_homology(C, system, 3, fdata=fdata)["routes_agree"]
+    assert gz.bw_homology(C, system, 3)["routes_agree"]
 
 
 def test_random_complexes_with_relations_keep_their_invariants():

@@ -1328,9 +1328,9 @@ def test_an_assumed_bw_hypothesis_runs_the_comparison(capsys, monkeypatch):
     computed = []
     real = gz.bw_homology
 
-    def spy(C, system, n_max, fdata=None):
+    def spy(C, system, n_max):
         computed.append(C)
-        return real(C, system, n_max, fdata=fdata)
+        return real(C, system, n_max)
 
     monkeypatch.setattr(gz, "bw_homology", spy)
     code, out = run(capsys, "--format", "json", "verify", "--theorem", "confhomolBW",
@@ -1516,8 +1516,8 @@ def constant_z7(diagram):
     return constant_group_diagram(diagram.base, FreeProduct.from_group("A", cyclic_group(7)))
 
 
-def z7_lan_route(X, system, data, real=gz.lan_route_diagram):
-    return constant_z7(real(X, system, data))
+def z7_lan_route(X, system, real=gz.lan_route_diagram):
+    return constant_z7(real(X, system))
 
 
 def z7_nerve_route(C, M, n_max, fdata, real=gz.nerve_route_complex):

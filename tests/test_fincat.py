@@ -184,7 +184,7 @@ def test_factorization_respects_op(monkeypatch):
 
 def test_factor_functor_identity_and_collapse():
     two = walking_arrow()
-    FS = factor_functor(identity_functor(two), factorization(two), factorization(two))
+    FS = factor_functor(identity_functor(two))
     assert FS.obj_map == {f: f for f in FS.source.objects}
     P = span()
     pt = one()
@@ -193,7 +193,7 @@ def test_factor_functor_identity_and_collapse():
         {o: "*" for o in P.objects},
         {f: "id_*" for f in P.morphisms},
     )
-    FT = factor_functor(collapse, factorization(P), factorization(pt))
+    FT = factor_functor(collapse)
     assert set(FT.obj_map.values()) == {"id_*"}
 
 
@@ -214,7 +214,7 @@ def test_factor_slice_examples():
 def test_fact_fibre_is_factorization_of_slice():
     two = walking_arrow()
     S = identity_functor(two)
-    FS = factor_functor(S, factorization(two), factorization(two))
+    FS = factor_functor(S)
     lhs, _, _ = comma_left_fibre(FS, "u")
     rhs = factorization(factor_slice(S, "u")).category
     assert iso_check(lhs, rhs) is not None

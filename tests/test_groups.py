@@ -153,10 +153,11 @@ def test_hom_count_examples():
     assert hom_count(P, s3) == oracle
 
 
-def test_hom_count_budget():
+def test_hom_count_budget(monkeypatch):
+    monkeypatch.setattr(groups, "HOM_COUNT_BUDGET", 10 ** 6)
     P = GroupPresentation(list("abcdefgh"), [])
     with pytest.raises(BudgetExceeded):
-        hom_count(P, cyclic_group(8), budget=10 ** 6)
+        hom_count(P, cyclic_group(8))
 
 
 def test_fingerprint_refuses_past_the_hom_count_budget():
@@ -166,12 +167,14 @@ def test_fingerprint_refuses_past_the_hom_count_budget():
         fingerprint(P)
 
 
-def test_hom_count_budget_boundary():
+def test_hom_count_budget_boundary(monkeypatch):
     # the refusal depends on |T|^k alone: 2^3 = 8 assignments
     P = GroupPresentation(["x", "y", "z"], [])
-    assert hom_count(P, cyclic_group(2), budget=8) == 8
+    monkeypatch.setattr(groups, "HOM_COUNT_BUDGET", 8)
+    assert hom_count(P, cyclic_group(2)) == 8
+    monkeypatch.setattr(groups, "HOM_COUNT_BUDGET", 7)
     with pytest.raises(BudgetExceeded):
-        hom_count(P, cyclic_group(2), budget=7)
+        hom_count(P, cyclic_group(2))
 
 
 def test_hom_count_long_block_into_trivial_group():
@@ -302,9 +305,9 @@ def test_fingerprint_counts_once_per_catalog_group(monkeypatch):
     calls = []
     real = groups.hom_count
 
-    def spy(P, T, budget=10 ** 7):
+    def spy(P, T):
         calls.append(T)
-        return real(P, T, budget=budget)
+        return real(P, T)
 
     monkeypatch.setattr(groups, "hom_count", spy)
     P = GroupPresentation(["x", "y"], [["x", "x"], ["y", "y", "y"]])

@@ -90,8 +90,9 @@ def built_degrees(X):
 
 
 @pytest.mark.parametrize("name", sorted(fixtures.POINTED_DIAGRAMS))
-def test_pi1_of_a_level_4_diagonal_builds_only_degrees_up_to_2(name):
-    P = hocolim_pointed(fixtures.POINTED_DIAGRAMS[name](4), 4)
+def test_pi1_of_a_level_4_diagonal_builds_only_degrees_up_to_2(name, monkeypatch):
+    monkeypatch.setattr(fixtures, "POINTED_LEVEL", 4)
+    P = hocolim_pointed(fixtures.POINTED_DIAGRAMS[name](), 4)
     edge_path_group(P)
     faces, degeneracies = built_degrees(P)
     assert faces <= 2 and degeneracies <= 1
@@ -104,7 +105,8 @@ def test_pi1_of_a_level_3_nerve_builds_only_degrees_up_to_2():
 
 
 @pytest.mark.parametrize("n_max", [0, 1, 2])
-def test_homology_through_degree_n_builds_only_degrees_up_to_n_plus_1(n_max):
-    X = hocolim_pointed(fixtures.POINTED_DIAGRAMS["bg-span-z2-z3"](4), 4)
+def test_homology_through_degree_n_builds_only_degrees_up_to_n_plus_1(n_max, monkeypatch):
+    monkeypatch.setattr(fixtures, "POINTED_LEVEL", 4)
+    X = hocolim_pointed(fixtures.POINTED_DIAGRAMS["bg-span-z2-z3"](), 4)
     homology_ss(X, n_max)
     assert built_degrees(X) == (n_max + 1, n_max)

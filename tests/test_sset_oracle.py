@@ -7,6 +7,7 @@ of the fixture categories and of generated categories."""
 
 import contextlib
 import io
+from unittest import mock
 
 from hypothesis import given, settings
 from test_cofinal_reduction import categories
@@ -47,7 +48,8 @@ def test_the_sweeps_hocolim_commands(monkeypatch):
 
 
 def fixture_pointed_diagrams(level):
-    out = [make(level) for make in fixtures.POINTED_DIAGRAMS.values()]
+    with mock.patch.object(fixtures, "POINTED_LEVEL", level):
+        out = [make() for make in fixtures.POINTED_DIAGRAMS.values()]
     for theorem in ("cofpointed", "main2-n0"):
         for name in fixtures.fixture_names(theorem):
             fx = fixtures.load_fixture(theorem, name)
