@@ -546,11 +546,15 @@ def free_reduce(word):
 
 
 def cyclic_reduce(word):
-    w = list(free_reduce(word))
-    while len(w) >= 2 and w[0][0] == w[-1][0] and w[0][1] == -w[-1][1]:
-        w = w[1:-1]
-        w = list(free_reduce(w))
-    return tuple(w)
+    """The word freely reduced, with the inverse pairs at its two ends
+    trimmed off.  A subword of a freely reduced word is freely reduced, so
+    one pass leaves nothing to reduce."""
+    w = free_reduce(word)
+    i, j = 0, len(w) - 1
+    while i < j and w[i][0] == w[j][0] and w[i][1] == -w[j][1]:
+        i += 1
+        j -= 1
+    return w[i : j + 1]
 
 
 def hom_count(P, T):
@@ -633,80 +637,103 @@ def fingerprint(P):
     return tuple(hom_count(P, T) for T in catalog())
 
 
+def _relator_entry(w):
+    """(w, its canonical form, its letter counts, its first letter whose
+    generator occurs once in w as (position, generator, exponent), or
+    None) for a nonempty cyclically reduced relator w.
+
+    The canonical form is the least rotation of w and of its inverse, read
+    off the doubled words: two relators with one canonical form are
+    conjugate or mutually inverse, so they state the same relation."""
+    n = len(w)
+    inv = tuple([(g, -e) for g, e in reversed(w)])
+    ww, ii = w + w, inv + inv
+    canon = min([ww[i : i + n] for i in range(n)] + [ii[i : i + n] for i in range(n)])
+    counts = {}
+    for g, _ in w:
+        counts[g] = counts.get(g, 0) + 1
+    for pos, (g, e) in enumerate(w):
+        if counts[g] == 1:
+            return w, canon, counts, (pos, g, e)
+    return w, canon, counts, None
+
+
 def tietze_simplify(P):
     """Equivalent, usually smaller, presentation.
 
     Moves used: free and cyclic reduction of relators, duplicate/empty
     relator removal, and elimination of a generator that occurs exactly
     once in some relator.  Each move is a Tietze transformation, so the
-    isomorphism class never changes.  Once more than TIETZE_BUDGET relator
-    letters have been rewritten, the current form is returned.
+    isomorphism class never changes.  Each elimination round solves the
+    shortest relator with such a generator (the earliest among equals)
+    and adds to the letters read the length of every other relator;
+    once more than TIETZE_BUDGET letters have been read, the current form
+    is returned.
+
+    The relators keep their order, and of two with one canonical form
+    (``_relator_entry``) the earlier stays.  A round rewrites only the
+    relators that contain the eliminated generator: a cyclically reduced
+    word without it is left as it is by substitution, free and cyclic
+    reduction, so every other relator keeps its canonical form and its
+    letter counts.
     """
     gens = list(P.generators)
-    rels = [cyclic_reduce(r) for r in P.relators]
+    rels = {}  # slot -> _relator_entry, slots in the order of P.relators
+    owner = {}  # canonical form -> the slot of the relator kept for it
+    letters = 0  # total length of the relators in rels
+    for slot, r in enumerate(P.relators):
+        w = cyclic_reduce(r)
+        if w:
+            entry = _relator_entry(w)
+            if entry[1] not in owner:
+                owner[entry[1]] = slot
+                rels[slot] = entry
+                letters += len(w)
     spent = 0
-
-    def canon(rel):
-        # canonical representative among rotations of the relator and its inverse
-        best = None
-        for w in (rel, tuple((g, -e) for g, e in reversed(rel))):
-            for i in range(max(1, len(w))):
-                rot = w[i:] + w[:i]
-                if best is None or rot < best:
-                    best = rot
-        return best if best is not None else ()
-
     while True:
-        rels = [cyclic_reduce(r) for r in rels]
-        seen = set()
-        out = []
-        for r in rels:
-            if not r:
-                continue
-            c = canon(r)
-            if c in seen:
-                continue
-            seen.add(c)
-            out.append(r)
-        rels = out
-        # find a generator occurring exactly once in some relator,
-        # scanning shortest relators first for smaller substitutions
-        target = None
-        for rel_idx in sorted(range(len(rels)), key=lambda i: (len(rels[i]), i)):
-            rel_w = rels[rel_idx]
-            counts = {}
-            for g, _ in rel_w:
-                counts[g] = counts.get(g, 0) + 1
-            for pos, (g, e) in enumerate(rel_w):
-                if counts[g] == 1:
-                    target = (rel_idx, pos, g, e)
-                    break
-            if target:
-                break
-        if not target or spent > TIETZE_BUDGET:
+        target, shortest = None, None
+        for slot, entry in rels.items():
+            if entry[3] is not None and (target is None or len(entry[0]) < shortest):
+                target, shortest = slot, len(entry[0])
+        if target is None or spent > TIETZE_BUDGET:
             break
-        rel_idx, pos, g, e = target
-        rel_w = rels[rel_idx]
-        # solve the relator for g: g = replacement word
-        rest = rel_w[pos + 1 :] + rel_w[:pos]
-        repl = tuple((h, -x) for h, x in reversed(rest))
-        if e == -1:
-            repl = tuple((h, -x) for h, x in reversed(repl))
-        new_rels = []
-        for i, r in enumerate(rels):
-            if i == rel_idx:
-                continue
-            w = []
-            for h, x in r:
+        w, canon, _, (pos, g, e) = rels.pop(target)
+        del owner[canon]
+        letters -= len(w)
+        spent += letters
+        # solve the relator for g: g = repl, g^-1 = repl_inv
+        rest = w[pos + 1 :] + w[:pos]
+        rest_inv = tuple((h, -x) for h, x in reversed(rest))
+        repl, repl_inv = (rest_inv, rest) if e == 1 else (rest, rest_inv)
+        changed = [slot for slot, entry in rels.items() if g in entry[2]]
+        for slot in changed:
+            del owner[rels[slot][1]]
+        for slot in changed:
+            old = rels[slot][0]
+            letters -= len(old)
+            word = []
+            for h, x in old:
                 if h == g:
-                    w.extend(repl if x == 1 else [(a, -b) for a, b in reversed(repl)])
+                    word.extend(repl if x == 1 else repl_inv)
                 else:
-                    w.append((h, x))
-                spent += 1
-            new_rels.append(free_reduce(tuple(w)))
-        rels = new_rels
-        gens = [h for h in gens if h != g]
-    return GroupPresentation(gens, rels)
+                    word.append((h, x))
+            word = cyclic_reduce(word)
+            if not word:
+                del rels[slot]
+                continue
+            entry = _relator_entry(word)
+            other = owner.get(entry[1])
+            if other is not None and other < slot:
+                del rels[slot]
+                continue
+            if other is not None:
+                # a later relator that was not rewritten: this one is kept
+                letters -= len(rels.pop(other)[0])
+            owner[entry[1]] = slot
+            rels[slot] = entry
+            letters += len(word)
+        gens.remove(g)
+    return GroupPresentation(gens, [entry[0] for entry in rels.values()])
 
 
 def table_relators(G, names):

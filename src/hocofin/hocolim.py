@@ -9,8 +9,9 @@ diagonals share one face and degeneracy rule and are built by
 for.  The diagonal satisfies the simplicial identities because the
 diagram's values and maps do, so it is not checked again: each value is
 checked when it is built, each map by its ``SSetMap(..., pointed=True)``
-constructor, and the diagram (a ``diagrams.Diagram``) checks that each
-map joins the right values, and functoriality.
+constructor or, in ``bg_diagram``, on its elements, and the diagram (a
+``diagrams.Diagram``) checks that each map joins the right values, and
+functoriality.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from . import fincat
 from .diagrams import Diagram
 from .fincat import chain_degeneracy, chain_face, composable_chains
 from .groups import BudgetExceeded, FreeProduct, fingerprint, tietze_simplify, word_key
-from .presheaf import SSetMap, edge_path_group, homology_ss, nerve, simplicial_set
+from .presheaf import PresheafError, SSetMap, edge_path_group, homology_ss, nerve, simplicial_set
 
 
 class HocolimError(Exception):
@@ -86,8 +87,34 @@ def classifying_space(G, N):
     return cat, nerve(cat, N, basepoint="*")
 
 
+def _check_arrow_map(mor, src, dst, N):
+    """Refuse the nerve map, through degree N, of an arrow map ``mor``
+    from one one-object category to another where ``SSetMap._check``
+    would, with its message (``bg_diagram``)."""
+    if N >= 1 and any(f not in dst.dom for f in mor.values()):
+        raise PresheafError("map not total in degree 1")
+    if N >= 2 and any(mor[h] != dst.comp[(mor[g], mor[f])] for (g, f), h in src.comp.items()):
+        raise PresheafError("map does not commute with d_1")
+
+
 def bg_diagram(G, N):
-    """Pointed diagram of classifying spaces of a group diagram."""
+    """Pointed diagram of classifying spaces of a group diagram.
+
+    The action of each arrow alpha is the nerve map of the arrow map
+    ``mor`` of B(G(dom alpha)) -> B(G(cod alpha)) that sends each element
+    to its image under G(alpha) and the identity to the identity.  It is
+    built unchecked, after ``_check_arrow_map`` checks ``mor`` in
+    |G(dom alpha)|^2 steps, which is enough: a degree-n simplex is a chain
+    of n arrows and goes to the chain of their images.  So from degree 1
+    on, the map is total exactly when every image is an arrow of the
+    target; given that, it commutes with d_1 on the 2-simplices exactly
+    when ``mor`` is multiplicative, and a multiplicative ``mor`` commutes
+    with every face, outer faces dropping an arrow and inner ones
+    composing two.  It commutes with the degeneracies, which insert
+    identities, and keeps the basepoint, because ``mor`` keeps the
+    identity.  ``SSetMap._check`` walks every face and degeneracy of both
+    level-N nerves and refuses the same maps with the same message.
+    """
     cats = {}
     values = {}
     words = {}
@@ -100,23 +127,20 @@ def bg_diagram(G, N):
         if G.base.is_identity(alpha):
             continue
         src_o, dst_o = G.base.dom[alpha], G.base.cod[alpha]
+        src, dst = cats[src_o], cats[dst_o]
         hom = G.action[alpha]
+        unit = dst.identity["*"]
+        mor = {src.identity["*"]: unit}
+        for m in src.morphisms:
+            if m not in mor:
+                key = word_key(hom.apply(words[src_o][m]))
+                mor[m] = unit if key == "1" else key
+        _check_arrow_map(mor, src, dst, N)
         Xs, Xt = values[src_o], values[dst_o]
-        el_map = {}
-        for key, w in words[src_o].items():
-            image = hom.apply(w)
-            el_map[key] = word_key(image)
-
-        def mor_image(m, el_map=el_map, src=cats[src_o], dst=cats[dst_o]):
-            if src.is_identity(m):
-                return dst.identity["*"]
-            key = el_map[m]
-            return dst.identity["*"] if key == "1" else key
-
         # both nerves have the one object "*", so a chain keeps its origin
-        mapping = [{x: x[:1] + tuple(mor_image(m) for m in x[1:]) for x in Xs.simplices[n]}
+        mapping = [{x: x[:1] + tuple(mor[m] for m in x[1:]) for x in Xs.simplices[n]}
                    for n in range(N + 1)]
-        actions[alpha] = SSetMap(Xs, Xt, mapping, pointed=True)
+        actions[alpha] = SSetMap(Xs, Xt, mapping, _validate=False)
     return PointedDiagram(G.base, N, values, actions, name="B(%s)" % (G.name or "?"))
 
 

@@ -9,13 +9,15 @@ squares of each boundary taken chain by chain, each relation-cone
 boundary reduced on its own, without clearing, the degree-0 colimit as
 a coequalizer, group tables enumerated up to isomorphism, hom counts
 backtracked over every image of every generator, automorphisms of a
-group table by trying every permutation,
-homotopy-colimit cardinalities, simplicial sets with every face and
-degeneracy table built at construction, the homology of a whole nerve,
-comma objects found by scanning every source object, the cone search as
-generator expressions, posets composed by pairing every arrow with every
-arrow, categories compared table by table, and the replay of
-contractibility certificates.
+group table by trying every permutation, cyclic reduction that
+free-reduces again after each trim, Tietze elimination that rewrites
+and canonicalizes every relator each round, homotopy-colimit
+cardinalities, simplicial sets with every face and degeneracy table
+built at construction, the homology of a whole nerve, comma objects
+found by scanning every source object, the cone search as generator
+expressions, posets composed by pairing every arrow with every arrow,
+categories compared table by table, and the replay of contractibility
+certificates.
 """
 
 from __future__ import annotations
@@ -30,7 +32,8 @@ from hocofin.fincat import (
     iter_initial_objects,
     validate_category,
 )
-from hocofin.groups import FinGroup
+from hocofin import groups
+from hocofin.groups import FinGroup, GroupPresentation, free_reduce
 from hocofin.homalg import (
     DegreeMissing,
     FGAb,
@@ -349,6 +352,90 @@ def plain_backtrack(checks, T):
         return total
 
     return extend(0)
+
+
+def plain_cyclic_reduce(word):
+    """``groups.cyclic_reduce`` as it was first written: trim one inverse
+    pair off the ends, then free-reduce the rest again, until none is
+    left."""
+    w = list(free_reduce(word))
+    while len(w) >= 2 and w[0][0] == w[-1][0] and w[0][1] == -w[-1][1]:
+        w = w[1:-1]
+        w = list(free_reduce(w))
+    return tuple(w)
+
+
+def plain_tietze(P):
+    """``groups.tietze_simplify`` as it was before a round rewrote only the
+    relators that contain the eliminated generator: every round
+    cyclically reduces and canonicalizes every relator again, by trying
+    every rotation of it and of its inverse.  Reads
+    ``groups.TIETZE_BUDGET`` at call time."""
+    gens = list(P.generators)
+    rels = [plain_cyclic_reduce(r) for r in P.relators]
+    spent = 0
+
+    def canon(rel):
+        # canonical representative among rotations of the relator and its inverse
+        best = None
+        for w in (rel, tuple((g, -e) for g, e in reversed(rel))):
+            for i in range(max(1, len(w))):
+                rot = w[i:] + w[:i]
+                if best is None or rot < best:
+                    best = rot
+        return best if best is not None else ()
+
+    while True:
+        rels = [plain_cyclic_reduce(r) for r in rels]
+        seen = set()
+        out = []
+        for r in rels:
+            if not r:
+                continue
+            c = canon(r)
+            if c in seen:
+                continue
+            seen.add(c)
+            out.append(r)
+        rels = out
+        # find a generator occurring exactly once in some relator,
+        # scanning shortest relators first for smaller substitutions
+        target = None
+        for rel_idx in sorted(range(len(rels)), key=lambda i: (len(rels[i]), i)):
+            rel_w = rels[rel_idx]
+            counts = {}
+            for g, _ in rel_w:
+                counts[g] = counts.get(g, 0) + 1
+            for pos, (g, e) in enumerate(rel_w):
+                if counts[g] == 1:
+                    target = (rel_idx, pos, g, e)
+                    break
+            if target:
+                break
+        if not target or spent > groups.TIETZE_BUDGET:
+            break
+        rel_idx, pos, g, e = target
+        rel_w = rels[rel_idx]
+        # solve the relator for g: g = replacement word
+        rest = rel_w[pos + 1 :] + rel_w[:pos]
+        repl = tuple((h, -x) for h, x in reversed(rest))
+        if e == -1:
+            repl = tuple((h, -x) for h, x in reversed(repl))
+        new_rels = []
+        for i, r in enumerate(rels):
+            if i == rel_idx:
+                continue
+            w = []
+            for h, x in r:
+                if h == g:
+                    w.extend(repl if x == 1 else [(a, -b) for a, b in reversed(repl)])
+                else:
+                    w.append((h, x))
+                spent += 1
+            new_rels.append(free_reduce(tuple(w)))
+        rels = new_rels
+        gens = [h for h in gens if h != g]
+    return GroupPresentation(gens, rels)
 
 
 def automorphisms(T):

@@ -1,7 +1,7 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from hocofin import groups
@@ -31,6 +31,7 @@ from oracles import (
     enumerate_group_tables,
     invert,
     plain_backtrack,
+    plain_tietze,
 )
 
 
@@ -368,6 +369,59 @@ def test_tietze_identities():
     Q = tietze_simplify(P)
     assert Q.generators == ["x"]
     assert Q.relators == []
+
+
+@st.composite
+def tietze_inputs(draw):
+    gens = ["g%d" % i for i in range(draw(st.integers(1, 6)))]
+    letters = st.tuples(st.sampled_from(gens), st.sampled_from((1, -1)))
+    relators = draw(st.lists(st.lists(letters, max_size=8), max_size=6))
+    # a rotation of a relator or of its inverse states the same relation
+    if relators and draw(st.booleans()):
+        r = draw(st.sampled_from(relators))
+        i = draw(st.integers(0, len(r)))
+        r = r[i:] + r[:i]
+        relators.append(r if draw(st.booleans()) else [(g, -e) for g, e in reversed(r)])
+    return GroupPresentation(gens, relators)
+
+
+@pytest.mark.parametrize("budget", [None, 0, 1, 5, 40])
+def test_tietze_rewrites_as_every_relator_rewritten_each_round(monkeypatch, budget):
+    if budget is not None:
+        monkeypatch.setattr(groups, "TIETZE_BUDGET", budget)
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(tietze_inputs())
+    def same(P):
+        got, want = tietze_simplify(P), plain_tietze(P)
+        assert (got.generators, got.relators) == (want.generators, want.relators), P.relators
+
+    same()
+
+
+def test_tietze_budget_stops_between_rounds(monkeypatch):
+    # round 1 solves a b^-1 for a and reads the 2 + 3 letters of the other
+    # relators; round 2 solves b c^-1 for b; then no generator occurs once
+    P = GroupPresentation(["a", "b", "c"], [["a", "b!"], ["b", "c!"], ["c", "c", "c"]])
+    monkeypatch.setattr(groups, "TIETZE_BUDGET", 5)
+    Q = tietze_simplify(P)
+    assert (Q.generators, Q.relators) == (["c"], [(("c", 1),) * 3])
+    monkeypatch.setattr(groups, "TIETZE_BUDGET", 4)
+    Q = tietze_simplify(P)
+    assert (Q.generators, Q.relators) == (["b", "c"], [(("b", 1), ("c", -1)), (("c", 1),) * 3])
+    assert fingerprint(Q) == fingerprint(P)
+
+
+@pytest.mark.parametrize("budget, generators", [(13, ["c", "d"]), (14, ["d"])])
+def test_tietze_budget_reads_no_dropped_duplicate(monkeypatch, budget, generators):
+    # round 1 reads 3 + 3 + 4 letters and rewrites a c c to b c c, which
+    # drops the later b c c; round 2 reads only c d d d (4 letters), so
+    # 14 letters are read when round 3 would solve c d d d for c
+    P = GroupPresentation(["a", "b", "c", "d"],
+                          [["a", "b!"], ["a", "c", "c"], ["b", "c", "c"], ["c", "d", "d", "d"]])
+    monkeypatch.setattr(groups, "TIETZE_BUDGET", budget)
+    assert tietze_simplify(P).generators == generators == plain_tietze(P).generators
 
 
 def test_presentation_of_table_group_fingerprint():

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from hocofin import fixtures
 from hocofin.cofinal import certify_homotopy_cofinal
 from hocofin.diagrams import GroupDiagram, colim0, constant_group_diagram
 from hocofin.fincat import Functor, from_monoid, identity_functor, validate_category
@@ -13,6 +14,7 @@ from hocofin.groups import (
     fingerprint,
     tietze_simplify,
     trivial_group,
+    word_key,
 )
 from hocofin.homalg import FGAb
 from hocofin.hocolim import (
@@ -144,13 +146,90 @@ def _counted_checks(monkeypatch):
 
 
 def test_bg_diagram_checks_each_action_once(monkeypatch):
-    from hocofin import fixtures
+    from hocofin import hocolim
 
     checked = _counted_checks(monkeypatch)
+    arrow_maps = []
+    real = hocolim._check_arrow_map
+
+    def spy(mor, src, dst, N):
+        arrow_maps.append(mor)
+        return real(mor, src, dst, N)
+
+    monkeypatch.setattr(hocolim, "_check_arrow_map", spy)
     PD = bg_diagram(fixtures.diag_span_z2_z3(), 4)
-    # the two arrows of the span, each once; the identities filled in are
-    # not checked
-    assert sorted(map(id, checked)) == sorted(id(PD.action[f]) for f in ("p", "q"))
+    # each arrow of the span once, on its element map; no nerve map is
+    # checked face by face, and the identities filled in are not checked
+    assert checked == []
+    assert len(arrow_maps) == 2
+    for f, mor in zip(("p", "q"), arrow_maps):
+        assert PD.action[f].mapping[1] == {("*", m): ("*", image) for m, image in mor.items()}
+
+
+def _z3_arrow():
+    z3a = FreeProduct.from_group("A", cyclic_group(3))
+    z3b = FreeProduct.from_group("B", cyclic_group(3))
+    return GroupDiagram(walking_arrow(), {"a": z3a, "b": z3b},
+                        {"u": GroupHom(z3a, z3b, {"A": {e: (("B", e),) for e in "012"}})})
+
+
+def _fully_checked_action(G, alpha, N):
+    """The action of alpha on classifying spaces built as the nerve map of
+    its element map and checked by ``SSetMap._check``: None, or the
+    message of the refusal."""
+    src, Xs = classifying_space(G.value[G.base.dom[alpha]], N)
+    dst, Xt = classifying_space(G.value[G.base.cod[alpha]], N)
+    words = {word_key(w): w for w in G.value[G.base.dom[alpha]].elements()}
+
+    def image(m):
+        if src.is_identity(m):
+            return dst.identity["*"]
+        key = word_key(G.action[alpha].apply(words[m]))
+        return dst.identity["*"] if key == "1" else key
+
+    mapping = [{x: x[:1] + tuple(image(m) for m in x[1:]) for x in Xs.simplices[n]}
+               for n in range(N + 1)]
+    try:
+        SSetMap(Xs, Xt, mapping, pointed=True)
+    except PresheafError as exc:
+        return str(exc)
+    return None
+
+
+# an element map that GroupHom.apply gives once broken, and the refusal
+# from each level on
+BROKEN_ELEMENT_MAPS = {
+    # B.1 B.1 is no reduced word, so no element of B(Z/3)
+    "image-no-element": (lambda self, word: (("B", "1"), ("B", "1")) if word else (),
+                         1, "map not total in degree 1"),
+    # every element to the generator
+    "not-multiplicative": (lambda self, word: (("B", "1"),) if word else (),
+                           2, "map does not commute with d_1"),
+}
+
+
+@pytest.mark.parametrize("N", [0, 1, 2, 3])
+@pytest.mark.parametrize("case", sorted(BROKEN_ELEMENT_MAPS))
+def test_bg_diagram_refuses_what_the_full_check_refuses(monkeypatch, case, N):
+    apply, first_level, message = BROKEN_ELEMENT_MAPS[case]
+    G = _z3_arrow()
+    monkeypatch.setattr(GroupHom, "apply", apply)
+    want = _fully_checked_action(G, "u", N)
+    assert want == (message if N >= first_level else None)
+    if want is None:
+        assert bg_diagram(G, N).action["u"].mapping[0] == {("*",): ("*",)}
+    else:
+        with pytest.raises(PresheafError, match="^%s$" % want):
+            bg_diagram(G, N)
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 4])
+@pytest.mark.parametrize("name", sorted(fixtures.DIAGRAMS))
+def test_every_bg_action_passes_the_full_check(name, N):
+    G = fixtures.DIAGRAMS[name]()
+    PD = bg_diagram(G, N)
+    for f in G.base.morphisms:
+        PD.action[f]._check(pointed=True)
 
 
 def test_a_workspace_pointed_diagram_checks_each_map_once(monkeypatch):

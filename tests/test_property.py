@@ -11,6 +11,7 @@ from oracles import (
     invert,
     kernel_basis,
     lattice_member,
+    plain_cyclic_reduce,
     verify_smith_normal_form,
 )
 
@@ -103,3 +104,6 @@ def test_free_reduction_idempotent_and_shorter(word):
     cyc = cyclic_reduce(word)
     assert cyclic_reduce(cyc) == cyc
     assert len(cyc) <= len(red)
+    # one trim at both ends, where the first version free-reduced again
+    # after each inverse pair it took off
+    assert cyc == plain_cyclic_reduce(word)
