@@ -7,34 +7,44 @@ nothing here is modular or floating point.
 
 A relation lattice (``FGAb.relations``) and a map (``AbMap.columns``) are
 stored as sparse columns: lists of {row: entry} dicts holding no zero
-entry.  ``block_sum`` assembles chain groups, and ``normalized_complex``
-and ``block_map`` boundaries and maps, in that form, and ``FGAb``,
-``ChainComplex`` and the relation lattices read it directly.
-``AbMap.matrix`` is a dense ``IntMatrix`` view, built on first access for
-the callers that want a matrix.
+entry.  ``block_sum`` and ``block_map`` assemble direct sums and maps in
+that form.  ``AbMap.matrix`` is a dense ``IntMatrix`` view, built on first
+access for the callers that want a matrix.
 
 ``_column_invariants`` computes Smith invariants only, for ``FGAb`` and
 for all homology: a complex with relations is first replaced by its
 relation cone T, a free complex with the same homology
-(``ChainComplex.homology``).  Homology is read in cohomology order: the
-transpose of each cone boundary d_T,n, the coboundary T_{n-1}* -> T_n*,
-is reduced in ascending degree, without its columns at the basis
-elements of T_{n-1} that degree n-1 used as +-1 pivot rows.  Those unit
-pivots (rows P, columns J) make {delta e_j : j in J} and {e_k : k not in
-P} a basis of the cochains, and delta delta = 0 kills the first part, so
-the Smith invariants stay those of d_T,n ("clearing": Chen-Kerber 2011;
-de Silva-Morozov-Vejdemo-Johansson 2011).  Most columns that would reduce
-to zero never enter the elimination.
+(``ChainComplex.homology``).  ``normalized_complex`` keeps its face table
+(``_Cells``) and assembles nothing: ``ChainComplex._cone_rows`` writes the
+rows of each cone boundary d_T,n, the columns of its transpose, straight
+from the faces.  Each block's injective relation basis is computed once,
+and each transport's relation lift K (rho_target K = A rho_source) once
+per transport and pair of blocks; d_R is written from the same faces as
+d_F, since rho d_R = d_F rho term by term.  A boundary AbMap is built
+only when one is read.  Only the squares of actions that compose modulo
+relations are solved in a lattice cell by cell.
+
+Homology is read in cohomology order: the transpose of each cone
+boundary d_T,n, the coboundary T_{n-1}* -> T_n*, is reduced in ascending
+degree, without its columns at the basis elements of T_{n-1} that degree
+n-1 used as +-1 pivot rows.  Those unit pivots (rows P, columns J) make
+{delta e_j : j in J} and {e_k : k not in P} a basis of the cochains, and
+delta delta = 0 kills the first part, so the Smith invariants stay those
+of d_T,n ("clearing": Chen-Kerber 2011; de Silva-Morozov-Vejdemo-Johansson
+2011).  Most columns that would reduce to zero never enter the
+elimination, and a cleared row is not kept.
 
 ``smith_normal_form`` also computes the transforms U and V, for the small
 relation components behind lattice membership (the cone, ``AbMap``
 well-definedness).  The routes that the tests compare against (kernels,
-lattice membership, homology lifted to the free covers, SNF checking, each
-cone boundary reduced uncleared) live in ``tests/oracles.py``.
+lattice membership, homology lifted to the free covers, SNF checking, the
+cone built from the boundary maps with each relation lifted on its own,
+each cone boundary reduced uncleared) live in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from heapq import heapify, heappop, heappush
 from itertools import compress, repeat
 from math import gcd
@@ -228,9 +238,10 @@ def _checked_columns(columns, rows):
 
 
 def _column_invariants(columns, pivots=None):
-    """(rank, torsion) of the lattice spanned by sparse columns (left
-    unchanged, no zero entry): the number of nonzero Smith invariants and
-    those above 1, d1 | d2 | ..., found without transforms.
+    """(rank, torsion) of the lattice spanned by a list of sparse columns
+    (no zero entry; the list and its dicts are consumed): the number of
+    nonzero Smith invariants and those above 1, d1 | d2 | ..., found
+    without transforms.
 
     A +-1 entry is a pivot: its column clears its row from the others and
     both leave.  Short columns and sparse pivot rows go first, to keep
@@ -239,7 +250,7 @@ def _column_invariants(columns, pivots=None):
     invariant factors (Dumas-Heckenbach-Saunders-Welker 2003).  When
     ``pivots`` is a set, the rows used as +-1 pivots are added to it.
     """
-    cols = [dict(c) for c in columns]
+    cols = columns
     rows = {}
     for j, col in enumerate(cols):
         for i in col:
@@ -375,7 +386,7 @@ class FGAb:
         rels = _checked_columns(rels, gens)
         self.gens = gens
         self.relations = rels
-        rank, self.torsion = _column_invariants(rels)
+        rank, self.torsion = _column_invariants(list(map(dict, rels)))
         self.free_rank = gens - rank
 
     @classmethod
@@ -491,8 +502,7 @@ def _columns_in_lattice(columns, group):
     cols = [c for c in columns if any(c.values())]
     if not cols:
         return True
-    rel = _Relations(group.relations, {})
-    return all(rel.solve(c) is not None for c in cols)
+    return _Relations(group.relations, {}).lift(cols) is not None
 
 
 def _push(col, columns):
@@ -503,14 +513,6 @@ def _push(col, columns):
         for i, y in columns[k].items():
             acc[i] = acc.get(i, 0) + x * y
     return {i: y for i, y in acc.items() if y}
-
-
-def _with_tail(col, off, tail):
-    """col with -tail appended below row ``off``."""
-    out = dict(col)
-    for r, x in tail.items():
-        out[off + r] = -x
-    return out
 
 
 class _Relations:
@@ -587,6 +589,17 @@ class _Relations:
                     return None
         return out
 
+    def lift(self, columns):
+        """The coordinates (``solve``) of each sparse column, or None when
+        one of them is outside the lattice."""
+        coords = []
+        for v in columns:
+            x = self.solve(v)
+            if x is None:
+                return None
+            coords.append(x)
+        return coords
+
 
 def _component_basis(A):
     """(U, nonzero invariants, basis) of the dense component A (a tuple of
@@ -605,12 +618,17 @@ class ChainComplex:
     """Bounded complex of finitely presented abelian groups.
 
     ``groups[n]`` for lo <= n <= hi, ``boundaries[n]: C_n -> C_{n-1}`` for
-    lo < n <= hi.  Construction checks that consecutive boundaries compose
-    to zero modulo the relation lattice of the target: the product is taken
-    on sparse columns, and only a nonzero one is solved in the lattice; its
-    coordinates are kept for the relation cone (see ``homology``).  With
-    ``squares_vanish`` the builder has proven that every product is zero
-    on the free covers, and none is taken.
+    lo < n <= hi.  ``boundaries`` is a dict of AbMaps, or the ``_Cells``
+    that ``normalized_complex`` builds, which gives each C_n as a direct
+    sum of blocks with faces between them and reads each AbMap on first
+    access.  A dict becomes cells of one block per degree, whose one face
+    is the boundary.  Construction checks that consecutive boundaries
+    compose to zero modulo the relation lattice of the target: the
+    product is taken on sparse columns, and only a nonzero one is solved
+    in the lattice, column by column; its coordinates are kept for the
+    relation cone (see ``homology``).  With ``squares_vanish`` the builder
+    has proven that every product is zero on the free covers, and none is
+    taken.
     """
 
     def __init__(self, groups, boundaries, squares_vanish=False):
@@ -622,23 +640,32 @@ class ChainComplex:
             raise ValueError("degrees must be contiguous")
         self.lo, self.hi = lo, hi
         self.groups = dict(groups)
-        self.boundaries = dict(boundaries)
-        for n in range(lo + 1, hi + 1):
-            if n not in self.boundaries:
-                raise ValueError("missing boundary in degree %d" % n)
-            d = self.boundaries[n]
-            if d.source.gens != self.groups[n].gens or d.target.gens != self.groups[n - 1].gens:
-                raise ValueError("boundary shape mismatch in degree %d" % n)
-        self._columns = {n: d.columns for n, d in self.boundaries.items()}
+        if isinstance(boundaries, _Cells):
+            self._cells = boundaries
+        else:
+            boundaries = dict(boundaries)
+            for n in range(lo + 1, hi + 1):
+                if n not in boundaries:
+                    raise ValueError("missing boundary in degree %d" % n)
+                d = boundaries[n]
+                if d.source.gens != self.groups[n].gens or d.target.gens != self.groups[n - 1].gens:
+                    raise ValueError("boundary shape mismatch in degree %d" % n)
+            self._cells = _Cells.whole(self.groups, boundaries)
+        self.boundaries = boundaries
         self._invariants = {}
         self._pivots = set()  # the +-1 pivot rows of the highest degree reduced
-        self._relations = {}
+        self._block_bases = {}  # id(block) -> _Relations of the block
+        self._starts = {}
+        self._lifts = {}
         self._bases = {}
         self._squares = {}
         if squares_vanish:
             return
-        for n in range(lo + 2, hi + 1):
-            products = [_push(col, self._columns[n - 1]) for col in self._columns[n]]
+        below = None
+        for n in range(lo + 1, hi + 1):
+            here = self._cells.face_columns(n)
+            products = [_push(col, below) for col in here] if below is not None else ()
+            below = here
             if not any(products):
                 continue
             squares = [self._relations_at(n - 2).solve(acc) for acc in products]
@@ -666,17 +693,54 @@ class ChainComplex:
             raise DegreeMissing("homology in degree %d needs degrees %d..%d" % (n, n - 1, n + 1))
         rank_here = self._cone_invariants(n)[0]
         rank_up, torsion = self._cone_invariants(n + 1)
-        size = self.groups[n].gens + len(self._relations_at(n - 1).columns)
+        size = self.groups[n].gens + self._relation_starts(n - 1)[1]
         return FGAb.from_invariants(size - rank_here - rank_up, torsion)
 
     def _relations_at(self, n):
-        """The injective relation lattice R_n of C_n (none below lo)."""
-        rel = self._relations.get(n)
+        """The injective relation lattice R_n of the whole of C_n, for the
+        squares.  Its basis is the blocks' bases in block order, shifted,
+        since a row-connected component of relations lies inside one
+        block."""
+        return self._block_relations(self.groups[n])
+
+    def _block_relations(self, block):
+        """The injective relation lattice of one block, built once per block
+        (keyed by identity: every block is held by the complex)."""
+        rel = self._block_bases.get(id(block))
         if rel is None:
-            group = self.groups.get(n)
-            relations = group.relations if group is not None else []
-            rel = self._relations[n] = _Relations(relations, self._bases)
+            rel = self._block_bases[id(block)] = _Relations(block.relations, self._bases)
         return rel
+
+    def _relation_starts(self, n):
+        """(the index in R_n of each cell's first relation, the rank of R_n)."""
+        got = self._starts.get(n)
+        if got is None:
+            starts, total = [], 0
+            for block in self._cells.blocks.get(n, ()):
+                starts.append(total)
+                total += len(self._block_relations(block).columns)
+            got = self._starts[n] = (starts, total)
+        return got
+
+    def _lift(self, move, source, target, n):
+        """K with rho_target K = A rho_source, A the transport columns
+        ``move`` of a face from a block of degree n (None: the identity on
+        generators), as coordinate dicts, one per relation of the source;
+        None when K is the identity.  Solved once per transport and pair of
+        blocks."""
+        key = (id(move), id(source), id(target))
+        if key in self._lifts:
+            return self._lifts[key]
+        if move is None and source.relations == target.relations:
+            lift = None
+        else:
+            rho = self._block_relations(source).columns
+            lift = self._block_relations(target).lift(
+                rho if move is None else [_push(col, move) for col in rho])
+            if lift is None:
+                raise HomalgError("boundary does not respect the relations in degree %d" % n)
+        self._lifts[key] = lift
+        return lift
 
     def _cone_invariants(self, n):
         """(rank, torsion) of d_T,n, read from its transpose, the coboundary
@@ -686,37 +750,157 @@ class ChainComplex:
         reduced first, once per complex.
         """
         for k in range(max(self._invariants, default=self.lo) + 1, n + 1):
-            rows = [{} for _ in range(self.groups[k - 1].gens
-                                      + len(self._relations_at(k - 2).columns))]
-            for j, col in enumerate(self._cone_columns(k)):
-                for i, x in col.items():
-                    rows[i][j] = x
             pivots = set()
-            self._invariants[k] = _column_invariants(
-                [row for i, row in enumerate(rows) if i not in self._pivots], pivots)
+            self._invariants[k] = _column_invariants(self._cone_rows(k), pivots)
             self._pivots = pivots
         return self._invariants[n]
 
-    def _cone_columns(self, n):
-        """Sparse columns of d_T: T_n -> T_{n-1}, rows F_{n-1} then R_{n-2}."""
-        rho = self._relations_at(n - 1).columns
-        squares = self._squares.get(n)
-        if not rho and not squares:
-            return self._columns[n]
+    def _cone_rows(self, n):
+        """The rows of d_T: T_n -> T_{n-1}, the columns of its transpose:
+        sparse {column: entry} dicts, one per basis element of T_{n-1} =
+        F_{n-1} (+) R_{n-2} outside ``_pivots``, with their keys ascending.
+        The columns are F_n's generators, then R_{n-1}'s basis.  The d_R
+        entries are written cell by cell from the faces' lifts (``_lift``,
+        each solved once per transport and pair of blocks)."""
+        cells = self._cells
         off = self.groups[n - 1].gens
-        cols = self._columns[n]
-        if squares:
-            cols = [_with_tail(col, off, k) for col, k in zip(cols, squares)]
-        else:
-            cols = list(cols)
-        below = self._relations_at(n - 2)
-        for col in rho:
-            # d_R = 0 into R_{lo-1} = 0; otherwise rho d_R = d_F rho, solved
-            d_r = below.solve(_push(col, self._columns[n - 1])) if n - 1 > self.lo else {}
-            if d_r is None:
-                raise HomalgError("boundary does not respect the relations in degree %d" % (n - 1))
-            cols.append(_with_tail(col, off, d_r))
-        return cols
+        rows = [{} for _ in range(off + self._relation_starts(n - 2)[1])]
+        # a cleared row is written to a scratch dict and left out
+        scratch = {}
+        for i in self._pivots:
+            rows[i] = scratch
+        cells.write_rows(n, rows)
+        for c, k in enumerate(self._squares.get(n, ())):
+            for r, x in k.items():
+                rows[off + r][c] = -x
+        c = self.groups[n].gens
+        below = self._relation_starts(n - 2)[0]
+        m = n - 1
+        faces = cells.faces.get(m, ())
+        signs = _signs(faces)
+        blocks_below = cells.blocks.get(m - 1)
+        for block, g0, fs, move in zip(cells.blocks.get(m, ()), cells.offsets.get(m, ()),
+                                       faces or repeat(()), cells.moves.get(m) or repeat({})):
+            rho = self._block_relations(block).columns
+            if not rho:
+                continue
+            lifts = []
+            for i, (t, sign) in enumerate(zip(fs, signs)):
+                if t is not None:
+                    # an identity transport within one block, the common
+                    # case, lifts to the identity without a memo lookup
+                    A, target = move.get(i), blocks_below[t]
+                    lifts.append((off + below[t], sign, None if A is None and target is block
+                                  else self._lift(A, block, target, m)))
+            for li, col in enumerate(rho):
+                for r, x in col.items():
+                    rows[g0 + r][c] = x
+                acc = {}
+                for r0, sign, lift in lifts:
+                    if lift is None:
+                        acc[r0 + li] = acc.get(r0 + li, 0) - sign
+                        continue
+                    for r, y in lift[li].items():
+                        acc[r0 + r] = acc.get(r0 + r, 0) - sign * y
+                for r, y in acc.items():
+                    if y:
+                        rows[r][c] = y
+                c += 1
+        return [row for row in rows if row is not scratch]
+
+
+class _Cells(Mapping):
+    """A complex's boundaries, cell by cell: C_n is the direct sum of the
+    groups ``blocks[n]``, one per cell, cell j starting at generator
+    ``offsets[n][j]``.  ``faces[n][j]`` gives the faces of cell j as
+    indices of cells of degree n-1, None for a face that contributes
+    zero.  Face i adds (-1)^i times a map from block j to the block of the
+    face: the sparse columns ``moves[n][j][i]`` when that dict holds i,
+    else the identity on generators (``moves[n]`` None: every face).
+
+    As a mapping, degree n -> the AbMap d_n, assembled on first access.
+    """
+
+    def __init__(self, groups, blocks, offsets, faces, moves):
+        self.groups = groups
+        self.blocks = blocks
+        self.offsets = offsets
+        self.faces = faces
+        self.moves = moves
+        self._maps = {}
+
+    @classmethod
+    def whole(cls, groups, boundaries):
+        """One cell per degree, its group, whose one face is the boundary."""
+        degrees = range(min(groups) + 1, max(groups) + 1)
+        return cls(groups, {n: [G] for n, G in groups.items()}, dict.fromkeys(groups, [0]),
+                   dict.fromkeys(degrees, [(0,)]),
+                   {n: [{0: boundaries[n].columns}] for n in degrees})
+
+    def __getitem__(self, n):
+        d = self._maps.get(n)
+        if d is None:
+            if n not in self.faces:
+                raise KeyError(n)
+            d = self._maps[n] = AbMap(self.groups[n], self.groups[n - 1], self.face_columns(n),
+                                      check=False)
+        return d
+
+    def __iter__(self):
+        return iter(self.faces)
+
+    def __len__(self):
+        return len(self.faces)
+
+    def face_columns(self, n):
+        """The sparse columns of d_n on the free covers, one per generator
+        of C_n, with no zero entry."""
+        rows = [{} for _ in range(self.groups[n - 1].gens)]
+        self.write_rows(n, rows)
+        columns = [{} for _ in range(self.groups[n].gens)]
+        for r, row in enumerate(rows):
+            for c, x in row.items():
+                columns[c][r] = x
+        return columns
+
+    def write_rows(self, n, rows):
+        """Write d_n transposed into ``rows``, one {generator of C_n: entry}
+        dict per generator of C_{n-1}: keys ascending, no zero kept."""
+        below = self.offsets[n - 1]
+        signs = _signs(self.faces[n])
+        c = 0
+        for block, fs, move in zip(self.blocks[n], self.faces[n], self.moves[n] or repeat({})):
+            if block.gens == 1 and not move:
+                # the common case: one generator, every face the identity
+                for t, sign in zip(fs, signs):
+                    if t is not None:
+                        row = rows[below[t]]
+                        x = row.get(c, 0) + sign
+                        if x:
+                            row[c] = x
+                        else:
+                            del row[c]
+                c += 1
+                continue
+            cols = [{} for _ in range(block.gens)]
+            for i, (t, sign) in enumerate(zip(fs, signs)):
+                if t is None:
+                    continue
+                r0 = below[t]
+                coeff = move.get(i)
+                if coeff is None:
+                    for r, col in enumerate(cols, r0):
+                        col[r] = col.get(r, 0) + sign
+                    continue
+                for col, image in zip(cols, coeff):
+                    for r, x in image.items():
+                        r += r0
+                        col[r] = col.get(r, 0) + sign * x
+            for col in cols:
+                for r, x in col.items():
+                    if x:
+                        rows[r][c] = x
+                c += 1
 
 
 # -- block assembly ------------------------------------------------------------
@@ -739,7 +923,8 @@ def block_sum(blocks):
     total = free_rank = 0
     for b in blocks:
         offsets.append(total)
-        relations.extend({total + i: x for i, x in col.items()} for col in b.relations)
+        for col in b.relations:
+            relations.append({total + i: x for i, x in col.items()})
         total += b.gens
         free_rank += b.free_rank
     torsion = []
@@ -777,6 +962,11 @@ def block_map(source, target, entries):
     return AbMap(source, target, columns, check=False)
 
 
+def _signs(faces):
+    """(-1)^i for each face position i of the longest face tuple."""
+    return [(-1) ** i for i in range(max(map(len, faces), default=0))]
+
+
 def normalized_complex(blocks, faces, transport=None, squares_vanish=False):
     """Chain complex with C_n the direct sum of the groups ``blocks[n]``,
     for 0 <= n < len(blocks), and C_{-1} = 0.
@@ -785,49 +975,16 @@ def normalized_complex(blocks, faces, transport=None, squares_vanish=False):
     degree n as indices into degree n-1, None for a degenerate face, which
     contributes zero.  Face i adds (-1)^i times a map from block j to the
     block of the face: the identity on generators, or the map with sparse
-    columns ``transport[n][j][i]`` when that dict holds i.  The boundary
-    columns are written directly; no face is looked up by value.
-    ``squares_vanish`` goes to ``ChainComplex``: the caller has proven
-    d∘d = 0 on the free covers.
+    columns ``transport[n][j][i]`` when that dict holds i.  Nothing is
+    assembled here: ``ChainComplex`` writes each relation-cone boundary
+    from the faces when it reduces it (``_Cells``), and builds a boundary
+    AbMap only when one is read.  ``squares_vanish`` goes to
+    ``ChainComplex``: the caller has proven d∘d = 0 on the free covers.
     """
     groups = {-1: FGAb.trivial()}
-    offsets = []
+    offsets = {-1: []}
     for n, layer in enumerate(blocks):
-        groups[n], off = block_sum(layer)
-        offsets.append(off)
-    boundaries = {0: AbMap.zero(groups[0], groups[-1])}
-    for n in range(1, len(blocks)):
-        below = offsets[n - 1]
-        moves = transport[n] if transport else repeat({})
-        signs = [(-1) ** i for i in range(n + 1)]
-        columns = []
-        for block, fs, move in zip(blocks[n], faces[n], moves):
-            if block.gens == 1 and not move:
-                # the common case: one generator, every face the identity
-                col = {}
-                for t, sign in zip(fs, signs):
-                    if t is not None:
-                        r = below[t]
-                        col[r] = col.get(r, 0) + sign
-                columns.append(col)
-                continue
-            cols = [{} for _ in range(block.gens)]
-            for i, (t, sign) in enumerate(zip(fs, signs)):
-                if t is None:
-                    continue
-                r0 = below[t]
-                coeff = move.get(i)
-                if coeff is None:
-                    for r, col in enumerate(cols, r0):
-                        col[r] = col.get(r, 0) + sign
-                    continue
-                for col, image in zip(cols, coeff):
-                    for r, x in image.items():
-                        r += r0
-                        col[r] = col.get(r, 0) + sign * x
-            columns.extend(cols)
-        for c, col in enumerate(columns):
-            if not all(col.values()):
-                columns[c] = {i: x for i, x in col.items() if x}
-        boundaries[n] = AbMap(groups[n], groups[n - 1], columns, check=False)
-    return ChainComplex(groups, boundaries, squares_vanish=squares_vanish)
+        groups[n], offsets[n] = block_sum(layer)
+    cells = _Cells(groups, {-1: [], **dict(enumerate(blocks))}, offsets, dict(enumerate(faces)),
+                   {n: transport[n] if transport else None for n in range(len(blocks))})
+    return ChainComplex(groups, cells, squares_vanish=squares_vanish)

@@ -5,19 +5,20 @@ None of this is reached by a command.  The dense routes work on
 checking, integer kernels and lattice membership through U and V, and
 homology lifted to the free covers.  The others recount or recheck what
 the program builds: the nondegenerate nerve chains as tuples, the
-squares of each boundary taken chain by chain, each relation-cone
-boundary reduced on its own, without clearing, the degree-0 colimit as
-a coequalizer, group tables enumerated up to isomorphism, hom counts
-backtracked over every image of every generator, automorphisms of a
-group table by trying every permutation, cyclic reduction that
-free-reduces again after each trim, Tietze elimination that rewrites
-and canonicalizes every relator each round, homotopy-colimit
-cardinalities, simplicial sets with every face and degeneracy table
-built at construction, the homology of a whole nerve, comma objects
-found by scanning every source object, the cone search as generator
-expressions, posets composed by pairing every arrow with every arrow,
-categories compared table by table, and the replay of contractibility
-certificates.
+squares of each boundary taken chain by chain, the relation cone built
+from the boundary maps with each relation lifted on its own, each
+relation-cone boundary reduced on its own, without clearing, the
+degree-0 colimit as a coequalizer, group tables enumerated up to
+isomorphism, hom counts backtracked over every image of every generator,
+automorphisms of a group table by trying every permutation, cyclic
+reduction that free-reduces again after each trim, Tietze elimination
+that rewrites and canonicalizes every relator each round,
+homotopy-colimit cardinalities, simplicial sets with every face and
+degeneracy table built at construction, the homology of a whole nerve,
+comma objects found by scanning every source object, the cone search as
+generator expressions, posets composed by pairing every arrow with every
+arrow, categories compared table by table, and the replay of
+contractibility certificates.
 """
 
 from __future__ import annotations
@@ -40,6 +41,8 @@ from hocofin.homalg import (
     HomalgError,
     IntMatrix,
     _column_invariants,
+    _push,
+    _Relations,
     _sparse_columns,
     block_map,
     block_sum,
@@ -220,12 +223,71 @@ def lattice_invariants(A):
     return _column_invariants(_sparse_columns(A))
 
 
+def _relation_lattice(K, n):
+    """The injective relation lattice of the whole of K's C_n, empty below lo."""
+    return _Relations(K.groups[n].relations if n in K.groups else [], {})
+
+
+def cone_columns(K, n):
+    """Sparse columns of the relation cone boundary d_T: T_n -> T_{n-1}
+    of the chain complex K (see ``ChainComplex.homology``), rows F_{n-1}
+    then R_{n-2}, read from K's AbMap boundaries: each k-term and each
+    column of d_R solved in the relation lattice on its own.  This is how
+    ``ChainComplex`` built its cone before it wrote the cone's rows from
+    the faces, with one lift per transport and pair of blocks."""
+    off = K.groups[n - 1].gens
+    below = _relation_lattice(K, n - 2)
+    cols = [dict(col) for col in K.boundaries[n].columns]
+    products = [_push(col, K.boundaries[n - 1].columns) for col in cols] if n - 1 > K.lo else ()
+    if any(products):
+        for col, product in zip(cols, products):
+            k = below.solve(product)
+            if k is None:
+                raise HomalgError("boundary squared is nonzero in degree %d" % n)
+            for r, x in k.items():
+                col[off + r] = -x
+    for rho in _relation_lattice(K, n - 1).columns:
+        # d_R = 0 into R_{lo-1} = 0; otherwise rho d_R = d_F rho, solved
+        d_r = below.solve(_push(rho, K.boundaries[n - 1].columns)) if n - 1 > K.lo else {}
+        if d_r is None:
+            raise HomalgError("boundary does not respect the relations in degree %d" % (n - 1))
+        col = dict(rho)
+        for r, x in d_r.items():
+            col[off + r] = -x
+        cols.append(col)
+    return cols
+
+
 def uncleared_cone_invariants(K, n):
     """(rank, torsion) of the relation cone boundary d_T,n of the chain
     complex K, reduced as it stands: its columns, every one of them, in
     any order of degrees.  ``ChainComplex._cone_invariants`` must agree.
     """
-    return _column_invariants(K._cone_columns(n))
+    return _column_invariants(cone_columns(K, n))
+
+
+def cleared_route(K, top):
+    """(H_lo+1..H_top of K, and the +-1 pivot rows of each cone boundary
+    d_T,lo+1..d_T,top+1) by the route ``ChainComplex`` took before it wrote
+    the cone's rows from the faces: ``cone_columns``, each boundary
+    transposed, reduced in ascending degree without the rows the degree
+    below paired."""
+    invariants, pivots = {}, {K.lo: set()}
+    for k in range(K.lo + 1, top + 2):
+        cols = cone_columns(K, k)
+        rows = [{} for _ in range(K.groups[k - 1].gens + len(_relation_lattice(K, k - 2).columns))]
+        for j, col in enumerate(cols):
+            for i, x in col.items():
+                rows[i][j] = x
+        pivots[k] = set()
+        invariants[k] = _column_invariants(
+            [row for i, row in enumerate(rows) if i not in pivots[k - 1]], pivots[k])
+    homology = []
+    for n in range(K.lo + 1, top + 1):
+        size = K.groups[n].gens + len(_relation_lattice(K, n - 1).columns)
+        rank_up, torsion = invariants[n + 1]
+        homology.append(FGAb.from_invariants(size - invariants[n][0] - rank_up, torsion))
+    return homology, [pivots[k] for k in range(K.lo + 1, top + 2)]
 
 
 def boundary_squares(K):
