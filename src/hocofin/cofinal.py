@@ -8,6 +8,10 @@ comes with a conclusive witness (emptiness, disconnectedness, or a
 nonzero reduced homology group), EVIDENCE means the reduced homology was
 trivial up to the checked degree, and INCONCLUSIVE means a resource cap
 was hit first.
+
+A cofinality certificate looks for the cone of each coslice (or fibre)
+on its comma parts, before any view is built, and builds a view only
+where there is no cone; so a cone answer builds no view at all.
 """
 
 from __future__ import annotations
@@ -18,14 +22,18 @@ from math import comb
 
 from .fincat import (
     NerveTable,
+    _ids_parse,
     chain_counts,
-    comma_coslice,
     comma_left_fibre,
+    comma_view,
     connected_components,
+    coslice_parts,
+    fibre_parts,
     final_objects,
     iter_final_objects,
-    iter_initial_objects,
     opposite,
+    over_id,
+    parts_count,
 )
 # tietze_simplify is no longer called here; perfbench's tracer self-test
 # reads this from-import copy of the binding
@@ -432,38 +440,48 @@ def _nerve_homology(B, n):
     return [K.homology(k) for k in range(n + 1)]
 
 
-def _cone(B):
-    """The first final object of B in object order, else the first initial
-    one, as (object, side); None when B has neither.  Reads only hom-sets
-    into (out of) each candidate, up to its first miss."""
-    t = next(iter_final_objects(B), None)
+def _cone(objects, count):
+    """The first final object in order, else the first initial one, as
+    (object, side), of the category on ``objects`` with ``count(x, y)``
+    morphisms x -> y; None when it has neither.  Reads the counts into
+    (out of) each candidate, up to its first miss."""
+    t = next(iter_final_objects(objects, count), None)
     if t is not None:
         return t, "final"
-    s = next(iter_initial_objects(B), None)
+    s = next(iter_final_objects(objects, lambda x, y: count(y, x)), None)
     if s is not None:
         return s, "initial"
     return None
 
 
+def _cone_verdict(obj, side):
+    return ContractibilityVerdict(
+        CONTRACTIBLE, certificate={"kind": "cone", "object": obj, "side": side}
+    )
+
+
 def certify_contractible(B, effort=1, n_max=2):
     """Certify (non)contractibility of the nerve of B.
 
-    Pipeline: emptiness, cone object (the first final object in object
-    order, else the first initial one, found by counting arrows),
-    disconnectedness, iterated collapse, then reduced homology of the
-    nerve through degree max(1, n_max + effort - 1) as a sound
-    NONCONTRACTIBLE witness or as EVIDENCE; the nerve cap gives
-    INCONCLUSIVE rather than a wrong answer.
+    Pipeline: cone object (the first final object in object order, else
+    the first initial one, found by counting arrows), then
+    ``_certify_coneless``: emptiness, disconnectedness, iterated collapse,
+    then reduced homology of the nerve through degree
+    max(1, n_max + effort - 1) as a sound NONCONTRACTIBLE witness or as
+    EVIDENCE; the nerve cap gives INCONCLUSIVE rather than a wrong answer.
     """
+    cone = _cone(B.objects, B.hom_count)
+    if cone is not None:
+        return _cone_verdict(*cone)
+    return _certify_coneless(B, effort, n_max)
+
+
+def _certify_coneless(B, effort, n_max):
+    """``certify_contractible`` of a B that has no cone.  A category with
+    a final or an initial object is nonempty and connected, so the cone
+    comes before the emptiness and components checks."""
     if not B.objects:
         return ContractibilityVerdict(NONCONTRACTIBLE, witness={"empty": True})
-    # a category with a final or an initial object is connected, so the
-    # cone comes first
-    cone = _cone(B)
-    if cone is not None:
-        return ContractibilityVerdict(
-            CONTRACTIBLE, certificate={"kind": "cone", "object": cone[0], "side": cone[1]}
-        )
     comps = connected_components(B)
     if len(comps) > 1:
         return ContractibilityVerdict(
@@ -496,15 +514,36 @@ def certify_contractible(B, effort=1, n_max=2):
 
 
 def certify_homotopy_cofinal(S, effort=1, n_max=2, coinitial=False):
-    """Certify contractibility of every coslice d↓S (or its opposite for
-    the coinitial variant); the aggregate is the weakest verdict."""
+    """Certify contractibility of every coslice d↓S (or of the opposite
+    of the left fibre S↓d, for the coinitial variant); the aggregate is
+    the weakest verdict.
+
+    The cone of each is looked for on its parts (c, beta), counted as
+    the view counts (``parts_count``), and only the cone object's id is
+    formatted, so a cone answer builds no view.  The view is built from
+    the same parts only when there is no cone, and the rest of
+    ``certify_contractible`` runs on it.  When some id of S's categories
+    might not parse (``_ids_parse``), the view is built first, as it was,
+    so that a repeated id is refused by its builder."""
+    C = S.source
+    parse = _ids_parse(C) and _ids_parse(S.target)
+    enumerate_parts = fibre_parts if coinitial else coslice_parts
     per_object = {}
     for d in S.target.objects:
+        parts, arrow = enumerate_parts(S, d)
+        cone = None
+        if parse:
+            count = parts_count(C, arrow)
+            if coinitial:
+                count = lambda x, y, count=count: count(y, x)
+            cone = _cone(parts, count)
+        if cone is not None:
+            per_object[d] = _cone_verdict(over_id(cone[0]), cone[1])
+            continue
+        cat = comma_view(C, parts, arrow)
         if coinitial:
-            cat, _, _ = comma_left_fibre(S, d)
             cat = opposite(cat)
-        else:
-            cat = comma_coslice(S, d)
-        per_object[d] = certify_contractible(cat, effort=effort, n_max=n_max)
+        certify = _certify_coneless if parse else certify_contractible
+        per_object[d] = certify(cat, effort, n_max)
     agg = weakest(per_object.values())
     return {"per_object": per_object, "aggregate": agg.kind}

@@ -44,7 +44,12 @@ base, sets and maps).  Views with equal keys are equal unread, the bases
 in the keys compared by ``==`` again; other pairs are compared in full.
 
 Consumers that need only hom-sets (cone objects, finally discrete
-components) neither list a view nor build its table.  Canonical ordering
+components) neither list a view nor build its table.  The objects of a
+coslice d↓S or a left fibre S↓d are enumerated as parts first
+(``coslice_parts``, ``fibre_parts``), and the hom-set sizes counted on
+them (``parts_count``); the views are built from those, and a search
+that ends at a cone (``cofinal.certify_homotopy_cofinal``) reads them
+and builds no view at all.  Canonical ordering
 is input order everywhere; derived categories enumerate their objects and
 morphisms lexicographically in the constituent indices, so repeated
 construction is byte-stable.
@@ -440,7 +445,7 @@ class Functor:
             for k, o in enumerate(self.source.objects):
                 lying.setdefault(self.obj_map[o], []).append(k)
         objs = self.source.objects
-        return [objs[k] for k in sorted(k for y in ys for k in lying.get(y, ()))]
+        return [objs[k] for k in sorted([k for y in ys for k in lying.get(y, ())])]
 
     def __repr__(self):
         return "Functor(%s -> %s)" % (self.source.name or "?", self.target.name or "?")
@@ -494,6 +499,29 @@ def objects_over(parts):
     return out
 
 
+def parts_count(C, arrow):
+    """The number of morphisms p1 -> p2 of the category over C whose
+    objects are given by their parts (``_comma_like``), as a function of
+    the parts: the arrows alpha: p1[0] -> p2[0] of C with ``arrow(alpha,
+    p1, p2)``, counted in one loop with no list built and no id
+    formatted.  Equal parts are one object, whose identity counts once.
+    A view counts its hom-sets with it, and so does a cone search on the
+    parts, before any view is built."""
+    base_hom, base_identity = C.hom, C.identity
+
+    def count(p1, p2):
+        if p1 == p2:
+            n, skip = 1, base_identity[p1[0]]
+        else:
+            n, skip = 0, None
+        for alpha in base_hom(p1[0], p2[0]):
+            if alpha != skip and arrow(alpha, p1, p2):
+                n += 1
+        return n
+
+    return count
+
+
 def _comma_like(C, parts, arrow, name):
     """The category over C with objects ``parts`` (in order), each lying
     over the object ``parts[o][0]`` of C.
@@ -505,8 +533,8 @@ def _comma_like(C, parts, arrow, name):
     each of its morphisms to its arrow of C, filled as hom-sets are read.
 
     The category is a view: hom(o1, o2) is read from C.hom and the
-    predicate on first read, its size is counted from the same arrows of
-    C with no id formatted, and the listing joins the hom-sets that C's
+    predicate on first read, its size is counted from the parts of its
+    ends (``parts_count``), and the listing joins the hom-sets that C's
     arrows can fill, read through ``C.successors`` (from C's hom-set sizes
     when C is itself a view, so that C is not listed).  Its
     composition table is built on first read, where each composite must
@@ -535,17 +563,10 @@ def _comma_like(C, parts, arrow, name):
             out.append(mid)
         return out
 
+    count_parts = parts_count(C, arrow)
+
     def count(o1, o2):
-        # under's filter, counted in one loop with no list built
-        p1, p2 = parts[o1], parts[o2]
-        if o1 == o2:
-            n, skip = 1, base_identity[p1[0]]
-        else:
-            n, skip = 0, None
-        for alpha in base_hom(p1[0], p2[0]):
-            if alpha != skip and arrow(alpha, p1, p2):
-                n += 1
-        return n
+        return count_parts(parts[o1], parts[o2])
 
     def listing(view):
         mors = list(ident.values())
@@ -607,39 +628,48 @@ def category_over(C, parts, arrow, name, proj_name):
     return cat, proj, parts
 
 
-def comma_left_fibre(S, d):
-    """The left fibre S↓d, its projection to the source category and the
-    map object id -> (c, beta).
-
-    Objects are pairs (c, beta: S(c) -> d), by c in C's order, then by
-    beta; a morphism (c, b) -> (c', b') is alpha: c -> c' with
-    b'∘S(alpha) = b.  Only the objects c over the sources of D's arrows
-    into d are read.
-    """
-    C, D = S.source, S.target
+def fibre_parts(S, d):
+    """The parts (c, beta: S(c) -> d) of the objects of the left fibre
+    S↓d, by c in C's order, then by beta, and the predicate on C's arrows
+    that picks its morphisms: alpha: c -> c' with b'∘S(alpha) = b.  Only
+    the objects c over the sources of D's arrows into d are read."""
+    D = S.target
     # without this, an unknown d would give an empty fibre, silently
     if d not in D.identity:
         raise UnknownObject("unknown object %s" % d)
-    parts = objects_over((c, b) for c in S.lying_over(D.predecessors(d))
-                         for b in D.hom(S.on_obj(c), d))
+    hom, obj = D.hom, S.obj_map
+    parts = [(c, b) for c in S.lying_over(D.predecessors(d)) for b in hom(obj[c], d)]
     comp, mor = D.comp, S.mor_map
-    return category_over(C, parts, lambda a, p1, p2: comp[(p2[1], mor[a])] == p1[1],
-                         "comma", "Q_%s" % d)
+    return parts, lambda a, p1, p2: comp[(p2[1], mor[a])] == p1[1]
 
 
-def comma_coslice(S, d):
-    """The coslice d↓S: objects (c, beta: d -> S(c)), ordered as in
-    ``comma_left_fibre`` and read from D's arrows out of d, morphisms alpha
-    with S(alpha)∘beta = beta'."""
-    C, D = S.source, S.target
+def coslice_parts(S, d):
+    """The parts (c, beta: d -> S(c)) of the objects of the coslice d↓S,
+    ordered as in ``fibre_parts`` and read from D's arrows out of d, and
+    the predicate on C's arrows that picks its morphisms: alpha with
+    S(alpha)∘beta = beta'."""
+    D = S.target
     # without this, an unknown d would give an empty coslice, silently
     if d not in D.identity:
         raise UnknownObject("unknown object %s" % d)
-    parts = objects_over((c, b) for c in S.lying_over(D.successors(d))
-                         for b in D.hom(d, S.on_obj(c)))
+    hom, obj = D.hom, S.obj_map
+    parts = [(c, b) for c in S.lying_over(D.successors(d)) for b in hom(d, obj[c])]
     comp, mor = D.comp, S.mor_map
-    return _comma_like(C, parts, lambda a, p1, p2: comp[(mor[a], p1[1])] == p2[1],
-                       "comma")[0]
+    return parts, lambda a, p1, p2: comp[(mor[a], p1[1])] == p2[1]
+
+
+def comma_view(C, parts, arrow):
+    """The view over C on the objects with the given parts and the
+    morphisms that ``arrow`` picks (``fibre_parts``, ``coslice_parts``),
+    its objects named by ``objects_over``."""
+    return _comma_like(C, objects_over(parts), arrow, "comma")[0]
+
+
+def comma_left_fibre(S, d):
+    """The left fibre S↓d (``fibre_parts``), its projection to the source
+    category and the map object id -> (c, beta)."""
+    parts, arrow = fibre_parts(S, d)
+    return category_over(S.source, objects_over(parts), arrow, "comma", "Q_%s" % d)
 
 
 # -- factorization categories -------------------------------------------
@@ -924,12 +954,11 @@ def connected_components(C):
     return comps
 
 
-def iter_final_objects(C, objs=None):
-    """Objects t with exactly one morphism x -> t from every x, in order
-    and as they are found; given ``objs``, the final objects of the full
-    subcategory on them."""
-    objs = C.objects if objs is None else objs
-    count = C.hom_count
+def iter_final_objects(objs, count):
+    """The objects t of ``objs`` with ``count(x, t) == 1`` for every x
+    in ``objs``, in order and as they are found: the final objects of the
+    category on ``objs`` with ``count(x, y)`` morphisms x -> y.  A
+    candidate is dropped at its first count that is not 1."""
     for t in objs:
         for x in objs:
             if count(x, t) != 1:
@@ -938,18 +967,9 @@ def iter_final_objects(C, objs=None):
             yield t
 
 
-def iter_initial_objects(C):
-    count = C.hom_count
-    for s in C.objects:
-        for x in C.objects:
-            if count(s, x) != 1:
-                break
-        else:
-            yield s
-
-
 def final_objects(C, objs=None):
-    return list(iter_final_objects(C, objs))
+    """The final objects of C, or of its full subcategory on ``objs``."""
+    return list(iter_final_objects(C.objects if objs is None else objs, C.hom_count))
 
 
 def full_subcategory(C, objs):

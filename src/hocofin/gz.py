@@ -65,12 +65,12 @@ def _hom_over(cat, over, o1, o2, image):
 # -- presheaf homology ---------------------------------------------------------
 
 
-def lan_route_diagram(X, system):
+def lan_route_diagram(X, system, elements):
     """The presheaf of groups a |-> free product over X(a) of the system
     values, with transport along morphisms; a diagram over the opposite
-    of the base category."""
+    of the base category.  ``elements`` is ``elements_with_parts(X)``."""
     D = X.base
-    E, Q, parts = elements_with_parts(X)
+    E, Q, parts = elements
     oid = {(d, x): o for o, (d, x) in parts.items()}
 
     def transport(alpha, x):
@@ -102,11 +102,13 @@ def gz_homology(X, system, n_max):
     Second route: the same homology through the groupwise free-product
     presheaf over the base; the two answers must agree exactly.
     """
-    Eop = opposite(elements_with_parts(X)[0])
+    elements = elements_with_parts(X)
+    Eop = opposite(elements[0])
     if system.base != Eop:
         raise GZError("system is not over the opposite category of elements of %s" % (X.name or "?"))
     primary = coefficient_homology(Eop, system, n_max)
-    secondary = coefficient_homology(opposite(X.base), lan_route_diagram(X, system), n_max)
+    secondary = coefficient_homology(opposite(X.base), lan_route_diagram(X, system, elements),
+                                     n_max)
     if agreement(primary, secondary) != "agree":
         raise RouteMismatch("presheaf homology differs between routes")
     return dict(primary, routes_agree=True)

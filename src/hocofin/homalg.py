@@ -254,7 +254,11 @@ def _column_invariants(columns, pivots=None):
     rows = {}
     for j, col in enumerate(cols):
         for i in col:
-            rows.setdefault(i, set()).add(j)
+            row = rows.get(i)
+            if row is None:
+                rows[i] = {j}
+            else:
+                row.add(j)
     rank = 0
     orders = []
     heap = [(len(c), j) for j, c in enumerate(cols) if c]

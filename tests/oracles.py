@@ -15,7 +15,8 @@ reduction that free-reduces again after each trim, Tietze elimination
 that rewrites and canonicalizes every relator each round,
 homotopy-colimit cardinalities, simplicial sets with every face and
 degeneracy table built at construction, the homology of a whole nerve,
-comma objects found by scanning every source object, the cone search as
+comma objects found by scanning every source object, cofinality
+certified on views built for every coslice and fibre, the cone search as
 generator expressions, posets composed by pairing every arrow with every
 arrow, categories compared table by table, and the replay of
 contractibility certificates.
@@ -25,12 +26,15 @@ from __future__ import annotations
 
 import itertools
 
-from hocofin.cofinal import _coreflection, _Neighbours, _reflection
+from hocofin.cofinal import _coreflection, _Neighbours, _reflection, certify_contractible, weakest
 from hocofin.fincat import (
+    comma_left_fibre,
+    comma_view,
     composable_chains,
+    coslice_parts,
     final_objects,
     identity_id,
-    iter_initial_objects,
+    opposite,
     validate_category,
 )
 from hocofin import groups
@@ -672,6 +676,28 @@ def nerve_homology(B, n):
     return homology_ss(nerve(B, n + 1, basepoint=B.objects[0]), n)
 
 
+def comma_coslice(S, d):
+    """The coslice d↓S as a view, from ``fincat.coslice_parts``: how the
+    cofinality certifier built every coslice before it looked for a cone
+    on the parts."""
+    return comma_view(S.source, *coslice_parts(S, d))
+
+
+def view_route_cofinal(S, effort=1, n_max=2, coinitial=False):
+    """``cofinal.certify_homotopy_cofinal`` as it was before it looked
+    for cones on the comma parts: each coslice d↓S, or the opposite of
+    each left fibre S↓d, built as a view and handed to
+    ``certify_contractible``."""
+    per_object = {}
+    for d in S.target.objects:
+        if coinitial:
+            cat = opposite(comma_left_fibre(S, d)[0])
+        else:
+            cat = comma_coslice(S, d)
+        per_object[d] = certify_contractible(cat, effort=effort, n_max=n_max)
+    return {"per_object": per_object, "aggregate": weakest(per_object.values()).kind}
+
+
 def scanned_objects(S, d, coslice):
     """The parts (c, beta) of the coslice d↓S, or of the left fibre S↓d,
     found by scanning every source object c, in order: how the comma
@@ -721,10 +747,6 @@ def same_tables(C, D):
             and C.cod == D.cod and C.identity == D.identity and C.comp == D.comp)
 
 
-def initial_objects(C):
-    return list(iter_initial_objects(C))
-
-
 def generated_final_objects(C, objs=None):
     """``fincat.iter_final_objects`` as a generator expression over
     ``all``: how the cone search tested its candidates before it counted
@@ -735,6 +757,10 @@ def generated_final_objects(C, objs=None):
 
 def generated_initial_objects(C):
     return (s for s in C.objects if all(C.hom_count(s, x) == 1 for x in C.objects))
+
+
+def initial_objects(C):
+    return list(generated_initial_objects(C))
 
 
 def paired_poset(elements, leq, name=""):

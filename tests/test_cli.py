@@ -1516,8 +1516,8 @@ def constant_z7(diagram):
     return constant_group_diagram(diagram.base, FreeProduct.from_group("A", cyclic_group(7)))
 
 
-def z7_lan_route(X, system, real=gz.lan_route_diagram):
-    return constant_z7(real(X, system))
+def z7_lan_route(X, system, elements, real=gz.lan_route_diagram):
+    return constant_z7(real(X, system, elements))
 
 
 def z7_nerve_route(C, M, n_max, fdata, real=gz.nerve_route_complex):

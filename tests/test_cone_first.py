@@ -25,7 +25,6 @@ from hocofin.cofinal import (
     certify_contractible,
 )
 from hocofin.fincat import (
-    comma_coslice,
     comma_left_fibre,
     connected_components,
     factor_slice,
@@ -38,7 +37,7 @@ from hocofin.fincat import (
 )
 from hocofin.groups import cyclic_group
 from hocofin.presheaf import elements_with_parts
-from oracles import disjoint_union, initial_objects, nerve_homology, replay_certificate
+from oracles import comma_coslice, disjoint_union, initial_objects, nerve_homology, replay_certificate
 
 
 def components_first(B, effort=1, n_max=2, nerve_cap=DEFAULT_NERVE_CAP):

@@ -23,7 +23,6 @@ from hocofin.fincat import (
     DanglingId,
     FinCat,
     Functor,
-    comma_coslice,
     comma_left_fibre,
     factor_slice,
     factorization,
@@ -37,6 +36,7 @@ from hocofin.fincat import (
 )
 from hocofin.groups import cyclic_group
 from hocofin.presheaf import DSet, constant_singleton, elements_with_parts
+from oracles import comma_coslice
 
 # the builder itself, before a test records its calls
 COMMA_LIKE = fincat._comma_like

@@ -9,7 +9,6 @@ from hocofin.fincat import (
     Functor,
     MissingComposite,
     SizeLimitExceeded,
-    comma_coslice,
     comma_left_fibre,
     composable_chains,
     connected_components,
@@ -26,7 +25,7 @@ from hocofin.fincat import (
     validate_category,
 )
 from hocofin.presheaf import DSet, elements_with_parts
-from oracles import disjoint_union, initial_objects, nondegenerate_chains, paired_poset
+from oracles import comma_coslice, disjoint_union, initial_objects, nondegenerate_chains, paired_poset
 from test_cofinal_reduction import monoids, posets
 
 

@@ -7,16 +7,16 @@ view is listed.  ``len(hom(x, y))`` is the oracle, on every view kind
 (coslices, left fibres, opposites of views, full subcategories,
 factorization categories and categories of elements), before and after
 the hom-sets and the listing are built.  README's claim that a cone
-answer "lists no view and builds no table" is checked on the coslices of
-a Boolean lattice and the fibres of ``wefrac`` on one-object Z/4.
+answer builds no view is checked on the coslices of a Boolean lattice and
+the fibres of ``wefrac`` on one-object Z/4: no view is constructed at
+all, and the factorization category is not listed.
 
-The cone search (``iter_final_objects``, ``iter_initial_objects``) counts
-in a plain loop that stops at the first count that is not 1; its
+The cone search (``cofinal._cone`` over ``iter_final_objects``) counts in
+a plain loop that stops at the first count that is not 1; its
 generator-expression form (``oracles.generated_final_objects``,
 ``oracles.generated_initial_objects``) gives the same objects in the same
-order, and the same first object on a fresh view, on every view kind, on
-plain categories and on the generated categories of
-``test_cofinal_reduction``.
+order, and the same cone on a fresh view, on every view kind, on plain
+categories and on the generated categories of ``test_cofinal_reduction``.
 
 ``comma_coslice`` and ``comma_left_fibre`` read the ends of the target's
 arrows out of (into) d and the source objects over them;
@@ -26,7 +26,12 @@ whose ids coincide are refused."""
 
 import pytest
 from hypothesis import given, settings
-from oracles import generated_final_objects, generated_initial_objects, scanned_objects
+from oracles import (
+    comma_coslice,
+    generated_final_objects,
+    generated_initial_objects,
+    scanned_objects,
+)
 from test_cofinal_reduction import categories, crown, maximal_ends_fence
 from test_faithful_check import bz, listed
 
@@ -34,14 +39,12 @@ from hocofin import cofinal, fincat, fixtures
 from hocofin.fincat import (
     CategoryError,
     FinCat,
-    comma_coslice,
     comma_left_fibre,
     factorization,
     from_poset,
     full_subcategory,
     identity_functor,
     iter_final_objects,
-    iter_initial_objects,
     objects_over,
     over_id,
     validate_category,
@@ -118,18 +121,30 @@ def test_a_plain_category_counts_from_its_hom_index():
 # -- the cone search against its generator form ------------------------------------------
 
 
+def generated_cone(C):
+    """The cone ``cofinal._cone`` looks for, from the generator forms."""
+    t = next(generated_final_objects(C), None)
+    if t is not None:
+        return t, "final"
+    s = next(generated_initial_objects(C), None)
+    return None if s is None else (s, "initial")
+
+
 def assert_same_cones(build):
     """Both forms of the cone search on views from ``build``: the same
-    first object on a fresh view each, then the same full lists, also on
-    the full subcategory of every other object."""
-    assert next(iter_final_objects(build()), None) == next(generated_final_objects(build()), None)
-    assert next(iter_initial_objects(build()), None) == next(generated_initial_objects(build()), None)
+    cone on a fresh view each, then the same full lists of final objects
+    and, through the reversed count, of initial ones, also of final
+    objects on the full subcategory of every other object."""
     C = build()
-    assert list(iter_final_objects(C)) == list(generated_final_objects(C))
-    assert list(iter_initial_objects(C)) == list(generated_initial_objects(C))
+    assert cofinal._cone(C.objects, C.hom_count) == generated_cone(build())
+    C = build()
+    count = C.hom_count
+    assert list(iter_final_objects(C.objects, count)) == list(generated_final_objects(C))
+    assert (list(iter_final_objects(C.objects, lambda x, y: count(y, x)))
+            == list(generated_initial_objects(C)))
     objs = C.objects[::2]
-    assert list(iter_final_objects(C, objs)) == list(generated_final_objects(C, objs))
-    return bool(list(iter_final_objects(C)) or list(iter_initial_objects(C)))
+    assert list(iter_final_objects(objs, count)) == list(generated_final_objects(C, objs))
+    return generated_cone(C) is not None
 
 
 def test_the_cone_search_finds_what_its_generator_form_finds():
@@ -148,56 +163,42 @@ def test_the_cone_search_on_generated_categories_and_their_views(C):
         assert_same_cones(build)
 
 
-# -- a cone answer reads no hom-set of the view ----------------------------------------
+# -- a cone answer builds no view ---------------------------------------------------------
 
 
-def recorded(monkeypatch, module, name, seen):
-    """Replace ``module.name`` by a wrapper that records in ``seen`` each
-    category it returns (the first item of a tuple)."""
-    build = getattr(module, name)
+def views_built(monkeypatch):
+    """Every view constructed from now on, in order."""
+    built = []
+    init = fincat._View.__init__
 
-    def recording(*args):
-        out = build(*args)
-        seen.append(out[0] if isinstance(out, tuple) else out)
-        return out
+    def recording(self, *args):
+        init(self, *args)
+        built.append(self)
 
-    monkeypatch.setattr(module, name, recording)
-
-
-def untouched(view):
-    """No listing, no table and no hom-set built."""
-    try:
-        FinCat.comp.__get__(view)
-    except AttributeError:
-        tabled = False
-    else:
-        tabled = True
-    return not listed(view) and not tabled and view._hom == {}
+    monkeypatch.setattr(fincat._View, "__init__", recording)
+    return built
 
 
 def test_cones_of_a_boolean_lattice_touch_no_view(monkeypatch):
     S = identity_functor(boolean_lattice(4))
     for coinitial in (False, True):
-        seen = []
-        for name in ("comma_coslice", "comma_left_fibre", "opposite"):
-            recorded(monkeypatch, cofinal, name, seen)
+        built = views_built(monkeypatch)
         rep = cofinal.certify_homotopy_cofinal(S, coinitial=coinitial)
+        assert len(rep["per_object"]) == 16
         assert all(v.certificate["kind"] == "cone" for v in rep["per_object"].values())
-        assert len(seen) == 16 * (1 + coinitial)
-        assert all(map(untouched, seen))
+        # no coslice, fibre or opposite was built
+        assert built == []
         monkeypatch.undo()
 
 
 def test_wefrac_on_z4_touches_no_fibre(monkeypatch):
-    fibres, opposites = [], []
-    recorded(monkeypatch, cofinal, "comma_left_fibre", fibres)
-    recorded(monkeypatch, cofinal, "opposite", opposites)
     F = factorization(bz(4))
+    built = views_built(monkeypatch)
     rep = cofinal.certify_homotopy_cofinal(F.cod, coinitial=True)
     assert [v.certificate["kind"] for v in rep["per_object"].values()] == ["cone"]
-    assert len(fibres) == len(opposites) == 1
-    assert all(map(untouched, fibres + opposites))
-    # the factorization category itself is not listed either
+    # no fibre or opposite was built, and the factorization category
+    # itself is not listed either
+    assert built == []
     assert not listed(F.category)
 
 

@@ -10,7 +10,6 @@ the Boolean lattice B5."""
 
 from hocofin import fixtures
 from hocofin.fincat import (
-    comma_coslice,
     comma_left_fibre,
     factor_slice,
     factorization,
@@ -20,7 +19,7 @@ from hocofin.fincat import (
 )
 from hocofin.groups import cyclic_group
 from hocofin.presheaf import constant_singleton, elements_with_parts, representable
-from oracles import all_pairs_listing
+from oracles import all_pairs_listing, comma_coslice
 from test_faithful_check import listed
 
 
