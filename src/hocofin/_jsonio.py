@@ -311,6 +311,9 @@ def dset_from_json(obj, workspace, name=""):
     C = workspace.get("categories", obj["category"])
     sets = _mapping(obj["sets"], "presheaf sets")
     maps = _mapping(obj["maps"], "presheaf maps")
+    for mid in maps:
+        if mid not in C.dom:
+            raise InputError("presheaf references unknown morphism %s" % mid)
     return DSet(C, {o: [_element(x, "presheaf set element at %s" % o)
                         for x in _array(v, "presheaf set at %s" % o)] for o, v in sets.items()},
                 {m: _element_table(t, "presheaf map at %s" % m) for m, t in maps.items()},

@@ -9,8 +9,8 @@ nonzero reduced homology group), EVIDENCE means the reduced homology was
 trivial up to the checked degree, and INCONCLUSIVE means a resource cap
 was hit first.
 
-A cofinality certificate looks for the cone of each coslice (or fibre)
-on its comma parts, before any view is built, and builds a view only
+A certificate over a base (``certify_over``) looks for the cone on the
+parts of the objects, before any view is built, and builds a view only
 where there is no cone; so a cone answer builds no view at all.
 """
 
@@ -22,15 +22,16 @@ from math import comb
 
 from .fincat import (
     NerveTable,
+    _comma_like,
     _ids_parse,
     chain_counts,
     comma_left_fibre,
-    comma_view,
     connected_components,
     coslice_parts,
     fibre_parts,
     final_objects,
     iter_final_objects,
+    objects_over,
     opposite,
     over_id,
     parts_count,
@@ -513,37 +514,33 @@ def _certify_coneless(B, effort, n_max):
     return ContractibilityVerdict(EVIDENCE, checks=checks)
 
 
+def certify_over(C, parts, arrow, parse, op, effort, n_max):
+    """``certify_contractible`` of the category over C on the objects with
+    the given parts and the morphisms that ``arrow`` picks (``_comma_like``),
+    or of its opposite when ``op``: a coslice, a left fibre, a
+    factorization slice or a category of elements.  The cone is looked for
+    on the parts (``parts_count``) and only its id is formatted; the view
+    is built from the parts only where there is none.  ``parse`` says that
+    every name in the parts is a term (``_ids_parse``), decided once per
+    certificate by the caller; without it the view is built first, so that
+    its builder refuses a repeated id."""
+    view = None if parse else _comma_like(C, objects_over(parts), arrow, "comma")[0]
+    count = parts_count(C, arrow)
+    cone = _cone(parts, (lambda x, y: count(y, x)) if op else count)
+    if cone is not None:
+        return _cone_verdict(over_id(cone[0]), cone[1])
+    if view is None:
+        view = _comma_like(C, objects_over(parts), arrow, "comma")[0]
+    return _certify_coneless(opposite(view) if op else view, effort, n_max)
+
+
 def certify_homotopy_cofinal(S, effort=1, n_max=2, coinitial=False):
     """Certify contractibility of every coslice d↓S (or of the opposite
-    of the left fibre S↓d, for the coinitial variant); the aggregate is
-    the weakest verdict.
-
-    The cone of each is looked for on its parts (c, beta), counted as
-    the view counts (``parts_count``), and only the cone object's id is
-    formatted, so a cone answer builds no view.  The view is built from
-    the same parts only when there is no cone, and the rest of
-    ``certify_contractible`` runs on it.  When some id of S's categories
-    might not parse (``_ids_parse``), the view is built first, as it was,
-    so that a repeated id is refused by its builder."""
+    of the left fibre S↓d, for the coinitial variant), each on its parts
+    (``certify_over``); the aggregate is the weakest verdict."""
     C = S.source
     parse = _ids_parse(C) and _ids_parse(S.target)
     enumerate_parts = fibre_parts if coinitial else coslice_parts
-    per_object = {}
-    for d in S.target.objects:
-        parts, arrow = enumerate_parts(S, d)
-        cone = None
-        if parse:
-            count = parts_count(C, arrow)
-            if coinitial:
-                count = lambda x, y, count=count: count(y, x)
-            cone = _cone(parts, count)
-        if cone is not None:
-            per_object[d] = _cone_verdict(over_id(cone[0]), cone[1])
-            continue
-        cat = comma_view(C, parts, arrow)
-        if coinitial:
-            cat = opposite(cat)
-        certify = _certify_coneless if parse else certify_contractible
-        per_object[d] = certify(cat, effort, n_max)
-    agg = weakest(per_object.values())
-    return {"per_object": per_object, "aggregate": agg.kind}
+    per_object = {d: certify_over(C, *enumerate_parts(S, d), parse, coinitial, effort, n_max)
+                  for d in S.target.objects}
+    return {"per_object": per_object, "aggregate": weakest(per_object.values()).kind}

@@ -45,11 +45,12 @@ in the keys compared by ``==`` again; other pairs are compared in full.
 
 Consumers that need only hom-sets (cone objects, finally discrete
 components) neither list a view nor build its table.  The objects of a
-coslice d↓S or a left fibre S↓d are enumerated as parts first
-(``coslice_parts``, ``fibre_parts``), and the hom-set sizes counted on
-them (``parts_count``); the views are built from those, and a search
-that ends at a cone (``cofinal.certify_homotopy_cofinal``) reads them
-and builds no view at all.  Canonical ordering
+category that a certificate asks about are enumerated as parts first: a
+coslice d↓S or a left fibre S↓d (``coslice_parts``, ``fibre_parts``), a
+factorization slice (``slice_parts``) or a category of elements
+(``presheaf.element_parts``).  The certificate counts hom-set sizes on
+the parts (``parts_count``) and builds the view from them only where it
+finds no cone (``cofinal.certify_over``).  Canonical ordering
 is input order everywhere; derived categories enumerate their objects and
 morphisms lexicographically in the constituent indices, so repeated
 construction is byte-stable.
@@ -116,7 +117,7 @@ class FinCat:
     """
 
     __slots__ = ("objects", "morphisms", "dom", "cod", "identity", "comp", "name", "_hom",
-                 "_out", "_into", "_homs", "_count", "_listing", "_table", "_parse", "_key")
+                 "_out", "_into", "_homs", "_listing", "_table", "_parse", "_key")
 
     def __init__(self, objects, morphisms, dom, cod, identity, comp, name=""):
         self.objects = objects
@@ -230,27 +231,25 @@ class FinCat:
 class _View(FinCat):
     """A category over a base, built in the stages of the module docstring.
 
-    ``homs(x, y)`` gives one hom-set before the listing, kept in ``_hom``;
-    ``count(x, y)``, when the builder gives one, its size, with no id
-    formatted and nothing kept; ``listing(view)`` gives ``(morphisms, dom,
-    cod)`` on the first read of any of them, and ``_hom`` is then rebuilt
-    from it; ``table(view)`` gives ``comp`` on its first read.  Once both
-    are built the instance becomes a plain FinCat, so later reads of any
-    attribute are plain slot reads (a class with ``__getattr__`` reads
-    every attribute on the slow path).  ``parse`` is ``_ids_parse`` of the
-    view; without it the listing is built at once, so that a repeated id
-    is refused here.
+    ``homs(x, y)`` gives one hom-set before the listing, kept in ``_hom``,
+    and ``hom_count`` is its length; ``listing(view)`` gives ``(morphisms,
+    dom, cod)`` on the first read of any of them, and ``_hom`` is then
+    rebuilt from it; ``table(view)`` gives ``comp`` on its first read.
+    Once both are built the instance becomes a plain FinCat, so later
+    reads of any attribute are plain slot reads (a class with
+    ``__getattr__`` reads every attribute on the slow path).  ``parse`` is
+    ``_ids_parse`` of the view; without it the listing is built at once,
+    so that a repeated id is refused here.
     """
 
     __slots__ = ()
 
-    def __init__(self, objects, identity, homs, listing, table, name, parse, count=None):
+    def __init__(self, objects, identity, homs, listing, table, name, parse):
         self.objects = objects
         self.identity = identity
         self.name = name
         self._hom = {}
         self._homs = homs
-        self._count = count
         self._listing = listing
         self._table = table
         self._parse = parse
@@ -267,11 +266,7 @@ class _View(FinCat):
         return h
 
     def hom_count(self, x, y):
-        # a hom-set already built or listed is read; otherwise it is counted
-        count = self._count
-        if count is None or self._hom and (x, y) in self._hom:
-            return len(self.hom(x, y))
-        return count(x, y) if x in self.identity and y in self.identity else 0
+        return len(self.hom(x, y))
 
     def successors(self, x):
         # from the hom-set sizes, so that a view over this one does not list it
@@ -287,7 +282,7 @@ class _View(FinCat):
             self._table = None
         elif name in ("morphisms", "dom", "cod", "_out"):
             self.morphisms, self.dom, self.cod = self._listing(self)
-            self._listing = self._homs = self._count = None
+            self._listing = self._homs = None
             self._index()
         else:
             raise AttributeError(name)
@@ -460,12 +455,10 @@ def opposite(C):
     """Dual category: dom/cod swapped, comp(g, f) = comp_C(f, g).  A view:
     hom(x, y) is C's hom(y, x), and the listing shares C's, read when the
     view's is first read."""
-    count = C.hom_count
     op = _View(C.objects, C.identity, lambda x, y: C.hom(y, x),
                lambda view: (C.morphisms, C.cod, C.dom),
                lambda view: {(f, g): h for (g, f), h in C.comp.items()},
-               C.name + "^op" if C.name else "", _ids_parse(C),
-               lambda x, y: count(y, x))
+               C.name + "^op" if C.name else "", _ids_parse(C))
     op._key = ("opposite", C)
     return op
 
@@ -505,8 +498,8 @@ def parts_count(C, arrow):
     the parts: the arrows alpha: p1[0] -> p2[0] of C with ``arrow(alpha,
     p1, p2)``, counted in one loop with no list built and no id
     formatted.  Equal parts are one object, whose identity counts once.
-    A view counts its hom-sets with it, and so does a cone search on the
-    parts, before any view is built."""
+    A cone search on the parts counts with it, before any view is built
+    (``cofinal.certify_over``)."""
     base_hom, base_identity = C.hom, C.identity
 
     def count(p1, p2):
@@ -533,8 +526,7 @@ def _comma_like(C, parts, arrow, name):
     each of its morphisms to its arrow of C, filled as hom-sets are read.
 
     The category is a view: hom(o1, o2) is read from C.hom and the
-    predicate on first read, its size is counted from the parts of its
-    ends (``parts_count``), and the listing joins the hom-sets that C's
+    predicate on first read, and the listing joins the hom-sets that C's
     arrows can fill, read through ``C.successors`` (from C's hom-set sizes
     when C is itself a view, so that C is not listed).  Its
     composition table is built on first read, where each composite must
@@ -562,11 +554,6 @@ def _comma_like(C, parts, arrow, name):
             over[mid] = alpha
             out.append(mid)
         return out
-
-    count_parts = parts_count(C, arrow)
-
-    def count(o1, o2):
-        return count_parts(parts[o1], parts[o2])
 
     def listing(view):
         mors = list(ident.values())
@@ -615,7 +602,7 @@ def _comma_like(C, parts, arrow, name):
         return comp
 
     parse = _ids_parse(C) and all(_is_term(x) for p in parts.values() for x in p[1:])
-    return _View(list(parts), ident, homs, listing, table, name, parse, count), over
+    return _View(list(parts), ident, homs, listing, table, name, parse), over
 
 
 def category_over(C, parts, arrow, name, proj_name):
@@ -656,13 +643,6 @@ def coslice_parts(S, d):
     parts = [(c, b) for c in S.lying_over(D.successors(d)) for b in hom(d, obj[c])]
     comp, mor = D.comp, S.mor_map
     return parts, lambda a, p1, p2: comp[(mor[a], p1[1])] == p2[1]
-
-
-def comma_view(C, parts, arrow):
-    """The view over C on the objects with the given parts and the
-    morphisms that ``arrow`` picks (``fibre_parts``, ``coslice_parts``),
-    its objects named by ``objects_over``."""
-    return _comma_like(C, objects_over(parts), arrow, "comma")[0]
 
 
 def comma_left_fibre(S, d):
@@ -802,28 +782,31 @@ def factor_functor(S):
     return Functor(fc.category, fd.category, obj_map, mor_map, name="F(%s)" % (S.name or "S"))
 
 
-def factor_slice(S, alpha):
-    """The category of factorizations of alpha through values of S.
-
-    Objects are triples (c, u, v) with u: dom alpha -> S(c),
-    v: S(c) -> cod alpha and v∘u = alpha; morphisms are beta: c -> c'
-    with u' = S(beta)∘u and v = v'∘S(beta).
-    """
+def slice_parts(S, alpha):
+    """The parts (c, u, v) of the objects of the slice S<alpha>, the
+    factorizations v∘u = alpha through S(c), by c in C's order, then by u,
+    then by v, and the predicate on C's arrows that picks its morphisms:
+    beta: c -> c' with u' = S(beta)∘u and v = v'∘S(beta)."""
     C, D = S.source, S.target
     a0, a1 = D.dom[alpha], D.cod[alpha]
-    parts = objects_over(
-        (c, u, v)
-        for c in C.objects
-        for u in D.hom(a0, S.on_obj(c))
-        for v in D.hom(S.on_obj(c), a1)
-        if D.comp[(v, u)] == alpha
-    )
+    parts = [(c, u, v)
+             for c in C.objects
+             for u in D.hom(a0, S.on_obj(c))
+             for v in D.hom(S.on_obj(c), a1)
+             if D.comp[(v, u)] == alpha]
 
     def arrow(beta, p1, p2):
         sb = S.on_mor(beta)
         return D.comp[(sb, p1[1])] == p2[1] and D.comp[(p2[2], sb)] == p1[2]
 
-    return _comma_like(C, parts, arrow, "slice")[0]
+    return parts, arrow
+
+
+def factor_slice(S, alpha):
+    """The category of factorizations of alpha through values of S
+    (``slice_parts``)."""
+    parts, arrow = slice_parts(S, alpha)
+    return _comma_like(S.source, objects_over(parts), arrow, "slice")[0]
 
 
 # -- isomorphism search --------------------------------------------------
@@ -987,7 +970,7 @@ def full_subcategory(C, objs):
         return {pair: C.comp[pair] for pair in view.composable_pairs()}
 
     return _View(objs, {o: C.identity[o] for o in objs}, C.hom, listing, table,
-                 C.name and C.name + "|", _ids_parse(C), C.hom_count)
+                 C.name and C.name + "|", _ids_parse(C))
 
 
 # -- builders -------------------------------------------------------------

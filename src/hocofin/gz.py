@@ -10,7 +10,7 @@ mismatch is an implementation bug and is surfaced loudly.
 
 from __future__ import annotations
 
-from .cofinal import certify_contractible
+from .cofinal import certify_over
 from .diagrams import (
     AbDiagram,
     DiagramError,
@@ -24,15 +24,17 @@ from .diagrams import (
 )
 from .fincat import (
     Functor,
+    _ids_parse,
+    _is_term,
     factor_functor,
-    factor_slice,
     factorization,
     opposite,
     opposite_functor,
+    slice_parts,
 )
 from .groups import fingerprint
 from .homalg import normalized_complex
-from .presheaf import elements_with_parts, inverse_fibre
+from .presheaf import element_parts, elements_with_parts, inverse_fibre
 
 
 class GZError(Exception):
@@ -164,12 +166,16 @@ def inverse_image(f, system):
 def certify_fibres(f, n_max, effort=1):
     """The hypothesis of comparing homology along a presheaf morphism f:
     a contractibility verdict on the elements category of every inverse
-    fibre, keyed by (d, y)."""
+    fibre, keyed by (d, y), each on its parts (``certify_over``).  The
+    fibres' elements are "(x|alpha)", so their ids parse when the names of
+    f's source do."""
+    X, D = f.source, f.source.base
+    parse = _ids_parse(D) and all(_is_term(x) for xs in X.sets.values() for x in xs)
     verdicts = {}
-    for d in f.source.base.objects:
+    for d in D.objects:
         for y in f.target.sets[d]:
-            E, _, _ = elements_with_parts(inverse_fibre(f, d, y))
-            verdicts[(d, y)] = certify_contractible(E, effort=effort, n_max=n_max)
+            verdicts[(d, y)] = certify_over(D, *element_parts(inverse_fibre(f, d, y)), parse,
+                                            False, effort, n_max)
     return verdicts
 
 
@@ -267,8 +273,9 @@ def certify_slices(S, n_max, effort=1):
     """The hypothesis of comparing natural-system homology along a functor
     S: a contractibility verdict on the slice S<alpha> for every morphism
     alpha of the TARGET category, the only reading under which the slice
-    is defined."""
-    return {alpha: certify_contractible(factor_slice(S, alpha), effort=effort, n_max=n_max)
+    is defined.  Each slice is certified on its parts (``certify_over``)."""
+    parse = _ids_parse(S.source) and _ids_parse(S.target)
+    return {alpha: certify_over(S.source, *slice_parts(S, alpha), parse, False, effort, n_max)
             for alpha in S.target.morphisms}
 
 

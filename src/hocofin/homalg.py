@@ -672,7 +672,11 @@ class ChainComplex:
             below = here
             if not any(products):
                 continue
-            squares = [self._relations_at(n - 2).solve(acc) for acc in products]
+            # the relation lattice R_{n-2} of the whole of C_{n-2}: the
+            # blocks' bases in block order, shifted, since a row-connected
+            # component of relations lies inside one block
+            relations = self._block_relations(self.groups[n - 2])
+            squares = [relations.solve(acc) for acc in products]
             if None in squares:
                 raise HomalgError("boundary squared is nonzero in degree %d" % n)
             self._squares[n] = squares
@@ -699,13 +703,6 @@ class ChainComplex:
         rank_up, torsion = self._cone_invariants(n + 1)
         size = self.groups[n].gens + self._relation_starts(n - 1)[1]
         return FGAb.from_invariants(size - rank_here - rank_up, torsion)
-
-    def _relations_at(self, n):
-        """The injective relation lattice R_n of the whole of C_n, for the
-        squares.  Its basis is the blocks' bases in block order, shifted,
-        since a row-connected component of relations lies inside one
-        block."""
-        return self._block_relations(self.groups[n])
 
     def _block_relations(self, block):
         """The injective relation lattice of one block, built once per block

@@ -285,8 +285,9 @@ def standard_simplex(k, N, basepoint=None):
 class DSet:
     """Finite presheaf of sets over a finite category.
 
-    ``maps[alpha]`` (for alpha: b -> a) sends X(a) to X(b); identity maps
-    are synthesized; contravariant functoriality is checked exhaustively.
+    ``sets[a]`` lists X(a), each element once; ``maps[alpha]`` (for
+    alpha: b -> a) sends X(a) to X(b); identity maps are synthesized;
+    contravariant functoriality is checked exhaustively.
     """
 
     __slots__ = ("base", "sets", "maps", "name")
@@ -305,6 +306,9 @@ class DSet:
 
     def _check(self):
         B = self.base
+        for o in B.objects:
+            if len(set(self.sets[o])) != len(self.sets[o]):
+                raise PresheafError("presheaf set at %s repeats an element" % o)
         for f in B.morphisms:
             table = self.maps.get(f)
             if table is None:
@@ -395,16 +399,20 @@ def dset_disjoint_union(X, Y, name=""):
     return DSet(B, sets, maps, name=name or "%s+%s" % (X.name, Y.name))
 
 
-def elements_with_parts(X):
-    """Category of elements of a presheaf, its projection and the map
-    object id -> (d, x).
+def element_parts(X):
+    """The parts (d, x in X(d)) of the objects of the category of elements,
+    in order, and the predicate on the base's arrows that picks its
+    morphisms (d, x) -> (d', x'): alpha: d -> d' with X(alpha)(x') = x."""
+    parts = [(d, x) for d in X.base.objects for x in X.sets[d]]
+    return parts, lambda a, p1, p2: X.apply(a, p2[1]) == p1[1]
 
-    Objects are pairs (d, x in X(d)); a morphism (d, x) -> (d', x') is
-    alpha: d -> d' with X(alpha)(x') = x.
-    """
+
+def elements_with_parts(X):
+    """Category of elements of a presheaf (``element_parts``), its
+    projection and the map object id -> (d, x)."""
     D = X.base
-    parts = fincat.objects_over((d, x) for d in D.objects for x in X.sets[d])
-    out = fincat.category_over(D, parts, lambda a, p1, p2: X.apply(a, p2[1]) == p1[1],
+    parts, arrow = element_parts(X)
+    out = fincat.category_over(D, fincat.objects_over(parts), arrow,
                                "el(%s)" % (X.name or "?"), "Q_X")
     out[0]._key = ("elements", D, X.sets, X.maps)
     return out

@@ -15,11 +15,11 @@ reduction that free-reduces again after each trim, Tietze elimination
 that rewrites and canonicalizes every relator each round,
 homotopy-colimit cardinalities, simplicial sets with every face and
 degeneracy table built at construction, the homology of a whole nerve,
-comma objects found by scanning every source object, cofinality
-certified on views built for every coslice and fibre, the cone search as
-generator expressions, posets composed by pairing every arrow with every
-arrow, categories compared table by table, and the replay of
-contractibility certificates.
+comma objects found by scanning every source object, cofinality,
+factorization slices and inverse fibres certified on views built for
+each, the cone search as generator expressions, posets composed by
+pairing every arrow with every arrow, categories compared table by
+table, and the replay of contractibility certificates.
 """
 
 from __future__ import annotations
@@ -29,15 +29,16 @@ import itertools
 from hocofin.cofinal import _coreflection, _Neighbours, _reflection, certify_contractible, weakest
 from hocofin.fincat import (
     comma_left_fibre,
-    comma_view,
     composable_chains,
     coslice_parts,
+    factor_slice,
     final_objects,
     identity_id,
+    objects_over,
     opposite,
     validate_category,
 )
-from hocofin import groups
+from hocofin import fincat, groups
 from hocofin.groups import FinGroup, GroupPresentation, free_reduce
 from hocofin.homalg import (
     DegreeMissing,
@@ -52,7 +53,7 @@ from hocofin.homalg import (
     block_sum,
     smith_normal_form,
 )
-from hocofin.presheaf import TruncSSet, homology_ss, nerve
+from hocofin.presheaf import TruncSSet, elements_with_parts, homology_ss, inverse_fibre, nerve
 
 
 # -- dense matrices ------------------------------------------------------------
@@ -680,7 +681,8 @@ def comma_coslice(S, d):
     """The coslice d↓S as a view, from ``fincat.coslice_parts``: how the
     cofinality certifier built every coslice before it looked for a cone
     on the parts."""
-    return comma_view(S.source, *coslice_parts(S, d))
+    parts, arrow = coslice_parts(S, d)
+    return fincat._comma_like(S.source, objects_over(parts), arrow, "comma")[0]
 
 
 def view_route_cofinal(S, effort=1, n_max=2, coinitial=False):
@@ -696,6 +698,23 @@ def view_route_cofinal(S, effort=1, n_max=2, coinitial=False):
             cat = comma_coslice(S, d)
         per_object[d] = certify_contractible(cat, effort=effort, n_max=n_max)
     return {"per_object": per_object, "aggregate": weakest(per_object.values()).kind}
+
+
+def view_route_slices(S, n_max, effort=1):
+    """``gz.certify_slices`` as it was before it looked for cones on the
+    parts: each slice S<alpha> built as a view (``factor_slice``) and
+    handed to ``certify_contractible``."""
+    return {alpha: certify_contractible(factor_slice(S, alpha), effort=effort, n_max=n_max)
+            for alpha in S.target.morphisms}
+
+
+def view_route_fibres(f, n_max, effort=1):
+    """``gz.certify_fibres`` as it was before it looked for cones on the
+    parts: the category of elements of each inverse fibre built as a view
+    and handed to ``certify_contractible``."""
+    return {(d, y): certify_contractible(elements_with_parts(inverse_fibre(f, d, y))[0],
+                                         effort=effort, n_max=n_max)
+            for d in f.source.base.objects for y in f.target.sets[d]}
 
 
 def scanned_objects(S, d, coslice):

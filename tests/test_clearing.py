@@ -42,7 +42,7 @@ def assert_squares_sound(K):
     squares = boundary_squares(K)
     assert set(squares) == set(K._squares)
     for n, products in squares.items():
-        rho = K._relations_at(n - 2).columns
+        rho = K._block_relations(K.groups[n - 2]).columns
         for product, coords in zip(products, K._squares[n], strict=True):
             back = {}
             for k, x in coords.items():

@@ -626,6 +626,13 @@ MALFORMED.update({
         dict(GOOD_WORKSPACE, dsets={"hb": dict(HB, maps={"u": {"zz": "u"}})}),
         "PresheafError: action of u is not a map X(b) -> X(a)",
     ),
+    # without a system over its elements, which would refuse the repeated
+    # object id, this workspace once passed
+    "dset-set-repeating-an-element": (
+        dict(GOOD_WORKSPACE, dsets={"hb": dict(HB, sets={"a": ["u", "u"], "b": ["ib"]})},
+             systems={"ns": GOOD_WORKSPACE["systems"]["ns"]}),
+        "PresheafError: presheaf set at a repeats an element",
+    ),
     "dset-not-contravariant": (
         dict(with_categories(three=THREE), dsets={"hb": HB, "x": {
             "category": "three", "sets": {"a": ["x1", "x2"], "b": ["y"], "c": ["z"]},
@@ -649,6 +656,10 @@ MALFORMED.update({
         "NaturalityViolation: component at a leaves the target",
     ),
     # the readers
+    "dset-map-at-an-unknown-morphism": (
+        dict(GOOD_WORKSPACE, dsets={"hb": dict(HB, maps={"u": {"ib": "u"}, "zz": {}})}),
+        "InputError: presheaf references unknown morphism zz",
+    ),
     "diagram-hom-on-unknown-morphism": (
         dict(GOOD_WORKSPACE, diagrams={"d": dict(GOOD_WORKSPACE["diagrams"]["d"],
                                                  homs={"zz": {"A.1": [["A", "1"]]}})}),
@@ -1433,7 +1444,7 @@ def test_a_closed_gate_builds_neither_side(theorem, fixture, sides, assumed, cap
 
 def test_the_bw_slices_are_certified_once_per_functor(capsys, monkeypatch):
     # id-two has two systems over the walking arrow, which has 3 morphisms
-    calls = spy_on(monkeypatch, "certify_contractible", gz)
+    calls = spy_on(monkeypatch, "certify_over", gz)
     code, _ = run(capsys, "verify", "--theorem", "confhomolBW", "--fixture", "id-two")
     assert code == 0
     assert len(calls) == len(fixtures.cat_two().morphisms) == 3

@@ -1,6 +1,9 @@
-"""``certify_homotopy_cofinal`` looks for the cone of each coslice d↓S,
-or of the opposite of each left fibre S↓d when coinitial, on the comma
-parts (c, beta), and builds the view only where there is none.
+"""Every certificate over a base looks for the cone on the parts of the
+objects, and builds the view only where there is none
+(``cofinal.certify_over``): ``certify_homotopy_cofinal`` on each coslice
+d↓S, or on the opposite of each left fibre S↓d when coinitial,
+``gz.certify_slices`` on each factorization slice S<alpha>, and
+``gz.certify_fibres`` on the category of elements of each inverse fibre.
 
 The route it replaced, each view built and handed to
 ``certify_contractible`` (``oracles.view_route_cofinal``), is the oracle:
@@ -12,12 +15,20 @@ factorization categories).  Besides, ids that might not parse take the
 view route and fail exactly as it does; a coslice with no cone is
 certified on its view after one cone search, not two; of isomorphic
 final objects the first in order is the cone; and an empty coslice is
-refused as empty."""
+refused as empty.
+
+The slices and inverse fibres are held to their view routes in the same
+way (``oracles.view_route_slices``, ``oracles.view_route_fibres``): on
+every ``confhomolBW`` and ``dhiso`` fixture, on the slices of the
+generated functors, on every built-in presheaf morphism and on the map
+of every built-in presheaf to the point; ids that do not parse fail as
+on the view route, a slice or fibre with no cone is searched once, and
+an empty fibre is refused as empty."""
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from oracles import view_route_cofinal
+from oracles import view_route_cofinal, view_route_fibres, view_route_slices
 from test_cofinal_reduction import categories, posets
 from test_hom_count import views_built
 
@@ -25,28 +36,37 @@ from hocofin import cofinal, fixtures
 from hocofin.cofinal import certify_homotopy_cofinal
 from hocofin.fincat import (
     CategoryError,
+    DanglingId,
     Functor,
     factorization,
     from_monoid,
     full_subcategory,
     identity_functor,
+    slice_parts,
     validate_category,
 )
+from hocofin.gz import certify_fibres, certify_slices
+from hocofin.presheaf import DSet, DSetMorphism, constant_singleton
+
+
+def verdicts(got, want):
+    """Checks that two routes give the same verdicts under the same keys,
+    in the same order; returns the certificate kind of each verdict, else
+    the first key of its witness, else its kind."""
+    assert list(got) == list(want)
+    assert [v.to_json() for v in got.values()] == [v.to_json() for v in want.values()]
+    return [v.certificate["kind"] if v.certificate else next(iter(v.witness or {}), v.kind)
+            for v in got.values()]
 
 
 def assert_same_verdicts(S, effort=1, n_max=2):
-    """Both routes on S, both ways round; returns the certificate kind of
-    each verdict, else the first key of its witness, else its kind."""
+    """Both routes on S, both ways round; returns ``verdicts``' kinds."""
     kinds = []
     for coinitial in (False, True):
         got = certify_homotopy_cofinal(S, effort=effort, n_max=n_max, coinitial=coinitial)
         want = view_route_cofinal(S, effort=effort, n_max=n_max, coinitial=coinitial)
-        assert list(got["per_object"]) == list(want["per_object"])
-        assert ([v.to_json() for v in got["per_object"].values()]
-                == [v.to_json() for v in want["per_object"].values()])
+        kinds += verdicts(got["per_object"], want["per_object"])
         assert got["aggregate"] == want["aggregate"]
-        kinds += [v.certificate["kind"] if v.certificate else next(iter(v.witness or {}), v.kind)
-                  for v in got["per_object"].values()]
     return kinds
 
 
@@ -246,3 +266,125 @@ def test_an_empty_coslice_is_refused_as_empty():
                                                 "witness": {"empty": True}}
     assert rep["aggregate"] == "NONCONTRACTIBLE"
     assert "empty" in assert_same_verdicts(S)
+
+
+# -- factorization slices and inverse fibres ------------------------------------------------
+
+
+def assert_same_slice_verdicts(S, effort=1, n_max=2):
+    return verdicts(certify_slices(S, n_max, effort=effort),
+                    view_route_slices(S, n_max, effort=effort))
+
+
+def assert_same_fibre_verdicts(f, effort=1, n_max=2):
+    return verdicts(certify_fibres(f, n_max, effort=effort),
+                    view_route_fibres(f, n_max, effort=effort))
+
+
+def to_point(X):
+    """The map of a presheaf to the point."""
+    pt = constant_singleton(X.base)
+    return DSetMorphism(X, pt, {o: {x: "*" for x in X.sets[o]} for o in X.base.objects})
+
+
+def presheaf_morphisms():
+    out = [make() for make in fixtures.DSETMAPS.values()]
+    out += [to_point(make()) for make in fixtures.DSETS.values()]
+    out += [fixtures.load_fixture("dhiso", name)["dset_morphism"]
+            for name in fixtures.fixture_names("dhiso")]
+    return out
+
+
+def test_every_bw_fixture_gets_the_view_routes_slice_verdicts():
+    kinds = []
+    for name in fixtures.fixture_names("confhomolBW"):
+        S = fixtures.load_fixture("confhomolBW", name)["functor"]
+        for effort, n_max in ((1, 2), (2, 1)):
+            kinds += assert_same_slice_verdicts(S, effort, n_max)
+    assert {"cone", "empty"} <= set(kinds)
+
+
+def test_every_presheaf_morphism_gets_the_view_routes_fibre_verdicts():
+    kinds = []
+    for f in presheaf_morphisms():
+        for effort, n_max in ((1, 2), (2, 1)):
+            kinds += assert_same_fibre_verdicts(f, effort, n_max)
+    assert {"cone", "empty", "components"} <= set(kinds)
+
+
+def test_slices_of_fixture_functors_get_the_view_routes_verdicts():
+    kinds = [k for S in fixture_functors() for k in assert_same_slice_verdicts(S)]
+    # cones, and slices without one: collapses, empty ones and several
+    # components
+    assert kinds.count("cone") > len(kinds) // 2
+    assert {"collapse", "empty", "components"} <= set(kinds)
+
+
+# a slice of 32 objects with no cone (of the codomain projection of the
+# factorization category of a three-element monoid) can keep the collapse
+# search busy for minutes before its state cap, on both routes
+small_slices = functors.filter(
+    lambda S: all(len(slice_parts(S, alpha)[0]) <= 16 for alpha in S.target.morphisms))
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_slices)
+def test_slices_of_generated_functors_get_the_view_routes_verdicts(S):
+    assert_same_slice_verdicts(S)
+
+
+def test_slice_ids_that_do_not_parse_fail_as_on_the_view_route():
+    # a = (q|r)∘p through m and a = r∘q through m|p: "(m|p|q|r)" names both
+    C = validate_category(["s", "t", "m", "m|p"],
+                         [("a", "s", "t"), ("p", "s", "m"), ("q|r", "m", "t"),
+                          ("q", "s", "m|p"), ("r", "m|p", "t")],
+                         [("q|r", "p", "a"), ("r", "q", "a")])
+    S = identity_functor(C)
+    with pytest.raises(CategoryError, match="^duplicate object ids$"):
+        view_route_slices(S, 2)
+    with pytest.raises(CategoryError, match="^duplicate object ids$"):
+        certify_slices(S, 2)
+    # without m|p the ids are distinct, and both routes certify them
+    assert_same_slice_verdicts(identity_functor(full_subcategory(C, ["s", "t", "m"])))
+
+
+def test_fibre_ids_that_do_not_parse_fail_as_on_the_view_route():
+    # in the fibre of X -> pt over (b, *), u names two morphisms
+    # "[u:(a|(p|u))->(b|(q|u))->(b|(r|id_b))]": from (a|(p|u)) and from
+    # (a|(p|u))->(b|(q|u)), as in the elements category of test_cli's
+    # ELEMENTS_THAT_COLLIDE
+    C = fixtures.cat_two()
+    X = DSet(C, {"a": ["p", "p|u))->(b|(q"], "b": ["q|u))->(b|(r", "r"]},
+             {"u": {"q|u))->(b|(r": "p", "r": "p|u))->(b|(q"}})
+    message = r"^morphism id \[u:\(a\|\(p\|u\)\)->\(b\|\(q\|u\)\)->\(b\|\(r\|id_b\)\)\] duplicates"
+    with pytest.raises(DanglingId, match=message):
+        view_route_fibres(to_point(X), 2)
+    with pytest.raises(DanglingId, match=message):
+        certify_fibres(to_point(X), 2)
+    # names that are not terms but do not collide: both routes certify them
+    Y = DSet(C, {"a": ["p|q"], "b": ["(r"]}, {"u": {"(r": "p|q"}})
+    assert assert_same_fibre_verdicts(to_point(Y)) == ["cone", "cone"]
+
+
+def test_a_slice_or_fibre_without_a_cone_is_searched_once(monkeypatch):
+    # two-cells-to-point: every fibre is two components; final-in-two:
+    # the slice at id_a is empty, the others have a cone
+    f = fixtures.dmor_two_cells_to_point()
+    S = fixtures.load_fixture("confhomolBW", "final-in-two")["functor"]
+    for certify, arg, keys, coneless in ((certify_fibres, f, 3, 3), (certify_slices, S, 3, 1)):
+        calls = counted_cone_searches(monkeypatch)
+        built = views_built(monkeypatch)
+        got = certify(arg, 2)
+        monkeypatch.undo()
+        assert len(got) == keys
+        assert sum(v.kind == "NONCONTRACTIBLE" for v in got.values()) == coneless
+        # one search per slice or fibre, and a view only where it found no cone
+        assert len(calls) == keys and len(built) == coneless
+
+
+def test_an_empty_fibre_is_refused_as_empty():
+    f = fixtures.dmor_incl_hb_union()
+    got = certify_fibres(f, 2)
+    assert got[("a", "0:id_a")].to_json() == {"verdict": "NONCONTRACTIBLE",
+                                              "witness": {"empty": True}}
+    assert "empty" in assert_same_fibre_verdicts(f)

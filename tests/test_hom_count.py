@@ -1,9 +1,8 @@
-"""Views count their hom-sets, and comma objects come from an arrow index.
+"""Hom-set sizes of views, and comma objects come from an arrow index.
 
 The cone search asks ``hom_count(x, y)``.  A plain category reads it off
-its hom index; a view counts the base arrows its predicate keeps, with no
-id formatted and nothing kept, unless the hom-set is already built or the
-view is listed.  ``len(hom(x, y))`` is the oracle, on every view kind
+its hom index; a view reads the length of the hom-set, which it builds
+on first read.  ``len(hom(x, y))`` is the oracle, on every view kind
 (coslices, left fibres, opposites of views, full subcategories,
 factorization categories and categories of elements), before and after
 the hom-sets and the listing are built.  README's claim that a cone
@@ -88,28 +87,27 @@ def lengths(view):
 
 def assert_counts(build):
     """Counts on a fresh view, then after its hom-sets and its listing are
-    built, and on a view listed first, against the hom-set lengths."""
+    built, and on a view listed first, against the hom-set lengths of a
+    fresh view.  Returns whether the view was left unlisted by counting."""
     view = build()
-    counting = getattr(view, "_count", None) is not None
     got = counts(view)
-    if counting:
-        # nothing was kept or listed
-        assert view._hom == {} and not listed(view)
+    unlisted = not listed(view)
     for y in view.objects[:1]:
         assert view.hom_count("no such object", y) == view.hom_count(y, "no such object") == 0
-    assert got == lengths(view) == counts(view)
+    assert got == lengths(build()) == counts(view)
     view.morphisms
     assert counts(view) == got
     listed_first = build()
     listed_first.morphisms
     assert counts(listed_first) == got
-    return counting
+    return unlisted
 
 
 def test_every_view_kind_counts_its_hom_sets():
     cats = [make() for make in fixtures.CATEGORIES.values()] + [bz(4), boolean_lattice(3)]
     builds = [b for C in cats for b in views_of(C)]
-    assert sum(map(assert_counts, builds)) > len(builds) // 2
+    # counting reads hom-sets, and lists only a view whose ids might not parse
+    assert all(map(assert_counts, builds))
 
 
 def test_a_plain_category_counts_from_its_hom_index():
