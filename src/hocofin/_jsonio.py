@@ -273,7 +273,14 @@ def group_diagram_from_json(obj, workspace, name=""):
     return GroupDiagram(C, value, actions, name=name)
 
 
+def _known_objects(C, value, what):
+    for o in value:
+        if o not in C.identity:
+            raise InputError("%s references unknown object %s" % (what, o))
+
+
 def _require_values(C, value, what):
+    _known_objects(C, value, what)
     for o in C.objects:
         if o not in value:
             raise InputError("%s misses a value at %s" % (what, o))
@@ -310,6 +317,7 @@ def dset_from_json(obj, workspace, name=""):
     _require_keys(obj, ("category", "sets", "maps"), what="presheaf")
     C = workspace.get("categories", obj["category"])
     sets = _mapping(obj["sets"], "presheaf sets")
+    _known_objects(C, sets, "presheaf")
     maps = _mapping(obj["maps"], "presheaf maps")
     for mid in maps:
         if mid not in C.dom:
@@ -328,8 +336,10 @@ def _element_table(table, what):
 def dset_morphism_from_json(obj, workspace, name=""):
     _require_keys(obj, ("source", "target", "components"), what="presheaf morphism")
     components = _mapping(obj["components"], "presheaf morphism components")
-    return DSetMorphism(workspace.get("dsets", obj["source"]),
-                        workspace.get("dsets", obj["target"]),
+    source = workspace.get("dsets", obj["source"])
+    target = workspace.get("dsets", obj["target"])
+    _known_objects(source.base, components, "presheaf morphism")
+    return DSetMorphism(source, target,
                         {o: _element_table(t, "component at %s" % o) for o, t in components.items()})
 
 

@@ -1,5 +1,5 @@
 """Finite categories: objects, morphisms and hom-sets, with a composition
-table; a category derived from a base is built in stages as it is read.
+table; the table of a category derived from a base is built when read.
 
 A category is a list of objects, a list of morphisms with domain and
 codomain, synthesized identities ``id_<obj>``, and a total composition
@@ -16,44 +16,37 @@ table on composable pairs.  What is checked, and when:
   left fibres S↓d, coslices d↓S, factorization slices and categories of
   elements in ``presheaf`` (all built by ``_comma_like`` from their
   objects and a predicate on base arrows), the factorization category,
-  ``opposite`` and ``full_subcategory``.  A view is built in three stages:
-
-  1. at construction, its objects and identities;
-  2. on the first read of ``hom(x, y)``, that one hom-set, from the base
-     hom-sets, kept for later reads;
-  3. on the first read of ``morphisms``, ``dom`` or ``cod``, the full
-     listing, in the order and with the ids of the category built in full.
-
-  Its composition table is built on the first read of ``comp``, from the
-  base's, and a composite that is no morphism of the view is refused then
-  (``DanglingId``).  A view needs no validation pass: its projections are
-  faithful by construction (no two morphisms share endpoints and base
-  arrows) and composition is the base's, so the unit laws and
-  associativity hold as in the validated base.  The tests keep the
-  materialize-and-certify path as the oracle.
+  ``opposite`` and ``full_subcategory``.  A view lists its objects and
+  morphisms when it is built, in the order and with the ids of the
+  category built in full, and refuses a repeated id then, as a category
+  given raw does.  Its composition table is built on the first read of
+  ``comp``, from the base's, and a composite that is no morphism of the
+  view is refused then (``DanglingId``).  A view needs no validation
+  pass: its projections are faithful by construction (no two morphisms
+  share endpoints and base arrows) and composition is the base's, so the
+  unit laws and associativity hold as in the validated base.  The tests
+  keep the materialize-and-certify path as the oracle.
 - Two ids formatted from distinct parts can coincide only when a name
   holds a separator of the id formats outside brackets, or brackets that
-  do not balance (``_ids_parse``); a view over such names lists its
-  morphisms at construction, so that a repeated id is refused then, as
-  for a category given raw.
+  do not balance (``_ids_parse``).
 
 Two categories are equal when their listings and composition tables
 are.  ``opposite(C)``, ``factorization(C).category`` and the category of
 elements of X carry a key: their builder and what it reads (C, or X's
-base, sets and maps).  Views with equal keys are equal unread, the bases
-in the keys compared by ``==`` again; other pairs are compared in full.
+base, sets and maps).  Views with equal keys are equal with no table
+built, the bases in the keys compared by ``==`` again; other pairs are
+compared in full.
 
-Consumers that need only hom-sets (cone objects, finally discrete
-components) neither list a view nor build its table.  The objects of a
-category that a certificate asks about are enumerated as parts first: a
-coslice d↓S or a left fibre S↓d (``coslice_parts``, ``fibre_parts``), a
-factorization slice (``slice_parts``) or a category of elements
-(``presheaf.element_parts``).  The certificate counts hom-set sizes on
-the parts (``parts_count``) and builds the view from them only where it
-finds no cone (``cofinal.certify_over``).  Canonical ordering
-is input order everywhere; derived categories enumerate their objects and
-morphisms lexicographically in the constituent indices, so repeated
-construction is byte-stable.
+The objects of a category that a certificate asks about are enumerated
+as parts first: a coslice d↓S or a left fibre S↓d (``coslice_parts``,
+``fibre_parts``), a factorization slice (``slice_parts``) or a category
+of elements (``presheaf.element_parts``).  The certificate counts
+hom-set sizes on the parts (``parts_count``) and builds the view from
+them only where it finds no cone (``cofinal.certify_over``), or first
+when some name is not a term, so that a repeated id is refused.
+Canonical ordering is input order everywhere; derived categories
+enumerate their objects and morphisms lexicographically in the
+constituent indices, so repeated construction is byte-stable.
 
 A nerve chain x0 -> x1 -> ... -> xn is the tuple ``(x0, f1, ..., fn)``:
 its origin x0 followed by its arrows, so a degree-0 chain is ``(x0,)``.
@@ -117,7 +110,7 @@ class FinCat:
     """
 
     __slots__ = ("objects", "morphisms", "dom", "cod", "identity", "comp", "name", "_hom",
-                 "_out", "_into", "_homs", "_listing", "_table", "_parse", "_key")
+                 "_out", "_into", "_table", "_parse", "_key")
 
     def __init__(self, objects, morphisms, dom, cod, identity, comp, name=""):
         self.objects = objects
@@ -229,66 +222,35 @@ class FinCat:
 
 
 class _View(FinCat):
-    """A category over a base, built in the stages of the module docstring.
-
-    ``homs(x, y)`` gives one hom-set before the listing, kept in ``_hom``,
-    and ``hom_count`` is its length; ``listing(view)`` gives ``(morphisms,
-    dom, cod)`` on the first read of any of them, and ``_hom`` is then
-    rebuilt from it; ``table(view)`` gives ``comp`` on its first read.
-    Once both are built the instance becomes a plain FinCat, so later
-    reads of any attribute are plain slot reads (a class with
-    ``__getattr__`` reads every attribute on the slow path).  ``parse`` is
-    ``_ids_parse`` of the view; without it the listing is built at once,
-    so that a repeated id is refused here.
+    """A category over a base, listed at construction; ``table(view)``
+    gives ``comp`` on its first read, and the instance then becomes a
+    plain FinCat, so that later reads of any attribute are plain slot
+    reads (a class with ``__getattr__`` reads every attribute on the slow
+    path).  ``parse`` is ``_ids_parse`` of the view.
     """
 
     __slots__ = ()
 
-    def __init__(self, objects, identity, homs, listing, table, name, parse):
+    def __init__(self, objects, morphisms, dom, cod, identity, table, name, parse):
         self.objects = objects
+        self.morphisms = morphisms
+        self.dom = dom
+        self.cod = cod
         self.identity = identity
         self.name = name
-        self._hom = {}
-        self._homs = homs
-        self._listing = listing
         self._table = table
         self._parse = parse
         self._key = None
-        if not parse:
-            self.morphisms  # the listing, which refuses a repeated id
-
-    def hom(self, x, y):
-        h = self._hom.get((x, y))
-        if h is None:
-            if self._listing is None or x not in self.identity or y not in self.identity:
-                return []
-            h = self._hom[(x, y)] = self._homs(x, y)
-        return h
-
-    def hom_count(self, x, y):
-        return len(self.hom(x, y))
-
-    def successors(self, x):
-        # from the hom-set sizes, so that a view over this one does not list it
-        return [y for y in self.objects if self.hom_count(x, y)]
-
-    def predecessors(self, x):
-        return [y for y in self.objects if self.hom_count(y, x)]
+        self._index()
 
     def __getattr__(self, name):
-        # reached only for an unset slot: a stage not built yet
-        if name == "comp":
-            self.comp = self._table(self)
-            self._table = None
-        elif name in ("morphisms", "dom", "cod", "_out"):
-            self.morphisms, self.dom, self.cod = self._listing(self)
-            self._listing = self._homs = None
-            self._index()
-        else:
+        # reached only for an unset slot: the table before its first read
+        if name != "comp":
             raise AttributeError(name)
-        if self._table is None and self._listing is None:
-            self.__class__ = FinCat
-        return getattr(self, name)
+        self.comp = self._table(self)
+        self._table = None
+        self.__class__ = FinCat
+        return self.comp
 
 
 # what the id formats put between names (over_id's "(|)", the morphism
@@ -383,9 +345,7 @@ def validate_category(objects, morphisms, composition, name=""):
 class Functor:
     """Structure-preserving map between two finite categories, checked
     exhaustively at construction.  An internal builder that passes
-    ``_validate=False`` hands over its maps, which are kept as given: the
-    projections of a view share the maps that its hom-sets fill as they
-    are read."""
+    ``_validate=False`` hands over its maps, which are kept as given."""
 
     __slots__ = ("source", "target", "obj_map", "mor_map", "name", "_lying")
 
@@ -452,11 +412,9 @@ def identity_functor(C):
 
 
 def opposite(C):
-    """Dual category: dom/cod swapped, comp(g, f) = comp_C(f, g).  A view:
-    hom(x, y) is C's hom(y, x), and the listing shares C's, read when the
-    view's is first read."""
-    op = _View(C.objects, C.identity, lambda x, y: C.hom(y, x),
-               lambda view: (C.morphisms, C.cod, C.dom),
+    """Dual category: dom/cod swapped, comp(g, f) = comp_C(f, g).  A view
+    that shares C's listing."""
+    op = _View(C.objects, C.morphisms, C.cod, C.dom, C.identity,
                lambda view: {(f, g): h for (g, f), h in C.comp.items()},
                C.name + "^op" if C.name else "", _ids_parse(C))
     op._key = ("opposite", C)
@@ -523,15 +481,12 @@ def _comma_like(C, parts, arrow, name):
     with ``arrow(alpha, parts[o1], parts[o2])``, named
     ``[alpha:o1->o2]``; composites are those of C.  Morphisms are listed
     by o1, then o2, then ``C.hom``.  Returns the category and the map from
-    each of its morphisms to its arrow of C, filled as hom-sets are read.
+    each of its morphisms to its arrow of C.
 
-    The category is a view: hom(o1, o2) is read from C.hom and the
-    predicate on first read, and the listing joins the hom-sets that C's
-    arrows can fill, read through ``C.successors`` (from C's hom-set sizes
-    when C is itself a view, so that C is not listed).  Its
-    composition table is built on first read, where each composite must
-    be the morphism over the composite in C between the outer endpoints,
-    or ``DanglingId`` is raised (the predicate is not closed under
+    The category is a view, listed at construction.  Its composition
+    table is built on first read, where each composite must be the
+    morphism over the composite in C between the outer endpoints, or
+    ``DanglingId`` is raised (the predicate is not closed under
     composition).  It needs no validation pass, because its projection to
     C is faithful by construction (no two morphisms share endpoints and
     arrow) and composition is C's, so the unit laws and associativity
@@ -539,54 +494,42 @@ def _comma_like(C, parts, arrow, name):
     """
     ident = {o: identity_id(o) for o in parts}
     over = {ident[o]: C.identity[p[0]] for o, p in parts.items()}
-    base_hom, base_identity = C.hom, C.identity
-
-    def under(o1, o2):
-        """The arrows of C under the morphisms o1 -> o2 but the identity."""
-        p1, p2 = parts[o1], parts[o2]
-        skip = base_identity[p1[0]] if o1 == o2 else None
-        return [alpha for alpha in base_hom(p1[0], p2[0]) if alpha != skip and arrow(alpha, p1, p2)]
-
-    def homs(o1, o2):
-        out = [ident[o1]] if o1 == o2 else []
-        for alpha in under(o1, o2):
-            mid = "[%s:%s->%s]" % (alpha, o1, o2)
-            over[mid] = alpha
-            out.append(mid)
-        return out
-
-    def listing(view):
-        mors = list(ident.values())
-        dom = {i: o for o, i in ident.items()}
-        cod = dict(dom)
-        # hom(o1, o2) is empty unless C has an arrow from o1's base object
-        # to o2's, so o1 meets only the parts over C's successors of its
-        # base object, in order
-        position = {o: k for k, o in enumerate(parts)}
-        lying = {}
-        for o, p in parts.items():
-            lying.setdefault(p[0], []).append(o)
-        near = {}
-        for o1, p1 in parts.items():
-            c = p1[0]
-            if c not in near:
-                near[c] = sorted((o2 for c2 in C.successors(c) for o2 in lying.get(c2, ())),
-                                 key=position.__getitem__)
-            for o2 in near[c]:
-                # the identity, first in hom(o1, o1), is listed above
-                for mid in homs(o1, o2)[o1 == o2:]:
-                    if mid in dom:
-                        raise DanglingId("morphism id %s duplicates another" % mid)
-                    mors.append(mid)
-                    dom[mid] = o1
-                    cod[mid] = o2
-        return mors, dom, cod
+    mors = list(ident.values())
+    dom = {i: o for o, i in ident.items()}
+    cod = dict(dom)
+    # hom(o1, o2) is empty unless C has an arrow from o1's base object to
+    # o2's, so o1 meets only the parts over C's successors of its base
+    # object, in order
+    position = {o: k for k, o in enumerate(parts)}
+    lying = {}
+    for o, p in parts.items():
+        lying.setdefault(p[0], []).append(o)
+    near = {}
+    for o1, p1 in parts.items():
+        c = p1[0]
+        if c not in near:
+            near[c] = sorted((o2 for c2 in C.successors(c) for o2 in lying.get(c2, ())),
+                             key=position.__getitem__)
+        for o2 in near[c]:
+            p2 = parts[o2]
+            # the identity, first in hom(o1, o1), is listed above
+            skip = C.identity[c] if o1 == o2 else None
+            for alpha in C.hom(c, p2[0]):
+                if alpha == skip or not arrow(alpha, p1, p2):
+                    continue
+                mid = "[%s:%s->%s]" % (alpha, o1, o2)
+                if mid in dom:
+                    raise DanglingId("morphism id %s duplicates another" % mid)
+                over[mid] = alpha
+                mors.append(mid)
+                dom[mid] = o1
+                cod[mid] = o2
 
     def table(view):
-        bcomp, dom, cod, out = C.comp, view.dom, view.cod, view._out
+        bcomp, out = C.comp, view._out
         comp = {}
         # identities are listed first, and first in each out-list
-        for m1 in view.morphisms[len(ident):]:
+        for m1 in mors[len(ident):]:
             s1, a1 = dom[m1], over[m1]
             for m2 in out[cod[m1]][1:]:
                 t2 = cod[m2]
@@ -596,13 +539,13 @@ def _comma_like(C, parts, arrow, name):
                     raise DanglingId("composite of (%s, %s) is no morphism %s -> %s over %s"
                                      % (m2, m1, s1, t2, a))
                 comp[(m2, m1)] = h
-        for f in view.morphisms:
+        for f in mors:
             comp.setdefault((ident[cod[f]], f), f)
             comp.setdefault((f, ident[dom[f]]), f)
         return comp
 
     parse = _ids_parse(C) and all(_is_term(x) for p in parts.values() for x in p[1:])
-    return _View(list(parts), ident, homs, listing, table, name, parse), over
+    return _View(list(parts), mors, dom, cod, ident, table, name, parse), over
 
 
 def category_over(C, parts, arrow, name, proj_name):
@@ -660,20 +603,15 @@ def _fact_mor_id(alpha, beta, f, g):
 
 
 class FactorizationData:
-    """Factorization category of C with its two projections.
+    """Factorization category of C, its opposite, and its ``cod``
+    projection, a functor from the factorization category itself."""
 
-    ``dom`` is a functor from the opposite of the factorization category
-    (morphism (a, b): f -> g projects to a: dom g -> dom f), ``cod`` is a
-    functor from the factorization category itself.
-    """
+    __slots__ = ("base", "category", "category_op", "cod", "pair")
 
-    __slots__ = ("base", "category", "category_op", "dom", "cod", "pair")
-
-    def __init__(self, base, category, category_op, dom, cod, pair):
+    def __init__(self, base, category, category_op, cod, pair):
         self.base = base
         self.category = category
         self.category_op = category_op
-        self.dom = dom
         self.cod = cod
         self.pair = pair  # morphism id -> (alpha, beta)
 
@@ -689,64 +627,41 @@ def factorization(C):
     """Category whose objects are the morphisms of C and whose morphisms
     f -> g are pairs (alpha, beta) with g = beta∘f∘alpha.
 
-    A view over C: hom(f, g) lists the pairs with alpha in C(dom g, dom f)
-    and beta in C(cod f, cod g), by alpha, then beta, after ``id_f`` in
-    hom(f, f); the listing goes by f, then alpha, then beta.  ``pair`` and
-    the maps of the ``dom`` and ``cod`` projections are filled as hom-sets
-    are read, and the projections share them.  The category lies over
-    C^op x C by ``pair``, faithfully by construction, and composes there.
+    A view over C, listed at construction: the identities ``id_f``, then
+    the other morphisms by f, then alpha, then beta.  The category lies
+    over C^op x C by ``pair``, faithfully by construction, and composes
+    there.
     """
     objs = list(C.morphisms)
     ident = {f: identity_id(f) for f in objs}
     pair = {ident[f]: (C.identity[C.dom[f]], C.identity[C.cod[f]]) for f in objs}
-    dom_mor = {m: ab[0] for m, ab in pair.items()}
-    cod_mor = {m: ab[1] for m, ab in pair.items()}
-
-    def record(alpha, beta, f, g):
-        mid = _fact_mor_id(alpha, beta, f, g)
-        pair[mid] = (alpha, beta)
-        dom_mor[mid] = alpha
-        cod_mor[mid] = beta
-        return mid
-
-    def homs(f, g):
-        out = [ident[f]] if f == g else []
-        id_dom, id_cod = pair[ident[f]]
-        for alpha in C.hom(C.dom[g], C.dom[f]):
+    mors = list(ident.values())
+    dom = {i: f for f, i in ident.items()}
+    cod = dict(dom)
+    for f in objs:
+        for alpha in C.morphisms:
+            if C.cod[alpha] != C.dom[f]:
+                continue
             fa = C.comp[(f, alpha)]
-            for beta in C.hom(C.cod[f], C.cod[g]):
+            for beta in C.morphisms:
                 # (id, id): f -> f is the synthesized identity
-                if C.comp[(beta, fa)] == g and (alpha != id_dom or beta != id_cod):
-                    out.append(record(alpha, beta, f, g))
-        return out
-
-    def listing(view):
-        mors = list(ident.values())
-        dom = {i: f for f, i in ident.items()}
-        cod = dict(dom)
-        for f in objs:
-            for alpha in C.morphisms:
-                if C.cod[alpha] != C.dom[f]:
+                if C.dom[beta] != C.cod[f] or C.is_identity(alpha) and C.is_identity(beta):
                     continue
-                fa = C.comp[(f, alpha)]
-                for beta in C.morphisms:
-                    if C.dom[beta] != C.cod[f] or C.is_identity(alpha) and C.is_identity(beta):
-                        continue
-                    g = C.comp[(beta, fa)]
-                    mid = record(alpha, beta, f, g)
-                    if mid in dom:
-                        raise DanglingId("morphism id %s duplicates another (identities are reserved)"
-                                         % mid)
-                    mors.append(mid)
-                    dom[mid] = f
-                    cod[mid] = g
-        return mors, dom, cod
+                g = C.comp[(beta, fa)]
+                mid = _fact_mor_id(alpha, beta, f, g)
+                if mid in dom:
+                    raise DanglingId("morphism id %s duplicates another (identities are reserved)"
+                                     % mid)
+                pair[mid] = (alpha, beta)
+                mors.append(mid)
+                dom[mid] = f
+                cod[mid] = g
 
     def table(view):
-        dom, cod, out = view.dom, view.cod, view._out
+        out = view._out
         comp = {}
         # identities are listed first, and first in each out-list
-        for m1 in view.morphisms[len(objs):]:
+        for m1 in mors[len(objs):]:
             f1 = dom[m1]
             a1, b1 = pair[m1]
             for m2 in out[cod[m1]][1:]:
@@ -757,17 +672,16 @@ def factorization(C):
                     comp[(m2, m1)] = ident[f1]
                 else:
                     comp[(m2, m1)] = _fact_mor_id(a, b, f1, cod[m2])
-        for f in view.morphisms:
+        for f in mors:
             comp.setdefault((ident[cod[f]], f), f)
             comp.setdefault((f, ident[dom[f]]), f)
         return comp
 
-    cat = _View(objs, ident, homs, listing, table, C.name and "F(%s)" % C.name, _ids_parse(C))
+    cat = _View(objs, mors, dom, cod, ident, table, C.name and "F(%s)" % C.name, _ids_parse(C))
     cat._key = ("factorization", C)
-    cat_op = opposite(cat)
-    cod_f = Functor(cat, C, {f: C.cod[f] for f in objs}, cod_mor, name="cod", _validate=False)
-    dom_f = Functor(cat_op, C, {f: C.dom[f] for f in objs}, dom_mor, name="dom", _validate=False)
-    return FactorizationData(C, cat, cat_op, dom_f, cod_f, pair)
+    cod_f = Functor(cat, C, {f: C.cod[f] for f in objs}, {m: ab[1] for m, ab in pair.items()},
+                    name="cod", _validate=False)
+    return FactorizationData(C, cat, opposite(cat), cod_f, pair)
 
 
 def factor_functor(S):
@@ -957,19 +871,14 @@ def final_objects(C, objs=None):
 
 def full_subcategory(C, objs):
     """Full subcategory on the given objects (order induced from C); a
-    view whose hom-sets are C's and whose table is C's on the kept
-    arrows' composable pairs, read from C pair by pair."""
+    view whose table is C's on the kept arrows' composable pairs, read
+    from C pair by pair."""
     oset = set(objs)
     objs = [o for o in C.objects if o in oset]
-
-    def listing(view):
-        mors = [f for f in C.morphisms if C.dom[f] in oset and C.cod[f] in oset]
-        return mors, {f: C.dom[f] for f in mors}, {f: C.cod[f] for f in mors}
-
-    def table(view):
-        return {pair: C.comp[pair] for pair in view.composable_pairs()}
-
-    return _View(objs, {o: C.identity[o] for o in objs}, C.hom, listing, table,
+    mors = [f for f in C.morphisms if C.dom[f] in oset and C.cod[f] in oset]
+    return _View(objs, mors, {f: C.dom[f] for f in mors}, {f: C.cod[f] for f in mors},
+                 {o: C.identity[o] for o in objs},
+                 lambda view: {pair: C.comp[pair] for pair in view.composable_pairs()},
                  C.name and C.name + "|", _ids_parse(C))
 
 

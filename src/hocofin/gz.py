@@ -57,7 +57,7 @@ def agreement(lhs, rhs):
 def _hom_over(cat, over, o1, o2, image):
     """The unique morphism o1 -> o2 of a derived category that ``over``
     (a projection's ``mor_map``, or a factorization's ``pair``) sends to
-    ``image``; ``cat.hom`` fills ``over`` for the morphisms it lists."""
+    ``image``."""
     hits = [m for m in cat.hom(o1, o2) if over[m] == image]
     if len(hits) != 1:
         raise GZError("expected exactly one morphism over %r, found %d" % (image, len(hits)))

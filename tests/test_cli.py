@@ -660,6 +660,30 @@ MALFORMED.update({
         dict(GOOD_WORKSPACE, dsets={"hb": dict(HB, maps={"u": {"ib": "u"}, "zz": {}})}),
         "InputError: presheaf references unknown morphism zz",
     ),
+    "dset-set-at-an-unknown-object": (
+        dict(GOOD_WORKSPACE, dsets={"hb": dict(HB, sets={"a": ["u"], "b": ["ib"], "zz": ["q"]})}),
+        "InputError: presheaf references unknown object zz",
+    ),
+    "dsetmap-component-at-an-unknown-object": (
+        dict(GOOD_WORKSPACE, dsetmaps={"idhb": dict(GOOD_WORKSPACE["dsetmaps"]["idhb"], components={
+            "a": {"u": "u"}, "b": {"ib": "ib"}, "zz": {}})}),
+        "InputError: presheaf morphism references unknown object zz",
+    ),
+    "diagram-group-at-an-unknown-object": (
+        dict(GOOD_WORKSPACE, diagrams={"d": dict(GOOD_WORKSPACE["diagrams"]["d"], groups=dict(
+            GOOD_WORKSPACE["diagrams"]["d"]["groups"], zz={"ref": "z2"}))}),
+        "InputError: diagram references unknown object zz",
+    ),
+    "abdiagram-value-at-an-unknown-object": (
+        dict(GOOD_WORKSPACE, abdiagrams={"m": dict(M, values={"a": {"gens": 1}, "b": {"gens": 1},
+                                                              "zz": {"gens": 1}})}),
+        "InputError: abelian diagram references unknown object zz",
+    ),
+    "pointed-diagram-value-at-an-unknown-object": (
+        dict(GOOD_WORKSPACE, pointed_diagrams={"pd": dict(
+            GOOD_WORKSPACE["pointed_diagrams"]["pd"], values={"a": POINT, "b": POINT, "zz": POINT})}),
+        "InputError: pointed diagram references unknown object zz",
+    ),
     "diagram-hom-on-unknown-morphism": (
         dict(GOOD_WORKSPACE, diagrams={"d": dict(GOOD_WORKSPACE["diagrams"]["d"],
                                                  homs={"zz": {"A.1": [["A", "1"]]}})}),

@@ -168,22 +168,25 @@ def test_coinitial_mode_matches_opposite():
     assert rep2["aggregate"] == CONTRACTIBLE
 
 
-# -- the cone path reads hom-sets only ----------------------------------------------
+# -- the cone path builds no table ---------------------------------------------------
 
 
 def stages_built(monkeypatch):
-    """The stages that views build from now on: (view, "listing") on the
-    first read of morphisms, dom or cod, (view, "table") on that of comp."""
+    """What views build from now on, in order: (view, "listing") when one
+    is constructed, (view, "table") on the first read of its comp."""
     built = []
-    original = fincat._View.__getattr__
+    init, original = fincat._View.__init__, fincat._View.__getattr__
+
+    def constructing(self, *args):
+        init(self, *args)
+        built.append((self, "listing"))
 
     def counting(self, name):
         if name == "comp":
             built.append((self, "table"))
-        elif name in ("morphisms", "dom", "cod", "_out"):
-            built.append((self, "listing"))
         return original(self, name)
 
+    monkeypatch.setattr(fincat._View, "__init__", constructing)
     monkeypatch.setattr(fincat._View, "__getattr__", counting)
     return built
 
@@ -191,12 +194,12 @@ def stages_built(monkeypatch):
 def test_wefrac_of_bz8_is_certified_by_a_cone_without_a_table(monkeypatch):
     G = cyclic_group(8)
     C = from_monoid(G.elements, G.unit, G.table, name="BZ8")
-    built = stages_built(monkeypatch)
     F = factorization(C)
+    built = stages_built(monkeypatch)
     report = certify_homotopy_cofinal(F.cod, coinitial=True)
     assert report["aggregate"] == CONTRACTIBLE
     assert report["per_object"]["*"].certificate["kind"] == "cone"
-    # neither F(BZ8) nor the fibre nor its opposite was listed or tabulated
+    # neither the fibre nor its opposite was built, and F(BZ8) built no table
     assert built == []
     fibre, _, _ = fincat.comma_left_fibre(F.cod, "*")
     assert len(fibre.objects) == 64 and len(fibre.morphisms) == 4096
@@ -219,7 +222,8 @@ def test_cofinality_of_the_identity_of_b6_builds_no_table(monkeypatch):
         report = certify_homotopy_cofinal(identity_functor(B6), coinitial=coinitial)
         assert report["aggregate"] == CONTRACTIBLE
         assert {v.certificate["kind"] for v in report["per_object"].values()} == {"cone"}
-    # no coslice, fibre or opposite was listed or tabulated
+    # no coslice, fibre or opposite was built
     assert built == []
     assert is_vdc(identity_functor(B6))[0]
+    # the fibres of the VDC check are listed, and none builds a table
     assert built and {stage for _, stage in built} == {"listing"}

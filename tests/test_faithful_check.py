@@ -1,15 +1,14 @@
 """Derived categories are views over a validated base (``fincat._View``):
-objects and identities at construction, each hom-set on its first read,
-the listing on the first read of ``morphisms``, ``dom`` or ``cod``, and
-the composition table on the first read of ``comp``, with no validation
-pass.  The oracle here is the materialize-and-certify path: the category
-built in full, validated with the associativity scan over composable
-triples, and certified by its faithful projections to its bases.
+objects and morphisms listed at construction, and the composition table
+built on the first read of ``comp``, with no validation pass.  The oracle
+here is the materialize-and-certify path: the category built in full,
+validated with the associativity scan over composable triples, and
+certified by its faithful projections to its bases.
 
 Every view of the fixtures and of the certify-ladder inputs, the
 factorization categories among them, and the opposite of each, must give
-the oracle's hom-sets when read fresh, before anything is listed; then the
-oracle's listing, projections and table, in order.  Mutated tables must
+the oracle's hom-sets when read fresh, before any table is built; then
+the oracle's listing, projections and table, in order.  Mutated tables must
 fail the certificate, a predicate not closed under composition must
 dangle, and names that make two formatted ids coincide are refused as for
 a category given raw.
@@ -139,21 +138,22 @@ def eager_opposite(C):
                   {(f, g): h for (g, f), h in C.comp.items()})
 
 
-def listed(view):
-    """Whether the view has listed its morphisms (read without listing)."""
+def tabulated(view):
+    """Whether the view has built its composition table (read without
+    building it)."""
     try:
-        FinCat.morphisms.__get__(view)
+        FinCat.comp.__get__(view)
     except AttributeError:
         return False
     return True
 
 
 def same_homs(view, full):
-    """A fresh view gives the oracle's hom-sets, and lists nothing for it
-    unless its names forced the listing at construction."""
-    assert listed(view) == (not view._parse)
+    """A fresh view gives the oracle's hom-sets, and builds no table for
+    them."""
+    assert not tabulated(view)
     assert all(view.hom(x, y) == full.hom(x, y) for x in full.objects for y in full.objects)
-    assert listed(view) == (not view._parse)
+    assert not tabulated(view)
 
 
 def same_category(view, full):
@@ -182,24 +182,25 @@ def views_of(monkeypatch):
 
 def check_views(seen):
     """Each recorded view, a fresh one and their opposites against the
-    oracle; returns how many were checked and how many were lazy."""
-    lazy = 0
+    oracle; returns how many were checked and how many had ids that
+    parse."""
+    parsing = 0
     for C, parts, arrow, args, view, over in seen:
         full, full_over = materialized(C, parts, arrow, args[0])
         full_op = eager_opposite(full)
         fresh, fresh_over = COMMA_LIKE(C, parts, arrow, *args)
-        lazy += fresh._parse
+        parsing += fresh._parse
         fresh_op = opposite(fresh)
         same_homs(fresh_op, full_op)
         same_homs(fresh, full)
-        # hom-sets read so far filled the projection for their morphisms
-        assert all(fresh_over[m] == full_over[m] for m in fresh_over)
+        # the listing filled the projection
+        assert fresh_over == full_over
         for v in (view, fresh):
             same_category(v, full)
             same_category(opposite(v), full_op)
         same_category(fresh_op, full_op)
         assert over == fresh_over == full_over
-    return len(seen), lazy
+    return len(seen), parsing
 
 
 def check_factorization(C):
@@ -208,18 +209,16 @@ def check_factorization(C):
     F = factorization(C)
     same_homs(F.category_op, full_op)
     same_homs(F.category, full)
-    # the projections share the maps that hom-sets fill
-    for side, functor in enumerate((F.dom, F.cod)):
-        _, obj_map, mor_map = over[side]
-        assert functor.obj_map == obj_map
-        assert {m: ab[side] for m, ab in F.pair.items()} == functor.mor_map
-        assert all(mor_map[m] == functor.mor_map[m] for m in functor.mor_map)
+    # the projection shares the map filled with the listing
+    _, obj_map, mor_map = over[1]
+    assert F.cod.obj_map == obj_map and F.cod.mor_map == mor_map
+    assert {m: ab[1] for m, ab in F.pair.items()} == F.cod.mor_map
     same_category(F.category, full)
     same_category(F.category_op, full_op)
     assert F.pair == {m: (over[0][2][m], over[1][2][m]) for m in full.morphisms}
-    assert F.dom.mor_map == over[0][2] and F.cod.mor_map == over[1][2]
     F.cod._check()
-    F.dom._check()
+    # the first component of ``pair`` is a functor to C^op
+    Functor(F.category, opposite(C), over[0][1], {m: ab[0] for m, ab in F.pair.items()})
     return F
 
 
@@ -237,8 +236,8 @@ def test_fibres_coslices_and_factor_slices_of_the_fixture_functors(monkeypatch):
             comma_coslice(S, d)
         for alpha in S.target.morphisms:
             factor_slice(S, alpha)
-    checked, lazy = check_views(seen)
-    assert checked > 100 and lazy > checked // 2
+    checked, parsing = check_views(seen)
+    assert checked > 100 and parsing > checked // 2
 
 
 def test_categories_of_elements_of_the_fixture_presheaves(monkeypatch):
@@ -246,7 +245,7 @@ def test_categories_of_elements_of_the_fixture_presheaves(monkeypatch):
     for make in fixtures.DSETS.values():
         _, proj, _ = elements_with_parts(make())
         proj._check()
-    # union-two names its elements "0:x" and "1:y", so it lists at construction
+    # union-two names its elements "0:x" and "1:y", whose ids do not parse
     assert check_views(seen) == (len(fixtures.DSETS), len(fixtures.DSETS) - 1)
 
 
@@ -324,7 +323,8 @@ def test_a_redirected_composite_fails_the_certificate(monkeypatch, base, build):
     built = build(given)
     if build is factorization:
         C = given
-        targets = [(built.category, [(opposite(C), built.dom.obj_map, built.dom.mor_map),
+        dom_map = {m: ab[0] for m, ab in built.pair.items()}
+        targets = [(built.category, [(opposite(C), {f: C.dom[f] for f in C.morphisms}, dom_map),
                                      (C, built.cod.obj_map, built.cod.mor_map)])]
     else:
         targets = [(view, [(C, {o: p[0] for o, p in parts.items()}, over)])
@@ -380,9 +380,9 @@ def test_factorization_ids_that_coincide_are_refused_at_construction():
     assert not fincat._ids_parse(C)
     with pytest.raises(DanglingId, match=r"morphism id \[x,y,z:id_\*->0\] duplicates another"):
         factorization(C)
-    # the same monoid under plain names builds lazily
+    # the same monoid under plain names builds, with no table yet
     F = factorization(zero_monoid(["xy", "z", "x", "yz", "0"]))
-    assert F.category._parse and not listed(F.category)
+    assert F.category._parse and not tabulated(F.category)
 
 
 def colliding_presheaf():
@@ -398,7 +398,8 @@ def test_comma_ids_that_coincide_are_refused_at_construction():
     X = colliding_presheaf()
     with pytest.raises(DanglingId, match=r"morphism id \[u:\(a\|p\)->\(b\|q\)->\(b\|r\)\] dup"):
         elements_with_parts(X)
-    # one separator in one element is enough to list at construction
+    # one separator in one element is enough for the ids not to parse, and
+    # distinct ids still build
     Y = DSet(X.base, {"a": ["p", "p2"], "b": ["q:", "r"]}, {"u": {"q:": "p", "r": "p2"}})
     E, _, _ = elements_with_parts(Y)
-    assert not E._parse and listed(E) and len(E.morphisms) == 6
+    assert not E._parse and not tabulated(E) and len(E.morphisms) == 6

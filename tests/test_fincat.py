@@ -169,7 +169,10 @@ def test_factorization_projections_are_functors():
     for C in (walking_arrow(), span(), z2cat()):
         F = factorization(C)
         assert F.cod.source is F.category
-        assert F.dom.source is F.category_op
+        F.cod._check()
+        # the first components of ``pair`` give a functor from the opposite
+        Functor(F.category_op, C, {f: C.dom[f] for f in F.category.objects},
+                {m: ab[0] for m, ab in F.pair.items()})
 
 
 def test_factorization_respects_op(monkeypatch):

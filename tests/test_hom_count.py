@@ -1,14 +1,14 @@
 """Hom-set sizes of views, and comma objects come from an arrow index.
 
-The cone search asks ``hom_count(x, y)``.  A plain category reads it off
-its hom index; a view reads the length of the hom-set, which it builds
-on first read.  ``len(hom(x, y))`` is the oracle, on every view kind
+The cone search asks ``hom_count(x, y)``, which every category reads off
+its hom index; a view indexes its hom-sets when it is listed, at
+construction.  ``len(hom(x, y))`` is the oracle, on every view kind
 (coslices, left fibres, opposites of views, full subcategories,
 factorization categories and categories of elements), before and after
-the hom-sets and the listing are built.  README's claim that a cone
-answer builds no view is checked on the coslices of a Boolean lattice and
-the fibres of ``wefrac`` on one-object Z/4: no view is constructed at
-all, and the factorization category is not listed.
+the composition table is built.  README's claim that a cone answer
+builds no view is checked on the coslices of a Boolean lattice and the
+fibres of ``wefrac`` on one-object Z/4: no view is constructed at all,
+and the factorization category builds no table.
 
 The cone search (``cofinal._cone`` over ``iter_final_objects``) counts in
 a plain loop that stops at the first count that is not 1; its
@@ -32,7 +32,7 @@ from oracles import (
     scanned_objects,
 )
 from test_cofinal_reduction import categories, crown, maximal_ends_fence
-from test_faithful_check import bz, listed
+from test_faithful_check import bz, tabulated
 
 from hocofin import cofinal, fincat, fixtures
 from hocofin.fincat import (
@@ -86,27 +86,24 @@ def lengths(view):
 
 
 def assert_counts(build):
-    """Counts on a fresh view, then after its hom-sets and its listing are
-    built, and on a view listed first, against the hom-set lengths of a
-    fresh view.  Returns whether the view was left unlisted by counting."""
+    """Counts on a fresh view, then after its table is built, against the
+    hom-set lengths of a fresh view.  Returns whether counting left the
+    table unbuilt."""
     view = build()
     got = counts(view)
-    unlisted = not listed(view)
+    untabulated = not tabulated(view)
     for y in view.objects[:1]:
         assert view.hom_count("no such object", y) == view.hom_count(y, "no such object") == 0
     assert got == lengths(build()) == counts(view)
-    view.morphisms
-    assert counts(view) == got
-    listed_first = build()
-    listed_first.morphisms
-    assert counts(listed_first) == got
-    return unlisted
+    view.comp
+    assert type(view) is FinCat and counts(view) == got
+    return untabulated
 
 
 def test_every_view_kind_counts_its_hom_sets():
     cats = [make() for make in fixtures.CATEGORIES.values()] + [bz(4), boolean_lattice(3)]
     builds = [b for C in cats for b in views_of(C)]
-    # counting reads hom-sets, and lists only a view whose ids might not parse
+    # counting builds no table
     assert all(map(assert_counts, builds))
 
 
@@ -195,9 +192,9 @@ def test_wefrac_on_z4_touches_no_fibre(monkeypatch):
     rep = cofinal.certify_homotopy_cofinal(F.cod, coinitial=True)
     assert [v.certificate["kind"] for v in rep["per_object"].values()] == ["cone"]
     # no fibre or opposite was built, and the factorization category
-    # itself is not listed either
+    # itself built no table
     assert built == []
-    assert not listed(F.category)
+    assert not tabulated(F.category)
 
 
 # -- comma objects from an arrow index --------------------------------------------------
@@ -224,13 +221,13 @@ def test_comma_objects_come_in_source_order():
     assert met > 400
 
 
-def test_predecessors_of_a_view_read_no_listing():
+def test_predecessors_of_a_view_build_no_table():
     C = fixtures.CATEGORIES["delta1"]()
     op = fincat.opposite(C)
     for x in C.objects:
         assert sorted(op.predecessors(x)) == sorted(C.successors(x))
         assert sorted(op.successors(x)) == sorted(C.predecessors(x))
-    assert not listed(op)
+    assert not tabulated(op)
 
 
 def test_comma_object_ids_are_formatted_as_over_id():

@@ -50,11 +50,7 @@ SHARED_METHODS = {
     "apply": ("groups.GroupHom", "presheaf.DSet"),
     "compose": ("groups.GroupHom", "homalg.AbMap", "presheaf.SSetMap"),
     "equals": ("groups.GroupHom", "homalg.AbMap", "presheaf.SSetMap"),
-    "hom": ("fincat.FinCat", "fincat._View"),
-    "hom_count": ("fincat.FinCat", "fincat._View"),
     "identity": ("groups.GroupHom", "homalg.AbMap", "presheaf.SSetMap"),
-    "predecessors": ("fincat.FinCat", "fincat._View"),
-    "successors": ("fincat.FinCat", "fincat._View"),
 }
 
 

@@ -5,7 +5,7 @@ view by the builder and what it reads; ``FinCat.__eq__`` answers from the
 keys when both are set and equal, and compares in full otherwise.  The
 full comparison (``oracles.same_tables``) is the oracle: ``==`` agrees
 with it on views of equal and of unequal bases, and two views with equal
-keys are neither listed nor tabulated to say so."""
+keys build no table to say so."""
 
 import contextlib
 import io
@@ -49,8 +49,8 @@ def agree(A, B):
 
 
 def equal_unread(A, B, monkeypatch):
-    """Fresh views with equal keys compare equal without being listed or
-    tabulated; then the oracle agrees."""
+    """Fresh views with equal keys compare equal without building a
+    table; then the oracle agrees."""
     built = stages_built(monkeypatch)
     assert A._key == B._key and A == B
     assert built == []
