@@ -427,7 +427,7 @@ def system_from_json(obj, workspace, name=""):
     elif over["kind"] == "factorization-op":
         _require_keys(over, ("kind", "category"), what="system base over a factorization")
         C = workspace.get("categories", over["category"])
-        base = factorization(C).category_op
+        base = opposite(factorization(C).category)
     else:
         raise InputError("unknown system base kind %r" % over["kind"])
     if "constant_group" in obj:

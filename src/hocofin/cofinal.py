@@ -23,7 +23,6 @@ from math import comb
 from .fincat import (
     NerveTable,
     _comma_like,
-    _ids_parse,
     chain_counts,
     comma_left_fibre,
     connected_components,
@@ -514,23 +513,18 @@ def _certify_coneless(B, effort, n_max):
     return ContractibilityVerdict(EVIDENCE, checks=checks)
 
 
-def certify_over(C, parts, arrow, parse, op, effort, n_max):
+def certify_over(C, parts, arrow, op, effort, n_max):
     """``certify_contractible`` of the category over C on the objects with
     the given parts and the morphisms that ``arrow`` picks (``_comma_like``),
     or of its opposite when ``op``: a coslice, a left fibre, a
     factorization slice or a category of elements.  The cone is looked for
     on the parts (``parts_count``) and only its id is formatted; the view
-    is built from the parts only where there is none.  ``parse`` says that
-    every name in the parts is a term (``_ids_parse``), decided once per
-    certificate by the caller; without it the view is built first, so that
-    its builder refuses a repeated id."""
-    view = None if parse else _comma_like(C, objects_over(parts), arrow, "comma")[0]
+    is built from the parts only where there is none."""
     count = parts_count(C, arrow)
     cone = _cone(parts, (lambda x, y: count(y, x)) if op else count)
     if cone is not None:
         return _cone_verdict(over_id(cone[0]), cone[1])
-    if view is None:
-        view = _comma_like(C, objects_over(parts), arrow, "comma")[0]
+    view = _comma_like(C, objects_over(parts), arrow, "comma")[0]
     return _certify_coneless(opposite(view) if op else view, effort, n_max)
 
 
@@ -539,8 +533,7 @@ def certify_homotopy_cofinal(S, effort=1, n_max=2, coinitial=False):
     of the left fibre S↓d, for the coinitial variant), each on its parts
     (``certify_over``); the aggregate is the weakest verdict."""
     C = S.source
-    parse = _ids_parse(C) and _ids_parse(S.target)
     enumerate_parts = fibre_parts if coinitial else coslice_parts
-    per_object = {d: certify_over(C, *enumerate_parts(S, d), parse, coinitial, effort, n_max)
+    per_object = {d: certify_over(C, *enumerate_parts(S, d), coinitial, effort, n_max)
                   for d in S.target.objects}
     return {"per_object": per_object, "aggregate": weakest(per_object.values()).kind}

@@ -18,17 +18,20 @@ table on composable pairs.  What is checked, and when:
   objects and a predicate on base arrows), the factorization category,
   ``opposite`` and ``full_subcategory``.  A view lists its objects and
   morphisms when it is built, in the order and with the ids of the
-  category built in full, and refuses a repeated id then, as a category
-  given raw does.  Its composition table is built on the first read of
-  ``comp``, from the base's, and a composite that is no morphism of the
-  view is refused then (``DanglingId``).  A view needs no validation
+  category built in full.  Its composition table is built on the first
+  read of ``comp``, from the base's, and a composite that is no morphism
+  of the view is refused then (``DanglingId``).  A view needs no validation
   pass: its projections are faithful by construction (no two morphisms
   share endpoints and base arrows) and composition is the base's, so the
   unit laws and associativity hold as in the validated base.  The tests
   keep the materialize-and-certify path as the oracle.
-- Two ids formatted from distinct parts can coincide only when a name
-  holds a separator of the id formats outside brackets, or brackets that
-  do not balance (``_ids_parse``).
+- Every object and morphism id of a category given raw, and every
+  element of a presheaf by its ``str`` form, is a term (``_is_term``), or
+  it is refused when it is built.  The id formats of the views put their
+  separators outside brackets and wrap in brackets what they build, so an
+  id formatted from terms is a term again and splits back into its parts
+  in one way only: distinct parts give distinct ids, and no view checks
+  its ids for repeats.
 
 Two categories are equal when their listings and composition tables
 are.  ``opposite(C)``, ``factorization(C).category`` and the category of
@@ -42,8 +45,7 @@ as parts first: a coslice d↓S or a left fibre S↓d (``coslice_parts``,
 ``fibre_parts``), a factorization slice (``slice_parts``) or a category
 of elements (``presheaf.element_parts``).  The certificate counts
 hom-set sizes on the parts (``parts_count``) and builds the view from
-them only where it finds no cone (``cofinal.certify_over``), or first
-when some name is not a term, so that a repeated id is refused.
+them only where it finds no cone (``cofinal.certify_over``).
 Canonical ordering is input order everywhere; derived categories
 enumerate their objects and morphisms lexicographically in the
 constituent indices, so repeated construction is byte-stable.
@@ -58,7 +60,6 @@ from __future__ import annotations
 
 import re
 from collections import deque
-from functools import lru_cache
 
 
 class CategoryError(Exception):
@@ -110,7 +111,7 @@ class FinCat:
     """
 
     __slots__ = ("objects", "morphisms", "dom", "cod", "identity", "comp", "name", "_hom",
-                 "_out", "_into", "_table", "_parse", "_key")
+                 "_out", "_into", "_table", "_key")
 
     def __init__(self, objects, morphisms, dom, cod, identity, comp, name=""):
         self.objects = objects
@@ -226,12 +227,12 @@ class _View(FinCat):
     gives ``comp`` on its first read, and the instance then becomes a
     plain FinCat, so that later reads of any attribute are plain slot
     reads (a class with ``__getattr__`` reads every attribute on the slow
-    path).  ``parse`` is ``_ids_parse`` of the view.
+    path).
     """
 
     __slots__ = ()
 
-    def __init__(self, objects, morphisms, dom, cod, identity, table, name, parse):
+    def __init__(self, objects, morphisms, dom, cod, identity, table, name):
         self.objects = objects
         self.morphisms = morphisms
         self.dom = dom
@@ -239,7 +240,6 @@ class _View(FinCat):
         self.identity = identity
         self.name = name
         self._table = table
-        self._parse = parse
         self._key = None
         self._index()
 
@@ -258,13 +258,11 @@ class _View(FinCat):
 _MARKS = re.compile(r"[\[\](){}:,|]|->")
 
 
-# each view checks the names in its parts, which are mostly the arrows of
-# one target category, met again by every fibre over it
-@lru_cache(maxsize=4096)
 def _is_term(name):
-    """Whether ``name`` holds no separator of the id formats outside
-    brackets, and its brackets balance; "{0,1}" is one."""
-    name = str(name)
+    """Whether ``name`` is a string that holds no separator of the id
+    formats outside brackets, and whose brackets balance; "{0,1}" is one."""
+    if not isinstance(name, str):
+        return False
     if not _MARKS.search(name):
         return True
     depth = 0
@@ -280,18 +278,8 @@ def _is_term(name):
     return depth == 0
 
 
-def _ids_parse(C):
-    """Whether every id of C is a term (``_is_term``).  The id formats put
-    their separators outside brackets and wrap in brackets what they
-    build, so an id formatted from terms is a term, and splits back into
-    its parts in one way only: distinct parts give distinct ids.  Checked
-    once for a category given raw and kept on it; a view is given it at
-    construction."""
-    try:
-        return C._parse
-    except AttributeError:
-        C._parse = all(map(_is_term, C.objects)) and all(map(_is_term, C.morphisms))
-        return C._parse
+# what a refusal of a name that is not a term says it should be
+NOT_A_TERM = "is not a term (no : , | or -> outside brackets, and brackets that balance)"
 
 
 def validate_category(objects, morphisms, composition, name=""):
@@ -301,12 +289,16 @@ def validate_category(objects, morphisms, composition, name=""):
     identities ``id_<obj>`` are synthesized first, in object order, then
     the given morphisms in input order.  ``composition`` maps pairs of
     non-identity morphism ids (g, f) to g∘f; entries involving identities
-    are allowed but must agree with the forced values.
+    are allowed but must agree with the forced values.  Every object and
+    morphism id must be a term (``_is_term``).
     """
     objects = list(objects)
     known = set(objects)
     if len(known) != len(objects):
         raise CategoryError("duplicate object ids")
+    for o in objects:
+        if not _is_term(o):
+            raise CategoryError("object id %s %s" % (o, NOT_A_TERM))
     ident = {o: identity_id(o) for o in objects}
     mor_ids = []
     dom = {}
@@ -317,6 +309,8 @@ def validate_category(objects, morphisms, composition, name=""):
         dom[i] = o
         cod[i] = o
     for mid, d, c in morphisms:
+        if not _is_term(mid):
+            raise CategoryError("morphism id %s %s" % (mid, NOT_A_TERM))
         if mid in dom:
             raise DanglingId("morphism id %s duplicates another (identities are reserved)" % mid)
         if d not in known or c not in known:
@@ -416,7 +410,7 @@ def opposite(C):
     that shares C's listing."""
     op = _View(C.objects, C.morphisms, C.cod, C.dom, C.identity,
                lambda view: {(f, g): h for (g, f), h in C.comp.items()},
-               C.name + "^op" if C.name else "", _ids_parse(C))
+               C.name + "^op" if C.name else "")
     op._key = ("opposite", C)
     return op
 
@@ -436,18 +430,14 @@ def over_id(p):
 
 
 def objects_over(parts):
-    """Map id -> parts for the objects with the given parts, in order;
-    two objects with the same id are refused.  The parts are tuples of one
-    length, so that one format string gives every id, as ``over_id``
-    does."""
+    """Map id -> parts for the objects with the given parts, in order.
+    The parts are tuples of one length, so that one format string gives
+    every id, as ``over_id`` does."""
     parts = list(parts)
     if not parts:
         return {}
     form = "(%s)" % "|".join(["%s"] * len(parts[0]))
-    out = dict(zip([form % p for p in parts], parts))
-    if len(out) != len(parts):
-        raise CategoryError("duplicate object ids")
-    return out
+    return dict(zip([form % p for p in parts], parts))
 
 
 def parts_count(C, arrow):
@@ -518,8 +508,6 @@ def _comma_like(C, parts, arrow, name):
                 if alpha == skip or not arrow(alpha, p1, p2):
                     continue
                 mid = "[%s:%s->%s]" % (alpha, o1, o2)
-                if mid in dom:
-                    raise DanglingId("morphism id %s duplicates another" % mid)
                 over[mid] = alpha
                 mors.append(mid)
                 dom[mid] = o1
@@ -544,8 +532,7 @@ def _comma_like(C, parts, arrow, name):
             comp.setdefault((f, ident[dom[f]]), f)
         return comp
 
-    parse = _ids_parse(C) and all(_is_term(x) for p in parts.values() for x in p[1:])
-    return _View(list(parts), mors, dom, cod, ident, table, name, parse), over
+    return _View(list(parts), mors, dom, cod, ident, table, name), over
 
 
 def category_over(C, parts, arrow, name, proj_name):
@@ -603,15 +590,14 @@ def _fact_mor_id(alpha, beta, f, g):
 
 
 class FactorizationData:
-    """Factorization category of C, its opposite, and its ``cod``
-    projection, a functor from the factorization category itself."""
+    """Factorization category of C and its ``cod`` projection, a functor
+    from the factorization category itself."""
 
-    __slots__ = ("base", "category", "category_op", "cod", "pair")
+    __slots__ = ("base", "category", "cod", "pair")
 
-    def __init__(self, base, category, category_op, cod, pair):
+    def __init__(self, base, category, cod, pair):
         self.base = base
         self.category = category
-        self.category_op = category_op
         self.cod = cod
         self.pair = pair  # morphism id -> (alpha, beta)
 
@@ -649,9 +635,6 @@ def factorization(C):
                     continue
                 g = C.comp[(beta, fa)]
                 mid = _fact_mor_id(alpha, beta, f, g)
-                if mid in dom:
-                    raise DanglingId("morphism id %s duplicates another (identities are reserved)"
-                                     % mid)
                 pair[mid] = (alpha, beta)
                 mors.append(mid)
                 dom[mid] = f
@@ -677,11 +660,11 @@ def factorization(C):
             comp.setdefault((f, ident[dom[f]]), f)
         return comp
 
-    cat = _View(objs, mors, dom, cod, ident, table, C.name and "F(%s)" % C.name, _ids_parse(C))
+    cat = _View(objs, mors, dom, cod, ident, table, C.name and "F(%s)" % C.name)
     cat._key = ("factorization", C)
     cod_f = Functor(cat, C, {f: C.cod[f] for f in objs}, {m: ab[1] for m, ab in pair.items()},
                     name="cod", _validate=False)
-    return FactorizationData(C, cat, opposite(cat), cod_f, pair)
+    return FactorizationData(C, cat, cod_f, pair)
 
 
 def factor_functor(S):
@@ -879,7 +862,7 @@ def full_subcategory(C, objs):
     return _View(objs, mors, {f: C.dom[f] for f in mors}, {f: C.cod[f] for f in mors},
                  {o: C.identity[o] for o in objs},
                  lambda view: {pair: C.comp[pair] for pair in view.composable_pairs()},
-                 C.name and C.name + "|", _ids_parse(C))
+                 C.name and C.name + "|")
 
 
 # -- builders -------------------------------------------------------------

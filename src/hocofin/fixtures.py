@@ -400,7 +400,7 @@ def dmor_id_hb():
 def dmor_incl_hb_union():
     hb = dset_hb_two()
     X = dset_union_two()
-    return DSetMorphism(hb, X, {o: {x: "1:%s" % x for x in hb.sets[o]} for o in hb.base.objects})
+    return DSetMorphism(hb, X, {o: {x: "1.%s" % x for x in hb.sets[o]} for o in hb.base.objects})
 
 
 def dmor_collapse_union_hb():
@@ -411,7 +411,7 @@ def dmor_collapse_union_hb():
     for o in two.objects:
         table = {}
         for x in X.sets[o]:
-            tag, val = x.split(":", 1)
+            tag, val = x.split(".", 1)
             table[x] = val if tag == "1" else two.comp[("u", val)]
         comp[o] = table
     return DSetMorphism(X, hb, comp)
@@ -446,11 +446,11 @@ def const_grp_system(X, free_product):
 
 
 def const_ab_nsys(C, group):
-    return constant_ab_diagram(factorization(C).category_op, group, name="const")
+    return constant_ab_diagram(opposite(factorization(C).category), group, name="const")
 
 
 def const_grp_nsys(C, free_product):
-    return constant_group_diagram(factorization(C).category_op, free_product, name="const")
+    return constant_group_diagram(opposite(factorization(C).category), free_product, name="const")
 
 
 def nonconst_ab_system_interval():

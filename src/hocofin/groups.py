@@ -158,17 +158,19 @@ def trivial_group():
 
 
 def product_group(G, H, name=""):
-    els = ["%s,%s" % (a, b) for a in G.elements for b in H.elements]
+    """G x H, with the pair of a and b named "(a,b)"."""
+    els = ["(%s,%s)" % (a, b) for a in G.elements for b in H.elements]
     table = {}
     for a1 in G.elements:
         for b1 in H.elements:
             for a2 in G.elements:
                 for b2 in H.elements:
-                    table[("%s,%s" % (a1, b1), "%s,%s" % (a2, b2))] = "%s,%s" % (
+                    table[("(%s,%s)" % (a1, b1), "(%s,%s)" % (a2, b2))] = "(%s,%s)" % (
                         G.table[(a1, a2)],
                         H.table[(b1, b2)],
                     )
-    return FinGroup(els, "%s,%s" % (G.unit, H.unit), table, name=name or "%sx%s" % (G.name, H.name))
+    return FinGroup(els, "(%s,%s)" % (G.unit, H.unit), table,
+                    name=name or "%sx%s" % (G.name, H.name))
 
 
 def symmetric_group_3():

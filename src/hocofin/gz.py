@@ -24,8 +24,6 @@ from .diagrams import (
 )
 from .fincat import (
     Functor,
-    _ids_parse,
-    _is_term,
     factor_functor,
     factorization,
     opposite,
@@ -166,17 +164,10 @@ def inverse_image(f, system):
 def certify_fibres(f, n_max, effort=1):
     """The hypothesis of comparing homology along a presheaf morphism f:
     a contractibility verdict on the elements category of every inverse
-    fibre, keyed by (d, y), each on its parts (``certify_over``).  The
-    fibres' elements are "(x|alpha)", so their ids parse when the names of
-    f's source do."""
-    X, D = f.source, f.source.base
-    parse = _ids_parse(D) and all(_is_term(x) for xs in X.sets.values() for x in xs)
-    verdicts = {}
-    for d in D.objects:
-        for y in f.target.sets[d]:
-            verdicts[(d, y)] = certify_over(D, *element_parts(inverse_fibre(f, d, y)), parse,
-                                            False, effort, n_max)
-    return verdicts
+    fibre, keyed by (d, y), each on its parts (``certify_over``)."""
+    D = f.source.base
+    return {(d, y): certify_over(D, *element_parts(inverse_fibre(f, d, y)), False, effort, n_max)
+            for d in D.objects for y in f.target.sets[d]}
 
 
 # -- natural-system homology ---------------------------------------------------
@@ -215,15 +206,16 @@ def _nerve_transport_pairs(C, fdata, top):
 
 
 def nerve_route_complex(C, M, n_max, fdata):
-    """Nerve-route complex for natural-system homology with abelian
-    coefficients: degree-n term the sum of M(composite of sigma) over
-    nondegenerate chains sigma (``diagrams.nerve_chains``, under the same
-    chain cap), faces acting through the factorization category ``fdata``
-    of C: d_0 transports through (f_1, id), d_n through (id, f_n), the
-    inner faces keep the composite.  The composite of y·f is f∘(composite
-    of y).  The squares of the boundary are proven zero when M's lifts
-    compose on the pairs of transports that the simplicial identities
-    compose (``lifts_compose`` on ``_nerve_transport_pairs``)."""
+    """Nerve-route complex for natural-system homology with coefficients
+    M, an abelian diagram over the opposite factorization category of C
+    (as ``bw_homology`` checks): degree-n term the sum of M(composite of
+    sigma) over nondegenerate chains sigma (``diagrams.nerve_chains``,
+    under the same chain cap), faces acting through the factorization
+    category ``fdata`` of C: d_0 transports through (f_1, id), d_n through
+    (id, f_n), the inner faces keep the composite.  The composite of y·f
+    is f∘(composite of y).  The squares of the boundary are proven zero
+    when M's lifts compose on the pairs of transports that the simplicial
+    identities compose (``lifts_compose`` on ``_nerve_transport_pairs``)."""
     chains = nerve_chains(C, n_max + 1)
     composites = [[C.identity[o] for o in chains.origin[0]]]
     transport = [None]
@@ -240,7 +232,7 @@ def nerve_route_complex(C, M, n_max, fdata):
         transport.append(moves)
     return normalized_complex([[M.value[d] for d in layer] for layer in composites], chains.faces,
                               transport, squares_vanish=lifts_compose(
-                                  fdata.category_op, M, _nerve_transport_pairs(C, fdata, n_max + 1)))
+                                  M.base, M, _nerve_transport_pairs(C, fdata, n_max + 1)))
 
 
 def bw_homology(C, system, n_max):
@@ -251,7 +243,7 @@ def bw_homology(C, system, n_max):
     transported through the factorization category.  The two must agree
     exactly; for group systems the abelianization is cross-checked."""
     fdata = factorization(C)
-    base = fdata.category_op
+    base = opposite(fdata.category)
     if system.base != base:
         raise GZError("system is not over the opposite factorization category of %s" % (C.name or "?"))
     if isinstance(system, AbDiagram):
@@ -274,8 +266,7 @@ def certify_slices(S, n_max, effort=1):
     S: a contractibility verdict on the slice S<alpha> for every morphism
     alpha of the TARGET category, the only reading under which the slice
     is defined.  Each slice is certified on its parts (``certify_over``)."""
-    parse = _ids_parse(S.source) and _ids_parse(S.target)
-    return {alpha: certify_over(S.source, *slice_parts(S, alpha), parse, False, effort, n_max)
+    return {alpha: certify_over(S.source, *slice_parts(S, alpha), False, effort, n_max)
             for alpha in S.target.morphisms}
 
 

@@ -285,9 +285,11 @@ def standard_simplex(k, N, basepoint=None):
 class DSet:
     """Finite presheaf of sets over a finite category.
 
-    ``sets[a]`` lists X(a), each element once; ``maps[alpha]`` (for
-    alpha: b -> a) sends X(a) to X(b); identity maps are synthesized;
-    contravariant functoriality is checked exhaustively.
+    ``sets[a]`` lists X(a), each element once, and no two elements of
+    one set with the same ``str`` form, which must be a term
+    (``fincat._is_term``); ``maps[alpha]`` (for alpha: b -> a) sends X(a)
+    to X(b); identity maps are synthesized; contravariant functoriality is
+    checked exhaustively.
     """
 
     __slots__ = ("base", "sets", "maps", "name")
@@ -309,6 +311,15 @@ class DSet:
         for o in B.objects:
             if len(set(self.sets[o])) != len(self.sets[o]):
                 raise PresheafError("presheaf set at %s repeats an element" % o)
+            names = set()
+            for name in map(str, self.sets[o]):
+                if not fincat._is_term(name):
+                    raise PresheafError("presheaf element %s at %s %s"
+                                        % (name, o, fincat.NOT_A_TERM))
+                if name in names:
+                    raise PresheafError("presheaf set at %s has two elements written %s"
+                                        % (o, name))
+                names.add(name)
         for f in B.morphisms:
             table = self.maps.get(f)
             if table is None:
@@ -384,17 +395,17 @@ def empty_dset(D):
 
 
 def dset_disjoint_union(X, Y, name=""):
-    """X + Y, with the elements of X tagged "0:" and those of Y "1:"."""
+    """X + Y, with the elements of X tagged "0." and those of Y "1."."""
     B = X.base
-    sets = {o: ["0:%s" % x for x in X.sets[o]] + ["1:%s" % y for y in Y.sets[o]]
+    sets = {o: ["0.%s" % x for x in X.sets[o]] + ["1.%s" % y for y in Y.sets[o]]
             for o in B.objects}
     maps = {}
     for m in B.morphisms:
         table = {}
         for x, v in X.maps[m].items():
-            table["0:%s" % x] = "0:%s" % v
+            table["0.%s" % x] = "0.%s" % v
         for y, v in Y.maps[m].items():
-            table["1:%s" % y] = "1:%s" % v
+            table["1.%s" % y] = "1.%s" % v
         maps[m] = table
     return DSet(B, sets, maps, name=name or "%s+%s" % (X.name, Y.name))
 

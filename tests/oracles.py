@@ -625,10 +625,10 @@ def disjoint_union(C, D, tags=("0", "1"), name=""):
     ta, tb = tags
 
     def t0(x):
-        return "%s:%s" % (ta, x)
+        return "%s.%s" % (ta, x)
 
     def t1(x):
-        return "%s:%s" % (tb, x)
+        return "%s.%s" % (tb, x)
 
     objs = [t0(o) for o in C.objects] + [t1(o) for o in D.objects]
     mors = []

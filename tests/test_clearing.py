@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 from hocofin import cli, diagrams, fixtures, groups, gz, homalg
 from hocofin.diagrams import AbDiagram, GroupDiagram, abelianize_diagram, constant_ab_diagram, srep_ab_complex
-from hocofin.fincat import factorization, from_monoid
+from hocofin.fincat import factorization, from_monoid, opposite
 from hocofin.homalg import AbMap, ChainComplex, FGAb, HomalgError, block_map
 from oracles import boundary_squares, lifted_homology, uncleared_cone_invariants
 from test_cofinal_reduction import monoids, posets
@@ -121,14 +121,14 @@ def test_generated_monoids_keep_their_invariants(C, A):
     # coefficients are transported through the factorization category
     assert_cleared_route_sound(srep_ab_complex(C, constant_ab_diagram(C, A), 2))
     fdata = factorization(C)
-    system = constant_ab_diagram(fdata.category_op, A)
+    system = constant_ab_diagram(opposite(fdata.category), A)
     assert_cleared_route_sound(gz.nerve_route_complex(C, system, 2, fdata))
 
 
 # (category, n_max): a factorization category of a monoid of three maps
 # already has 1536 chains in degree 3
 small_categories = st.one_of(posets().map(lambda C: (C, 3)),
-                             monoids(3).map(lambda C: (factorization(C).category_op, 2)))
+                             monoids(3).map(lambda C: (opposite(factorization(C).category), 2)))
 
 
 @settings(max_examples=40, deadline=None)
@@ -168,8 +168,8 @@ def test_lifts_that_compose_only_modulo_relations_take_the_chainwise_squares(dat
     assert_cleared_route_sound(K)
     if len(C.objects) == 1 and len(C.morphisms) <= 3:
         fdata = factorization(C)
-        system = data.draw(loose_lifts(fdata.category_op))
-        assert not diagrams.lifts_compose(fdata.category_op, system)
+        system = data.draw(loose_lifts(opposite(fdata.category)))
+        assert not diagrams.lifts_compose(opposite(fdata.category), system)
         assert_cleared_route_sound(gz.nerve_route_complex(C, system, 2, fdata))
         assert gz.bw_homology(C, system, 1)["routes_agree"]
 
@@ -209,7 +209,7 @@ def _bz2_system(value, act):
     arrow (a, b) acting by the columns ``act(a is t, b is t)``."""
     C = _one_object(groups.cyclic_group(2))
     fdata = factorization(C)
-    Fop = fdata.category_op
+    Fop = opposite(fdata.category)
     actions = {}
     for m in Fop.morphisms:
         if not Fop.is_identity(m):
@@ -239,7 +239,7 @@ def test_the_nerve_route_checks_every_pair_of_transports_it_composes(kind):
     # nerve route's d∘d rests on and not on the third, so the route must
     # take its squares chain by chain, and they are nonzero
     C, fdata, system = _bz2_system(*_LOOSE[kind])
-    assert not diagrams.lifts_compose(fdata.category_op, system,
+    assert not diagrams.lifts_compose(opposite(fdata.category), system,
                                       gz._nerve_transport_pairs(C, fdata, 3))
     K = gz.nerve_route_complex(C, system, 2, fdata)
     assert K._squares
@@ -259,7 +259,7 @@ def test_the_nerve_route_checks_only_the_pairs_of_transports_it_composes():
     assert len(triples) == 4 * 6 * 5 * 5
     assert len(list(gz._nerve_transport_pairs(C, fdata, 2))) == 4 * 5 * 5
     assert list(gz._nerve_transport_pairs(C, fdata, 1)) == []
-    comp = fdata.category_op.comp
+    comp = opposite(fdata.category).comp
     assert len(comp) == 7776
     assert all(comp[(g, f)] == gf for g, f, gf in triples)
 
@@ -268,7 +268,7 @@ def test_strict_lifts_on_the_factorization_category_prove_the_nerve_squares_zero
     # Z/4 acting on Z by (a, b) -> (-1)^(a + b) composes on generators
     C = _one_object(groups.cyclic_group(4))
     fdata = factorization(C)
-    Fop = fdata.category_op
+    Fop = opposite(fdata.category)
 
     def power(f):
         return 0 if C.is_identity(f) else int(f)

@@ -446,6 +446,12 @@ MALFORMED.update({
 })
 
 
+# a name holding each separator of the id formats outside brackets, and
+# one whose brackets do not balance
+NON_TERMS = {"a-colon": "a:b", "a-comma": "a,b", "a-bar": "a|b", "an-arrow": "a->b",
+             "an-open-bracket": "a(b"}
+
+
 def with_categories(**categories):
     """GOOD_WORKSPACE with more, or replaced, categories."""
     return dict(GOOD_WORKSPACE, categories=dict(GOOD_WORKSPACE["categories"], **categories))
@@ -654,6 +660,36 @@ MALFORMED.update({
         dict(GOOD_WORKSPACE, dsetmaps={"idhb": dict(GOOD_WORKSPACE["dsetmaps"]["idhb"],
                                                     components={"a": {"u": "zz"}, "b": {"ib": "ib"}})}),
         "NaturalityViolation: component at a leaves the target",
+    ),
+    # names that are not terms, in a category or presheaf that nothing else
+    # reads: one case per separator of the id formats, and one for brackets
+    # that do not balance
+    **{"object-id-with-%s" % case: (
+           with_categories(named={"objects": [name], "morphisms": [], "composition": []}),
+           "CategoryError: object id %s is not a term" % name)
+       for case, name in NON_TERMS.items()},
+    **{"morphism-id-with-%s" % case: (
+           with_categories(named=dict(TWO, morphisms=[{"id": name, "dom": "a", "cod": "b"}])),
+           "CategoryError: morphism id %s is not a term" % name)
+       for case, name in NON_TERMS.items()},
+    **{"dset-element-with-%s" % case: (
+           dict(GOOD_WORKSPACE, dsets=dict(GOOD_WORKSPACE["dsets"], named={
+               "category": "two", "sets": {"a": [name]}, "maps": {"u": {}}})),
+           "PresheafError: presheaf element %s at a is not a term" % name)
+       for case, name in NON_TERMS.items()},
+    # a group element names an arrow of its classifying space, "A.a|b"
+    "bg-group-element-with-a-bar": (
+        dict(GOOD_WORKSPACE, groups={"z2": dict(Z2, elements=["0", "a|b"],
+                                                table=[["0", "a|b"], ["a|b", "0"]])},
+             diagrams={"d": dict(GOOD_WORKSPACE["diagrams"]["d"],
+                                 homs={"u": {"A.a|b": [["A", "a|b"]]}})}),
+        "CategoryError: morphism id A.a|b is not a term",
+    ),
+    # JSON 1 and "1" would be one object (a|1) of the category of elements
+    "dset-elements-written-alike": (
+        dict(GOOD_WORKSPACE, dsets=dict(GOOD_WORKSPACE["dsets"], named={
+            "category": "two", "sets": {"a": [1, "1"]}, "maps": {"u": {}}})),
+        "PresheafError: presheaf set at a has two elements written 1",
     ),
     # the readers
     "dset-map-at-an-unknown-morphism": (
@@ -888,10 +924,11 @@ def test_sizes_at_their_limits_are_read(capsys, tmp_path):
     capsys.readouterr()
 
 
-# derived ids formatted from names that hold separators of the id formats can
-# coincide: "[x,y,z:id_*->0]" names both (x,y ; z) and (x ; y,z) in the
+# names that hold separators of the id formats would make derived ids
+# coincide: "[x,y,z:id_*->0]" would name both (x,y ; z) and (x ; y,z) in the
 # factorization category, and "[u:(a|p)->(b|q)->(b|r)]" two morphisms of a
-# category of elements
+# category of elements; they are refused when the category or the presheaf
+# is read, whatever the command
 ZERO_MONOID = {"categories": {"zero": {
     "objects": ["*"],
     "morphisms": [{"id": e, "dom": "*", "cod": "*"} for e in ("x,y", "z", "x", "y,z", "0")],
@@ -905,16 +942,16 @@ ELEMENTS_THAT_COLLIDE = {
     "systems": {"s": {"over": {"kind": "elements-op", "dset": "x"},
                       "constant_abelian": {"gens": 1}}},
 }
+NOT_A_TERM = " is not a term (no : , | or -> outside brackets, and brackets that balance)\n"
 
 
 @pytest.mark.parametrize("data, argv, message", [
     (ZERO_MONOID, ["factorization", "--category", "zero"],
-     "error: DanglingId: morphism id [x,y,z:id_*->0] duplicates another (identities are reserved)\n"),
-    (ELEMENTS_THAT_COLLIDE, [],
-     "error: DanglingId: morphism id [u:(a|p)->(b|q)->(b|r)] duplicates another\n"),
+     "error: CategoryError: morphism id x,y" + NOT_A_TERM),
+    (ELEMENTS_THAT_COLLIDE, [], "error: PresheafError: presheaf element p)->(b|q at a" + NOT_A_TERM),
     (ELEMENTS_THAT_COLLIDE, ["gz", "--dset", "x", "--system", "s"],
-     "error: DanglingId: morphism id [u:(a|p)->(b|q)->(b|r)] duplicates another\n"),
-])
+     "error: PresheafError: presheaf element p)->(b|q at a" + NOT_A_TERM),
+], ids=["factorization-zero-monoid", "validate-elements-that-collide", "gz-elements-that-collide"])
 def test_derived_ids_that_coincide_are_a_one_line_error(data, argv, message, capsys, tmp_path):
     assert one_line_error(capsys, data, tmp_path, *argv) == (1, message)
 

@@ -115,7 +115,7 @@ def test_without_universal_arrows_every_object_is_kept_in_order(C):
 
 
 def test_a_connected_groupoid_keeps_one_object():
-    F = factorization(cyclic_category(4)).category_op
+    F = opposite(factorization(cyclic_category(4)).category)
     kept, steps = reflective_core(F)
     assert kept == [F.objects[-1]] and len(steps) == len(F.objects) - 1
     replay(F, kept, steps)
@@ -224,7 +224,7 @@ def monoids(draw, most):
 
 
 def disjoint_union(A, B):
-    tag = {0: "l:", 1: "r:"}
+    tag = {0: "l.", 1: "r."}
     objs, mors, comp = [], [], []
     for k, C in enumerate((A, B)):
         objs += [tag[k] + o for o in C.objects]
@@ -240,7 +240,7 @@ def disjoint_union(A, B):
 categories = st.one_of(
     posets(),
     monoids(6),
-    monoids(3).map(lambda C: factorization(C).category_op),
+    monoids(3).map(lambda C: opposite(factorization(C).category)),
     st.tuples(posets(), posets() | monoids(4)).map(lambda p: disjoint_union(*p)),
     posets().map(opposite),
 )

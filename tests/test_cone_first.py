@@ -118,7 +118,7 @@ def test_the_fixture_categories_and_their_derived_categories():
     for make in fixtures.CATEGORIES.values():
         builders += [make, lambda make=make: opposite(make()),
                      lambda make=make: factorization(make()).category,
-                     lambda make=make: factorization(make()).category_op]
+                     lambda make=make: opposite(factorization(make()).category)]
     for make in fixtures.FUNCTORS.values():
         builders += derived(make())
     for name in fixtures.WEFRAC_CATEGORIES:

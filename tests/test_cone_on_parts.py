@@ -11,19 +11,19 @@ the same verdict and certificate at every object, in the same order, and
 the same aggregate, both ways round, on every fixture functor and on
 generated ones (monotone maps between posets, monoid homomorphisms,
 full-subcategory inclusions and the codomain projections of
-factorization categories).  Besides, ids that might not parse take the
-view route and fail exactly as it does; a coslice with no cone is
-certified on its view after one cone search, not two; of isomorphic
-final objects the first in order is the cone; and an empty coslice is
-refused as empty.
+factorization categories).  Besides, the names that would make two ids
+coincide are refused when the category is built, before either route;
+a coslice with no cone is certified on its view after one cone search,
+not two; of isomorphic final objects the first in order is the cone;
+and an empty coslice is refused as empty.
 
 The slices and inverse fibres are held to their view routes in the same
 way (``oracles.view_route_slices``, ``oracles.view_route_fibres``): on
 every ``confhomolBW`` and ``dhiso`` fixture, on the slices of the
 generated functors, on every built-in presheaf morphism and on the map
-of every built-in presheaf to the point; ids that do not parse fail as
-on the view route, a slice or fibre with no cone is searched once, and
-an empty fibre is refused as empty."""
+of every built-in presheaf to the point; the names that would make two
+ids coincide are refused when built, a slice or fibre with no cone is
+searched once, and an empty fibre is refused as empty."""
 
 import pytest
 from hypothesis import assume, given, settings
@@ -36,7 +36,6 @@ from hocofin import cofinal, fixtures
 from hocofin.cofinal import certify_homotopy_cofinal
 from hocofin.fincat import (
     CategoryError,
-    DanglingId,
     Functor,
     factorization,
     from_monoid,
@@ -46,7 +45,7 @@ from hocofin.fincat import (
     validate_category,
 )
 from hocofin.gz import certify_fibres, certify_slices
-from hocofin.presheaf import DSet, DSetMorphism, constant_singleton
+from hocofin.presheaf import DSet, DSetMorphism, PresheafError, constant_singleton
 
 
 def verdicts(got, want):
@@ -199,15 +198,15 @@ def test_generated_functors_get_the_view_routes_verdicts(S):
 
 
 def test_ids_that_do_not_parse_fail_as_on_the_view_route():
-    # "(u|f|g)" names both (u, f|g) and (u|f, g) in o↓id
-    C = validate_category(["o", "u", "u|f"], [("f|g", "o", "u"), ("g", "o", "u|f")], [])
-    S = identity_functor(C)
-    with pytest.raises(CategoryError, match="^duplicate object ids$"):
-        view_route_cofinal(S)
-    with pytest.raises(CategoryError, match="^duplicate object ids$"):
-        certify_homotopy_cofinal(S)
-    # without u|f the ids are distinct, and both routes certify them
-    assert assert_same_verdicts(identity_functor(full_subcategory(C, ["o", "u"])))
+    # "(u|f|g)" would name both (u, f|g) and (u|f, g) in o↓id; the names
+    # are refused when the category is built, so no route meets the id
+    with pytest.raises(CategoryError, match=r"^object id u\|f is not a term"):
+        validate_category(["o", "u", "u|f"], [("g", "o", "u|f")], [])
+    with pytest.raises(CategoryError, match=r"^morphism id f\|g is not a term"):
+        validate_category(["o", "u"], [("f|g", "o", "u")], [])
+    # under names that are terms, both routes certify the same category
+    C = validate_category(["o", "u", "uf"], [("fg", "o", "u"), ("g", "o", "uf")], [])
+    assert assert_same_verdicts(identity_functor(C))
 
 
 def counted_cone_searches(monkeypatch):
@@ -334,35 +333,33 @@ def test_slices_of_generated_functors_get_the_view_routes_verdicts(S):
 
 
 def test_slice_ids_that_do_not_parse_fail_as_on_the_view_route():
-    # a = (q|r)∘p through m and a = r∘q through m|p: "(m|p|q|r)" names both
-    C = validate_category(["s", "t", "m", "m|p"],
-                         [("a", "s", "t"), ("p", "s", "m"), ("q|r", "m", "t"),
-                          ("q", "s", "m|p"), ("r", "m|p", "t")],
-                         [("q|r", "p", "a"), ("r", "q", "a")])
-    S = identity_functor(C)
-    with pytest.raises(CategoryError, match="^duplicate object ids$"):
-        view_route_slices(S, 2)
-    with pytest.raises(CategoryError, match="^duplicate object ids$"):
-        certify_slices(S, 2)
-    # without m|p the ids are distinct, and both routes certify them
-    assert_same_slice_verdicts(identity_functor(full_subcategory(C, ["s", "t", "m"])))
+    # a = (q|r)∘p through m and a = r∘q through m|p: "(m|p|q|r)" would name
+    # both, but "m|p" and "q|r" are refused when the category is built
+    for objects, morphisms, message in (
+            (["s", "t", "m|p"], [("q", "s", "m|p")], r"^object id m\|p is not a term"),
+            (["s", "t", "m"], [("q|r", "m", "t")], r"^morphism id q\|r is not a term")):
+        with pytest.raises(CategoryError, match=message):
+            validate_category(objects, morphisms, [])
+    # under names that are terms, both routes certify the same category
+    C = validate_category(["s", "t", "m", "mp"],
+                          [("a", "s", "t"), ("p", "s", "m"), ("qr", "m", "t"),
+                           ("q", "s", "mp"), ("r", "mp", "t")],
+                          [("qr", "p", "a"), ("r", "q", "a")])
+    assert_same_slice_verdicts(identity_functor(C))
 
 
 def test_fibre_ids_that_do_not_parse_fail_as_on_the_view_route():
-    # in the fibre of X -> pt over (b, *), u names two morphisms
-    # "[u:(a|(p|u))->(b|(q|u))->(b|(r|id_b))]": from (a|(p|u)) and from
+    # in the fibre of X -> pt over (b, *), u would name two morphisms
+    # "[u:(a|(p|u))->(b|(q|u))->(b|(r|id_b))]", from (a|(p|u)) and from
     # (a|(p|u))->(b|(q|u)), as in the elements category of test_cli's
-    # ELEMENTS_THAT_COLLIDE
+    # ELEMENTS_THAT_COLLIDE; the presheaf is refused when it is built
     C = fixtures.cat_two()
-    X = DSet(C, {"a": ["p", "p|u))->(b|(q"], "b": ["q|u))->(b|(r", "r"]},
+    with pytest.raises(PresheafError, match=r"^presheaf element p\|u\)\)->\(b\|\(q at a is not"):
+        DSet(C, {"a": ["p", "p|u))->(b|(q"], "b": ["q|u))->(b|(r", "r"]},
              {"u": {"q|u))->(b|(r": "p", "r": "p|u))->(b|(q"}})
-    message = r"^morphism id \[u:\(a\|\(p\|u\)\)->\(b\|\(q\|u\)\)->\(b\|\(r\|id_b\)\)\] duplicates"
-    with pytest.raises(DanglingId, match=message):
-        view_route_fibres(to_point(X), 2)
-    with pytest.raises(DanglingId, match=message):
-        certify_fibres(to_point(X), 2)
-    # names that are not terms but do not collide: both routes certify them
-    Y = DSet(C, {"a": ["p|q"], "b": ["(r"]}, {"u": {"(r": "p|q"}})
+    # names that hold separators inside brackets are terms: both routes
+    # certify them
+    Y = DSet(C, {"a": ["{p,q}"], "b": ["(r|s)"]}, {"u": {"(r|s)": "{p,q}"}})
     assert assert_same_fibre_verdicts(to_point(Y)) == ["cone", "cone"]
 
 
@@ -385,6 +382,6 @@ def test_a_slice_or_fibre_without_a_cone_is_searched_once(monkeypatch):
 def test_an_empty_fibre_is_refused_as_empty():
     f = fixtures.dmor_incl_hb_union()
     got = certify_fibres(f, 2)
-    assert got[("a", "0:id_a")].to_json() == {"verdict": "NONCONTRACTIBLE",
+    assert got[("a", "0.id_a")].to_json() == {"verdict": "NONCONTRACTIBLE",
                                               "witness": {"empty": True}}
     assert "empty" in assert_same_fibre_verdicts(f)

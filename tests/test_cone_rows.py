@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from hocofin import cli, cofinal, diagrams, fixtures, groups, gz, homalg, presheaf
 from hocofin.diagrams import AbDiagram, GroupDiagram, abelianize_diagram, constant_ab_diagram, srep_ab_complex
-from hocofin.fincat import factorization, from_monoid
+from hocofin.fincat import factorization, from_monoid, opposite
 from hocofin.homalg import AbMap, FGAb, block_sum, normalized_complex
 from oracles import cleared_route
 from test_clearing import loose_lifts
@@ -170,7 +170,7 @@ def test_generated_monoids_with_torsion_coefficients(C, G, nerve_route):
     # replacement or on bw's nerve route through the factorization category
     if nerve_route:
         fdata = factorization(C)
-        K = gz.nerve_route_complex(C, constant_ab_diagram(fdata.category_op, G), 2, fdata)
+        K = gz.nerve_route_complex(C, constant_ab_diagram(opposite(fdata.category), G), 2, fdata)
     else:
         K = srep_ab_complex(C, constant_ab_diagram(C, G), 2)
     assert_routes_agree(K, 2)

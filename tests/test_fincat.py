@@ -24,7 +24,7 @@ from hocofin.fincat import (
     opposite,
     validate_category,
 )
-from hocofin.presheaf import DSet, elements_with_parts
+from hocofin.presheaf import DSet, PresheafError, elements_with_parts
 from oracles import comma_coslice, disjoint_union, initial_objects, nondegenerate_chains, paired_poset
 from test_cofinal_reduction import monoids, posets
 
@@ -171,7 +171,7 @@ def test_factorization_projections_are_functors():
         assert F.cod.source is F.category
         F.cod._check()
         # the first components of ``pair`` give a functor from the opposite
-        Functor(F.category_op, C, {f: C.dom[f] for f in F.category.objects},
+        Functor(opposite(F.category), C, {f: C.dom[f] for f in F.category.objects},
                 {m: ab[0] for m, ab in F.pair.items()})
 
 
@@ -268,11 +268,17 @@ def test_coslice_and_factor_slice_lie_over_the_source(name, monkeypatch):
 
 
 def test_category_over_refuses_repeated_object_ids():
-    # "(a|b|x)" names both (a|b, x) and (a, b|x)
-    base = validate_category(["a|b", "a"], [], [])
-    X = DSet(base, {"a|b": ["x"], "a": ["b|x"]}, {})
-    with pytest.raises(CategoryError, match="duplicate object ids"):
-        elements_with_parts(X)
+    # "(a|b|x)" would name both (a|b, x) and (a, b|x) in the category of
+    # elements: "a|b" and "b|x" are refused when the base and the presheaf
+    # are built
+    with pytest.raises(CategoryError, match=r"^object id a\|b is not a term"):
+        validate_category(["a|b", "a"], [], [])
+    base = validate_category(["ab", "a"], [], [])
+    with pytest.raises(PresheafError, match=r"^presheaf element b\|x at a is not a term"):
+        DSet(base, {"ab": ["x"], "a": ["b|x"]}, {})
+    E, _, parts = elements_with_parts(DSet(base, {"ab": ["x"], "a": ["bx"]}, {}))
+    assert E.objects == ["(ab|x)", "(a|bx)"] and parts == {"(ab|x)": ("ab", "x"),
+                                                           "(a|bx)": ("a", "bx")}
 
 
 def test_iso_check_finds_swap():

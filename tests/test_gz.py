@@ -158,7 +158,7 @@ def test_direct_image_inclusion_and_collapse():
     X = dset_disjoint_union(ha, hb)
     # inclusion of h_b into the union
     incl = DSetMorphism(
-        hb, X, {o: {x: "1:%s" % x for x in hb.sets[o]} for o in two.objects}
+        hb, X, {o: {x: "1.%s" % x for x in hb.sets[o]} for o in two.objects}
     )
     rep = direct_image(incl, const_ab_system(hb, FGAb.free(1)), 2)
     assert rep["verdict"] == "agree"
@@ -167,7 +167,7 @@ def test_direct_image_inclusion_and_collapse():
     for o in two.objects:
         table = {}
         for x in X.sets[o]:
-            tag, val = x.split(":", 1)
+            tag, val = x.split(".", 1)
             table[x] = val if tag == "1" else two.comp[("u", val)]
         comp[o] = table
     coll = DSetMorphism(X, hb, comp)
@@ -188,9 +188,9 @@ def test_direct_image_nonconstant_system():
     oid = {(d, x): o for o, (d, x) in parts.items()}
     z4, z2, z3 = FGAb.cyclic(4), FGAb.cyclic(2), FGAb.cyclic(3)
     value = {
-        oid[("a", "0:id_a")]: z3,
-        oid[("a", "1:u")]: z2,
-        oid[("b", "1:id_b")]: z4,
+        oid[("a", "0.id_a")]: z3,
+        oid[("a", "1.u")]: z2,
+        oid[("b", "1.id_b")]: z4,
     }
     from hocofin.homalg import AbMap, IntMatrix
 
@@ -205,7 +205,7 @@ def test_direct_image_nonconstant_system():
     for o in two.objects:
         table = {}
         for x in X.sets[o]:
-            tag, val = x.split(":", 1)
+            tag, val = x.split(".", 1)
             table[x] = val if tag == "1" else two.comp[("u", val)]
         comp[o] = table
     hb = representable(two, "b")
@@ -219,9 +219,9 @@ def test_direct_image_nonconstant_system():
     fz2 = FreeProduct.from_group("B", cyclic_group(2))
     fz3 = FreeProduct.from_group("C", cyclic_group(3))
     gvalue = {
-        oid[("a", "0:id_a")]: fz3,
-        oid[("a", "1:u")]: fz2,
-        oid[("b", "1:id_b")]: fz4,
+        oid[("a", "0.id_a")]: fz3,
+        oid[("a", "1.u")]: fz2,
+        oid[("b", "1.id_b")]: fz4,
     }
     red = GH(fz4, fz2, {"A": {"0": (), "1": (("B", "1"),), "2": (), "3": (("B", "1"),)}})
     gaction = {}
@@ -310,12 +310,12 @@ def test_bw_homology_point_and_arrow():
 
 def const_nsys(C, group):
     fdata = fincat.factorization(C)
-    return constant_ab_diagram(fdata.category_op, group)
+    return constant_ab_diagram(opposite(fdata.category), group)
 
 
 def const_grp_nsys(C, fp):
     fdata = fincat.factorization(C)
-    return constant_group_diagram(fdata.category_op, fp)
+    return constant_group_diagram(opposite(fdata.category), fp)
 
 
 def test_bw_homology_span():

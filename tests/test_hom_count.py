@@ -20,8 +20,8 @@ categories and on the generated categories of ``test_cofinal_reduction``.
 ``comma_coslice`` and ``comma_left_fibre`` read the ends of the target's
 arrows out of (into) d and the source objects over them;
 ``oracles.scanned_objects``, which scans every source object, gives the
-same objects in the same order, with the ids of ``over_id``, and two parts
-whose ids coincide are refused."""
+same objects in the same order, with the ids of ``over_id``; the names
+that would make two of them coincide are refused when built."""
 
 import pytest
 from hypothesis import given, settings
@@ -48,7 +48,7 @@ from hocofin.fincat import (
     over_id,
     validate_category,
 )
-from hocofin.presheaf import constant_singleton, elements_with_parts, representable
+from hocofin.presheaf import DSet, PresheafError, constant_singleton, elements_with_parts, representable
 
 
 def boolean_lattice(k):
@@ -67,7 +67,7 @@ def views_of(C):
                    lambda d=d: full_subcategory(comma_coslice(S, d), C.objects[::2]),
                    lambda d=d: elements_with_parts(representable(C, d))[0]]
     builds += [lambda: factorization(C).category,
-               lambda: factorization(C).category_op,
+               lambda: fincat.opposite(factorization(C).category),
                lambda: full_subcategory(C, C.objects[::2]),
                lambda: full_subcategory(fincat.opposite(C), C.objects[1::2]),
                lambda: elements_with_parts(constant_singleton(C))[0]]
@@ -237,12 +237,17 @@ def test_comma_object_ids_are_formatted_as_over_id():
 
 
 def test_comma_objects_whose_ids_coincide_are_refused():
-    # "(u|f|g)" names both (u, f|g) and (u|f, g), so does "(a|b|x)"
-    for parts in ([("u", "f|g"), ("o", "id_o"), ("u|f", "g")], [("a|b", "x"), ("a", "b|x")]):
-        with pytest.raises(CategoryError, match="^duplicate object ids$"):
-            objects_over(parts)
-    C = validate_category(["o", "u", "u|f"], [("f|g", "o", "u"), ("g", "o", "u|f")], [])
-    with pytest.raises(CategoryError, match="^duplicate object ids$"):
-        comma_coslice(identity_functor(C), "o")
-    fibre, _, parts = comma_left_fibre(identity_functor(C), "u")
-    assert list(parts) == ["(o|f|g)", "(u|id_u)"]
+    # "(u|f|g)" would name both (u, f|g) and (u|f, g), and "(a|b|x)" both
+    # (a|b, x) and (a, b|x): the names are refused when the category or
+    # the presheaf is built, so no comma category meets them
+    with pytest.raises(CategoryError, match=r"^object id u\|f is not a term"):
+        validate_category(["o", "u", "u|f"], [("g", "o", "u|f")], [])
+    with pytest.raises(CategoryError, match=r"^morphism id f\|g is not a term"):
+        validate_category(["o", "u"], [("f|g", "o", "u")], [])
+    with pytest.raises(PresheafError, match=r"^presheaf element b\|x at a is not a term"):
+        DSet(validate_category(["a"], [], []), {"a": ["b|x"]}, {})
+    # a name may hold separators inside brackets
+    C = validate_category(["o", "u", "{u,f}"], [("(f|g)", "o", "u"), ("g", "o", "{u,f}")], [])
+    assert list(comma_left_fibre(identity_functor(C), "u")[2]) == ["(o|(f|g))", "(u|id_u)"]
+    assert list(comma_coslice(identity_functor(C), "o").objects) == [
+        "(o|id_o)", "(u|(f|g))", "({u,f}|g)"]

@@ -54,7 +54,7 @@ def test_the_fixture_categories():
     for G in (groups.symmetric_group_3(), groups.cyclic_group(4)):
         C = one_object(G)
         assert_table_matches_the_chains(C, 4)
-        assert_table_matches_the_chains(fincat.factorization(C).category_op, 2)
+        assert_table_matches_the_chains(fincat.opposite(fincat.factorization(C).category), 2)
 
 
 @settings(max_examples=60, deadline=None)

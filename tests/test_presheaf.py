@@ -135,7 +135,7 @@ def test_inverse_fibre_against_brute_force_pullback():
     for o in two.objects:
         table = {}
         for x in X.sets[o]:
-            tag, val = x.split(":", 1)
+            tag, val = x.split(".", 1)
             if tag == "1":
                 table[x] = val
             else:

@@ -35,7 +35,7 @@ def keyed_views(C):
     """One of each keyed view over C, and views whose keys differ from
     those of views equal to them."""
     F = factorization(C)
-    return [opposite(C), F.category, F.category_op, opposite(F.category_op), opposite(opposite(C))]
+    return [opposite(C), F.category, opposite(F.category), opposite(opposite(F.category)), opposite(opposite(C))]
 
 
 def elements(X):
@@ -65,7 +65,7 @@ def test_views_of_equal_bases_are_equal_unread(monkeypatch):
         assert C is not D
         equal_unread(opposite(C), opposite(D), monkeypatch)
         equal_unread(factorization(C).category, factorization(D).category, monkeypatch)
-        equal_unread(factorization(C).category_op, factorization(D).category_op, monkeypatch)
+        equal_unread(opposite(factorization(C).category), opposite(factorization(D).category), monkeypatch)
 
 
 def test_views_of_unequal_bases_agree_with_the_oracle():
@@ -79,7 +79,7 @@ def test_unequal_keys_do_not_make_unequal_categories():
     for make in CATEGORY_MAKERS:
         C = make()
         F = factorization(C)
-        for A, B in ((opposite(opposite(C)), C), (opposite(F.category_op), F.category)):
+        for A, B in ((opposite(opposite(C)), C), (opposite(opposite(F.category)), F.category)):
             assert A._key != B._key and agree(A, B)
 
 
@@ -126,7 +126,7 @@ def tabulated(built, *views):
 
 def test_homology_builds_no_table_for_a_system_over_a_separate_base(monkeypatch):
     F = factorization(fixtures.cat_z2())
-    nsys = constant_ab_diagram(F.category_op, FGAb.free(1))
+    nsys = constant_ab_diagram(opposite(F.category), FGAb.free(1))
     E = elements(fixtures.dset_interval_span())
     psys = constant_ab_diagram(opposite(E), FGAb.free(1))
     built = stages_built(monkeypatch)
